@@ -47,7 +47,6 @@ from .stationary import (
     g2_term,
     kernel,
     kernel_product_forms,
-    realized_sign,
     solve_on_complement,
     stationary_solution,
     x1_correction,
@@ -100,7 +99,7 @@ __all__ = [
     # stationary
     "StationaryError", "DegenerateChainError", "LevelChain",
     "StationarySolution", "build_level_chain", "kernel",
-    "kernel_product_forms", "realized_sign", "solve_on_complement",
+    "kernel_product_forms", "solve_on_complement",
     "g0_term", "g1_term", "g2_term", "x1_correction", "stationary_solution",
     # stability
     "StabilityError", "SpectrumReport", "build_reduced_linearization",

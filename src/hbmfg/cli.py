@@ -72,6 +72,13 @@ def _outdir(args) -> str:
     return out
 
 
+def _require_valid(cfg):
+    violations = validate(cfg)
+    if violations:
+        raise ConfigError("config fails validation: " + "; ".join(violations))
+    return cfg
+
+
 def _run_validate(cfg_path: str, out: str):
     try:
         cfg = read_config(cfg_path)
@@ -98,7 +105,7 @@ def _run_stationary(cfg_path: str, out: str, regime=None, delta=None):
             delta_int=None,
             delta_dis=None,
         )
-    sol = stationary_solution(cfg)
+    sol = stationary_solution(_require_valid(cfg))
     write_json(os.path.join(out, "stationary.json"), {
         "b": sol.b_1based,
         "regime": sol.regime.value,
@@ -122,7 +129,7 @@ def _run_stationary(cfg_path: str, out: str, regime=None, delta=None):
 
 
 def _run_stability(cfg_path: str, out: str):
-    cfg = read_config(cfg_path)
+    cfg = _require_valid(read_config(cfg_path))
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
     cmp_ = compare_d_block(cfg)
@@ -158,7 +165,7 @@ def _control_change_points(times, u_path):
 
 def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
                gT_path=None, damping=0.5, max_iter=50):
-    cfg = read_config(cfg_path)
+    cfg = _require_valid(read_config(cfg_path))
     horizon = float(T) if T is not None else default_horizon(cfg)
     step = float(dt) if dt is not None else default_dt(cfg)
     x0 = (Occupation(read_state_csv(x0_path, cfg.n, cfg.m)).x
@@ -190,6 +197,8 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
         "cone_worst": res.meta["cone_worst"],
         "switch_fraction": res.meta["switch_fraction"],
         "dx_final": res.meta["dx_final"],
+        "damping_final": res.meta["damping_final"],
+        "fixed_point_residual": res.meta["fixed_point_residual"],
         "drift_max": traj.meta["drift_max"],
         "projections": traj.meta["projections"],
         "violations": len(res.cone_violations),
@@ -207,7 +216,7 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
 
 def _run_simulate(cfg_path: str, out: str, N, T, reps=1, seed=0, samples=50,
                   per_rep=False, x0_path=None):
-    cfg = read_config(cfg_path)
+    cfg = _require_valid(read_config(cfg_path))
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
     x0 = (Occupation(read_state_csv(x0_path, cfg.n, cfg.m)).x

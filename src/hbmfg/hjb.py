@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kinetics import Trajectory, rk4_step
-from .model import Control, GameConfig, control_array, occupation_array, payoff_array
+from .model import GameConfig, control_array, occupation_array, payoff_array
 
 __all__ = [
     "HjbError",
@@ -74,24 +74,25 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     return out
 
 
-def optimal_control(g, cfg: GameConfig) -> Control:
+def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     """Best response to a payoff matrix: switch only on a strictly positive gain.
 
-    Gains within 1e-12 of zero keep the agent in place; among tied positive
-    gains the lowest target index wins (deterministic).
+    Returns the (n, m, m) 0/1 decision tensor u[i, from_j, to_k].  Gains
+    within 1e-12 of zero keep the agent in place; among tied positive gains
+    the lowest target index wins (deterministic).
     """
     ga = payoff_array(g)
     n, m = cfg.n, cfg.m
     u = np.zeros((n, m, m))
     if m == 1:
-        return Control(u)
+        return u
     gains = switch_gains(ga, cfg)
     gains[:, np.arange(m), np.arange(m)] = -np.inf
     best = np.argmax(gains, axis=2)  # first maximum = lowest k on exact ties
     take = np.take_along_axis(gains, best[..., None], axis=2)[..., 0] > SWITCH_TOL
     ii, jj = np.nonzero(take)
     u[ii, jj, best[ii, jj]] = 1.0
-    return Control(u)
+    return u
 
 
 def consistency_margin(g, x, cfg: GameConfig) -> float:
@@ -163,7 +164,7 @@ def integrate_backward(
         t_mid = t1 - (s + 0.5 * h)
         x_mid = x_of(t_mid)
         if mode == "optimizing":
-            f = lambda y: -hjb_rhs(y, x_mid, optimal_control(y, cfg).u, cfg)
+            f = lambda y: -hjb_rhs(y, x_mid, optimal_control(y, cfg), cfg)
         else:
             u_mid = u_of(t_mid)
             f = lambda y: -hjb_rhs(y, x_mid, u_mid, cfg)
@@ -180,7 +181,7 @@ def integrate_backward(
     gs = np.array(rev[::-1])
     traj = Trajectory(times=times, g=gs, meta={"dt": h, "mode": mode})
     if mode == "optimizing":
-        traj.u = np.array([optimal_control(gs[k], cfg).u for k in range(len(times) - 1)])
+        traj.u = np.array([optimal_control(gs[k], cfg) for k in range(len(times) - 1)])
     return traj.check()
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "DominanceReport",
     "regime_scales",
     "validate",
+    "balance_gap",
     "effective_rewards",
     "dominant_level",
     "occupation_array",
@@ -36,6 +37,8 @@ __all__ = [
 
 # Tie / degeneracy tolerance for reward column sums (relative to their scale).
 TIE_TOL = 1e-12
+# Detailed balance holds when balance_gap is at most this.
+BALANCE_TOL = 1e-12
 
 
 class Regime(enum.Enum):
@@ -314,10 +317,9 @@ def validate(cfg: GameConfig) -> list[str]:
             f"inconsistent with delta={cfg.delta!r} (expected {d_dis!r})"
         )
 
-    if cfg.detailed_balance and ok_up and ok_dn and n > 1:
-        diff = cfg.q_up[: n - 1] - cfg.q_down[1:]
-        if np.any(np.abs(diff) > TIE_TOL):
-            i, j = np.unravel_index(int(np.argmax(np.abs(diff))), diff.shape)
+    if cfg.detailed_balance and ok_up and ok_dn:
+        gap, (i, j) = balance_gap(cfg)
+        if not gap <= BALANCE_TOL:
             v.append(
                 f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
                 f"({cfg.q_up[i, j]!r} vs {cfg.q_down[i + 1, j]!r})"
@@ -336,6 +338,25 @@ def validate(cfg: GameConfig) -> list[str]:
             v.append("q_sink present but q_down_evo nonzero: pick one downward mechanism")
 
     return v
+
+
+def balance_gap(cfg: GameConfig, j: Optional[int] = None) -> tuple[float, tuple[int, int]]:
+    """Worst detailed-balance link gap and the 0-based (i, j) where it sits.
+
+    The gap is |q_up[i, j] - q_down[i+1, j]| relative to max(1, largest link
+    rate of the config), taken over every column or over column j alone.
+    Detailed balance holds when it is at most BALANCE_TOL.
+    """
+    up, down = cfg.q_up[:-1], cfg.q_down[1:]
+    if up.size == 0:
+        return 0.0, (0, 0 if j is None else j)
+    scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
+    diff = np.abs(up - down)
+    if j is not None:
+        i = int(np.argmax(diff[:, j]))
+        return float(diff[i, j]) / scale, (i, j)
+    i, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return float(diff[i, k]) / scale, (int(i), int(k))
 
 
 def effective_rewards(cfg: GameConfig) -> np.ndarray:

@@ -136,7 +136,9 @@ def solve_mfg(
     occupation path, then integrates backward optimizing to read off the best
     response.  Converged when the control path is reproduced bit-exactly and
     the relaxed occupation settles below 1e-8.  A period-2 control cycle is
-    flagged as oscillating and met with halved damping.
+    flagged as oscillating and met with halved damping.  meta reports the
+    fixed-point residual: sup |forward x - the relaxed x the last backward
+    sweep was integrated against|, 0.0 when the first sweep converges.
     """
     if not (T > 0.0) or not (0.0 < dt <= T):
         raise ValueError("need T > 0 and 0 < dt <= T")
@@ -156,6 +158,7 @@ def solve_mfg(
     fwd = bwd = None
     iterations = 0
     dx = float("inf")
+    residual = 0.0
 
     for it in range(max_iter):
         iterations = it + 1
@@ -166,6 +169,7 @@ def solve_mfg(
         else:
             x_new = theta * fwd.x + (1.0 - theta) * x_relaxed
             dx = float(np.max(np.abs(x_new - x_relaxed)))
+            residual = float(np.max(np.abs(fwd.x - x_new)))
         bwd = integrate_backward(
             gTa, _occupation_provider(x_new, h), 0.0, T, h, cfg, mode="optimizing"
         )
@@ -231,6 +235,7 @@ def solve_mfg(
         cone_violations=violations,
         meta={
             "damping_final": theta,
+            "fixed_point_residual": residual,
             "dx_final": dx,
             "cone_worst": cone_worst,
             "switch_fraction": switch_fraction,

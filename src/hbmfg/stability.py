@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameConfig, occupation_array
+from .model import BALANCE_TOL, GameConfig, balance_gap, occupation_array
 from .stationary import build_level_chain
 
 __all__ = [
@@ -97,15 +97,11 @@ def build_reduced_linearization(cfg: GameConfig, base=None) -> np.ndarray:
         raise StabilityError(
             f"square case required: got n={cfg.n} levels and m={cfg.m} behaviours"
         )
-    if cfg.n > 1:
-        up = cfg.q_up[:-1, :]
-        down = cfg.q_down[1:, :]
-        scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
-        gap = float(np.max(np.abs(up - down)))
-        if gap > 1e-12 * scale:
-            raise StabilityError(
-                f"pressure rates are not detailed-balanced (worst link gap {gap:.3e})"
-            )
+    gap = balance_gap(cfg)[0]
+    if not gap <= BALANCE_TOL:
+        raise StabilityError(
+            f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})"
+        )
     x = np.full((cfg.n, cfg.m), 1.0 / (cfg.n * cfg.m)) if base is None else (
         occupation_array(base)
     )

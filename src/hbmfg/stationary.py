@@ -9,20 +9,21 @@ correction that feels the stimulated interactions.  The occupation picks up
 its own first correction, proportional to delta_int, on the dominant column.
 
 Everything here works column by column on small dense chains; solves are
-closed-form recursions cross-checked against dense least squares.
+closed-form recursions.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .model import (
+    BALANCE_TOL,
     GameConfig,
     Occupation,
     Regime,
+    balance_gap,
     dominant_level,
     effective_rewards,
 )
@@ -35,7 +36,6 @@ __all__ = [
     "build_level_chain",
     "kernel",
     "kernel_product_forms",
-    "realized_sign",
     "solve_on_complement",
     "g0_term",
     "g1_term",
@@ -44,11 +44,7 @@ __all__ = [
     "stationary_solution",
 ]
 
-log = logging.getLogger(__name__)
-
 MEAN_TOL = 1e-12   # membership in the mean-zero complement, relative
-FORM_TOL = 1e-9    # agreement between independent closed forms
-CROSS_TOL = 1e-10  # closed form vs dense least-squares
 SOLVE_TOL = 1e-9   # second-order solvability (column sum of the rhs)
 
 
@@ -109,15 +105,12 @@ def build_level_chain(j: int, cfg: GameConfig) -> LevelChain:
     """Extract column j's chain from the config (0-based j)."""
     if not (0 <= j < cfg.m):
         raise ValueError(f"behaviour column index {j} out of range for m={cfg.m}")
-    up = cfg.q_up[:-1, j].copy() if cfg.n > 1 else np.zeros(0)
-    down = cfg.q_down[1:, j].copy() if cfg.n > 1 else np.zeros(0)
-    scale = max(1.0, float(np.max(np.abs(up), initial=0.0)), float(np.max(np.abs(down), initial=0.0)))
-    db = bool(np.all(np.abs(up - down) <= 1e-12 * scale))
+    up = cfg.q_up[:-1, j].copy()
     return LevelChain(
         j=j,
-        A=_tridiag_generator(up, down),
+        A=_tridiag_generator(up, cfg.q_down[1:, j]),
         q=up,
-        detailed_balance=db,
+        detailed_balance=balance_gap(cfg, j)[0] <= BALANCE_TOL,
         up_evo=np.asarray(cfg.q_up_evo[:, j, :], dtype=float),
         down_evo=np.asarray(cfg.q_down_evo[:, j, :], dtype=float),
     )
@@ -173,84 +166,11 @@ def kernel(chain: LevelChain, mass: float = 1.0) -> np.ndarray:
     return mass * v_bottom
 
 
-_SIGN: Optional[int] = None
-
-
-def realized_sign() -> int:
-    """Which sign pairing the complement recursion realizes.
-
-    The recursion below returns, for input y, the mean-zero z with
-    A z = realized_sign() * y.  The pairing is fixed once per process by a
-    residual probe on a two-level unit chain and asserted on every solve.
-    """
-    global _SIGN
-    if _SIGN is None:
-        q = np.ones(1)
-        y = np.array([1.0, -1.0])
-        A = _tridiag_generator(q, q)
-        z = _chain_solve_closed(q, y)
-        r_minus = float(np.max(np.abs(A @ z + y)))
-        r_plus = float(np.max(np.abs(A @ z - y)))
-        if r_minus <= 1e-12:
-            _SIGN = -1
-        elif r_plus <= 1e-12:
-            _SIGN = 1
-        else:
-            raise StationaryError(
-                f"complement recursion failed the sign probe "
-                f"(residuals {r_minus:.3e} / {r_plus:.3e})"
-            )
-        log.debug("complement solve realizes A z = %+d * y", _SIGN)
-    return _SIGN
-
-
-def _cumulative_loads(q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # load on link a (1-based a = 1..n-1): partial sum of y below, over the rate
-    return np.cumsum(y)[:-1] / q
-
-
-def _chain_solve_closed(q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = y.size
-    S = _cumulative_loads(q, y)
-    a = np.arange(1, n)
-    z = np.empty(n)
-    z[0] = float(np.dot((n - a) / n, S))
-    z[1:] = z[0] - np.cumsum(S)
-    return z
-
-
-def _chain_solve_indicator(q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # same solution as a single weighted sum over links; independent rounding path
-    n = y.size
-    S = _cumulative_loads(q, y)
-    a = np.arange(1, n)
-    i = np.arange(1, n + 1)
-    W = (n - a)[None, :] / n - (i[:, None] > a[None, :])
-    return W @ S
-
-
-def _g1_variant(q: np.ndarray, wcol: np.ndarray) -> np.ndarray:
-    """Variant weighted sum with the level weights shifted by one above the link.
-
-    Kept purely as a diagnostic: it disagrees with the complement solve in
-    general (it is not even mean-zero), the solve is authoritative, and the
-    gap is logged once per process.
-    """
-    n = wcol.size
-    mean = float(wcol.sum()) / n
-    a = np.arange(1, n)
-    inner = (a * mean - np.cumsum(wcol)[:-1]) / q
-    i = np.arange(1, n + 1)
-    W = np.where(i[:, None] > a[None, :], (n - a - 1.0) / n, (n - a) / n)
-    return W @ inner
-
-
 def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
     """Unique mean-zero z with A z = -y, for mean-zero y on a balanced chain.
 
-    Closed-form recursion down the chain; every call re-verifies the realized
-    sign pairing and cross-checks against a dense least-squares solve (whose
-    minimum-norm solution is exactly the mean-zero one here).
+    Closed-form recursion down the chain: cumulative loads on the links,
+    summed back with the weights that make the result mean-zero.
     """
     ya = np.asarray(y, dtype=float).reshape(-1)
     if ya.size != chain.n:
@@ -270,18 +190,11 @@ def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
         return np.zeros(1)
     if np.any(chain.q <= 0.0):
         _require_positive_links(chain, *_link_rates(chain))
-    z = _chain_solve_closed(chain.q, ya)
-    sign = realized_sign()
-    resid = float(np.max(np.abs(chain.A @ z - sign * ya)))
-    if resid > CROSS_TOL * scale:
-        raise StationaryError(f"complement solve residual {resid:.3e} out of tolerance")
-    z_dense, *_ = np.linalg.lstsq(chain.A, sign * ya, rcond=None)
-    gap = float(np.max(np.abs(z - z_dense)))
-    if gap > CROSS_TOL * max(1.0, float(np.max(np.abs(z)))):
-        raise StationaryError(
-            f"closed-form and dense solves disagree by {gap:.3e} "
-            f"on column {chain.j + 1}"
-        )
+    n = chain.n
+    loads = np.cumsum(ya)[:-1] / chain.q  # mass below each link over its rate
+    z = np.empty(n)
+    z[0] = float(np.dot((n - np.arange(1, n)) / n, loads))
+    z[1:] = z[0] - np.cumsum(loads)
     return z
 
 
@@ -305,45 +218,15 @@ def g0_term(cfg: GameConfig) -> np.ndarray:
     return np.tile(sums / cfg.n, (cfg.n, 1))
 
 
-_variant_logged = False
-
-
 def g1_term(cfg: GameConfig) -> np.ndarray:
     """First payoff correction, mean-zero down every column.
 
-    Solves the chain equation with the centered effective rewards as data,
-    by two independently rounded summations that must agree to 1e-9.  A
-    historical variant weighting is also evaluated; it is diagnostic only.
+    Solves the chain equation with the centered effective rewards as data.
     """
-    global _variant_logged
-    wt = effective_rewards(cfg)
-    g0 = g0_term(cfg)
+    y = effective_rewards(cfg) - g0_term(cfg)
     out = np.zeros((cfg.n, cfg.m))
-    worst_variant = 0.0
     for j in range(cfg.m):
-        chain = build_level_chain(j, cfg)
-        y = wt[:, j] - g0[:, j]
-        z = solve_on_complement(chain, y)
-        if cfg.n > 1:
-            z_ind = _chain_solve_indicator(chain.q, y)
-            scale = max(1.0, float(np.max(np.abs(z))))
-            gap = float(np.max(np.abs(z - z_ind)))
-            if gap > FORM_TOL * scale:
-                raise StationaryError(
-                    f"first-correction summations disagree by {gap:.3e} "
-                    f"in column {j + 1}"
-                )
-            worst_variant = max(
-                worst_variant, float(np.max(np.abs(_g1_variant(chain.q, wt[:, j]) - z)))
-            )
-        out[:, j] = z
-    if worst_variant > FORM_TOL and not _variant_logged:
-        log.warning(
-            "variant first-correction weighting deviates by %.3e; "
-            "using the complement solve (expected, logged once)",
-            worst_variant,
-        )
-        _variant_logged = True
+        out[:, j] = solve_on_complement(build_level_chain(j, cfg), y[:, j])
     return out
 
 
@@ -469,15 +352,11 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     """
     from .hjb import consistency_margin  # local import keeps module load light
 
-    if cfg.n > 1:
-        up = cfg.q_up[:-1, :]
-        down = cfg.q_down[1:, :]
-        scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
-        gap = float(np.max(np.abs(up - down)))
-        if gap > 1e-12 * scale:
-            raise StationaryError(
-                f"pressure rates are not detailed-balanced (worst link gap {gap:.3e})"
-            )
+    gap = balance_gap(cfg)[0]
+    if not gap <= BALANCE_TOL:
+        raise StationaryError(
+            f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})"
+        )
     rep = dominant_level(cfg)
     if not rep.nonzero_sums:
         raise StationaryError(

@@ -90,12 +90,12 @@ def test_optimal_control_tie_and_threshold():
         q_up_evo=np.zeros((1, 3, 3)), q_down_evo=np.zeros((1, 3, 3)),
         w=np.ones((1, 3)), fee_B=np.zeros((3, 3)), fee_H=np.zeros(1),
     )
-    u = optimal_control(np.array([[0.0, 1.0, 1.0]]), cfg).u
+    u = optimal_control(np.array([[0.0, 1.0, 1.0]]), cfg)
     want = np.zeros((1, 3, 3))
     want[0, 0, 1] = 1.0  # tied targets resolve to the lowest index
     npt.assert_array_equal(u, want)
     # gains at rounding scale do not trigger a switch
-    u2 = optimal_control(np.array([[0.0, 1e-13, 0.0]]), cfg).u
+    u2 = optimal_control(np.array([[0.0, 1e-13, 0.0]]), cfg)
     npt.assert_array_equal(u2, np.zeros((1, 3, 3)))
 
 
@@ -156,7 +156,7 @@ def test_optimizing_mode_dominates_frozen_control():
     assert free.u is not None and free.u.shape == (len(free.times) - 1, 3, 3, 3)
     # stored controls are exactly the best responses at the left nodes
     for k in range(0, len(free.times) - 1, 50):
-        npt.assert_array_equal(free.u[k], optimal_control(free.g[k], cfg).u)
+        npt.assert_array_equal(free.u[k], optimal_control(free.g[k], cfg))
     # and switching is actually exercised somewhere on the horizon
     assert free.u.any()
 

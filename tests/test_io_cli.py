@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -246,6 +247,7 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     assert doc["violations"] == 0
     assert doc["cone_worst"] <= 0.0
     assert doc["turnpike"] is not None
+    assert doc["damping_final"] == 0.5 and doc["fixed_point_residual"] == 0.0
     x_lines = (out / "x.csv").read_text().splitlines()
     g_lines = (out / "g.csv").read_text().splitlines()
     assert len(x_lines) == 82 and len(g_lines) == 82  # header + 81 nodes
@@ -303,6 +305,43 @@ def test_cli_simulate_same_seed_same_bytes(tmp_path, capsys):
     assert cli(args + ["--out", str(a)], capsys)[0] == 0
     assert cli(args + ["--out", str(b)], capsys)[0] == 0
     assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
+
+
+def test_cli_analysis_logs_no_warnings(tmp_path, capsys, caplog):
+    with caplog.at_level(logging.DEBUG):
+        assert cli(["stationary", EXAMPLE, "--out", str(tmp_path / "st")], capsys)[0] == 0
+        assert cli(["stability", EXAMPLE, "--out", str(tmp_path / "sp")], capsys)[0] == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_cli_solve_and_simulate_reject_invalid_config(tmp_path, capsys):
+    doc = json.loads(open(EXAMPLE).read())
+    doc["rates"]["q_up"][2] = [0.5, 0.5, 0.5]  # upgrades out of the top level
+    p = str(tmp_path / "bad.json")
+    with open(p, "w") as fh:
+        json.dump(doc, fh)
+    for args in (["solve", p, "--T", "5", "--dt", "0.05"],
+                 ["simulate", p, "--N", "100", "--T", "1"]):
+        out = tmp_path / args[0]
+        code, summary, err = cli(args + ["--out", str(out)], capsys)
+        assert code == 1
+        assert summary["ok"] is False and "q_up row 3 nonzero" in summary["error"]
+        assert "fails validation" in err
+        assert not (out / "manifest.json").exists()
+
+
+def test_cli_stationary_validates_after_overrides(tmp_path, capsys):
+    doc = json.loads(open(EXAMPLE).read())
+    doc["scales"]["delta_int"] = 0.5  # inconsistent with the id1 coupling
+    p = str(tmp_path / "odd.json")
+    with open(p, "w") as fh:
+        json.dump(doc, fh)
+    code, summary, _ = cli(["stationary", p, "--out", str(tmp_path / "a")], capsys)
+    assert code == 1 and "delta_int" in summary["error"]
+    # --delta re-derives both scales from the regime, so the result is valid
+    code, _, _ = cli(["stationary", p, "--out", str(tmp_path / "b"),
+                      "--delta", "0.05"], capsys)
+    assert code == 0
 
 
 def test_cli_sweep_stationary(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,9 @@ from hbmfg import (
     regime_scales,
     validate,
 )
+from hbmfg.model import BALANCE_TOL
+from hbmfg.stability import StabilityError, build_reduced_linearization
+from hbmfg.stationary import StationaryError, build_level_chain, stationary_solution
 from util_configs import make_config
 
 
@@ -94,6 +99,34 @@ def test_validate_detailed_balance_identity():
     cfg = _tiny(q_down=[[0.0, 0.0], [1.0, 2.0]], detailed_balance=True)
     msgs = validate(cfg)
     assert any("detailed_balance" in m and "q_up[1,2]" in m for m in msgs)
+
+
+def test_detailed_balance_decided_alike():
+    # one link gap just inside, then just outside the relative tolerance: the
+    # validator, the level chain, the stationary expansion and the
+    # linearization all accept or all reject
+    rng = np.random.default_rng(19)
+    base = make_config(3, 3, rng, db=True, balanced_evo=True, delta=0.05)
+    q_up = base.q_up.copy()
+    q_up[:-1] = rng.uniform(9.5, 10.5, size=(2, 3))
+    for factor, balanced in ((0.5, True), (2.0, False)):
+        q_down = np.zeros_like(q_up)
+        q_down[1:] = q_up[:-1]
+        q_down[2, 1] += factor * BALANCE_TOL * float(q_up.max())
+        cfg = dataclasses.replace(base, q_up=q_up, q_down=q_down)
+        msgs = validate(cfg)
+        assert len(msgs) == (0 if balanced else 1)
+        assert all(m.startswith("detailed_balance: q_up[2,2]") for m in msgs)
+        verdicts = [not msgs, build_level_chain(1, cfg).detailed_balance]
+        for build, error in ((stationary_solution, StationaryError),
+                             (build_reduced_linearization, StabilityError)):
+            try:
+                build(cfg)
+                verdicts.append(True)
+            except error as e:
+                assert "detailed-balanced" in str(e)
+                verdicts.append(False)
+        assert verdicts == [balanced] * 4, (factor, verdicts, msgs)
 
 
 def test_validate_sink_exclusivity():

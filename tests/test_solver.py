@@ -72,6 +72,7 @@ def test_solve_converges_immediately_inside_cone():
     assert res.meta["cone_worst"] <= 0.0
     assert res.meta["switch_fraction"] == 0.0
     assert res.meta["damping_final"] == 0.5
+    assert res.meta["fixed_point_residual"] == 0.0
 
 
 def test_solve_from_stationary_point_stays_there():
@@ -101,6 +102,20 @@ def test_solve_reports_nonconvergence_at_iteration_cap():
     assert not res.converged
     # switching is active, so the u == 0 start cannot reproduce itself
     assert res.trajectory.u.any()
+
+
+def test_fixed_point_residual_reports_relaxation_gap():
+    # forward x against the relaxed x the last payoff sweep saw: after a
+    # damped second sweep it is dx * (1 - theta) / theta, not dx
+    rng = np.random.default_rng(7)
+    cfg = make_config(3, 3, rng, db=True, balanced_evo=True, delta=0.05,
+                      gap=3.0, fee_switch=0.05)
+    res = solve_mfg(Occupation.uniform(3, 3), np.zeros((3, 3)), T=4.0, dt=0.05,
+                    cfg=cfg, damping=0.3, max_iter=2)
+    assert res.iterations == 2 and res.meta["damping_final"] == 0.3
+    want = res.meta["dx_final"] * (1.0 - 0.3) / 0.3
+    assert res.meta["fixed_point_residual"] == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert want > 0.1
 
 
 def test_solve_records_cone_violations_with_cheap_fees():

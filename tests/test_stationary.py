@@ -17,7 +17,6 @@ from hbmfg import (
     g2_term,
     kernel,
     kernel_product_forms,
-    realized_sign,
     solve_on_complement,
     stationary_residual,
     stationary_solution,
@@ -87,8 +86,8 @@ def test_degenerate_link_raises_with_level():
         kernel(build_level_chain(0, cfg))
 
 
-def test_realized_sign_and_probe():
-    assert realized_sign() == -1
+def test_complement_sign_convention():
+    # the solve returns z with A z = -y, never +y
     chain = build_level_chain(0, two_level_cfg(q_down1=1.0))
     z = solve_on_complement(chain, np.array([1.0, -1.0]))
     npt.assert_allclose(z, [0.5, -0.5], atol=1e-15)
