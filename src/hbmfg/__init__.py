@@ -24,7 +24,6 @@ from .kinetics import (
     Trajectory,
     integrate_forward,
     kinetic_rhs,
-    kinetic_rhs_sink,
     stationary_residual,
 )
 from .hjb import (
@@ -91,8 +90,8 @@ __all__ = [
     "GameConfig", "Regime", "SinkRates", "Occupation", "Payoff", "Control",
     "validate", "effective_rewards", "dominant_level", "regime_scales",
     # kinetics
-    "Trajectory", "KineticsError", "kinetic_rhs", "kinetic_rhs_sink",
-    "integrate_forward", "stationary_residual",
+    "Trajectory", "KineticsError", "kinetic_rhs", "integrate_forward",
+    "stationary_residual",
     # hjb
     "HjbError", "hjb_rhs", "switch_gains", "optimal_control",
     "consistency_margin", "integrate_backward", "stationary_payoff_residual",

@@ -6,10 +6,10 @@ lever is the behaviour switch: the gain of moving (i,j) -> (i,k) is
 g[i,k] - g[i,j] - fee_B[j,k], and staying put is always available.  Pressure
 moves and stimulated moves (weighted by the current occupation) act on the
 agent regardless, with the downgrade fine charged on every enforced drop.
+Both variants' level moves, step-down and sink, come from GameConfig.moves:
+the payoff flow is the adjoint of the forward flow.
 """
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,33 +41,21 @@ def switch_gains(g: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return g[:, None, :] - g[:, :, None] - cfg.fee_B[None, :, :]
 
 
-def _pressure_payoff(g: np.ndarray, cfg: GameConfig, x: Optional[np.ndarray]) -> np.ndarray:
-    n = cfg.n
-    up_diff = np.zeros_like(g)
-    dn_diff = np.zeros_like(g)
-    if n > 1:
-        up_diff[:-1] = g[1:] - g[:-1]
-        dn_diff[1:] = g[:-1] - g[1:]
-    dn_diff -= cfg.fee_H[:, None]  # fine charged on every enforced drop
-    out = cfg.q_up * up_diff + cfg.q_down * dn_diff
-    if cfg.delta_int != 0.0 and x is not None:
-        s_up = np.einsum("ijk,ik->ij", cfg.q_up_evo, x)
-        s_dn = np.einsum("ijk,ik->ij", cfg.q_down_evo, x)
-        out += cfg.delta_int * (s_up * up_diff + s_dn * dn_diff)
-    return out
-
-
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     """Backward-time derivative dg/dt under a supplied control.
 
     u as in kinetic_rhs (None = nobody switches).  x feeds the stimulated
-    move coefficients; it may be None when delta_int is zero.
+    move coefficients; it may be None when delta_int is zero.  The level
+    moves enter as the adjoint of kinetic_rhs's flux balance, each charged
+    its fine.
     """
     ga = payoff_array(g)
     xa = None if x is None else occupation_array(x)
     if cfg.delta_int != 0.0 and xa is None:
         raise HjbError("occupation required when delta_int > 0")
-    out = cfg.delta_dis * ga - cfg.w - _pressure_payoff(ga, cfg, xa)
+    mv = cfg.moves
+    diff = (mv.net.T @ ga).reshape(mv.rate.shape) - mv.fine[:, :, None]
+    out = cfg.delta_dis * ga - cfg.w - (mv.per_capita(xa) * diff).sum(axis=0)
     if u is not None and cfg.lam != 0.0 and cfg.m > 1:
         ua = control_array(u, cfg.n, cfg.m)
         out -= cfg.lam * np.einsum("ijk,ijk->ij", ua, switch_gains(ga, cfg))

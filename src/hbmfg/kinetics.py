@@ -1,11 +1,13 @@
 """Forward population dynamics.
 
 The occupation matrix x(t) evolves under three flows: principal pressure
-(up/down moves between hierarchy levels at configured rates), stimulating
-binary interactions (same-level pairwise pushes, quadratic in x, scaled by
-delta_int) and the agents' own behaviour switches (rate lam, routed by the
-control tensor).  All three move mass along one axis at a time, so the total
-mass (and, absent switching, each behaviour column's mass) is conserved.
+(level moves at configured rates), stimulating binary interactions (the same
+moves pushed by same-level partners, quadratic in x, scaled by delta_int)
+and the agents' own behaviour switches (rate lam, routed by the control
+tensor).  The level moves of both variants, step-down and sink, come from
+the config's move table, GameConfig.moves.  Every flow moves mass along one
+axis at a time, so the total mass (and, absent switching, each behaviour
+column's mass) is conserved.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ __all__ = [
     "Trajectory",
     "KineticsError",
     "kinetic_rhs",
-    "kinetic_rhs_sink",
     "integrate_forward",
     "stationary_residual",
     "rk4_step",
@@ -72,69 +73,18 @@ def _decision_flow(x: np.ndarray, u: Optional[np.ndarray], lam: float) -> np.nda
     return lam * (np.einsum("ikj,ik->ij", u, x) - x * u.sum(axis=2))
 
 
-def _pressure_flow(x: np.ndarray, q_up: np.ndarray, q_down: np.ndarray) -> np.ndarray:
-    out = -(q_up + q_down) * x
-    out[1:] += q_up[:-1] * x[:-1]
-    out[:-1] += q_down[1:] * x[1:]
-    return out
-
-
-def _stimulated_rates(x: np.ndarray, evo: np.ndarray) -> np.ndarray:
-    # s[i,j] = sum_k evo[i,j,k] * x[i,k]: per-capita stimulated rate at (i,j)
-    return np.einsum("ijk,ik->ij", evo, x)
-
-
 def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
-    """Time derivative of the occupation matrix.
+    """Time derivative of the occupation matrix, for either variant.
 
     u may be a Control, a bare (n, m, m) tensor, or None for "nobody
-    switches".  Rejects sink-variant configs; use kinetic_rhs_sink there.
+    switches".  The level moves are the flux balance of cfg.moves.
     """
-    if cfg.variant == "sink":
-        raise KineticsError("config selects the sink variant; use kinetic_rhs_sink")
     xa = occupation_array(x)
     ua = None if u is None else control_array(u, cfg.n, cfg.m)
-    out = _pressure_flow(xa, cfg.q_up, cfg.q_down)
+    mv = cfg.moves
+    flux = mv.per_capita(xa) * xa
+    out = mv.net @ flux.reshape(-1, cfg.m)
     out += _decision_flow(xa, ua, cfg.lam)
-    if cfg.delta_int != 0.0:
-        s_up = _stimulated_rates(xa, cfg.q_up_evo)
-        s_dn = _stimulated_rates(xa, cfg.q_down_evo)
-        inter = -(s_up + s_dn) * xa
-        inter[1:] += s_up[:-1] * xa[:-1]
-        inter[:-1] += s_dn[1:] * xa[1:]
-        out += cfg.delta_int * inter
-    return out
-
-
-def kinetic_rhs_sink(x, u, cfg: GameConfig) -> np.ndarray:
-    """Variant where every downward event drops the agent straight to level 1.
-
-    Upward pressure and stimulation as in kinetic_rhs; the configured sink
-    rates send mass from any level i >= 2 directly to (1, j).  Rates on row 1
-    never enter (the lowest level cannot drop).
-    """
-    if cfg.q_sink is None:
-        raise KineticsError("config has no q_sink rates")
-    xa = occupation_array(x)
-    ua = None if u is None else control_array(u, cfg.n, cfg.m)
-    zero_dn = np.zeros_like(cfg.q_up)
-    out = _pressure_flow(xa, cfg.q_up, zero_dn)
-    out += _decision_flow(xa, ua, cfg.lam)
-
-    direct = cfg.q_sink.direct
-    drop = direct * xa  # (i, j) spontaneous drop flux
-    drop[0] = 0.0
-    if cfg.delta_int != 0.0:
-        s_up = _stimulated_rates(xa, cfg.q_up_evo)
-        inter = -s_up * xa
-        inter[1:] += s_up[:-1] * xa[:-1]
-        out += cfg.delta_int * inter
-        s_sink = _stimulated_rates(xa, cfg.q_sink.interaction)
-        stim_drop = s_sink * xa
-        stim_drop[0] = 0.0
-        drop = drop + cfg.delta_int * stim_drop
-    out -= drop
-    out[0] += drop.sum(axis=0)
     return out
 
 
@@ -177,7 +127,6 @@ def integrate_forward(
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
     u_of = _as_control_provider(control, cfg.n, cfg.m)
-    rhs = kinetic_rhs_sink if cfg.variant == "sink" else kinetic_rhs
 
     x = occupation_array(x0).copy()
     times = [t0]
@@ -187,7 +136,7 @@ def integrate_forward(
     for k in range(n_steps):
         t = t0 + k * h
         u_mid = u_of(t + 0.5 * h)
-        x = rk4_step(lambda y: rhs(y, u_mid, cfg), x, h)
+        x = rk4_step(lambda y: kinetic_rhs(y, u_mid, cfg), x, h)
         if not np.all(np.isfinite(x)):
             raise KineticsError(
                 f"non-finite occupation at t={t + h:.6g}; reduce dt (dt={h:.3g})"

@@ -3,9 +3,10 @@
 A population of agents lives on an n x m grid of states: n hierarchy levels
 (moved up and down by principal pressure and by stimulating interactions with
 peers on the same level) and m behaviour levels (changed by the agents' own
-decisions).  This module holds the immutable configuration, the small typed
-wrappers for occupation / payoff / control matrices, structural validation,
-and the derived reward quantities everything downstream is built from.
+decisions).  This module holds the immutable configuration with its table
+of level moves, the small typed wrappers for occupation / payoff / control
+matrices, structural validation, and the derived reward quantities
+everything downstream is built from.
 
 Indexing is 0-based in memory; file formats and reports are 1-based.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = [
     "Regime",
     "SinkRates",
+    "Moves",
     "GameConfig",
     "Occupation",
     "Payoff",
@@ -90,6 +93,31 @@ class SinkRates:
 
 
 @dataclass(frozen=True)
+class Moves:
+    """The level moves of the jump process, one family per leading index.
+
+    Family f sends an agent at (i, j) to (dest[f, i], j) at the per-capita
+    rate rate[f, i, j] + sum_k evo[f, i, j, k] * x[i, k] (delta_int folded
+    into evo) and charges fine[f, i] on every such move.  dest[f, i] == i
+    means no move; its rates are zero.  net[a, f*n + i] is the change in
+    level a's count when family f moves one agent out of level i, so the
+    kinetic flow is net @ flux and the payoff differences are net.T @ g.
+    """
+
+    dest: np.ndarray
+    rate: np.ndarray
+    evo: np.ndarray
+    fine: np.ndarray
+    net: np.ndarray
+
+    def per_capita(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """Per-capita rates (F, n, m) at occupation x; None means no partners."""
+        if x is None:
+            return self.rate
+        return self.rate + np.einsum("fijk,ik->fij", self.evo, x)
+
+
+@dataclass(frozen=True)
 class GameConfig:
     """Immutable problem description.
 
@@ -147,6 +175,34 @@ class GameConfig:
 
     def shape(self) -> tuple[int, int]:
         return (self.n, self.m)
+
+    @cached_property
+    def moves(self) -> Moves:
+        """The level moves: up one level, then down one level or the sink drop.
+
+        Built on first use so that validate() can report malformed shapes.
+        """
+        n = self.n
+        lv = np.arange(n)
+        if self.q_sink is None:
+            down, q_dn, evo_dn = np.maximum(lv - 1, 0), self.q_down, self.q_down_evo
+        else:
+            down, q_dn, evo_dn = np.zeros(n, int), self.q_sink.direct, self.q_sink.interaction
+        dest = np.stack([np.minimum(lv + 1, n - 1), down])
+        live = (dest != lv)[:, :, None]
+        families = dest.shape[0]
+        net = np.zeros((n, families * n))
+        cols = np.arange(families * n)
+        net[dest.ravel(), cols] = 1.0
+        net[np.tile(lv, families), cols] -= 1.0
+        return Moves(
+            dest=_ro(dest, int),
+            rate=_ro(np.where(live, np.stack([self.q_up, q_dn]), 0.0)),
+            evo=_ro(np.where(live[..., None],
+                             self.delta_int * np.stack([self.q_up_evo, evo_dn]), 0.0)),
+            fine=_ro(np.stack([np.zeros(n), self.fee_H])),
+            net=_ro(net),
+        )
 
 
 @dataclass(frozen=True)
@@ -360,8 +416,9 @@ def balance_gap(cfg: GameConfig, j: Optional[int] = None) -> tuple[float, tuple[
 
 
 def effective_rewards(cfg: GameConfig) -> np.ndarray:
-    """Reward flow net of expected downgrade fines: w[i,j] - q_down[i,j]*fee_H[i]."""
-    return cfg.w - cfg.q_down * cfg.fee_H[:, None]
+    """Reward flow net of expected pressure fines: w[i,j] - sum_f rate[f,i,j]*fine[f,i]."""
+    mv = cfg.moves
+    return cfg.w - (mv.rate * mv.fine[:, :, None]).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ at a time: pressure moves one level up or down at the configured per-agent
 rates; stimulated moves do the same at delta_int times the pairwise rate,
 scaled by the count of same-level partners over N (pairs within one cell are
 counted literally, the mover included); switching moves an agent across
-behaviours at rate lam times the control entry.  The sink variant routes all
-downward events straight to the lowest level.
+behaviours at rate lam times the control entry.  The level moves of both
+variants come from GameConfig.moves; the sink variant's downward events drop
+straight to the lowest level.
 
 Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
@@ -77,12 +78,15 @@ class Transition(NamedTuple):
 
 
 def _build_channels(cfg: GameConfig, u: Optional[np.ndarray], N: int):
-    """Static channel table: rate = coeff * counts[src] * (counts[partner] or 1)."""
+    """Static channel table: rate = coeff * counts[src] * (counts[partner] or 1).
+
+    Walks cfg.moves cell by cell (behaviour, then level), each move family's
+    own rate before its partner channels, then the cell's switches; the
+    order decides which channel a random draw picks, so it fixes seeded runs.
+    """
     n, m = cfg.n, cfg.m
-
-    def fl(i, j):
-        return i * m + j
-
+    mv = cfg.moves
+    dest, rate, evo = mv.dest.tolist(), mv.rate.tolist(), mv.evo.tolist()
     srcs: List[int] = []
     dsts: List[int] = []
     coeffs: List[float] = []
@@ -95,34 +99,18 @@ def _build_channels(cfg: GameConfig, u: Optional[np.ndarray], N: int):
             coeffs.append(coeff)
             partners.append(partner)
 
-    sink = cfg.variant == "sink"
-    d = cfg.delta_int
     for j in range(m):
         for i in range(n):
-            if i < n - 1:
-                add(fl(i, j), fl(i + 1, j), float(cfg.q_up[i, j]))
-                if d != 0.0:
-                    for k in range(m):
-                        add(fl(i, j), fl(i + 1, j),
-                            d * float(cfg.q_up_evo[i, j, k]) / N, fl(i, k))
-            if i > 0:
-                if sink:
-                    add(fl(i, j), fl(0, j), float(cfg.q_sink.direct[i, j]))
-                    if d != 0.0:
-                        for k in range(m):
-                            add(fl(i, j), fl(0, j),
-                                d * float(cfg.q_sink.interaction[i, j, k]) / N,
-                                fl(i, k))
-                else:
-                    add(fl(i, j), fl(i - 1, j), float(cfg.q_down[i, j]))
-                    if d != 0.0:
-                        for k in range(m):
-                            add(fl(i, j), fl(i - 1, j),
-                                d * float(cfg.q_down_evo[i, j, k]) / N, fl(i, k))
+            src = i * m + j
+            for f in range(len(dest)):
+                dst = dest[f][i] * m + j
+                add(src, dst, rate[f][i][j])
+                for k in range(m):
+                    add(src, dst, evo[f][i][j][k] / N, i * m + k)
             if u is not None and cfg.lam > 0.0:
                 for k in range(m):
                     if k != j:
-                        add(fl(i, j), fl(i, k), cfg.lam * float(u[i, j, k]))
+                        add(src, i * m + k, cfg.lam * float(u[i, j, k]))
     return srcs, dsts, coeffs, partners
 
 

@@ -51,16 +51,17 @@ class SolverError(RuntimeError):
 
 def default_horizon(cfg: GameConfig) -> float:
     """Long-but-finite horizon: 50 over the smallest positive pressure rate."""
-    rates = np.concatenate([cfg.q_up.ravel(), cfg.q_down.ravel()])
+    rates = cfg.moves.rate
     pos = rates[rates > 0.0]
     if pos.size == 0:
         raise SolverError("config has no positive pressure rates; pick a horizon")
     return 50.0 / float(pos.min())
 
+
 def default_dt(cfg: GameConfig) -> float:
     # conservative for fixed-step RK4: half the fastest per-state outflow time
-    out = cfg.q_up + cfg.q_down
-    out = out + cfg.delta_int * (cfg.q_up_evo.sum(axis=2) + cfg.q_down_evo.sum(axis=2))
+    mv = cfg.moves
+    out = mv.rate.sum(axis=0) + mv.evo.sum(axis=(0, 3))
     peak = max(float(out.max()), cfg.lam, 1e-12)
     return min(0.05, 0.5 / peak)
 
@@ -180,9 +181,8 @@ def solve_mfg(
             break
         if u_prev is not None and np.array_equal(u_new, u_prev):
             theta *= 0.5
-            level = logging.DEBUG if oscillating else logging.WARNING
-            log.log(level, "period-2 control cycle at sweep %d; halving damping to %.3g",
-                    iterations, theta)
+            log.debug("period-2 control cycle at sweep %d; halving damping to %.3g",
+                      iterations, theta)
             oscillating = True
         u_prev = u_path
         u_path = u_new
@@ -209,13 +209,10 @@ def solve_mfg(
             gains[:, k, k] = float("-inf")
             worst = float(gains.max())
             cone_worst = max(cone_worst, worst)
-            if worst > 0.0 and len(violations) <= VIOLATION_CAP:
+            if worst > 0.0 and len(violations) < VIOLATION_CAP:
                 for i, a, b_ in zip(*np.nonzero(gains > 0.0)):
                     violations.append((float(t), int(i), int(a), int(b_),
                                        float(gains[i, a, b_])))
-                    if len(violations) > VIOLATION_CAP:
-                        log.warning("cone violation list truncated at %d", VIOLATION_CAP)
-                        break
     violations = violations[:VIOLATION_CAP]
 
     turnpike = None
@@ -252,8 +249,8 @@ def boundary_tangent_condition(
     g[level, alpha] + fee_B[alpha, beta] to within 1e-9 (else ValueError).
     Returns (value, leading): value is the exact difference of the switch-free
     payoff flows of the two behaviours at that level (<= 0 keeps the boundary
-    repelling); leading keeps only the neighbor-difference pressure terms,
-    dropping fines and rewards.
+    repelling); leading keeps only the pressure moves' payoff differences
+    rate * (g[dest] - g), dropping fines, rewards and interactions.
     """
     ga = payoff_array(g)
     margin = float(ga[level, beta] - cfg.fee_B[alpha, beta] - ga[level, alpha])
@@ -265,15 +262,10 @@ def boundary_tangent_condition(
     rhs = hjb_rhs(ga, x, None, cfg)
     value = float(rhs[level, alpha] - rhs[level, beta])
 
-    def neighbor_part(j: int) -> float:
-        acc = 0.0
-        if level < cfg.n - 1:
-            acc += cfg.q_up[level, j] * (ga[level + 1, j] - ga[level, j])
-        if level > 0:
-            acc += cfg.q_down[level, j] * (ga[level - 1, j] - ga[level, j])
-        return acc
-
-    leading = neighbor_part(beta) - neighbor_part(alpha)
+    mv = cfg.moves
+    to = mv.dest[:, level]
+    pressure = mv.rate[:, level, :] * (ga[to, :] - ga[level, :])
+    leading = float(pressure[:, beta].sum() - pressure[:, alpha].sum())
     return value, leading
 
 

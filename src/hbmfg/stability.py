@@ -53,37 +53,18 @@ def lift_tangent(y, n: int, m: int) -> np.ndarray:
 
 
 def _kinetic_jacobian(x: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """Analytic Jacobian of the switch-free kinetic flow at x (full, nm x nm)."""
+    """Analytic Jacobian of the switch-free kinetic flow at x (full, nm x nm).
+
+    The flux of family f out of (i, j) is per_capita[f, i, j] * x[i, j]; its
+    derivative in x[i, k] is per_capita * [j == k] + evo[f, i, j, k] * x[i, j],
+    and net scatters it onto the levels.
+    """
     n, m = cfg.n, cfg.m
-    size = n * m
-    J = np.zeros((size, size))
-    for j in range(m):
-        J[j * n:(j + 1) * n, j * n:(j + 1) * n] += build_level_chain(j, cfg).A
-    d = cfg.delta_int
-    if d != 0.0:
-        que = cfg.q_up_evo
-        qde = cfg.q_down_evo
-        s_up = np.einsum("ijk,ik->ij", que, x)
-        s_dn = np.einsum("ijk,ik->ij", qde, x)
-        for j in range(m):
-            for i in range(n):
-                row = j * n + i
-                for k in range(m):
-                    if i > 0:
-                        J[row, k * n + i - 1] += d * (
-                            que[i - 1, j, k] * x[i - 1, j]
-                            + (s_up[i - 1, j] if k == j else 0.0)
-                        )
-                    if i < n - 1:
-                        J[row, k * n + i + 1] += d * (
-                            qde[i + 1, j, k] * x[i + 1, j]
-                            + (s_dn[i + 1, j] if k == j else 0.0)
-                        )
-                    J[row, k * n + i] -= d * (
-                        (que[i, j, k] + qde[i, j, k]) * x[i, j]
-                        + ((s_up[i, j] + s_dn[i, j]) if k == j else 0.0)
-                    )
-    return J
+    mv = cfg.moves
+    dflux = mv.evo * x[None, :, :, None]
+    dflux += mv.per_capita(x)[..., None] * np.eye(m)
+    J = np.einsum("afi,fijk->jaki", mv.net.reshape(n, -1, n), dflux)
+    return J.reshape(n * m, n * m)
 
 
 def build_reduced_linearization(cfg: GameConfig, base=None) -> np.ndarray:

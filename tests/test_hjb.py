@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from hbmfg import (
     GameConfig,
     HjbError,
+    Regime,
     consistency_margin,
     effective_rewards,
     hjb_rhs,
     integrate_backward,
+    kinetic_rhs,
     optimal_control,
     stationary_payoff_residual,
     switch_gains,
@@ -33,6 +37,11 @@ def hjb_loops(g, x, u, cfg):
                 s_up = sum(cfg.q_up_evo[i, j, k] * x[i, k] for k in range(m))
                 s_dn = sum(cfg.q_down_evo[i, j, k] * x[i, k] for k in range(m))
                 acc -= cfg.delta_int * (s_up * up + s_dn * dn)
+            if cfg.q_sink is not None and i > 0:  # drop to level 1, fined
+                rate = cfg.q_sink.direct[i, j] + cfg.delta_int * sum(
+                    cfg.q_sink.interaction[i, j, k] * x[i, k] for k in range(m)
+                )
+                acc -= rate * (g[0, j] - g[i, j] - cfg.fee_H[i])
             if u is not None:
                 for k in range(m):
                     acc -= cfg.lam * u[i, j, k] * (
@@ -44,16 +53,36 @@ def hjb_loops(g, x, u, cfg):
 
 def test_rhs_matches_loop_oracle():
     rng = np.random.default_rng(17)
-    for case in range(12):
+    for case in range(16):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 4))
         cfg = make_config(n, m, rng, db=bool(case % 2), balanced_evo=False,
-                          fine=0.3, lam=float(rng.uniform(0.5, 2.0)))
+                          fine=0.3, lam=float(rng.uniform(0.5, 2.0)), sink=case >= 12)
         g = rng.normal(size=(n, m))
         x = random_simplex(n, m, rng)
         u = random_control(n, m, rng) if case % 3 else None
         npt.assert_allclose(hjb_rhs(g, x, u, cfg), hjb_loops(g, x, u, cfg),
                             rtol=0, atol=1e-13)
+
+
+def test_payoff_flow_is_adjoint_of_kinetic_flow():
+    # with rewards and fees zero, <kinetic_rhs(x), g> = <x, delta_dis*g - hjb_rhs(g)>
+    rng = np.random.default_rng(29)
+    for case in range(12):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(2, 4))
+        cfg = make_config(n, m, rng, db=False, balanced_evo=False, delta=0.3,
+                          regime=Regime.ID2, lam=float(rng.uniform(0.5, 2.0)),
+                          sink=bool(case % 2))
+        cfg = dataclasses.replace(cfg, w=np.zeros((n, m)), fee_B=np.zeros((m, m)),
+                                  fee_H=np.zeros(n))
+        x = random_simplex(n, m, rng)
+        g = rng.normal(size=(n, m))
+        u = random_control(n, m, rng)
+        kin = kinetic_rhs(x, u, cfg)
+        adj = cfg.delta_dis * g - hjb_rhs(g, x, u, cfg)
+        scale = float(np.sum(np.abs(kin * g)))
+        assert abs(float(np.sum(kin * g) - np.sum(x * adj))) <= 1e-12 * scale, case
 
 
 def test_rhs_frozen_two_level_chain():

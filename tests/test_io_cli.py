@@ -311,6 +311,8 @@ def test_cli_analysis_logs_no_warnings(tmp_path, capsys, caplog):
     with caplog.at_level(logging.DEBUG):
         assert cli(["stationary", EXAMPLE, "--out", str(tmp_path / "st")], capsys)[0] == 0
         assert cli(["stability", EXAMPLE, "--out", str(tmp_path / "sp")], capsys)[0] == 0
+        assert cli(["solve", EXAMPLE, "--T", "10", "--dt", "0.05",
+                    "--out", str(tmp_path / "sol")], capsys)[0] == 0
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 

@@ -11,7 +11,6 @@ from hbmfg import (
     SinkRates,
     integrate_forward,
     kinetic_rhs,
-    kinetic_rhs_sink,
     stationary_residual,
 )
 from hbmfg.kinetics import Trajectory, rk4_step
@@ -120,7 +119,7 @@ def test_rhs_sink_frozen():
         q_sink=SinkRates(direct=[[0.0], [2.0]], interaction=np.zeros((2, 1, 1))),
     )
     x = np.array([[0.5], [0.5]])
-    npt.assert_allclose(kinetic_rhs_sink(x, None, cfg),
+    npt.assert_allclose(kinetic_rhs(x, None, cfg),
                         [[0.5], [-0.5]], atol=1e-15)
 
 
@@ -142,7 +141,7 @@ def test_rhs_sink_matches_loop_oracle():
     )
     x = random_simplex(n, m, rng)
     u = random_control(n, m, rng)
-    got = kinetic_rhs_sink(x, u, cfg)
+    got = kinetic_rhs(x, u, cfg)
 
     d = cfg.delta_int
     want = np.zeros((n, m))
@@ -169,21 +168,6 @@ def test_rhs_sink_matches_loop_oracle():
             rate = direct[i, j] + d * sum(inter[i, j, k] * x[i, k] for k in range(m))
             want[0, j] += rate * x[i, j]
     npt.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-
-def test_variant_dispatch_is_strict():
-    rng = np.random.default_rng(0)
-    cfg = make_config(2, 2, rng)
-    with pytest.raises(KineticsError):
-        kinetic_rhs_sink(Occupation.uniform(2, 2), None, cfg)
-    sink = GameConfig(
-        n=2, m=1, q_up=[[1.0], [0.0]], q_down=np.zeros((2, 1)),
-        q_up_evo=np.zeros((2, 1, 1)), q_down_evo=np.zeros((2, 1, 1)),
-        w=np.ones((2, 1)), fee_B=np.zeros((1, 1)), fee_H=np.zeros(2),
-        q_sink=SinkRates(direct=[[0.0], [1.0]], interaction=np.zeros((2, 1, 1))),
-    )
-    with pytest.raises(KineticsError):
-        kinetic_rhs(Occupation.uniform(2, 1), None, sink)
 
 
 def test_mass_conservation():

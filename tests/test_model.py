@@ -94,6 +94,10 @@ def test_validate_catches_boundary_and_sign_problems():
     lam = _tiny(lam=-1.0)
     assert any("lambda" in m for m in validate(lam))
 
+    # the move table is built on first use, so a malformed shape is reported
+    shape = _tiny(q_down=np.zeros((3, 2)))
+    assert any("q_down: expected shape (2, 2)" in m for m in validate(shape))
+
 
 def test_validate_detailed_balance_identity():
     cfg = _tiny(q_down=[[0.0, 0.0], [1.0, 2.0]], detailed_balance=True)
@@ -145,6 +149,14 @@ def test_effective_rewards_hand_case():
         fee_H=[0.5, 1.0],
     )
     npt.assert_allclose(effective_rewards(cfg), [[2.0, 1.0], [0.0, 1.0]])
+    # sink variant: the fine is charged on the drop rates; row 1 never drops
+    sink = _tiny(
+        w=[[2.0, 1.0], [1.0, 3.0]],
+        q_down=np.zeros((2, 2)),
+        fee_H=[0.5, 1.0],
+        q_sink=SinkRates(direct=[[4.0, 4.0], [0.5, 3.0]], interaction=np.zeros((2, 2, 2))),
+    )
+    npt.assert_allclose(effective_rewards(sink), [[2.0, 1.0], [0.5, 0.0]])
 
 
 def test_dominant_level_report():

@@ -11,8 +11,11 @@ from hbmfg import (
     convergence_study,
     enumerate_transitions,
     integrate_forward,
+    kinetic_rhs,
     simulate,
 )
+from test_kinetics import random_control
+from util_configs import make_config
 
 
 def chain_cfg(q_up0=1.0, q_down1=2.0, **kw):
@@ -137,6 +140,23 @@ def test_mean_one_step_drift_matches_kinetic_flow():
     se = deltas.std(axis=0, ddof=1) / np.sqrt(reps)
     z = np.abs(mean - target) / np.maximum(se, 1e-12)
     assert float(z.max()) < 4.0, f"drift z-scores {z.ravel()}"
+
+
+def test_transition_drift_equals_kinetic_flow():
+    # summed over all channels, rate * (e_dst - e_src) / N is the kinetic
+    # flow at counts / N: quadratic interactions and switches included
+    rng = np.random.default_rng(13)
+    for sink in (False, True):
+        cfg = make_config(3, 2, rng, db=False, balanced_evo=False, delta=0.3,
+                          regime="id2", lam=1.4, sink=sink)
+        counts = rng.integers(5, 40, size=(3, 2))
+        state = CountState(counts=counts, N=int(counts.sum()))
+        u = random_control(3, 2, rng)
+        drift = np.zeros((3, 2))
+        for t in enumerate_transitions(state, u, cfg):
+            drift[t.src] -= t.rate / state.N
+            drift[t.dst] += t.rate / state.N
+        npt.assert_allclose(drift, kinetic_rhs(counts / state.N, u, cfg), rtol=0, atol=1e-12)
 
 
 def test_equilibrium_occupancy_binomial_band():

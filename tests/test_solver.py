@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from hbmfg import (
     GameConfig,
     Occupation,
+    SinkRates,
     SolverError,
     boundary_tangent_condition,
     cone_check,
@@ -33,6 +36,12 @@ def test_default_horizon_and_dt():
     dt = default_dt(cfg)
     assert 0 < dt <= 0.05
     assert dt <= 0.5 / 2.5  # fastest outflow: level 2 of column 2
+    # sink variant: the drop rates count as pressure rates
+    sink = dataclasses.replace(cfg, q_down=np.zeros((2, 2)), detailed_balance=False,
+                               q_sink=SinkRates(direct=[[0.0, 0.0], [0.25, 20.0]],
+                                                interaction=np.zeros((2, 2, 2))))
+    assert default_horizon(sink) == pytest.approx(200.0)
+    assert default_dt(sink) == pytest.approx(0.5 / 20.0)
 
 
 def test_default_horizon_requires_positive_rates():

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from hbmfg import GameConfig, Regime
+from hbmfg import GameConfig, Regime, SinkRates
 
 
 def db_pressure(n: int, m: int, rng, lo: float = 0.3, hi: float = 2.0):
@@ -73,11 +73,14 @@ def make_config(
     lam: float = 1.0,
     fee_switch: float = 1.5,
     fine: float = 0.0,
+    sink: bool = False,
 ) -> GameConfig:
     """Random valid config with an enforced dominance gap on column b.
 
     The gap is imposed on the column sums of the EFFECTIVE rewards
-    (w - q_down * fee_H), so it survives nonzero fines.
+    (w minus the downward rates times fee_H), so it survives nonzero fines.
+    sink=True moves the downward rates and tensors into q_sink (drops
+    straight to level 1), which rules out detailed balance.
     """
     q_up, q_down = (db_pressure if db else nondb_pressure)(n, m, rng)
     if with_evo:
@@ -85,9 +88,14 @@ def make_config(
     else:
         que = np.zeros((n, m, m))
         qde = np.zeros((n, m, m))
+    q_sink = None
+    if sink:
+        q_sink = SinkRates(direct=q_down, interaction=qde)
+        q_down, qde, db = np.zeros((n, m)), np.zeros((n, m, m)), False
     fee_B, fee_H = fees(n, m, off_diag=fee_switch, fine=fine)
     w = rng.uniform(0.5, 2.0, size=(n, m))
-    eff = w - q_down * fee_H[:, None]
+    drops = q_sink.direct if sink else q_down
+    eff = w - drops * fee_H[:, None]
     sums = eff.sum(axis=0)
     others = np.delete(sums, b)
     target = (others.max() if others.size else 0.0) + gap
@@ -99,7 +107,7 @@ def make_config(
         q_up_evo=que, q_down_evo=qde,
         w=w, fee_B=fee_B, fee_H=fee_H,
         lam=lam, delta=delta, regime=regime,
-        detailed_balance=db,
+        detailed_balance=db, q_sink=q_sink,
     )
 
 
