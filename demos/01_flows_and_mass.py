@@ -80,10 +80,10 @@ def main() -> None:
           np.max(xT - xT.mean(axis=0, keepdims=True)))
 
     # Now let everyone in behaviour 2 switch to behaviour 1.  Column mass
-    # drains at the decision-clock rate lam.
-    u = np.zeros((3, 2, 2))
-    u[:, 1, 0] = 1.0
-    Control(u)  # shape / 0-1 / diagonal checks
+    # drains at the decision-clock rate lam.  A control is the target
+    # behaviour of every state: target[i, j] == j stays, and the all-zero
+    # target matrix sends every state to behaviour 1 (0-based index 0).
+    u = Control(np.zeros((3, 2), int))
     traj2 = integrate_forward(x0.x, u, 0.0, 8.0, 0.01, cfg)
     for t_query in (0.0, 1.0, 3.0, 8.0):
         k = int(round(t_query / 0.01))

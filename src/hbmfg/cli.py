@@ -151,13 +151,14 @@ def _run_stability(cfg_path: str, out: str):
 
 
 def _control_change_points(times, u_path):
+    # each change lists the switching cells as 1-based [level, from, to]
     changes = []
     prev = None
-    for k in range(len(u_path)):
-        uk = u_path[k]
+    stay = np.arange(u_path.shape[-1])
+    for k, uk in enumerate(u_path):
         if prev is None or not np.array_equal(uk, prev):
-            active = [[int(i) + 1, int(a) + 1, int(b) + 1]
-                      for i, a, b in zip(*np.nonzero(uk))]
+            active = [[int(i) + 1, int(a) + 1, int(uk[i, a]) + 1]
+                      for i, a in zip(*np.nonzero(uk != stay))]
             changes.append({"t": float(times[k]), "active": active})
             prev = uk
     return changes

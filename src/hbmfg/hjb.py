@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinetics import Trajectory, rk4_step
+from .kinetics import Trajectory, as_provider, rk4_step
 from .model import GameConfig, control_array, occupation_array, payoff_array
 
 __all__ = [
@@ -44,10 +44,11 @@ def switch_gains(g: np.ndarray, cfg: GameConfig) -> np.ndarray:
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     """Backward-time derivative dg/dt under a supplied control.
 
-    u as in kinetic_rhs (None = nobody switches).  x feeds the stimulated
-    move coefficients; it may be None when delta_int is zero.  The level
-    moves enter as the adjoint of kinetic_rhs's flux balance, each charged
-    its fine.
+    u as in kinetic_rhs: a Control, an (n, m) target matrix or None (nobody
+    switches).  x feeds the stimulated move coefficients; it may be None when
+    delta_int is zero.  The level moves enter as the adjoint of kinetic_rhs's
+    flux balance, each charged its fine.  An agent at (i, j) switching to
+    k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a stay gains 0.
     """
     ga = payoff_array(g)
     xa = None if x is None else occupation_array(x)
@@ -56,31 +57,26 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     mv = cfg.moves
     diff = (mv.net.T @ ga).reshape(mv.rate.shape) - mv.fine[:, :, None]
     out = cfg.delta_dis * ga - cfg.w - (mv.per_capita(xa) * diff).sum(axis=0)
-    if u is not None and cfg.lam != 0.0 and cfg.m > 1:
-        ua = control_array(u, cfg.n, cfg.m)
-        out -= cfg.lam * np.einsum("ijk,ijk->ij", ua, switch_gains(ga, cfg))
+    if u is not None:
+        target = control_array(u, cfg.n, cfg.m)
+        gain = ga[np.arange(cfg.n)[:, None], target] - ga
+        out -= cfg.lam * (gain - cfg.fee_B[np.arange(cfg.m), target])
     return out
 
 
 def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     """Best response to a payoff matrix: switch only on a strictly positive gain.
 
-    Returns the (n, m, m) 0/1 decision tensor u[i, from_j, to_k].  Gains
-    within 1e-12 of zero keep the agent in place; among tied positive gains
-    the lowest target index wins (deterministic).
+    Returns the (n, m) integer target matrix: an agent at (i, j) moves to
+    behaviour target[i, j], and target[i, j] == j means stay.  Gains within
+    1e-12 of zero keep the agent in place; among tied positive gains the
+    lowest target index wins (deterministic).
     """
-    ga = payoff_array(g)
-    n, m = cfg.n, cfg.m
-    u = np.zeros((n, m, m))
-    if m == 1:
-        return u
-    gains = switch_gains(ga, cfg)
-    gains[:, np.arange(m), np.arange(m)] = -np.inf
+    stay = np.arange(cfg.m)
+    gains = switch_gains(payoff_array(g), cfg)
+    gains[:, stay, stay] = -np.inf
     best = np.argmax(gains, axis=2)  # first maximum = lowest k on exact ties
-    take = np.take_along_axis(gains, best[..., None], axis=2)[..., 0] > SWITCH_TOL
-    ii, jj = np.nonzero(take)
-    u[ii, jj, best[ii, jj]] = 1.0
-    return u
+    return np.where(gains.max(axis=2) > SWITCH_TOL, best, stay)
 
 
 def consistency_margin(g, x, cfg: GameConfig) -> float:
@@ -101,13 +97,6 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     return float(gains[occupied].max())
 
 
-def _as_occupation_provider(occupation):
-    if callable(occupation) and not isinstance(occupation, np.ndarray):
-        return lambda t: occupation_array(occupation(t))
-    fixed = None if occupation is None else occupation_array(occupation)
-    return lambda t: fixed
-
-
 def integrate_backward(
     gT,
     occupation,
@@ -122,11 +111,12 @@ def integrate_backward(
     """Integrate the payoff equation from g(t1)=gT back to t0 (RK4, reversed time).
 
     occupation: matrix, callable t -> matrix, or None (only when delta_int=0).
-    mode "fixed": the supplied control (None = nobody switches) is used as is;
+    mode "fixed": the supplied control (None = nobody switches; a Control, an
+    (n, m) target matrix or a callable t -> control) is used as is;
     mode "optimizing": the best response to the current g is recomputed at
     every stage evaluation.  Returns a Trajectory with times ascending t0..t1,
-    g at the nodes and, in optimizing mode, the extracted per-cell control
-    u[k] = best response to g(times[k]).
+    g at the nodes and, in optimizing mode, the extracted per-cell targets
+    u[k] = best response to g(times[k]), shape (len(times)-1, n, m).
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -136,12 +126,8 @@ def integrate_backward(
         raise ValueError("need 0 < dt <= t1 - t0")
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
-    x_of = _as_occupation_provider(occupation)
-    u_of = None
-    if mode == "fixed":
-        u_of = (lambda t: control(t)) if callable(control) and not isinstance(
-            control, np.ndarray
-        ) else (lambda t: control)
+    x_of = as_provider(occupation, occupation_array)
+    u_of = as_provider(control, lambda u: control_array(u, cfg.n, cfg.m))
 
     # Reversed clock s = t1 - t: dh/ds = -hjb_rhs(h, x(t1-s), u).
     g = payoff_array(gT).copy()

@@ -3,11 +3,11 @@
 The occupation matrix x(t) evolves under three flows: principal pressure
 (level moves at configured rates), stimulating binary interactions (the same
 moves pushed by same-level partners, quadratic in x, scaled by delta_int)
-and the agents' own behaviour switches (rate lam, routed by the control
-tensor).  The level moves of both variants, step-down and sink, come from
-the config's move table, GameConfig.moves.  Every flow moves mass along one
-axis at a time, so the total mass (and, absent switching, each behaviour
-column's mass) is conserved.
+and the agents' own behaviour switches (rate lam, to the behaviour the
+control's target matrix names).  The level moves of both variants, step-down
+and sink, come from the config's move table, GameConfig.moves.  Every flow
+moves mass along one axis at a time, so the total mass (and, absent
+switching, each behaviour column's mass) is conserved.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ __all__ = [
     "integrate_forward",
     "stationary_residual",
     "rk4_step",
+    "as_provider",
 ]
 
 log = logging.getLogger(__name__)
@@ -43,8 +44,8 @@ class Trajectory:
     """Uniform-grid samples of a run: times plus any of x, g, u.
 
     x and g are sampled at the grid nodes, shape (len(times), n, m).
-    u, when present, is per cell: shape (len(times)-1, n, m, m), constant on
-    [times[k], times[k+1]).
+    u, when present, is per cell: target matrices of shape (len(times)-1, n, m),
+    constant on [times[k], times[k+1]).
     """
 
     times: np.ndarray
@@ -66,18 +67,21 @@ class Trajectory:
         return self
 
 
-def _decision_flow(x: np.ndarray, u: Optional[np.ndarray], lam: float) -> np.ndarray:
-    # inflow_ij = sum_k u[i,k,j] x_ik ; outflow_ij = x_ij * sum_k u[i,j,k]
-    if u is None or lam == 0.0:
+def _decision_flow(x: np.ndarray, target: Optional[np.ndarray], lam: float) -> np.ndarray:
+    # every agent at (i, j) moves to (i, target[i, j]); a stay lands where it left
+    if target is None or lam == 0.0:
         return 0.0
-    return lam * (np.einsum("ikj,ik->ij", u, x) - x * u.sum(axis=2))
+    n, m = x.shape
+    cells = (target + m * np.arange(n)[:, None]).ravel()
+    return lam * (np.bincount(cells, x.ravel(), n * m).reshape(n, m) - x)
 
 
 def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     """Time derivative of the occupation matrix, for either variant.
 
-    u may be a Control, a bare (n, m, m) tensor, or None for "nobody
-    switches".  The level moves are the flux balance of cfg.moves.
+    u may be a Control, an (n, m) integer target matrix (target[i, j] == j
+    means stay), or None for "nobody switches"; any other shape is a
+    ValueError.  The level moves are the flux balance of cfg.moves.
     """
     xa = occupation_array(x)
     ua = None if u is None else control_array(u, cfg.n, cfg.m)
@@ -96,10 +100,11 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> 
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _as_control_provider(control, n: int, m: int):
-    if callable(control) and not isinstance(control, np.ndarray):
-        return lambda t: control_array(control(t), n, m)
-    fixed = None if control is None else control_array(control, n, m)
+def as_provider(value, convert: Callable):
+    """t -> convert(value(t)) for a callable, else t -> value converted once (None kept)."""
+    if callable(value) and not isinstance(value, np.ndarray):
+        return lambda t: convert(value(t))
+    fixed = None if value is None else convert(value)
     return lambda t: fixed
 
 
@@ -114,9 +119,9 @@ def integrate_forward(
 ) -> Trajectory:
     """Fixed-step RK4 on the kinetic equation from t0 to t1.
 
-    control: None, a Control/tensor held fixed, or a callable t -> control,
-    sampled once per step at the step midpoint (piecewise-constant providers
-    resolve to their cell value).  Stored samples drift from the simplex by
+    control: None, a Control/(n, m) target matrix held fixed, or a callable
+    t -> control, sampled once per step at the step midpoint (piecewise-
+    constant providers resolve to their cell value).  Stored samples drift from the simplex by
     at most rounding; any sample beyond 1e-12 is clamped/renormalized and the
     event is counted in meta and logged.
     """
@@ -126,7 +131,7 @@ def integrate_forward(
         raise ValueError("need 0 < dt <= t1 - t0")
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
-    u_of = _as_control_provider(control, cfg.n, cfg.m)
+    u_of = as_provider(control, lambda u: control_array(u, cfg.n, cfg.m))
 
     x = occupation_array(x0).copy()
     times = [t0]

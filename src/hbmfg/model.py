@@ -246,30 +246,24 @@ class Payoff:
 
 @dataclass(frozen=True)
 class Control:
-    """Pure-strategy decision tensor u[i, from_j, to_k] with 0/1 entries.
+    """Pure strategy: an agent at (i, j) switches to behaviour target[i, j].
 
-    Zero diagonal in (from, to); at most one switch target per state.
+    An integer (n, m) matrix with entries in [0, m); target[i, j] == j means stay.
     """
 
-    u: np.ndarray
+    target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _ro(self.u))
-        t = self.u
-        if t.ndim != 3 or t.shape[1] != t.shape[2]:
-            raise ValueError("control must have shape (n, m, m)")
-        if not np.all((t == 0.0) | (t == 1.0)):
-            raise ValueError("control entries must be 0 or 1")
-        n, m, _ = t.shape
-        diag = t[:, np.arange(m), np.arange(m)]
-        if np.any(diag != 0.0):
-            raise ValueError("control diagonal (stay option) must be 0")
-        if np.any(t.sum(axis=2) > 1.0):
-            raise ValueError("control row selects more than one switch target")
+        t = np.asarray(self.target)
+        if t.ndim != 2 or not np.issubdtype(t.dtype, np.integer):
+            raise ValueError("control must be an integer (n, m) target matrix")
+        if t.size and (t.min() < 0 or t.max() >= t.shape[1]):
+            raise ValueError(f"control targets must lie in [0, {t.shape[1]})")
+        object.__setattr__(self, "target", _ro(t, int))
 
     @staticmethod
-    def zero(n: int, m: int) -> "Control":
-        return Control(np.zeros((n, m, m)))
+    def stay(n: int, m: int) -> "Control":
+        return Control(np.tile(np.arange(m), (n, 1)))
 
 
 def occupation_array(x) -> np.ndarray:
@@ -286,12 +280,13 @@ def payoff_array(g) -> np.ndarray:
 
 
 def control_array(u, n: int, m: int) -> np.ndarray:
-    """Accept Control / tensor / None (meaning: nobody switches)."""
+    """Accept Control / (n, m) target matrix / None (meaning: everyone stays)."""
     if u is None:
-        return np.zeros((n, m, m))
-    if isinstance(u, Control):
-        return u.u
-    return np.asarray(u, dtype=float)
+        return Control.stay(n, m).target
+    t = u.target if isinstance(u, Control) else np.asarray(u)
+    if t.shape != (n, m):
+        raise ValueError(f"control must be an ({n}, {m}) target matrix, not {t.shape}")
+    return t
 
 
 def _check_matrix(out: list, name: str, a: np.ndarray, shape: tuple) -> bool:

@@ -4,8 +4,8 @@ Agents occupy (level, behaviour) cells.  Three event families move one agent
 at a time: pressure moves one level up or down at the configured per-agent
 rates; stimulated moves do the same at delta_int times the pairwise rate,
 scaled by the count of same-level partners over N (pairs within one cell are
-counted literally, the mover included); switching moves an agent across
-behaviours at rate lam times the control entry.  The level moves of both
+counted literally, the mover included); switching moves an agent at rate lam
+to the behaviour the control's target matrix names.  The level moves of both
 variants come from GameConfig.moves; the sink variant's downward events drop
 straight to the lowest level.
 
@@ -77,16 +77,18 @@ class Transition(NamedTuple):
     rate: float
 
 
-def _build_channels(cfg: GameConfig, u: Optional[np.ndarray], N: int):
+def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
     """Static channel table: rate = coeff * counts[src] * (counts[partner] or 1).
 
     Walks cfg.moves cell by cell (behaviour, then level), each move family's
-    own rate before its partner channels, then the cell's switches; the
-    order decides which channel a random draw picks, so it fixes seeded runs.
+    own rate before its partner channels, then the cell's switch, if its
+    target is another behaviour; the order decides which channel a random
+    draw picks, so it fixes seeded runs.
     """
     n, m = cfg.n, cfg.m
     mv = cfg.moves
     dest, rate, evo = mv.dest.tolist(), mv.rate.tolist(), mv.evo.tolist()
+    switch = None if target is None or cfg.lam <= 0.0 else target.tolist()
     srcs: List[int] = []
     dsts: List[int] = []
     coeffs: List[float] = []
@@ -107,10 +109,8 @@ def _build_channels(cfg: GameConfig, u: Optional[np.ndarray], N: int):
                 add(src, dst, rate[f][i][j])
                 for k in range(m):
                     add(src, dst, evo[f][i][j][k] / N, i * m + k)
-            if u is not None and cfg.lam > 0.0:
-                for k in range(m):
-                    if k != j:
-                        add(src, i * m + k, cfg.lam * float(u[i, j, k]))
+            if switch is not None and switch[i][j] != j:
+                add(src, i * m + switch[i][j], cfg.lam)
     return srcs, dsts, coeffs, partners
 
 
@@ -158,9 +158,10 @@ def simulate(
 ) -> SimPath:
     """Run one exact trajectory from s0 over [0, T].
 
-    u: None, a fixed control tensor, or a policy callable t -> control; a
-    policy is sampled once per output-grid interval (at its midpoint) and held
-    constant inside it.  Restarting the exponential clock at interval
+    u: None, a fixed Control or (n, m) target matrix, or a policy callable
+    t -> control (None from it means nobody switches); a policy is sampled
+    once per output-grid interval (at its midpoint) and held constant inside
+    it.  Restarting the exponential clock at interval
     boundaries is exact by memorylessness.  The RNG is PCG64 seeded as given;
     equal seeds reproduce the event sequence bit for bit.
     """

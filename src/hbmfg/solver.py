@@ -3,7 +3,7 @@
 The forward occupation flow and the backward payoff flow are coupled through
 the switching control: agents switch when the gain (payoff difference net of
 the switching fee) is positive.  A damped fixed-point iteration alternates
-the two integrations on one shared uniform grid until the binary control
+the two integrations on one shared uniform grid until the control
 path reproduces itself exactly and the relaxed occupation path settles.
 
 The diagnostics certify the no-switching regime: cone_check measures the best
@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains
 from .kinetics import Trajectory, integrate_forward
 from .model import GameConfig, occupation_array, payoff_array
-from .stationary import StationaryError, stationary_solution
+from .stationary import stationary_solution
 
 __all__ = [
     "SolverError",
@@ -71,12 +71,7 @@ def _step_index(t: float, h: float, n_steps: int) -> int:
 
 
 def _control_provider(u_path: np.ndarray, h: float):
-    n_steps = len(u_path)
-
-    def provider(t: float):
-        return u_path[_step_index(t, h, n_steps)]
-
-    return provider
+    return lambda t: u_path[_step_index(t, h, len(u_path))]
 
 
 def _occupation_provider(x_path: np.ndarray, h: float):
@@ -106,9 +101,8 @@ class MfgSolveResult:
     """Outcome of the damped forward-backward iteration.
 
     trajectory carries the final unrelaxed forward occupation path, the
-    backward payoff path, and the per-step binary control path on one grid.
-    turnpike_distance is the sup-distance to the stationary occupation per
-    node (None when the stationary expansion is unavailable for the config).
+    backward payoff path, and the per-step control path on one grid: target
+    matrices of shape (steps, n, m), u[k, i, j] == j meaning stay.
     cone_violations lists (t, level, from, to, gain) where switching was
     profitable, truncated at VIOLATION_CAP entries.
     """
@@ -117,7 +111,6 @@ class MfgSolveResult:
     iterations: int
     converged: bool
     oscillating: bool
-    turnpike_distance: Optional[np.ndarray]
     cone_violations: List[Tuple[float, int, int, int, float]]
     meta: dict = field(default_factory=dict, repr=False)
 
@@ -150,7 +143,8 @@ def solve_mfg(
     n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
 
-    u_path = np.zeros((n_steps, cfg.n, cfg.m, cfg.m))
+    stay = np.arange(cfg.m)
+    u_path = np.tile(stay, (n_steps, cfg.n, 1))
     u_prev = None
     x_relaxed = None
     theta = damping
@@ -215,20 +209,12 @@ def solve_mfg(
                                        float(gains[i, a, b_])))
     violations = violations[:VIOLATION_CAP]
 
-    turnpike = None
-    try:
-        sol = stationary_solution(cfg)
-        turnpike = np.max(np.abs(traj.x - sol.x0.x), axis=(1, 2))
-    except StationaryError:
-        pass
-
-    switch_fraction = float(np.mean(np.any(u_path != 0.0, axis=(1, 2, 3))))
+    switch_fraction = float(np.mean(np.any(u_path != stay, axis=(1, 2))))
     return MfgSolveResult(
         trajectory=traj,
         iterations=iterations,
         converged=converged,
         oscillating=oscillating,
-        turnpike_distance=turnpike,
         cone_violations=violations,
         meta={
             "damping_final": theta,
@@ -300,6 +286,7 @@ class TurnpikeMetrics:
     its interaction-corrected version.  g_distance: sup-distance per node to
     the assembled stationary payoff.  sup_middle_* take the supremum over the
     middle 80% of the horizon; plateau is the final d0 sample.
+    switch_fraction is the solve's share of steps where anyone switches.
     """
 
     times: np.ndarray
@@ -320,9 +307,6 @@ def turnpike_metrics(result: MfgSolveResult, cfg: GameConfig) -> TurnpikeMetrics
     gd = np.max(np.abs(traj.g - sol.g), axis=(1, 2))
     t0, t1 = traj.times[0], traj.times[-1]
     middle = (traj.times >= t0 + 0.1 * (t1 - t0)) & (traj.times <= t0 + 0.9 * (t1 - t0))
-    switch_fraction = float(np.mean(np.any(traj.u != 0.0, axis=(1, 2, 3)))) if (
-        traj.u is not None
-    ) else 0.0
     return TurnpikeMetrics(
         times=traj.times,
         d0=d0,
@@ -331,5 +315,5 @@ def turnpike_metrics(result: MfgSolveResult, cfg: GameConfig) -> TurnpikeMetrics
         sup_middle=float(d0[middle].max()) if middle.any() else float(d0.max()),
         sup_middle_g=float(gd[middle].max()) if middle.any() else float(gd.max()),
         plateau=float(d0[-1]),
-        switch_fraction=switch_fraction,
+        switch_fraction=result.meta["switch_fraction"],
     )

@@ -12,6 +12,7 @@ import pytest
 
 import hbmfg
 from hbmfg import Regime, stationary_solution
+from hbmfg.cli import _control_change_points
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
     ConfigError,
@@ -254,6 +255,19 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     controls = json.loads((out / "controls.json").read_text())
     assert controls["steps"] == 80
     assert controls["change_points"] == [{"t": 0.0, "active": []}]
+
+
+def test_control_change_points_list_switching_cells():
+    # targets per step on a 2 x 3 grid; target[i, j] == j stays
+    stay = [[0, 1, 2], [0, 1, 2]]
+    mixed = [[1, 2, 2], [0, 1, 0]]
+    u_path = np.array([stay, stay, mixed, mixed, [[0, 0, 2], [0, 1, 2]]])
+    times = np.linspace(0.0, 0.5, 6)
+    assert _control_change_points(times, u_path) == [
+        {"t": 0.0, "active": []},
+        {"t": 0.2, "active": [[1, 1, 2], [1, 2, 3], [2, 3, 1]]},
+        {"t": 0.4, "active": [[1, 2, 1]]},
+    ]
 
 
 def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):

@@ -25,8 +25,7 @@ def rhs_loops(x, u, cfg):
         for j in range(m):
             acc = 0.0
             if u is not None:
-                for k in range(m):
-                    acc += cfg.lam * (u[i, k, j] * x[i, k] - u[i, j, k] * x[i, j])
+                acc += switch_balance(u, x, i, j, cfg.lam)
             if i > 0:
                 acc += cfg.q_up[i - 1, j] * x[i - 1, j]
             if i < n - 1:
@@ -46,14 +45,26 @@ def rhs_loops(x, u, cfg):
     return out
 
 
+def switch_balance(target, x, i, j, lam):
+    """Net switching flow into (i, j): every (i, k) targeting j in, (i, j) out."""
+    acc = 0.0
+    for k in range(x.shape[1]):
+        if k != j and target[i, k] == j:
+            acc += lam * x[i, k]
+    if target[i, j] != j:
+        acc -= lam * x[i, j]
+    return acc
+
+
 def random_control(n, m, rng):
-    u = np.zeros((n, m, m))
+    """Target matrix: each state switches to a random behaviour or stays."""
+    target = np.tile(np.arange(m), (n, 1))
     for i in range(n):
         for j in range(m):
             k = rng.integers(0, m + 1)  # m means "stay"
-            if k < m and k != j:
-                u[i, j, k] = 1.0
-    return u
+            if k < m:
+                target[i, j] = k
+    return target
 
 
 def random_simplex(n, m, rng):
@@ -89,8 +100,7 @@ def test_rhs_frozen_two_by_two():
     npt.assert_allclose(kinetic_rhs(x, None, cfg),
                         [[-0.3, 0.2], [0.3, -0.2]], atol=1e-15)
     # one decision channel on top: lam=1, switch (1,1)->(1,2) moves 0.5/s
-    u = np.zeros((2, 2, 2))
-    u[0, 0, 1] = 1.0
+    u = np.array([[1, 1], [0, 1]])
     npt.assert_allclose(kinetic_rhs(x, u, cfg),
                         [[-0.8, 0.7], [0.3, -0.2]], atol=1e-15)
 
@@ -147,9 +157,7 @@ def test_rhs_sink_matches_loop_oracle():
     want = np.zeros((n, m))
     for i in range(n):
         for j in range(m):
-            acc = 0.0
-            for k in range(m):
-                acc += cfg.lam * (u[i, k, j] * x[i, k] - u[i, j, k] * x[i, j])
+            acc = switch_balance(u, x, i, j, cfg.lam)
             if i > 0:
                 acc += q_up[i - 1, j] * x[i - 1, j]
                 su = sum(que[i - 1, j, k] * x[i - 1, k] for k in range(m))
@@ -267,7 +275,7 @@ def test_trajectory_check_rejects_mismatched_control_length():
     times = np.array([0.0, 0.5, 1.0])
     x = np.zeros((3, 2, 2))
     with pytest.raises(ValueError):
-        Trajectory(times=times, x=x, u=np.zeros((5, 2, 2, 2))).check()
+        Trajectory(times=times, x=x, u=np.zeros((5, 2, 2), int)).check()
 
 
 def test_stationary_residual_zero_on_balanced_kernel():

@@ -8,13 +8,17 @@ import pytest
 
 from hbmfg import (
     Control,
+    CountState,
     GameConfig,
     Occupation,
     Regime,
     SinkRates,
     dominant_level,
     effective_rewards,
+    hjb_rhs,
+    kinetic_rhs,
     regime_scales,
+    simulate,
     validate,
 )
 from hbmfg.model import BALANCE_TOL
@@ -192,18 +196,35 @@ def test_occupation_simplex_checks():
 
 
 def test_control_checks():
-    Control.zero(2, 3)
-    good = np.zeros((2, 2, 2))
-    good[0, 0, 1] = 1.0
-    Control(good)
+    npt.assert_array_equal(Control.stay(2, 3).target, [[0, 1, 2], [0, 1, 2]])
+    good = Control(np.array([[1, 1], [0, 0]]))
+    assert not good.target.flags.writeable
     with pytest.raises(ValueError):
-        Control(np.full((2, 2, 2), 0.5))
-    diag = np.zeros((2, 2, 2))
-    diag[0, 1, 1] = 1.0
+        Control(np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
-        Control(diag)
-    multi = np.zeros((2, 3, 3))
-    multi[0, 0, 1] = 1.0
-    multi[0, 0, 2] = 1.0
+        Control(np.array([[0, 1], [-1, 1]]))
     with pytest.raises(ValueError):
-        Control(multi)
+        Control(np.array([[0, 1, 3]]))
+
+
+def test_tensor_control_is_rejected():
+    # the (n, m, m) 0/1 decision tensor is not a control: every entry point
+    # that takes one refuses it instead of reading it some other way
+    rng = np.random.default_rng(4)
+    cfg = make_config(2, 3, rng, lam=1.5)
+    tensor = np.zeros((2, 3, 3))
+    tensor[0, 0, 1] = 1.0
+    x = np.full((2, 3), 1.0 / 6.0)
+    with pytest.raises(ValueError, match="target matrix"):
+        kinetic_rhs(x, tensor, cfg)
+    with pytest.raises(ValueError, match="target matrix"):
+        hjb_rhs(np.zeros((2, 3)), x, tensor, cfg)
+    with pytest.raises(ValueError, match="target matrix"):
+        simulate(CountState.from_occupation(x, 12), tensor, 1.0, 0, cfg)
+    for bad in (tensor.astype(int), np.full((2, 3), 1.0), np.array([[0, 1, 3], [0, 1, 2]])):
+        with pytest.raises(ValueError):
+            Control(bad)
+    stay = Control.stay(2, 3)
+    npt.assert_array_equal(kinetic_rhs(x, stay, cfg), kinetic_rhs(x, None, cfg))
+    npt.assert_array_equal(hjb_rhs(np.ones((2, 3)), x, stay, cfg),
+                           hjb_rhs(np.ones((2, 3)), x, None, cfg))

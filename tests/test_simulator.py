@@ -73,8 +73,7 @@ def test_enumerate_transitions_frozen():
 
 def test_enumerate_transitions_includes_decisions():
     cfg = switch_cfg(lam=2.0)
-    u = np.zeros((1, 2, 2))
-    u[0, 0, 1] = 1.0
+    u = np.array([[1, 1]])  # (1,1) switches to behaviour 2, (1,2) stays
     state = CountState(counts=np.array([[4, 1]]), N=5)
     trs = enumerate_transitions(state, u, cfg)
     assert [(t.src, t.dst, t.rate) for t in trs] == [((0, 0), (0, 1), 8.0)]
@@ -105,9 +104,7 @@ def test_simulate_conserves_agents_and_time_grid():
 def test_exponential_clock_statistics():
     # two-way switching at rate 1 keeps the total event rate at exactly N
     cfg = switch_cfg(lam=1.0)
-    u = np.zeros((1, 2, 2))
-    u[0, 0, 1] = 1.0
-    u[0, 1, 0] = 1.0
+    u = np.array([[1, 0]])
     N, T = 200, 5.0
     s0 = CountState(counts=np.array([[N, 0]]), N=N)
     path = simulate(s0, u, T=T, seed=31, cfg=cfg, samples=5, record_events=True)
@@ -173,8 +170,7 @@ def test_equilibrium_occupancy_binomial_band():
 
 def test_policy_sampled_at_interval_midpoints():
     cfg = switch_cfg(lam=10.0)
-    on = np.zeros((1, 2, 2))
-    on[0, 0, 1] = 1.0
+    on = np.array([[1, 1]])
 
     def policy(t):
         return on if t >= 0.5 else None

@@ -76,7 +76,8 @@ def test_solve_converges_immediately_inside_cone():
                     cfg=cfg)
     assert res.converged and not res.oscillating
     assert res.iterations == 1
-    assert not res.trajectory.u.any()
+    assert res.trajectory.u.shape == (len(res.trajectory.times) - 1, 3, 3)
+    assert (res.trajectory.u == np.arange(3)).all()  # everyone stays
     assert res.cone_violations == []
     assert res.meta["cone_worst"] <= 0.0
     assert res.meta["switch_fraction"] == 0.0
@@ -91,11 +92,10 @@ def test_solve_from_stationary_point_stays_there():
     sol = stationary_solution(cfg)
     res = solve_mfg(sol.x0, np.zeros((3, 3)), T=10.0, dt=0.05, cfg=cfg)
     assert res.converged
-    assert res.turnpike_distance is not None
-    assert float(res.turnpike_distance.max()) < 1e-12
+    tm = turnpike_metrics(res, cfg)
+    assert float(tm.d0.max()) < 1e-12
     # occupation never moves: switch decisions only fire on unoccupied states
     assert float(np.max(np.abs(res.trajectory.x - res.trajectory.x[0]))) < 1e-12
-    tm = turnpike_metrics(res, cfg)
     assert tm.plateau < 1e-12
     assert tm.sup_middle < 1e-12
     assert 0.0 <= tm.switch_fraction <= 1.0
@@ -109,8 +109,8 @@ def test_solve_reports_nonconvergence_at_iteration_cap():
                     cfg=cfg, max_iter=1)
     assert res.iterations == 1
     assert not res.converged
-    # switching is active, so the u == 0 start cannot reproduce itself
-    assert res.trajectory.u.any()
+    # switching is active, so the stay-put start cannot reproduce itself
+    assert (res.trajectory.u != np.arange(3)).any()
 
 
 def test_fixed_point_residual_reports_relaxation_gap():
