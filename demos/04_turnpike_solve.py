@@ -1,8 +1,9 @@
 """Coupled forward-backward solve: fee protection and the turnpike.
 
-The solver iterates a damped fixed point: integrate the population forward
-under the current switching policy, then the payoff backward while extracting
-the best response.  Two runs here: first with switching fees sized above the
+The solver iterates best responses: integrate the population forward under
+the current switching policy, then the payoff backward against that path
+while extracting the best response, until the policy is its own best
+response.  Two runs here: first with switching fees sized above the
 whole payoff scale (nobody ever switches, and the population parks at the
 stationary point for most of the horizon), then with cheap fees (switching
 happens and the no-switch policy stops being a best response).

@@ -165,7 +165,7 @@ def _control_change_points(times, u_path):
 
 
 def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
-               gT_path=None, damping=0.5, max_iter=50):
+               gT_path=None, max_iter=50):
     cfg = _require_valid(read_config(cfg_path))
     horizon = float(T) if T is not None else default_horizon(cfg)
     step = float(dt) if dt is not None else default_dt(cfg)
@@ -173,7 +173,7 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
           if x0_path else Occupation.uniform(cfg.n, cfg.m).x)
     gT = read_state_csv(gT_path, cfg.n, cfg.m) if gT_path else np.zeros((cfg.n, cfg.m))
 
-    res = solve_mfg(x0, gT, horizon, step, cfg, damping=damping, max_iter=max_iter)
+    res = solve_mfg(x0, gT, horizon, step, cfg, max_iter=max_iter)
     traj = res.trajectory
     write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, prefix="x")
     write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, prefix="g")
@@ -197,9 +197,7 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
         "oscillating": res.oscillating,
         "cone_worst": res.meta["cone_worst"],
         "switch_fraction": res.meta["switch_fraction"],
-        "dx_final": res.meta["dx_final"],
-        "damping_final": res.meta["damping_final"],
-        "fixed_point_residual": res.meta["fixed_point_residual"],
+        "flipped_steps": res.meta["flipped_steps"],
         "drift_max": traj.meta["drift_max"],
         "projections": traj.meta["projections"],
         "violations": len(res.cone_violations),
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=None, help="step (default from rates)")
     sp.add_argument("--x0", default=None, help="initial occupation CSV (one row)")
     sp.add_argument("--gT", default=None, help="terminal payoff CSV (one row)")
-    sp.add_argument("--damping", type=float, default=0.5)
     sp.add_argument("--max-iter", type=int, default=50)
 
     sp = subs.add_parser("simulate", help="finite-population event simulation")
@@ -401,7 +398,7 @@ def run(argv=None) -> int:
         elif args.cmd == "solve":
             code, summary = _run_solve(args.config, out, T=args.T, dt=args.dt,
                                        x0_path=args.x0, gT_path=args.gT,
-                                       damping=args.damping, max_iter=args.max_iter)
+                                       max_iter=args.max_iter)
         elif args.cmd == "simulate":
             code, summary = _run_simulate(args.config, out, N=args.N, T=args.T,
                                           reps=args.reps, seed=args.seed,

@@ -106,7 +106,6 @@ def integrate_backward(
     cfg: GameConfig,
     mode: str = "fixed",
     control=None,
-    store_stride: int = 1,
 ) -> Trajectory:
     """Integrate the payoff equation from g(t1)=gT back to t0 (RK4, reversed time).
 
@@ -115,8 +114,9 @@ def integrate_backward(
     (n, m) target matrix or a callable t -> control) is used as is;
     mode "optimizing": the best response to the current g is recomputed at
     every stage evaluation.  Returns a Trajectory with times ascending t0..t1,
-    g at the nodes and, in optimizing mode, the extracted per-cell targets
-    u[k] = best response to g(times[k]), shape (len(times)-1, n, m).
+    g at the nodes and, in optimizing mode, the per-cell targets u[k] = best
+    response to g(times[k]), shape (len(times)-1, n, m): a reversed step's
+    first stage sits on its starting node, so only t0 needs a call of its own.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -133,12 +133,16 @@ def integrate_backward(
     g = payoff_array(gT).copy()
     rev = [g.copy()]
     rev_times = [t1]
+    rev_u = []  # best response at each reversed step's starting node
     for k in range(n_steps):
-        s = k * h
-        t_mid = t1 - (s + 0.5 * h)
+        t_mid = t1 - (k * h + 0.5 * h)
         x_mid = x_of(t_mid)
         if mode == "optimizing":
-            f = lambda y: -hjb_rhs(y, x_mid, optimal_control(y, cfg), cfg)
+            stage_u = []
+
+            def f(y):
+                stage_u.append(optimal_control(y, cfg))
+                return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
         else:
             u_mid = u_of(t_mid)
             f = lambda y: -hjb_rhs(y, x_mid, u_mid, cfg)
@@ -147,15 +151,16 @@ def integrate_backward(
             raise HjbError(
                 f"non-finite payoff at t={t1 - (k + 1) * h:.6g}; reduce dt (dt={h:.3g})"
             )
-        if (k + 1) % store_stride == 0 or k == n_steps - 1:
-            rev.append(g.copy())
-            rev_times.append(t1 - (k + 1) * h)
+        rev.append(g.copy())
+        rev_times.append(t1 - (k + 1) * h)
+        if mode == "optimizing":
+            rev_u.append(stage_u[0])
 
     times = np.array(rev_times[::-1])
     gs = np.array(rev[::-1])
     traj = Trajectory(times=times, g=gs, meta={"dt": h, "mode": mode})
     if mode == "optimizing":
-        traj.u = np.array([optimal_control(gs[k], cfg) for k in range(len(times) - 1)])
+        traj.u = np.array([optimal_control(gs[0], cfg)] + rev_u[:0:-1])
     return traj.check()
 
 

@@ -115,7 +115,6 @@ def integrate_forward(
     t1: float,
     dt: float,
     cfg: GameConfig,
-    store_stride: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 on the kinetic equation from t0 to t1.
 
@@ -152,9 +151,8 @@ def integrate_forward(
             x = np.clip(x, 0.0, None)
             x /= x.sum()
             projections += 1
-        if (k + 1) % store_stride == 0 or k == n_steps - 1:
-            times.append(t0 + (k + 1) * h)
-            samples.append(x.copy())
+        times.append(t0 + (k + 1) * h)
+        samples.append(x.copy())
     if projections:
         log.warning(
             "re-projected %d/%d samples to the simplex (max drift %.3e)",

@@ -1,10 +1,5 @@
 """The desk-scale demos run to completion, and every demo imports only
-names the package has.
-
-Demo 04 is left out of the runs: it repeats the example's full solve, which
-the acceptance suite's turnpike check already runs.  Its imports are still
-checked, without running it.
-"""
+names the package has."""
 from __future__ import annotations
 
 import ast
@@ -20,6 +15,7 @@ DEMOS = [
     "01_flows_and_mass.py",
     "02_stationary_expansion.py",
     "03_stability_spectrum.py",
+    "04_turnpike_solve.py",
     "05_finite_population.py",
 ]
 ALL_DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))

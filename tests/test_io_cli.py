@@ -25,7 +25,7 @@ from hbmfg.io import (
     write_state_csv,
     write_trajectory_csv,
 )
-from util_configs import make_config, theorem_config, write_config
+from util_configs import cycle_config, make_config, theorem_config, write_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
 
@@ -248,7 +248,7 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     assert doc["violations"] == 0
     assert doc["cone_worst"] <= 0.0
     assert doc["turnpike"] is not None
-    assert doc["damping_final"] == 0.5 and doc["fixed_point_residual"] == 0.0
+    assert doc["flipped_steps"] == 0
     x_lines = (out / "x.csv").read_text().splitlines()
     g_lines = (out / "g.csv").read_text().splitlines()
     assert len(x_lines) == 82 and len(g_lines) == 82  # header + 81 nodes
@@ -281,6 +281,22 @@ def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert code == 2
     assert summary["converged"] is False
     assert (out / "solve.json").exists()  # artifacts survive non-convergence
+
+
+def test_cli_solve_control_cycle_exit_code(tmp_path, capsys):
+    p = write_config(tmp_path / "cycle.json", cycle_config())
+    out = tmp_path / "o"
+    code, summary, _ = cli(["solve", p, "--out", str(out),
+                            "--T", "4", "--dt", "0.05"], capsys)
+    assert code == 2
+    assert summary["converged"] is False
+    for name in ("x.csv", "g.csv", "controls.json", "solve.json", "manifest.json"):
+        assert (out / name).exists(), name
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["oscillating"] is True and doc["flipped_steps"] > 0
+    code, _, err = cli(["solve", p, "--out", str(tmp_path / "d"), "--damping", "0.5"],
+                       capsys)
+    assert code == 1 and "--damping" in err
 
 
 def test_cli_solve_honors_initial_state_file(tmp_path, capsys):

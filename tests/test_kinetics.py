@@ -228,18 +228,6 @@ def test_integrate_forward_constant_control_vs_callable():
     npt.assert_array_equal(a.x, b.x)
 
 
-def test_integrate_forward_store_stride_subsamples():
-    rng = np.random.default_rng(6)
-    cfg = make_config(3, 2, rng)
-    x0 = random_simplex(3, 2, rng)
-    full = integrate_forward(x0, None, 0.0, 1.0, 0.2, cfg)  # 5 steps
-    thin = integrate_forward(x0, None, 0.0, 1.0, 0.2, cfg, store_stride=2)
-    npt.assert_allclose(thin.times, [0.0, 0.4, 0.8, 1.0], atol=1e-15)
-    for t, xs in zip(thin.times, thin.x):
-        k = int(np.argmin(np.abs(full.times - t)))
-        npt.assert_array_equal(xs, full.x[k])
-
-
 def test_integrate_forward_blowup_names_time_and_step():
     rng = np.random.default_rng(9)
     cfg = make_config(3, 2, rng)

@@ -15,13 +15,16 @@ from hbmfg import (
     cone_check,
     default_dt,
     default_horizon,
+    integrate_backward,
+    integrate_forward,
     rate_ordering_check,
     solve_mfg,
     stationary_solution,
     turnpike_metrics,
 )
+from hbmfg.solver import _control_provider, _occupation_provider
 from test_kinetics import random_simplex
-from util_configs import make_config, theorem_config
+from util_configs import cycle_config, make_config, theorem_config
 
 
 def test_default_horizon_and_dt():
@@ -81,8 +84,7 @@ def test_solve_converges_immediately_inside_cone():
     assert res.cone_violations == []
     assert res.meta["cone_worst"] <= 0.0
     assert res.meta["switch_fraction"] == 0.0
-    assert res.meta["damping_final"] == 0.5
-    assert res.meta["fixed_point_residual"] == 0.0
+    assert res.meta["flipped_steps"] == 0
 
 
 def test_solve_from_stationary_point_stays_there():
@@ -113,20 +115,6 @@ def test_solve_reports_nonconvergence_at_iteration_cap():
     assert (res.trajectory.u != np.arange(3)).any()
 
 
-def test_fixed_point_residual_reports_relaxation_gap():
-    # forward x against the relaxed x the last payoff sweep saw: after a
-    # damped second sweep it is dx * (1 - theta) / theta, not dx
-    rng = np.random.default_rng(7)
-    cfg = make_config(3, 3, rng, db=True, balanced_evo=True, delta=0.05,
-                      gap=3.0, fee_switch=0.05)
-    res = solve_mfg(Occupation.uniform(3, 3), np.zeros((3, 3)), T=4.0, dt=0.05,
-                    cfg=cfg, damping=0.3, max_iter=2)
-    assert res.iterations == 2 and res.meta["damping_final"] == 0.3
-    want = res.meta["dx_final"] * (1.0 - 0.3) / 0.3
-    assert res.meta["fixed_point_residual"] == pytest.approx(want, rel=1e-9, abs=0.0)
-    assert want > 0.1
-
-
 def test_solve_records_cone_violations_with_cheap_fees():
     rng = np.random.default_rng(29)
     cfg = make_config(3, 3, rng, db=True, balanced_evo=True, delta=0.05,
@@ -141,6 +129,36 @@ def test_solve_records_cone_violations_with_cheap_fees():
     )
 
 
+def test_solve_certifies_exact_equilibrium_on_switching_config():
+    rng = np.random.default_rng(29)
+    cfg = make_config(3, 3, rng, db=True, balanced_evo=True, delta=0.05,
+                      gap=3.0, fee_switch=0.05)
+    res = solve_mfg(Occupation.uniform(3, 3), np.zeros((3, 3)), T=4.0, dt=0.05,
+                    cfg=cfg)
+    assert res.converged and not res.oscillating
+    assert res.iterations == 2 and res.meta["flipped_steps"] == 0
+    traj = res.trajectory
+    assert (traj.u != np.arange(3)).any()
+    # g is exactly the optimizing payoff against the solve's own x, and its
+    # best response is the control x was integrated under
+    bwd = integrate_backward(np.zeros((3, 3)), _occupation_provider(traj.x, 0.05),
+                             0.0, 4.0, 0.05, cfg, mode="optimizing")
+    npt.assert_array_equal(bwd.g, traj.g)
+    npt.assert_array_equal(bwd.u, traj.u)
+    fwd = integrate_forward(Occupation.uniform(3, 3), _control_provider(traj.u, 0.05),
+                            0.0, 4.0, 0.05, cfg)
+    npt.assert_array_equal(fwd.x, traj.x)
+
+
+def test_solve_stops_on_true_control_cycle():
+    cfg = cycle_config()
+    res = solve_mfg(Occupation.uniform(3, 3), np.zeros((3, 3)), T=4.0, dt=0.05,
+                    cfg=cfg)
+    assert res.oscillating and not res.converged
+    assert res.iterations == 6
+    assert res.meta["flipped_steps"] > 0
+
+
 def test_solve_rejects_bad_arguments():
     rng = np.random.default_rng(1)
     cfg = make_config(2, 2, rng)
@@ -148,7 +166,7 @@ def test_solve_rejects_bad_arguments():
     with pytest.raises(ValueError):
         solve_mfg(x0, np.zeros((2, 2)), T=0.0, dt=0.1, cfg=cfg)
     with pytest.raises(ValueError):
-        solve_mfg(x0, np.zeros((2, 2)), T=1.0, dt=0.1, cfg=cfg, damping=0.0)
+        solve_mfg(x0, np.zeros((2, 2)), T=1.0, dt=0.1, cfg=cfg, max_iter=0)
 
 
 def test_rate_ordering_check_directions():

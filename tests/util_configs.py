@@ -111,6 +111,16 @@ def make_config(
     )
 
 
+def cycle_config() -> GameConfig:
+    """Strong interaction whose best-response iteration cycles with period 2.
+
+    From the uniform occupation with T = 4 and dt = 0.05 the best responses
+    of sweeps 4 and 6 are equal, and sweep 5's differs from both.
+    """
+    return make_config(3, 3, np.random.default_rng(177), db=True, balanced_evo=False,
+                       delta=1.5, regime=Regime.ID2, gap=2.0, fee_switch=0.2)
+
+
 def theorem_config(
     n: int,
     m: int,
