@@ -11,7 +11,6 @@ from .model import (
     Control,
     GameConfig,
     Occupation,
-    Payoff,
     Regime,
     SinkRates,
     dominant_level,
@@ -87,7 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "GameConfig", "Regime", "SinkRates", "Occupation", "Payoff", "Control",
+    "GameConfig", "Regime", "SinkRates", "Occupation", "Control",
     "validate", "effective_rewards", "dominant_level", "regime_scales",
     # kinetics
     "Trajectory", "KineticsError", "kinetic_rhs", "integrate_forward",

@@ -4,7 +4,9 @@ Subcommands: validate, stationary, stability, solve, simulate, sweep.  Every
 run writes its artifacts into --out (or $MFG_OUT, or ./out), including a
 manifest.json with content hashes, and prints a one-line JSON summary to
 stdout.  Exit codes: 0 success, 1 usage/validation/assumption failures,
-2 numerical failures (including a solve that does not converge).
+2 numerical failures (including a solve that does not converge).  A run
+stopped by a usage error or a rejected input writes nothing; one stopped by
+a numerical error writes error.json and the manifest.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .io import (
     config_sha256,
     jsonable,
     read_config,
+    read_config_doc,
     read_state_csv,
     write_aggregate_csv,
     write_json,
@@ -278,22 +281,14 @@ def _set_config_path(doc, tokens, value, label: str):
 
 
 _SWEEP_OPS = {
-    "validate": lambda path, sub: _run_validate(path, sub),
-    "stationary": lambda path, sub: _run_stationary(path, sub),
-    "stability": lambda path, sub: _run_stability(path, sub),
+    "validate": _run_validate,
+    "stationary": _run_stationary,
+    "stability": _run_stability,
 }
 
 
 def _run_sweep(cfg_path: str, out: str, param: str, values: list[str], op: str):
-    try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"config is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
-        ) from None
+    base = read_config_doc(cfg_path)
     tokens = param.split(".")
     vals = [_parse_sweep_value(v) for v in values]
     if not vals:
@@ -311,10 +306,10 @@ def _run_sweep(cfg_path: str, out: str, param: str, values: list[str], op: str):
             fh.write("\n")
         try:
             code, summary = _SWEEP_OPS[op](sub_cfg, sub)
-        except _VALIDATION_ERRORS as e:
-            code, summary = 1, {"error": str(e)}
         except _NUMERICAL_ERRORS as e:
             code, summary = 2, {"error": str(e)}
+        except _VALIDATION_ERRORS as e:
+            code, summary = 1, {"error": str(e)}
         results.append({"value": val, "dir": f"val_{k}",
                         "status": code, "summary": summary})
         worst = max(worst, code)
@@ -407,14 +402,16 @@ def run(argv=None) -> int:
         else:
             code, summary = _run_sweep(args.config, out, param=args.param,
                                        values=args.values, op=args.op)
-    except _VALIDATION_ERRORS as e:
-        print(f"hbmfg {args.cmd}: {e}", file=sys.stderr)
-        _emit({"cmd": args.cmd, "ok": False, "error": str(e)})
-        return 1
-    except _NUMERICAL_ERRORS as e:
-        print(f"hbmfg {args.cmd}: numerical failure: {e}", file=sys.stderr)
-        _emit({"cmd": args.cmd, "ok": False, "error": str(e)})
-        return 2
+    except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
+        # LinAlgError is also a ValueError, so the numerical test comes first
+        code = 2 if isinstance(e, _NUMERICAL_ERRORS) else 1
+        print(f"hbmfg {args.cmd}: {'numerical failure: ' if code == 2 else ''}{e}",
+              file=sys.stderr)
+        summary = {"cmd": args.cmd, "ok": False, "error": str(e)}
+        if code == 1:  # a rejected input leaves no artifacts behind
+            _emit(summary)
+            return 1
+        write_json(os.path.join(out, "error.json"), {"cmd": args.cmd, "error": str(e)})
 
     try:
         cfg_hash = config_sha256(args.config)

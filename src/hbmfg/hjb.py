@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinetics import Trajectory, as_provider, rk4_step
+from .kinetics import Trajectory, control_steps, rk4_step, step_grid
 from .model import GameConfig, control_array, occupation_array, payoff_array
 
 __all__ = [
@@ -85,8 +85,6 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     Nonpositive means no occupied state profits from deviating.  With a single
     behaviour level there is nothing to deviate to: returns -inf.
     """
-    if cfg.m == 1:
-        return float("-inf")
     ga = payoff_array(g)
     xa = occupation_array(x)
     gains = switch_gains(ga, cfg)
@@ -109,59 +107,58 @@ def integrate_backward(
 ) -> Trajectory:
     """Integrate the payoff equation from g(t1)=gT back to t0 (RK4, reversed time).
 
-    occupation: matrix, callable t -> matrix, or None (only when delta_int=0).
-    mode "fixed": the supplied control (None = nobody switches; a Control, an
-    (n, m) target matrix or a callable t -> control) is used as is;
+    The grid is step_grid(t0, t1, dt), the forward integrator's grid.
+    occupation: None (only when delta_int=0), one (n, m) matrix, or a node
+    path of shape (n_steps + 1, n, m) such as a forward Trajectory.x; each
+    step then sees the mean of its two end nodes.
+    mode "fixed": control is used as is, in integrate_forward's forms (None =
+    nobody switches, one Control/(n, m) target matrix, or a per-step stack);
     mode "optimizing": the best response to the current g is recomputed at
-    every stage evaluation.  Returns a Trajectory with times ascending t0..t1,
-    g at the nodes and, in optimizing mode, the per-cell targets u[k] = best
-    response to g(times[k]), shape (len(times)-1, n, m): a reversed step's
-    first stage sits on its starting node, so only t0 needs a call of its own.
+    every stage evaluation.  Returns a Trajectory with g at the nodes and, in
+    optimizing mode, the per-step targets u[k] = best response to
+    g(times[k]), shape (n_steps, n, m): a reversed step's first stage sits on
+    its starting node, so only t0 needs a call of its own.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not (t1 > t0):
-        raise ValueError("need t1 > t0")
-    if not (0 < dt <= t1 - t0):
-        raise ValueError("need 0 < dt <= t1 - t0")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    x_of = as_provider(occupation, occupation_array)
-    u_of = as_provider(control, lambda u: control_array(u, cfg.n, cfg.m))
+    optimizing = mode == "optimizing"
+    n_steps, h = step_grid(t0, t1, dt)
+    x_nodes = None if occupation is None else occupation_array(occupation)
+    on_path = x_nodes is not None and x_nodes.ndim == 3
+    if on_path and len(x_nodes) != n_steps + 1:
+        raise ValueError(f"occupation path of shape {x_nodes.shape} does not match the "
+                         f"grid's {n_steps + 1} nodes")
+    u_steps = None if optimizing else control_steps(control, n_steps, cfg)
+    times = t0 + h * np.arange(n_steps + 1)
 
-    # Reversed clock s = t1 - t: dh/ds = -hjb_rhs(h, x(t1-s), u).
-    g = payoff_array(gT).copy()
-    rev = [g.copy()]
-    rev_times = [t1]
-    rev_u = []  # best response at each reversed step's starting node
-    for k in range(n_steps):
-        t_mid = t1 - (k * h + 0.5 * h)
-        x_mid = x_of(t_mid)
-        if mode == "optimizing":
+    # Reversed clock s = t1 - t: dh/ds = -hjb_rhs(h, x(t1-s), u), step k
+    # running from node k+1 down to node k.
+    g = payoff_array(gT)
+    gs = np.empty((n_steps + 1,) + g.shape)
+    gs[n_steps] = g
+    us = np.empty((n_steps, cfg.n, cfg.m), dtype=int) if optimizing else None
+    for k in reversed(range(n_steps)):
+        x_mid = 0.5 * (x_nodes[k] + x_nodes[k + 1]) if on_path else x_nodes
+        if optimizing:
             stage_u = []
 
             def f(y):
                 stage_u.append(optimal_control(y, cfg))
                 return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
         else:
-            u_mid = u_of(t_mid)
-            f = lambda y: -hjb_rhs(y, x_mid, u_mid, cfg)
+            u_k = u_steps[k]
+            f = lambda y: -hjb_rhs(y, x_mid, u_k, cfg)
         g = rk4_step(f, g, h)
         if not np.all(np.isfinite(g)):
             raise HjbError(
-                f"non-finite payoff at t={t1 - (k + 1) * h:.6g}; reduce dt (dt={h:.3g})"
+                f"non-finite payoff at t={times[k]:.6g}; reduce dt (dt={h:.3g})"
             )
-        rev.append(g.copy())
-        rev_times.append(t1 - (k + 1) * h)
-        if mode == "optimizing":
-            rev_u.append(stage_u[0])
-
-    times = np.array(rev_times[::-1])
-    gs = np.array(rev[::-1])
-    traj = Trajectory(times=times, g=gs, meta={"dt": h, "mode": mode})
-    if mode == "optimizing":
-        traj.u = np.array([optimal_control(gs[0], cfg)] + rev_u[:0:-1])
-    return traj.check()
+        gs[k] = g
+        if optimizing and k + 1 < n_steps:
+            us[k + 1] = stage_u[0]
+    if optimizing:
+        us[0] = optimal_control(gs[0], cfg)
+    return Trajectory(times=times, g=gs, u=us, meta={"dt": h, "mode": mode})
 
 
 def stationary_payoff_residual(g, x, cfg: GameConfig) -> np.ndarray:

@@ -21,6 +21,7 @@ from .model import GameConfig, SinkRates
 
 __all__ = [
     "ConfigError",
+    "read_config_doc",
     "read_config",
     "config_sha256",
     "fmt",
@@ -65,17 +66,22 @@ def _array(value, path: str) -> np.ndarray:
     return a
 
 
-def read_config(path: str) -> GameConfig:
-    """Parse a config file into a GameConfig; shape checks happen there too."""
+def read_config_doc(path: str):
+    """The parsed JSON of a config file; unreadable files and bad JSON are ConfigErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from None
+
+
+def read_config(path: str) -> GameConfig:
+    """Parse a config file into a GameConfig; shape checks happen there too."""
+    doc = read_config_doc(path)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import GameConfig, control_array, occupation_array
+from .model import Control, GameConfig, control_array, occupation_array
 
 __all__ = [
     "Trajectory",
@@ -26,7 +26,8 @@ __all__ = [
     "integrate_forward",
     "stationary_residual",
     "rk4_step",
-    "as_provider",
+    "step_grid",
+    "control_steps",
 ]
 
 log = logging.getLogger(__name__)
@@ -41,11 +42,12 @@ class KineticsError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Uniform-grid samples of a run: times plus any of x, g, u.
+    """Samples of a run on one uniform grid: times plus any of x, g, u.
 
-    x and g are sampled at the grid nodes, shape (len(times), n, m).
-    u, when present, is per cell: target matrices of shape (len(times)-1, n, m),
-    constant on [times[k], times[k+1]).
+    times are the nodes t0 + h * arange(n_steps + 1) of step_grid's grid.
+    x and g are sampled at the nodes, shape (n_steps + 1, n, m).  u, when
+    present, is per step: target matrices of shape (n_steps, n, m), u[k]
+    held on [times[k], times[k+1]).
     """
 
     times: np.ndarray
@@ -54,17 +56,30 @@ class Trajectory:
     u: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
-    def check(self):
-        t = np.asarray(self.times)
-        if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        for name in ("x", "g"):
-            a = getattr(self, name)
-            if a is not None and len(a) != t.size:
-                raise ValueError(f"trajectory {name} not aligned with times")
-        if self.u is not None and len(self.u) not in (t.size, t.size - 1):
-            raise ValueError("trajectory u not aligned with times")
-        return self
+
+def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
+    """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h)."""
+    if not (t1 > t0):
+        raise ValueError("need t1 > t0")
+    if not (0 < dt <= t1 - t0):
+        raise ValueError("need 0 < dt <= t1 - t0")
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    return n_steps, (t1 - t0) / n_steps
+
+
+def control_steps(control, n_steps: int, cfg: GameConfig):
+    """One control per step, indexable by step.
+
+    control: None (nobody switches), one Control/(n, m) target matrix held
+    on every step, or a per-step stack of shape (n_steps, n, m).
+    """
+    if control is None or isinstance(control, Control) or np.ndim(control) == 2:
+        return [None if control is None else control_array(control, cfg.n, cfg.m)] * n_steps
+    stack = np.asarray(control)
+    if stack.shape != (n_steps, cfg.n, cfg.m):
+        raise ValueError(f"control stack of shape {stack.shape} does not match the grid's "
+                         f"{n_steps} steps of ({cfg.n}, {cfg.m}) targets")
+    return stack
 
 
 def _decision_flow(x: np.ndarray, target: Optional[np.ndarray], lam: float) -> np.ndarray:
@@ -100,14 +115,6 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> 
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def as_provider(value, convert: Callable):
-    """t -> convert(value(t)) for a callable, else t -> value converted once (None kept)."""
-    if callable(value) and not isinstance(value, np.ndarray):
-        return lambda t: convert(value(t))
-    fixed = None if value is None else convert(value)
-    return lambda t: fixed
-
-
 def integrate_forward(
     x0,
     control,
@@ -118,32 +125,27 @@ def integrate_forward(
 ) -> Trajectory:
     """Fixed-step RK4 on the kinetic equation from t0 to t1.
 
-    control: None, a Control/(n, m) target matrix held fixed, or a callable
-    t -> control, sampled once per step at the step midpoint (piecewise-
-    constant providers resolve to their cell value).  Stored samples drift from the simplex by
-    at most rounding; any sample beyond 1e-12 is clamped/renormalized and the
-    event is counted in meta and logged.
+    The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
+    Control/(n, m) target matrix held fixed, or a per-step stack of shape
+    (n_steps, n, m), step k using control[k].  Stored samples drift from the
+    simplex by at most rounding; any sample beyond 1e-12 is clamped/
+    renormalized and the event is counted in meta and logged.
     """
-    if not (t1 > t0):
-        raise ValueError("need t1 > t0")
-    if not (0 < dt <= t1 - t0):
-        raise ValueError("need 0 < dt <= t1 - t0")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    u_of = as_provider(control, lambda u: control_array(u, cfg.n, cfg.m))
+    n_steps, h = step_grid(t0, t1, dt)
+    u_steps = control_steps(control, n_steps, cfg)
 
-    x = occupation_array(x0).copy()
-    times = [t0]
-    samples = [x.copy()]
+    times = t0 + h * np.arange(n_steps + 1)
+    x = occupation_array(x0)
+    xs = np.empty((n_steps + 1,) + x.shape)
+    xs[0] = x
     drift_max = 0.0
     projections = 0
     for k in range(n_steps):
-        t = t0 + k * h
-        u_mid = u_of(t + 0.5 * h)
-        x = rk4_step(lambda y: kinetic_rhs(y, u_mid, cfg), x, h)
+        u_k = u_steps[k]
+        x = rk4_step(lambda y: kinetic_rhs(y, u_k, cfg), x, h)
         if not np.all(np.isfinite(x)):
             raise KineticsError(
-                f"non-finite occupation at t={t + h:.6g}; reduce dt (dt={h:.3g})"
+                f"non-finite occupation at t={times[k + 1]:.6g}; reduce dt (dt={h:.3g})"
             )
         drift = max(abs(float(x.sum()) - 1.0), max(0.0, -float(x.min())))
         drift_max = max(drift_max, drift)
@@ -151,15 +153,14 @@ def integrate_forward(
             x = np.clip(x, 0.0, None)
             x /= x.sum()
             projections += 1
-        times.append(t0 + (k + 1) * h)
-        samples.append(x.copy())
+        xs[k + 1] = x
     if projections:
         log.warning(
             "re-projected %d/%d samples to the simplex (max drift %.3e)",
             projections, n_steps, drift_max,
         )
     meta = {"dt": h, "drift_max": drift_max, "projections": projections}
-    return Trajectory(times=np.array(times), x=np.array(samples), meta=meta).check()
+    return Trajectory(times=times, x=xs, meta=meta)
 
 
 def stationary_residual(x, cfg: GameConfig) -> float:

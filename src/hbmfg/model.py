@@ -4,7 +4,7 @@ A population of agents lives on an n x m grid of states: n hierarchy levels
 (moved up and down by principal pressure and by stimulating interactions with
 peers on the same level) and m behaviour levels (changed by the agents' own
 decisions).  This module holds the immutable configuration with its table
-of level moves, the small typed wrappers for occupation / payoff / control
+of level moves, the small typed wrappers for occupation and control
 matrices, structural validation, and the derived reward quantities
 everything downstream is built from.
 
@@ -25,7 +25,6 @@ __all__ = [
     "Moves",
     "GameConfig",
     "Occupation",
-    "Payoff",
     "Control",
     "DominanceReport",
     "regime_scales",
@@ -173,9 +172,6 @@ class GameConfig:
         """"sink" when direct-drop rates are configured, else "standard"."""
         return "sink" if self.q_sink is not None else "standard"
 
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.m)
-
     @cached_property
     def moves(self) -> Moves:
         """The level moves: up one level, then down one level or the sink drop.
@@ -231,20 +227,6 @@ class Occupation:
 
 
 @dataclass(frozen=True)
-class Payoff:
-    """Discounted payoff matrix g, one value per state."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", _ro(self.g))
-        if self.g.ndim != 2:
-            raise ValueError("payoff must be a matrix")
-        if not np.all(np.isfinite(self.g)):
-            raise ValueError("payoff has non-finite entries")
-
-
-@dataclass(frozen=True)
 class Control:
     """Pure strategy: an agent at (i, j) switches to behaviour target[i, j].
 
@@ -274,8 +256,6 @@ def occupation_array(x) -> np.ndarray:
 
 
 def payoff_array(g) -> np.ndarray:
-    if isinstance(g, Payoff):
-        return g.g
     return np.asarray(g, dtype=float)
 
 

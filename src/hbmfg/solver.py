@@ -3,8 +3,11 @@
 The forward occupation flow and the backward payoff flow are coupled through
 the switching control: agents switch when the gain (payoff difference net of
 the switching fee) is positive.  An undamped best-response iteration
-alternates the two integrations on one shared uniform grid until the control
-path is its own best response, bit for bit: an exact equilibrium certificate.
+alternates the two integrations on one uniform grid (kinetics.step_grid)
+and hands each the other's arrays on that grid: the forward pass takes the
+control path, one target matrix per step, and the backward pass takes the
+forward occupation at the nodes.  It stops when the control path is its own
+best response, bit for bit: an exact equilibrium certificate.
 
 The diagnostics certify the no-switching regime: cone_check measures the best
 switching gain anywhere, boundary_tangent_condition evaluates the payoff flow
@@ -21,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains
-from .kinetics import Trajectory, integrate_forward
+from .kinetics import Trajectory, integrate_forward, step_grid
 from .model import GameConfig, occupation_array, payoff_array
 from .stationary import stationary_solution
 
@@ -65,30 +68,8 @@ def default_dt(cfg: GameConfig) -> float:
     return min(0.05, 0.5 / peak)
 
 
-def _step_index(t: float, h: float, n_steps: int) -> int:
-    return min(n_steps - 1, max(0, int(t / h)))
-
-
-def _control_provider(u_path: np.ndarray, h: float):
-    return lambda t: u_path[_step_index(t, h, len(u_path))]
-
-
-def _occupation_provider(x_path: np.ndarray, h: float):
-    # piecewise-linear in t; backward stages only ever query step midpoints
-    n_steps = len(x_path) - 1
-
-    def provider(t: float):
-        k = _step_index(t, h, n_steps)
-        frac = t / h - k
-        return (1.0 - frac) * x_path[k] + frac * x_path[k + 1]
-
-    return provider
-
-
 def cone_check(g, cfg: GameConfig) -> float:
     """Best switching gain at g; <= 0 means g lies inside the no-switch cone."""
-    if cfg.m == 1:
-        return float("-inf")
     gains = switch_gains(payoff_array(g), cfg)
     k = np.arange(cfg.m)
     gains[:, k, k] = float("-inf")
@@ -134,21 +115,18 @@ def solve_mfg(
     counts the steps whose control the last best response changed, 0 exactly
     when converged.
     """
-    if not (T > 0.0) or not (0.0 < dt <= T) or max_iter < 1:
-        raise ValueError("need T > 0, 0 < dt <= T and max_iter >= 1")
+    if max_iter < 1:
+        raise ValueError("need max_iter >= 1")
+    n_steps, h = step_grid(0.0, T, dt)
     x0a = occupation_array(x0)
     gTa = payoff_array(gT)
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
 
     stay = np.arange(cfg.m)
     u_path = np.tile(stay, (n_steps, cfg.n, 1))
     u_prev = None
     for iterations in range(1, max_iter + 1):
-        fwd = integrate_forward(x0a, _control_provider(u_path, h), 0.0, T, h, cfg)
-        bwd = integrate_backward(
-            gTa, _occupation_provider(fwd.x, h), 0.0, T, h, cfg, mode="optimizing"
-        )
+        fwd = integrate_forward(x0a, u_path, 0.0, T, h, cfg)
+        bwd = integrate_backward(gTa, fwd.x, 0.0, T, h, cfg, mode="optimizing")
         converged = np.array_equal(bwd.u, u_path)
         oscillating = not converged and u_prev is not None and np.array_equal(bwd.u, u_prev)
         if converged or oscillating:
@@ -167,7 +145,7 @@ def solve_mfg(
         u=bwd.u,
         meta={"dt": h, "drift_max": fwd.meta.get("drift_max", 0.0),
               "projections": fwd.meta.get("projections", 0)},
-    ).check()
+    )
 
     violations: List[Tuple[float, int, int, int, float]] = []
     cone_worst = float("-inf")

@@ -162,16 +162,39 @@ def test_integrate_backward_scalar_exponential_oracle():
     npt.assert_allclose(traj.g[:, 0, 0], want, atol=1e-11)
 
 
-def test_integrate_backward_occupation_provider_forms_agree():
+def test_integrate_backward_occupation_forms_agree():
     rng = np.random.default_rng(8)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.2)
     x = random_simplex(3, 2, rng)
     gT = rng.normal(size=(3, 2))
     a = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg)
-    b = integrate_backward(gT, lambda t: x, 0.0, 1.0, 0.02, cfg)
+    b = integrate_backward(gT, np.broadcast_to(x, (51, 3, 2)), 0.0, 1.0, 0.02, cfg)
     npt.assert_array_equal(a.g, b.g)
     assert a.times[0] == 0.0 and a.times[-1] == 1.0
     npt.assert_array_equal(a.g[-1], np.asarray(gT))
+    # a fixed control and its per-step stack agree too
+    u = random_control(3, 2, rng)
+    c = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=u)
+    d = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg,
+                           control=np.broadcast_to(u, (50, 3, 2)))
+    npt.assert_array_equal(c.g, d.g)
+    # on a node path each step sees the mean of its two end nodes
+    y = random_simplex(3, 2, rng)
+    path = integrate_backward(gT, np.stack([x, y]), 0.0, 0.5, 0.5, cfg)
+    mean = integrate_backward(gT, 0.5 * (x + y), 0.0, 0.5, 0.5, cfg)
+    npt.assert_array_equal(path.g, mean.g)
+
+
+def test_integrate_backward_rejects_paths_of_wrong_length():
+    rng = np.random.default_rng(6)
+    cfg = make_config(3, 2, rng)
+    x = random_simplex(3, 2, rng)
+    gT = np.zeros((3, 2))
+    with pytest.raises(ValueError, match=r"\(40, 3, 2\).* 51 nodes"):
+        integrate_backward(gT, np.broadcast_to(x, (40, 3, 2)), 0.0, 1.0, 0.02, cfg)
+    stack = np.broadcast_to(random_control(3, 2, rng), (49, 3, 2))
+    with pytest.raises(ValueError, match=r"\(49, 3, 2\).* 50 steps"):
+        integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=stack)
 
 
 def test_optimizing_mode_dominates_frozen_control():

@@ -283,6 +283,27 @@ def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert (out / "solve.json").exists()  # artifacts survive non-convergence
 
 
+def test_cli_numerical_failure_writes_error_and_manifest(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, summary, err = cli(["solve", EXAMPLE, "--out", str(out),
+                                  "--T", "2e80", "--dt", "1e80"], capsys)
+    assert code == 2 and summary["ok"] is False and "non-finite" in summary["error"]
+    assert "numerical failure" in err
+    error = json.loads((out / "error.json").read_text())
+    assert error == {"cmd": "solve", "error": summary["error"]}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["files"]) == ["error.json"]
+
+    # LinAlgError is also a ValueError; it still counts as numerical
+    def singular(cfg):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("hbmfg.cli.stationary_solution", singular)
+    code, _, _ = cli(["stationary", EXAMPLE, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2 and (tmp_path / "s" / "error.json").exists()
+
+
 def test_cli_solve_control_cycle_exit_code(tmp_path, capsys):
     p = write_config(tmp_path / "cycle.json", cycle_config())
     out = tmp_path / "o"
@@ -395,6 +416,15 @@ def test_cli_usage_and_missing_file(tmp_path, capsys):
     code2, summary2, _ = cli(["stationary", str(tmp_path / "ghost.json"),
                               "--out", str(tmp_path / "o")], capsys)
     assert code2 == 1 and summary2["ok"] is False
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"scales": {')
+    for path, why in ((tmp_path / "ghost.json", "cannot read config"),
+                      (broken, "not valid JSON")):
+        out = tmp_path / f"sweep_{path.stem}"
+        code3, summary3, _ = cli(["sweep", str(path), "--out", str(out),
+                                  "--param", "scales.delta", "--values", "0.1"], capsys)
+        assert code3 == 1 and why in summary3["error"]
+        assert not (out / "manifest.json").exists()
 
 
 def test_cli_out_env_fallback(tmp_path, capsys, monkeypatch):

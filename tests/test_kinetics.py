@@ -13,7 +13,7 @@ from hbmfg import (
     kinetic_rhs,
     stationary_residual,
 )
-from hbmfg.kinetics import Trajectory, rk4_step
+from hbmfg.kinetics import rk4_step
 from util_configs import make_config
 
 
@@ -218,14 +218,24 @@ def test_integrate_forward_matches_matrix_exponential():
     assert traj.meta["drift_max"] < 1e-12
 
 
-def test_integrate_forward_constant_control_vs_callable():
+def test_integrate_forward_constant_control_vs_per_step_stack():
     rng = np.random.default_rng(3)
     cfg = make_config(3, 2, rng, lam=1.3)
     x0 = random_simplex(3, 2, rng)
     u = random_control(3, 2, rng)
     a = integrate_forward(x0, u, 0.0, 1.0, 0.02, cfg)
-    b = integrate_forward(x0, lambda t: u, 0.0, 1.0, 0.02, cfg)
+    b = integrate_forward(x0, np.broadcast_to(u, (50, 3, 2)), 0.0, 1.0, 0.02, cfg)
     npt.assert_array_equal(a.x, b.x)
+    npt.assert_array_equal(a.times, 0.02 * np.arange(51))
+    # step k runs under stack[k]: a control switched halfway equals two
+    # half-horizon runs chained at the midpoint
+    v = (u + 1) % 2
+    halves = np.concatenate([np.broadcast_to(u, (25, 3, 2)), np.broadcast_to(v, (25, 3, 2))])
+    c = integrate_forward(x0, halves, 0.0, 1.0, 0.02, cfg)
+    first = integrate_forward(x0, u, 0.0, 0.5, 0.02, cfg)
+    second = integrate_forward(first.x[-1], v, 0.5, 1.0, 0.02, cfg)
+    npt.assert_array_equal(c.x, np.concatenate([first.x, second.x[1:]]))
+    assert np.abs(c.x[-1] - a.x[-1]).max() > 1e-6
 
 
 def test_integrate_forward_blowup_names_time_and_step():
@@ -247,6 +257,10 @@ def test_integrate_forward_rejects_bad_grid():
         integrate_forward(x0, None, 1.0, 1.0, 0.1, cfg)
     with pytest.raises(ValueError):
         integrate_forward(x0, None, 0.0, 1.0, -0.1, cfg)
+    # a per-step control stack must cover the grid's steps exactly
+    stack = np.broadcast_to(random_control(2, 2, rng), (40, 2, 2))
+    with pytest.raises(ValueError, match=r"\(40, 2, 2\).* 50 steps"):
+        integrate_forward(x0, stack, 0.0, 1.0, 0.02, cfg)
 
 
 def test_rk4_step_is_fourth_order_on_scalar_exponential():
@@ -257,13 +271,6 @@ def test_rk4_step_is_fourth_order_on_scalar_exponential():
         errs.append(abs(float(rk4_step(f, y0, h)) - np.exp(-2.0 * h)))
     order = np.log2(errs[0] / errs[1])
     assert 4.6 < order < 5.4  # local error is O(h^5)
-
-
-def test_trajectory_check_rejects_mismatched_control_length():
-    times = np.array([0.0, 0.5, 1.0])
-    x = np.zeros((3, 2, 2))
-    with pytest.raises(ValueError):
-        Trajectory(times=times, x=x, u=np.zeros((5, 2, 2), int)).check()
 
 
 def test_stationary_residual_zero_on_balanced_kernel():

@@ -22,7 +22,6 @@ from hbmfg import (
     stationary_solution,
     turnpike_metrics,
 )
-from hbmfg.solver import _control_provider, _occupation_provider
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, theorem_config
 
@@ -141,12 +140,11 @@ def test_solve_certifies_exact_equilibrium_on_switching_config():
     assert (traj.u != np.arange(3)).any()
     # g is exactly the optimizing payoff against the solve's own x, and its
     # best response is the control x was integrated under
-    bwd = integrate_backward(np.zeros((3, 3)), _occupation_provider(traj.x, 0.05),
-                             0.0, 4.0, 0.05, cfg, mode="optimizing")
+    bwd = integrate_backward(np.zeros((3, 3)), traj.x, 0.0, 4.0, 0.05, cfg,
+                             mode="optimizing")
     npt.assert_array_equal(bwd.g, traj.g)
     npt.assert_array_equal(bwd.u, traj.u)
-    fwd = integrate_forward(Occupation.uniform(3, 3), _control_provider(traj.u, 0.05),
-                            0.0, 4.0, 0.05, cfg)
+    fwd = integrate_forward(Occupation.uniform(3, 3), traj.u, 0.0, 4.0, 0.05, cfg)
     npt.assert_array_equal(fwd.x, traj.x)
 
 
