@@ -224,8 +224,8 @@ def _run_simulate(cfg_path: str, out: str, N, T, reps=1, seed=0, samples=50,
     x0 = (Occupation(read_state_csv(x0_path, cfg.n, cfg.m)).x
           if x0_path else Occupation.uniform(cfg.n, cfg.m).x)
     s0 = CountState.from_occupation(x0, int(N))
-    paths = [simulate(s0, None, float(T), seed + r, cfg, samples=samples)
-             for r in range(reps)]
+    paths = simulate(s0, None, float(T), [seed + r for r in range(reps)], cfg,
+                     samples=samples)
     xs = np.stack([p.x for p in paths])
     mean = xs.mean(axis=0)
     if reps > 1:
@@ -238,11 +238,12 @@ def _run_simulate(cfg_path: str, out: str, N, T, reps=1, seed=0, samples=50,
         for r, p in enumerate(paths):
             write_trajectory_csv(os.path.join(out, f"rep_{r:03d}.csv"),
                                  p.times, p.x, prefix="x")
-    events = int(sum(p.events for p in paths))
+    events_per_rep = [p.events for p in paths]
+    events = sum(events_per_rep)
     write_json(os.path.join(out, "simulate.json"), {
         "N": int(N), "T": float(T), "replications": int(reps),
         "samples": int(samples), "seed": int(seed), "events": events,
-        "rng": paths[0].meta["rng"],
+        "events_per_rep": events_per_rep, "rng": paths[0].meta["rng"],
     })
     summary = {"cmd": "simulate", "N": int(N), "replications": int(reps),
                "events": events, "out": out}

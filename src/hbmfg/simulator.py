@@ -12,12 +12,19 @@ straight to the lowest level.
 Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
 choice of channel.  Mean counts over N follow the kinetic equation as N grows.
+
+`simulate` with one seed runs a scalar per-event loop.  With a sequence of
+seeds it runs the replications in lockstep: one numpy step computes every
+replication's channel rates and applies its next event, while each
+replication reads its own PCG64 stream exactly as the scalar loop would, so
+its path is bit for bit the one its seed gives alone.  The scalar loop is the
+reference the tests hold the lockstep loop to.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +42,9 @@ __all__ = [
 ]
 
 RNG_NAME = "pcg64"
-_BLOCK = 65536
+_FIRST_BLOCK = 256   # the scalar loop's first uniform block; each refill doubles it
+_BLOCK = 65536       # up to this size
+_ROW_WIDTH = 1024    # uniforms buffered per lockstep replication
 
 
 @dataclass(frozen=True)
@@ -147,23 +156,40 @@ class SimPath:
         return self.counts / float(self.N)
 
 
+def _refill(rng, rest, width: int) -> np.ndarray:
+    """The unread tail `rest` of a uniform buffer, then fresh draws: width numbers.
+
+    PCG64 yields one stream however it is split into draws, so the refilled
+    buffer continues exactly where the old one stopped.
+    """
+    return np.concatenate((rest, rng.random(width - len(rest))))
+
+
 def simulate(
     s0: CountState,
     u,
     T: float,
-    seed: int,
+    seed: Union[int, Sequence[int]],
     cfg: GameConfig,
     samples: int = 50,
     record_events: bool = False,
-) -> SimPath:
-    """Run one exact trajectory from s0 over [0, T].
+) -> Union[SimPath, List[SimPath]]:
+    """Run exact trajectories from s0 over [0, T].
 
     u: None, a fixed Control or (n, m) target matrix, or a policy callable
     t -> control (None from it means nobody switches); a policy is sampled
     once per output-grid interval (at its midpoint) and held constant inside
-    it.  Restarting the exponential clock at interval
-    boundaries is exact by memorylessness.  The RNG is PCG64 seeded as given;
-    equal seeds reproduce the event sequence bit for bit.
+    it.  Restarting the exponential clock at interval boundaries is exact by
+    memorylessness.
+
+    seed: an int runs one trajectory and returns its SimPath.  A sequence of
+    ints returns one SimPath per seed, in order; those replications advance
+    in lockstep, one column of numpy arrays each, and share one policy
+    sample per interval.  Every trajectory draws from its own PCG64(seed)
+    stream in the same order (a uniform for each wait, and one for the pick
+    if the event falls inside the interval), so a lockstep replication is
+    bit for bit the path that its seed gives alone.  record_events needs an
+    int seed.
     """
     if not (T > 0.0):
         raise ValueError("need T > 0")
@@ -172,12 +198,20 @@ def simulate(
     n, m = cfg.n, cfg.m
     policy: Optional[Callable] = u if callable(u) and not isinstance(u, np.ndarray) else None
     fixed_u = None if (policy is not None or u is None) else control_array(u, n, m)
+    times = np.linspace(0.0, T, samples + 1)
+    if not isinstance(seed, (int, np.integer)):
+        seeds = [int(s) for s in seed]
+        if not seeds:
+            raise ValueError("need at least one seed")
+        if record_events:
+            raise ValueError("record_events needs a single int seed")
+        return _simulate_lockstep(s0, policy, fixed_u, times, seeds, cfg)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    buf = rng.random(_BLOCK).tolist()
+    buf = _refill(rng, (), _FIRST_BLOCK).tolist()
     pos = 0
+    lim = len(buf) - 2
 
-    times = np.linspace(0.0, T, samples + 1)
     out = np.empty((samples + 1, n, m), dtype=np.int64)
     out[0] = s0.counts
     counts = [int(v) for v in s0.counts.ravel()]
@@ -209,17 +243,15 @@ def simulate(
                 tot += r
             if tot <= 0.0:
                 break
-            if pos >= _BLOCK:
-                buf = rng.random(_BLOCK).tolist()
+            if pos > lim:
+                buf = _refill(rng, buf[pos:], min(2 * len(buf), _BLOCK)).tolist()
                 pos = 0
+                lim = len(buf) - 2
             wait = -ln(1.0 - buf[pos]) / tot
             pos += 1
             if t + wait > t_end:
                 break
             t += wait
-            if pos >= _BLOCK:
-                buf = rng.random(_BLOCK).tolist()
-                pos = 0
             pick = buf[pos] * tot
             pos += 1
             acc = 0.0
@@ -246,6 +278,108 @@ def simulate(
         event_log=log_,
         meta={"rng": RNG_NAME},
     )
+
+
+def _channel_arrays(cfg: GameConfig, target: Optional[np.ndarray], N: int):
+    """_build_channels as column arrays for the lockstep loop.
+
+    Returns srcs and partners, indices into the (n*m + 1)-row count matrix
+    whose last row holds 1 for partnerless channels; coeffs as a column;
+    and moves, each channel's change to that matrix (-1 at src, +1 at dst).
+    """
+    srcs, dsts, coeffs, partners = _build_channels(cfg, target, N)
+    S, C = cfg.n * cfg.m, len(srcs)
+    partner = np.array(partners, dtype=np.intp)
+    partner[partner < 0] = S
+    moves = np.zeros((C, S + 1))
+    moves[np.arange(C), srcs] = -1.0
+    moves[np.arange(C), dsts] = 1.0
+    return (np.array(srcs, dtype=np.intp), np.array(coeffs, dtype=np.float64)[:, None],
+            partner, moves)
+
+
+# A replication whose total rate is 0 gets a wait of x/0 (inf or nan) and leaves
+# its interval without reading a uniform.
+@np.errstate(divide="ignore", invalid="ignore")
+def _simulate_lockstep(s0: CountState, policy, fixed_u, times: np.ndarray,
+                       seeds: List[int], cfg: GameConfig) -> List[SimPath]:
+    """The scalar loop of `simulate` run for every seed at once.
+
+    Arrays hold one column per replication.  Each step computes the channel
+    rates of every replication still inside the interval as the scalar loop
+    does (coeff * counts[src] * counts[partner], in channel order) and takes
+    their sequential cumsum, whose last entry is the total; then each
+    replication draws its own wait and pick.  A replication leaves the
+    interval when its total rate is 0 or its next event falls past the
+    interval's end.  Replication r reads its uniforms from buf[r], _ROW_WIDTH
+    numbers refilled from its own generator.
+    """
+    n, m = cfg.n, cfg.m
+    S = n * m
+    R = len(seeds)
+    W = _ROW_WIDTH
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    buf = np.stack([_refill(g, (), W) for g in gens])
+    flat = buf.ravel()
+    pos = np.zeros(R, dtype=np.intp)   # each replication's next unread uniform
+    cnt = np.ones((S + 1, R))          # counts as exact floats
+    cnt[:S] = s0.counts.reshape(S, 1)
+    out = np.empty((R, len(times), n, m), dtype=np.int64)
+    out[:, 0] = s0.counts
+    events = np.zeros(R, dtype=np.int64)
+    reps = np.arange(R)
+    ln = math.log
+
+    table = None if policy is not None else _channel_arrays(cfg, fixed_u, s0.N)
+    for k in range(1, len(times)):
+        t_end = float(times[k])
+        if policy is not None:
+            u_now = control_array(policy(0.5 * (float(times[k - 1]) + t_end)), n, m)
+            table = _channel_arrays(cfg, u_now, s0.N)
+        srcs, coeffs, partners, moves = table
+        live = reps if len(srcs) else reps[:0]
+        c = cnt[:, live]
+        t = np.full(live.size, float(times[k - 1]))
+        at = live * W + pos[live]       # flat index of each live replication's next uniform
+        steps = guard = 0
+        while live.size:
+            if guard == 0:
+                p = at - live * W
+                for i in np.flatnonzero(p > W - 2).tolist():
+                    r = int(live[i])
+                    buf[r] = _refill(gens[r], buf[r, p[i]:], W)
+                    at[i] = r * W
+                    p[i] = 0
+                guard = (W - 2 - int(p.max())) // 2 + 1
+            guard -= 1
+            rates = c[srcs]
+            rates *= coeffs
+            rates *= c[partners]
+            np.cumsum(rates, axis=0, out=rates)
+            tot = rates[-1]
+            # math.log, as in the scalar loop: np.log can differ in the last bit
+            tn = t - np.array(list(map(ln, (1.0 - flat[at]).tolist()))) / tot
+            go = tn <= t_end
+            if not go.all():
+                stop = ~go
+                gone = live[stop]
+                cnt[:, gone] = c[:, stop]
+                pos[gone] = at[stop] - gone * W + (tot[stop] > 0.0)
+                events[gone] += steps   # one event per step completed in this interval
+                live, c, at, tn, rates = live[go], c[:, go], at[go], tn[go], rates[:, go]
+                if not live.size:
+                    break
+                tot = rates[-1]
+            t = tn
+            hit = rates > flat[at + 1] * tot
+            hit[-1] = True   # a pick that reaches the total takes the last channel
+            c += moves[hit.argmax(axis=0)].T
+            at += 2
+            steps += 1
+        out[:, k] = cnt[:S].T.reshape(R, n, m)
+
+    return [SimPath(times=times, counts=out[r], N=s0.N, events=int(events[r]),
+                    seed=seeds[r], meta={"rng": RNG_NAME}) for r in range(R)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +416,8 @@ def convergence_study(
     """Replicated simulations at increasing N against one kinetic reference.
 
     Replication r at the k-th population size draws its own PCG64 stream,
-    seeded seed + k*replications + r.  Returns per-N mean paths, per-cell
+    seeded seed + k*replications + r; each size is one lockstep `simulate`
+    call.  Returns per-N mean paths, per-cell
     standard errors of those means, and the pooled RMSE with its log-log
     slope in N.
     """
@@ -304,8 +439,8 @@ def convergence_study(
         s0 = CountState.from_occupation(x0a, int(Nv))
         acc = np.zeros((samples + 1, cfg.n, cfg.m))
         acc2 = np.zeros_like(acc)
-        for r in range(replications):
-            path = simulate(s0, u, T, seed + k * replications + r, cfg, samples=samples)
+        seeds = [seed + k * replications + r for r in range(replications)]
+        for path in simulate(s0, u, T, seeds, cfg, samples=samples):
             xs = path.x
             acc += xs
             acc2 += xs * xs

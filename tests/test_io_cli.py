@@ -349,6 +349,32 @@ def test_cli_simulate_outputs_and_per_rep(tmp_path, capsys):
     assert (out / "rep_000.csv").exists() and (out / "rep_001.csv").exists()
 
 
+def test_cli_simulate_runs_replications_in_one_call(tmp_path, capsys, monkeypatch):
+    calls = []
+    batched = hbmfg.cli.simulate
+
+    def spy(s0, u, T, seed, cfg, **kw):
+        calls.append(seed)
+        return batched(s0, u, T, seed, cfg, **kw)
+
+    monkeypatch.setattr(hbmfg.cli, "simulate", spy)
+    out = tmp_path / "o"
+    code, _, _ = cli(["simulate", EXAMPLE, "--out", str(out), "--N", "120", "--T", "1",
+                      "--reps", "4", "--seed", "9", "--samples", "5", "--per-rep"], capsys)
+    assert code == 0
+    assert calls == [[9, 10, 11, 12]]
+    cfg = read_config(EXAMPLE)
+    s0 = hbmfg.CountState.from_occupation(hbmfg.Occupation.uniform(3, 3).x, 120)
+    events = []
+    for r in range(4):
+        solo = batched(s0, None, 1.0, 9 + r, cfg, samples=5)
+        events.append(solo.events)
+        write_trajectory_csv(str(tmp_path / "solo.csv"), solo.times, solo.x, prefix="x")
+        assert (out / f"rep_{r:03d}.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+    doc = json.loads((out / "simulate.json").read_text())
+    assert doc["events_per_rep"] == events and doc["events"] == sum(events)
+
+
 def test_cli_simulate_same_seed_same_bytes(tmp_path, capsys):
     args = ["simulate", EXAMPLE, "--N", "150", "--T", "1", "--reps", "2",
             "--seed", "11", "--samples", "4"]

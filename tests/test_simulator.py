@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,10 +14,14 @@ from hbmfg import (
     enumerate_transitions,
     integrate_forward,
     kinetic_rhs,
+    read_config,
     simulate,
 )
+from hbmfg.simulator import _ROW_WIDTH
 from test_kinetics import random_control
 from util_configs import make_config
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
 
 
 def chain_cfg(q_up0=1.0, q_down1=2.0, **kw):
@@ -223,3 +229,69 @@ def test_convergence_study_structure_and_guards():
     with pytest.raises(ValueError):
         convergence_study(cfg, None, x0, 1.0, N_list=(50, 200),
                           replications=1, seed=1)
+
+
+def _lockstep_case(name):
+    """(s0, u, T, samples, cfg) for one lockstep-versus-solo comparison."""
+    rng = np.random.default_rng(17)
+    if name == "example":
+        cfg = read_config(EXAMPLE)
+        return CountState.from_occupation(np.full((3, 3), 1 / 9), 300), None, 1.0, 5, cfg
+    if name == "sink":
+        cfg = make_config(3, 2, rng, delta=0.3, regime="id2", sink=True)
+        return CountState.from_occupation(np.full((3, 2), 1 / 6), 200), None, 1.0, 4, cfg
+    if name == "fixed-control":
+        cfg = make_config(3, 2, rng, db=False, balanced_evo=False, delta=0.3,
+                          regime="id2", lam=1.4)
+        u = random_control(3, 2, rng)
+        return CountState.from_occupation(np.full((3, 2), 1 / 6), 200), u, 1.0, 4, cfg
+    if name == "policy":
+        cfg = make_config(2, 2, rng, delta=0.2, regime="id2", lam=3.0)
+        a, b = np.array([[1, 1], [0, 1]]), np.array([[0, 0], [0, 0]])
+        return (CountState.from_occupation(np.full((2, 2), 0.25), 100),
+                lambda t: a if t < 0.5 else (None if t < 1.0 else b), 1.5, 6, cfg)
+    if name == "stalls-mid-run":
+        # everyone switches to behaviour 2, where the total rate is 0, each
+        # replication at its own time; from t = 1 everyone switches back
+        there, back = np.array([[1, 1]]), np.array([[0, 0]])
+        return (CountState(counts=np.array([[12, 0]]), N=12),
+                lambda t: there if t < 1.0 else back, 2.0, 4, switch_cfg(lam=10.0))
+    if name == "no-channels":
+        return CountState(counts=np.array([[3, 2]]), N=5), None, 1.0, 2, switch_cfg()
+    if name == "refills":
+        cfg = read_config(EXAMPLE)
+        return CountState.from_occupation(np.full((3, 3), 1 / 9), 5000), None, 0.2, 4, cfg
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["example", "sink", "fixed-control", "policy",
+                                  "stalls-mid-run", "no-channels", "refills"])
+def test_lockstep_replications_equal_solo_runs(name):
+    s0, u, T, samples, cfg = _lockstep_case(name)
+    seeds = [5, 6, 1234, 2**40 + 3] if name == "refills" else list(range(20, 36))
+    paths = simulate(s0, u, T, seeds, cfg, samples=samples)
+    assert len(paths) == len(seeds)
+    for seed, path in zip(seeds, paths):
+        solo = simulate(s0, u, T, seed, cfg, samples=samples)
+        assert path.seed == seed and path.events == solo.events
+        assert path.counts.dtype == solo.counts.dtype
+        npt.assert_array_equal(path.counts, solo.counts)
+        npt.assert_array_equal(path.times, solo.times)
+    events = [p.events for p in paths]
+    if name == "stalls-mid-run":
+        assert all(p.counts[2, 0, 0] == 0 for p in paths)
+        assert all(e > 12 for e in events)
+    if name == "no-channels":
+        assert events == [0] * len(seeds)
+    if name == "refills":
+        # two uniforms per event: every replication refills its buffer at least once
+        assert 2 * min(events) > _ROW_WIDTH
+
+
+def test_lockstep_rejects_event_log_and_empty_seed_list():
+    cfg = chain_cfg()
+    s0 = CountState(counts=np.array([[5], [5]]), N=10)
+    with pytest.raises(ValueError):
+        simulate(s0, None, 1.0, [1, 2], cfg, record_events=True)
+    with pytest.raises(ValueError):
+        simulate(s0, None, 1.0, [], cfg)
