@@ -203,7 +203,7 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
         "flipped_steps": res.meta["flipped_steps"],
         "drift_max": traj.meta["drift_max"],
         "projections": traj.meta["projections"],
-        "violations": len(res.cone_violations),
+        "violations": res.meta["violations"],
         "violations_head": [
             [t, i + 1, a + 1, b + 1, gain]
             for (t, i, a, b, gain) in res.cone_violations[:20]

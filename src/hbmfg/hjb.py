@@ -37,8 +37,16 @@ class HjbError(RuntimeError):
 
 
 def switch_gains(g: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """gains[i, j, k] = g[i,k] - g[i,j] - fee_B[j,k] (net value of j -> k)."""
-    return g[:, None, :] - g[:, :, None] - cfg.fee_B[None, :, :]
+    """gains[..., i, j, k] = g[..., i, k] - g[..., i, j] - fee_B[j, k], the net
+    value of switching j -> k, for one payoff matrix or a stack of them.
+
+    Staying (k == j) is no switch and gains -inf, so a maximum over k is the
+    best switch, and -inf when there is none (m == 1).
+    """
+    gains = g[..., None, :] - g[..., :, None] - cfg.fee_B
+    stay = np.arange(cfg.m)
+    gains[..., stay, stay] = -np.inf
+    return gains
 
 
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
@@ -55,8 +63,7 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     if cfg.delta_int != 0.0 and xa is None:
         raise HjbError("occupation required when delta_int > 0")
     mv = cfg.moves
-    diff = (mv.net.T @ ga).reshape(mv.rate.shape) - mv.fine[:, :, None]
-    out = cfg.delta_dis * ga - cfg.w - (mv.per_capita(xa) * diff).sum(axis=0)
+    out = cfg.delta_dis * ga - cfg.w - (mv.per_capita(xa) * mv.payoff_change(ga)).sum(axis=0)
     if u is not None:
         target = control_array(u, cfg.n, cfg.m)
         gain = ga[np.arange(cfg.n)[:, None], target] - ga
@@ -74,7 +81,6 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     """
     stay = np.arange(cfg.m)
     gains = switch_gains(payoff_array(g), cfg)
-    gains[:, stay, stay] = -np.inf
     best = np.argmax(gains, axis=2)  # first maximum = lowest k on exact ties
     return np.where(gains.max(axis=2) > SWITCH_TOL, best, stay)
 
@@ -85,14 +91,10 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     Nonpositive means no occupied state profits from deviating.  With a single
     behaviour level there is nothing to deviate to: returns -inf.
     """
-    ga = payoff_array(g)
-    xa = occupation_array(x)
-    gains = switch_gains(ga, cfg)
-    gains[:, np.arange(cfg.m), np.arange(cfg.m)] = -np.inf
-    occupied = xa > OCCUPIED_TOL
+    occupied = occupation_array(x) > OCCUPIED_TOL
     if not occupied.any():
         return float("-inf")
-    return float(gains[occupied].max())
+    return float(switch_gains(payoff_array(g), cfg)[occupied].max())
 
 
 def integrate_backward(

@@ -59,6 +59,8 @@ class Trajectory:
 
 def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
     """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h)."""
+    if not np.all(np.isfinite([t0, t1, dt])):
+        raise ValueError("need finite t0, t1 and dt")
     if not (t1 > t0):
         raise ValueError("need t1 > t0")
     if not (0 < dt <= t1 - t0):

@@ -115,6 +115,19 @@ class Moves:
             return self.rate
         return self.rate + np.einsum("fijk,ik->fij", self.evo, x)
 
+    def generator(self, rates: np.ndarray) -> np.ndarray:
+        """The n x n level chain of one column's per-capita rates (F, n).
+
+        A[a, i] is the rate at which one agent at level i adds to level a's
+        count, so A @ v is the flow of column occupation v; columns sum to zero.
+        """
+        n = self.net.shape[0]
+        return np.einsum("afi,fi->ai", self.net.reshape(n, -1, n), rates)
+
+    def payoff_change(self, g: np.ndarray) -> np.ndarray:
+        """(F, n, m): what each move gains on payoff g, net of its fine."""
+        return (self.net.T @ g).reshape(self.rate.shape) - self.fine[:, :, None]
+
 
 @dataclass(frozen=True)
 class GameConfig:

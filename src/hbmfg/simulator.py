@@ -42,9 +42,7 @@ __all__ = [
 ]
 
 RNG_NAME = "pcg64"
-_FIRST_BLOCK = 256   # the scalar loop's first uniform block; each refill doubles it
-_BLOCK = 65536       # up to this size
-_ROW_WIDTH = 1024    # uniforms buffered per lockstep replication
+_ROW_WIDTH = 1024    # uniforms buffered per replication, by either loop
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,8 @@ def simulate(
     bit for bit the path that its seed gives alone.  record_events needs an
     int seed.
     """
-    if not (T > 0.0):
-        raise ValueError("need T > 0")
+    if not (0.0 < T < math.inf):
+        raise ValueError("need a finite T > 0")
     if samples < 1:
         raise ValueError("need at least one output sample")
     n, m = cfg.n, cfg.m
@@ -208,9 +206,9 @@ def simulate(
         return _simulate_lockstep(s0, policy, fixed_u, times, seeds, cfg)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    buf = _refill(rng, (), _FIRST_BLOCK).tolist()
+    buf = _refill(rng, (), _ROW_WIDTH).tolist()
     pos = 0
-    lim = len(buf) - 2
+    lim = _ROW_WIDTH - 2
 
     out = np.empty((samples + 1, n, m), dtype=np.int64)
     out[0] = s0.counts
@@ -244,9 +242,8 @@ def simulate(
             if tot <= 0.0:
                 break
             if pos > lim:
-                buf = _refill(rng, buf[pos:], min(2 * len(buf), _BLOCK)).tolist()
+                buf = _refill(rng, buf[pos:], _ROW_WIDTH).tolist()
                 pos = 0
-                lim = len(buf) - 2
             wait = -ln(1.0 - buf[pos]) / tot
             pos += 1
             if t + wait > t_end:

@@ -70,10 +70,7 @@ def default_dt(cfg: GameConfig) -> float:
 
 def cone_check(g, cfg: GameConfig) -> float:
     """Best switching gain at g; <= 0 means g lies inside the no-switch cone."""
-    gains = switch_gains(payoff_array(g), cfg)
-    k = np.arange(cfg.m)
-    gains[:, k, k] = float("-inf")
-    return float(gains.max())
+    return float(switch_gains(payoff_array(g), cfg).max())
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,8 @@ class MfgSolveResult:
     converged, u is also the control the occupation path was integrated
     under, so (x, g, u) is an exact equilibrium on the grid.  oscillating
     marks a period-2 control cycle.  cone_violations lists (t, level, from,
-    to, gain) where switching was profitable, truncated at VIOLATION_CAP.
+    to, gain) where switching was profitable, truncated at VIOLATION_CAP;
+    meta["violations"] counts them all.
     """
 
     trajectory: Trajectory
@@ -147,20 +145,19 @@ def solve_mfg(
               "projections": fwd.meta.get("projections", 0)},
     )
 
+    # node by node: the whole path's gains would take m times the payoff path's memory
     violations: List[Tuple[float, int, int, int, float]] = []
+    violation_count = 0
     cone_worst = float("-inf")
-    if cfg.m > 1:
-        k = np.arange(cfg.m)
-        for idx, t in enumerate(traj.times):
-            gains = switch_gains(traj.g[idx], cfg)
-            gains[:, k, k] = float("-inf")
-            worst = float(gains.max())
-            cone_worst = max(cone_worst, worst)
-            if worst > 0.0 and len(violations) < VIOLATION_CAP:
-                for i, a, b_ in zip(*np.nonzero(gains > 0.0)):
-                    violations.append((float(t), int(i), int(a), int(b_),
-                                       float(gains[i, a, b_])))
-    violations = violations[:VIOLATION_CAP]
+    for t, g in zip(traj.times, traj.g):
+        gains = switch_gains(g, cfg)
+        worst = float(gains.max())
+        cone_worst = max(cone_worst, worst)
+        if worst > 0.0:
+            hits = np.argwhere(gains > 0.0)
+            violation_count += len(hits)
+            for i, a, b_ in hits[: VIOLATION_CAP - len(violations)].tolist():
+                violations.append((float(t), i, a, b_, float(gains[i, a, b_])))
 
     switch_fraction = float(np.mean(np.any(bwd.u != stay, axis=(1, 2))))
     return MfgSolveResult(
@@ -175,6 +172,7 @@ def solve_mfg(
             "damping_final": 0.5,
             "dx_final": 0.0,
             "cone_worst": cone_worst,
+            "violations": violation_count,
             "switch_fraction": switch_fraction,
         },
     )

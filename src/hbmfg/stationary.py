@@ -58,68 +58,38 @@ class DegenerateChainError(StationaryError):
 
 @dataclass(frozen=True)
 class LevelChain:
-    """One behaviour column's birth-death generator on the levels.
+    """One behaviour column's pressure chain on the levels.
 
-    A is the n x n chain matrix acting on column occupations (columns sum to
-    zero; under detailed balance it is symmetric with uniform kernel).  q
-    holds the n-1 up rates on the links; detailed balance means these equal
-    the matching down rates, and only then do the complement solves apply.
+    A is the n x n generator of the column's pressure moves in cfg.moves
+    (sink drops included), acting on column occupations: columns sum to
+    zero, and A[i+1, i] is the up rate on the link above level i.
+    detailed_balance means the up rates equal the matching down rates (A
+    symmetric, uniform kernel); only then do the complement solves apply.
     """
 
     j: int
     A: np.ndarray
-    q: np.ndarray
     detailed_balance: bool
-    up_evo: np.ndarray = field(repr=False)
-    down_evo: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    def interaction_generator(self, x) -> np.ndarray:
-        """Chain matrix of the stimulated moves at occupation x.
-
-        Same tridiagonal layout as A with the per-capita stimulated rates
-        sum_k evo[i,k]*x[i,k] in place of the pressure rates.  Linear in x,
-        columns sum to zero.
-        """
-        xa = np.asarray(x, dtype=float)
-        s_up = np.einsum("ik,ik->i", self.up_evo, xa)
-        s_dn = np.einsum("ik,ik->i", self.down_evo, xa)
-        return _tridiag_generator(s_up[:-1], s_dn[1:])
-
-
-def _tridiag_generator(up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    # up[i]: rate of i -> i+1 (length n-1); down[i]: rate of i+1 -> i
-    n = up.size + 1
-    A = np.zeros((n, n))
-    A[np.arange(n - 1), np.arange(n - 1)] -= up
-    A[np.arange(1, n), np.arange(1, n)] -= down
-    A[np.arange(1, n), np.arange(n - 1)] += up
-    A[np.arange(n - 1), np.arange(1, n)] += down
-    return A
-
 
 def build_level_chain(j: int, cfg: GameConfig) -> LevelChain:
-    """Extract column j's chain from the config (0-based j)."""
+    """Column j's chain (0-based j): cfg.moves' generator of its pressure rates."""
     if not (0 <= j < cfg.m):
         raise ValueError(f"behaviour column index {j} out of range for m={cfg.m}")
-    up = cfg.q_up[:-1, j].copy()
+    mv = cfg.moves
     return LevelChain(
         j=j,
-        A=_tridiag_generator(up, cfg.q_down[1:, j]),
-        q=up,
+        A=mv.generator(mv.rate[:, :, j]),
         detailed_balance=balance_gap(cfg, j)[0] <= BALANCE_TOL,
-        up_evo=np.asarray(cfg.q_up_evo[:, j, :], dtype=float),
-        down_evo=np.asarray(cfg.q_down_evo[:, j, :], dtype=float),
     )
 
 
 def _link_rates(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
-    up = np.diag(chain.A, -1)
-    down = np.diag(chain.A, 1)
-    return up, down
+    return np.diag(chain.A, -1), np.diag(chain.A, 1)  # up, down
 
 
 def _require_positive_links(chain: LevelChain, up: np.ndarray, down: np.ndarray):
@@ -152,10 +122,10 @@ def kernel_product_forms(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
     return v_bottom, v_top
 
 
-def kernel(chain: LevelChain, mass: float = 1.0) -> np.ndarray:
-    """Stationary occupation of the chain carrying the given total mass.
+def kernel(chain: LevelChain) -> np.ndarray:
+    """Stationary occupation of the chain, of unit mass.
 
-    Under detailed balance this is exactly uniform mass/n.
+    Under detailed balance this is exactly uniform 1/n.
     """
     v_bottom, v_top = kernel_product_forms(chain)
     gap = float(np.max(np.abs(v_bottom - v_top)))
@@ -163,7 +133,7 @@ def kernel(chain: LevelChain, mass: float = 1.0) -> np.ndarray:
         raise StationaryError(
             f"column {chain.j + 1}: kernel product forms disagree by {gap:.3e}"
         )
-    return mass * v_bottom
+    return v_bottom
 
 
 def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
@@ -188,10 +158,10 @@ def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
         )
     if chain.n == 1:
         return np.zeros(1)
-    if np.any(chain.q <= 0.0):
-        _require_positive_links(chain, *_link_rates(chain))
+    up, down = _link_rates(chain)
+    _require_positive_links(chain, up, down)
     n = chain.n
-    loads = np.cumsum(ya)[:-1] / chain.q  # mass below each link over its rate
+    loads = np.cumsum(ya)[:-1] / up  # mass below each link over its rate
     z = np.empty(n)
     z[0] = float(np.dot((n - np.arange(1, n)) / n, loads))
     z[1:] = z[0] - np.cumsum(loads)
@@ -224,57 +194,48 @@ def g1_term(cfg: GameConfig) -> np.ndarray:
     Solves the chain equation with the centered effective rewards as data.
     """
     y = effective_rewards(cfg) - g0_term(cfg)
-    out = np.zeros((cfg.n, cfg.m))
-    for j in range(cfg.m):
-        out[:, j] = solve_on_complement(build_level_chain(j, cfg), y[:, j])
-    return out
+    return np.column_stack([solve_on_complement(build_level_chain(j, cfg), y[:, j])
+                            for j in range(cfg.m)])
 
 
-def g2_term(cfg: GameConfig, regime=None) -> np.ndarray:
-    """Second payoff correction for the fast-discount regimes.
+def g2_term(cfg: GameConfig) -> np.ndarray:
+    """Second payoff correction for the fast-discount regimes, at cfg.regime.
 
-    In the regime with quadratic interaction scale the data is just the first
-    correction; with equal scales the stimulated chain and downgrade fines
-    enter and a per-column solvability sum must vanish (checked at 1e-9).
+    With quadratic interaction scale (ID1) the data is just the first
+    correction.  With equal scales (ID2) it is g1 minus the expected payoff
+    change, on g1 and net of fines, of cfg.moves' stimulated moves with
+    partners uniform on the dominant column b, taken at unit interaction
+    scale (evo over n * delta_int); its sum must vanish in every column
+    (checked at 1e-9).  ID3 has no second-order term.
     """
-    regime = Regime(regime) if regime is not None else cfg.regime
-    if regime is Regime.ID3:
+    if cfg.regime is Regime.ID3:
         raise StationaryError(
             "slow-discount regime carries no second-order payoff correction"
         )
     g1 = g1_term(cfg)
-    out = np.zeros((cfg.n, cfg.m))
-    x0m = None
-    b = None
-    if regime is Regime.ID2:
+    if cfg.regime is Regime.ID1:
+        y = -g1
+    else:
         rep = dominant_level(cfg)
         if not rep.unique:
             raise StationaryError(
                 "dominant behaviour column is tied; second-order correction "
                 "needs a unique dominant column"
             )
-        b = rep.level
-        x0m = np.zeros((cfg.n, cfg.m))
-        x0m[:, b] = 1.0 / cfg.n
-    for j in range(cfg.m):
-        chain = build_level_chain(j, cfg)
-        if regime is Regime.ID1:
-            y = -g1[:, j]
-        else:
-            E0 = chain.interaction_generator(x0m)
-            rhs = g1[:, j] - E0.T @ g1[:, j]
-            rhs = rhs + cfg.fee_H * cfg.q_down_evo[:, j, b] / cfg.n
-            scale = max(1.0, float(np.max(np.abs(rhs))))
-            s = float(rhs.sum())
+        mv = cfg.moves
+        partners = mv.evo[..., rep.level] / (cfg.n * cfg.delta_int)
+        rhs = g1 - (partners * mv.payoff_change(g1)).sum(axis=0)
+        for j in range(cfg.m):
+            scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))
+            s = float(rhs[:, j].sum())
             if abs(s) > SOLVE_TOL * scale:
                 raise StationaryError(
                     f"second-order solvability fails in column {j + 1} "
                     f"(data sums to {s:.3e}); no correction exists for this config"
                 )
-            rhs = rhs - rhs.mean()
-            y = -rhs
-        out[:, j] = solve_on_complement(chain, y)
-    return out
+        y = -(rhs - rhs.mean(axis=0))
+    return np.column_stack([solve_on_complement(build_level_chain(j, cfg), y[:, j])
+                            for j in range(cfg.m)])
 
 
 def x1_correction(cfg: GameConfig) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Each test covers one headline property at desk scale and prints a single
 `ACCEPTANCE NN name: PASS|FAIL` line (visible with `pytest -s`).  All
-randomness is seeded; the suite is deterministic.  Budget is a couple of
-minutes, dominated by the finite-population convergence study.
+randomness is seeded; the suite is deterministic.  The slowest checks are
+08 (turnpike), 07 (cone invariance) and 09 (mean-field limit), a few
+seconds each.
 """
 from __future__ import annotations
 

@@ -2,11 +2,14 @@
 
 perfbench/spans.py wraps package functions by (module, attribute); a name
 removed from the package would only fail there when a traced run starts.
+A short traced run checks that its spans and meta keys yield every
+per-layer metric that BENCHMARK.json lists.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 
@@ -38,3 +41,27 @@ def test_all_lists_name_existing_attributes():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_traced_run_reports_every_per_layer_metric(tmp_path):
+    # a dropped meta key or span should fail here, not only in a traced benchmark
+    import sys
+
+    import hbmfg.cli
+
+    with open(os.path.join(os.path.dirname(SPANS), "..", "BENCHMARK.json")) as fh:
+        want = {m["name"] for m in json.load(fh)["per_layer"]} - {"trace.overhead_pct"}
+    modules = {name: mod for name, mod in sys.modules.items() if name.startswith("hbmfg")}
+    example = os.path.join(os.path.dirname(SPANS), "..", "configs", "example.json")
+    tracer = _spans().Tracer()
+    tracer.install(modules)
+    try:
+        for argv in (["solve", example, "--T", "2", "--dt", "0.05"],
+                     ["stability", example],
+                     ["simulate", example, "--N", "50", "--T", "0.5", "--reps", "2"]):
+            assert hbmfg.cli.run(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    finally:
+        tracer.restore()
+    metrics = tracer.per_layer(1, 0, 0)
+    assert set(metrics) == want
+    assert metrics["solver.sweeps"] >= 1 and metrics["stationary.complement_solves"] > 0

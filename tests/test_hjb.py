@@ -112,7 +112,8 @@ def test_switch_gains_frozen():
         w=np.ones((1, 2)), fee_B=[[0.0, 1.0], [2.0, 0.0]], fee_H=np.zeros(1),
     )
     gains = switch_gains(np.array([[1.0, 3.0]]), cfg)
-    npt.assert_allclose(gains[0], [[0.0, 1.0], [-4.0, 0.0]])
+    # staying is no switch: -inf on the diagonal
+    npt.assert_array_equal(gains[0], [[-np.inf, 1.0], [-4.0, -np.inf]])
 
 
 def test_optimal_control_tie_and_threshold():

@@ -256,6 +256,17 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     assert controls["steps"] == 80
     assert controls["change_points"] == [{"t": 0.0, "active": []}]
 
+    # violations counts every profitable (node, level, from, to) switch,
+    # past the cap on the stored list
+    out = tmp_path / "ex"
+    cli(["solve", EXAMPLE, "--out", str(out), "--T", "10", "--dt", "0.05"], capsys)
+    doc = json.loads((out / "solve.json").read_text())
+    g = np.loadtxt(out / "g.csv", delimiter=",", skiprows=1)[:, 1:].reshape(-1, 3, 3)
+    gains = g[:, :, None, :] - g[:, :, :, None] - read_config(EXAMPLE).fee_B
+    profitable = int((gains > 0.0).sum())  # staying gains exactly 0
+    assert doc["violations"] == profitable == 1069
+    assert len(doc["violations_head"]) == 20
+
 
 def test_control_change_points_list_switching_cells():
     # targets per step on a 2 x 3 grid; target[i, j] == j stays
@@ -450,6 +461,13 @@ def test_cli_usage_and_missing_file(tmp_path, capsys):
         code3, summary3, _ = cli(["sweep", str(path), "--out", str(out),
                                   "--param", "scales.delta", "--values", "0.1"], capsys)
         assert code3 == 1 and why in summary3["error"]
+        assert not (out / "manifest.json").exists()
+    # a non-finite horizon is a rejected input, not a hang or a traceback
+    for cmd in (["solve", EXAMPLE, "--T", "inf"],
+                ["simulate", EXAMPLE, "--N", "10", "--T", "inf"]):
+        out = tmp_path / f"inf_{cmd[0]}"
+        code4, summary4, _ = cli(cmd + ["--out", str(out)], capsys)
+        assert code4 == 1 and summary4["ok"] is False and "finite" in summary4["error"]
         assert not (out / "manifest.json").exists()
 
 

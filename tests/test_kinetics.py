@@ -257,6 +257,8 @@ def test_integrate_forward_rejects_bad_grid():
         integrate_forward(x0, None, 1.0, 1.0, 0.1, cfg)
     with pytest.raises(ValueError):
         integrate_forward(x0, None, 0.0, 1.0, -0.1, cfg)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_forward(x0, None, 0.0, np.inf, 0.1, cfg)
     # a per-step control stack must cover the grid's steps exactly
     stack = np.broadcast_to(random_control(2, 2, rng), (40, 2, 2))
     with pytest.raises(ValueError, match=r"\(40, 2, 2\).* 50 steps"):

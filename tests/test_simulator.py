@@ -107,6 +107,15 @@ def test_simulate_conserves_agents_and_time_grid():
     assert path.x.max() <= 1.0
 
 
+def test_simulate_rejects_non_finite_horizon():
+    # no channels, so an accepted infinite horizon would return at once
+    s0 = CountState(counts=np.array([[3, 2]]), N=5)
+    for T in (np.inf, np.nan, 0.0):
+        for seed in (1, [1, 2]):
+            with pytest.raises(ValueError, match="T"):
+                simulate(s0, None, T, seed, switch_cfg())
+
+
 def test_exponential_clock_statistics():
     # two-way switching at rate 1 keeps the total event rate at exactly N
     cfg = switch_cfg(lam=1.0)

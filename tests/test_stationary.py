@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from hbmfg import (
     g1_term,
     g2_term,
     kernel,
+    kinetic_rhs,
     kernel_product_forms,
     solve_on_complement,
     stationary_residual,
@@ -48,6 +51,17 @@ def test_chain_matrix_matches_dense_oracle():
         # generator structure: columns sum to zero
         npt.assert_allclose(chain.A.sum(axis=0), 0.0, atol=1e-15)
         assert np.linalg.matrix_rank(chain.A) == cfg.n - 1
+
+
+def test_chain_is_the_move_tables_sink_included():
+    rng = np.random.default_rng(13)
+    for sink in (False, True):
+        cfg = make_config(5, 3, rng, db=False, with_evo=False, sink=sink)
+        for j in range(cfg.m):
+            x = np.zeros((cfg.n, cfg.m))
+            x[:, j] = rng.dirichlet(np.ones(cfg.n))
+            npt.assert_allclose(build_level_chain(j, cfg).A @ x[:, j],
+                                kinetic_rhs(x, None, cfg)[:, j], rtol=0, atol=1e-14)
 
 
 def test_kernel_frozen_two_level():
@@ -155,7 +169,7 @@ def test_g2_regimes():
     npt.assert_allclose(g2.sum(axis=0), 0.0, atol=1e-12)
 
     with pytest.raises(StationaryError, match="second-order"):
-        g2_term(cfg1, regime=Regime.ID3)
+        g2_term(replace(cfg1, regime=Regime.ID3, delta_int=None, delta_dis=None))
 
 
 def test_g2_frozen_two_level():
