@@ -156,14 +156,13 @@ def _run_stability(cfg_path: str, out: str):
 def _control_change_points(times, u_path):
     # each change lists the switching cells as 1-based [level, from, to]
     changes = []
-    prev = None
     stay = np.arange(u_path.shape[-1])
-    for k, uk in enumerate(u_path):
-        if prev is None or not np.array_equal(uk, prev):
-            active = [[int(i) + 1, int(a) + 1, int(uk[i, a]) + 1]
-                      for i, a in zip(*np.nonzero(uk != stay))]
-            changes.append({"t": float(times[k]), "active": active})
-            prev = uk
+    changed = np.concatenate(([True], np.any(u_path[1:] != u_path[:-1], axis=(1, 2))))
+    for k in np.flatnonzero(changed):
+        uk = u_path[k]
+        active = [[int(i) + 1, int(a) + 1, int(uk[i, a]) + 1]
+                  for i, a in zip(*np.nonzero(uk != stay))]
+        changes.append({"t": float(times[k]), "active": active})
     return changes
 
 

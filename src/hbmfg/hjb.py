@@ -43,10 +43,35 @@ def switch_gains(g: np.ndarray, cfg: GameConfig) -> np.ndarray:
     Staying (k == j) is no switch and gains -inf, so a maximum over k is the
     best switch, and -inf when there is none (m == 1).
     """
-    gains = g[..., None, :] - g[..., :, None] - cfg.fee_B
-    stay = np.arange(cfg.m)
-    gains[..., stay, stay] = -np.inf
-    return gains
+    return g[..., None, :] - g[..., :, None] - cfg.switch_fee
+
+
+def _best_targets(gains: np.ndarray) -> np.ndarray:
+    # first maximum = lowest k on exact ties; within SWITCH_TOL of zero, stay
+    best = np.argmax(gains, axis=-1)
+    return np.where(gains.max(axis=-1) > SWITCH_TOL, best, np.arange(gains.shape[-1]))
+
+
+def _payoff_kernel(x, switch, cfg: GameConfig):
+    """dg/dt as a function of g at occupation x; switch(g) is the gain, net of
+    the fee, that each state takes at rate lam (None: nobody switches)."""
+    if cfg.delta_int != 0.0 and x is None:
+        raise HjbError("occupation required when delta_int > 0")
+    mv, lam = cfg.moves, cfg.lam
+    rate = mv.per_capita(x)
+
+    def rhs(g):
+        out = cfg.delta_dis * g - cfg.w - (rate * mv.payoff_change(g)).sum(axis=0)
+        if switch is not None:
+            out -= lam * switch(g)
+        return out
+
+    return rhs
+
+
+def _target_gain(target: np.ndarray, cfg: GameConfig):
+    fee = cfg.fee_B[np.arange(cfg.m), target]
+    return lambda g: np.take_along_axis(g, target, axis=1) - g - fee
 
 
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
@@ -58,17 +83,9 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     flux balance, each charged its fine.  An agent at (i, j) switching to
     k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a stay gains 0.
     """
-    ga = payoff_array(g)
     xa = None if x is None else occupation_array(x)
-    if cfg.delta_int != 0.0 and xa is None:
-        raise HjbError("occupation required when delta_int > 0")
-    mv = cfg.moves
-    out = cfg.delta_dis * ga - cfg.w - (mv.per_capita(xa) * mv.payoff_change(ga)).sum(axis=0)
-    if u is not None:
-        target = control_array(u, cfg.n, cfg.m)
-        gain = ga[np.arange(cfg.n)[:, None], target] - ga
-        out -= cfg.lam * (gain - cfg.fee_B[np.arange(cfg.m), target])
-    return out
+    switch = None if u is None else _target_gain(control_array(u, cfg.n, cfg.m), cfg)
+    return _payoff_kernel(xa, switch, cfg)(payoff_array(g))
 
 
 def optimal_control(g, cfg: GameConfig) -> np.ndarray:
@@ -79,10 +96,7 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     1e-12 of zero keep the agent in place; among tied positive gains the
     lowest target index wins (deterministic).
     """
-    stay = np.arange(cfg.m)
-    gains = switch_gains(payoff_array(g), cfg)
-    best = np.argmax(gains, axis=2)  # first maximum = lowest k on exact ties
-    return np.where(gains.max(axis=2) > SWITCH_TOL, best, stay)
+    return _best_targets(switch_gains(payoff_array(g), cfg))
 
 
 def consistency_margin(g, x, cfg: GameConfig) -> float:
@@ -116,10 +130,12 @@ def integrate_backward(
     mode "fixed": control is used as is, in integrate_forward's forms (None =
     nobody switches, one Control/(n, m) target matrix, or a per-step stack);
     mode "optimizing": the best response to the current g is recomputed at
-    every stage evaluation.  Returns a Trajectory with g at the nodes and, in
-    optimizing mode, the per-step targets u[k] = best response to
-    g(times[k]), shape (n_steps, n, m): a reversed step's first stage sits on
-    its starting node, so only t0 needs a call of its own.
+    every stage evaluation, from one switch_gains call whose row maximum is
+    the switch term.  Each reversed step computes its per-capita rates once.
+    Returns a Trajectory with g at the nodes and, in optimizing mode, the
+    per-step targets u[k] = best response to g(times[k]), shape
+    (n_steps, n, m): a reversed step's first stage sits on its starting
+    node, so its gains give the target and only t0 needs a call of its own.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -133,8 +149,7 @@ def integrate_backward(
     u_steps = None if optimizing else control_steps(control, n_steps, cfg)
     times = t0 + h * np.arange(n_steps + 1)
 
-    # Reversed clock s = t1 - t: dh/ds = -hjb_rhs(h, x(t1-s), u), step k
-    # running from node k+1 down to node k.
+    # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
     g = payoff_array(gT)
     gs = np.empty((n_steps + 1,) + g.shape)
     gs[n_steps] = g
@@ -142,22 +157,23 @@ def integrate_backward(
     for k in reversed(range(n_steps)):
         x_mid = 0.5 * (x_nodes[k] + x_nodes[k + 1]) if on_path else x_nodes
         if optimizing:
-            stage_u = []
+            stages = []
 
-            def f(y):
-                stage_u.append(optimal_control(y, cfg))
-                return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
+            def switch(y):
+                gains = switch_gains(y, cfg)
+                best = gains.max(axis=-1)
+                stages.append(gains)
+                return np.where(best > SWITCH_TOL, best, 0.0)
         else:
-            u_k = u_steps[k]
-            f = lambda y: -hjb_rhs(y, x_mid, u_k, cfg)
-        g = rk4_step(f, g, h)
+            switch = None if u_steps[k] is None else _target_gain(u_steps[k], cfg)
+        g = rk4_step(_payoff_kernel(x_mid, switch, cfg), g, -h)
         if not np.all(np.isfinite(g)):
             raise HjbError(
                 f"non-finite payoff at t={times[k]:.6g}; reduce dt (dt={h:.3g})"
             )
         gs[k] = g
         if optimizing and k + 1 < n_steps:
-            us[k + 1] = stage_u[0]
+            us[k + 1] = _best_targets(stages[0])
     if optimizing:
         us[0] = optimal_control(gs[0], cfg)
     return Trajectory(times=times, g=gs, u=us, meta={"dt": h, "mode": mode})

@@ -182,15 +182,20 @@ def _state_labels(prefix: str, n: int, m: int) -> list:
     return [f"{prefix}_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
 
 
+def _write_rows(path: str, head: list, times, table: np.ndarray) -> None:
+    # row by row, one "%.17g" template formatting each value as fmt does
+    template = ",".join(["%.17g"] * len(head)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(head) + "\n")
+        for t, row in zip(np.asarray(times, dtype=float).tolist(), table):
+            fh.write(template % (t, *row.tolist()))
+
+
 def write_trajectory_csv(path: str, times, values, prefix: str = "x") -> None:
     """times (T,) and values (T, n, m) to CSV: t, then states row-major."""
     values = np.asarray(values, dtype=float)
-    tA = np.asarray(times, dtype=float)
     n, m = values.shape[1], values.shape[2]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["t"] + _state_labels(prefix, n, m)) + "\n")
-        for t, row in zip(tA, values):
-            fh.write(",".join([fmt(t)] + [fmt(v) for v in row.ravel()]) + "\n")
+    _write_rows(path, ["t"] + _state_labels(prefix, n, m), times, values.reshape(len(values), -1))
 
 
 def write_state_csv(path: str, state, prefix: str = "x", t: float = 0.0) -> None:
@@ -225,15 +230,10 @@ def read_state_csv(path: str, n: int, m: int) -> np.ndarray:
 
 def write_aggregate_csv(path: str, times, means, stderrs) -> None:
     """Replication means and standard errors on the output grid."""
-    means = np.asarray(means, dtype=float)
-    errs = np.asarray(stderrs, dtype=float)
-    n, m = means.shape[1], means.shape[2]
-    head = (["t"] + _state_labels("mean_x", n, m) + _state_labels("stderr_x", n, m))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(head) + "\n")
-        for t, mu, se in zip(np.asarray(times, float), means, errs):
-            cells = [fmt(t)] + [fmt(v) for v in mu.ravel()] + [fmt(v) for v in se.ravel()]
-            fh.write(",".join(cells) + "\n")
+    n, m = np.shape(means)[1:]
+    head = ["t"] + _state_labels("mean_x", n, m) + _state_labels("stderr_x", n, m)
+    table = np.concatenate([means, stderrs], axis=1, dtype=float)
+    _write_rows(path, head, times, table.reshape(len(table), -1))
 
 
 def _sha256_file(path: str) -> str:

@@ -213,6 +213,11 @@ class GameConfig:
             net=_ro(net),
         )
 
+    @cached_property
+    def switch_fee(self) -> np.ndarray:
+        """fee_B with +inf on its diagonal: staying is no switch and gains -inf."""
+        return _ro(np.where(np.eye(self.m, dtype=bool), np.inf, self.fee_B))
+
 
 @dataclass(frozen=True)
 class Occupation:

@@ -89,7 +89,11 @@ def build_level_chain(j: int, cfg: GameConfig) -> LevelChain:
 
 
 def _link_rates(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
-    return np.diag(chain.A, -1), np.diag(chain.A, 1)  # up, down
+    up, down = chain.A.diagonal(-1), chain.A.diagonal(1)
+    if np.count_nonzero(chain.A) > sum(map(np.count_nonzero, (chain.A.diagonal(), up, down))):
+        raise StationaryError(f"column {chain.j + 1}: the sink variant's chain skips levels; "
+                              "its closed forms need one-level links")
+    return up, down
 
 
 def _require_positive_links(chain: LevelChain, up: np.ndarray, down: np.ndarray):

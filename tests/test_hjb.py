@@ -14,12 +14,14 @@ from hbmfg import (
     effective_rewards,
     hjb_rhs,
     integrate_backward,
+    integrate_forward,
     kinetic_rhs,
     optimal_control,
     stationary_payoff_residual,
     switch_gains,
 )
-from test_kinetics import column_generator, random_control, random_simplex
+from hbmfg.kinetics import rk4_step
+from test_kinetics import column_generator, random_control, random_simplex, stage_cases
 from util_configs import make_config
 
 
@@ -213,6 +215,43 @@ def test_optimizing_mode_dominates_frozen_control():
     npt.assert_array_equal(free.u, [optimal_control(gk, cfg) for gk in free.g[:-1]])
     # and switching is actually exercised somewhere on the horizon
     assert (free.u != np.arange(3)).any()
+
+
+def backward_loop(gT, x_path, controls, h, cfg):
+    """integrate_backward as an rk4_step loop over -hjb_rhs in the reversed clock.
+
+    controls: one target matrix or None per step, or "optimizing" for the best
+    response at every stage.  Returns the nodes' g and each step's first-stage
+    control, which sits on the step's starting node.
+    """
+    gs, firsts = [np.asarray(gT, dtype=float)], []
+    for k in reversed(range(len(x_path) - 1)):
+        x_mid = 0.5 * (x_path[k] + x_path[k + 1])
+        stage_u = []
+
+        def f(y):
+            stage_u.append(optimal_control(y, cfg) if isinstance(controls, str)
+                           else controls[k])
+            return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
+        gs.append(rk4_step(f, gs[-1], h))
+        firsts.append(stage_u[0])
+    return np.array(gs[::-1]), firsts[::-1]
+
+
+def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
+    for cfg, x0, rng in stage_cases():
+        x_path = integrate_forward(x0, None, 0.0, 1.0, 0.05, cfg).x
+        gT = rng.normal(size=(cfg.n, cfg.m))
+        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(20)])
+        fixed = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg, control=stack)
+        assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, 0.05, cfg)[0])
+        free = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg)
+        assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * 20, 0.05, cfg)[0])
+        best = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg, mode="optimizing")
+        g, firsts = backward_loop(gT, x_path, "optimizing", 0.05, cfg)
+        assert np.array_equal(best.g, g)
+        # u[k] is the best response at node k: step k-1's first stage, and t0's own call
+        assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
 
 
 def test_stationary_payoff_dense_cross_check():

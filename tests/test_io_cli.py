@@ -21,6 +21,7 @@ from hbmfg.io import (
     jsonable,
     read_config,
     read_state_csv,
+    write_aggregate_csv,
     write_manifest,
     write_state_csv,
     write_trajectory_csv,
@@ -124,6 +125,25 @@ def test_trajectory_csv_layout(tmp_path):
     assert lines[0] == "t,g_1_1,g_1_2,g_2_1,g_2_2"
     assert lines[1].split(",") == ["0", "0", "1", "2", "3"]
     assert lines[2].split(",") == ["0.5", "4", "5", "6", "7"]
+
+
+def test_csv_rows_are_fmt_joined(tmp_path):
+    # every value must print as fmt prints it: signed zeros, infinities, nan,
+    # subnormals, exact powers and many decades of both signs
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e17, -1e17, 0.1]
+    values = np.concatenate([special, -10.0 ** rng.uniform(-300, 300, 14),
+                             10.0 ** rng.uniform(-300, 300, 14), rng.normal(size=10)])
+    vals = values.reshape(4, 3, 4)
+    times = [0.0, -0.0, 1e-7, 62.5]
+    p, q = tmp_path / "traj.csv", tmp_path / "aggregate.csv"
+    write_trajectory_csv(str(p), times, vals)
+    write_aggregate_csv(str(q), times, vals, vals[::-1])
+    for k, line in enumerate(p.read_text().splitlines()[1:]):
+        assert line == ",".join(fmt(v) for v in [times[k], *vals[k].ravel()])
+    for k, line in enumerate(q.read_text().splitlines()[1:]):
+        assert line == ",".join(fmt(v) for v in [times[k], *vals[k].ravel(),
+                                                 *vals[::-1][k].ravel()])
 
 
 def test_manifest_is_deterministic(tmp_path):

@@ -284,3 +284,42 @@ def test_stationary_residual_zero_on_balanced_kernel():
     )
     x = np.array([[2.0 / 3.0], [1.0 / 3.0]])
     assert stationary_residual(x, cfg) < 1e-15
+
+
+def stage_cases():
+    """Configs for the bit-for-bit integrator checks: random standard and sink
+    configs, lam = 0 and m = 1, each with a random initial occupation."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for case in range(8):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        cases.append(make_config(n, m, rng, db=bool(case % 2), balanced_evo=False,
+                                 fine=0.3, lam=float(rng.uniform(0.5, 2.0)),
+                                 fee_switch=0.2, sink=case >= 5, delta=0.3))
+    cases.append(make_config(3, 3, rng, balanced_evo=False, lam=0.0, delta=0.3))
+    cases.append(make_config(4, 1, rng, balanced_evo=False, delta=0.3))
+    return [(cfg, random_simplex(cfg.n, cfg.m, rng), rng) for cfg in cases]
+
+
+def forward_loop(x0, controls, h, cfg):
+    """integrate_forward as an rk4_step loop over kinetic_rhs, one control per step."""
+    xs = [np.asarray(x0, dtype=float)]
+    for u in controls:
+        x = rk4_step(lambda y: kinetic_rhs(y, u, cfg), xs[-1], h)
+        if max(abs(float(x.sum()) - 1.0), max(0.0, -float(x.min()))) > 1e-12:
+            x = np.clip(x, 0.0, None)
+            x /= x.sum()
+        xs.append(x)
+    return np.array(xs)
+
+
+def test_integrate_forward_equals_rk4_loop_over_kinetic_rhs():
+    for cfg, x0, rng in stage_cases():
+        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(20)])
+        traj = integrate_forward(x0, stack, 0.0, 1.0, 0.05, cfg)
+        assert np.array_equal(traj.x, forward_loop(x0, stack, 0.05, cfg))
+        # a stack whose targets all stay is nobody switching, bit for bit
+        stay = np.broadcast_to(np.arange(cfg.m), (20, cfg.n, cfg.m))
+        free = integrate_forward(x0, None, 0.0, 1.0, 0.05, cfg)
+        assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, 0.05, cfg).x, free.x)
+        assert np.array_equal(free.x, forward_loop(x0, [None] * 20, 0.05, cfg))

@@ -100,6 +100,17 @@ def test_degenerate_link_raises_with_level():
         kernel(build_level_chain(0, cfg))
 
 
+def test_sink_chain_is_refused_by_name():
+    # the chain connects all levels through its drops to level 1; the closed
+    # forms read only one-level links, so they must refuse it, not call it cut
+    cfg = make_config(3, 2, np.random.default_rng(1), with_evo=False, sink=True)
+    chain = build_level_chain(0, cfg)
+    for closed_form in (kernel, kernel_product_forms):
+        with pytest.raises(StationaryError, match="sink variant") as err:
+            closed_form(chain)
+        assert not isinstance(err.value, DegenerateChainError)
+
+
 def test_complement_sign_convention():
     # the solve returns z with A z = -y, never +y
     chain = build_level_chain(0, two_level_cfg(q_down1=1.0))
