@@ -40,14 +40,9 @@ from .stationary import (
     StationaryError,
     StationarySolution,
     build_level_chain,
-    g0_term,
-    g1_term,
-    g2_term,
-    kernel,
     kernel_product_forms,
     solve_on_complement,
     stationary_solution,
-    x1_correction,
 )
 from .stability import (
     SpectrumReport,
@@ -60,7 +55,6 @@ from .stability import (
 )
 from .solver import (
     MfgSolveResult,
-    SolverError,
     TurnpikeMetrics,
     boundary_tangent_condition,
     cone_check,
@@ -96,14 +90,13 @@ __all__ = [
     "consistency_margin", "integrate_backward", "stationary_payoff_residual",
     # stationary
     "StationaryError", "DegenerateChainError", "LevelChain",
-    "StationarySolution", "build_level_chain", "kernel",
-    "kernel_product_forms", "solve_on_complement",
-    "g0_term", "g1_term", "g2_term", "x1_correction", "stationary_solution",
+    "StationarySolution", "build_level_chain", "kernel_product_forms",
+    "solve_on_complement", "stationary_solution",
     # stability
     "StabilityError", "SpectrumReport", "build_reduced_linearization",
     "spectrum", "compare_d_block", "lift_tangent", "reduce_states",
     # solver
-    "SolverError", "MfgSolveResult", "TurnpikeMetrics", "solve_mfg",
+    "MfgSolveResult", "TurnpikeMetrics", "solve_mfg",
     "cone_check", "boundary_tangent_condition", "rate_ordering_check",
     "turnpike_metrics", "default_horizon", "default_dt",
     # simulator

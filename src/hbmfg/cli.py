@@ -37,7 +37,6 @@ from .kinetics import KineticsError
 from .model import Occupation, Regime, validate
 from .simulator import CountState, simulate
 from .solver import (
-    SolverError,
     default_dt,
     default_horizon,
     rate_ordering_check,
@@ -50,8 +49,8 @@ from .stationary import StationaryError, stationary_solution
 __all__ = ["main", "run", "build_parser"]
 
 _VALIDATION_ERRORS = (ConfigError, StationaryError, StabilityError, ValueError)
-_NUMERICAL_ERRORS = (KineticsError, HjbError, SolverError,
-                     FloatingPointError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (KineticsError, HjbError, FloatingPointError,
+                     np.linalg.LinAlgError)
 
 
 class _UsageError(Exception):

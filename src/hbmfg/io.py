@@ -110,6 +110,9 @@ def read_config(path: str) -> GameConfig:
         )
 
     regime = _get(scales, "scales", "regime")
+    detailed_balance = flags.get("detailed_balance", False)
+    if not isinstance(detailed_balance, bool):
+        raise ConfigError("config field 'flags.detailed_balance' must be true or false")
     try:
         cfg = GameConfig(
             n=n,
@@ -124,7 +127,7 @@ def read_config(path: str) -> GameConfig:
             lam=float(_get(scales, "scales", "lambda")),
             delta=float(_get(scales, "scales", "delta")),
             regime=regime,
-            detailed_balance=bool(flags.get("detailed_balance", False)),
+            detailed_balance=detailed_balance,
             q_sink=q_sink,
             delta_int=(
                 float(scales["delta_int"]) if "delta_int" in scales else None
@@ -225,7 +228,10 @@ def read_state_csv(path: str, n: int, m: int) -> np.ndarray:
         vals = [float(p) for p in parts[1:]]
     except ValueError as e:
         raise ConfigError(f"state file has a non-numeric entry: {e}") from None
-    return np.asarray(vals, dtype=float).reshape(n, m)
+    state = np.asarray(vals, dtype=float).reshape(n, m)
+    if not np.all(np.isfinite(state)):
+        raise ConfigError(f"state file {os.path.basename(path)} has a non-finite entry")
+    return state
 
 
 def write_aggregate_csv(path: str, times, means, stderrs) -> None:

@@ -29,7 +29,6 @@ from .model import GameConfig, occupation_array, payoff_array
 from .stationary import stationary_solution
 
 __all__ = [
-    "SolverError",
     "MfgSolveResult",
     "TurnpikeMetrics",
     "solve_mfg",
@@ -47,16 +46,12 @@ VIOLATION_CAP = 1000    # stored cone violations before truncation
 BOUNDARY_TOL = 1e-9     # how exactly a probe triple must sit on the boundary
 
 
-class SolverError(RuntimeError):
-    pass
-
-
 def default_horizon(cfg: GameConfig) -> float:
     """Long-but-finite horizon: 50 over the smallest positive pressure rate."""
     rates = cfg.moves.rate
     pos = rates[rates > 0.0]
     if pos.size == 0:
-        raise SolverError("config has no positive pressure rates; pick a horizon")
+        raise ValueError("config has no positive pressure rates; pass a horizon with --T")
     return 50.0 / float(pos.min())
 
 

@@ -8,7 +8,21 @@ a mean-zero first correction, and (in the fast-discount regimes) a second
 correction that feels the stimulated interactions.  The occupation picks up
 its own first correction, proportional to delta_int, on the dominant column.
 
-Everything here works column by column on small dense chains; solves are
+stationary_solution computes the whole expansion in one pass; the fields of
+the StationarySolution it returns are the expansion terms.  It checks each
+precondition once, in this order, and raises StationaryError naming the one
+that fails:
+
+1. detailed balance of the pressure rates (model.balance_gap);
+2. a nonzero net effective reward sum in every column, at the tolerance of
+   model.dominant_level (the message names the dead columns, 1-based);
+3. a unique dominant column (a tie is refused);
+4. the stimulated net flow on the dominant column telescopes to zero;
+5. in ID2, the second-order data sums to zero in every column (at 1e-9).
+
+The column solves (solve_on_complement) raise DegenerateChainError for a
+vanishing link rate and StationaryError for the sink variant's chain.
+Everything works column by column on small dense chains; solves are
 closed-form recursions.
 """
 from __future__ import annotations
@@ -34,13 +48,8 @@ __all__ = [
     "LevelChain",
     "StationarySolution",
     "build_level_chain",
-    "kernel",
     "kernel_product_forms",
     "solve_on_complement",
-    "g0_term",
-    "g1_term",
-    "g2_term",
-    "x1_correction",
     "stationary_solution",
 ]
 
@@ -126,20 +135,6 @@ def kernel_product_forms(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
     return v_bottom, v_top
 
 
-def kernel(chain: LevelChain) -> np.ndarray:
-    """Stationary occupation of the chain, of unit mass.
-
-    Under detailed balance this is exactly uniform 1/n.
-    """
-    v_bottom, v_top = kernel_product_forms(chain)
-    gap = float(np.max(np.abs(v_bottom - v_top)))
-    if gap > 1e-12:
-        raise StationaryError(
-            f"column {chain.j + 1}: kernel product forms disagree by {gap:.3e}"
-        )
-    return v_bottom
-
-
 def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
     """Unique mean-zero z with A z = -y, for mean-zero y on a balanced chain.
 
@@ -172,116 +167,17 @@ def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
     return z
 
 
-def g0_term(cfg: GameConfig) -> np.ndarray:
-    """Leading payoff coefficient: each column's mean effective reward.
-
-    Constant down each column; the payoff itself carries this term divided
-    by delta_dis.  Errors out when some column's net reward sums to zero,
-    which leaves the first correction undefined.
-    """
-    wt = effective_rewards(cfg)
-    sums = wt.sum(axis=0)
-    scale = max(1.0, float(np.max(np.abs(wt))) * cfg.n)
-    dead = np.flatnonzero(np.abs(sums) <= 1e-12 * scale)
-    if dead.size:
-        cols = ", ".join(str(j + 1) for j in dead)
-        raise StationaryError(
-            f"net effective reward sums to zero in behaviour column(s) {cols}; "
-            "the payoff expansion is degenerate there"
-        )
-    return np.tile(sums / cfg.n, (cfg.n, 1))
-
-
-def g1_term(cfg: GameConfig) -> np.ndarray:
-    """First payoff correction, mean-zero down every column.
-
-    Solves the chain equation with the centered effective rewards as data.
-    """
-    y = effective_rewards(cfg) - g0_term(cfg)
-    return np.column_stack([solve_on_complement(build_level_chain(j, cfg), y[:, j])
-                            for j in range(cfg.m)])
-
-
-def g2_term(cfg: GameConfig) -> np.ndarray:
-    """Second payoff correction for the fast-discount regimes, at cfg.regime.
-
-    With quadratic interaction scale (ID1) the data is just the first
-    correction.  With equal scales (ID2) it is g1 minus the expected payoff
-    change, on g1 and net of fines, of cfg.moves' stimulated moves with
-    partners uniform on the dominant column b, taken at unit interaction
-    scale (evo over n * delta_int); its sum must vanish in every column
-    (checked at 1e-9).  ID3 has no second-order term.
-    """
-    if cfg.regime is Regime.ID3:
-        raise StationaryError(
-            "slow-discount regime carries no second-order payoff correction"
-        )
-    g1 = g1_term(cfg)
-    if cfg.regime is Regime.ID1:
-        y = -g1
-    else:
-        rep = dominant_level(cfg)
-        if not rep.unique:
-            raise StationaryError(
-                "dominant behaviour column is tied; second-order correction "
-                "needs a unique dominant column"
-            )
-        mv = cfg.moves
-        partners = mv.evo[..., rep.level] / (cfg.n * cfg.delta_int)
-        rhs = g1 - (partners * mv.payoff_change(g1)).sum(axis=0)
-        for j in range(cfg.m):
-            scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))
-            s = float(rhs[:, j].sum())
-            if abs(s) > SOLVE_TOL * scale:
-                raise StationaryError(
-                    f"second-order solvability fails in column {j + 1} "
-                    f"(data sums to {s:.3e}); no correction exists for this config"
-                )
-        y = -(rhs - rhs.mean(axis=0))
-    return np.column_stack([solve_on_complement(build_level_chain(j, cfg), y[:, j])
-                            for j in range(cfg.m)])
-
-
-def x1_correction(cfg: GameConfig) -> np.ndarray:
-    """First occupation correction, supported on the dominant column.
-
-    The uniform occupation feeds the stimulated moves a net flow r per level;
-    the correction is the mean-zero chain solution balancing it.  r telescopes
-    to zero thanks to the zero boundary rows of the evolution tensors.
-    """
-    rep = dominant_level(cfg)
-    if not rep.unique:
-        raise StationaryError(
-            "dominant behaviour column is tied; occupation correction undefined"
-        )
-    b = rep.level
-    n = cfg.n
-    que = np.asarray(cfg.q_up_evo[:, b, b], dtype=float)
-    qde = np.asarray(cfg.q_down_evo[:, b, b], dtype=float)
-    prev_up = np.concatenate(([0.0], que[:-1]))
-    next_dn = np.concatenate((qde[1:], [0.0]))
-    r = (prev_up - que + next_dn - qde) / float(n * n)
-    scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
-    if abs(float(r.sum())) > 1e-12 * scale:
-        raise StationaryError(
-            "stimulated net flow fails to telescope to zero; "
-            "check the boundary rows of the evolution tensors"
-        )
-    r = r - r.mean()
-    out = np.zeros((n, cfg.m))
-    out[:, b] = solve_on_complement(build_level_chain(b, cfg), r)
-    return out
-
-
 @dataclass(frozen=True)
 class StationarySolution:
-    """Assembled stationary expansion at a config's scales.
+    """The stationary expansion at a config's scales; its fields are the terms.
 
-    x0 is uniform mass on the dominant column b; x1 the delta_int-order
-    correction.  g collects g0/delta_dis + g1 (+ delta_dis*g2 where the
-    regime defines it).  margin is the best switching gain at the assembled
-    point (<= 0 certifies no profitable switch); margin_leading compares
-    column reward sums directly.
+    x0 is uniform mass on the dominant column b and x1 the delta_int-order
+    occupation correction, supported on column b.  g0 holds each column's
+    mean effective reward (constant down the column), g1 the mean-zero first
+    payoff correction, and g2 the second one in the fast-discount regimes
+    (None in ID3).  g = g0/delta_dis + g1 (+ delta_dis*g2).  margin is the
+    best switching gain at the assembled point (<= 0 certifies no profitable
+    switch); margin_leading compares column reward sums directly.
     """
 
     x0: Occupation
@@ -311,9 +207,17 @@ class StationarySolution:
 def stationary_solution(cfg: GameConfig) -> StationarySolution:
     """Build the full stationary expansion, certifying its preconditions.
 
-    Requires detailed-balanced, connecting pressure rates and a unique
-    dominant behaviour column with nonzero net reward sums; failures raise
-    StationaryError naming the condition.
+    The preconditions are checked once each, in the order the module
+    docstring lists.  Each column's chain is built once, and each term takes
+    one solve per column it touches: m + 1 solves in ID3, 2m + 1 otherwise.
+
+    x1: the uniform occupation feeds the stimulated moves a net flow r per
+    level; x1 is the mean-zero chain solution balancing it on column b.
+    g1 solves each column's chain with the centered effective rewards as
+    data.  g2's data is g1 itself in ID1; in ID2 it is g1 minus the expected
+    payoff change, on g1 and net of fines, of cfg.moves' stimulated moves
+    with partners uniform on column b, at unit interaction scale (evo over
+    n * delta_int).
     """
     from .hjb import consistency_margin  # local import keeps module load light
 
@@ -323,33 +227,65 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
             f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})"
         )
     rep = dominant_level(cfg)
+    sums = rep.column_sums
     if not rep.nonzero_sums:
+        cols = ", ".join(str(j + 1) for j in np.flatnonzero(np.abs(sums) <= rep.tol))
         raise StationaryError(
-            "some behaviour column has zero net effective reward sum; "
-            "the expansion is degenerate"
+            f"net effective reward sums to zero in behaviour column(s) {cols}; "
+            "the payoff expansion is degenerate there"
         )
     if not rep.unique:
-        sums = rep.column_sums
         raise StationaryError(
             f"dominant behaviour column is tied (column sums {sums.tolist()})"
         )
     b = rep.level
+    n = cfg.n
+    chains = [build_level_chain(j, cfg) for j in range(cfg.m)]
 
-    x0m = np.zeros((cfg.n, cfg.m))
-    x0m[:, b] = 1.0 / cfg.n
-    x1 = x1_correction(cfg)
-    g0 = g0_term(cfg)
-    g1 = g1_term(cfg)
+    def solve_columns(y: np.ndarray) -> np.ndarray:
+        return np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
+
+    que = np.asarray(cfg.q_up_evo[:, b, b], dtype=float)
+    qde = np.asarray(cfg.q_down_evo[:, b, b], dtype=float)
+    prev_up = np.concatenate(([0.0], que[:-1]))
+    next_dn = np.concatenate((qde[1:], [0.0]))
+    r = (prev_up - que + next_dn - qde) / float(n * n)
+    scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
+    if abs(float(r.sum())) > 1e-12 * scale:
+        raise StationaryError(
+            "stimulated net flow fails to telescope to zero; "
+            "check the boundary rows of the evolution tensors"
+        )
+    x1 = np.zeros((n, cfg.m))
+    x1[:, b] = solve_on_complement(chains[b], r - r.mean())
+
+    g0 = np.tile(sums / n, (n, 1))
+    g1 = solve_columns(effective_rewards(cfg) - g0)
     g2 = None
-    if cfg.regime in (Regime.ID1, Regime.ID2):
-        g2 = g2_term(cfg)
+    if cfg.regime is Regime.ID1:
+        g2 = solve_columns(-g1)
+    elif cfg.regime is Regime.ID2:
+        mv = cfg.moves
+        partners = mv.evo[..., b] / (n * cfg.delta_int)
+        rhs = g1 - (partners * mv.payoff_change(g1)).sum(axis=0)
+        for j in range(cfg.m):
+            scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))
+            s = float(rhs[:, j].sum())
+            if abs(s) > SOLVE_TOL * scale:
+                raise StationaryError(
+                    f"second-order solvability fails in column {j + 1} "
+                    f"(data sums to {s:.3e}); no correction exists for this config"
+                )
+        g2 = solve_columns(-(rhs - rhs.mean(axis=0)))
     g = g0 / cfg.delta_dis + g1
     if g2 is not None:
         g = g + cfg.delta_dis * g2
 
+    x0m = np.zeros((n, cfg.m))
+    x0m[:, b] = 1.0 / n
     if cfg.m > 1:
-        others = np.delete(rep.column_sums, b)
-        margin_leading = float(np.max(others - rep.column_sums[b]))
+        others = np.delete(sums, b)
+        margin_leading = float(np.max(others - sums[b]))
     else:
         margin_leading = float("-inf")
     margin = consistency_margin(g, x0m, cfg)
@@ -368,5 +304,5 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
         delta_dis=cfg.delta_dis,
         margin=margin,
         margin_leading=margin_leading,
-        meta={"column_sums": rep.column_sums.copy()},
+        meta={"column_sums": sums.copy()},
     )

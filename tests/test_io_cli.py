@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import hbmfg
-from hbmfg import Regime, stationary_solution
+from hbmfg import GameConfig, Regime, stationary_solution
 from hbmfg.cli import _control_change_points
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
@@ -76,6 +76,21 @@ def test_read_config_rejects_non_numeric_fields(tmp_path):
         read_config(str(p2))
 
 
+def test_read_config_requires_boolean_balance_flag(tmp_path):
+    doc = json.loads(open(EXAMPLE).read())
+    for flag in (True, False):
+        doc["flags"]["detailed_balance"] = flag
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(doc))
+        assert read_config(str(p)).detailed_balance is flag
+    # a string "false" must not switch the balance requirement on
+    for flag in ("false", 0, None):
+        doc["flags"]["detailed_balance"] = flag
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="flags.detailed_balance"):
+            read_config(str(p))
+
 def test_fmt_round_trips_doubles():
     rng = np.random.default_rng(17)
     values = list(rng.normal(size=20)) + [0.1, 1e-300, 1e300, -0.0, 3.0]
@@ -115,6 +130,15 @@ def test_read_state_csv_rejects_wrong_width(tmp_path):
     with pytest.raises(ConfigError, match="columns"):
         read_state_csv(str(p), 3, 2)
 
+
+def test_read_state_csv_rejects_non_finite_entries(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        state = np.zeros((2, 2))
+        state[1, 0] = bad
+        p = tmp_path / "state.csv"
+        write_state_csv(str(p), state)
+        with pytest.raises(ConfigError, match="state.csv has a non-finite entry"):
+            read_state_csv(str(p), 2, 2)
 
 def test_trajectory_csv_layout(tmp_path):
     times = [0.0, 0.5]
@@ -490,6 +514,36 @@ def test_cli_usage_and_missing_file(tmp_path, capsys):
         assert code4 == 1 and summary4["ok"] is False and "finite" in summary4["error"]
         assert not (out / "manifest.json").exists()
 
+
+def test_cli_solve_rejects_non_finite_terminal_payoff(tmp_path, capsys):
+    cfg = read_config(EXAMPLE)
+    gT = np.zeros((cfg.n, cfg.m))
+    gT[0, 1] = np.nan
+    g_path = tmp_path / "g.csv"
+    write_state_csv(str(g_path), gT)
+    out = tmp_path / "o"
+    code, summary, err = cli(["solve", EXAMPLE, "--T", "1", "--dt", "0.1",
+                              "--gT", str(g_path), "--out", str(out)], capsys)
+    assert code == 1 and summary["ok"] is False
+    assert "g.csv" in summary["error"] and "non-finite" in summary["error"]
+    assert "numerical failure" not in err
+    assert os.listdir(out) == []
+
+
+def test_cli_solve_without_rates_needs_a_horizon(tmp_path, capsys):
+    cfg = GameConfig(
+        n=1, m=2, q_up=np.zeros((1, 2)), q_down=np.zeros((1, 2)),
+        q_up_evo=np.zeros((1, 2, 2)), q_down_evo=np.zeros((1, 2, 2)),
+        w=np.ones((1, 2)), fee_B=1.0 - np.eye(2), fee_H=np.zeros(1),
+    )
+    p = write_config(tmp_path / "still.json", cfg)
+    out = tmp_path / "o"
+    code, summary, err = cli(["solve", p, "--out", str(out)], capsys)
+    assert code == 1 and summary["ok"] is False and "--T" in summary["error"]
+    assert "numerical failure" not in err
+    assert os.listdir(out) == []
+    code, _, _ = cli(["solve", p, "--out", str(tmp_path / "t"), "--T", "1"], capsys)
+    assert code == 0
 
 def test_cli_out_env_fallback(tmp_path, capsys, monkeypatch):
     env_out = tmp_path / "envout"

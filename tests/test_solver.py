@@ -10,7 +10,6 @@ from hbmfg import (
     GameConfig,
     Occupation,
     SinkRates,
-    SolverError,
     boundary_tangent_condition,
     cone_check,
     default_dt,
@@ -52,7 +51,7 @@ def test_default_horizon_requires_positive_rates():
         q_up_evo=np.zeros((1, 2, 2)), q_down_evo=np.zeros((1, 2, 2)),
         w=np.ones((1, 2)), fee_B=1.0 - np.eye(2), fee_H=np.zeros(1),
     )
-    with pytest.raises(SolverError):
+    with pytest.raises(ValueError, match="--T"):
         default_horizon(cfg)
 
 

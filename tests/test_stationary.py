@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import hbmfg.stationary
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,16 +15,11 @@ from hbmfg import (
     build_level_chain,
     dominant_level,
     effective_rewards,
-    g0_term,
-    g1_term,
-    g2_term,
-    kernel,
     kinetic_rhs,
     kernel_product_forms,
     solve_on_complement,
     stationary_residual,
     stationary_solution,
-    x1_correction,
 )
 from test_kinetics import column_generator
 from util_configs import make_config, nondb_pressure
@@ -66,7 +62,7 @@ def test_chain_is_the_move_tables_sink_included():
 
 def test_kernel_frozen_two_level():
     chain = build_level_chain(0, two_level_cfg())
-    npt.assert_allclose(kernel(chain), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    npt.assert_allclose(kernel_product_forms(chain)[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
 def test_kernel_product_forms_agree_off_balance():
@@ -82,22 +78,21 @@ def test_kernel_product_forms_agree_off_balance():
         chain = build_level_chain(0, cfg)
         v_bottom, v_top = kernel_product_forms(chain)
         npt.assert_allclose(v_bottom, v_top, rtol=1e-12)
-        v = kernel(chain)
-        assert v.min() > 0 and v.sum() == pytest.approx(1.0)
-        npt.assert_allclose(chain.A @ v, 0.0, atol=1e-13)
+        assert v_bottom.min() > 0 and v_bottom.sum() == pytest.approx(1.0)
+        npt.assert_allclose(chain.A @ v_bottom, 0.0, atol=1e-13)
 
 
 def test_kernel_uniform_under_detailed_balance():
     rng = np.random.default_rng(4)
     cfg = make_config(5, 2, rng, db=True)
-    v = kernel(build_level_chain(1, cfg))
+    v = kernel_product_forms(build_level_chain(1, cfg))[0]
     npt.assert_allclose(v, 0.2, atol=1e-14)
 
 
 def test_degenerate_link_raises_with_level():
     cfg = two_level_cfg(q_up0=0.0)
     with pytest.raises(DegenerateChainError, match="level 1"):
-        kernel(build_level_chain(0, cfg))
+        kernel_product_forms(build_level_chain(0, cfg))
 
 
 def test_sink_chain_is_refused_by_name():
@@ -105,10 +100,9 @@ def test_sink_chain_is_refused_by_name():
     # forms read only one-level links, so they must refuse it, not call it cut
     cfg = make_config(3, 2, np.random.default_rng(1), with_evo=False, sink=True)
     chain = build_level_chain(0, cfg)
-    for closed_form in (kernel, kernel_product_forms):
-        with pytest.raises(StationaryError, match="sink variant") as err:
-            closed_form(chain)
-        assert not isinstance(err.value, DegenerateChainError)
+    with pytest.raises(StationaryError, match="sink variant") as err:
+        kernel_product_forms(chain)
+    assert not isinstance(err.value, DegenerateChainError)
 
 
 def test_complement_sign_convention():
@@ -146,22 +140,23 @@ def test_solve_on_complement_requires_detailed_balance():
 
 
 def test_g0_frozen_and_degenerate_column():
-    npt.assert_allclose(g0_term(two_level_cfg()), [[2.0], [2.0]], atol=1e-15)
-    dead = two_level_cfg(w=((1.0,), (-1.0,)))
+    g0 = stationary_solution(two_level_cfg(q_down1=1.0)).g0
+    npt.assert_allclose(g0, [[2.0], [2.0]], atol=1e-15)
+    dead = two_level_cfg(q_down1=1.0, w=((1.0,), (-1.0,)))
     with pytest.raises(StationaryError, match="column"):
-        g0_term(dead)
+        stationary_solution(dead)
 
 
 def test_g1_frozen_two_level():
     cfg = two_level_cfg(q_down1=1.0)
-    npt.assert_allclose(g1_term(cfg), [[0.5], [-0.5]], atol=1e-14)
+    npt.assert_allclose(stationary_solution(cfg).g1, [[0.5], [-0.5]], atol=1e-14)
 
 
 def test_g1_defining_equation_and_mean():
     rng = np.random.default_rng(71)
     cfg = make_config(5, 3, rng, db=True, fine=0.2)
-    g0 = g0_term(cfg)
-    g1 = g1_term(cfg)
+    sol = stationary_solution(cfg)
+    g0, g1 = sol.g0, sol.g1
     wt = effective_rewards(cfg)
     npt.assert_allclose(g1.sum(axis=0), 0.0, atol=1e-12)
     for j in range(cfg.m):
@@ -172,43 +167,45 @@ def test_g1_defining_equation_and_mean():
 def test_g2_regimes():
     rng = np.random.default_rng(81)
     cfg1 = make_config(4, 2, rng, db=True, balanced_evo=True, regime=Regime.ID1)
-    g1 = g1_term(cfg1)
-    g2 = g2_term(cfg1)
+    sol = stationary_solution(cfg1)
+    g1, g2 = sol.g1, sol.g2
     for j in range(cfg1.m):
         A = column_generator(j, cfg1)
         npt.assert_allclose(A @ g2[:, j], g1[:, j], atol=1e-11)
     npt.assert_allclose(g2.sum(axis=0), 0.0, atol=1e-12)
 
-    with pytest.raises(StationaryError, match="second-order"):
-        g2_term(replace(cfg1, regime=Regime.ID3, delta_int=None, delta_dis=None))
+    # the slow-discount regime carries no second-order payoff correction
+    sol3 = stationary_solution(replace(cfg1, regime=Regime.ID3, delta_int=None, delta_dis=None))
+    assert sol3.g2 is None
+    npt.assert_array_equal(sol3.g1, g1)
 
 
 def test_g2_frozen_two_level():
     cfg = two_level_cfg(q_down1=1.0)
-    npt.assert_allclose(g2_term(cfg), [[-0.25], [0.25]], atol=1e-14)
+    npt.assert_allclose(stationary_solution(cfg).g2, [[-0.25], [0.25]], atol=1e-14)
 
 
 def test_g2_equal_scales_solvable_iff_balanced():
     rng = np.random.default_rng(91)
     ok = make_config(3, 3, rng, db=True, balanced_evo=True, regime=Regime.ID2)
-    g2 = g2_term(ok)  # solvability sum vanishes exactly here
+    g2 = stationary_solution(ok).g2  # solvability sum vanishes exactly here
     assert np.all(np.isfinite(g2))
     bad = make_config(3, 3, rng, db=True, balanced_evo=False, regime=Regime.ID2)
     with pytest.raises(StationaryError, match="solvability"):
-        g2_term(bad)
+        stationary_solution(bad)
 
 
 def test_x1_zero_under_balanced_tensors():
     rng = np.random.default_rng(14)
     cfg = make_config(4, 3, rng, db=True, balanced_evo=True)
-    npt.assert_array_equal(x1_correction(cfg), np.zeros((4, 3)))
+    npt.assert_array_equal(stationary_solution(cfg).x1, np.zeros((4, 3)))
 
 
 def test_x1_defining_equation_generic_tensors():
     rng = np.random.default_rng(15)
     cfg = make_config(4, 3, rng, db=True, balanced_evo=False)
     b = dominant_level(cfg).level
-    x1 = x1_correction(cfg)
+    x1 = stationary_solution(cfg).x1
     # supported on the dominant column only
     mask = np.ones(cfg.m, dtype=bool)
     mask[b] = False
@@ -277,3 +274,22 @@ def test_stationary_point_is_exact_fixed_point_with_balanced_tensors():
     sol = stationary_solution(cfg)
     assert stationary_residual(sol.x0.x, cfg) < 1e-15
     npt.assert_array_equal(sol.x_corrected, sol.x0.x)  # x1 is exactly zero
+
+
+def test_stationary_solution_solves_each_column_once_per_term(monkeypatch):
+    # x1 takes one solve on the dominant column, g1 and g2 one per column each
+    calls = []
+    solve = hbmfg.stationary.solve_on_complement
+
+    def counting(chain, y):
+        calls.append(chain.j)
+        return solve(chain, y)
+
+    monkeypatch.setattr(hbmfg.stationary, "solve_on_complement", counting)
+    rng = np.random.default_rng(63)
+    for regime, m, per_column in ((Regime.ID1, 3, 2), (Regime.ID2, 3, 2), (Regime.ID3, 2, 1)):
+        cfg = make_config(4, m, rng, db=True, balanced_evo=True, regime=regime)
+        calls.clear()
+        sol = stationary_solution(cfg)
+        assert len(calls) == per_column * m + 1, regime
+        assert calls[0] == sol.b
