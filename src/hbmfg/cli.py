@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(summary: dict) -> None:
-    print(json.dumps(jsonable(summary), sort_keys=True, separators=(",", ":")))
+    print(json.dumps(jsonable(summary), sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
 def _outdir(args) -> str:

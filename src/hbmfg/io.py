@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Optional
 
@@ -113,6 +114,10 @@ def read_config(path: str) -> GameConfig:
     detailed_balance = flags.get("detailed_balance", False)
     if not isinstance(detailed_balance, bool):
         raise ConfigError("config field 'flags.detailed_balance' must be true or false")
+    for key in ("lambda", "delta", "delta_int", "delta_dis"):
+        if isinstance(scales.get(key), bool):  # float() would read true as 1.0
+            raise ConfigError(f"config field 'scales.{key}' must be a number, "
+                              f"not {json.dumps(scales[key])}")
     try:
         cfg = GameConfig(
             n=n,
@@ -157,15 +162,16 @@ def jsonable(obj):
     """Recursively convert arrays and numpy scalars for json.dumps.
 
     Complex values become [real, imag] pairs; array shape is preserved.
+    Non-finite floats become None (JSON null), which strict JSON allows.
     """
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [jsonable(obj.real), jsonable(obj.imag)]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, dict):
@@ -177,7 +183,7 @@ def jsonable(obj):
 
 def write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

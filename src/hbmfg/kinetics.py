@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Control, GameConfig, control_array, occupation_array
+from .model import Control, GameConfig, check_targets, control_array, occupation_array
 
 __all__ = [
     "Trajectory",
@@ -71,18 +71,21 @@ def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
 
 
 def control_steps(control, n_steps: int, cfg: GameConfig):
-    """One control per step, indexable by step.
+    """One control per step, indexable by step; the integrators' and the
+    simulator's only control forms, each checked once by Control's rule.
 
     control: None (nobody switches), one Control/(n, m) target matrix held
-    on every step, or a per-step stack of shape (n_steps, n, m).
+    on every step, or a per-step stack of shape (n_steps, n, m), which
+    model.check_targets checks in one pass.  A time-varying control is its
+    stack, sampled by the caller wherever it wants.
     """
     if control is None or isinstance(control, Control) or np.ndim(control) == 2:
         return [None if control is None else control_array(control, cfg.n, cfg.m)] * n_steps
     stack = np.asarray(control)
     if stack.shape != (n_steps, cfg.n, cfg.m):
         raise ValueError(f"control stack of shape {stack.shape} does not match the grid's "
-                         f"{n_steps} steps of ({cfg.n}, {cfg.m}) targets")
-    return stack
+                         f"{n_steps} steps of one ({cfg.n}, {cfg.m}) target matrix each")
+    return check_targets(stack, cfg.m)
 
 
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:

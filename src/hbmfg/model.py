@@ -35,6 +35,7 @@ __all__ = [
     "occupation_array",
     "payoff_array",
     "control_array",
+    "check_targets",
 ]
 
 # Tie / degeneracy tolerance for reward column sums (relative to their scale).
@@ -255,11 +256,9 @@ class Control:
 
     def __post_init__(self):
         t = np.asarray(self.target)
-        if t.ndim != 2 or not np.issubdtype(t.dtype, np.integer):
+        if t.ndim != 2:
             raise ValueError("control must be an integer (n, m) target matrix")
-        if t.size and (t.min() < 0 or t.max() >= t.shape[1]):
-            raise ValueError(f"control targets must lie in [0, {t.shape[1]})")
-        object.__setattr__(self, "target", _ro(t, int))
+        object.__setattr__(self, "target", _ro(check_targets(t, t.shape[1]), int))
 
     @staticmethod
     def stay(n: int, m: int) -> "Control":
@@ -277,14 +276,23 @@ def payoff_array(g) -> np.ndarray:
     return np.asarray(g, dtype=float)
 
 
+def check_targets(t: np.ndarray, m: int) -> np.ndarray:
+    """Control's rule for a target matrix or a stack of them: integers in [0, m)."""
+    if not np.issubdtype(t.dtype, np.integer):
+        raise ValueError("control must be an integer (n, m) target matrix")
+    if t.size and (t.min() < 0 or t.max() >= m):
+        raise ValueError(f"control targets must lie in [0, {m})")
+    return t
+
+
 def control_array(u, n: int, m: int) -> np.ndarray:
-    """Accept Control / (n, m) target matrix / None (meaning: everyone stays)."""
+    """Accept Control / (n, m) target matrix / None (everyone stays), by Control's rule."""
     if u is None:
         return Control.stay(n, m).target
     t = u.target if isinstance(u, Control) else np.asarray(u)
     if t.shape != (n, m):
         raise ValueError(f"control must be an ({n}, {m}) target matrix, not {t.shape}")
-    return t
+    return check_targets(t, m)
 
 
 def _check_matrix(out: list, name: str, a: np.ndarray, shape: tuple) -> bool:
@@ -345,14 +353,15 @@ def validate(cfg: GameConfig) -> list[str]:
     if ok_fh and cfg.fee_H.min() < 0:
         v.append("fee_H has negative entries")
 
-    if cfg.lam < 0:
-        v.append(f"lambda: negative decision rate {cfg.lam!r}")
-    if not (cfg.delta > 0):
-        v.append(f"delta: must be positive, got {cfg.delta!r}")
-    if not (cfg.delta_dis > 0):
-        v.append(f"delta_dis: must be positive, got {cfg.delta_dis!r}")
-    if cfg.delta_int < 0:
-        v.append(f"delta_int: must be nonnegative, got {cfg.delta_int!r}")
+    # written so that nan fails too; an inf would pass the regime test below
+    if not (0 <= cfg.lam < np.inf):
+        v.append(f"lambda: decision rate must be finite and nonnegative, got {cfg.lam!r}")
+    if not (0 < cfg.delta < np.inf):
+        v.append(f"delta: must be finite and positive, got {cfg.delta!r}")
+    if not (0 < cfg.delta_dis < np.inf):
+        v.append(f"delta_dis: must be finite and positive, got {cfg.delta_dis!r}")
+    if not (0 <= cfg.delta_int < np.inf):
+        v.append(f"delta_int: must be finite and nonnegative, got {cfg.delta_int!r}")
 
     d_int, d_dis = regime_scales(cfg.regime, cfg.delta)
     if abs(cfg.delta_int - d_int) > TIE_TOL * max(1.0, d_int):

@@ -13,6 +13,9 @@ Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
 choice of channel.  Mean counts over N follow the kinetic equation as N grows.
 
+The control takes the integrators' forms (kinetics.control_steps), one step
+per output interval; both loops iterate one channel table per interval.
+
 `simulate` with one seed runs a scalar per-event loop.  With a sequence of
 seeds it runs the replications in lockstep: one numpy step computes every
 replication's channel rates and applies its next event, while each
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import integrate_forward
+from .kinetics import control_steps, integrate_forward
 from .model import GameConfig, control_array, occupation_array
 
 __all__ = [
@@ -174,28 +177,32 @@ def simulate(
 ) -> Union[SimPath, List[SimPath]]:
     """Run exact trajectories from s0 over [0, T].
 
-    u: None, a fixed Control or (n, m) target matrix, or a policy callable
-    t -> control (None from it means nobody switches); a policy is sampled
-    once per output-grid interval (at its midpoint) and held constant inside
-    it.  Restarting the exponential clock at interval boundaries is exact by
-    memorylessness.
+    u: the integrators' control forms (kinetics.control_steps): None (nobody
+    switches), one Control/(n, m) target matrix held throughout, or a
+    per-interval stack of shape (samples, n, m), u[k] held on the output
+    interval [times[k], times[k+1]].  A time-varying policy is given as its
+    stack, sampled by the caller where it wants, so the control changes only
+    at output nodes.  Restarting the exponential clock at each node is exact
+    by memorylessness.
 
     seed: an int runs one trajectory and returns its SimPath.  A sequence of
     ints returns one SimPath per seed, in order; those replications advance
-    in lockstep, one column of numpy arrays each, and share one policy
-    sample per interval.  Every trajectory draws from its own PCG64(seed)
-    stream in the same order (a uniform for each wait, and one for the pick
-    if the event falls inside the interval), so a lockstep replication is
-    bit for bit the path that its seed gives alone.  record_events needs an
-    int seed.
+    in lockstep, one column of numpy arrays each, under the same control.
+    Every trajectory draws from its own PCG64(seed) stream in the same order
+    (a uniform for each wait, and one for the pick if the event falls inside
+    the interval), so a lockstep replication is bit for bit the path that
+    its seed gives alone.  record_events needs an int seed.
     """
     if not (0.0 < T < math.inf):
         raise ValueError("need a finite T > 0")
     if samples < 1:
         raise ValueError("need at least one output sample")
     n, m = cfg.n, cfg.m
-    policy: Optional[Callable] = u if callable(u) and not isinstance(u, np.ndarray) else None
-    fixed_u = None if (policy is not None or u is None) else control_array(u, n, m)
+    u_steps = control_steps(u, samples, cfg)
+    tables = [_build_channels(cfg, u_steps[0], s0.N)]   # one per interval, shared while equal
+    for prev, target in zip(u_steps, u_steps[1:]):
+        same = target is prev or np.array_equal(target, prev)
+        tables.append(tables[-1] if same else _build_channels(cfg, target, s0.N))
     times = np.linspace(0.0, T, samples + 1)
     if not isinstance(seed, (int, np.integer)):
         seeds = [int(s) for s in seed]
@@ -203,7 +210,7 @@ def simulate(
             raise ValueError("need at least one seed")
         if record_events:
             raise ValueError("record_events needs a single int seed")
-        return _simulate_lockstep(s0, policy, fixed_u, times, seeds, cfg)
+        return _simulate_lockstep(s0, tables, times, seeds, cfg)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = _refill(rng, (), _ROW_WIDTH).tolist()
@@ -218,16 +225,8 @@ def simulate(
     log_: Optional[list] = [] if record_events else None
     ln = math.log
 
-    channels = None
-    if policy is None:
-        channels = _build_channels(cfg, fixed_u, s0.N)
-
-    for kseg in range(samples):
+    for kseg, (srcs, dsts, coeffs, partners) in enumerate(tables):
         t_end = float(times[kseg + 1])
-        if policy is not None:
-            u_now = control_array(policy(0.5 * (float(times[kseg]) + t_end)), n, m)
-            channels = _build_channels(cfg, u_now, s0.N)
-        srcs, dsts, coeffs, partners = channels
         C = len(srcs)
         rates = [0.0] * C
         while True:
@@ -277,28 +276,10 @@ def simulate(
     )
 
 
-def _channel_arrays(cfg: GameConfig, target: Optional[np.ndarray], N: int):
-    """_build_channels as column arrays for the lockstep loop.
-
-    Returns srcs and partners, indices into the (n*m + 1)-row count matrix
-    whose last row holds 1 for partnerless channels; coeffs as a column;
-    and moves, each channel's change to that matrix (-1 at src, +1 at dst).
-    """
-    srcs, dsts, coeffs, partners = _build_channels(cfg, target, N)
-    S, C = cfg.n * cfg.m, len(srcs)
-    partner = np.array(partners, dtype=np.intp)
-    partner[partner < 0] = S
-    moves = np.zeros((C, S + 1))
-    moves[np.arange(C), srcs] = -1.0
-    moves[np.arange(C), dsts] = 1.0
-    return (np.array(srcs, dtype=np.intp), np.array(coeffs, dtype=np.float64)[:, None],
-            partner, moves)
-
-
 # A replication whose total rate is 0 gets a wait of x/0 (inf or nan) and leaves
 # its interval without reading a uniform.
 @np.errstate(divide="ignore", invalid="ignore")
-def _simulate_lockstep(s0: CountState, policy, fixed_u, times: np.ndarray,
+def _simulate_lockstep(s0: CountState, tables: list, times: np.ndarray,
                        seeds: List[int], cfg: GameConfig) -> List[SimPath]:
     """The scalar loop of `simulate` run for every seed at once.
 
@@ -309,7 +290,9 @@ def _simulate_lockstep(s0: CountState, policy, fixed_u, times: np.ndarray,
     replication draws its own wait and pick.  A replication leaves the
     interval when its total rate is 0 or its next event falls past the
     interval's end.  Replication r reads its uniforms from buf[r], _ROW_WIDTH
-    numbers refilled from its own generator.
+    numbers refilled from its own generator.  A changed channel table becomes
+    column arrays indexing the (n*m + 1)-row count matrix, whose last row
+    holds 1 for partnerless channels; moves[c] is channel c's change to it.
     """
     n, m = cfg.n, cfg.m
     S = n * m
@@ -327,14 +310,21 @@ def _simulate_lockstep(s0: CountState, policy, fixed_u, times: np.ndarray,
     reps = np.arange(R)
     ln = math.log
 
-    table = None if policy is not None else _channel_arrays(cfg, fixed_u, s0.N)
-    for k in range(1, len(times)):
+    table = None
+    for k, chans in enumerate(tables, 1):
+        if chans is not table:
+            table = chans
+            src, dst, coeff, partner = chans
+            C = len(src)
+            srcs = np.array(src, dtype=np.intp)
+            coeffs = np.array(coeff, dtype=np.float64)[:, None]
+            partners = np.array(partner, dtype=np.intp)
+            partners[partners < 0] = S
+            moves = np.zeros((C, S + 1))
+            moves[np.arange(C), srcs] = -1.0
+            moves[np.arange(C), dst] = 1.0
         t_end = float(times[k])
-        if policy is not None:
-            u_now = control_array(policy(0.5 * (float(times[k - 1]) + t_end)), n, m)
-            table = _channel_arrays(cfg, u_now, s0.N)
-        srcs, coeffs, partners, moves = table
-        live = reps if len(srcs) else reps[:0]
+        live = reps if C else reps[:0]
         c = cnt[:, live]
         t = np.full(live.size, float(times[k - 1]))
         at = live * W + pos[live]       # flat index of each live replication's next uniform

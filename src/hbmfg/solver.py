@@ -210,7 +210,7 @@ def rate_ordering_check(cfg: GameConfig) -> List[dict]:
     switching boundaries repel).  Uses the up rates below the top level;
     under detailed balance these carry the whole chain.
     """
-    q = cfg.q_up[: cfg.n - 1, :] if cfg.n > 1 else np.zeros((0, cfg.m))
+    q = cfg.moves.rate[0, :-1]
     out = []
     for a in range(cfg.m):
         for b_ in range(a + 1, cfg.m):

@@ -31,6 +31,11 @@ from util_configs import cycle_config, make_config, theorem_config, write_config
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
 
 
+def example_doc() -> dict:
+    with open(EXAMPLE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 # ---------------------------------------------------------------- io layer
 
 
@@ -61,14 +66,14 @@ def test_read_config_error_messages(tmp_path):
 
 
 def test_read_config_rejects_non_numeric_fields(tmp_path):
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     doc["scales"]["lambda"] = "fast"
     p = tmp_path / "bad_lambda.json"
     p.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="config rejected"):
         read_config(str(p))
 
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     doc["economics"]["w"][0][0] = "high"
     p2 = tmp_path / "bad_w.json"
     p2.write_text(json.dumps(doc))
@@ -77,7 +82,7 @@ def test_read_config_rejects_non_numeric_fields(tmp_path):
 
 
 def test_read_config_requires_boolean_balance_flag(tmp_path):
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     for flag in (True, False):
         doc["flags"]["detailed_balance"] = flag
         p = tmp_path / "ok.json"
@@ -212,7 +217,7 @@ def test_cli_validate_ok(tmp_path, capsys):
 
 
 def test_cli_validate_flags_violations(tmp_path, capsys):
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     doc["rates"]["q_up"][2][0] = 1.0  # top row must be zero
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -449,7 +454,7 @@ def test_cli_analysis_logs_no_warnings(tmp_path, capsys, caplog):
 
 
 def test_cli_solve_and_simulate_reject_invalid_config(tmp_path, capsys):
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     doc["rates"]["q_up"][2] = [0.5, 0.5, 0.5]  # upgrades out of the top level
     p = str(tmp_path / "bad.json")
     with open(p, "w") as fh:
@@ -464,8 +469,47 @@ def test_cli_solve_and_simulate_reject_invalid_config(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("field, value, why", [
+    ("lambda", float("nan"), "must be finite"), ("delta", float("inf"), "must be finite"),
+    ("delta_int", float("nan"), "must be finite"), ("lambda", True, "must be a number"),
+    ("delta_dis", False, "must be a number")])
+def test_cli_rejects_non_finite_and_boolean_scales(tmp_path, capsys, field, value, why):
+    # Python's JSON reader takes NaN, Infinity and true where a scale belongs
+    doc = example_doc()
+    doc["scales"][field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for args in (["solve", str(p), "--T", "1", "--dt", "0.1"],
+                 ["simulate", str(p), "--N", "10", "--T", "1"],
+                 ["stationary", str(p)]):
+        out = tmp_path / args[0]
+        code, summary, _ = cli(args + ["--out", str(out)], capsys)
+        assert code == 1 and summary["ok"] is False
+        assert field in summary["error"] and why in summary["error"]
+        assert os.listdir(out) == []
+
+
+def test_cli_json_is_strict_when_no_switch_exists(tmp_path, capsys):
+    # with one behaviour there is no switch: cone_worst and both margins are
+    # -inf, which the artifacts and the summary write as null
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON output"))
+
+    p = write_config(tmp_path / "one.json", make_config(2, 1, np.random.default_rng(8)))
+    docs = {}
+    for args in (["solve", p, "--T", "2", "--dt", "0.05"], ["stationary", p]):
+        out = tmp_path / args[0]
+        assert cli_run(args + ["--out", str(out)]) == 0
+        summary = strict(capsys.readouterr().out)
+        for f in sorted(out.glob("*.json")):
+            docs[f.name] = strict(f.read_text())
+    assert summary["margin"] is None and summary["margin_leading"] is None
+    assert docs["solve.json"]["cone_worst"] is None
+    assert docs["stationary.json"]["margin"] is None
+
+
 def test_cli_stationary_validates_after_overrides(tmp_path, capsys):
-    doc = json.loads(open(EXAMPLE).read())
+    doc = example_doc()
     doc["scales"]["delta_int"] = 0.5  # inconsistent with the id1 coupling
     p = str(tmp_path / "odd.json")
     with open(p, "w") as fh:

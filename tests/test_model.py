@@ -15,7 +15,10 @@ from hbmfg import (
     SinkRates,
     dominant_level,
     effective_rewards,
+    enumerate_transitions,
     hjb_rhs,
+    integrate_backward,
+    integrate_forward,
     kinetic_rhs,
     regime_scales,
     simulate,
@@ -228,3 +231,48 @@ def test_tensor_control_is_rejected():
     npt.assert_array_equal(kinetic_rhs(x, stay, cfg), kinetic_rhs(x, None, cfg))
     npt.assert_array_equal(hjb_rhs(np.ones((2, 3)), x, stay, cfg),
                            hjb_rhs(np.ones((2, 3)), x, None, cfg))
+
+
+# every entry point that takes a control, called on a 2 x 3 config; the
+# integrators and the simulator run 4 steps, so a 4-step stack is their form
+_CONTROL_ENTRY_POINTS = {
+    "kinetic_rhs": lambda x, u, cfg: kinetic_rhs(x, u, cfg),
+    "hjb_rhs": lambda x, u, cfg: hjb_rhs(np.zeros((2, 3)), x, u, cfg),
+    "integrate_forward": lambda x, u, cfg: integrate_forward(x, u, 0.0, 1.0, 0.25, cfg),
+    "integrate_backward": lambda x, u, cfg: integrate_backward(
+        np.zeros((2, 3)), x, 0.0, 1.0, 0.25, cfg, mode="fixed", control=u),
+    "simulate": lambda x, u, cfg: simulate(CountState.from_occupation(x, 12), u, 1.0, 0, cfg,
+                                           samples=4),
+    "enumerate_transitions": lambda x, u, cfg: enumerate_transitions(
+        CountState.from_occupation(x, 12), u, cfg),
+}
+
+
+def _bad_target(kind):
+    stay = Control.stay(2, 3).target
+    if kind == "float":
+        return stay.astype(float)
+    if kind == "stack":
+        stack = np.stack([stay] * 4)
+        stack[2, 0, 0] = 3
+        return stack
+    bad = stay.copy()
+    if kind == "m":
+        bad[0, 0] = 3
+    else:
+        bad[1, 0] = -1
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["m", "minus-one", "float", "stack"])
+@pytest.mark.parametrize("entry", sorted(_CONTROL_ENTRY_POINTS))
+def test_every_entry_point_refuses_what_control_refuses(entry, kind):
+    # unchecked, a target of m at level 1 (or -1 at level 2) would move agents
+    # into the next (previous) level's cells
+    cfg = make_config(2, 3, np.random.default_rng(4), lam=1.5)
+    x = np.full((2, 3), 1.0 / 6.0)
+    bad = _bad_target(kind)
+    with pytest.raises(ValueError):
+        Control(bad)
+    with pytest.raises(ValueError):
+        _CONTROL_ENTRY_POINTS[entry](x, bad, cfg)

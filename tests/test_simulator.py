@@ -184,15 +184,12 @@ def test_equilibrium_occupancy_binomial_band():
 
 
 def test_policy_sampled_at_interval_midpoints():
+    # the policy "switch from t = 0.5 on" as its stack of interval-midpoint samples
     cfg = switch_cfg(lam=10.0)
-    on = np.array([[1, 1]])
-
-    def policy(t):
-        return on if t >= 0.5 else None
-
+    stack = np.array([[[0, 1]], [[1, 1]]])
     N = 50
     s0 = CountState(counts=np.array([[N, 0]]), N=N)
-    path = simulate(s0, policy, T=1.0, seed=8, cfg=cfg, samples=2)
+    path = simulate(s0, stack, T=1.0, seed=8, cfg=cfg, samples=2)
     npt.assert_array_equal(path.counts[1], path.counts[0])  # silent first half
     assert path.counts[2][0, 0] < 10  # second half drains state (1,1)
 
@@ -255,16 +252,17 @@ def _lockstep_case(name):
         u = random_control(3, 2, rng)
         return CountState.from_occupation(np.full((3, 2), 1 / 6), 200), u, 1.0, 4, cfg
     if name == "policy":
+        # three phases over six intervals of 0.25: a, then nobody switches, then b
         cfg = make_config(2, 2, rng, delta=0.2, regime="id2", lam=3.0)
-        a, b = np.array([[1, 1], [0, 1]]), np.array([[0, 0], [0, 0]])
+        a, stay, b = np.array([[1, 1], [0, 1]]), np.array([[0, 1], [0, 1]]), np.zeros((2, 2), int)
         return (CountState.from_occupation(np.full((2, 2), 0.25), 100),
-                lambda t: a if t < 0.5 else (None if t < 1.0 else b), 1.5, 6, cfg)
+                np.stack([a, a, stay, stay, b, b]), 1.5, 6, cfg)
     if name == "stalls-mid-run":
         # everyone switches to behaviour 2, where the total rate is 0, each
         # replication at its own time; from t = 1 everyone switches back
         there, back = np.array([[1, 1]]), np.array([[0, 0]])
         return (CountState(counts=np.array([[12, 0]]), N=12),
-                lambda t: there if t < 1.0 else back, 2.0, 4, switch_cfg(lam=10.0))
+                np.stack([there, there, back, back]), 2.0, 4, switch_cfg(lam=10.0))
     if name == "no-channels":
         return CountState(counts=np.array([[3, 2]]), N=5), None, 1.0, 2, switch_cfg()
     if name == "refills":

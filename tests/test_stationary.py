@@ -20,6 +20,7 @@ from hbmfg import (
     solve_on_complement,
     stationary_residual,
     stationary_solution,
+    validate,
 )
 from test_kinetics import column_generator
 from util_configs import make_config, nondb_pressure
@@ -224,6 +225,19 @@ def test_x1_defining_equation_generic_tensors():
     npt.assert_allclose(A @ x1[:, b], -r, atol=1e-13)
     assert abs(x1[:, b].sum()) < 1e-13
     assert np.abs(x1[:, b]).max() > 0
+
+
+def test_expansion_is_finite_at_zero_interaction_scale():
+    # validate accepts an explicit delta_int of 0 when delta^2 (id1) or delta
+    # (id2) lies within 1e-12 of it; the move table then holds no stimulated
+    # moves, so their terms vanish instead of reading 0 / 0
+    base = make_config(4, 3, np.random.default_rng(15), db=True, balanced_evo=False)
+    for regime, delta in (("id1", 1e-7), ("id2", 1e-13)):
+        cfg = replace(base, regime=regime, delta=delta, delta_int=0.0, delta_dis=None)
+        assert validate(cfg) == []
+        sol = stationary_solution(cfg)
+        npt.assert_array_equal(sol.x1, 0.0)
+        assert np.all(np.isfinite(sol.g))
 
 
 def test_stationary_solution_assembly():
