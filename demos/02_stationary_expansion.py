@@ -91,9 +91,10 @@ def main() -> None:
     # regime).  Rerun with a halved delta to see both move.
     print("\n delta   payoff gap (col 1 - col 2)   |x1|*delta_int     margin")
     for d in (0.1, 0.05, 0.025):
-        s = stationary_solution(build_config(d))
+        cfg_d = build_config(d)
+        s = stationary_solution(cfg_d)
         gap = s.g[0, 0] - s.g[0, 1]
-        x1n = float(np.max(np.abs(s.x1))) * s.delta_int
+        x1n = float(np.max(np.abs(s.x1))) * cfg_d.delta_int
         print(f" {d:5.3f}  {gap:27.4f}  {x1n:17.2e}  {s.margin:9.3f}")
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -22,6 +24,7 @@ from . import __version__
 from .hjb import HjbError
 from .io import (
     ConfigError,
+    check_fields,
     config_sha256,
     jsonable,
     read_config,
@@ -95,25 +98,17 @@ def _run_validate(cfg_path: str, out: str):
 
 
 def _run_stationary(cfg_path: str, out: str, regime=None, delta=None):
-    import dataclasses
-
     cfg = read_config(cfg_path)
-    if regime is not None or delta is not None:
-        # overrides re-derive delta_int/delta_dis from the (new) regime
-        cfg = dataclasses.replace(
-            cfg,
-            regime=Regime(regime) if regime is not None else cfg.regime,
-            delta=float(delta) if delta is not None else cfg.delta,
-            delta_int=None,
-            delta_dis=None,
-        )
+    overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
+    if overrides:  # the new config derives delta_int and delta_dis afresh
+        cfg = dataclasses.replace(cfg, **overrides)
     sol = stationary_solution(_require_valid(cfg))
     write_json(os.path.join(out, "stationary.json"), {
         "b": sol.b_1based,
-        "regime": sol.regime.value,
-        "delta": sol.delta,
-        "delta_int": sol.delta_int,
-        "delta_dis": sol.delta_dis,
+        "regime": cfg.regime.value,
+        "delta": cfg.delta,
+        "delta_int": cfg.delta_int,
+        "delta_dis": cfg.delta_dis,
         "margin": sol.margin,
         "margin_leading": sol.margin_leading,
         "column_sums": sol.meta["column_sums"],
@@ -249,8 +244,13 @@ def _run_simulate(cfg_path: str, out: str, N, T, reps=1, seed=0, samples=50,
 
 
 def _parse_sweep_value(token: str):
+    def finite(number: str) -> float:
+        if not math.isfinite(float(number)):
+            raise ConfigError(f"sweep value {token} holds the non-finite number {number}")
+        return float(number)
+
     try:
-        return json.loads(token)
+        return json.loads(token, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError:
         return token
 
@@ -292,11 +292,13 @@ def _run_sweep(cfg_path: str, out: str, param: str, values: list[str], op: str):
     vals = [_parse_sweep_value(v) for v in values]
     if not vals:
         raise ValueError("sweep needs at least one value")
+    docs = [copy.deepcopy(base) for _ in vals]
+    for doc, val in zip(docs, vals):  # every value's fields are checked before any run
+        _set_config_path(doc, tokens, val, param)
+        check_fields(doc)
     results = []
     worst = 0
-    for k, val in enumerate(vals):
-        doc = copy.deepcopy(base)
-        _set_config_path(doc, tokens, val, param)
+    for k, (val, doc) in enumerate(zip(vals, docs)):
         sub = os.path.join(out, f"val_{k}")
         os.makedirs(sub, exist_ok=True)
         sub_cfg = os.path.join(sub, "config.json")

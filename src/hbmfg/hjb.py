@@ -55,8 +55,8 @@ def _best_targets(gains: np.ndarray) -> np.ndarray:
 def _payoff_kernel(x, switch, cfg: GameConfig):
     """dg/dt as a function of g at occupation x; switch(g) is the gain, net of
     the fee, that each state takes at rate lam (None: nobody switches)."""
-    if cfg.delta_int != 0.0 and x is None:
-        raise HjbError("occupation required when delta_int > 0")
+    if x is None and cfg.moves.evo.any():
+        raise HjbError("occupation required when the config has stimulated moves")
     mv, lam = cfg.moves, cfg.lam
     rate = mv.per_capita(x)
 
@@ -79,9 +79,10 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
 
     u as in kinetic_rhs: a Control, an (n, m) target matrix or None (nobody
     switches).  x feeds the stimulated move coefficients; it may be None when
-    delta_int is zero.  The level moves enter as the adjoint of kinetic_rhs's
-    flux balance, each charged its fine.  An agent at (i, j) switching to
-    k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a stay gains 0.
+    the config has no stimulated moves.  The level moves enter as the adjoint
+    of kinetic_rhs's flux balance, each charged its fine.  An agent at (i, j)
+    switching to k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a
+    stay gains 0.
     """
     xa = None if x is None else occupation_array(x)
     switch = None if u is None else _target_gain(control_array(u, cfg.n, cfg.m), cfg)
@@ -124,9 +125,9 @@ def integrate_backward(
     """Integrate the payoff equation from g(t1)=gT back to t0 (RK4, reversed time).
 
     The grid is step_grid(t0, t1, dt), the forward integrator's grid.
-    occupation: None (only when delta_int=0), one (n, m) matrix, or a node
-    path of shape (n_steps + 1, n, m) such as a forward Trajectory.x; each
-    step then sees the mean of its two end nodes.
+    occupation: None (only without stimulated moves), one (n, m) matrix, or
+    a node path of shape (n_steps + 1, n, m) such as a forward Trajectory.x;
+    each step then sees the mean of its two end nodes.
     mode "fixed": control is used as is, in integrate_forward's forms (None =
     nobody switches, one Control/(n, m) target matrix, or a per-step stack);
     mode "optimizing": the best response to the current g is recomputed at

@@ -2,8 +2,9 @@
 
 Configs are JSON with four required sections (dimensions, rates, economics,
 scales) and an optional flags section; parse errors name the offending field
-or the JSON line.  Trajectory CSVs carry a time column followed by the states
-flattened row-major with 1-based labels (x_1_1 ... x_n_m); floats are written
+or the JSON line, and a field that read_config does not read is refused.
+Trajectory CSVs carry a time column followed by the states flattened
+row-major with 1-based labels (x_1_1 ... x_n_m); floats are written
 with 17 significant digits so values round-trip exactly.  Every output
 directory gets a manifest.json listing relative paths and content hashes;
 no timestamps, so identical runs produce identical bytes.
@@ -22,6 +23,7 @@ from .model import GameConfig, SinkRates
 
 __all__ = [
     "ConfigError",
+    "check_fields",
     "read_config_doc",
     "read_config",
     "config_sha256",
@@ -40,11 +42,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _get(section: dict, path: str, key: str, required: bool = True):
+# The fields read_config reads, by the path of their section; it refuses any other.
+_FIELDS = {
+    (): ("dimensions", "rates", "economics", "scales", "flags"),
+    ("dimensions",): ("n", "m"),
+    ("rates",): ("q_up", "q_down", "q_up_evo", "q_down_evo", "q_sink"),
+    ("rates", "q_sink"): ("direct", "interaction"),
+    ("economics",): ("w", "fee_B", "fee_H"),
+    ("scales",): ("lambda", "delta", "regime"),
+    ("flags",): ("detailed_balance",),
+}
+
+
+def check_fields(doc) -> None:
+    """Refuse, by its dotted name, a field of a config document that read_config does not read."""
+    for path, known in _FIELDS.items():
+        sec = doc
+        for key in path:
+            sec = sec.get(key) if isinstance(sec, dict) else None
+        for key in sec if isinstance(sec, dict) else ():  # other sections are read_config's
+            if key not in known:
+                raise ConfigError(f"config has unknown field '{'.'.join(path + (key,))}'")
+
+
+def _get(section: dict, path: str, key: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"config is missing field '{path}.{key}'")
-        return None
+        raise ConfigError(f"config is missing field '{path}.{key}'")
     return section[key]
 
 
@@ -59,12 +82,12 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
-def _array(value, path: str) -> np.ndarray:
+def _array(section: dict, path: str, key: str) -> np.ndarray:
+    value = _get(section, path, key)
     try:
-        a = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"config field '{path}' is not numeric: {e}") from None
-    return a
+        raise ConfigError(f"config field '{path}.{key}' is not numeric: {e}") from None
 
 
 def read_config_doc(path: str):
@@ -85,6 +108,7 @@ def read_config(path: str) -> GameConfig:
     doc = read_config_doc(path)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    check_fields(doc)
 
     dims = _section(doc, "dimensions")
     rates = _section(doc, "rates")
@@ -103,18 +127,14 @@ def read_config(path: str) -> GameConfig:
         sink = rates["q_sink"]
         if not isinstance(sink, dict):
             raise ConfigError("config field 'rates.q_sink' must be an object")
-        q_sink = SinkRates(
-            direct=_array(_get(sink, "rates.q_sink", "direct"), "rates.q_sink.direct"),
-            interaction=_array(
-                _get(sink, "rates.q_sink", "interaction"), "rates.q_sink.interaction"
-            ),
-        )
+        q_sink = SinkRates(direct=_array(sink, "rates.q_sink", "direct"),
+                           interaction=_array(sink, "rates.q_sink", "interaction"))
 
     regime = _get(scales, "scales", "regime")
     detailed_balance = flags.get("detailed_balance", False)
     if not isinstance(detailed_balance, bool):
         raise ConfigError("config field 'flags.detailed_balance' must be true or false")
-    for key in ("lambda", "delta", "delta_int", "delta_dis"):
+    for key in ("lambda", "delta"):
         if isinstance(scales.get(key), bool):  # float() would read true as 1.0
             raise ConfigError(f"config field 'scales.{key}' must be a number, "
                               f"not {json.dumps(scales[key])}")
@@ -122,24 +142,18 @@ def read_config(path: str) -> GameConfig:
         cfg = GameConfig(
             n=n,
             m=m,
-            q_up=_array(_get(rates, "rates", "q_up"), "rates.q_up"),
-            q_down=_array(_get(rates, "rates", "q_down"), "rates.q_down"),
-            q_up_evo=_array(_get(rates, "rates", "q_up_evo"), "rates.q_up_evo"),
-            q_down_evo=_array(_get(rates, "rates", "q_down_evo"), "rates.q_down_evo"),
-            w=_array(_get(econ, "economics", "w"), "economics.w"),
-            fee_B=_array(_get(econ, "economics", "fee_B"), "economics.fee_B"),
-            fee_H=_array(_get(econ, "economics", "fee_H"), "economics.fee_H"),
+            q_up=_array(rates, "rates", "q_up"),
+            q_down=_array(rates, "rates", "q_down"),
+            q_up_evo=_array(rates, "rates", "q_up_evo"),
+            q_down_evo=_array(rates, "rates", "q_down_evo"),
+            w=_array(econ, "economics", "w"),
+            fee_B=_array(econ, "economics", "fee_B"),
+            fee_H=_array(econ, "economics", "fee_H"),
             lam=float(_get(scales, "scales", "lambda")),
             delta=float(_get(scales, "scales", "delta")),
             regime=regime,
             detailed_balance=detailed_balance,
             q_sink=q_sink,
-            delta_int=(
-                float(scales["delta_int"]) if "delta_int" in scales else None
-            ),
-            delta_dis=(
-                float(scales["delta_dis"]) if "delta_dis" in scales else None
-            ),
         )
     except ConfigError:
         raise

@@ -142,9 +142,9 @@ class GameConfig:
 
     w[i, j] is the per-state reward flow, fee_B[j, k] the behaviour switching
     fee (zero diagonal), fee_H[i] the fine charged on an enforced downgrade
-    out of level i.  lam is the decision-clock rate; delta the base asymptotic
-    scale; delta_int/delta_dis default to the regime coupling but may be set
-    explicitly (validate() then reports any mismatch).
+    out of level i.  lam is the decision-clock rate and delta the base
+    asymptotic scale.  delta_int and delta_dis are not arguments: each is
+    derived from regime and delta (regime_scales), so replace() re-derives them.
     """
 
     n: int
@@ -161,8 +161,8 @@ class GameConfig:
     regime: Regime = Regime.ID1
     detailed_balance: bool = False
     q_sink: Optional[SinkRates] = None
-    delta_int: float = None  # type: ignore[assignment]
-    delta_dis: float = None  # type: ignore[assignment]
+    delta_int: float = field(init=False)
+    delta_dis: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
@@ -171,15 +171,11 @@ class GameConfig:
             object.__setattr__(self, name, _ro(getattr(self, name)))
         if isinstance(self.regime, str):
             object.__setattr__(self, "regime", Regime(self.regime.lower()))
-        d_int, d_dis = regime_scales(self.regime, float(self.delta))
-        if self.delta_int is None:
-            object.__setattr__(self, "delta_int", d_int)
-        if self.delta_dis is None:
-            object.__setattr__(self, "delta_dis", d_dis)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "delta_int", float(self.delta_int))
-        object.__setattr__(self, "delta_dis", float(self.delta_dis))
+        d_int, d_dis = regime_scales(self.regime, self.delta)
+        object.__setattr__(self, "delta_int", d_int)
+        object.__setattr__(self, "delta_dis", d_dis)
 
     @property
     def variant(self) -> str:
@@ -353,27 +349,15 @@ def validate(cfg: GameConfig) -> list[str]:
     if ok_fh and cfg.fee_H.min() < 0:
         v.append("fee_H has negative entries")
 
-    # written so that nan fails too; an inf would pass the regime test below
+    # written so that nan fails too
     if not (0 <= cfg.lam < np.inf):
         v.append(f"lambda: decision rate must be finite and nonnegative, got {cfg.lam!r}")
     if not (0 < cfg.delta < np.inf):
         v.append(f"delta: must be finite and positive, got {cfg.delta!r}")
-    if not (0 < cfg.delta_dis < np.inf):
-        v.append(f"delta_dis: must be finite and positive, got {cfg.delta_dis!r}")
-    if not (0 <= cfg.delta_int < np.inf):
-        v.append(f"delta_int: must be finite and nonnegative, got {cfg.delta_int!r}")
-
-    d_int, d_dis = regime_scales(cfg.regime, cfg.delta)
-    if abs(cfg.delta_int - d_int) > TIE_TOL * max(1.0, d_int):
-        v.append(
-            f"regime {cfg.regime.value}: delta_int={cfg.delta_int!r} "
-            f"inconsistent with delta={cfg.delta!r} (expected {d_int!r})"
-        )
-    if abs(cfg.delta_dis - d_dis) > TIE_TOL * max(1.0, d_dis):
-        v.append(
-            f"regime {cfg.regime.value}: delta_dis={cfg.delta_dis!r} "
-            f"inconsistent with delta={cfg.delta!r} (expected {d_dis!r})"
-        )
+    elif not (0 < cfg.delta_dis < np.inf and cfg.delta_int < np.inf):  # delta^2 over/underflows
+        v.append(f"regime {cfg.regime.value} at delta={cfg.delta!r}: derived scales "
+                 f"delta_int={cfg.delta_int!r}, delta_dis={cfg.delta_dis!r} must be "
+                 "finite, delta_dis positive")
 
     if cfg.detailed_balance and ok_up and ok_dn:
         gap, (i, j) = balance_gap(cfg)

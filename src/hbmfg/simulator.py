@@ -404,9 +404,10 @@ def convergence_study(
 
     Replication r at the k-th population size draws its own PCG64 stream,
     seeded seed + k*replications + r; each size is one lockstep `simulate`
-    call.  Returns per-N mean paths, per-cell
-    standard errors of those means, and the pooled RMSE with its log-log
-    slope in N.
+    call.  u takes simulate's forms; the kinetic reference holds a stack's
+    target over each output interval's integration steps.  Returns per-N
+    mean paths, per-cell standard errors of those means, and the pooled RMSE
+    with its log-log slope in N.
     """
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing with at least two sizes")
@@ -416,7 +417,9 @@ def convergence_study(
     times = np.linspace(0.0, T, samples + 1)
 
     per = max(1, int(math.ceil(2000.0 / samples)))
-    traj = integrate_forward(x0a, u, 0.0, T, T / (per * samples), cfg)
+    steps = control_steps(u, samples, cfg)  # a stack is checked against samples first
+    ref_u = np.repeat(steps, per, axis=0) if isinstance(steps, np.ndarray) else u
+    traj = integrate_forward(x0a, ref_u, 0.0, T, T / (per * samples), cfg)
     ref = traj.x[::per]
 
     means = {}

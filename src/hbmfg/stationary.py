@@ -170,26 +170,24 @@ def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
 class StationarySolution:
     """The stationary expansion at a config's scales; its fields are the terms.
 
-    x0 is uniform mass on the dominant column b and x1 the delta_int-order
-    occupation correction, supported on column b.  g0 holds each column's
-    mean effective reward (constant down the column), g1 the mean-zero first
-    payoff correction, and g2 the second one in the fast-discount regimes
-    (None in ID3).  g = g0/delta_dis + g1 (+ delta_dis*g2).  margin is the
-    best switching gain at the assembled point (<= 0 certifies no profitable
-    switch); margin_leading compares column reward sums directly.
+    x0 is uniform mass on the dominant column b, x1 the delta_int-order
+    occupation correction, supported on column b, and x_corrected =
+    x0 + delta_int*x1.  g0 holds each column's mean effective reward
+    (constant down the column), g1 the mean-zero first payoff correction,
+    and g2 the second one in the fast-discount regimes (None in ID3).
+    g = g0/delta_dis + g1 (+ delta_dis*g2).  margin is the best switching
+    gain at the assembled point (<= 0 certifies no profitable switch);
+    margin_leading compares column reward sums directly.
     """
 
     x0: Occupation
     x1: np.ndarray
+    x_corrected: np.ndarray
     g0: np.ndarray
     g1: np.ndarray
     g2: Optional[np.ndarray]
     g: np.ndarray
     b: int
-    regime: Regime
-    delta: float
-    delta_int: float
-    delta_dis: float
     margin: float
     margin_leading: float
     meta: dict = field(default_factory=dict, repr=False)
@@ -197,10 +195,6 @@ class StationarySolution:
     @property
     def b_1based(self) -> int:
         return self.b + 1
-
-    @property
-    def x_corrected(self) -> np.ndarray:
-        return self.x0.x + self.delta_int * self.x1
 
 
 def stationary_solution(cfg: GameConfig) -> StationarySolution:
@@ -246,7 +240,7 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
         return np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
 
     mv = cfg.moves
-    unit = cfg.delta_int or 1.0   # evo / unit is at unit interaction scale (0 if delta_int is)
+    unit = cfg.delta_int or 1.0   # evo / unit: unit interaction scale (ID1's may underflow to 0)
     r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
     x1 = np.zeros((n, cfg.m))
     x1[:, b] = solve_on_complement(chains[b], r - r.mean())
@@ -284,15 +278,12 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     return StationarySolution(
         x0=Occupation(x0m),
         x1=x1,
+        x_corrected=x0m + cfg.delta_int * x1,
         g0=g0,
         g1=g1,
         g2=g2,
         g=g,
         b=b,
-        regime=cfg.regime,
-        delta=cfg.delta,
-        delta_int=cfg.delta_int,
-        delta_dis=cfg.delta_dis,
         margin=margin,
         margin_leading=margin_leading,
         meta={"column_sums": sums.copy()},

@@ -178,7 +178,7 @@ def test_06_expansion_residual_scaling():
     deltas = [0.1, 0.05, 0.025]
     res_g, res_x, dints = [], [], []
     for d in deltas:
-        cfg = replace(base_cfg, delta=d, delta_int=None, delta_dis=None)
+        cfg = replace(base_cfg, delta=d)
         sol = stationary_solution(cfg)
         xs = sol.x_corrected
         res_g.append(float(np.max(np.abs(hjb_rhs(sol.g, xs, None, cfg)))))
@@ -226,8 +226,7 @@ def test_08_turnpike():
     que, qde = evo_tensors(3, 3, rng, balanced=False)
     sups = []
     for d in (0.05, 0.025):
-        cfg = replace(thm, q_up_evo=que, q_down_evo=qde, delta=d,
-                      delta_int=None, delta_dis=None)
+        cfg = replace(thm, q_up_evo=que, q_down_evo=qde, delta=d)
         sol = stationary_solution(cfg)
         res = solve_mfg(sol.x0.x, np.zeros((3, 3)),
                         default_horizon(cfg), default_dt(cfg), cfg)

@@ -94,7 +94,7 @@ def test_rhs_frozen_two_level_chain():
         n=2, m=1, q_up=[[1.0], [0.0]], q_down=[[0.0], [1.0]],
         q_up_evo=np.zeros((2, 1, 1)), q_down_evo=np.zeros((2, 1, 1)),
         w=np.zeros((2, 1)), fee_B=np.zeros((1, 1)), fee_H=[0.0, 0.5],
-        delta=0.1, delta_int=0.0,
+        delta=0.1,
     )
     g = np.array([[1.0], [0.0]])
     npt.assert_allclose(hjb_rhs(g, None, None, cfg), [[1.1], [-0.5]], atol=1e-15)
@@ -158,7 +158,7 @@ def test_integrate_backward_scalar_exponential_oracle():
         n=1, m=1, q_up=np.zeros((1, 1)), q_down=np.zeros((1, 1)),
         q_up_evo=np.zeros((1, 1, 1)), q_down_evo=np.zeros((1, 1, 1)),
         w=[[2.0]], fee_B=np.zeros((1, 1)), fee_H=np.zeros(1),
-        delta=0.5, delta_int=0.0,
+        delta=0.5,
     )
     traj = integrate_backward([[1.0]], None, 0.0, 2.0, 1e-3, cfg)
     want = 2.0 / 0.5 + (1.0 - 2.0 / 0.5) * np.exp(-0.5 * (2.0 - traj.times))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import hbmfg
-from hbmfg import GameConfig, Regime, stationary_solution
+from hbmfg import GameConfig, Regime, SinkRates, stationary_solution
 from hbmfg.cli import _control_change_points
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
@@ -63,6 +64,37 @@ def test_read_config_error_messages(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         read_config(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("sink", [False, True])
+def test_read_config_round_trips_every_field(tmp_path, sink):
+    # config_doc writes every field read_config reads, and nothing else
+    cfg = make_config(3, 2, np.random.default_rng(5), sink=sink, fine=0.2, regime=Regime.ID2)
+    back = read_config(write_config(tmp_path / "c.json", cfg))
+    for f in dataclasses.fields(GameConfig):
+        a, b = getattr(cfg, f.name), getattr(back, f.name)
+        if isinstance(a, SinkRates):
+            npt.assert_array_equal(a.direct, b.direct)
+            npt.assert_array_equal(a.interaction, b.interaction)
+        else:
+            npt.assert_array_equal(a, b, err_msg=f.name)
+    assert (back.q_sink is None) is not sink
+
+
+@pytest.mark.parametrize("name", [
+    "name", "dimensions.k", "rates.q_upp", "rates.q_sink.drect", "economics.fee_b",
+    "scales.detla", "scales.delta_int", "scales.delta_dis", "flags.detailed_balanse"])
+def test_read_config_refuses_unknown_fields(tmp_path, name):
+    doc = example_doc()
+    *path, key = name.split(".")
+    section = doc
+    for part in path:
+        section = section.setdefault(part, {})
+    section[key] = 0.5
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"unknown field '{name}'"):
+        read_config(str(p))
 
 
 def test_read_config_rejects_non_numeric_fields(tmp_path):
@@ -471,8 +503,8 @@ def test_cli_solve_and_simulate_reject_invalid_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, why", [
     ("lambda", float("nan"), "must be finite"), ("delta", float("inf"), "must be finite"),
-    ("delta_int", float("nan"), "must be finite"), ("lambda", True, "must be a number"),
-    ("delta_dis", False, "must be a number")])
+    ("delta_int", float("nan"), "unknown field"), ("lambda", True, "must be a number"),
+    ("delta_dis", False, "unknown field")])
 def test_cli_rejects_non_finite_and_boolean_scales(tmp_path, capsys, field, value, why):
     # Python's JSON reader takes NaN, Infinity and true where a scale belongs
     doc = example_doc()
@@ -510,16 +542,63 @@ def test_cli_json_is_strict_when_no_switch_exists(tmp_path, capsys):
 
 def test_cli_stationary_validates_after_overrides(tmp_path, capsys):
     doc = example_doc()
-    doc["scales"]["delta_int"] = 0.5  # inconsistent with the id1 coupling
+    doc["scales"]["delta"] = -0.05
     p = str(tmp_path / "odd.json")
     with open(p, "w") as fh:
         json.dump(doc, fh)
     code, summary, _ = cli(["stationary", p, "--out", str(tmp_path / "a")], capsys)
-    assert code == 1 and "delta_int" in summary["error"]
-    # --delta re-derives both scales from the regime, so the result is valid
+    assert code == 1 and "delta: must be finite and positive" in summary["error"]
+    # the override is validated, not the file's delta
     code, _, _ = cli(["stationary", p, "--out", str(tmp_path / "b"),
                       "--delta", "0.05"], capsys)
     assert code == 0
+
+
+def test_cli_refuses_misspelled_fields(tmp_path, capsys):
+    # a misspelled detailed_balance flag would skip the balance check; a
+    # misspelled sweep path would rerun one config under every value
+    doc = example_doc()
+    doc["rates"]["q_down"][2][1] = 0.5  # breaks detailed balance with q_up[1][1]
+    doc["flags"] = {"detailed_balanse": True}
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = cli(["validate", str(p), "--out", str(tmp_path / "v")], capsys)
+    assert code == 1
+    vdoc = json.loads((tmp_path / "v" / "validation.json").read_text())
+    assert vdoc["violations"] == ["config has unknown field 'flags.detailed_balanse'"]
+    for args in (["stationary", str(p)],
+                 ["sweep", EXAMPLE, "--param", "scales.detla", "--values", "0.1", "0.05"]):
+        out = tmp_path / args[0]
+        code, summary, _ = cli(args + ["--out", str(out)], capsys)
+        assert code == 1 and "unknown field" in summary["error"]
+        assert os.listdir(out) == []
+
+
+def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
+    for values in (["NaN", "0.05"], ["0.05", "Infinity"], ["[-Infinity]"], ["1e400"],
+                   ["[0.5, NaN, 0.5]"]):
+        out = tmp_path / f"o{len(os.listdir(tmp_path))}"
+        code, summary, _ = cli(["sweep", EXAMPLE, "--out", str(out), "--param",
+                                "scales.delta", "--values", *values], capsys)
+        assert code == 1 and "non-finite" in summary["error"], values
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("regime, delta", [("id1", 1e200), ("id3", 1e-170), ("id3", 1e200)])
+def test_cli_rejects_scales_that_overflow_or_underflow(tmp_path, capsys, regime, delta):
+    # delta is fine, but delta^2 is inf, or 0 where delta_dis must be positive
+    doc = example_doc()
+    doc["scales"].update(regime=regime, delta=delta)
+    p = tmp_path / "extreme.json"
+    p.write_text(json.dumps(doc))
+    for args in (["stationary", str(p)], ["solve", str(p), "--T", "1", "--dt", "0.1"]):
+        out = tmp_path / args[0]
+        code, summary, _ = cli(args + ["--out", str(out)], capsys)
+        assert code == 1 and "derived scales" in summary["error"]
+        assert os.listdir(out) == []
+    code, _, _ = cli(["stationary", EXAMPLE, "--out", str(tmp_path / "o"),
+                      "--regime", regime, "--delta", repr(delta)], capsys)
+    assert code == 1 and os.listdir(tmp_path / "o") == []
 
 
 def test_cli_sweep_stationary(tmp_path, capsys):

@@ -58,10 +58,11 @@ def test_config_derives_scales_from_regime():
     cfg3 = _tiny(delta=0.2, regime="id3")  # string form accepted
     assert cfg3.regime is Regime.ID3
     assert cfg3.delta_dis == pytest.approx(0.04)
-    # explicit overrides win; validate() flags the mismatch instead
-    odd = _tiny(delta=0.2, delta_int=0.5)
-    assert odd.delta_int == 0.5
-    assert any("delta_int" in msg for msg in validate(odd))
+    # both scales are derived: neither is an argument, and replace() re-derives them
+    for name in ("delta_int", "delta_dis"):
+        with pytest.raises(TypeError, match=name):
+            _tiny(delta=0.2, **{name: 0.5})
+    assert dataclasses.replace(cfg, regime=Regime.ID3).delta_dis == pytest.approx(0.04)
 
 
 def test_config_arrays_are_read_only():

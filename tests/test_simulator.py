@@ -237,6 +237,27 @@ def test_convergence_study_structure_and_guards():
                           replications=1, seed=1)
 
 
+def test_convergence_study_takes_a_per_interval_stack():
+    # the kinetic reference holds each interval's target over its integration
+    # steps; a constant stack gives what its one matrix gives, bit for bit
+    cfg = read_config(EXAMPLE)
+    x0 = np.full((3, 3), 1 / 9)
+    up = np.tile([1, 2, 2], (3, 1))
+    stack = np.stack([np.tile(np.arange(3), (3, 1))] * 5 + [up] * 5)
+    study = convergence_study(cfg, stack, x0, 1.0, (50, 100), 2, 1, samples=10)
+    assert np.all(np.isfinite(study.rmse))
+    halves = (integrate_forward(x0, None, 0.0, 0.5, 5e-4, cfg).x[::200],
+              integrate_forward(study.reference[5], up, 0.5, 1.0, 5e-4, cfg).x[::200])
+    npt.assert_allclose(study.reference, np.concatenate([halves[0], halves[1][1:]]),
+                        rtol=0, atol=1e-15)
+    fixed = convergence_study(cfg, up, x0, 1.0, (50, 100), 2, 1, samples=10)
+    const = convergence_study(cfg, np.stack([up] * 10), x0, 1.0, (50, 100), 2, 1, samples=10)
+    npt.assert_array_equal(const.reference, fixed.reference)
+    npt.assert_array_equal(const.rmse, fixed.rmse)
+    with pytest.raises(ValueError, match="grid's 10 steps"):
+        convergence_study(cfg, stack[:7], x0, 1.0, (50, 100), 2, 1, samples=10)
+
+
 def _lockstep_case(name):
     """(s0, u, T, samples, cfg) for one lockstep-versus-solo comparison."""
     rng = np.random.default_rng(17)

@@ -176,7 +176,7 @@ def test_g2_regimes():
     npt.assert_allclose(g2.sum(axis=0), 0.0, atol=1e-12)
 
     # the slow-discount regime carries no second-order payoff correction
-    sol3 = stationary_solution(replace(cfg1, regime=Regime.ID3, delta_int=None, delta_dis=None))
+    sol3 = stationary_solution(replace(cfg1, regime=Regime.ID3))
     assert sol3.g2 is None
     npt.assert_array_equal(sol3.g1, g1)
 
@@ -228,16 +228,15 @@ def test_x1_defining_equation_generic_tensors():
 
 
 def test_expansion_is_finite_at_zero_interaction_scale():
-    # validate accepts an explicit delta_int of 0 when delta^2 (id1) or delta
-    # (id2) lies within 1e-12 of it; the move table then holds no stimulated
-    # moves, so their terms vanish instead of reading 0 / 0
+    # in id1 a delta below about 1e-162 underflows delta_int = delta^2 to 0,
+    # which validate accepts; the move table then holds no stimulated moves,
+    # so their terms vanish instead of reading 0 / 0
     base = make_config(4, 3, np.random.default_rng(15), db=True, balanced_evo=False)
-    for regime, delta in (("id1", 1e-7), ("id2", 1e-13)):
-        cfg = replace(base, regime=regime, delta=delta, delta_int=0.0, delta_dis=None)
-        assert validate(cfg) == []
-        sol = stationary_solution(cfg)
-        npt.assert_array_equal(sol.x1, 0.0)
-        assert np.all(np.isfinite(sol.g))
+    cfg = replace(base, regime="id1", delta=1e-170)
+    assert cfg.delta_int == 0.0 and validate(cfg) == []
+    sol = stationary_solution(cfg)
+    npt.assert_array_equal(sol.x1, 0.0)
+    assert np.all(np.isfinite(sol.g))
 
 
 def test_stationary_solution_assembly():
