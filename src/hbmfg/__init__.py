@@ -23,7 +23,6 @@ from .kinetics import (
     Trajectory,
     integrate_forward,
     kinetic_rhs,
-    stationary_residual,
 )
 from .hjb import (
     HjbError,
@@ -31,7 +30,6 @@ from .hjb import (
     hjb_rhs,
     integrate_backward,
     optimal_control,
-    stationary_payoff_residual,
     switch_gains,
 )
 from .stationary import (
@@ -57,7 +55,6 @@ from .solver import (
     MfgSolveResult,
     TurnpikeMetrics,
     boundary_tangent_condition,
-    cone_check,
     default_dt,
     default_horizon,
     rate_ordering_check,
@@ -84,10 +81,9 @@ __all__ = [
     "validate", "effective_rewards", "dominant_level", "regime_scales",
     # kinetics
     "Trajectory", "KineticsError", "kinetic_rhs", "integrate_forward",
-    "stationary_residual",
     # hjb
     "HjbError", "hjb_rhs", "switch_gains", "optimal_control",
-    "consistency_margin", "integrate_backward", "stationary_payoff_residual",
+    "consistency_margin", "integrate_backward",
     # stationary
     "StationaryError", "DegenerateChainError", "LevelChain",
     "StationarySolution", "build_level_chain", "kernel_product_forms",
@@ -97,7 +93,7 @@ __all__ = [
     "spectrum", "compare_d_block", "lift_tangent", "reduce_states",
     # solver
     "MfgSolveResult", "TurnpikeMetrics", "solve_mfg",
-    "cone_check", "boundary_tangent_condition", "rate_ordering_check",
+    "boundary_tangent_condition", "rate_ordering_check",
     "turnpike_metrics", "default_horizon", "default_dt",
     # simulator
     "CountState", "Transition", "SimPath", "ConvergenceStudy",

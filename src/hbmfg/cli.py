@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -63,16 +64,26 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here reserves 2 for
     # numerical failures, so usage problems are rerouted to exit 1.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain negative decimals as values; -1e-3 is one too
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
+
+
+def _exit_code(e: Exception) -> int:
+    # LinAlgError is also a ValueError, so the numerical test comes first
+    return 2 if isinstance(e, _NUMERICAL_ERRORS) else 1
 
 
 def _emit(summary: dict) -> None:
     print(json.dumps(jsonable(summary), sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
-def _outdir(args) -> str:
-    out = args.out or os.environ.get("MFG_OUT") or "out"
+def _outdir(out) -> str:
+    out = out or os.environ.get("MFG_OUT") or "out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -84,9 +95,16 @@ def _require_valid(cfg):
     return cfg
 
 
-def _run_validate(cfg_path: str, out: str):
+def _initial_occupation(x0, cfg) -> np.ndarray:
+    """The --x0 occupation CSV, or the uniform occupation without one."""
+    if x0:
+        return Occupation(read_state_csv(x0, cfg.n, cfg.m)).x
+    return Occupation.uniform(cfg.n, cfg.m).x
+
+
+def _run_validate(config: str, out: str):
     try:
-        cfg = read_config(cfg_path)
+        cfg = read_config(config)
         violations = validate(cfg)
     except ConfigError as e:
         violations = [str(e)]
@@ -97,8 +115,8 @@ def _run_validate(cfg_path: str, out: str):
     return (0 if ok else 1), summary
 
 
-def _run_stationary(cfg_path: str, out: str, regime=None, delta=None):
-    cfg = read_config(cfg_path)
+def _run_stationary(config: str, out: str, regime=None, delta=None):
+    cfg = read_config(config)
     overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
     if overrides:  # the new config derives delta_int and delta_dis afresh
         cfg = dataclasses.replace(cfg, **overrides)
@@ -125,8 +143,8 @@ def _run_stationary(cfg_path: str, out: str, regime=None, delta=None):
     return 0, summary
 
 
-def _run_stability(cfg_path: str, out: str):
-    cfg = _require_valid(read_config(cfg_path))
+def _run_stability(config: str, out: str):
+    cfg = _require_valid(read_config(config))
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
     cmp_ = compare_d_block(cfg)
@@ -160,16 +178,13 @@ def _control_change_points(times, u_path):
     return changes
 
 
-def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
-               gT_path=None, max_iter=50):
-    cfg = _require_valid(read_config(cfg_path))
+def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_iter=50):
+    cfg = _require_valid(read_config(config))
     horizon = float(T) if T is not None else default_horizon(cfg)
     step = float(dt) if dt is not None else default_dt(cfg)
-    x0 = (Occupation(read_state_csv(x0_path, cfg.n, cfg.m)).x
-          if x0_path else Occupation.uniform(cfg.n, cfg.m).x)
-    gT = read_state_csv(gT_path, cfg.n, cfg.m) if gT_path else np.zeros((cfg.n, cfg.m))
+    g_end = read_state_csv(gT, cfg.n, cfg.m) if gT else np.zeros((cfg.n, cfg.m))
 
-    res = solve_mfg(x0, gT, horizon, step, cfg, max_iter=max_iter)
+    res = solve_mfg(_initial_occupation(x0, cfg), g_end, horizon, step, cfg, max_iter=max_iter)
     traj = res.trajectory
     write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, prefix="x")
     write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, prefix="g")
@@ -209,14 +224,12 @@ def _run_solve(cfg_path: str, out: str, T=None, dt=None, x0_path=None,
     return (0 if res.converged else 2), summary
 
 
-def _run_simulate(cfg_path: str, out: str, N, T, reps=1, seed=0, samples=50,
-                  per_rep=False, x0_path=None):
-    cfg = _require_valid(read_config(cfg_path))
+def _run_simulate(config: str, out: str, N, T, reps=1, seed=0, samples=50,
+                  per_rep=False, x0=None):
+    cfg = _require_valid(read_config(config))
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
-    x0 = (Occupation(read_state_csv(x0_path, cfg.n, cfg.m)).x
-          if x0_path else Occupation.uniform(cfg.n, cfg.m).x)
-    s0 = CountState.from_occupation(x0, int(N))
+    s0 = CountState.from_occupation(_initial_occupation(x0, cfg), int(N))
     paths = simulate(s0, None, float(T), [seed + r for r in range(reps)], cfg,
                      samples=samples)
     xs = np.stack([p.x for p in paths])
@@ -286,8 +299,8 @@ _SWEEP_OPS = {
 }
 
 
-def _run_sweep(cfg_path: str, out: str, param: str, values: list[str], op: str):
-    base = read_config_doc(cfg_path)
+def _run_sweep(config: str, out: str, param: str, values: list[str], op: str):
+    base = read_config_doc(config)
     tokens = param.split(".")
     vals = [_parse_sweep_value(v) for v in values]
     if not vals:
@@ -307,10 +320,8 @@ def _run_sweep(cfg_path: str, out: str, param: str, values: list[str], op: str):
             fh.write("\n")
         try:
             code, summary = _SWEEP_OPS[op](sub_cfg, sub)
-        except _NUMERICAL_ERRORS as e:
-            code, summary = 2, {"error": str(e)}
-        except _VALIDATION_ERRORS as e:
-            code, summary = 1, {"error": str(e)}
+        except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
+            code, summary = _exit_code(e), {"error": str(e)}
         results.append({"value": val, "dir": f"val_{k}",
                         "status": code, "summary": summary})
         worst = max(worst, code)
@@ -326,32 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"hbmfg {__version__}")
     subs = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def common(sp):
+    def command(name, handler, about):
+        sp = subs.add_parser(name, help=about)
+        sp.set_defaults(handler=handler)
         sp.add_argument("config", help="path to a JSON config file")
         sp.add_argument("--out", default=None,
                         help="output directory (default $MFG_OUT or ./out)")
+        return sp
 
-    sp = subs.add_parser("validate", help="check a config against the invariants")
-    common(sp)
-
-    sp = subs.add_parser("stationary", help="stationary expansion terms")
-    common(sp)
+    command("validate", _run_validate, "check a config against the invariants")
+    sp = command("stationary", _run_stationary, "stationary expansion terms")
     sp.add_argument("--regime", choices=[r.value for r in Regime], default=None)
     sp.add_argument("--delta", type=float, default=None)
 
-    sp = subs.add_parser("stability", help="reduced linearization spectrum")
-    common(sp)
-
-    sp = subs.add_parser("solve", help="coupled forward-backward solve")
-    common(sp)
+    command("stability", _run_stability, "reduced linearization spectrum")
+    sp = command("solve", _run_solve, "coupled forward-backward solve")
     sp.add_argument("--T", type=float, default=None, help="horizon (default 50/min rate)")
     sp.add_argument("--dt", type=float, default=None, help="step (default from rates)")
     sp.add_argument("--x0", default=None, help="initial occupation CSV (one row)")
     sp.add_argument("--gT", default=None, help="terminal payoff CSV (one row)")
     sp.add_argument("--max-iter", type=int, default=50)
 
-    sp = subs.add_parser("simulate", help="finite-population event simulation")
-    common(sp)
+    sp = command("simulate", _run_simulate, "finite-population event simulation")
     sp.add_argument("--N", type=int, required=True, help="population size")
     sp.add_argument("--T", type=float, required=True, help="horizon")
     sp.add_argument("--reps", type=int, default=1)
@@ -361,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write one CSV per replication")
     sp.add_argument("--x0", default=None, help="initial occupation CSV (one row)")
 
-    sp = subs.add_parser("sweep", help="rerun an operation across parameter values")
-    common(sp)
+    sp = command("sweep", _run_sweep, "rerun an operation across parameter values")
     sp.add_argument("--param", required=True,
                     help="dotted path into the config (e.g. scales.delta)")
     sp.add_argument("--values", required=True, nargs="+",
@@ -381,44 +387,26 @@ def run(argv=None) -> int:
         print(f"hbmfg: error: {e}", file=sys.stderr)
         return 1
 
-    out = _outdir(args)
-    command = ["hbmfg"] + argv
+    opts = vars(args)
+    cmd, handler = opts.pop("cmd"), opts.pop("handler")
+    out = opts["out"] = _outdir(opts["out"])
     try:
-        if args.cmd == "validate":
-            code, summary = _run_validate(args.config, out)
-        elif args.cmd == "stationary":
-            code, summary = _run_stationary(args.config, out,
-                                            regime=args.regime, delta=args.delta)
-        elif args.cmd == "stability":
-            code, summary = _run_stability(args.config, out)
-        elif args.cmd == "solve":
-            code, summary = _run_solve(args.config, out, T=args.T, dt=args.dt,
-                                       x0_path=args.x0, gT_path=args.gT,
-                                       max_iter=args.max_iter)
-        elif args.cmd == "simulate":
-            code, summary = _run_simulate(args.config, out, N=args.N, T=args.T,
-                                          reps=args.reps, seed=args.seed,
-                                          samples=args.samples, per_rep=args.per_rep,
-                                          x0_path=args.x0)
-        else:
-            code, summary = _run_sweep(args.config, out, param=args.param,
-                                       values=args.values, op=args.op)
+        code, summary = handler(**opts)
     except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
-        # LinAlgError is also a ValueError, so the numerical test comes first
-        code = 2 if isinstance(e, _NUMERICAL_ERRORS) else 1
-        print(f"hbmfg {args.cmd}: {'numerical failure: ' if code == 2 else ''}{e}",
+        code = _exit_code(e)
+        print(f"hbmfg {cmd}: {'numerical failure: ' if code == 2 else ''}{e}",
               file=sys.stderr)
-        summary = {"cmd": args.cmd, "ok": False, "error": str(e)}
+        summary = {"cmd": cmd, "ok": False, "error": str(e)}
         if code == 1:  # a rejected input leaves no artifacts behind
             _emit(summary)
             return 1
-        write_json(os.path.join(out, "error.json"), {"cmd": args.cmd, "error": str(e)})
+        write_json(os.path.join(out, "error.json"), {"cmd": cmd, "error": str(e)})
 
     try:
-        cfg_hash = config_sha256(args.config)
+        cfg_hash = config_sha256(opts["config"])
     except OSError:
         cfg_hash = None
-    write_manifest(out, command, cfg_hash, __version__)
+    write_manifest(out, ["hbmfg"] + argv, cfg_hash, __version__)
     _emit(summary)
     return code
 

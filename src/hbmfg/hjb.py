@@ -23,7 +23,6 @@ __all__ = [
     "optimal_control",
     "consistency_margin",
     "integrate_backward",
-    "stationary_payoff_residual",
 ]
 
 # A switch is taken only when it beats staying by more than this.
@@ -178,12 +177,3 @@ def integrate_backward(
     if optimizing:
         us[0] = optimal_control(gs[0], cfg)
     return Trajectory(times=times, g=gs, u=us, meta={"dt": h, "mode": mode})
-
-
-def stationary_payoff_residual(g, x, cfg: GameConfig) -> np.ndarray:
-    """Residual of the switch-free stationary payoff balance at (g, x).
-
-    Entrywise zero exactly when g is a stationary payoff for occupation x
-    with nobody switching.
-    """
-    return -hjb_rhs(g, x, None, cfg)

@@ -163,8 +163,7 @@ def read_config(path: str) -> GameConfig:
 
 
 def config_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return _sha256_file(path)
 
 
 def fmt(x: float) -> str:

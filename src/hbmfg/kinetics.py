@@ -25,7 +25,6 @@ __all__ = [
     "KineticsError",
     "kinetic_rhs",
     "integrate_forward",
-    "stationary_residual",
     "rk4_step",
     "step_grid",
     "control_steps",
@@ -172,11 +171,3 @@ def integrate_forward(
         )
     meta = {"dt": h, "drift_max": drift_max, "projections": projections}
     return Trajectory(times=times, x=xs, meta=meta)
-
-
-def stationary_residual(x, cfg: GameConfig) -> float:
-    """Sup-norm of the switch-free stationary balance at x.
-
-    Zero exactly when pressure and interaction flows cancel in every state.
-    """
-    return float(np.abs(kinetic_rhs(x, None, cfg)).max())

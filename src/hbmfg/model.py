@@ -79,9 +79,9 @@ def _ro(a, dtype=float) -> np.ndarray:
 class SinkRates:
     """Rates for the variant where downward moves drop straight to level 1.
 
-    direct[i, j]: spontaneous drop rate out of state (i, j); row 0 unused
-    (the lowest level cannot drop).  interaction[i, j, k]: stimulated drop
-    rate for an agent at (i, j) paired with one at (i, k); row 0 unused.
+    direct[i, j]: spontaneous drop rate out of state (i, j).  interaction[i,
+    j, k]: stimulated drop rate for an agent at (i, j) paired with one at
+    (i, k).  Row 0 of both must be zero: the lowest level cannot drop.
     """
 
     direct: np.ndarray
@@ -138,7 +138,8 @@ class GameConfig:
     q_down[i, j] moves (i, j) -> (i-1, j).  Evolutionary (interaction) tensors
     q_up_evo/q_down_evo are (n, m, m): entry [i, j, k] is the stimulated rate
     for an agent at (i, j) paired with an agent at (i, k).  Top row of the up
-    rates and bottom row of the down rates must be zero.
+    rates and bottom row of the down rates must be zero; q_sink, when given,
+    replaces the down rates (move_families).
 
     w[i, j] is the per-state reward flow, fee_B[j, k] the behaviour switching
     fee (zero diagonal), fee_H[i] the fine charged on an enforced downgrade
@@ -177,35 +178,41 @@ class GameConfig:
         object.__setattr__(self, "delta_int", d_int)
         object.__setattr__(self, "delta_dis", d_dis)
 
-    @property
-    def variant(self) -> str:
-        """"sink" when direct-drop rates are configured, else "standard"."""
-        return "sink" if self.q_sink is not None else "standard"
+    def move_families(self) -> list:
+        """The level-move families: up one level, then down one level or the sink drop.
+
+        Each is (dest, ((name, rate), (name, evo))): the family sends level i
+        to dest[i] (dest[i] == i: no move) at the (n, m) rates and the
+        (n, m, m) interaction tensor it reads from the config field named.
+        """
+        lv = np.arange(self.n)
+        up = (np.minimum(lv + 1, self.n - 1), (("q_up", self.q_up), ("q_up_evo", self.q_up_evo)))
+        if self.q_sink is None:
+            return [up, (np.maximum(lv - 1, 0),
+                         (("q_down", self.q_down), ("q_down_evo", self.q_down_evo)))]
+        return [up, (np.zeros(self.n, int), (("q_sink.direct", self.q_sink.direct),
+                                             ("q_sink.interaction", self.q_sink.interaction)))]
 
     @cached_property
     def moves(self) -> Moves:
-        """The level moves: up one level, then down one level or the sink drop.
+        """The level moves, one family each as move_families() lists them.
 
         Built on first use so that validate() can report malformed shapes.
         """
         n = self.n
         lv = np.arange(n)
-        if self.q_sink is None:
-            down, q_dn, evo_dn = np.maximum(lv - 1, 0), self.q_down, self.q_down_evo
-        else:
-            down, q_dn, evo_dn = np.zeros(n, int), self.q_sink.direct, self.q_sink.interaction
-        dest = np.stack([np.minimum(lv + 1, n - 1), down])
+        families = self.move_families()
+        dest = np.stack([d for d, _ in families])
         live = (dest != lv)[:, :, None]
-        families = dest.shape[0]
-        net = np.zeros((n, families * n))
-        cols = np.arange(families * n)
+        net = np.zeros((n, len(families) * n))
+        cols = np.arange(len(families) * n)
         net[dest.ravel(), cols] = 1.0
-        net[np.tile(lv, families), cols] -= 1.0
+        net[np.tile(lv, len(families)), cols] -= 1.0
         return Moves(
             dest=_ro(dest, int),
-            rate=_ro(np.where(live, np.stack([self.q_up, q_dn]), 0.0)),
-            evo=_ro(np.where(live[..., None],
-                             self.delta_int * np.stack([self.q_up_evo, evo_dn]), 0.0)),
+            rate=_ro(np.where(live, np.stack([r for _, ((_, r), _) in families]), 0.0)),
+            evo=_ro(np.where(live[..., None], self.delta_int
+                             * np.stack([e for _, (_, (_, e)) in families]), 0.0)),
             fine=_ro(np.stack([np.zeros(n), self.fee_H])),
             net=_ro(net),
         )
@@ -282,9 +289,7 @@ def check_targets(t: np.ndarray, m: int) -> np.ndarray:
 
 
 def control_array(u, n: int, m: int) -> np.ndarray:
-    """Accept Control / (n, m) target matrix / None (everyone stays), by Control's rule."""
-    if u is None:
-        return Control.stay(n, m).target
+    """Accept Control / (n, m) target matrix, by Control's rule."""
     t = u.target if isinstance(u, Control) else np.asarray(u)
     if t.shape != (n, m):
         raise ValueError(f"control must be an ({n}, {m}) target matrix, not {t.shape}")
@@ -312,34 +317,29 @@ def validate(cfg: GameConfig) -> list[str]:
     if n < 1 or m < 1:
         return [f"dimensions: n={n}, m={m} must be positive"]
 
-    ok_up = _check_matrix(v, "q_up", cfg.q_up, (n, m))
-    ok_dn = _check_matrix(v, "q_down", cfg.q_down, (n, m))
-    ok_ue = _check_matrix(v, "q_up_evo", cfg.q_up_evo, (n, m, m))
-    ok_de = _check_matrix(v, "q_down_evo", cfg.q_down_evo, (n, m, m))
+    ok = {}
+    for dest, pairs in cfg.move_families():
+        dead = np.flatnonzero(dest == np.arange(n))
+        for (name, a), shape in zip(pairs, ((n, m), (n, m, m))):
+            ok[name] = _check_matrix(v, name, a, shape)
+            if not ok[name]:
+                continue
+            if a.min() < 0:
+                idx = np.unravel_index(int(np.argmin(a)), a.shape)
+                pos = ",".join(str(i + 1) for i in idx)
+                v.append(f"{name}[{pos}]: negative rate {float(a[idx])!r}")
+            v.extend(f"{name} row {i + 1} nonzero: no such move out of level {i + 1}"
+                     for i in dead if np.any(a[i] != 0))
+    if cfg.q_sink is not None:  # the sink drop replaces step-down moves; mixing is rejected
+        for name, shape in (("q_down", (n, m)), ("q_down_evo", (n, m, m))):
+            a = getattr(cfg, name)
+            ok[name] = _check_matrix(v, name, a, shape)
+            if ok[name] and np.any(a != 0):
+                v.append(f"q_sink present but {name} nonzero: pick one downward mechanism")
+
     _check_matrix(v, "w", cfg.w, (n, m))
     ok_fb = _check_matrix(v, "fee_B", cfg.fee_B, (m, m))
     ok_fh = _check_matrix(v, "fee_H", cfg.fee_H, (n,))
-
-    for name, arr, ok in (
-        ("q_up", cfg.q_up, ok_up),
-        ("q_down", cfg.q_down, ok_dn),
-        ("q_up_evo", cfg.q_up_evo, ok_ue),
-        ("q_down_evo", cfg.q_down_evo, ok_de),
-    ):
-        if ok and arr.min() < 0:
-            idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
-            pos = ",".join(str(i + 1) for i in idx)
-            v.append(f"{name}[{pos}]: negative rate {arr[idx]!r}")
-
-    # No pressure or stimulation out of the grid: top row up, bottom row down.
-    if ok_up and np.any(cfg.q_up[n - 1] != 0):
-        v.append(f"q_up row {n} nonzero: no upgrade out of the top level")
-    if ok_dn and np.any(cfg.q_down[0] != 0):
-        v.append("q_down row 1 nonzero: no downgrade out of the lowest level")
-    if ok_ue and np.any(cfg.q_up_evo[n - 1] != 0):
-        v.append(f"q_up_evo row {n} nonzero: no stimulated upgrade out of the top level")
-    if ok_de and np.any(cfg.q_down_evo[0] != 0):
-        v.append("q_down_evo row 1 nonzero: no stimulated downgrade out of the lowest level")
 
     if ok_fb:
         if np.any(np.diag(cfg.fee_B) != 0):
@@ -359,25 +359,13 @@ def validate(cfg: GameConfig) -> list[str]:
                  f"delta_int={cfg.delta_int!r}, delta_dis={cfg.delta_dis!r} must be "
                  "finite, delta_dis positive")
 
-    if cfg.detailed_balance and ok_up and ok_dn:
+    if cfg.detailed_balance and ok["q_up"] and ok["q_down"]:
         gap, (i, j) = balance_gap(cfg)
         if not gap <= BALANCE_TOL:
             v.append(
                 f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
                 f"({cfg.q_up[i, j]!r} vs {cfg.q_down[i + 1, j]!r})"
             )
-
-    if cfg.q_sink is not None:
-        s = cfg.q_sink
-        _check_matrix(v, "q_sink.direct", s.direct, (n, m))
-        _check_matrix(v, "q_sink.interaction", s.interaction, (n, m, m))
-        if s.direct.min() < 0 or s.interaction.min() < 0:
-            v.append("q_sink: negative rates")
-        # Sink variant replaces step-down moves entirely; mixing is rejected.
-        if ok_dn and np.any(cfg.q_down != 0):
-            v.append("q_sink present but q_down nonzero: pick one downward mechanism")
-        if ok_de and np.any(cfg.q_down_evo != 0):
-            v.append("q_sink present but q_down_evo nonzero: pick one downward mechanism")
 
     return v
 
@@ -416,10 +404,6 @@ class DominanceReport:
     nonzero_sums: bool  # every column sum bounded away from zero
     column_sums: np.ndarray = field(repr=False)
     tol: float = TIE_TOL
-
-    @property
-    def level_1based(self) -> int:
-        return self.level + 1
 
 
 def dominant_level(cfg: GameConfig) -> DominanceReport:

@@ -9,10 +9,11 @@ control path, one target matrix per step, and the backward pass takes the
 forward occupation at the nodes.  It stops when the control path is its own
 best response, bit for bit: an exact equilibrium certificate.
 
-The diagnostics certify the no-switching regime: cone_check measures the best
-switching gain anywhere, boundary_tangent_condition evaluates the payoff flow
-exactly on a switching boundary, and rate_ordering_check tests the per-pair
-rate comparability that keeps boundaries repelling.  turnpike_metrics
+The diagnostics certify the no-switching regime: solve_mfg records the best
+switching gain along the path (cone_worst), boundary_tangent_condition
+evaluates the payoff flow exactly on a switching boundary, and
+rate_ordering_check tests the per-pair rate comparability that keeps
+boundaries repelling.  turnpike_metrics
 measures how long a finite-horizon solve hugs the stationary expansion.
 """
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "MfgSolveResult",
     "TurnpikeMetrics",
     "solve_mfg",
-    "cone_check",
     "boundary_tangent_condition",
     "rate_ordering_check",
     "turnpike_metrics",
@@ -61,11 +61,6 @@ def default_dt(cfg: GameConfig) -> float:
     out = mv.rate.sum(axis=0) + mv.evo.sum(axis=(0, 3))
     peak = max(float(out.max()), cfg.lam, 1e-12)
     return min(0.05, 0.5 / peak)
-
-
-def cone_check(g, cfg: GameConfig) -> float:
-    """Best switching gain at g; <= 0 means g lies inside the no-switch cone."""
-    return float(switch_gains(payoff_array(g), cfg).max())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
     optimal_control,
-    stationary_payoff_residual,
     switch_gains,
 )
 from hbmfg.kinetics import rk4_step
@@ -264,5 +263,5 @@ def test_stationary_payoff_dense_cross_check():
         A = column_generator(j, cfg)
         g[:, j] = np.linalg.solve(cfg.delta_dis * np.eye(4) - A.T, wt[:, j])
     # tensors are zero so the occupation argument is inert; any point works
-    res = stationary_payoff_residual(g, np.full((4, 3), 1.0 / 12.0), cfg)
+    res = -hjb_rhs(g, np.full((4, 3), 1.0 / 12.0), None, cfg)
     assert np.max(np.abs(res)) < 1e-10

@@ -27,7 +27,7 @@ from hbmfg.io import (
     write_state_csv,
     write_trajectory_csv,
 )
-from util_configs import cycle_config, make_config, theorem_config, write_config
+from util_configs import config_doc, cycle_config, make_config, theorem_config, write_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
 
@@ -256,6 +256,29 @@ def test_cli_validate_flags_violations(tmp_path, capsys):
     code, summary, _ = cli(["validate", str(p), "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert summary["ok"] is False and summary["violations"] == 1
+
+
+@pytest.mark.parametrize("key, index, value, violation", [
+    ("direct", (0, 1), 0.5, "q_sink.direct row 1 nonzero"),
+    ("interaction", (0, 1, 0), 0.5, "q_sink.interaction row 1 nonzero"),
+    ("interaction", None, [], "q_sink.interaction: expected shape (3, 2, 2), got (0,)"),
+], ids=["direct-row-1", "interaction-row-1", "empty-interaction"])
+def test_cli_validate_gives_sink_drops_the_step_down_rules(tmp_path, capsys, key, index,
+                                                            value, violation):
+    doc = config_doc(make_config(3, 2, np.random.default_rng(5), sink=True))
+    sink = doc["rates"]["q_sink"]
+    if index is None:
+        sink[key] = value
+    else:
+        a = np.array(sink[key])
+        a[index] = value
+        sink[key] = a.tolist()
+    p = tmp_path / "sink.json"
+    p.write_text(json.dumps(doc))
+    code, summary, _ = cli(["validate", str(p), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1 and summary["violations"] == 1
+    vdoc = json.loads((tmp_path / "o" / "validation.json").read_text())
+    assert vdoc["violations"][0].startswith(violation)
 
 
 def test_cli_validate_malformed_json(tmp_path, capsys):
@@ -582,6 +605,16 @@ def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
                                 "scales.delta", "--values", *values], capsys)
         assert code == 1 and "non-finite" in summary["error"], values
         assert os.listdir(out) == []
+
+
+def test_cli_sweep_takes_negative_values_in_exponent_notation(tmp_path, capsys):
+    # argparse alone would read -1e-3 as an option; validation refuses the negative delta
+    out = tmp_path / "o"
+    code, summary, _ = cli(["sweep", EXAMPLE, "--out", str(out), "--param", "scales.delta",
+                            "--values", "0.05", "-1e-3"], capsys)
+    assert code == 1 and summary["runs"] == 2 and summary["failed"] == 1
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [(e["value"], e["status"]) for e in doc["results"]] == [(0.05, 0), (-1e-3, 1)]
 
 
 @pytest.mark.parametrize("regime, delta", [("id1", 1e200), ("id3", 1e-170), ("id3", 1e200)])

@@ -72,12 +72,13 @@ def test_config_arrays_are_read_only():
 
 
 def test_variant_flag():
-    assert _tiny().variant == "standard"
+    npt.assert_array_equal(_tiny(n=3).moves.dest[1], [0, 0, 1])
     sink = _tiny(
-        q_down=np.zeros((2, 2)),
-        q_sink=SinkRates(direct=np.ones((2, 2)), interaction=np.zeros((2, 2, 2))),
+        n=3,
+        q_down=np.zeros((3, 2)),
+        q_sink=SinkRates(direct=np.ones((3, 2)), interaction=np.zeros((3, 2, 2))),
     )
-    assert sink.variant == "sink"
+    npt.assert_array_equal(sink.moves.dest[1], [0, 0, 0])
 
 
 def test_validate_clean_on_generated_configs():
@@ -150,6 +151,27 @@ def test_validate_sink_exclusivity():
     assert any("pick one downward mechanism" in m for m in msgs)
 
 
+def test_validate_gives_sink_drops_the_step_down_rules():
+    base = make_config(3, 2, np.random.default_rng(5), sink=True)
+    assert validate(base) == []
+    sink = base.q_sink
+
+    def with_sink(direct=sink.direct, interaction=sink.interaction):
+        return dataclasses.replace(base, q_sink=SinkRates(direct, interaction))
+
+    direct, inter = sink.direct.copy(), sink.interaction.copy()
+    direct[0, 1], inter[0, 0, 1] = 0.5, 0.5  # the lowest level cannot drop
+    msgs = validate(with_sink(direct, inter))
+    assert [v.split(":")[0] for v in msgs] == ["q_sink.direct row 1 nonzero",
+                                               "q_sink.interaction row 1 nonzero"]
+    direct = sink.direct.copy()
+    direct[1, 0] = -0.25
+    assert validate(with_sink(direct)) == ["q_sink.direct[2,1]: negative rate -0.25"]
+    # an empty tensor is a shape violation, not a numpy error
+    assert validate(with_sink(interaction=[])) == [
+        "q_sink.interaction: expected shape (3, 2, 2), got (0,)"]
+
+
 def test_effective_rewards_hand_case():
     cfg = _tiny(
         w=[[2.0, 1.0], [1.0, 3.0]],
@@ -171,7 +193,6 @@ def test_dominant_level_report():
     cfg = _tiny(w=[[2.0, 1.0], [1.0, 3.0]])  # column sums 3 and 4
     rep = dominant_level(cfg)
     assert rep.level == 1
-    assert rep.level_1based == 2
     assert rep.unique and rep.nonzero_sums
     npt.assert_allclose(rep.column_sums, [3.0, 4.0])
 

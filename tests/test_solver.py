@@ -11,7 +11,6 @@ from hbmfg import (
     Occupation,
     SinkRates,
     boundary_tangent_condition,
-    cone_check,
     default_dt,
     default_horizon,
     integrate_backward,
@@ -19,6 +18,7 @@ from hbmfg import (
     rate_ordering_check,
     solve_mfg,
     stationary_solution,
+    switch_gains,
     turnpike_metrics,
 )
 from test_kinetics import random_simplex
@@ -61,13 +61,13 @@ def test_cone_check_values():
         q_up_evo=np.zeros((1, 2, 2)), q_down_evo=np.zeros((1, 2, 2)),
         w=np.ones((1, 2)), fee_B=[[0.0, 1.0], [1.0, 0.0]], fee_H=np.zeros(1),
     )
-    assert cone_check(np.array([[0.0, 5.0]]), cfg) == pytest.approx(4.0)
+    assert switch_gains(np.array([[0.0, 5.0]]), cfg).max() == pytest.approx(4.0)
     single = GameConfig(
         n=2, m=1, q_up=[[1.0], [0.0]], q_down=[[0.0], [1.0]],
         q_up_evo=np.zeros((2, 1, 1)), q_down_evo=np.zeros((2, 1, 1)),
         w=np.ones((2, 1)), fee_B=np.zeros((1, 1)), fee_H=np.zeros(2),
     )
-    assert cone_check(np.ones((2, 1)), single) == float("-inf")
+    assert switch_gains(np.ones((2, 1)), single).max() == float("-inf")
 
 
 def test_solve_converges_immediately_inside_cone():
