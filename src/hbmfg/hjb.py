@@ -7,7 +7,9 @@ g[i,k] - g[i,j] - fee_B[j,k], and staying put is always available.  Pressure
 moves and stimulated moves (weighted by the current occupation) act on the
 agent regardless, with the downgrade fine charged on every enforced drop.
 Both variants' level moves, step-down and sink, come from GameConfig.moves:
-the payoff flow is the adjoint of the forward flow.
+the payoff flow is the adjoint of the forward flow.  Without the switch term
+it is affine in g, and integrate_backward builds that map for a block of
+steps at a time.
 """
 from __future__ import annotations
 
@@ -29,6 +31,11 @@ __all__ = [
 SWITCH_TOL = 1e-12
 # States with occupation above this count as occupied for consistency checks.
 OCCUPIED_TOL = 1e-9
+# Per-step payoff operators, with the arrays that assemble them, and the node
+# pass's switch gains are built a block at a time in about this many bytes.
+BLOCK_BYTES = 1 << 17
+# Profitable switches the node pass lists before truncation (all are counted).
+VIOLATION_CAP = 1000
 
 
 class HjbError(RuntimeError):
@@ -45,32 +52,76 @@ def switch_gains(g: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return g[..., None, :] - g[..., :, None] - cfg.switch_fee
 
 
-def _best_targets(gains: np.ndarray) -> np.ndarray:
+def _best_targets(gains: np.ndarray, best: np.ndarray) -> np.ndarray:
     # first maximum = lowest k on exact ties; within SWITCH_TOL of zero, stay
-    best = np.argmax(gains, axis=-1)
-    return np.where(gains.max(axis=-1) > SWITCH_TOL, best, np.arange(gains.shape[-1]))
+    return np.where(best > SWITCH_TOL, np.argmax(gains, axis=-1), np.arange(gains.shape[-1]))
 
 
-def _payoff_kernel(x, switch, cfg: GameConfig):
-    """dg/dt as a function of g at occupation x; switch(g) is the gain, net of
-    the fee, that each state takes at rate lam (None: nobody switches)."""
-    if x is None and cfg.moves.evo.any():
+def _payoff_operators(x, cfg: GameConfig):
+    """The switch-free payoff flow at each occupation of a stack x (B, n, m)
+    as an affine map of the payoff by behaviour column, G = g.T[:, :, None]
+    of shape (m, n, 1): dG/dt = M[b] @ G + c[b].
+
+    Level moves keep the behaviour, so the map on the flattened state is
+    block diagonal: M[b] (m, n, n) holds column j's block, the discount plus
+    the level moves' adjoint, assembled by one bincount; c[b] (m, n, 1) is
+    -w plus the expected fines.  x None (only without stimulated moves)
+    gives one map, B = 1.
+    """
+    mv, n, m = cfg.moves, cfg.n, cfg.m
+    if x is None and mv.evo.any():
         raise HjbError("occupation required when the config has stimulated moves")
-    mv, lam = cfg.moves, cfg.lam
-    rate = mv.per_capita(x)
+    rate = mv.per_capita(x).reshape(-1, len(mv.rate), n, m)
+    B = len(rate)
+    # M[b, j, i, i] for each (i, j), then M[b, j, i, dest[f, i]] for each (f, i, j)
+    lv, col = np.arange(n)[:, None], n * n * np.arange(m)
+    cells = np.concatenate([(col + lv * (n + 1)).ravel(),
+                            (col + lv * n + mv.dest[:, :, None]).ravel()])
+    weights = np.concatenate([(cfg.delta_dis + rate.sum(axis=1)).reshape(B, -1),
+                              -rate.reshape(B, -1)], axis=1)
+    M = np.bincount((m * n * n * np.arange(B)[:, None] + cells).ravel(), weights.ravel(),
+                    B * m * n * n)
+    c = (rate * mv.fine[:, :, None]).sum(axis=1) - cfg.w
+    return M.reshape(B, m, n, n), c.transpose(0, 2, 1)[..., None]
 
-    def rhs(g):
-        out = cfg.delta_dis * g - cfg.w - (rate * mv.payoff_change(g)).sum(axis=0)
-        if switch is not None:
-            out -= lam * switch(g)
-        return out
 
-    return rhs
+def _block_steps(cfg: GameConfig) -> int:
+    # a step's operator holds n values per state; its rates, weights and
+    # bincount indices about 12 more
+    return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (cfg.n + 12)))
+
+
+def _payoff_stage(M, c, switch, lam: float):
+    """dG/dt of the payoff by column: M @ G + c, less lam times switch(G), the
+    gain net of the fee that each state takes (None: nobody switches)."""
+    if switch is None:
+        return lambda y: M @ y + c
+    return lambda y: M @ y + c - lam * switch(y)
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
-    fee = cfg.fee_B[np.arange(cfg.m), target]
-    return lambda g: np.take_along_axis(g, target, axis=1) - g - fee
+    cells = (target * cfg.n + np.arange(cfg.n)[:, None]).T[:, :, None]
+    fee = cfg.fee_B[np.arange(cfg.m), target].T[:, :, None]
+    return lambda y: np.take(y, cells) - y - fee
+
+
+def _best_gain(cfg: GameConfig):
+    # switch_gains on the flattened columns, target first: gains[k, j*n + i]
+    # is the gain of (i, j) -> (i, k), so the best switch is a column maximum
+    n, m = cfg.n, cfg.m
+    to = n * np.arange(m)[:, None] + np.arange(n * m) % n
+    fee = np.repeat(cfg.switch_fee.T, n, axis=1)
+
+    def gain(y):
+        flat = y.reshape(-1)
+        best = (flat[to] - flat - fee).max(axis=0).reshape(y.shape)
+        return np.where(best > SWITCH_TOL, best, 0.0)
+
+    return gain
+
+
+def _by_column(g) -> np.ndarray:
+    return np.ascontiguousarray(payoff_array(g).T)[:, :, None]
 
 
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
@@ -81,11 +132,12 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     the config has no stimulated moves.  The level moves enter as the adjoint
     of kinetic_rhs's flux balance, each charged its fine.  An agent at (i, j)
     switching to k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a
-    stay gains 0.
+    stay gains 0.  This is integrate_backward's stage on a one-step block.
     """
-    xa = None if x is None else occupation_array(x)
+    M, c = _payoff_operators(None if x is None else occupation_array(x)[None], cfg)
     switch = None if u is None else _target_gain(control_array(u, cfg.n, cfg.m), cfg)
-    return _payoff_kernel(xa, switch, cfg)(payoff_array(g))
+    dg = _payoff_stage(M[0], c[0], switch, cfg.lam)(_by_column(g))
+    return np.ascontiguousarray(dg[..., 0].T)
 
 
 def optimal_control(g, cfg: GameConfig) -> np.ndarray:
@@ -96,7 +148,38 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     1e-12 of zero keep the agent in place; among tied positive gains the
     lowest target index wins (deterministic).
     """
-    return _best_targets(switch_gains(payoff_array(g), cfg))
+    gains = switch_gains(payoff_array(g), cfg)
+    return _best_targets(gains, gains.max(axis=-1))
+
+
+def _node_pass(times: np.ndarray, gs: np.ndarray, cfg: GameConfig):
+    """Best response at every node of a payoff path, and its profitable switches.
+
+    Runs over the path in blocks of nodes whose gains, about m + 4 values
+    per state with the maxima, targets and hits, fit in BLOCK_BYTES.
+    Returns u, with u[k] = optimal_control(gs[k]), and the cone scan:
+    cone_worst, the largest switch gain on the path (-inf when m == 1);
+    violations, the number of (node, level, from, to) switches with a
+    positive gain; violations_head, the first VIOLATION_CAP of them as
+    (t, level, from, to, gain).
+    """
+    n, m = cfg.n, cfg.m
+    size = max(1, BLOCK_BYTES // (8 * n * m * (m + 4)))
+    us = np.empty(gs.shape, dtype=int)
+    worst, count, head = float("-inf"), 0, []
+    for lo in range(0, len(gs), size):
+        gains = switch_gains(gs[lo:lo + size], cfg)
+        best = gains.max(axis=-1)
+        us[lo:lo + size] = _best_targets(gains, best)
+        top = float(best.max())
+        worst = max(worst, top)
+        if top > 0.0:
+            hits = gains > 0.0
+            count += int(np.count_nonzero(hits))
+            first = np.flatnonzero(hits)[:VIOLATION_CAP - len(head)]
+            for k, i, a, b in zip(*(v.tolist() for v in np.unravel_index(first, hits.shape))):
+                head.append((float(times[lo + k]), i, a, b, float(gains[k, i, a, b])))
+    return us, {"cone_worst": worst, "violations": count, "violations_head": head}
 
 
 def consistency_margin(g, x, cfg: GameConfig) -> float:
@@ -129,13 +212,16 @@ def integrate_backward(
     each step then sees the mean of its two end nodes.
     mode "fixed": control is used as is, in integrate_forward's forms (None =
     nobody switches, one Control/(n, m) target matrix, or a per-step stack);
-    mode "optimizing": the best response to the current g is recomputed at
-    every stage evaluation, from one switch_gains call whose row maximum is
-    the switch term.  Each reversed step computes its per-capita rates once.
-    Returns a Trajectory with g at the nodes and, in optimizing mode, the
-    per-step targets u[k] = best response to g(times[k]), shape
-    (n_steps, n, m): a reversed step's first stage sits on its starting
-    node, so its gains give the target and only t0 needs a call of its own.
+    mode "optimizing": every stage takes the best switch at the current g,
+    the maximum of switch_gains over the target, without storing the gains.
+    Each step's switch-free flow is hjb_rhs's affine map of the payoff by
+    behaviour column, assembled for a block of steps at a time within
+    BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
+    per block and reported at the first step, in reversed time, that failed.
+    Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
+    over the nodes adds u, the per-step targets u[k] = best response to
+    g(times[k]) of shape (n_steps, n, m), and meta's cone scan of the path:
+    cone_worst, violations and violations_head, as _node_pass gives them.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -150,30 +236,32 @@ def integrate_backward(
     times = t0 + h * np.arange(n_steps + 1)
 
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
-    g = payoff_array(gT)
-    gs = np.empty((n_steps + 1,) + g.shape)
-    gs[n_steps] = g
-    us = np.empty((n_steps, cfg.n, cfg.m), dtype=int) if optimizing else None
-    for k in reversed(range(n_steps)):
-        x_mid = 0.5 * (x_nodes[k] + x_nodes[k + 1]) if on_path else x_nodes
-        if optimizing:
-            stages = []
-
-            def switch(y):
-                gains = switch_gains(y, cfg)
-                best = gains.max(axis=-1)
-                stages.append(gains)
-                return np.where(best > SWITCH_TOL, best, 0.0)
-        else:
-            switch = None if u_steps[k] is None else _target_gain(u_steps[k], cfg)
-        g = rk4_step(_payoff_kernel(x_mid, switch, cfg), g, -h)
-        if not np.all(np.isfinite(g)):
-            raise HjbError(
-                f"non-finite payoff at t={times[k]:.6g}; reduce dt (dt={h:.3g})"
-            )
-        gs[k] = g
-        if optimizing and k + 1 < n_steps:
-            us[k + 1] = _best_targets(stages[0])
-    if optimizing:
-        us[0] = optimal_control(gs[0], cfg)
-    return Trajectory(times=times, g=gs, u=us, meta={"dt": h, "mode": mode})
+    n, m = cfg.n, cfg.m
+    gs = np.empty((n_steps + 1, n, m))
+    gs[n_steps] = gT
+    g = _by_column(gT)
+    best = _best_gain(cfg) if optimizing else None
+    size = _block_steps(cfg)
+    if not on_path:
+        M, c = _payoff_operators(None if x_nodes is None else x_nodes[None], cfg)
+    cols = np.empty((min(size, n_steps), m, n, 1))   # the block's nodes, by column
+    for hi in range(n_steps, 0, -size):
+        lo = max(0, hi - size)
+        if on_path:
+            M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(hi - 1, lo - 1, -1):
+                j = k - lo if on_path else 0
+                switch = best if optimizing else (
+                    None if u_steps[k] is None else _target_gain(u_steps[k], cfg))
+                g = cols[k - lo] = rk4_step(_payoff_stage(M[j], c[j], switch, cfg.lam), g, -h)
+        bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
+                           f"reduce dt (dt={h:.3g})")
+        gs[lo:hi] = cols[:hi - lo, :, :, 0].transpose(0, 2, 1)
+    meta = {"dt": h, "mode": mode}
+    if not optimizing:
+        return Trajectory(times=times, g=gs, meta=meta)
+    us, scan = _node_pass(times, gs, cfg)
+    return Trajectory(times=times, g=gs, u=us[:-1], meta={**meta, **scan})

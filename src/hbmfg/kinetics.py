@@ -28,6 +28,7 @@ __all__ = [
     "rk4_step",
     "step_grid",
     "control_steps",
+    "control_changes",
 ]
 
 log = logging.getLogger(__name__)
@@ -87,6 +88,15 @@ def control_steps(control, n_steps: int, cfg: GameConfig):
     return check_targets(stack, cfg.m)
 
 
+def control_changes(u_steps) -> np.ndarray:
+    """Which steps of control_steps' result start a new control: True at step 0
+    and wherever a stack differs from its previous step, in one comparison."""
+    new = np.ones(len(u_steps), dtype=bool)
+    new[1:] = (np.any(u_steps[1:] != u_steps[:-1], axis=(1, 2))
+               if isinstance(u_steps, np.ndarray) else False)
+    return new
+
+
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
     """dx/dt as a function of x, agents at (i, j) moving to (i, target[i, j]) at
     rate lam; target None or all staying builds no scatter index."""
@@ -135,8 +145,9 @@ def integrate_forward(
 
     The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
     Control/(n, m) target matrix held fixed, or a per-step stack of shape
-    (n_steps, n, m), step k using control[k].  Each step builds its control's
-    scatter index once, and one sum serves its non-finite and drift checks.
+    (n_steps, n, m), step k using control[k].  The step kernel, with its
+    control's scatter index, is built only where control_changes says the
+    control changes, and one sum serves each step's non-finite and drift checks.
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
     and logged.
@@ -150,8 +161,10 @@ def integrate_forward(
     xs[0] = x
     drift_max = 0.0
     projections = 0
-    for k in range(n_steps):
-        x = rk4_step(_kinetic_kernel(u_steps[k], cfg), x, h)
+    for k, new in enumerate(control_changes(u_steps).tolist()):
+        if new:
+            kernel = _kinetic_kernel(u_steps[k], cfg)
+        x = rk4_step(kernel, x, h)
         mass = float(x.sum())  # any inf or nan entry makes it non-finite
         if not math.isfinite(mass):
             raise KineticsError(

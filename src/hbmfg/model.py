@@ -111,10 +111,11 @@ class Moves:
     net: np.ndarray
 
     def per_capita(self, x: Optional[np.ndarray]) -> np.ndarray:
-        """Per-capita rates (F, n, m) at occupation x; None means no partners."""
+        """Per-capita rates (..., F, n, m) at occupations x (..., n, m), one
+        matrix or a stack of them; None means no partners: (F, n, m)."""
         if x is None:
             return self.rate
-        return self.rate + np.einsum("fijk,ik->fij", self.evo, x)
+        return self.rate + (self.evo @ x[..., None, :, :, None])[..., 0]
 
     def generator(self, rates: np.ndarray) -> np.ndarray:
         """The n x n level chain of one column's per-capita rates (F, n).
@@ -364,7 +365,7 @@ def validate(cfg: GameConfig) -> list[str]:
         if not gap <= BALANCE_TOL:
             v.append(
                 f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
-                f"({cfg.q_up[i, j]!r} vs {cfg.q_down[i + 1, j]!r})"
+                f"({float(cfg.q_up[i, j])!r} vs {float(cfg.q_down[i + 1, j])!r})"
             )
 
     return v

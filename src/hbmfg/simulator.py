@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import control_steps, integrate_forward
+from .kinetics import control_changes, control_steps, integrate_forward
 from .model import GameConfig, control_array, occupation_array
 
 __all__ = [
@@ -199,10 +199,9 @@ def simulate(
         raise ValueError("need at least one output sample")
     n, m = cfg.n, cfg.m
     u_steps = control_steps(u, samples, cfg)
-    tables = [_build_channels(cfg, u_steps[0], s0.N)]   # one per interval, shared while equal
-    for prev, target in zip(u_steps, u_steps[1:]):
-        same = target is prev or np.array_equal(target, prev)
-        tables.append(tables[-1] if same else _build_channels(cfg, target, s0.N))
+    tables = []   # one per interval, shared while the control stays the same
+    for target, new in zip(u_steps, control_changes(u_steps).tolist()):
+        tables.append(_build_channels(cfg, target, s0.N) if new else tables[-1])
     times = np.linspace(0.0, T, samples + 1)
     if not isinstance(seed, (int, np.integer)):
         seeds = [int(s) for s in seed]

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .hjb import hjb_rhs, integrate_backward, switch_gains
+from .hjb import hjb_rhs, integrate_backward, switch_gains  # noqa: F401  (a perfbench hook)
 from .kinetics import Trajectory, integrate_forward, step_grid
 from .model import GameConfig, occupation_array, payoff_array
 from .stationary import stationary_solution
@@ -42,7 +42,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-VIOLATION_CAP = 1000    # stored cone violations before truncation
 BOUNDARY_TOL = 1e-9     # how exactly a probe triple must sit on the boundary
 
 
@@ -73,8 +72,9 @@ class MfgSolveResult:
     converged, u is also the control the occupation path was integrated
     under, so (x, g, u) is an exact equilibrium on the grid.  oscillating
     marks a period-2 control cycle.  cone_violations lists (t, level, from,
-    to, gain) where switching was profitable, truncated at VIOLATION_CAP;
-    meta["violations"] counts them all.
+    to, gain) where switching was profitable on the final payoff path,
+    truncated at hjb.VIOLATION_CAP; meta["violations"] counts them all.  Both
+    come from integrate_backward's node pass.
     """
 
     trajectory: Trajectory
@@ -135,34 +135,20 @@ def solve_mfg(
               "projections": fwd.meta.get("projections", 0)},
     )
 
-    # node by node: the whole path's gains would take m times the payoff path's memory
-    violations: List[Tuple[float, int, int, int, float]] = []
-    violation_count = 0
-    cone_worst = float("-inf")
-    for t, g in zip(traj.times, traj.g):
-        gains = switch_gains(g, cfg)
-        worst = float(gains.max())
-        cone_worst = max(cone_worst, worst)
-        if worst > 0.0:
-            hits = np.argwhere(gains > 0.0)
-            violation_count += len(hits)
-            for i, a, b_ in hits[: VIOLATION_CAP - len(violations)].tolist():
-                violations.append((float(t), i, a, b_, float(gains[i, a, b_])))
-
     switch_fraction = float(np.mean(np.any(bwd.u != stay, axis=(1, 2))))
     return MfgSolveResult(
         trajectory=traj,
         iterations=iterations,
         converged=converged,
         oscillating=oscillating,
-        cone_violations=violations,
+        cone_violations=bwd.meta["violations_head"],
         meta={
             "flipped_steps": int(np.any(bwd.u != u_path, axis=(1, 2)).sum()),
             # perfbench's traced run reads these two: no halvings, zero residual
             "damping_final": 0.5,
             "dx_final": 0.0,
-            "cone_worst": cone_worst,
-            "violations": violation_count,
+            "cone_worst": bwd.meta["cone_worst"],
+            "violations": bwd.meta["violations"],
             "switch_fraction": switch_fraction,
         },
     )

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hbmfg.hjb
 from hbmfg import (
     GameConfig,
     HjbError,
@@ -19,6 +20,7 @@ from hbmfg import (
     optimal_control,
     switch_gains,
 )
+from hbmfg.hjb import BLOCK_BYTES, _block_steps, _node_pass
 from hbmfg.kinetics import rk4_step
 from test_kinetics import column_generator, random_control, random_simplex, stage_cases
 from util_configs import make_config
@@ -238,19 +240,63 @@ def backward_loop(gT, x_path, controls, h, cfg):
 
 
 def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
-    for cfg, x0, rng in stage_cases():
-        x_path = integrate_forward(x0, None, 0.0, 1.0, 0.05, cfg).x
+    blocks = []
+    for cfg, x0, rng, steps in stage_cases():
+        h = 1.0 / steps
+        blocks.append(steps / _block_steps(cfg))
+        x_path = integrate_forward(x0, None, 0.0, 1.0, h, cfg).x
         gT = rng.normal(size=(cfg.n, cfg.m))
-        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(20)])
-        fixed = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg, control=stack)
-        assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, 0.05, cfg)[0])
-        free = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg)
-        assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * 20, 0.05, cfg)[0])
-        best = integrate_backward(gT, x_path, 0.0, 1.0, 0.05, cfg, mode="optimizing")
-        g, firsts = backward_loop(gT, x_path, "optimizing", 0.05, cfg)
+        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
+        fixed = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg, control=stack)
+        assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
+        free = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg)
+        assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
+        best = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg, mode="optimizing")
+        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
         assert np.array_equal(best.g, g)
-        # u[k] is the best response at node k: step k-1's first stage, and t0's own call
+        # u[k] is the best response at node k, every node across block edges:
+        # step k-1's first stage, and t0's own call
         assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
+    assert min(blocks[-2:]) > 5
+
+
+def test_node_pass_equals_a_node_by_node_scan(monkeypatch):
+    # the 10 x 10 case's gains alone fill several node blocks; profitable
+    # switches start after the first block, the largest well before the last
+    cfg = stage_cases()[-2][0]
+    gs = np.zeros((100, cfg.n, cfg.m))
+    gs[40, 3, 7] = 5.0
+    gs[70:, 2, 4] = 1.0
+    gs[90:, 6] = 0.1 * np.arange(cfg.m)
+    times = 0.5 * np.arange(100)
+    assert len(gs) * 8 * cfg.n * cfg.m ** 2 > 3 * BLOCK_BYTES
+    monkeypatch.setattr(hbmfg.hjb, "VIOLATION_CAP", 200)
+    u, scan = _node_pass(times, gs, cfg)
+    npt.assert_array_equal(u, [optimal_control(g, cfg) for g in gs])
+    hits = []
+    for t, g in zip(times, gs):
+        gains = switch_gains(g, cfg)
+        hits += [(float(t), i, a, b, float(gains[i, a, b]))
+                 for i, a, b in np.argwhere(gains > 0.0).tolist()]
+    assert scan["cone_worst"] == max(h[-1] for h in hits) == 5.0 - cfg.fee_B[0, 7]
+    assert scan["violations"] == len(hits) > 200
+    assert scan["violations_head"] == hits[:200]
+
+
+def test_integrate_backward_names_the_first_non_finite_step():
+    # steps far beyond RK4's stability bound grow g by about 1e8 a step until
+    # it overflows; the blocked pass names the step that a step-by-step loop
+    # finds, and no RuntimeWarning escapes it
+    cfg, x0, rng, _ = stage_cases()[-2]
+    steps, h = 80, 40.0
+    x_path = np.broadcast_to(x0, (steps + 1, cfg.n, cfg.m))
+    gT = rng.normal(size=(cfg.n, cfg.m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs, _ = backward_loop(gT, x_path, [None] * steps, h, cfg)
+    first = max(np.flatnonzero(~np.isfinite(gs).all(axis=(1, 2))))
+    assert 0 < first < steps - 1
+    with pytest.raises(HjbError, match=rf"non-finite payoff at t={first * h:.6g};"):
+        integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
 
 
 def test_stationary_payoff_dense_cross_check():

@@ -490,6 +490,28 @@ def test_cli_simulate_runs_replications_in_one_call(tmp_path, capsys, monkeypatc
     assert doc["events_per_rep"] == events and doc["events"] == sum(events)
 
 
+def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys, monkeypatch):
+    calls = []
+    scalar = hbmfg.cli.simulate
+
+    def spy(s0, u, T, seed, cfg, **kw):
+        calls.append(seed)
+        return scalar(s0, u, T, seed, cfg, **kw)
+
+    monkeypatch.setattr(hbmfg.cli, "simulate", spy)
+    out = tmp_path / "o"
+    code, summary, _ = cli(["simulate", EXAMPLE, "--out", str(out), "--N", "120", "--T", "1",
+                            "--seed", "5", "--samples", "5"], capsys)
+    assert code == 0 and calls == [5]
+    cfg = read_config(EXAMPLE)
+    s0 = hbmfg.CountState.from_occupation(hbmfg.Occupation.uniform(3, 3).x, 120)
+    solo = scalar(s0, None, 1.0, 5, cfg, samples=5)
+    write_aggregate_csv(str(tmp_path / "solo.csv"), solo.times, solo.x, np.zeros_like(solo.x))
+    assert (out / "aggregate.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+    doc = json.loads((out / "simulate.json").read_text())
+    assert doc["events_per_rep"] == [solo.events] == [summary["events"]]
+
+
 def test_cli_simulate_same_seed_same_bytes(tmp_path, capsys):
     args = ["simulate", EXAMPLE, "--N", "150", "--T", "1", "--reps", "2",
             "--seed", "11", "--samples", "4"]

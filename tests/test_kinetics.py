@@ -12,7 +12,7 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
 )
-from hbmfg.kinetics import rk4_step
+from hbmfg.kinetics import control_changes, control_steps, rk4_step
 from util_configs import make_config
 
 
@@ -286,8 +286,11 @@ def test_stationary_residual_zero_on_balanced_kernel():
 
 
 def stage_cases():
-    """Configs for the bit-for-bit integrator checks: random standard and sink
-    configs, lam = 0 and m = 1, each with a random initial occupation."""
+    """Configs for the bit-for-bit integrator checks, each with a random initial
+    occupation and a step count on [0, 1]: random standard and sink configs,
+    lam = 0 and m = 1 on 20 steps; then a 10 x 10 config on 120 steps and a
+    5 x 4 sink config on 400, grids that span several of integrate_backward's
+    operator blocks (hjb.BLOCK_BYTES)."""
     rng = np.random.default_rng(2024)
     cases = []
     for case in range(8):
@@ -297,7 +300,12 @@ def stage_cases():
                                  fee_switch=0.2, sink=case >= 5, delta=0.3))
     cases.append(make_config(3, 3, rng, balanced_evo=False, lam=0.0, delta=0.3))
     cases.append(make_config(4, 1, rng, balanced_evo=False, delta=0.3))
-    return [(cfg, random_simplex(cfg.n, cfg.m, rng), rng) for cfg in cases]
+    steps = [20] * len(cases) + [120, 400]
+    cases.append(make_config(10, 10, rng, balanced_evo=False, fine=0.3, fee_switch=0.2,
+                             delta=0.3))
+    cases.append(make_config(5, 4, rng, balanced_evo=False, fine=0.3, fee_switch=0.2,
+                             sink=True, delta=0.3))
+    return [(cfg, random_simplex(cfg.n, cfg.m, rng), rng, k) for cfg, k in zip(cases, steps)]
 
 
 def forward_loop(x0, controls, h, cfg):
@@ -313,12 +321,30 @@ def forward_loop(x0, controls, h, cfg):
 
 
 def test_integrate_forward_equals_rk4_loop_over_kinetic_rhs():
-    for cfg, x0, rng in stage_cases():
-        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(20)])
-        traj = integrate_forward(x0, stack, 0.0, 1.0, 0.05, cfg)
-        assert np.array_equal(traj.x, forward_loop(x0, stack, 0.05, cfg))
+    for cfg, x0, rng, steps in stage_cases():
+        h = 1.0 / steps
+        stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
+        traj = integrate_forward(x0, stack, 0.0, 1.0, h, cfg)
+        assert np.array_equal(traj.x, forward_loop(x0, stack, h, cfg))
+        # held for five steps at a time, a control's step kernel is reused
+        runs = np.repeat(stack[::5], 5, axis=0)
+        traj = integrate_forward(x0, runs, 0.0, 1.0, h, cfg)
+        assert np.array_equal(traj.x, forward_loop(x0, runs, h, cfg))
         # a stack whose targets all stay is nobody switching, bit for bit
-        stay = np.broadcast_to(np.arange(cfg.m), (20, cfg.n, cfg.m))
-        free = integrate_forward(x0, None, 0.0, 1.0, 0.05, cfg)
-        assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, 0.05, cfg).x, free.x)
-        assert np.array_equal(free.x, forward_loop(x0, [None] * 20, 0.05, cfg))
+        stay = np.broadcast_to(np.arange(cfg.m), (steps, cfg.n, cfg.m))
+        free = integrate_forward(x0, None, 0.0, 1.0, h, cfg)
+        assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, h, cfg).x, free.x)
+        assert np.array_equal(free.x, forward_loop(x0, [None] * steps, h, cfg))
+
+
+def test_control_changes_marks_where_the_control_changes():
+    rng = np.random.default_rng(4)
+    cfg = make_config(3, 2, rng)
+    u = random_control(3, 2, rng)
+    v = (u + 1) % 2
+    stack = np.array([u, u, v, v, v, u])
+    npt.assert_array_equal(control_changes(control_steps(stack, 6, cfg)),
+                           [True, False, True, False, False, True])
+    for fixed in (None, u):
+        npt.assert_array_equal(control_changes(control_steps(fixed, 3, cfg)),
+                               [True, False, False])

@@ -111,7 +111,7 @@ def test_validate_catches_boundary_and_sign_problems():
 def test_validate_detailed_balance_identity():
     cfg = _tiny(q_down=[[0.0, 0.0], [1.0, 2.0]], detailed_balance=True)
     msgs = validate(cfg)
-    assert any("detailed_balance" in m and "q_up[1,2]" in m for m in msgs)
+    assert "detailed_balance: q_up[1,2] != q_down[2,2] (1.0 vs 2.0)" in msgs
 
 
 def test_detailed_balance_decided_alike():
