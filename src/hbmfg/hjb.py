@@ -9,7 +9,9 @@ agent regardless, with the downgrade fine charged on every enforced drop.
 Both variants' level moves, step-down and sink, come from GameConfig.moves:
 the payoff flow is the adjoint of the forward flow.  Without the switch term
 it is affine in g, and integrate_backward builds that map for a block of
-steps at a time.
+steps at a time.  Inside the no-switch cone, where the payoff spread less
+the smallest switch fee bounds every gain by SWITCH_TOL, an optimizing
+stage is that map alone: the switch term is exactly zero and is skipped.
 """
 from __future__ import annotations
 
@@ -97,6 +99,29 @@ def _payoff_stage(M, c, switch, lam: float):
     if switch is None:
         return lambda y: M @ y + c
     return lambda y: M @ y + c - lam * switch(y)
+
+
+def _optimizing_stage(M, c, gain, lam: float, fee_min: float, skipped: list):
+    """_payoff_stage with the best switch gain, skipped while the stage
+    input's payoff spread less fee_min, the smallest switch fee, is at most
+    SWITCH_TOL.  IEEE subtraction is monotone in each argument, so every gain
+    is then at most that bound, the switch term is exactly zero, and
+    M @ G + c is the stage, bit for bit (for a finite nonnegative lam, since
+    v - 0.0 == v for every v; fee_min nan never skips).  Once a stage fails
+    the bound the rest of the step takes the full maximum; skipped[0] counts
+    the stages that skipped."""
+    inside = True
+
+    def stage(y):
+        nonlocal inside
+        if inside:
+            if float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL:
+                skipped[0] += 1
+                return M @ y + c
+            inside = False
+        return M @ y + c - lam * gain(y)
+
+    return stage
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
@@ -213,7 +238,9 @@ def integrate_backward(
     mode "fixed": control is used as is, in integrate_forward's forms (None =
     nobody switches, one Control/(n, m) target matrix, or a per-step stack);
     mode "optimizing": every stage takes the best switch at the current g,
-    the maximum of switch_gains over the target, without storing the gains.
+    the maximum of switch_gains over the target, without storing the gains;
+    a stage inside the no-switch cone skips it (_optimizing_stage), and
+    meta["cone_stages"] counts those stages.
     Each step's switch-free flow is hjb_rhs's affine map of the payoff by
     behaviour column, assembled for a block of steps at a time within
     BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
@@ -241,6 +268,9 @@ def integrate_backward(
     gs[n_steps] = gT
     g = _by_column(gT)
     best = _best_gain(cfg) if optimizing else None
+    # a negative or infinite lam turns lam * 0.0 into -0.0 or nan: never skip
+    fee_min = float(cfg.switch_fee.min()) if 0.0 <= cfg.lam < np.inf else np.nan
+    skipped = [0]
     size = _block_steps(cfg)
     if not on_path:
         M, c = _payoff_operators(None if x_nodes is None else x_nodes[None], cfg)
@@ -252,9 +282,12 @@ def integrate_backward(
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(hi - 1, lo - 1, -1):
                 j = k - lo if on_path else 0
-                switch = best if optimizing else (
-                    None if u_steps[k] is None else _target_gain(u_steps[k], cfg))
-                g = cols[k - lo] = rk4_step(_payoff_stage(M[j], c[j], switch, cfg.lam), g, -h)
+                if optimizing:
+                    stage = _optimizing_stage(M[j], c[j], best, cfg.lam, fee_min, skipped)
+                else:
+                    switch = None if u_steps[k] is None else _target_gain(u_steps[k], cfg)
+                    stage = _payoff_stage(M[j], c[j], switch, cfg.lam)
+                g = cols[k - lo] = rk4_step(stage, g, -h)
         bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
         if bad.size:
             raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
@@ -264,4 +297,5 @@ def integrate_backward(
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
-    return Trajectory(times=times, g=gs, u=us[:-1], meta={**meta, **scan})
+    return Trajectory(times=times, g=gs, u=us[:-1],
+                      meta={**meta, "cone_stages": skipped[0], **scan})

@@ -205,12 +205,16 @@ def _state_labels(prefix: str, n: int, m: int) -> list:
 
 
 def _write_rows(path: str, head: list, times, table: np.ndarray) -> None:
-    # row by row, one "%.17g" template formatting each value as fmt does
-    template = ",".join(["%.17g"] * len(head)) + "\n"
+    # row by row, one "%.17g" template formatting each value as fmt does; a row
+    # whose bits equal the previous row's reuses its text, only t is formatted
+    template = "".join([",%.17g"] * (len(head) - 1)) + "\n"
+    bits = text = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(head) + "\n")
         for t, row in zip(np.asarray(times, dtype=float).tolist(), table):
-            fh.write(template % (t, *row.tolist()))
+            if (row_bits := row.tobytes()) != bits:
+                bits, text = row_bits, template % tuple(row.tolist())
+            fh.write("%.17g" % t + text)
 
 
 def write_trajectory_csv(path: str, times, values, prefix: str = "x") -> None:
@@ -227,13 +231,18 @@ def write_state_csv(path: str, state, prefix: str = "x", t: float = 0.0) -> None
 
 
 def read_state_csv(path: str, n: int, m: int) -> np.ndarray:
-    """Read the first data row of a trajectory-format CSV as an (n, m) state."""
+    """Read a one-row trajectory-format CSV as an (n, m) state; a file with
+    more data rows, such as a solve's x.csv or g.csv, is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            row = fh.readline()
+            header, *rows = fh.read().splitlines() or [""]
     except OSError as e:
         raise ConfigError(f"cannot read state file: {e}") from None
+    rows = [r for r in rows if r.strip()]
+    if len(rows) > 1:
+        raise ConfigError(f"state file {os.path.basename(path)} has {len(rows)} data rows, "
+                          "expected one")
+    row = rows[0] if rows else ""
     cols = header.strip().split(",")
     if len(cols) != n * m + 1 or cols[0] != "t":
         raise ConfigError(

@@ -7,7 +7,9 @@ and the agents' own behaviour switches (rate lam, to the behaviour the
 control's target matrix names).  The level moves of both variants, step-down
 and sink, come from the config's move table, GameConfig.moves.  Every flow
 moves mass along one axis at a time, so the total mass (and, absent
-switching, each behaviour column's mass) is conserved.
+switching, each behaviour column's mass) is conserved.  The forward
+integrator stops stepping once a step returns its input bit for bit, and
+fills the rest of that control piece with the fixed point.
 """
 from __future__ import annotations
 
@@ -150,7 +152,10 @@ def integrate_forward(
     control changes, and one sum serves each step's non-finite and drift checks.
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
-    and logged.
+    and logged.  A step whose output equals its input bit for bit has reached
+    a fixed point of its control piece's step map: the rest of the piece is
+    filled with it and not stepped (meta["fixed_steps"] counts the filled
+    steps, and a projected fixed point counts as projected at each of them).
     """
     n_steps, h = step_grid(t0, t1, dt)
     u_steps = control_steps(control, n_steps, cfg)
@@ -160,27 +165,38 @@ def integrate_forward(
     xs = np.empty((n_steps + 1,) + x.shape)
     xs[0] = x
     drift_max = 0.0
-    projections = 0
-    for k, new in enumerate(control_changes(u_steps).tolist()):
-        if new:
-            kernel = _kinetic_kernel(u_steps[k], cfg)
-        x = rk4_step(kernel, x, h)
-        mass = float(x.sum())  # any inf or nan entry makes it non-finite
-        if not math.isfinite(mass):
-            raise KineticsError(
-                f"non-finite occupation at t={times[k + 1]:.6g}; reduce dt (dt={h:.3g})"
-            )
-        drift = max(abs(mass - 1.0), max(0.0, -float(x.min())))
-        drift_max = max(drift_max, drift)
-        if drift > DRIFT_TOL:
-            x = np.clip(x, 0.0, None)
-            x /= x.sum()
-            projections += 1
-        xs[k + 1] = x
+    projections = fixed_steps = 0
+    starts = np.flatnonzero(control_changes(u_steps)).tolist() + [n_steps]
+    for a, b in zip(starts[:-1], starts[1:]):  # one control piece: steps a .. b-1
+        kernel = _kinetic_kernel(u_steps[a], cfg)
+        for k in range(a, b):
+            x_in, x = x, rk4_step(kernel, x, h)
+            mass = float(x.sum())  # any inf or nan entry makes it non-finite
+            if not math.isfinite(mass):
+                raise KineticsError(
+                    f"non-finite occupation at t={times[k + 1]:.6g}; reduce dt (dt={h:.3g})"
+                )
+            drift = max(abs(mass - 1.0), max(0.0, -float(x.min())))
+            drift_max = max(drift_max, drift)
+            projected = drift > DRIFT_TOL
+            if projected:
+                x = np.clip(x, 0.0, None)
+                x /= x.sum()
+                projections += 1
+            xs[k + 1] = x
+            # a step that returns its input bit for bit, in the same C layout,
+            # returns it at every later step of the piece: fill them
+            if (x_in.flags.c_contiguous and x.flags.c_contiguous
+                    and x.tobytes() == x_in.tobytes()):
+                xs[k + 2:b + 1] = x
+                fixed_steps += b - k - 1
+                projections += projected * (b - k - 1)
+                break
     if projections:
         log.warning(
             "re-projected %d/%d samples to the simplex (max drift %.3e)",
             projections, n_steps, drift_max,
         )
-    meta = {"dt": h, "drift_max": drift_max, "projections": projections}
+    meta = {"dt": h, "drift_max": drift_max, "projections": projections,
+            "fixed_steps": fixed_steps}
     return Trajectory(times=times, x=xs, meta=meta)

@@ -22,8 +22,10 @@ from hbmfg import (
 )
 from hbmfg.hjb import BLOCK_BYTES, _block_steps, _node_pass
 from hbmfg.kinetics import rk4_step
+from hbmfg.io import read_config
+from test_io_cli import EXAMPLE
 from test_kinetics import column_generator, random_control, random_simplex, stage_cases
-from util_configs import make_config
+from util_configs import make_config, theorem_config
 
 
 def hjb_loops(g, x, u, cfg):
@@ -258,6 +260,31 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         # step k-1's first stage, and t0's own call
         assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
     assert min(blocks[-2:]) > 5
+
+
+def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
+    # theorem_config's fees exceed every payoff spread, so every stage skips
+    # the maximum; the example's cheaper fees bound the spread only on its
+    # last nodes near T, so the pass starts inside the cone and leaves it
+    for cfg, steps, everywhere in ((theorem_config(3, 3, np.random.default_rng(7)), 80, True),
+                                   (read_config(EXAMPLE), 60, False)):
+        h = 3.0 / steps
+        x0 = np.full((cfg.n, cfg.m), 1.0 / (cfg.n * cfg.m))
+        x_path = integrate_forward(x0, None, 0.0, 3.0, h, cfg).x
+        gT = np.zeros((cfg.n, cfg.m))
+        best = integrate_backward(gT, x_path, 0.0, 3.0, h, cfg, mode="optimizing")
+        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
+        assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
+        assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
+        skipped = best.meta["cone_stages"]
+        assert skipped == 4 * steps if everywhere else 0 < skipped < 2 * steps
+    # lam = inf makes the switch term inf * 0.0 = nan even inside the cone,
+    # so no stage may skip it: the first step, next to T, fails
+    blowup = dataclasses.replace(cfg, lam=np.inf)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(backward_loop(gT, x_path[-2:], "optimizing", h, blowup)[0][0]).all()
+    with pytest.raises(HjbError, match=rf"non-finite payoff at t={3.0 - h:.6g};"):
+        integrate_backward(gT, x_path, 0.0, 3.0, h, blowup, mode="optimizing")
 
 
 def test_node_pass_equals_a_node_by_node_scan(monkeypatch):

@@ -195,13 +195,21 @@ def test_csv_rows_are_fmt_joined(tmp_path):
     special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e17, -1e17, 0.1]
     values = np.concatenate([special, -10.0 ** rng.uniform(-300, 300, 14),
                              10.0 ** rng.uniform(-300, 300, 14), rng.normal(size=10)])
-    vals = values.reshape(4, 3, 4)
-    times = [0.0, -0.0, 1e-7, 62.5]
+    mixed = values.reshape(4, 3, 4)
+    # then rows a writer may reuse: each of the last two three times, rows
+    # equal under == but not bit for bit (0.0 / -0.0), and rows of nan
+    zero, nan = np.zeros((3, 4)), np.full((3, 4), np.nan)
+    vals = np.concatenate([mixed, np.repeat(mixed[2:], 3, axis=0),
+                           [zero, -zero, -zero, zero, nan, nan, np.where(np.eye(3, 4), nan, 1.0)]])
+    times = [0.0, -0.0, 1e-7, 62.5, *np.linspace(-1.0, 1.0, len(vals) - 4)]
     p, q = tmp_path / "traj.csv", tmp_path / "aggregate.csv"
     write_trajectory_csv(str(p), times, vals)
     write_aggregate_csv(str(q), times, vals, vals[::-1])
-    for k, line in enumerate(p.read_text().splitlines()[1:]):
+    lines = p.read_text().splitlines()[1:]
+    assert len(lines) == len(vals) == 17
+    for k, line in enumerate(lines):
         assert line == ",".join(fmt(v) for v in [times[k], *vals[k].ravel()])
+    assert lines[11].split(",")[1:] == ["-0"] * 12 and lines[13].split(",")[1:] == ["0"] * 12
     for k, line in enumerate(q.read_text().splitlines()[1:]):
         assert line == ",".join(fmt(v) for v in [times[k], *vals[k].ravel(),
                                                  *vals[::-1][k].ravel()])
@@ -706,6 +714,22 @@ def test_cli_solve_rejects_non_finite_terminal_payoff(tmp_path, capsys):
     assert "g.csv" in summary["error"] and "non-finite" in summary["error"]
     assert "numerical failure" not in err
     assert os.listdir(out) == []
+
+
+def test_cli_solve_refuses_a_trajectory_as_a_state_file(tmp_path, capsys):
+    # a solve's x.csv and g.csv hold one row per node: as --x0 or --gT they
+    # are refused by name and row count, not read at t = 0
+    traj = tmp_path / "traj"
+    code, _, _ = cli(["solve", EXAMPLE, "--T", "1", "--dt", "0.1", "--out", str(traj)], capsys)
+    assert code == 0
+    for flag, name in (("--x0", "x.csv"), ("--gT", "g.csv")):
+        out = tmp_path / flag.strip("-")
+        code, summary, err = cli(["solve", EXAMPLE, "--T", "1", "--dt", "0.1", flag,
+                                  str(traj / name), "--out", str(out)], capsys)
+        assert code == 1 and summary["ok"] is False
+        assert f"state file {name} has 11 data rows" in summary["error"]
+        assert "numerical failure" not in err
+        assert os.listdir(out) == []
 
 
 def test_cli_solve_without_rates_needs_a_horizon(tmp_path, capsys):

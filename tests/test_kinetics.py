@@ -13,7 +13,7 @@ from hbmfg import (
     kinetic_rhs,
 )
 from hbmfg.kinetics import control_changes, control_steps, rk4_step
-from util_configs import make_config
+from util_configs import make_config, theorem_config
 
 
 def rhs_loops(x, u, cfg):
@@ -335,6 +335,27 @@ def test_integrate_forward_equals_rk4_loop_over_kinetic_rhs():
         free = integrate_forward(x0, None, 0.0, 1.0, h, cfg)
         assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, h, cfg).x, free.x)
         assert np.array_equal(free.x, forward_loop(x0, [None] * steps, h, cfg))
+
+
+def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
+    # without interaction theorem_config's level chains have q_down[i + 1] ==
+    # q_up[i], so an occupation uniform over each column's levels is
+    # stationary; the empty column starts at -0.0, which the first step turns
+    # into +0.0, so only the second step returns its input bit for bit.  The
+    # stack stays, switches column 0 into column 1 for 20 steps, then stays.
+    cfg = theorem_config(3, 3, np.random.default_rng(3), with_evo=False)
+    x0 = np.full((3, 3), 0.5 / 3)
+    x0[:, 2] = -0.0
+    stack = np.broadcast_to(np.arange(3), (200, 3, 3)).copy()
+    stack[40:60] = [1, 1, 2]
+    traj = integrate_forward(x0, stack, 0.0, 4.0, 0.02, cfg)
+    ref = forward_loop(x0, stack, 0.02, cfg)
+    assert np.array_equal(traj.x.view(np.int64), ref.view(np.int64))
+    assert np.signbit(traj.x[0, :, 2]).all() and not np.signbit(traj.x[1:]).any()
+    # the first piece fills steps 2..39 and the last fills all but its first
+    # step; the switching piece in between is stepped
+    assert traj.meta["fixed_steps"] == 38 + 139
+    assert (traj.x[41:61] != traj.x[40:60]).any(axis=(1, 2)).all()
 
 
 def test_control_changes_marks_where_the_control_changes():

@@ -21,6 +21,9 @@ from hbmfg import (
     switch_gains,
     turnpike_metrics,
 )
+from hbmfg.hjb import SWITCH_TOL
+from hbmfg.io import read_config
+from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, theorem_config
 
@@ -99,6 +102,62 @@ def test_solve_from_stationary_point_stays_there():
     assert tm.plateau < 1e-12
     assert tm.sup_middle < 1e-12
     assert 0.0 <= tm.switch_fraction <= 1.0
+
+
+def _sweep(x0, u_path, T, dt, cfg):
+    """One sweep of solve_mfg under a control path: forward, then optimizing backward."""
+    fwd = integrate_forward(x0, u_path, 0.0, T, dt, cfg)
+    bwd = integrate_backward(np.zeros((cfg.n, cfg.m)), fwd.x, 0.0, T, dt, cfg,
+                             mode="optimizing")
+    return fwd, bwd
+
+
+def test_exact_shortcuts_fire_inside_the_cone():
+    # acceptance 07's setting: the uniform start is a fixed point of the
+    # stay-put step map, and the fees keep every node inside the cone, so all
+    # forward steps but the first are filled and no stage takes the maximum
+    rng = np.random.default_rng(707)
+    for n in (2, 3):
+        cfg = theorem_config(n, n, rng, delta=0.05)
+        fwd, bwd = _sweep(Occupation.uniform(n, n).x, None, default_horizon(cfg),
+                          default_dt(cfg), cfg)
+        steps = len(fwd.times) - 1
+        assert fwd.meta["fixed_steps"] == steps - 1
+        assert bwd.meta["cone_stages"] == 4 * steps
+
+
+def test_forward_fill_starts_mid_run_on_a_decaying_start():
+    # acceptance 08(b)'s setting: without interaction the gap to the
+    # column-mass-matched fixed point decays until a step returns its input
+    # bit for bit, and every later sample is that step's
+    rng = np.random.default_rng(808)
+    cfg = theorem_config(3, 3, rng, with_evo=False)
+    dt = min(default_dt(cfg), 0.25 / float((cfg.q_up + cfg.q_down).max()))
+    fwd = integrate_forward(random_simplex(3, 3, rng), None, 0.0, 2.0 * default_horizon(cfg),
+                            dt, cfg)
+    # step k returned sample k unchanged and filled samples k + 2 onward
+    steps = len(fwd.times) - 1
+    k = steps - 1 - fwd.meta["fixed_steps"]
+    assert 0.1 * steps < k < 0.9 * steps
+    assert (fwd.x[k:] == fwd.x[-1]).all() and (fwd.x[k - 1] != fwd.x[-1]).any()
+
+
+def test_example_solve_skips_only_near_the_horizon():
+    # on the example's converged path nothing is filled, and a stage skips
+    # the maximum only in steps that start at a node whose payoff spread less
+    # the smallest fee is within SWITCH_TOL: the last few nodes before T
+    cfg = read_config(EXAMPLE)
+    x0 = Occupation.uniform(cfg.n, cfg.m).x
+    res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), 10.0, 0.05, cfg)
+    assert res.converged
+    fwd, bwd = _sweep(x0, res.trajectory.u, 10.0, 0.05, cfg)
+    assert np.array_equal(bwd.g, res.trajectory.g)
+    assert fwd.meta["fixed_steps"] == 0
+    g = bwd.g
+    inside = g.max(axis=(1, 2)) - g.min(axis=(1, 2)) - cfg.switch_fee.min() <= SWITCH_TOL
+    near_t = int(inside.sum())
+    assert 0 < near_t < 0.1 * len(g) and inside[-near_t:].all()
+    assert near_t <= bwd.meta["cone_stages"] <= 4 * near_t
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
