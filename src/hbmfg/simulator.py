@@ -14,14 +14,17 @@ simulated exactly: exponential waiting time at the total rate, categorical
 choice of channel.  Mean counts over N follow the kinetic equation as N grows.
 
 The control takes the integrators' forms (kinetics.control_steps), one step
-per output interval; both loops iterate one channel table per interval.
+per output interval; one channel table serves each run of intervals under
+the same control.
 
 `simulate` with one seed runs a scalar per-event loop.  With a sequence of
 seeds it runs the replications in lockstep: one numpy step computes every
-replication's channel rates and applies its next event, while each
-replication reads its own PCG64 stream exactly as the scalar loop would, so
-its path is bit for bit the one its seed gives alone.  The scalar loop is the
-reference the tests hold the lockstep loop to.
+replication's channel rates and applies its next event or its crossing of
+an output node, while each replication reads its own PCG64 stream exactly as
+the scalar loop would, so its path is bit for bit the one its seed gives
+alone.  Replications cross output nodes on their own and meet again only
+where the control changes.  The scalar loop is the reference the tests hold
+the lockstep loop to.
 """
 from __future__ import annotations
 
@@ -46,16 +49,24 @@ __all__ = [
 
 RNG_NAME = "pcg64"
 _ROW_WIDTH = 1024    # uniforms buffered per replication, by either loop
+MAX_N = 2**53        # the lockstep loop and the rounding hold counts as exact floats
+
+
+def _check_population(N) -> None:
+    if N > MAX_N:
+        raise ValueError(f"N must be at most 2**53 = {MAX_N}, the largest population "
+                         f"whose counts float64 holds exactly, got {N}")
 
 
 @dataclass(frozen=True)
 class CountState:
-    """Agent counts per (level, behaviour) cell; N is the fixed total."""
+    """Agent counts per (level, behaviour) cell; N is the fixed total, at most 2**53."""
 
     counts: np.ndarray
     N: int
 
     def __post_init__(self):
+        _check_population(self.N)
         c = np.array(self.counts, dtype=np.int64)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -69,6 +80,7 @@ class CountState:
     @staticmethod
     def from_occupation(x, N: int) -> "CountState":
         """Largest-remainder rounding of x*N; ties go to the lower flat index."""
+        _check_population(N)
         xa = occupation_array(x)
         target = xa * N
         base = np.floor(target)
@@ -188,6 +200,8 @@ def simulate(
     seed: an int runs one trajectory and returns its SimPath.  A sequence of
     ints returns one SimPath per seed, in order; those replications advance
     in lockstep, one column of numpy arrays each, under the same control.
+    Each crosses output nodes on its own, and they meet again only where the
+    control changes; meta["lockstep_steps"] counts the steps of the call.
     Every trajectory draws from its own PCG64(seed) stream in the same order
     (a uniform for each wait, and one for the pick if the event falls inside
     the interval), so a lockstep replication is bit for bit the path that
@@ -197,18 +211,22 @@ def simulate(
         raise ValueError("need a finite T > 0")
     if samples < 1:
         raise ValueError("need at least one output sample")
+    single = isinstance(seed, (int, np.integer))
+    seeds = [int(seed)] if single else [int(s) for s in seed]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for s in seeds:
+        if s < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {s}")
+    if record_events and not single:
+        raise ValueError("record_events needs a single int seed")
     n, m = cfg.n, cfg.m
     u_steps = control_steps(u, samples, cfg)
     tables = []   # one per interval, shared while the control stays the same
     for target, new in zip(u_steps, control_changes(u_steps).tolist()):
         tables.append(_build_channels(cfg, target, s0.N) if new else tables[-1])
     times = np.linspace(0.0, T, samples + 1)
-    if not isinstance(seed, (int, np.integer)):
-        seeds = [int(s) for s in seed]
-        if not seeds:
-            raise ValueError("need at least one seed")
-        if record_events:
-            raise ValueError("record_events needs a single int seed")
+    if not single:
         return _simulate_lockstep(s0, tables, times, seeds, cfg)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -275,97 +293,139 @@ def simulate(
     )
 
 
-# A replication whose total rate is 0 gets a wait of x/0 (inf or nan) and leaves
-# its interval without reading a uniform.
+# A replication whose total rate is 0 gets a wait of x/0 (inf or nan); it reads
+# no uniform and leaves its piece.
 @np.errstate(divide="ignore", invalid="ignore")
 def _simulate_lockstep(s0: CountState, tables: list, times: np.ndarray,
                        seeds: List[int], cfg: GameConfig) -> List[SimPath]:
     """The scalar loop of `simulate` run for every seed at once.
 
-    Arrays hold one column per replication.  Each step computes the channel
-    rates of every replication still inside the interval as the scalar loop
-    does (coeff * counts[src] * counts[partner], in channel order) and takes
-    their sequential cumsum, whose last entry is the total; then each
-    replication draws its own wait and pick.  A replication leaves the
-    interval when its total rate is 0 or its next event falls past the
-    interval's end.  Replication r reads its uniforms from buf[r], _ROW_WIDTH
-    numbers refilled from its own generator.  A changed channel table becomes
-    column arrays indexing the (n*m + 1)-row count matrix, whose last row
-    holds 1 for partnerless channels; moves[c] is channel c's change to it.
+    The output intervals come in pieces, runs of intervals that share one
+    channel table object (one control).  Within a piece, arrays hold one
+    column per replication still in it, and each column carries its own
+    time, interval and next uniform.  Each step computes every column's
+    channel rates as the scalar loop does (coeff * counts[src] *
+    counts[partner], in channel order) and their sequential cumsum, whose
+    entry C is the total; then each replication draws its own wait.  One
+    whose wait passes its interval's end crosses the node: it has read only
+    that wait, writes its counts at the node and goes on from the node time,
+    without waiting for the others.  One whose total rate is 0 reads nothing,
+    fills the piece's remaining nodes with its counts and leaves; so does one
+    that crosses the piece's last node.  Replications meet again only where
+    a piece starts.
+
+    Replication r reads its uniforms from buf[r], _ROW_WIDTH numbers refilled
+    from its own generator.  A piece's table becomes column arrays indexing
+    the (n*m + 1)-row count matrix, whose last row holds 1 for partnerless
+    channels, between two extra channels: channel 0 has rate 0 and moves
+    nobody, which is what a crossing's pick of -1 takes, and channel C + 1 has
+    rate inf and moves as the last real channel, which is what a pick that
+    reaches the total takes.  moves[:, k] is channel k's change to the counts.
     """
     n, m = cfg.n, cfg.m
     S = n * m
     R = len(seeds)
+    K = len(times)
     W = _ROW_WIDTH
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     buf = np.stack([_refill(g, (), W) for g in gens])
     flat = buf.ravel()
+    picks = flat[1:]                   # picks[i] is flat[i + 1], the uniform after a wait
+    comp = 1.0 - buf                   # 1 - u, the scalar loop's log argument
+    comp_flat = comp.ravel()
     pos = np.zeros(R, dtype=np.intp)   # each replication's next unread uniform
     cnt = np.ones((S + 1, R))          # counts as exact floats
     cnt[:S] = s0.counts.reshape(S, 1)
-    out = np.empty((R, len(times), n, m), dtype=np.int64)
-    out[:, 0] = s0.counts
+    out = np.empty((R * K, S), dtype=np.int64)   # row r*K + k: replication r at node k
+    out[::K] = s0.counts.reshape(S)
+    node_time = np.append(np.tile(times, R), np.inf)   # the time of each row of out
     events = np.zeros(R, dtype=np.int64)
     reps = np.arange(R)
     ln = math.log
+    total_steps = 0
 
-    table = None
-    for k, chans in enumerate(tables, 1):
-        if chans is not table:
-            table = chans
-            src, dst, coeff, partner = chans
-            C = len(src)
-            srcs = np.array(src, dtype=np.intp)
-            coeffs = np.array(coeff, dtype=np.float64)[:, None]
-            partners = np.array(partner, dtype=np.intp)
-            partners[partners < 0] = S
-            moves = np.zeros((C, S + 1))
-            moves[np.arange(C), srcs] = -1.0
-            moves[np.arange(C), dst] = 1.0
-        t_end = float(times[k])
-        live = reps if C else reps[:0]
-        c = cnt[:, live]
-        t = np.full(live.size, float(times[k - 1]))
-        at = live * W + pos[live]       # flat index of each live replication's next uniform
+    starts = [k for k in range(len(tables)) if k == 0 or tables[k] is not tables[k - 1]]
+    for j0, j1 in zip(starts, starts[1:] + [len(tables)]):
+        # the piece spans intervals j0 .. j1 - 1, from node j0 to node j1
+        src, dst, coeff, partner = tables[j0]
+        C = len(src)
+        if not C:
+            out.reshape(R, K, S)[:, j0 + 1:j1 + 1] = cnt[:S].T[:, None]
+            continue
+        partners = [S if p < 0 else p for p in partner]
+        take = np.array([S] + src + [S, S] + partners + [S], dtype=np.intp)
+        coeffs = np.array([0.0] + coeff + [math.inf])[:, None]
+        moves = np.zeros((S + 1, C + 2))
+        moves[src, range(1, C + 1)] = -1.0
+        moves[dst, range(1, C + 1)] = 1.0
+        moves[:, C + 1] = moves[:, C]
+        last = float(times[j1])
+
+        live = reps
+        c = cnt.copy()
+        t = np.full(R, float(times[j0]))
+        node = reps * K + (j0 + 1)       # the row of out at each column's interval end
+        te = node_time.take(node)
+        at = reps * W + pos              # flat index of each column's next uniform
         steps = guard = 0
-        while live.size:
+        while True:
             if guard == 0:
                 p = at - live * W
                 for i in np.flatnonzero(p > W - 2).tolist():
                     r = int(live[i])
                     buf[r] = _refill(gens[r], buf[r, p[i]:], W)
+                    comp[r] = 1.0 - buf[r]
                     at[i] = r * W
                     p[i] = 0
                 guard = (W - 2 - int(p.max())) // 2 + 1
             guard -= 1
-            rates = c[srcs]
-            rates *= coeffs
-            rates *= c[partners]
-            np.cumsum(rates, axis=0, out=rates)
-            tot = rates[-1]
-            # math.log, as in the scalar loop: np.log can differ in the last bit
-            tn = t - np.array(list(map(ln, (1.0 - flat[at]).tolist()))) / tot
-            go = tn <= t_end
-            if not go.all():
-                stop = ~go
-                gone = live[stop]
-                cnt[:, gone] = c[:, stop]
-                pos[gone] = at[stop] - gone * W + (tot[stop] > 0.0)
-                events[gone] += steps   # one event per step completed in this interval
-                live, c, at, tn, rates = live[go], c[:, go], at[go], tn[go], rates[:, go]
-                if not live.size:
-                    break
-                tot = rates[-1]
-            t = tn
-            hit = rates > flat[at + 1] * tot
-            hit[-1] = True   # a pick that reaches the total takes the last channel
-            c += moves[hit.argmax(axis=0)].T
-            at += 2
             steps += 1
-        out[:, k] = cnt[:S].T.reshape(R, n, m)
+            g = c.take(take, axis=0)
+            rates = g[:C + 2]
+            rates *= coeffs
+            rates *= g[C + 2:]
+            np.add.accumulate(rates, axis=0, out=rates)
+            tot = rates[C]
+            # math.log, as in the scalar loop: np.log can differ in the last bit
+            tn = t - np.array(list(map(ln, comp_flat.take(at).tolist()))) / tot
+            pick = picks.take(at) * tot
+            go = tn <= te
+            if not go.all():
+                # every column writes its counts at its interval's end; the last
+                # write there before the column moves on is the crossing's
+                out[node] = c[:S].T
+                cross = ~go
+                tn = np.minimum(tn, te)   # a crossing restarts the clock at its node
+                pick[cross] = -1.0        # and takes channel 0, which moves nobody
+                at -= cross               # it read only its wait
+                node += cross
+                te = node_time.take(node)
+                # a column that passed the piece's last node restarts at `last`
+                if tn.max() >= last or not tot.all():
+                    stall = tot == 0.0
+                    done = stall | (node - live * K > j1)
+                    gone = live[done]
+                    for r, row in zip(gone.tolist(), node[done].tolist()):
+                        out[row:r * K + j1 + 1] = out[row - 1]   # a stall fills its piece
+                    cnt[:, gone] = c[:, done]
+                    pos[gone] = at[done] + 2 - gone * W - stall[done]
+                    # each step was an event or a node passed (a stall passes one)
+                    events[gone] += steps - (node[done] - gone * K - j0 - 1)
+                    keep = ~done
+                    live, c, rates, pick, tn, te, node, at = (
+                        live[keep], c[:, keep], rates[:, keep], pick[keep], tn[keep],
+                        te[keep], node[keep], at[keep])
+                    if not live.size:
+                        break
+            c += moves.take((rates > pick).argmax(axis=0), axis=1)
+            t = tn
+            at += 2
+        total_steps += steps
 
-    return [SimPath(times=times, counts=out[r], N=s0.N, events=int(events[r]),
-                    seed=seeds[r], meta={"rng": RNG_NAME}) for r in range(R)]
+    out = out.reshape(R, K, n, m)
+    return [SimPath(times=times, counts=out[r], N=s0.N, events=int(events[r]), seed=seeds[r],
+                    meta={"rng": RNG_NAME, "lockstep_steps": total_steps})
+            for r in range(R)]
 
 
 @dataclass(frozen=True)

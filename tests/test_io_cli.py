@@ -520,6 +520,20 @@ def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys,
     assert doc["events_per_rep"] == [solo.events] == [summary["events"]]
 
 
+def test_cli_simulate_refuses_huge_populations_and_negative_seeds(tmp_path, capsys):
+    negative = "seed must be a nonnegative integer, got -1"
+    for extra, why in ((["--N", str(2**53 + 1)], "at most 2**53"),
+                       (["--N", str(10**20)], "at most 2**53"),
+                       (["--N", "10", "--seed", "-1"], negative),
+                       (["--N", "10", "--reps", "2", "--seed", "-1"], negative)):
+        out = tmp_path / f"o{len(os.listdir(tmp_path))}"
+        code, summary, err = cli(["simulate", EXAMPLE, "--T", "0.1", *extra,
+                                  "--out", str(out)], capsys)
+        assert code == 1 and summary["ok"] is False and why in summary["error"]
+        assert "numerical failure" not in err
+        assert os.listdir(out) == []
+
+
 def test_cli_simulate_same_seed_same_bytes(tmp_path, capsys):
     args = ["simulate", EXAMPLE, "--N", "150", "--T", "1", "--reps", "2",
             "--seed", "11", "--samples", "4"]

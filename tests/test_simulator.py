@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +18,7 @@ from hbmfg import (
     read_config,
     simulate,
 )
-from hbmfg.simulator import _ROW_WIDTH
+from hbmfg.simulator import MAX_N, _ROW_WIDTH
 from test_kinetics import random_control
 from util_configs import make_config
 
@@ -52,6 +53,20 @@ def test_from_occupation_rounding():
     npt.assert_array_equal(s2.counts, [[3], [7]])
     s3 = CountState.from_occupation(np.array([[0.26, 0.24], [0.25, 0.25]]), 4)
     npt.assert_array_equal(s3.counts, [[1, 1], [1, 1]])
+
+
+def test_count_state_refuses_populations_past_2_53():
+    # counts are exact as float64 only up to 2**53, in the rounding and in the
+    # lockstep loop; past it the refusal comes first, before any numpy warning
+    x = np.full((3, 3), 1 / 9)
+    assert int(CountState.from_occupation(x, MAX_N).counts.sum()) == 2**53
+    for N in (2**53 + 1, 10**20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 2\*\*53 = 9007199254740992"):
+                CountState.from_occupation(x, N)
+    with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+        CountState(counts=np.array([[2**53], [1]]), N=2**53 + 1)
 
 
 def test_count_state_validation():
@@ -289,11 +304,20 @@ def _lockstep_case(name):
     if name == "refills":
         cfg = read_config(EXAMPLE)
         return CountState.from_occupation(np.full((3, 3), 1 / 9), 5000), None, 0.2, 4, cfg
+    if name == "absorbs-within-piece":
+        # level 1 only drains: each replication's total rate reaches 0 at its
+        # own time inside the one piece, after its 10th event
+        return CountState(counts=np.array([[2], [10]]), N=12), None, 4.0, 8, chain_cfg(q_up0=0.0)
+    if name == "sparse-events":
+        # a handful of events over 40 nodes: replications cross several nodes
+        # in consecutive steps
+        return CountState(counts=np.array([[2], [1]]), N=3), None, 1.0, 40, chain_cfg()
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("name", ["example", "sink", "fixed-control", "policy",
-                                  "stalls-mid-run", "no-channels", "refills"])
+                                  "stalls-mid-run", "no-channels", "refills",
+                                  "absorbs-within-piece", "sparse-events"])
 def test_lockstep_replications_equal_solo_runs(name):
     s0, u, T, samples, cfg = _lockstep_case(name)
     seeds = [5, 6, 1234, 2**40 + 3] if name == "refills" else list(range(20, 36))
@@ -314,6 +338,48 @@ def test_lockstep_replications_equal_solo_runs(name):
     if name == "refills":
         # two uniforms per event: every replication refills its buffer at least once
         assert 2 * min(events) > _ROW_WIDTH
+    if name == "absorbs-within-piece":
+        assert events == [10] * len(seeds)
+        assert all(p.counts[-1, 1, 0] == 0 for p in paths)
+        absorbed = {int(np.argmax(p.counts[:, 1, 0] == 0)) for p in paths}
+        assert len(absorbed) > 1 and max(absorbed) < samples
+    if name == "sparse-events":
+        assert max(events) < samples
+
+
+def test_lockstep_steps_fall_short_of_waiting_at_every_node():
+    # a replication takes one step per event and one per node it passes; the
+    # steps of a call are those of its busiest replication, fewer than if every
+    # interval took as many steps as its busiest replication has events there
+    cfg = read_config(EXAMPLE)
+    s0 = CountState.from_occupation(np.full((3, 3), 1 / 9), 1000)
+    seeds = list(range(100, 164))
+    paths = simulate(s0, None, 0.1, seeds, cfg, samples=10)
+    steps = paths[0].meta["lockstep_steps"]
+    assert all(p.meta["lockstep_steps"] == steps for p in paths)
+    per_interval = []
+    for seed, path in zip(seeds, paths):
+        solo = simulate(s0, None, 0.1, seed, cfg, samples=10, record_events=True)
+        assert path.events == solo.events == len(solo.event_log)
+        at = np.array([t for t, _, _ in solo.event_log])
+        # an event at t lies in interval k when times[k] < t <= times[k + 1]
+        k = np.searchsorted(solo.times, at, side="left") - 1
+        per_interval.append(np.bincount(k, minlength=10))
+    assert "lockstep_steps" not in solo.meta
+    assert steps <= max(p.events + 10 for p in paths)
+    assert steps < np.max(per_interval, axis=0).sum()
+
+
+def test_simulate_refuses_a_negative_seed(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "PCG64", no_generator)
+    cfg = chain_cfg()
+    s0 = CountState(counts=np.array([[5], [5]]), N=10)
+    for seed in (-1, np.int64(-1), [3, -1], (-1, 2)):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            simulate(s0, None, 1.0, seed, cfg)
 
 
 def test_lockstep_rejects_event_log_and_empty_seed_list():
