@@ -378,6 +378,16 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     profitable = int((gains > 0.0).sum())  # staying gains exactly 0
     assert doc["violations"] == profitable == 1069
     assert len(doc["violations_head"]) == 20
+    # the equilibrium's switching plan: every change point, each listing its
+    # switching cells as 1-based [level, from, to] in lexicographic order
+    controls = json.loads((out / "controls.json").read_text())
+    assert controls == {"steps": 200, "change_points": [
+        {"t": 0.0, "active": [[1, 2, 1], [1, 3, 1], [2, 2, 1], [2, 3, 1], [3, 2, 1], [3, 3, 1]]},
+        {"t": 8.75, "active": [[1, 3, 1], [2, 3, 1], [3, 2, 1], [3, 3, 1]]},
+        {"t": 8.8, "active": [[1, 3, 1], [2, 3, 1], [3, 3, 1]]},
+        {"t": 9.0, "active": [[3, 3, 1]]},
+        {"t": 9.15, "active": []},
+    ]}
 
 
 def test_control_change_points_list_switching_cells():
