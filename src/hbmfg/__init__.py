@@ -9,6 +9,7 @@ mean-field limit against an exact finite-population simulator.
 """
 from .model import (
     Control,
+    ControlPath,
     GameConfig,
     Occupation,
     Regime,
@@ -77,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "GameConfig", "Regime", "SinkRates", "Occupation", "Control",
+    "GameConfig", "Regime", "SinkRates", "Occupation", "Control", "ControlPath",
     "validate", "effective_rewards", "dominant_level", "regime_scales",
     # kinetics
     "Trajectory", "KineticsError", "kinetic_rhs", "integrate_forward",

@@ -165,19 +165,6 @@ def _run_stability(config: str, out: str):
     return 0, summary
 
 
-def _control_change_points(times, u_path):
-    # each change lists the switching cells as 1-based [level, from, to]
-    changes = []
-    stay = np.arange(u_path.shape[-1])
-    changed = np.concatenate(([True], np.any(u_path[1:] != u_path[:-1], axis=(1, 2))))
-    for k in np.flatnonzero(changed):
-        uk = u_path[k]
-        active = [[int(i) + 1, int(a) + 1, int(uk[i, a]) + 1]
-                  for i, a in zip(*np.nonzero(uk != stay))]
-        changes.append({"t": float(times[k]), "active": active})
-    return changes
-
-
 def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_iter=50):
     cfg = _require_valid(read_config(config))
     horizon = float(T) if T is not None else default_horizon(cfg)
@@ -188,10 +175,12 @@ def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_ite
     traj = res.trajectory
     write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, prefix="x")
     write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, prefix="g")
-    write_json(os.path.join(out, "controls.json"), {
-        "steps": int(len(traj.u)),
-        "change_points": _control_change_points(traj.times, traj.u),
-    })
+    # one change point per control piece, its switching cells as 1-based [level, from, to]
+    stay = np.arange(cfg.m)
+    write_json(os.path.join(out, "controls.json"), {"steps": traj.u.n_steps, "change_points": [
+        {"t": float(traj.times[k]),
+         "active": [[i + 1, a + 1, int(u[i, a]) + 1] for i, a in zip(*np.nonzero(u != stay))]}
+        for k, u in zip(traj.u.starts.tolist(), traj.u.targets)]})
 
     turnpike = None
     try:

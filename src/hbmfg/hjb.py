@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinetics import Trajectory, control_steps, rk4_step, step_grid
-from .model import GameConfig, control_array, occupation_array, payoff_array
+from .kinetics import Trajectory, rk4_step, step_grid
+from .model import (ControlPath, GameConfig, control_array, control_pieces, occupation_array,
+                    payoff_array)
 
 __all__ = [
     "HjbError",
@@ -235,8 +236,8 @@ def integrate_backward(
     occupation: None (only without stimulated moves), one (n, m) matrix, or
     a node path of shape (n_steps + 1, n, m) such as a forward Trajectory.x;
     each step then sees the mean of its two end nodes.
-    mode "fixed": control is used as is, in integrate_forward's forms (None =
-    nobody switches, one Control/(n, m) target matrix, or a per-step stack);
+    mode "fixed": control is used as is, in integrate_forward's forms (None,
+    one Control/(n, m) target matrix or a ControlPath), one gain per piece;
     mode "optimizing": every stage takes the best switch at the current g,
     the maximum of switch_gains over the target, without storing the gains;
     a stage inside the no-switch cone skips it (_optimizing_stage), and
@@ -246,9 +247,9 @@ def integrate_backward(
     BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
     per block and reported at the first step, in reversed time, that failed.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
-    over the nodes adds u, the per-step targets u[k] = best response to
-    g(times[k]) of shape (n_steps, n, m), and meta's cone scan of the path:
-    cone_worst, violations and violations_head, as _node_pass gives them.
+    over the nodes adds u, the ControlPath that holds on step k the best
+    response to g(times[k]), and meta's cone scan of the path: cone_worst,
+    violations and violations_head, as _node_pass gives them.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +260,9 @@ def integrate_backward(
     if on_path and len(x_nodes) != n_steps + 1:
         raise ValueError(f"occupation path of shape {x_nodes.shape} does not match the "
                          f"grid's {n_steps + 1} nodes")
-    u_steps = None if optimizing else control_steps(control, n_steps, cfg)
+    step_gain = []   # fixed mode: each step's switch gain, one built per piece
+    for a, b, target in [] if optimizing else control_pieces(control, n_steps, cfg.n, cfg.m):
+        step_gain += [None if target is None else _target_gain(target, cfg)] * (b - a)
     times = t0 + h * np.arange(n_steps + 1)
 
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
@@ -285,8 +288,7 @@ def integrate_backward(
                 if optimizing:
                     stage = _optimizing_stage(M[j], c[j], best, cfg.lam, fee_min, skipped)
                 else:
-                    switch = None if u_steps[k] is None else _target_gain(u_steps[k], cfg)
-                    stage = _payoff_stage(M[j], c[j], switch, cfg.lam)
+                    stage = _payoff_stage(M[j], c[j], step_gain[k], cfg.lam)
                 g = cols[k - lo] = rk4_step(stage, g, -h)
         bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
         if bad.size:
@@ -297,5 +299,5 @@ def integrate_backward(
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
-    return Trajectory(times=times, g=gs, u=us[:-1],
+    return Trajectory(times=times, g=gs, u=ControlPath.of_steps(us[:-1]),
                       meta={**meta, "cone_stages": skipped[0], **scan})

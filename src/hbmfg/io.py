@@ -82,11 +82,25 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
-def _array(section: dict, path: str, key: str) -> np.ndarray:
+def _numeric(section: dict, path: str, key: str):
+    """The field's value once each JSON leaf is exactly an int or a float: numpy
+    reads true as 1 and "2.5" as 2.5, so a bool, string or null is refused by name."""
     value = _get(section, path, key)
+    leaves = [value]
+    for leaf in leaves:  # the list grows by the entries of each list met
+        if type(leaf) is list:
+            leaves.extend(leaf)
+        elif type(leaf) not in (int, float):
+            raise ConfigError(f"config rejected: field '{path}.{key}' is not numeric: "
+                              f"{json.dumps(leaf)} must be a number")
+    return value
+
+
+def _array(section: dict, path: str, key: str) -> np.ndarray:
+    value = _numeric(section, path, key)
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:  # a ragged list
         raise ConfigError(f"config field '{path}.{key}' is not numeric: {e}") from None
 
 
@@ -116,8 +130,7 @@ def read_config(path: str) -> GameConfig:
     scales = _section(doc, "scales")
     flags = _section(doc, "flags", required=False)
 
-    n = _get(dims, "dimensions", "n")
-    m = _get(dims, "dimensions", "m")
+    n, m = _numeric(dims, "dimensions", "n"), _numeric(dims, "dimensions", "m")
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
         raise ConfigError("config fields 'dimensions.n' and 'dimensions.m' "
                           "must be positive integers")
@@ -134,32 +147,15 @@ def read_config(path: str) -> GameConfig:
     detailed_balance = flags.get("detailed_balance", False)
     if not isinstance(detailed_balance, bool):
         raise ConfigError("config field 'flags.detailed_balance' must be true or false")
-    for key in ("lambda", "delta"):
-        if isinstance(scales.get(key), bool):  # float() would read true as 1.0
-            raise ConfigError(f"config field 'scales.{key}' must be a number, "
-                              f"not {json.dumps(scales[key])}")
+    arrays = {key: _array(sec, name, key) for name, sec, keys in (
+        ("rates", rates, ("q_up", "q_down", "q_up_evo", "q_down_evo")),
+        ("economics", econ, ("w", "fee_B", "fee_H"))) for key in keys}
+    lam, delta = (float(_numeric(scales, "scales", key)) for key in ("lambda", "delta"))
     try:
-        cfg = GameConfig(
-            n=n,
-            m=m,
-            q_up=_array(rates, "rates", "q_up"),
-            q_down=_array(rates, "rates", "q_down"),
-            q_up_evo=_array(rates, "rates", "q_up_evo"),
-            q_down_evo=_array(rates, "rates", "q_down_evo"),
-            w=_array(econ, "economics", "w"),
-            fee_B=_array(econ, "economics", "fee_B"),
-            fee_H=_array(econ, "economics", "fee_H"),
-            lam=float(_get(scales, "scales", "lambda")),
-            delta=float(_get(scales, "scales", "delta")),
-            regime=regime,
-            detailed_balance=detailed_balance,
-            q_sink=q_sink,
-        )
-    except ConfigError:
-        raise
+        return GameConfig(n=n, m=m, **arrays, lam=lam, delta=delta, regime=regime,
+                          detailed_balance=detailed_balance, q_sink=q_sink)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config rejected: {e}") from None
-    return cfg
 
 
 def config_sha256(path: str) -> str:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Control, GameConfig, check_targets, control_array, occupation_array
+from .model import ControlPath, GameConfig, control_array, control_pieces, occupation_array
 
 __all__ = [
     "Trajectory",
@@ -29,8 +29,6 @@ __all__ = [
     "integrate_forward",
     "rk4_step",
     "step_grid",
-    "control_steps",
-    "control_changes",
 ]
 
 log = logging.getLogger(__name__)
@@ -49,14 +47,13 @@ class Trajectory:
 
     times are the nodes t0 + h * arange(n_steps + 1) of step_grid's grid.
     x and g are sampled at the nodes, shape (n_steps + 1, n, m).  u, when
-    present, is per step: target matrices of shape (n_steps, n, m), u[k]
-    held on [times[k], times[k+1]).
+    present, is the control held on the n_steps steps, a model.ControlPath.
     """
 
     times: np.ndarray
     x: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
+    u: Optional[ControlPath] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -70,33 +67,6 @@ def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
         raise ValueError("need 0 < dt <= t1 - t0")
     n_steps = max(1, int(round((t1 - t0) / dt)))
     return n_steps, (t1 - t0) / n_steps
-
-
-def control_steps(control, n_steps: int, cfg: GameConfig):
-    """One control per step, indexable by step; the integrators' and the
-    simulator's only control forms, each checked once by Control's rule.
-
-    control: None (nobody switches), one Control/(n, m) target matrix held
-    on every step, or a per-step stack of shape (n_steps, n, m), which
-    model.check_targets checks in one pass.  A time-varying control is its
-    stack, sampled by the caller wherever it wants.
-    """
-    if control is None or isinstance(control, Control) or np.ndim(control) == 2:
-        return [None if control is None else control_array(control, cfg.n, cfg.m)] * n_steps
-    stack = np.asarray(control)
-    if stack.shape != (n_steps, cfg.n, cfg.m):
-        raise ValueError(f"control stack of shape {stack.shape} does not match the grid's "
-                         f"{n_steps} steps of one ({cfg.n}, {cfg.m}) target matrix each")
-    return check_targets(stack, cfg.m)
-
-
-def control_changes(u_steps) -> np.ndarray:
-    """Which steps of control_steps' result start a new control: True at step 0
-    and wherever a stack differs from its previous step, in one comparison."""
-    new = np.ones(len(u_steps), dtype=bool)
-    new[1:] = (np.any(u_steps[1:] != u_steps[:-1], axis=(1, 2))
-               if isinstance(u_steps, np.ndarray) else False)
-    return new
 
 
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
@@ -146,10 +116,10 @@ def integrate_forward(
     """Fixed-step RK4 on the kinetic equation from t0 to t1.
 
     The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
-    Control/(n, m) target matrix held fixed, or a per-step stack of shape
-    (n_steps, n, m), step k using control[k].  The step kernel, with its
-    control's scatter index, is built only where control_changes says the
-    control changes, and one sum serves each step's non-finite and drift checks.
+    Control/(n, m) target matrix held fixed, or a model.ControlPath of the
+    grid's n_steps steps.  The step kernel, with its control's scatter index,
+    is built once per control piece, and one sum serves each step's
+    non-finite and drift checks.
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
     and logged.  A step whose output equals its input bit for bit has reached
@@ -158,7 +128,7 @@ def integrate_forward(
     steps, and a projected fixed point counts as projected at each of them).
     """
     n_steps, h = step_grid(t0, t1, dt)
-    u_steps = control_steps(control, n_steps, cfg)
+    pieces = control_pieces(control, n_steps, cfg.n, cfg.m)
 
     times = t0 + h * np.arange(n_steps + 1)
     x = occupation_array(x0)
@@ -166,9 +136,8 @@ def integrate_forward(
     xs[0] = x
     drift_max = 0.0
     projections = fixed_steps = 0
-    starts = np.flatnonzero(control_changes(u_steps)).tolist() + [n_steps]
-    for a, b in zip(starts[:-1], starts[1:]):  # one control piece: steps a .. b-1
-        kernel = _kinetic_kernel(u_steps[a], cfg)
+    for a, b, target in pieces:  # one control piece: steps a .. b-1
+        kernel = _kinetic_kernel(target, cfg)
         for k in range(a, b):
             x_in, x = x, rk4_step(kernel, x, h)
             mass = float(x.sum())  # any inf or nan entry makes it non-finite

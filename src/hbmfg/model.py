@@ -26,6 +26,7 @@ __all__ = [
     "GameConfig",
     "Occupation",
     "Control",
+    "ControlPath",
     "DominanceReport",
     "regime_scales",
     "validate",
@@ -35,6 +36,7 @@ __all__ = [
     "occupation_array",
     "payoff_array",
     "control_array",
+    "control_pieces",
     "check_targets",
 ]
 
@@ -269,6 +271,50 @@ class Control:
         return Control(np.tile(np.arange(m), (n, 1)))
 
 
+@dataclass(frozen=True, eq=False)
+class ControlPath:
+    """A piecewise-constant control on a grid of n_steps steps: piece p holds
+    targets[p], an (n, m) matrix by Control's rule, from step starts[p] up to
+    the next piece's start.  starts rise from 0 below n_steps."""
+
+    starts: np.ndarray
+    targets: np.ndarray
+    n_steps: int
+
+    def __post_init__(self):
+        starts, t = np.asarray(self.starts), np.asarray(self.targets)
+        if (t.ndim != 3 or starts.shape != t.shape[:1] or not len(starts) or starts[0] != 0
+                or not np.issubdtype(starts.dtype, np.integer) or np.any(np.diff(starts) <= 0)
+                or starts[-1] >= self.n_steps):
+            raise ValueError("a control path holds one (n, m) target matrix per piece, from "
+                             f"starts rising from 0 below its {self.n_steps} steps")
+        object.__setattr__(self, "starts", _ro(starts, int))
+        object.__setattr__(self, "targets", _ro(check_targets(t, t.shape[2]), int))
+
+    @staticmethod
+    def of_steps(stack) -> "ControlPath":
+        """The path of a per-step stack (n_steps, n, m): a piece starts at step
+        0 and wherever a step's targets differ from the step before."""
+        stack = np.asarray(stack)
+        if stack.ndim != 3 or not len(stack):
+            raise ValueError("a per-step control is a stack of (n, m) target matrices")
+        new = np.concatenate(([True], np.any(stack[1:] != stack[:-1], axis=(1, 2))))
+        return ControlPath(np.flatnonzero(new), stack[new], len(stack))
+
+    @property
+    def nbytes(self) -> int:
+        return self.starts.nbytes + self.targets.nbytes
+
+    def steps_differing(self, other: "ControlPath") -> int:
+        """The number of steps on which this path and other hold different targets."""
+        if other.n_steps != self.n_steps:
+            raise ValueError("control paths on different grids")
+        cuts = np.array(sorted({*self.starts.tolist(), *other.starts.tolist()}))
+        mine, theirs = (p.targets[np.searchsorted(p.starts, cuts, side="right") - 1]
+                        for p in (self, other))
+        return int(np.diff(cuts, append=self.n_steps)[np.any(mine != theirs, axis=(1, 2))].sum())
+
+
 def occupation_array(x) -> np.ndarray:
     """Accept an Occupation or a bare matrix; return a float ndarray."""
     if isinstance(x, Occupation):
@@ -295,6 +341,18 @@ def control_array(u, n: int, m: int) -> np.ndarray:
     if t.shape != (n, m):
         raise ValueError(f"control must be an ({n}, {m}) target matrix, not {t.shape}")
     return check_targets(t, m)
+
+
+def control_pieces(u, n_steps: int, n: int, m: int) -> list:
+    """(first step, end step, targets) of each piece of a control on n_steps
+    steps: None (one piece of None: nobody switches), one Control/(n, m)
+    target matrix held on every step, or a ControlPath of n_steps steps."""
+    if not isinstance(u, ControlPath):
+        return [(0, n_steps, None if u is None else control_array(u, n, m))]
+    if u.n_steps != n_steps or u.targets.shape[1:] != (n, m):
+        raise ValueError(f"control path of shape {(u.n_steps,) + u.targets.shape[1:]} does not "
+                         f"match the grid's {n_steps} steps of one ({n}, {m}) target matrix each")
+    return list(zip(u.starts.tolist(), u.starts.tolist()[1:] + [n_steps], u.targets))
 
 
 def _check_matrix(out: list, name: str, a: np.ndarray, shape: tuple) -> bool:

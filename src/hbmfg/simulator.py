@@ -13,18 +13,14 @@ Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
 choice of channel.  Mean counts over N follow the kinetic equation as N grows.
 
-The control takes the integrators' forms (kinetics.control_steps), one step
-per output interval; one channel table serves each run of intervals under
-the same control.
+The control takes the integrators' forms, with one step per output
+interval: None, one target matrix, or a model.ControlPath.  One channel
+table serves each of its pieces, a run of intervals under one control.
 
-`simulate` with one seed runs a scalar per-event loop.  With a sequence of
-seeds it runs the replications in lockstep: one numpy step computes every
-replication's channel rates and applies its next event or its crossing of
-an output node, while each replication reads its own PCG64 stream exactly as
-the scalar loop would, so its path is bit for bit the one its seed gives
-alone.  Replications cross output nodes on their own and meet again only
-where the control changes.  The scalar loop is the reference the tests hold
-the lockstep loop to.
+`simulate` with one seed runs a scalar per-event loop, the reference the
+tests hold the lockstep loop to.  With a sequence of seeds one numpy step
+applies every replication's next event or node crossing, and each path is
+bit for bit the one its seed gives alone (see simulate).
 """
 from __future__ import annotations
 
@@ -34,8 +30,8 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import control_changes, control_steps, integrate_forward
-from .model import GameConfig, control_array, occupation_array
+from .kinetics import integrate_forward
+from .model import ControlPath, GameConfig, control_array, control_pieces, occupation_array
 
 __all__ = [
     "CountState",
@@ -189,21 +185,16 @@ def simulate(
 ) -> Union[SimPath, List[SimPath]]:
     """Run exact trajectories from s0 over [0, T].
 
-    u: the integrators' control forms (kinetics.control_steps): None (nobody
-    switches), one Control/(n, m) target matrix held throughout, or a
-    per-interval stack of shape (samples, n, m), u[k] held on the output
-    interval [times[k], times[k+1]].  A time-varying policy is given as its
-    stack, sampled by the caller where it wants, so the control changes only
-    at output nodes.  Restarting the exponential clock at each node is exact
-    by memorylessness.
+    u: the integrators' control forms: None (nobody switches), one
+    Control/(n, m) target matrix, or a model.ControlPath of `samples` steps,
+    one per output interval, so the control changes only at output nodes.
+    Restarting the exponential clock at each node is exact by memorylessness.
 
     seed: an int runs one trajectory and returns its SimPath.  A sequence of
-    ints returns one SimPath per seed, in order; those replications advance
-    in lockstep, one column of numpy arrays each, under the same control.
-    Each crosses output nodes on its own, and they meet again only where the
-    control changes; meta["lockstep_steps"] counts the steps of the call.
-    Every trajectory draws from its own PCG64(seed) stream in the same order
-    (a uniform for each wait, and one for the pick if the event falls inside
+    ints returns one SimPath per seed, in order, from one lockstep run
+    (_simulate_lockstep; meta["lockstep_steps"] counts its steps).  Every
+    trajectory draws from its own PCG64(seed) stream in the same order (a
+    uniform for each wait, and one for the pick if the event falls inside
     the interval), so a lockstep replication is bit for bit the path that
     its seed gives alone.  record_events needs an int seed.
     """
@@ -221,13 +212,11 @@ def simulate(
     if record_events and not single:
         raise ValueError("record_events needs a single int seed")
     n, m = cfg.n, cfg.m
-    u_steps = control_steps(u, samples, cfg)
-    tables = []   # one per interval, shared while the control stays the same
-    for target, new in zip(u_steps, control_changes(u_steps).tolist()):
-        tables.append(_build_channels(cfg, target, s0.N) if new else tables[-1])
+    pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
+              for a, b, target in control_pieces(u, samples, n, m)]
     times = np.linspace(0.0, T, samples + 1)
     if not single:
-        return _simulate_lockstep(s0, tables, times, seeds, cfg)
+        return _simulate_lockstep(s0, pieces, times, seeds, cfg)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = _refill(rng, (), _ROW_WIDTH).tolist()
@@ -242,45 +231,46 @@ def simulate(
     log_: Optional[list] = [] if record_events else None
     ln = math.log
 
-    for kseg, (srcs, dsts, coeffs, partners) in enumerate(tables):
-        t_end = float(times[kseg + 1])
+    for a, b, (srcs, dsts, coeffs, partners) in pieces:
         C = len(srcs)
         rates = [0.0] * C
-        while True:
-            tot = 0.0
-            for c in range(C):
-                r = coeffs[c] * counts[srcs[c]]
-                p = partners[c]
-                if p >= 0:
-                    r *= counts[p]
-                rates[c] = r
-                tot += r
-            if tot <= 0.0:
-                break
-            if pos > lim:
-                buf = _refill(rng, buf[pos:], _ROW_WIDTH).tolist()
-                pos = 0
-            wait = -ln(1.0 - buf[pos]) / tot
-            pos += 1
-            if t + wait > t_end:
-                break
-            t += wait
-            pick = buf[pos] * tot
-            pos += 1
-            acc = 0.0
-            chosen = C - 1
-            for c in range(C):
-                acc += rates[c]
-                if pick < acc:
-                    chosen = c
+        for kseg in range(a, b):
+            t_end = float(times[kseg + 1])
+            while True:
+                tot = 0.0
+                for c in range(C):
+                    r = coeffs[c] * counts[srcs[c]]
+                    p = partners[c]
+                    if p >= 0:
+                        r *= counts[p]
+                    rates[c] = r
+                    tot += r
+                if tot <= 0.0:
                     break
-            counts[srcs[chosen]] -= 1
-            counts[dsts[chosen]] += 1
-            events += 1
-            if log_ is not None:
-                log_.append((t, srcs[chosen], dsts[chosen]))
-        t = t_end
-        out[kseg + 1] = np.asarray(counts, dtype=np.int64).reshape(n, m)
+                if pos > lim:
+                    buf = _refill(rng, buf[pos:], _ROW_WIDTH).tolist()
+                    pos = 0
+                wait = -ln(1.0 - buf[pos]) / tot
+                pos += 1
+                if t + wait > t_end:
+                    break
+                t += wait
+                pick = buf[pos] * tot
+                pos += 1
+                acc = 0.0
+                chosen = C - 1
+                for c in range(C):
+                    acc += rates[c]
+                    if pick < acc:
+                        chosen = c
+                        break
+                counts[srcs[chosen]] -= 1
+                counts[dsts[chosen]] += 1
+                events += 1
+                if log_ is not None:
+                    log_.append((t, srcs[chosen], dsts[chosen]))
+            t = t_end
+            out[kseg + 1] = np.asarray(counts, dtype=np.int64).reshape(n, m)
 
     return SimPath(
         times=times,
@@ -296,12 +286,12 @@ def simulate(
 # A replication whose total rate is 0 gets a wait of x/0 (inf or nan); it reads
 # no uniform and leaves its piece.
 @np.errstate(divide="ignore", invalid="ignore")
-def _simulate_lockstep(s0: CountState, tables: list, times: np.ndarray,
+def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
                        seeds: List[int], cfg: GameConfig) -> List[SimPath]:
     """The scalar loop of `simulate` run for every seed at once.
 
-    The output intervals come in pieces, runs of intervals that share one
-    channel table object (one control).  Within a piece, arrays hold one
+    The output intervals come in pieces (first, end, channel table): runs of
+    intervals under one control.  Within a piece, arrays hold one
     column per replication still in it, and each column carries its own
     time, interval and next uniform.  Each step computes every column's
     channel rates as the scalar loop does (coeff * counts[src] *
@@ -344,10 +334,8 @@ def _simulate_lockstep(s0: CountState, tables: list, times: np.ndarray,
     ln = math.log
     total_steps = 0
 
-    starts = [k for k in range(len(tables)) if k == 0 or tables[k] is not tables[k - 1]]
-    for j0, j1 in zip(starts, starts[1:] + [len(tables)]):
+    for j0, j1, (src, dst, coeff, partner) in pieces:
         # the piece spans intervals j0 .. j1 - 1, from node j0 to node j1
-        src, dst, coeff, partner = tables[j0]
         C = len(src)
         if not C:
             out.reshape(R, K, S)[:, j0 + 1:j1 + 1] = cnt[:S].T[:, None]
@@ -463,8 +451,8 @@ def convergence_study(
 
     Replication r at the k-th population size draws its own PCG64 stream,
     seeded seed + k*replications + r; each size is one lockstep `simulate`
-    call.  u takes simulate's forms; the kinetic reference holds a stack's
-    target over each output interval's integration steps.  Returns per-N
+    call.  u takes simulate's forms; the kinetic reference holds a control
+    path's targets over each output interval's integration steps.  Returns per-N
     mean paths, per-cell standard errors of those means, and the pooled RMSE
     with its log-log slope in N.
     """
@@ -476,8 +464,9 @@ def convergence_study(
     times = np.linspace(0.0, T, samples + 1)
 
     per = max(1, int(math.ceil(2000.0 / samples)))
-    steps = control_steps(u, samples, cfg)  # a stack is checked against samples first
-    ref_u = np.repeat(steps, per, axis=0) if isinstance(steps, np.ndarray) else u
+    control_pieces(u, samples, cfg.n, cfg.m)  # a path is checked against samples first
+    ref_u = ControlPath(u.starts * per, u.targets, samples * per) if isinstance(
+        u, ControlPath) else u
     traj = integrate_forward(x0a, ref_u, 0.0, T, T / (per * samples), cfg)
     ref = traj.x[::per]
 

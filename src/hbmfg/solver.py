@@ -4,10 +4,10 @@ The forward occupation flow and the backward payoff flow are coupled through
 the switching control: agents switch when the gain (payoff difference net of
 the switching fee) is positive.  An undamped best-response iteration
 alternates the two integrations on one uniform grid (kinetics.step_grid)
-and hands each the other's arrays on that grid: the forward pass takes the
-control path, one target matrix per step, and the backward pass takes the
-forward occupation at the nodes.  It stops when the control path is its own
-best response, bit for bit: an exact equilibrium certificate.
+and hands each the other's output on that grid: the forward pass takes the
+control path, a model.ControlPath of a few pieces, and the backward pass
+takes the forward occupation at the nodes.  It stops when the control path
+is its own best response on every step: an exact equilibrium certificate.
 
 The diagnostics certify the no-switching regime: solve_mfg records the best
 switching gain along the path (cone_worst), boundary_tangent_condition
@@ -26,7 +26,7 @@ import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains  # noqa: F401  (a perfbench hook)
 from .kinetics import Trajectory, integrate_forward, step_grid
-from .model import GameConfig, occupation_array, payoff_array
+from .model import Control, ControlPath, GameConfig, occupation_array, payoff_array
 from .stationary import stationary_solution
 
 __all__ = [
@@ -67,8 +67,8 @@ class MfgSolveResult:
     """Outcome of the best-response iteration.
 
     trajectory carries the last sweep's forward occupation path, the payoff
-    path optimized against it, and that payoff's best response: target
-    matrices of shape (steps, n, m), u[k, i, j] == j meaning stay.  When
+    path optimized against it, and that payoff's best response u, a
+    model.ControlPath whose targets[p, i, j] == j means stay.  When
     converged, u is also the control the occupation path was integrated
     under, so (x, g, u) is an exact equilibrium on the grid.  oscillating
     marks a period-2 control cycle.  cone_violations lists (t, level, from,
@@ -97,11 +97,12 @@ def solve_mfg(
 
     Each sweep integrates forward under the current control path, then
     backward, optimizing against that same forward path.  Converged when the
-    best response reproduces the control path bit for bit.  A best response
+    best response differs from the control path on no step.  A best response
     equal to the previous sweep's path instead is a period-2 cycle: the
     solve stops there, oscillating and not converged.  meta["flipped_steps"]
     counts the steps whose control the last best response changed, 0 exactly
-    when converged.
+    when converged.  meta["switch_fraction"] is the share of steps on which
+    anyone switches.
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
@@ -109,14 +110,14 @@ def solve_mfg(
     x0a = occupation_array(x0)
     gTa = payoff_array(gT)
 
-    stay = np.arange(cfg.m)
-    u_path = np.tile(stay, (n_steps, cfg.n, 1))
-    u_prev = None
+    stay = ControlPath([0], [Control.stay(cfg.n, cfg.m).target], n_steps)
+    u_path, u_prev = stay, None
     for iterations in range(1, max_iter + 1):
         fwd = integrate_forward(x0a, u_path, 0.0, T, h, cfg)
         bwd = integrate_backward(gTa, fwd.x, 0.0, T, h, cfg, mode="optimizing")
-        converged = np.array_equal(bwd.u, u_path)
-        oscillating = not converged and u_prev is not None and np.array_equal(bwd.u, u_prev)
+        flipped = bwd.u.steps_differing(u_path)
+        converged = flipped == 0
+        oscillating = not converged and u_prev is not None and bwd.u.steps_differing(u_prev) == 0
         if converged or oscillating:
             break
         u_prev, u_path = u_path, bwd.u
@@ -126,16 +127,10 @@ def solve_mfg(
     elif not converged:
         log.warning("best-response iteration hit max_iter=%d without a fixed point", max_iter)
 
-    traj = Trajectory(
-        times=fwd.times,
-        x=fwd.x,
-        g=bwd.g,
-        u=bwd.u,
-        meta={"dt": h, "drift_max": fwd.meta.get("drift_max", 0.0),
-              "projections": fwd.meta.get("projections", 0)},
-    )
+    traj = Trajectory(times=fwd.times, x=fwd.x, g=bwd.g, u=bwd.u,
+                      meta={"dt": h, "drift_max": fwd.meta.get("drift_max", 0.0),
+                            "projections": fwd.meta.get("projections", 0)})
 
-    switch_fraction = float(np.mean(np.any(bwd.u != stay, axis=(1, 2))))
     return MfgSolveResult(
         trajectory=traj,
         iterations=iterations,
@@ -143,13 +138,13 @@ def solve_mfg(
         oscillating=oscillating,
         cone_violations=bwd.meta["violations_head"],
         meta={
-            "flipped_steps": int(np.any(bwd.u != u_path, axis=(1, 2)).sum()),
+            "flipped_steps": flipped,
             # perfbench's traced run reads these two: no halvings, zero residual
             "damping_final": 0.5,
             "dx_final": 0.0,
             "cone_worst": bwd.meta["cone_worst"],
             "violations": bwd.meta["violations"],
-            "switch_fraction": switch_fraction,
+            "switch_fraction": bwd.u.steps_differing(stay) / n_steps,
         },
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 import hbmfg.hjb
 from hbmfg import (
+    ControlPath,
     GameConfig,
     HjbError,
     Regime,
@@ -25,7 +26,7 @@ from hbmfg.kinetics import rk4_step
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
 from test_kinetics import column_generator, random_control, random_simplex, stage_cases
-from util_configs import make_config, theorem_config
+from util_configs import make_config, steps_of, theorem_config
 
 
 def hjb_loops(g, x, u, cfg):
@@ -182,7 +183,7 @@ def test_integrate_backward_occupation_forms_agree():
     u = random_control(3, 2, rng)
     c = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=u)
     d = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg,
-                           control=np.broadcast_to(u, (50, 3, 2)))
+                           control=ControlPath.of_steps(np.broadcast_to(u, (50, 3, 2))))
     npt.assert_array_equal(c.g, d.g)
     # on a node path each step sees the mean of its two end nodes
     y = random_simplex(3, 2, rng)
@@ -200,7 +201,7 @@ def test_integrate_backward_rejects_paths_of_wrong_length():
         integrate_backward(gT, np.broadcast_to(x, (40, 3, 2)), 0.0, 1.0, 0.02, cfg)
     stack = np.broadcast_to(random_control(3, 2, rng), (49, 3, 2))
     with pytest.raises(ValueError, match=r"\(49, 3, 2\).* 50 steps"):
-        integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=stack)
+        integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=ControlPath.of_steps(stack))
 
 
 def test_optimizing_mode_dominates_frozen_control():
@@ -213,11 +214,11 @@ def test_optimizing_mode_dominates_frozen_control():
     free = integrate_backward(gT, x, 0.0, 8.0, 0.02, cfg, mode="optimizing")
     frozen = integrate_backward(gT, x, 0.0, 8.0, 0.02, cfg, mode="fixed")
     assert (free.g - frozen.g).min() > -1e-12
-    assert free.u is not None and free.u.shape == (len(free.times) - 1, 3, 3)
+    assert free.u is not None and steps_of(free.u).shape == (len(free.times) - 1, 3, 3)
     # stored controls are exactly the best responses at the left nodes
-    npt.assert_array_equal(free.u, [optimal_control(gk, cfg) for gk in free.g[:-1]])
+    npt.assert_array_equal(steps_of(free.u), [optimal_control(gk, cfg) for gk in free.g[:-1]])
     # and switching is actually exercised somewhere on the horizon
-    assert (free.u != np.arange(3)).any()
+    assert (free.u.targets != np.arange(3)).any()
 
 
 def backward_loop(gT, x_path, controls, h, cfg):
@@ -249,7 +250,8 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         x_path = integrate_forward(x0, None, 0.0, 1.0, h, cfg).x
         gT = rng.normal(size=(cfg.n, cfg.m))
         stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
-        fixed = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg, control=stack)
+        fixed = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg,
+                                   control=ControlPath.of_steps(stack))
         assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
         free = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg)
         assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
@@ -258,7 +260,7 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         assert np.array_equal(best.g, g)
         # u[k] is the best response at node k, every node across block edges:
         # step k-1's first stage, and t0's own call
-        assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
+        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
     assert min(blocks[-2:]) > 5
 
 
@@ -275,7 +277,7 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         best = integrate_backward(gT, x_path, 0.0, 3.0, h, cfg, mode="optimizing")
         g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
         assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
-        assert np.array_equal(best.u, [optimal_control(g[0], cfg)] + firsts[:-1])
+        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
         skipped = best.meta["cone_stages"]
         assert skipped == 4 * steps if everywhere else 0 < skipped < 2 * steps
     # lam = inf makes the switch term inf * 0.0 = nan even inside the cone,

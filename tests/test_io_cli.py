@@ -12,8 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import hbmfg
-from hbmfg import GameConfig, Regime, SinkRates, stationary_solution
-from hbmfg.cli import _control_change_points
+from hbmfg import ControlPath, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
     ConfigError,
@@ -390,17 +389,28 @@ def test_cli_solve_end_to_end(tmp_path, capsys):
     ]}
 
 
-def test_control_change_points_list_switching_cells():
-    # targets per step on a 2 x 3 grid; target[i, j] == j stays
+def test_controls_json_lists_each_piece_switching_cells(tmp_path, capsys, monkeypatch):
+    # the solve's control path replaced by one of targets per step on a 2 x 3
+    # grid; target[i, j] == j stays.  Each piece is one change point, and
+    # several cells switching at once are listed as 1-based triples in order
     stay = [[0, 1, 2], [0, 1, 2]]
     mixed = [[1, 2, 2], [0, 1, 0]]
-    u_path = np.array([stay, stay, mixed, mixed, [[0, 0, 2], [0, 1, 2]]])
-    times = np.linspace(0.0, 0.5, 6)
-    assert _control_change_points(times, u_path) == [
+    u_path = ControlPath.of_steps([stay, stay, mixed, mixed, [[0, 0, 2], [0, 1, 2]]])
+
+    def solve(*args, **kwargs):
+        res = solve_mfg(*args, **kwargs)
+        res.trajectory.u = u_path
+        return res
+
+    monkeypatch.setattr("hbmfg.cli.solve_mfg", solve)
+    p = write_config(tmp_path / "c.json", make_config(2, 3, np.random.default_rng(3)))
+    out = tmp_path / "o"
+    cli(["solve", p, "--out", str(out), "--T", "0.5", "--dt", "0.1"], capsys)
+    assert json.loads((out / "controls.json").read_text()) == {"steps": 5, "change_points": [
         {"t": 0.0, "active": []},
         {"t": 0.2, "active": [[1, 1, 2], [1, 2, 3], [2, 3, 1]]},
         {"t": 0.4, "active": [[1, 2, 1]]},
-    ]
+    ]}
 
 
 def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):
@@ -596,6 +606,38 @@ def test_cli_rejects_non_finite_and_boolean_scales(tmp_path, capsys, field, valu
         assert code == 1 and summary["ok"] is False
         assert field in summary["error"] and why in summary["error"]
         assert os.listdir(out) == []
+
+
+# each edit puts a boolean or a string where read_config reads a number
+_NOT_NUMBERS = {
+    "dimensions.n": lambda doc: doc["dimensions"].update(n=True),
+    "scales.lambda": lambda doc: doc["scales"].update({"lambda": "2.5"}),
+    "economics.w": lambda doc: doc["economics"].update(
+        w=[[str(v) for v in row] for row in doc["economics"]["w"]]),
+    "economics.fee_H": lambda doc: doc["economics"]["fee_H"].__setitem__(0, True),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NOT_NUMBERS))
+def test_cli_refuses_booleans_and_strings_where_a_number_is_read(tmp_path, capsys, field):
+    # JSON's true and numpy's reading of "2.5" would pass as the numbers 1 and 2.5
+    doc = example_doc()
+    _NOT_NUMBERS[field](doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = cli(["validate", str(p), "--out", str(tmp_path / "v")], capsys)
+    violations = json.loads((tmp_path / "v" / "validation.json").read_text())["violations"]
+    assert code == 1 and len(violations) == 1 and f"'{field}' is not numeric" in violations[0]
+    out = tmp_path / "solve"
+    code, summary, _ = cli(["solve", str(p), "--T", "1", "--dt", "0.1", "--out", str(out)], capsys)
+    assert code == 1 and field in summary["error"] and os.listdir(out) == []
+    # a sweep value is read by the same rule
+    section, key = field.split(".")
+    value = json.dumps(doc[section][key])
+    code, _, _ = cli(["sweep", EXAMPLE, "--param", field, "--values", value, "--op", "validate",
+                      "--out", str(tmp_path / "s")], capsys)
+    sweep = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert code == 1 and [r["status"] for r in sweep["results"]] == [1]
 
 
 def test_cli_json_is_strict_when_no_switch_exists(tmp_path, capsys):

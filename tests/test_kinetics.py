@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from hbmfg import (
+    ControlPath,
     GameConfig,
     KineticsError,
     Occupation,
@@ -12,7 +13,7 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
 )
-from hbmfg.kinetics import control_changes, control_steps, rk4_step
+from hbmfg.kinetics import rk4_step
 from util_configs import make_config, theorem_config
 
 
@@ -223,13 +224,14 @@ def test_integrate_forward_constant_control_vs_per_step_stack():
     x0 = random_simplex(3, 2, rng)
     u = random_control(3, 2, rng)
     a = integrate_forward(x0, u, 0.0, 1.0, 0.02, cfg)
-    b = integrate_forward(x0, np.broadcast_to(u, (50, 3, 2)), 0.0, 1.0, 0.02, cfg)
+    b = integrate_forward(x0, ControlPath.of_steps(np.broadcast_to(u, (50, 3, 2))), 0.0, 1.0,
+                          0.02, cfg)
     npt.assert_array_equal(a.x, b.x)
     npt.assert_array_equal(a.times, 0.02 * np.arange(51))
-    # step k runs under stack[k]: a control switched halfway equals two
+    # a piece runs under its targets: a control switched halfway equals two
     # half-horizon runs chained at the midpoint
     v = (u + 1) % 2
-    halves = np.concatenate([np.broadcast_to(u, (25, 3, 2)), np.broadcast_to(v, (25, 3, 2))])
+    halves = ControlPath([0, 25], [u, v], 50)
     c = integrate_forward(x0, halves, 0.0, 1.0, 0.02, cfg)
     first = integrate_forward(x0, u, 0.0, 0.5, 0.02, cfg)
     second = integrate_forward(first.x[-1], v, 0.5, 1.0, 0.02, cfg)
@@ -258,9 +260,12 @@ def test_integrate_forward_rejects_bad_grid():
         integrate_forward(x0, None, 0.0, 1.0, -0.1, cfg)
     with pytest.raises(ValueError, match="finite"):
         integrate_forward(x0, None, 0.0, np.inf, 0.1, cfg)
-    # a per-step control stack must cover the grid's steps exactly
+    # a control path must cover the grid's steps exactly
     stack = np.broadcast_to(random_control(2, 2, rng), (40, 2, 2))
     with pytest.raises(ValueError, match=r"\(40, 2, 2\).* 50 steps"):
+        integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 1.0, 0.02, cfg)
+    # and a bare per-step stack is not a control
+    with pytest.raises(ValueError, match="target matrix"):
         integrate_forward(x0, stack, 0.0, 1.0, 0.02, cfg)
 
 
@@ -324,14 +329,14 @@ def test_integrate_forward_equals_rk4_loop_over_kinetic_rhs():
     for cfg, x0, rng, steps in stage_cases():
         h = 1.0 / steps
         stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
-        traj = integrate_forward(x0, stack, 0.0, 1.0, h, cfg)
+        traj = integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 1.0, h, cfg)
         assert np.array_equal(traj.x, forward_loop(x0, stack, h, cfg))
         # held for five steps at a time, a control's step kernel is reused
         runs = np.repeat(stack[::5], 5, axis=0)
-        traj = integrate_forward(x0, runs, 0.0, 1.0, h, cfg)
+        traj = integrate_forward(x0, ControlPath.of_steps(runs), 0.0, 1.0, h, cfg)
         assert np.array_equal(traj.x, forward_loop(x0, runs, h, cfg))
-        # a stack whose targets all stay is nobody switching, bit for bit
-        stay = np.broadcast_to(np.arange(cfg.m), (steps, cfg.n, cfg.m))
+        # a path whose targets all stay is nobody switching, bit for bit
+        stay = ControlPath.of_steps(np.broadcast_to(np.arange(cfg.m), (steps, cfg.n, cfg.m)))
         free = integrate_forward(x0, None, 0.0, 1.0, h, cfg)
         assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, h, cfg).x, free.x)
         assert np.array_equal(free.x, forward_loop(x0, [None] * steps, h, cfg))
@@ -348,7 +353,7 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
     x0[:, 2] = -0.0
     stack = np.broadcast_to(np.arange(3), (200, 3, 3)).copy()
     stack[40:60] = [1, 1, 2]
-    traj = integrate_forward(x0, stack, 0.0, 4.0, 0.02, cfg)
+    traj = integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 4.0, 0.02, cfg)
     ref = forward_loop(x0, stack, 0.02, cfg)
     assert np.array_equal(traj.x.view(np.int64), ref.view(np.int64))
     assert np.signbit(traj.x[0, :, 2]).all() and not np.signbit(traj.x[1:]).any()
@@ -356,16 +361,3 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
     # step; the switching piece in between is stepped
     assert traj.meta["fixed_steps"] == 38 + 139
     assert (traj.x[41:61] != traj.x[40:60]).any(axis=(1, 2)).all()
-
-
-def test_control_changes_marks_where_the_control_changes():
-    rng = np.random.default_rng(4)
-    cfg = make_config(3, 2, rng)
-    u = random_control(3, 2, rng)
-    v = (u + 1) % 2
-    stack = np.array([u, u, v, v, v, u])
-    npt.assert_array_equal(control_changes(control_steps(stack, 6, cfg)),
-                           [True, False, True, False, False, True])
-    for fixed in (None, u):
-        npt.assert_array_equal(control_changes(control_steps(fixed, 3, cfg)),
-                               [True, False, False])

@@ -8,6 +8,7 @@ import pytest
 
 from hbmfg import (
     Control,
+    ControlPath,
     CountState,
     GameConfig,
     Occupation,
@@ -24,7 +25,7 @@ from hbmfg import (
     simulate,
     validate,
 )
-from hbmfg.model import BALANCE_TOL
+from hbmfg.model import BALANCE_TOL, control_pieces
 from hbmfg.stability import StabilityError, build_reduced_linearization
 from hbmfg.stationary import StationaryError, build_level_chain, stationary_solution
 from util_configs import make_config
@@ -232,6 +233,46 @@ def test_control_checks():
         Control(np.array([[0, 1, 3]]))
 
 
+def test_control_path_of_steps_starts_a_piece_where_the_stack_changes():
+    # a piece starts at step 0 and wherever a step's targets differ from the
+    # step before; the pieces hold the targets once each
+    u = np.array([[1, 0], [0, 1], [1, 1]])
+    v = (u + 1) % 2
+    path = ControlPath.of_steps(np.array([u, u, v, v, v, u]))
+    npt.assert_array_equal(path.starts, [0, 2, 5])
+    npt.assert_array_equal(path.targets, [u, v, u])
+    assert path.n_steps == 6 and path.nbytes == 3 * 8 + 3 * 6 * 8
+    assert [(a, b) for a, b, _ in control_pieces(path, 6, 3, 2)] == [(0, 2), (2, 5), (5, 6)]
+    assert not path.targets.flags.writeable
+    # a fixed control is one piece, as a path and as an integrator's control
+    fixed = ControlPath.of_steps(np.array([u] * 3))
+    npt.assert_array_equal(fixed.starts, [0])
+    assert [(a, b) for a, b, _ in control_pieces(u, 3, 3, 2)] == [(0, 3)]
+    assert [(a, b) for a, b, _ in control_pieces(fixed, 3, 3, 2)] == [(0, 3)]
+    assert control_pieces(None, 3, 3, 2)[0][2] is None
+    with pytest.raises(ValueError, match=r"\(3, 3, 2\).* 4 steps"):
+        control_pieces(fixed, 4, 3, 2)
+    # steps_differing counts the steps on which two paths' targets differ
+    assert path.steps_differing(path) == 0
+    with pytest.raises(ValueError, match="different grids"):
+        path.steps_differing(fixed)
+    other = ControlPath.of_steps(np.array([u, v, v, v, u, u]))
+    assert path.steps_differing(other) == other.steps_differing(path) == 2
+
+
+def test_control_path_refuses_malformed_pieces():
+    u = Control.stay(2, 3).target
+    for starts, targets, n_steps in (([1], [u], 4), ([0, 0], [u, u], 4), ([0, 4], [u, u], 4),
+                                     ([0, 2], [u], 4), ([], np.empty((0, 2, 3), int), 4),
+                                     ([0], u, 4), ([0], [u + 1], 4), ([0], [u * 0.5], 4),
+                                     ([0, 1.5], [u, u], 4)):
+        with pytest.raises(ValueError):
+            ControlPath(starts, targets, n_steps)
+    for stack in (u, np.empty((0, 2, 3), int)):
+        with pytest.raises(ValueError, match="stack of"):
+            ControlPath.of_steps(stack)
+
+
 def test_tensor_control_is_rejected():
     # the (n, m, m) 0/1 decision tensor is not a control: every entry point
     # that takes one refuses it instead of reading it some other way
@@ -256,7 +297,8 @@ def test_tensor_control_is_rejected():
 
 
 # every entry point that takes a control, called on a 2 x 3 config; the
-# integrators and the simulator run 4 steps, so a 4-step stack is their form
+# integrators and the simulator run 4 steps, but a 4-step stack is no control
+# form: its path is, and ControlPath.of_steps refuses the stack's bad step
 _CONTROL_ENTRY_POINTS = {
     "kinetic_rhs": lambda x, u, cfg: kinetic_rhs(x, u, cfg),
     "hjb_rhs": lambda x, u, cfg: hjb_rhs(np.zeros((2, 3)), x, u, cfg),
@@ -298,3 +340,6 @@ def test_every_entry_point_refuses_what_control_refuses(entry, kind):
         Control(bad)
     with pytest.raises(ValueError):
         _CONTROL_ENTRY_POINTS[entry](x, bad, cfg)
+    if kind == "stack":
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            ControlPath.of_steps(bad)

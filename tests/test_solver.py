@@ -25,7 +25,7 @@ from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
-from util_configs import cycle_config, make_config, theorem_config
+from util_configs import cycle_config, make_config, steps_of, theorem_config
 
 
 def test_default_horizon_and_dt():
@@ -80,8 +80,8 @@ def test_solve_converges_immediately_inside_cone():
                     cfg=cfg)
     assert res.converged and not res.oscillating
     assert res.iterations == 1
-    assert res.trajectory.u.shape == (len(res.trajectory.times) - 1, 3, 3)
-    assert (res.trajectory.u == np.arange(3)).all()  # everyone stays
+    assert steps_of(res.trajectory.u).shape == (len(res.trajectory.times) - 1, 3, 3)
+    assert (steps_of(res.trajectory.u) == np.arange(3)).all()  # everyone stays
     assert res.cone_violations == []
     assert res.meta["cone_worst"] <= 0.0
     assert res.meta["switch_fraction"] == 0.0
@@ -168,8 +168,10 @@ def test_solve_reports_nonconvergence_at_iteration_cap():
                     cfg=cfg, max_iter=1)
     assert res.iterations == 1
     assert not res.converged
-    # switching is active, so the stay-put start cannot reproduce itself
-    assert (res.trajectory.u != np.arange(3)).any()
+    # switching is active, so the stay-put start cannot reproduce itself, and
+    # the last best response changed the control it was computed against
+    assert (res.trajectory.u.targets != np.arange(3)).any()
+    assert res.meta["flipped_steps"] == 80
 
 
 def test_solve_records_cone_violations_with_cheap_fees():
@@ -195,13 +197,14 @@ def test_solve_certifies_exact_equilibrium_on_switching_config():
     assert res.converged and not res.oscillating
     assert res.iterations == 2 and res.meta["flipped_steps"] == 0
     traj = res.trajectory
-    assert (traj.u != np.arange(3)).any()
+    assert (traj.u.targets != np.arange(3)).any()
     # g is exactly the optimizing payoff against the solve's own x, and its
     # best response is the control x was integrated under
     bwd = integrate_backward(np.zeros((3, 3)), traj.x, 0.0, 4.0, 0.05, cfg,
                              mode="optimizing")
     npt.assert_array_equal(bwd.g, traj.g)
-    npt.assert_array_equal(bwd.u, traj.u)
+    assert bwd.u.steps_differing(traj.u) == 0
+    npt.assert_array_equal(steps_of(bwd.u), steps_of(traj.u))
     fwd = integrate_forward(Occupation.uniform(3, 3), traj.u, 0.0, 4.0, 0.05, cfg)
     npt.assert_array_equal(fwd.x, traj.x)
 

@@ -9,7 +9,12 @@ import json
 
 import numpy as np
 
-from hbmfg import GameConfig, Regime, SinkRates
+from hbmfg import ControlPath, GameConfig, Regime, SinkRates
+
+
+def steps_of(path: ControlPath) -> np.ndarray:
+    """A control path as its per-step stack of target matrices (n_steps, n, m)."""
+    return np.repeat(path.targets, np.diff(path.starts, append=path.n_steps), axis=0)
 
 
 def db_pressure(n: int, m: int, rng, lo: float = 0.3, hi: float = 2.0):
