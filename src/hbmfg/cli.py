@@ -14,7 +14,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -249,13 +248,16 @@ def _run_simulate(config: str, out: str, N, T, reps=1, seed=0, samples=50,
 
 
 def _parse_sweep_value(token: str):
-    def finite(number: str) -> float:
-        if not math.isfinite(float(number)):
-            raise ConfigError(f"sweep value {token} holds the non-finite number {number}")
-        return float(number)
+    def finite(number: str, parse=float):
+        value = parse(number)
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond float64
+            raise ConfigError(f"sweep value {token} holds the number {number}, "
+                              "non-finite in float64")
+        return value
 
     try:
-        return json.loads(token, parse_float=finite, parse_constant=finite)
+        return json.loads(token, parse_float=finite, parse_constant=finite,
+                          parse_int=lambda number: finite(number, int))
     except json.JSONDecodeError:
         return token
 

@@ -191,7 +191,7 @@ def _node_pass(times: np.ndarray, gs: np.ndarray, cfg: GameConfig):
     """
     n, m = cfg.n, cfg.m
     size = max(1, BLOCK_BYTES // (8 * n * m * (m + 4)))
-    us = np.empty(gs.shape, dtype=int)
+    us = np.empty(gs.shape, dtype=np.min_scalar_type(m - 1))   # targets lie in [0, m)
     worst, count, head = float("-inf"), 0, []
     for lo in range(0, len(gs), size):
         gains = switch_gains(gs[lo:lo + size], cfg)

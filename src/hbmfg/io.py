@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from typing import Optional
 
 import numpy as np
@@ -84,7 +85,8 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
 
 def _numeric(section: dict, path: str, key: str):
     """The field's value once each JSON leaf is exactly an int or a float: numpy
-    reads true as 1 and "2.5" as 2.5, so a bool, string or null is refused by name."""
+    reads true as 1 and "2.5" as 2.5, so a bool, string or null is refused by name,
+    and so is an int beyond float64's range, which float() cannot hold."""
     value = _get(section, path, key)
     leaves = [value]
     for leaf in leaves:  # the list grows by the entries of each list met
@@ -93,6 +95,9 @@ def _numeric(section: dict, path: str, key: str):
         elif type(leaf) not in (int, float):
             raise ConfigError(f"config rejected: field '{path}.{key}' is not numeric: "
                               f"{json.dumps(leaf)} must be a number")
+        elif type(leaf) is int and abs(leaf) > sys.float_info.max:
+            raise ConfigError(f"config rejected: field '{path}.{key}' holds an integer "
+                              "beyond float64's range")
     return value
 
 

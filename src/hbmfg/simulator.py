@@ -11,7 +11,9 @@ straight to the lowest level.
 
 Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
-choice of channel.  Mean counts over N follow the kinetic equation as N grows.
+choice of channel.  One rule, coeff * counts[src] * counts[partner], gives
+every channel's rate; a channel without a partner points at row n*m of the
+counts, fixed at 1.  Mean counts over N follow the kinetic equation as N grows.
 
 The control takes the integrators' forms, with one step per output
 interval: None, one target matrix, or a model.ControlPath.  One channel
@@ -96,7 +98,10 @@ class Transition(NamedTuple):
 
 
 def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
-    """Static channel table: rate = coeff * counts[src] * (counts[partner] or 1).
+    """The channel table, arrays src, dst, coeff and partner of flat cells
+    i * m + j: channel c moves an agent from src[c] to dst[c] at rate
+    coeff[c] * counts[src[c]] * counts[partner[c]].  A channel without a
+    partner points at row n * m, whose count is fixed at 1.
 
     Walks cfg.moves cell by cell (behaviour, then level), each move family's
     own rate before its partner channels, then the cell's switch, if its
@@ -104,48 +109,36 @@ def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
     draw picks, so it fixes seeded runs.
     """
     n, m = cfg.n, cfg.m
+    unit = n * m   # the count row fixed at 1, partner of a channel without one
     mv = cfg.moves
     dest, rate, evo = mv.dest.tolist(), mv.rate.tolist(), mv.evo.tolist()
     switch = None if target is None or cfg.lam <= 0.0 else target.tolist()
-    srcs: List[int] = []
-    dsts: List[int] = []
-    coeffs: List[float] = []
-    partners: List[int] = []
-
-    def add(src, dst, coeff, partner=-1):
-        if coeff > 0.0:
-            srcs.append(src)
-            dsts.append(dst)
-            coeffs.append(coeff)
-            partners.append(partner)
-
+    rows = []    # (src, dst, coeff, partner)
     for j in range(m):
         for i in range(n):
             src = i * m + j
             for f in range(len(dest)):
                 dst = dest[f][i] * m + j
-                add(src, dst, rate[f][i][j])
+                rows.append((src, dst, rate[f][i][j], unit))
                 for k in range(m):
-                    add(src, dst, evo[f][i][j][k] / N, i * m + k)
+                    rows.append((src, dst, evo[f][i][j][k] / N, i * m + k))
             if switch is not None and switch[i][j] != j:
-                add(src, i * m + switch[i][j], cfg.lam)
-    return srcs, dsts, coeffs, partners
+                rows.append((src, i * m + switch[i][j], cfg.lam, unit))
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    src, dst, coeff, partner = table[table[:, 2] > 0.0].T
+    return src.astype(np.intp), dst.astype(np.intp), coeff, partner.astype(np.intp)
 
 
 def enumerate_transitions(state: CountState, u, cfg: GameConfig) -> List[Transition]:
     """All currently possible single-agent moves with their total rates."""
     n, m = cfg.n, cfg.m
     ua = None if u is None else control_array(u, n, m)
-    srcs, dsts, coeffs, partners = _build_channels(cfg, ua, state.N)
-    flat = state.counts.ravel()
-    out = []
-    for s, t, c, p in zip(srcs, dsts, coeffs, partners):
-        rate = c * float(flat[s])
-        if p >= 0:
-            rate *= float(flat[p])
-        if rate > 0.0:
-            out.append(Transition(src=(s // m, s % m), dst=(t // m, t % m), rate=rate))
-    return out
+    src, dst, coeff, partner = _build_channels(cfg, ua, state.N)
+    counts = np.append(state.counts.ravel(), 1.0)   # float64, with the partner row n*m
+    rate = coeff * counts[src] * counts[partner]
+    live = rate > 0.0
+    return [Transition(src=(s // m, s % m), dst=(t // m, t % m), rate=r)
+            for s, t, r in zip(src[live].tolist(), dst[live].tolist(), rate[live].tolist())]
 
 
 @dataclass(frozen=True)
@@ -225,13 +218,14 @@ def simulate(
 
     out = np.empty((samples + 1, n, m), dtype=np.int64)
     out[0] = s0.counts
-    counts = [int(v) for v in s0.counts.ravel()]
+    counts = s0.counts.ravel().tolist() + [1]   # the partner row n*m holds 1
     events = 0
     t = 0.0
     log_: Optional[list] = [] if record_events else None
     ln = math.log
 
-    for a, b, (srcs, dsts, coeffs, partners) in pieces:
+    for a, b, table in pieces:
+        srcs, dsts, coeffs, partners = (col.tolist() for col in table)
         C = len(srcs)
         rates = [0.0] * C
         for kseg in range(a, b):
@@ -239,10 +233,7 @@ def simulate(
             while True:
                 tot = 0.0
                 for c in range(C):
-                    r = coeffs[c] * counts[srcs[c]]
-                    p = partners[c]
-                    if p >= 0:
-                        r *= counts[p]
+                    r = coeffs[c] * counts[srcs[c]] * counts[partners[c]]
                     rates[c] = r
                     tot += r
                 if tot <= 0.0:
@@ -270,7 +261,7 @@ def simulate(
                 if log_ is not None:
                     log_.append((t, srcs[chosen], dsts[chosen]))
             t = t_end
-            out[kseg + 1] = np.asarray(counts, dtype=np.int64).reshape(n, m)
+            out[kseg + 1] = np.asarray(counts[:-1], dtype=np.int64).reshape(n, m)
 
     return SimPath(
         times=times,
@@ -305,12 +296,12 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
     a piece starts.
 
     Replication r reads its uniforms from buf[r], _ROW_WIDTH numbers refilled
-    from its own generator.  A piece's table becomes column arrays indexing
-    the (n*m + 1)-row count matrix, whose last row holds 1 for partnerless
-    channels, between two extra channels: channel 0 has rate 0 and moves
-    nobody, which is what a crossing's pick of -1 takes, and channel C + 1 has
-    rate inf and moves as the last real channel, which is what a pick that
-    reaches the total takes.  moves[:, k] is channel k's change to the counts.
+    from its own generator.  The count matrix has n*m + 1 rows, the last the
+    partner row of 1s, and a piece's table runs between two extra channels:
+    channel 0 has rate 0 and moves nobody, which is what a crossing's pick of
+    -1 takes, and channel C + 1 has rate inf and moves as the last real
+    channel, which is what a pick that reaches the total takes.  moves[:, k]
+    is channel k's change to the counts.
     """
     n, m = cfg.n, cfg.m
     S = n * m
@@ -340,9 +331,8 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
         if not C:
             out.reshape(R, K, S)[:, j0 + 1:j1 + 1] = cnt[:S].T[:, None]
             continue
-        partners = [S if p < 0 else p for p in partner]
-        take = np.array([S] + src + [S, S] + partners + [S], dtype=np.intp)
-        coeffs = np.array([0.0] + coeff + [math.inf])[:, None]
+        take = np.concatenate(([S], src, [S, S], partner, [S]))
+        coeffs = np.concatenate(([0.0], coeff, [math.inf]))[:, None]
         moves = np.zeros((S + 1, C + 2))
         moves[src, range(1, C + 1)] = -1.0
         moves[dst, range(1, C + 1)] = 1.0

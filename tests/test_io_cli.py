@@ -694,12 +694,44 @@ def test_cli_refuses_misspelled_fields(tmp_path, capsys):
 
 
 def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
+    huge = "1" + "0" * 400   # an integer beyond float64's range
     for values in (["NaN", "0.05"], ["0.05", "Infinity"], ["[-Infinity]"], ["1e400"],
-                   ["[0.5, NaN, 0.5]"]):
+                   ["[0.5, NaN, 0.5]"], ["0.05", huge], [f"[0.5, -{huge}]"]):
         out = tmp_path / f"o{len(os.listdir(tmp_path))}"
         code, summary, _ = cli(["sweep", EXAMPLE, "--out", str(out), "--param",
                                 "scales.delta", "--values", *values], capsys)
         assert code == 1 and "non-finite" in summary["error"], values
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("field", ["scales.lambda", "economics.fee_H"])
+def test_cli_refuses_integers_beyond_float64(tmp_path, capsys, field):
+    # JSON allows the integer, but float() and numpy cannot convert it
+    doc = example_doc()
+    section, key = field.split(".")
+    doc[section][key] = 10**400 if key == "lambda" else [0.2, -10**400, 0.2]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = cli(["validate", str(p), "--out", str(tmp_path / "v")], capsys)
+    violations = json.loads((tmp_path / "v" / "validation.json").read_text())["violations"]
+    assert code == 1 and len(violations) == 1
+    assert f"'{field}' holds an integer beyond float64's range" in violations[0]
+
+
+def test_cli_sweep_sets_and_refuses_list_indices(tmp_path, capsys):
+    out = tmp_path / "ok"
+    code, _, _ = cli(["sweep", EXAMPLE, "--param", "economics.fee_H.1", "--values", "0.3",
+                      "--op", "validate", "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads((out / "val_0" / "config.json").read_text())
+    assert doc["economics"]["fee_H"] == [0.2, 0.3, 0.2]
+    for param, why in (("economics.fee_H.9", "bad index '9'"),
+                       ("rates.q_up.0.x", "bad index 'x'"),
+                       ("scales.delta.x", "does not address a field")):
+        out = tmp_path / param
+        code, summary, _ = cli(["sweep", EXAMPLE, "--param", param, "--values", "0.3",
+                                "--op", "validate", "--out", str(out)], capsys)
+        assert code == 1 and why in summary["error"], param
         assert os.listdir(out) == []
 
 
