@@ -27,6 +27,7 @@ from .io import (
     check_fields,
     config_sha256,
     jsonable,
+    parse_int,
     read_config,
     read_config_doc,
     read_state_csv,
@@ -218,11 +219,7 @@ def _run_simulate(config: str, out: str, N, T, reps=1, seed=0, samples=50,
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
     s0 = CountState.from_occupation(_initial_occupation(x0, cfg), int(N))
-    # one replication takes the scalar event loop, which runs faster than lockstep
-    seeds = seed if reps == 1 else [seed + r for r in range(reps)]
-    paths = simulate(s0, None, float(T), seeds, cfg, samples=samples)
-    if reps == 1:
-        paths = [paths]
+    paths = simulate(s0, None, float(T), [seed + r for r in range(reps)], cfg, samples=samples)
     xs = np.stack([p.x for p in paths])
     mean = xs.mean(axis=0)
     if reps > 1:
@@ -257,7 +254,7 @@ def _parse_sweep_value(token: str):
 
     try:
         return json.loads(token, parse_float=finite, parse_constant=finite,
-                          parse_int=lambda number: finite(number, int))
+                          parse_int=lambda number: finite(number, parse_int))
     except json.JSONDecodeError:
         return token
 

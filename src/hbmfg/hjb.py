@@ -238,10 +238,10 @@ def integrate_backward(
     each step then sees the mean of its two end nodes.
     mode "fixed": control is used as is, in integrate_forward's forms (None,
     one Control/(n, m) target matrix or a ControlPath), one gain per piece;
-    mode "optimizing": every stage takes the best switch at the current g,
-    the maximum of switch_gains over the target, without storing the gains;
-    a stage inside the no-switch cone skips it (_optimizing_stage), and
-    meta["cone_stages"] counts those stages.
+    mode "optimizing": control must be None; every stage takes the best
+    switch at the current g, the maximum of switch_gains over the target,
+    without storing the gains; a stage inside the no-switch cone skips it
+    (_optimizing_stage), and meta["cone_stages"] counts those stages.
     Each step's switch-free flow is hjb_rhs's affine map of the payoff by
     behaviour column, assembled for a block of steps at a time within
     BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
@@ -254,6 +254,8 @@ def integrate_backward(
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
     optimizing = mode == "optimizing"
+    if optimizing and control is not None:
+        raise ValueError("mode 'optimizing' takes no control: it plays the best response")
     n_steps, h = step_grid(t0, t1, dt)
     x_nodes = None if occupation is None else occupation_array(occupation)
     on_path = x_nodes is not None and x_nodes.ndim == 3

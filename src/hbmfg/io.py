@@ -1,8 +1,8 @@
 """Config files, CSV/JSON artifacts, and the output manifest.
 
 Configs are JSON with four required sections (dimensions, rates, economics,
-scales) and an optional flags section; parse errors name the offending field
-or the JSON line, and a field that read_config does not read is refused.
+scales) and an optional flags section, every field listed once in _FIELDS
+with its kind; parse errors name the offending field or the JSON line.
 Trajectory CSVs carry a time column followed by the states flattened
 row-major with 1-based labels (x_1_1 ... x_n_m); floats are written
 with 17 significant digits so values round-trip exactly.  Every output
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .model import GameConfig, SinkRates
 __all__ = [
     "ConfigError",
     "check_fields",
+    "parse_int",
     "read_config_doc",
     "read_config",
     "config_sha256",
@@ -43,77 +43,97 @@ class ConfigError(ValueError):
     pass
 
 
-# The fields read_config reads, by the path of their section; it refuses any other.
+# Every config field by its dotted name, each object before its fields, and its
+# kind; one ending in "?" may be absent.  A section given as null counts as absent.
 _FIELDS = {
-    (): ("dimensions", "rates", "economics", "scales", "flags"),
-    ("dimensions",): ("n", "m"),
-    ("rates",): ("q_up", "q_down", "q_up_evo", "q_down_evo", "q_sink"),
-    ("rates", "q_sink"): ("direct", "interaction"),
-    ("economics",): ("w", "fee_B", "fee_H"),
-    ("scales",): ("lambda", "delta", "regime"),
-    ("flags",): ("detailed_balance",),
+    "dimensions": "object", "dimensions.n": "number", "dimensions.m": "number",
+    "rates": "object", "rates.q_up": "array", "rates.q_down": "array",
+    "rates.q_up_evo": "array", "rates.q_down_evo": "array", "rates.q_sink": "object?",
+    "rates.q_sink.direct": "array", "rates.q_sink.interaction": "array",
+    "economics": "object", "economics.w": "array", "economics.fee_B": "array",
+    "economics.fee_H": "array", "scales": "object", "scales.lambda": "number",
+    "scales.delta": "number", "scales.regime": "text",
+    "flags": "object?", "flags.detailed_balance": "bool?",
 }
 
 
 def check_fields(doc) -> None:
-    """Refuse, by its dotted name, a field of a config document that read_config does not read."""
-    for path, known in _FIELDS.items():
-        sec = doc
-        for key in path:
-            sec = sec.get(key) if isinstance(sec, dict) else None
-        for key in sec if isinstance(sec, dict) else ():  # other sections are read_config's
-            if key not in known:
-                raise ConfigError(f"config has unknown field '{'.'.join(path + (key,))}'")
+    """Refuse, by its dotted name, a field of a config document that _FIELDS does not list."""
+    objects = [("", doc)]
+    for prefix, obj in objects:  # the list grows by each listed object met
+        for key, value in obj.items() if isinstance(obj, dict) else ():
+            name = prefix + key
+            if name not in _FIELDS:
+                raise ConfigError(f"config has unknown field '{name}'")
+            if isinstance(value, dict) and _FIELDS[name].startswith("object"):
+                objects.append((name + ".", value))
 
 
-def _get(section: dict, path: str, key: str):
-    if key not in section:
-        raise ConfigError(f"config is missing field '{path}.{key}'")
-    return section[key]
-
-
-def _section(doc: dict, name: str, required: bool = True) -> dict:
-    sec = doc.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"config is missing the '{name}' section")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return sec
-
-
-def _numeric(section: dict, path: str, key: str):
-    """The field's value once each JSON leaf is exactly an int or a float: numpy
-    reads true as 1 and "2.5" as 2.5, so a bool, string or null is refused by name,
-    and so is an int beyond float64's range, which float() cannot hold."""
-    value = _get(section, path, key)
+def _numeric(name: str, value, kind: str):
+    """A number, or an array of numbers, once each JSON leaf is exactly an int or
+    a float: numpy reads true as 1 and "2.5" as 2.5, so a bool, string or null
+    (or a list where one number belongs) is refused by name, and so is an int
+    beyond float64's range, which float() cannot hold."""
     leaves = [value]
     for leaf in leaves:  # the list grows by the entries of each list met
-        if type(leaf) is list:
+        if type(leaf) is list and kind == "array":
             leaves.extend(leaf)
         elif type(leaf) not in (int, float):
-            raise ConfigError(f"config rejected: field '{path}.{key}' is not numeric: "
+            raise ConfigError(f"config rejected: field '{name}' is not numeric: "
                               f"{json.dumps(leaf)} must be a number")
         elif type(leaf) is int and abs(leaf) > sys.float_info.max:
-            raise ConfigError(f"config rejected: field '{path}.{key}' holds an integer "
+            raise ConfigError(f"config rejected: field '{name}' holds an integer "
                               "beyond float64's range")
-    return value
-
-
-def _array(section: dict, path: str, key: str) -> np.ndarray:
-    value = _numeric(section, path, key)
+    if kind == "number":
+        return value
     try:
         return np.asarray(value, dtype=float)
     except ValueError as e:  # a ragged list
-        raise ConfigError(f"config field '{path}.{key}' is not numeric: {e}") from None
+        raise ConfigError(f"config field '{name}' is not numeric: {e}") from None
+
+
+def _read_fields(doc: dict) -> dict:
+    """Each config field read by its kind and keyed by its last name, an object
+    field's own fields in a dict under its name.  A missing field, or one not of
+    its kind, is refused by its dotted name; text goes on to GameConfig as it is."""
+    top = {}
+    objects = {"": (doc, top)}   # each object read: its JSON and the dict its fields fill
+    for name, kind in _FIELDS.items():
+        parent, _, key = name.rpartition(".")
+        if parent not in objects:   # an optional object that is absent
+            continue
+        obj, into = objects[parent]
+        if key not in obj or (obj[key] is None and not parent):
+            if kind.endswith("?"):
+                continue
+            raise ConfigError(f"config is missing field '{name}'" if parent
+                              else f"config is missing the '{name}' section")
+        kind, value = kind.rstrip("?"), obj[key]
+        if kind == "object" and isinstance(value, dict):
+            objects[name] = (value, into.setdefault(key, {}) if parent else top)
+        elif kind == "object":
+            raise ConfigError(f"config {'field' if parent else 'section'} '{name}' "
+                              "must be an object")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"config field '{name}' must be true or false")
+        else:
+            into[key] = _numeric(name, value, kind) if kind in ("number", "array") else value
+    return top
+
+
+def parse_int(text: str) -> int:
+    """A JSON integer; one of more than 309 digits is beyond float64's range and
+    reads as +-10**309, never reaching int()'s 4300-digit limit."""
+    if len(text.lstrip("-")) > 309:
+        return -10**309 if text.startswith("-") else 10**309
+    return int(text)
 
 
 def read_config_doc(path: str):
     """The parsed JSON of a config file; unreadable files and bad JSON are ConfigErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
@@ -128,37 +148,16 @@ def read_config(path: str) -> GameConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     check_fields(doc)
-
-    dims = _section(doc, "dimensions")
-    rates = _section(doc, "rates")
-    econ = _section(doc, "economics")
-    scales = _section(doc, "scales")
-    flags = _section(doc, "flags", required=False)
-
-    n, m = _numeric(dims, "dimensions", "n"), _numeric(dims, "dimensions", "m")
+    kwargs = _read_fields(doc)
+    kwargs["lam"] = kwargs.pop("lambda")
+    n, m = kwargs["n"], kwargs["m"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
         raise ConfigError("config fields 'dimensions.n' and 'dimensions.m' "
                           "must be positive integers")
-
-    q_sink: Optional[SinkRates] = None
-    if "q_sink" in rates:
-        sink = rates["q_sink"]
-        if not isinstance(sink, dict):
-            raise ConfigError("config field 'rates.q_sink' must be an object")
-        q_sink = SinkRates(direct=_array(sink, "rates.q_sink", "direct"),
-                           interaction=_array(sink, "rates.q_sink", "interaction"))
-
-    regime = _get(scales, "scales", "regime")
-    detailed_balance = flags.get("detailed_balance", False)
-    if not isinstance(detailed_balance, bool):
-        raise ConfigError("config field 'flags.detailed_balance' must be true or false")
-    arrays = {key: _array(sec, name, key) for name, sec, keys in (
-        ("rates", rates, ("q_up", "q_down", "q_up_evo", "q_down_evo")),
-        ("economics", econ, ("w", "fee_B", "fee_H"))) for key in keys}
-    lam, delta = (float(_numeric(scales, "scales", key)) for key in ("lambda", "delta"))
+    if "q_sink" in kwargs:
+        kwargs["q_sink"] = SinkRates(**kwargs["q_sink"])
     try:
-        return GameConfig(n=n, m=m, **arrays, lam=lam, delta=delta, regime=regime,
-                          detailed_balance=detailed_balance, q_sink=q_sink)
+        return GameConfig(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config rejected: {e}") from None
 

@@ -20,7 +20,7 @@ interval: None, one target matrix, or a model.ControlPath.  One channel
 table serves each of its pieces, a run of intervals under one control.
 
 `simulate` with one seed runs a scalar per-event loop, the reference the
-tests hold the lockstep loop to.  With a sequence of seeds one numpy step
+tests hold the lockstep loop to.  With several seeds one numpy step
 applies every replication's next event or node crossing, and each path is
 bit for bit the one its seed gives alone (see simulate).
 """
@@ -183,13 +183,13 @@ def simulate(
     one per output interval, so the control changes only at output nodes.
     Restarting the exponential clock at each node is exact by memorylessness.
 
-    seed: an int runs one trajectory and returns its SimPath.  A sequence of
-    ints returns one SimPath per seed, in order, from one lockstep run
-    (_simulate_lockstep; meta["lockstep_steps"] counts its steps).  Every
-    trajectory draws from its own PCG64(seed) stream in the same order (a
-    uniform for each wait, and one for the pick if the event falls inside
-    the interval), so a lockstep replication is bit for bit the path that
-    its seed gives alone.  record_events needs an int seed.
+    seed: an int returns one SimPath, a sequence of ints one SimPath per
+    seed, in order.  One seed runs the scalar event loop; several run one
+    lockstep loop (_simulate_lockstep; meta["lockstep_steps"] counts its
+    steps).  Every trajectory draws from its own PCG64(seed) stream in the
+    same order (a uniform for each wait, and one for the pick if the event
+    falls inside the interval), so a lockstep replication is bit for bit the
+    path that its seed gives alone.  record_events needs a single seed.
     """
     if not (0.0 < T < math.inf):
         raise ValueError("need a finite T > 0")
@@ -202,16 +202,16 @@ def simulate(
     for s in seeds:
         if s < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {s}")
-    if record_events and not single:
-        raise ValueError("record_events needs a single int seed")
+    if record_events and len(seeds) > 1:
+        raise ValueError("record_events needs a single seed")
     n, m = cfg.n, cfg.m
     pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
               for a, b, target in control_pieces(u, samples, n, m)]
     times = np.linspace(0.0, T, samples + 1)
-    if not single:
+    if len(seeds) > 1:
         return _simulate_lockstep(s0, pieces, times, seeds, cfg)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seeds[0]))
     buf = _refill(rng, (), _ROW_WIDTH).tolist()
     pos = 0
     lim = _ROW_WIDTH - 2
@@ -263,15 +263,16 @@ def simulate(
             t = t_end
             out[kseg + 1] = np.asarray(counts[:-1], dtype=np.int64).reshape(n, m)
 
-    return SimPath(
+    path = SimPath(
         times=times,
         counts=out,
         N=s0.N,
         events=events,
-        seed=seed,
+        seed=seeds[0],
         event_log=log_,
         meta={"rng": RNG_NAME},
     )
+    return path if single else [path]
 
 
 # A replication whose total rate is 0 gets a wait of x/0 (inf or nan); it reads

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import hbmfg
 from hbmfg import ControlPath, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
+    _FIELDS,
     ConfigError,
     config_sha256,
     fmt,
@@ -94,6 +96,70 @@ def test_read_config_refuses_unknown_fields(tmp_path, name):
     p.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"unknown field '{name}'"):
         read_config(str(p))
+
+
+def sink_doc() -> dict:
+    doc = example_doc()
+    doc["rates"]["q_sink"] = {"direct": doc["rates"]["q_down"],
+                              "interaction": doc["rates"]["q_down_evo"]}
+    return doc
+
+
+_DEFECTS = {"deleted": None, "null": None, "string": "str", "list": [1, [2]], "object": {}}
+
+
+def _refusal(name: str, kind: str, defect: str):
+    """read_config's message for the field of the kind given the defect, as a
+    regular expression; None where the config still reads."""
+    optional, kind, section = kind.endswith("?"), kind.rstrip("?"), "." not in name
+    value = _DEFECTS[defect]
+    if defect == "deleted" or (defect == "null" and section):  # a null section is absent
+        if optional:
+            return None
+        return re.escape(f"config is missing the '{name}' section" if section
+                         else f"config is missing field '{name}'")
+    if kind == "object" and defect == "object":   # names its first required field
+        first = [f for f, k in _FIELDS.items()
+                 if f.startswith(name + ".") and not k.endswith("?")]
+        return re.escape(f"config is missing field '{first[0]}'") if first else None
+    if kind == "object":
+        return re.escape(f"config {'section' if section else 'field'} '{name}' "
+                         "must be an object")
+    if kind == "bool":
+        return re.escape(f"config field '{name}' must be true or false")
+    if kind == "text":
+        return re.escape("config rejected: 'str' is not a valid Regime" if defect == "string"
+                         else f"config rejected: unknown regime: {value!r}")
+    if kind == "array" and defect == "list":   # numpy names the ragged list
+        return re.escape(f"config field '{name}' is not numeric: setting an array element "
+                         "with a sequence") + ".*"
+    return re.escape(f"config rejected: field '{name}' is not numeric: "
+                     f"{json.dumps(value)} must be a number")
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+def test_read_config_refuses_each_field_by_its_kind(tmp_path, name, defect):
+    doc = sink_doc()
+    *path, key = name.split(".")
+    section = doc
+    for part in path:
+        section = section[part]
+    if defect == "deleted":
+        del section[key]
+    else:
+        section[key] = _DEFECTS[defect]
+    p = tmp_path / "defect.json"
+    p.write_text(json.dumps(doc))
+    expected = _refusal(name, _FIELDS[name], defect)
+    if expected is None:   # an optional field that is absent, or an empty flags section
+        cfg = read_config(str(p))
+        assert (cfg.q_sink is None) is name.startswith("rates.q_sink")
+        assert cfg.detailed_balance is not name.startswith("flags")
+        return
+    with pytest.raises(ConfigError) as err:
+        read_config(str(p))
+    assert re.fullmatch(expected, str(err.value)), str(err.value)
 
 
 def test_read_config_rejects_non_numeric_fields(tmp_path):
@@ -523,14 +589,16 @@ def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys,
     scalar = hbmfg.cli.simulate
 
     def spy(s0, u, T, seed, cfg, **kw):
-        calls.append(seed)
-        return scalar(s0, u, T, seed, cfg, **kw)
+        paths = scalar(s0, u, T, seed, cfg, **kw)
+        calls.append((seed, [p.meta for p in paths]))
+        return paths
 
     monkeypatch.setattr(hbmfg.cli, "simulate", spy)
     out = tmp_path / "o"
     code, summary, _ = cli(["simulate", EXAMPLE, "--out", str(out), "--N", "120", "--T", "1",
                             "--seed", "5", "--samples", "5"], capsys)
-    assert code == 0 and calls == [5]
+    # one seed in a list runs the scalar loop, which counts no lockstep steps
+    assert code == 0 and calls == [([5], [{"rng": "pcg64"}])]
     cfg = read_config(EXAMPLE)
     s0 = hbmfg.CountState.from_occupation(hbmfg.Occupation.uniform(3, 3).x, 120)
     solo = scalar(s0, None, 1.0, 5, cfg, samples=5)
@@ -608,10 +676,11 @@ def test_cli_rejects_non_finite_and_boolean_scales(tmp_path, capsys, field, valu
         assert os.listdir(out) == []
 
 
-# each edit puts a boolean or a string where read_config reads a number
+# each edit puts a boolean, a string or a list where read_config reads a number
 _NOT_NUMBERS = {
     "dimensions.n": lambda doc: doc["dimensions"].update(n=True),
     "scales.lambda": lambda doc: doc["scales"].update({"lambda": "2.5"}),
+    "scales.delta": lambda doc: doc["scales"].update(delta=[0.1, 0.2]),
     "economics.w": lambda doc: doc["economics"].update(
         w=[[str(v) for v in row] for row in doc["economics"]["w"]]),
     "economics.fee_H": lambda doc: doc["economics"]["fee_H"].__setitem__(0, True),
@@ -695,8 +764,10 @@ def test_cli_refuses_misspelled_fields(tmp_path, capsys):
 
 def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
     huge = "1" + "0" * 400   # an integer beyond float64's range
+    longer = "1" + "0" * 5000   # and one beyond Python's 4300-digit int() limit
     for values in (["NaN", "0.05"], ["0.05", "Infinity"], ["[-Infinity]"], ["1e400"],
-                   ["[0.5, NaN, 0.5]"], ["0.05", huge], [f"[0.5, -{huge}]"]):
+                   ["[0.5, NaN, 0.5]"], ["0.05", huge], [f"[0.5, -{huge}]"],
+                   ["0.05", longer], [f"[0.5, -{longer}]"]):
         out = tmp_path / f"o{len(os.listdir(tmp_path))}"
         code, summary, _ = cli(["sweep", EXAMPLE, "--out", str(out), "--param",
                                 "scales.delta", "--values", *values], capsys)
@@ -706,16 +777,20 @@ def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["scales.lambda", "economics.fee_H"])
 def test_cli_refuses_integers_beyond_float64(tmp_path, capsys, field):
-    # JSON allows the integer, but float() and numpy cannot convert it
+    # JSON allows the integer, but float() and numpy cannot convert it, and int()
+    # refuses a string of more than 4300 digits
     doc = example_doc()
     section, key = field.split(".")
-    doc[section][key] = 10**400 if key == "lambda" else [0.2, -10**400, 0.2]
-    p = tmp_path / "huge.json"
-    p.write_text(json.dumps(doc))
-    code, _, _ = cli(["validate", str(p), "--out", str(tmp_path / "v")], capsys)
-    violations = json.loads((tmp_path / "v" / "validation.json").read_text())["violations"]
-    assert code == 1 and len(violations) == 1
-    assert f"'{field}' holds an integer beyond float64's range" in violations[0]
+    doc[section][key] = "HUGE" if key == "lambda" else [0.2, "-HUGE", 0.2]
+    for digits in (401, 5001):
+        huge = "1" + "0" * (digits - 1)
+        p = tmp_path / f"huge{digits}.json"
+        p.write_text(json.dumps(doc).replace('"HUGE"', huge).replace('"-HUGE"', "-" + huge))
+        out = tmp_path / f"v{digits}"
+        code, _, _ = cli(["validate", str(p), "--out", str(out)], capsys)
+        violations = json.loads((out / "validation.json").read_text())["violations"]
+        assert code == 1 and violations == [
+            f"config rejected: field '{field}' holds an integer beyond float64's range"]
 
 
 def test_cli_sweep_sets_and_refuses_list_indices(tmp_path, capsys):

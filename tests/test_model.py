@@ -287,6 +287,11 @@ def test_tensor_control_is_rejected():
         hjb_rhs(np.zeros((2, 3)), x, tensor, cfg)
     with pytest.raises(ValueError, match="target matrix"):
         simulate(CountState.from_occupation(x, 12), tensor, 1.0, 0, cfg)
+    # the optimizing payoff plays its own best response: any control is refused
+    for u in (tensor, Control.stay(2, 3)):
+        with pytest.raises(ValueError, match="takes no control"):
+            integrate_backward(np.zeros((2, 3)), x, 0.0, 1.0, 0.25, cfg, mode="optimizing",
+                               control=u)
     for bad in (tensor.astype(int), np.full((2, 3), 1.0), np.array([[0, 1, 3], [0, 1, 2]])):
         with pytest.raises(ValueError):
             Control(bad)

@@ -121,6 +121,12 @@ def test_simulate_pins_a_seeded_run_on_the_example():
     path = simulate(s0, None, 1.0, 7, cfg, samples=5)
     assert path.events == 510
     npt.assert_array_equal(path.counts[-1], [[36, 34, 35], [34, 38, 35], [30, 28, 30]])
+    # one seed in a list runs the same scalar loop, which logs events and
+    # counts no lockstep steps
+    [listed] = simulate(s0, None, 1.0, [7], cfg, samples=5, record_events=True)
+    assert listed.seed == 7 and listed.events == len(listed.event_log) == 510
+    npt.assert_array_equal(listed.counts, path.counts)
+    assert listed.meta == path.meta == {"rng": "pcg64"}
 
 
 def test_simulate_conserves_agents_and_time_grid():
