@@ -44,28 +44,29 @@ class ConfigError(ValueError):
 
 
 # Every config field by its dotted name, each object before its fields, and its
-# kind; one ending in "?" may be absent.  A section given as null counts as absent.
+# kind; those in _OPTIONAL may be absent.  A section given as null counts as absent.
 _FIELDS = {
     "dimensions": "object", "dimensions.n": "number", "dimensions.m": "number",
     "rates": "object", "rates.q_up": "array", "rates.q_down": "array",
-    "rates.q_up_evo": "array", "rates.q_down_evo": "array", "rates.q_sink": "object?",
+    "rates.q_up_evo": "array", "rates.q_down_evo": "array", "rates.q_sink": "object",
     "rates.q_sink.direct": "array", "rates.q_sink.interaction": "array",
     "economics": "object", "economics.w": "array", "economics.fee_B": "array",
     "economics.fee_H": "array", "scales": "object", "scales.lambda": "number",
     "scales.delta": "number", "scales.regime": "text",
-    "flags": "object?", "flags.detailed_balance": "bool?",
+    "flags": "object", "flags.detailed_balance": "bool",
 }
+_OPTIONAL = {"rates.q_sink", "flags", "flags.detailed_balance"}
 
 
 def check_fields(doc) -> None:
-    """Refuse, by its dotted name, a field of a config document that _FIELDS does not list."""
+    """Refuse, by its dotted name, a config field _FIELDS does not list, or a key with a dot."""
     objects = [("", doc)]
     for prefix, obj in objects:  # the list grows by each listed object met
         for key, value in obj.items() if isinstance(obj, dict) else ():
             name = prefix + key
-            if name not in _FIELDS:
+            if "." in key or name not in _FIELDS:
                 raise ConfigError(f"config has unknown field '{name}'")
-            if isinstance(value, dict) and _FIELDS[name].startswith("object"):
+            if isinstance(value, dict) and _FIELDS[name] == "object":
                 objects.append((name + ".", value))
 
 
@@ -103,12 +104,11 @@ def _read_fields(doc: dict) -> dict:
         if parent not in objects:   # an optional object that is absent
             continue
         obj, into = objects[parent]
-        if key not in obj or (obj[key] is None and not parent):
-            if kind.endswith("?"):
+        if (value := obj.get(key)) is None and (key not in obj or not parent):
+            if name in _OPTIONAL:
                 continue
             raise ConfigError(f"config is missing field '{name}'" if parent
                               else f"config is missing the '{name}' section")
-        kind, value = kind.rstrip("?"), obj[key]
         if kind == "object" and isinstance(value, dict):
             objects[name] = (value, into.setdefault(key, {}) if parent else top)
         elif kind == "object":

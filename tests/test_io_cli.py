@@ -16,7 +16,6 @@ import hbmfg
 from hbmfg import ControlPath, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
-    _FIELDS,
     ConfigError,
     config_sha256,
     fmt,
@@ -82,19 +81,22 @@ def test_read_config_round_trips_every_field(tmp_path, sink):
     assert (back.q_sink is None) is not sink
 
 
-@pytest.mark.parametrize("name", [
+@pytest.mark.parametrize("keys", [pytest.param(name.split("."), id=name) for name in (
     "name", "dimensions.k", "rates.q_upp", "rates.q_sink.drect", "economics.fee_b",
-    "scales.detla", "scales.delta_int", "scales.delta_dis", "flags.detailed_balanse"])
-def test_read_config_refuses_unknown_fields(tmp_path, name):
+    "scales.detla", "scales.delta_int", "scales.delta_dis", "flags.detailed_balanse")] + [
+    # a key holding a dot spells a field's dotted name without being that field
+    pytest.param(["scales.delta"], id="'scales.delta'"),
+    pytest.param(["rates", "q_sink.direct"], id="rates.'q_sink.direct'")])
+def test_read_config_refuses_unknown_fields(tmp_path, keys):
     doc = example_doc()
-    *path, key = name.split(".")
+    *path, key = keys
     section = doc
     for part in path:
         section = section.setdefault(part, {})
     section[key] = 0.5
     p = tmp_path / "typo.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=f"unknown field '{name}'"):
+    with pytest.raises(ConfigError, match=re.escape(f"unknown field '{'.'.join(keys)}'")):
         read_config(str(p))
 
 
@@ -106,39 +108,69 @@ def sink_doc() -> dict:
 
 
 _DEFECTS = {"deleted": None, "null": None, "string": "str", "list": [1, [2]], "object": {}}
+_NUMBERS = ["dimensions.n", "dimensions.m", "scales.lambda", "scales.delta"]
+_ARRAYS = ["rates.q_up", "rates.q_down", "rates.q_up_evo", "rates.q_down_evo",
+           "rates.q_sink.direct", "rates.q_sink.interaction",
+           "economics.w", "economics.fee_B", "economics.fee_H"]
+_OBJECTS = ["dimensions", "rates", "rates.q_sink", "economics", "scales", "flags"]
+_BALANCE = "config field 'flags.detailed_balance' must be true or false"
+
+# read_config's message wherever the field's kind does not settle it: a missing
+# or null section, an empty object, the optional fields and the two fields that
+# are not numbers; None where the config still reads
+_PINNED = {
+    ("dimensions", "deleted"): "config is missing the 'dimensions' section",
+    ("dimensions", "null"): "config is missing the 'dimensions' section",
+    ("dimensions", "object"): "config is missing field 'dimensions.n'",
+    ("rates", "deleted"): "config is missing the 'rates' section",
+    ("rates", "null"): "config is missing the 'rates' section",
+    ("rates", "object"): "config is missing field 'rates.q_up'",
+    ("rates.q_sink", "deleted"): None,
+    ("rates.q_sink", "null"): "config field 'rates.q_sink' must be an object",
+    ("rates.q_sink", "object"): "config is missing field 'rates.q_sink.direct'",
+    ("economics", "deleted"): "config is missing the 'economics' section",
+    ("economics", "null"): "config is missing the 'economics' section",
+    ("economics", "object"): "config is missing field 'economics.w'",
+    ("scales", "deleted"): "config is missing the 'scales' section",
+    ("scales", "null"): "config is missing the 'scales' section",
+    ("scales", "object"): "config is missing field 'scales.lambda'",
+    ("scales.regime", "deleted"): "config is missing field 'scales.regime'",
+    ("scales.regime", "null"): "config rejected: unknown regime: None",
+    ("scales.regime", "string"): "config rejected: 'str' is not a valid Regime",
+    ("scales.regime", "list"): "config rejected: unknown regime: [1, [2]]",
+    ("scales.regime", "object"): "config rejected: unknown regime: {}",
+    ("flags", "deleted"): None,
+    ("flags", "null"): None,
+    ("flags", "object"): None,
+    ("flags.detailed_balance", "deleted"): None,
+    ("flags.detailed_balance", "null"): _BALANCE,
+    ("flags.detailed_balance", "string"): _BALANCE,
+    ("flags.detailed_balance", "list"): _BALANCE,
+    ("flags.detailed_balance", "object"): _BALANCE,
+}
 
 
-def _refusal(name: str, kind: str, defect: str):
-    """read_config's message for the field of the kind given the defect, as a
-    regular expression; None where the config still reads."""
-    optional, kind, section = kind.endswith("?"), kind.rstrip("?"), "." not in name
-    value = _DEFECTS[defect]
-    if defect == "deleted" or (defect == "null" and section):  # a null section is absent
-        if optional:
-            return None
-        return re.escape(f"config is missing the '{name}' section" if section
-                         else f"config is missing field '{name}'")
-    if kind == "object" and defect == "object":   # names its first required field
-        first = [f for f, k in _FIELDS.items()
-                 if f.startswith(name + ".") and not k.endswith("?")]
-        return re.escape(f"config is missing field '{first[0]}'") if first else None
-    if kind == "object":
-        return re.escape(f"config {'section' if section else 'field'} '{name}' "
+def _refusal(name: str, defect: str):
+    """read_config's message for the defect in the field, as a regular expression;
+    None where the config still reads."""
+    if (name, defect) in _PINNED:
+        message = _PINNED[name, defect]
+        return None if message is None else re.escape(message)
+    if defect == "deleted":
+        return re.escape(f"config is missing field '{name}'")
+    if name in _OBJECTS:
+        return re.escape(f"config {'field' if '.' in name else 'section'} '{name}' "
                          "must be an object")
-    if kind == "bool":
-        return re.escape(f"config field '{name}' must be true or false")
-    if kind == "text":
-        return re.escape("config rejected: 'str' is not a valid Regime" if defect == "string"
-                         else f"config rejected: unknown regime: {value!r}")
-    if kind == "array" and defect == "list":   # numpy names the ragged list
+    if name in _ARRAYS and defect == "list":   # numpy names the ragged list
         return re.escape(f"config field '{name}' is not numeric: setting an array element "
                          "with a sequence") + ".*"
     return re.escape(f"config rejected: field '{name}' is not numeric: "
-                     f"{json.dumps(value)} must be a number")
+                     f"{json.dumps(_DEFECTS[defect])} must be a number")
 
 
 @pytest.mark.parametrize("defect", sorted(_DEFECTS))
-@pytest.mark.parametrize("name", sorted(_FIELDS))
+@pytest.mark.parametrize("name", sorted(
+    _NUMBERS + _ARRAYS + _OBJECTS + ["scales.regime", "flags.detailed_balance"]))
 def test_read_config_refuses_each_field_by_its_kind(tmp_path, name, defect):
     doc = sink_doc()
     *path, key = name.split(".")
@@ -151,7 +183,7 @@ def test_read_config_refuses_each_field_by_its_kind(tmp_path, name, defect):
         section[key] = _DEFECTS[defect]
     p = tmp_path / "defect.json"
     p.write_text(json.dumps(doc))
-    expected = _refusal(name, _FIELDS[name], defect)
+    expected = _refusal(name, defect)
     if expected is None:   # an optional field that is absent, or an empty flags section
         cfg = read_config(str(p))
         assert (cfg.q_sink is None) is name.startswith("rates.q_sink")
