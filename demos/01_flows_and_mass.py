@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from hbmfg.kinetics import integrate_forward, kinetic_rhs
-from hbmfg.model import Control, GameConfig, Occupation, validate
+from hbmfg.model import GameConfig, Occupation, validate
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -83,7 +83,7 @@ def main() -> None:
     # drains at the decision-clock rate lam.  A control is the target
     # behaviour of every state: target[i, j] == j stays, and the all-zero
     # target matrix sends every state to behaviour 1 (0-based index 0).
-    u = Control(np.zeros((3, 2), int))
+    u = np.zeros((3, 2), int)
     traj2 = integrate_forward(x0.x, u, 0.0, 8.0, 0.01, cfg)
     for t_query in (0.0, 1.0, 3.0, 8.0):
         k = int(round(t_query / 0.01))

@@ -7,7 +7,9 @@ g[i,k] - g[i,j] - fee_B[j,k], and staying put is always available.  Pressure
 moves and stimulated moves (weighted by the current occupation) act on the
 agent regardless, with the downgrade fine charged on every enforced drop.
 Both variants' level moves, step-down and sink, come from GameConfig.moves:
-the payoff flow is the adjoint of the forward flow.  Without the switch term
+the payoff flow is the adjoint of the forward flow.  The switch term plays
+either a given model.Control, one gain per piece, or the best response,
+which integrate_backward returns as a Control.  Without the switch term
 it is affine in g, and integrate_backward builds that map for a block of
 steps at a time.  Inside the no-switch cone, where the payoff spread less
 the smallest switch fee bounds every gain by SWITCH_TOL, an optimizing
@@ -18,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinetics import Trajectory, rk4_step, step_grid
-from .model import (ControlPath, GameConfig, control_array, control_pieces, occupation_array,
-                    payoff_array)
+from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
     "HjbError",
@@ -147,21 +148,23 @@ def _best_gain(cfg: GameConfig):
 
 
 def _by_column(g) -> np.ndarray:
-    return np.ascontiguousarray(payoff_array(g).T)[:, :, None]
+    return np.ascontiguousarray(np.asarray(g, dtype=float).T)[:, :, None]
 
 
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     """Backward-time derivative dg/dt under a supplied control.
 
-    u as in kinetic_rhs: a Control, an (n, m) target matrix or None (nobody
-    switches).  x feeds the stimulated move coefficients; it may be None when
-    the config has no stimulated moves.  The level moves enter as the adjoint
-    of kinetic_rhs's flux balance, each charged its fine.  An agent at (i, j)
-    switching to k = target[i, j] gains g[i, k] - g[i, j] - fee_B[j, k]; a
-    stay gains 0.  This is integrate_backward's stage on a one-step block.
+    u as in kinetic_rhs: an (n, m) target matrix, a one-step Control or None
+    (nobody switches).  x feeds the stimulated move coefficients; it may be
+    None when the config has no stimulated moves.  The level moves enter as
+    the adjoint of kinetic_rhs's flux balance, each charged its fine.  An
+    agent at (i, j) switching to k = target[i, j] gains g[i, k] - g[i, j] -
+    fee_B[j, k]; a stay gains 0.  This is integrate_backward's stage on a
+    one-step block.
     """
     M, c = _payoff_operators(None if x is None else occupation_array(x)[None], cfg)
-    switch = None if u is None else _target_gain(control_array(u, cfg.n, cfg.m), cfg)
+    target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
+    switch = None if target is None else _target_gain(target, cfg)
     dg = _payoff_stage(M[0], c[0], switch, cfg.lam)(_by_column(g))
     return np.ascontiguousarray(dg[..., 0].T)
 
@@ -174,7 +177,7 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     1e-12 of zero keep the agent in place; among tied positive gains the
     lowest target index wins (deterministic).
     """
-    gains = switch_gains(payoff_array(g), cfg)
+    gains = switch_gains(np.asarray(g, dtype=float), cfg)
     return _best_targets(gains, gains.max(axis=-1))
 
 
@@ -217,7 +220,7 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     occupied = occupation_array(x) > OCCUPIED_TOL
     if not occupied.any():
         return float("-inf")
-    return float(switch_gains(payoff_array(g), cfg)[occupied].max())
+    return float(switch_gains(np.asarray(g, dtype=float), cfg)[occupied].max())
 
 
 def integrate_backward(
@@ -237,7 +240,7 @@ def integrate_backward(
     a node path of shape (n_steps + 1, n, m) such as a forward Trajectory.x;
     each step then sees the mean of its two end nodes.
     mode "fixed": control is used as is, in integrate_forward's forms (None,
-    one Control/(n, m) target matrix or a ControlPath), one gain per piece;
+    one (n, m) target matrix or a Control), one gain per piece;
     mode "optimizing": control must be None; every stage takes the best
     switch at the current g, the maximum of switch_gains over the target,
     without storing the gains; a stage inside the no-switch cone skips it
@@ -247,7 +250,7 @@ def integrate_backward(
     BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
     per block and reported at the first step, in reversed time, that failed.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
-    over the nodes adds u, the ControlPath that holds on step k the best
+    over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone scan of the path: cone_worst,
     violations and violations_head, as _node_pass gives them.
     """
@@ -301,5 +304,5 @@ def integrate_backward(
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
-    return Trajectory(times=times, g=gs, u=ControlPath.of_steps(us[:-1]),
+    return Trajectory(times=times, g=gs, u=Control.of_steps(us[:-1]),
                       meta={**meta, "cone_stages": skipped[0], **scan})

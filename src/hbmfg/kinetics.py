@@ -7,9 +7,11 @@ and the agents' own behaviour switches (rate lam, to the behaviour the
 control's target matrix names).  The level moves of both variants, step-down
 and sink, come from the config's move table, GameConfig.moves.  Every flow
 moves mass along one axis at a time, so the total mass (and, absent
-switching, each behaviour column's mass) is conserved.  The forward
-integrator stops stepping once a step returns its input bit for bit, and
-fills the rest of that control piece with the fixed point.
+switching, each behaviour column's mass) is conserved.  The control is a
+model.Control, piecewise constant on the step grid; one target matrix is a
+one-piece control.  The forward integrator stops stepping once a step
+returns its input bit for bit, and fills the rest of that control piece
+with the fixed point.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ControlPath, GameConfig, control_array, control_pieces, occupation_array
+from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
     "Trajectory",
@@ -35,6 +37,9 @@ log = logging.getLogger(__name__)
 
 # A stored sample is re-projected to the simplex only past this drift.
 DRIFT_TOL = 1e-12
+# The most steps a grid may have: every node array of a solve holds 8 * n * m
+# bytes a node, and each step costs tens of microseconds of Python-level work.
+MAX_STEPS = 10**8
 
 
 class KineticsError(RuntimeError):
@@ -47,25 +52,29 @@ class Trajectory:
 
     times are the nodes t0 + h * arange(n_steps + 1) of step_grid's grid.
     x and g are sampled at the nodes, shape (n_steps + 1, n, m).  u, when
-    present, is the control held on the n_steps steps, a model.ControlPath.
+    present, is the model.Control held on the n_steps steps.
     """
 
     times: np.ndarray
     x: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
-    u: Optional[ControlPath] = None
+    u: Optional[Control] = None
     meta: dict = field(default_factory=dict)
 
 
 def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
-    """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h)."""
+    """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h); a count
+    past MAX_STEPS, or one that overflows, is refused before any allocation."""
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("need finite t0, t1 and dt")
     if not (t1 > t0):
         raise ValueError("need t1 > t0")
     if not (0 < dt <= t1 - t0):
         raise ValueError("need 0 < dt <= t1 - t0")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    count = (t1 - t0) / dt
+    if not count <= MAX_STEPS:   # inf when the span or the quotient overflows
+        raise ValueError(f"a grid of {count:.6g} steps exceeds the bound of {MAX_STEPS} steps")
+    n_steps = max(1, int(round(count)))
     return n_steps, (t1 - t0) / n_steps
 
 
@@ -89,12 +98,11 @@ def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
 def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     """Time derivative of the occupation matrix, for either variant.
 
-    u may be a Control, an (n, m) integer target matrix (target[i, j] == j
-    means stay), or None for "nobody switches"; any other shape is a
-    ValueError.  The level moves are the flux balance of cfg.moves.
+    u may be an (n, m) integer target matrix (target[i, j] == j means stay),
+    a one-step Control, or None for "nobody switches"; whatever Control
+    refuses is a ValueError.  The level moves are the flux balance of cfg.moves.
     """
-    ua = None if u is None else control_array(u, cfg.n, cfg.m)
-    return _kinetic_kernel(ua, cfg)(occupation_array(x))
+    return _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)(occupation_array(x))
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
@@ -116,10 +124,10 @@ def integrate_forward(
     """Fixed-step RK4 on the kinetic equation from t0 to t1.
 
     The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
-    Control/(n, m) target matrix held fixed, or a model.ControlPath of the
-    grid's n_steps steps.  The step kernel, with its control's scatter index,
-    is built once per control piece, and one sum serves each step's
-    non-finite and drift checks.
+    (n, m) target matrix held fixed, or a model.Control of the grid's n_steps
+    steps.  The step kernel, with its control's scatter index, is built once
+    per control piece, and one sum serves each step's non-finite and drift
+    checks.
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
     and logged.  A step whose output equals its input bit for bit has reached

@@ -4,9 +4,9 @@ A population of agents lives on an n x m grid of states: n hierarchy levels
 (moved up and down by principal pressure and by stimulating interactions with
 peers on the same level) and m behaviour levels (changed by the agents' own
 decisions).  This module holds the immutable configuration with its table
-of level moves, the small typed wrappers for occupation and control
-matrices, structural validation, and the derived reward quantities
-everything downstream is built from.
+of level moves, the occupation and the piecewise-constant control types,
+structural validation, and the derived reward quantities everything
+downstream is built from.
 
 Indexing is 0-based in memory; file formats and reports are 1-based.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "GameConfig",
     "Occupation",
     "Control",
-    "ControlPath",
     "DominanceReport",
     "regime_scales",
     "validate",
@@ -34,10 +33,7 @@ __all__ = [
     "effective_rewards",
     "dominant_level",
     "occupation_array",
-    "payoff_array",
-    "control_array",
     "control_pieces",
-    "check_targets",
 ]
 
 # Tie / degeneracy tolerance for reward column sums (relative to their scale).
@@ -251,31 +247,12 @@ class Occupation:
         return Occupation(np.full((n, m), 1.0 / (n * m)))
 
 
-@dataclass(frozen=True)
-class Control:
-    """Pure strategy: an agent at (i, j) switches to behaviour target[i, j].
-
-    An integer (n, m) matrix with entries in [0, m); target[i, j] == j means stay.
-    """
-
-    target: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.target)
-        if t.ndim != 2:
-            raise ValueError("control must be an integer (n, m) target matrix")
-        object.__setattr__(self, "target", _ro(check_targets(t, t.shape[1]), int))
-
-    @staticmethod
-    def stay(n: int, m: int) -> "Control":
-        return Control(np.tile(np.arange(m), (n, 1)))
-
-
 @dataclass(frozen=True, eq=False)
-class ControlPath:
-    """A piecewise-constant control on a grid of n_steps steps: piece p holds
-    targets[p], an (n, m) matrix by Control's rule, from step starts[p] up to
-    the next piece's start.  starts rise from 0 below n_steps."""
+class Control:
+    """A pure strategy, piecewise constant on a grid of n_steps steps: from step
+    starts[p] up to the next piece's start, an agent at (i, j) switches to
+    behaviour targets[p, i, j], an integer in [0, m) (== j: stay).  starts
+    rise from 0 below n_steps; one fixed matrix is a one-piece control."""
 
     starts: np.ndarray
     targets: np.ndarray
@@ -286,29 +263,38 @@ class ControlPath:
         if (t.ndim != 3 or starts.shape != t.shape[:1] or not len(starts) or starts[0] != 0
                 or not np.issubdtype(starts.dtype, np.integer) or np.any(np.diff(starts) <= 0)
                 or starts[-1] >= self.n_steps):
-            raise ValueError("a control path holds one (n, m) target matrix per piece, from "
+            raise ValueError("a control holds one (n, m) target matrix per piece, from "
                              f"starts rising from 0 below its {self.n_steps} steps")
+        if not np.issubdtype(t.dtype, np.integer):
+            raise ValueError("control must be an integer (n, m) target matrix")
+        if t.size and (t.min() < 0 or t.max() >= t.shape[2]):
+            raise ValueError(f"control targets must lie in [0, {t.shape[2]})")
         object.__setattr__(self, "starts", _ro(starts, int))
-        object.__setattr__(self, "targets", _ro(check_targets(t, t.shape[2]), int))
+        object.__setattr__(self, "targets", _ro(t, int))
 
     @staticmethod
-    def of_steps(stack) -> "ControlPath":
-        """The path of a per-step stack (n_steps, n, m): a piece starts at step
-        0 and wherever a step's targets differ from the step before."""
+    def stay(n: int, m: int, n_steps: int) -> "Control":
+        """The one-piece control in which nobody switches."""
+        return Control([0], [np.tile(np.arange(m), (n, 1))], n_steps)
+
+    @staticmethod
+    def of_steps(stack) -> "Control":
+        """The control of a per-step stack (n_steps, n, m): a piece starts at
+        step 0 and wherever a step's targets differ from the step before."""
         stack = np.asarray(stack)
         if stack.ndim != 3 or not len(stack):
             raise ValueError("a per-step control is a stack of (n, m) target matrices")
         new = np.concatenate(([True], np.any(stack[1:] != stack[:-1], axis=(1, 2))))
-        return ControlPath(np.flatnonzero(new), stack[new], len(stack))
+        return Control(np.flatnonzero(new), stack[new], len(stack))
 
     @property
     def nbytes(self) -> int:
         return self.starts.nbytes + self.targets.nbytes
 
-    def steps_differing(self, other: "ControlPath") -> int:
-        """The number of steps on which this path and other hold different targets."""
+    def steps_differing(self, other: "Control") -> int:
+        """The number of steps on which this control and other hold different targets."""
         if other.n_steps != self.n_steps:
-            raise ValueError("control paths on different grids")
+            raise ValueError("controls on different grids")
         cuts = np.array(sorted({*self.starts.tolist(), *other.starts.tolist()}))
         mine, theirs = (p.targets[np.searchsorted(p.starts, cuts, side="right") - 1]
                         for p in (self, other))
@@ -322,35 +308,17 @@ def occupation_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def payoff_array(g) -> np.ndarray:
-    return np.asarray(g, dtype=float)
-
-
-def check_targets(t: np.ndarray, m: int) -> np.ndarray:
-    """Control's rule for a target matrix or a stack of them: integers in [0, m)."""
-    if not np.issubdtype(t.dtype, np.integer):
-        raise ValueError("control must be an integer (n, m) target matrix")
-    if t.size and (t.min() < 0 or t.max() >= m):
-        raise ValueError(f"control targets must lie in [0, {m})")
-    return t
-
-
-def control_array(u, n: int, m: int) -> np.ndarray:
-    """Accept Control / (n, m) target matrix, by Control's rule."""
-    t = u.target if isinstance(u, Control) else np.asarray(u)
-    if t.shape != (n, m):
-        raise ValueError(f"control must be an ({n}, {m}) target matrix, not {t.shape}")
-    return check_targets(t, m)
-
-
 def control_pieces(u, n_steps: int, n: int, m: int) -> list:
     """(first step, end step, targets) of each piece of a control on n_steps
-    steps: None (one piece of None: nobody switches), one Control/(n, m)
-    target matrix held on every step, or a ControlPath of n_steps steps."""
-    if not isinstance(u, ControlPath):
-        return [(0, n_steps, None if u is None else control_array(u, n, m))]
+    steps: None (one piece of None: nobody switches), one (n, m) target
+    matrix held on every step (a one-piece Control), or a Control of n_steps
+    steps.  Every control is checked by Control's rule."""
+    if u is None:
+        return [(0, n_steps, None)]
+    if not isinstance(u, Control):
+        u = Control([0], [u], n_steps)
     if u.n_steps != n_steps or u.targets.shape[1:] != (n, m):
-        raise ValueError(f"control path of shape {(u.n_steps,) + u.targets.shape[1:]} does not "
+        raise ValueError(f"control of shape {(u.n_steps,) + u.targets.shape[1:]} does not "
                          f"match the grid's {n_steps} steps of one ({n}, {m}) target matrix each")
     return list(zip(u.starts.tolist(), u.starts.tolist()[1:] + [n_steps], u.targets))
 

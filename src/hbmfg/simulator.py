@@ -16,8 +16,8 @@ every channel's rate; a channel without a partner points at row n*m of the
 counts, fixed at 1.  Mean counts over N follow the kinetic equation as N grows.
 
 The control takes the integrators' forms, with one step per output
-interval: None, one target matrix, or a model.ControlPath.  One channel
-table serves each of its pieces, a run of intervals under one control.
+interval: None, one target matrix, or a model.Control.  One channel table
+serves each of its pieces, a run of intervals under one target matrix.
 
 `simulate` with one seed runs a scalar per-event loop, the reference the
 tests hold the lockstep loop to.  With several seeds one numpy step
@@ -32,8 +32,8 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import integrate_forward
-from .model import ControlPath, GameConfig, control_array, control_pieces, occupation_array
+from .kinetics import MAX_STEPS, integrate_forward
+from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
     "CountState",
@@ -132,8 +132,8 @@ def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
 def enumerate_transitions(state: CountState, u, cfg: GameConfig) -> List[Transition]:
     """All currently possible single-agent moves with their total rates."""
     n, m = cfg.n, cfg.m
-    ua = None if u is None else control_array(u, n, m)
-    src, dst, coeff, partner = _build_channels(cfg, ua, state.N)
+    target = control_pieces(u, 1, n, m)[0][2]
+    src, dst, coeff, partner = _build_channels(cfg, target, state.N)
     counts = np.append(state.counts.ravel(), 1.0)   # float64, with the partner row n*m
     rate = coeff * counts[src] * counts[partner]
     live = rate > 0.0
@@ -178,8 +178,8 @@ def simulate(
 ) -> Union[SimPath, List[SimPath]]:
     """Run exact trajectories from s0 over [0, T].
 
-    u: the integrators' control forms: None (nobody switches), one
-    Control/(n, m) target matrix, or a model.ControlPath of `samples` steps,
+    u: the integrators' control forms: None (nobody switches), one (n, m)
+    target matrix, or a model.Control of `samples` steps,
     one per output interval, so the control changes only at output nodes.
     Restarting the exponential clock at each node is exact by memorylessness.
 
@@ -193,8 +193,8 @@ def simulate(
     """
     if not (0.0 < T < math.inf):
         raise ValueError("need a finite T > 0")
-    if samples < 1:
-        raise ValueError("need at least one output sample")
+    if not 1 <= samples <= MAX_STEPS:
+        raise ValueError(f"need 1 to {MAX_STEPS} output samples, got {samples}")
     single = isinstance(seed, (int, np.integer))
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
@@ -456,8 +456,7 @@ def convergence_study(
 
     per = max(1, int(math.ceil(2000.0 / samples)))
     control_pieces(u, samples, cfg.n, cfg.m)  # a path is checked against samples first
-    ref_u = ControlPath(u.starts * per, u.targets, samples * per) if isinstance(
-        u, ControlPath) else u
+    ref_u = Control(u.starts * per, u.targets, samples * per) if isinstance(u, Control) else u
     traj = integrate_forward(x0a, ref_u, 0.0, T, T / (per * samples), cfg)
     ref = traj.x[::per]
 

@@ -5,7 +5,7 @@ the switching control: agents switch when the gain (payoff difference net of
 the switching fee) is positive.  An undamped best-response iteration
 alternates the two integrations on one uniform grid (kinetics.step_grid)
 and hands each the other's output on that grid: the forward pass takes the
-control path, a model.ControlPath of a few pieces, and the backward pass
+control, a model.Control of a few pieces, and the backward pass
 takes the forward occupation at the nodes.  It stops when the control path
 is its own best response on every step: an exact equilibrium certificate.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains  # noqa: F401  (a perfbench hook)
 from .kinetics import Trajectory, integrate_forward, step_grid
-from .model import Control, ControlPath, GameConfig, occupation_array, payoff_array
+from .model import Control, GameConfig, occupation_array
 from .stationary import stationary_solution
 
 __all__ = [
@@ -68,7 +68,7 @@ class MfgSolveResult:
 
     trajectory carries the last sweep's forward occupation path, the payoff
     path optimized against it, and that payoff's best response u, a
-    model.ControlPath whose targets[p, i, j] == j means stay.  When
+    model.Control whose targets[p, i, j] == j means stay.  When
     converged, u is also the control the occupation path was integrated
     under, so (x, g, u) is an exact equilibrium on the grid.  oscillating
     marks a period-2 control cycle.  cone_violations lists (t, level, from,
@@ -108,9 +108,9 @@ def solve_mfg(
         raise ValueError("need max_iter >= 1")
     n_steps, h = step_grid(0.0, T, dt)
     x0a = occupation_array(x0)
-    gTa = payoff_array(gT)
+    gTa = np.asarray(gT, dtype=float)
 
-    stay = ControlPath([0], [Control.stay(cfg.n, cfg.m).target], n_steps)
+    stay = Control.stay(cfg.n, cfg.m, n_steps)
     u_path, u_prev = stay, None
     for iterations in range(1, max_iter + 1):
         fwd = integrate_forward(x0a, u_path, 0.0, T, h, cfg)
@@ -161,7 +161,7 @@ def boundary_tangent_condition(
     repelling); leading keeps only the pressure moves' payoff differences
     rate * (g[dest] - g), dropping fines, rewards and interactions.
     """
-    ga = payoff_array(g)
+    ga = np.asarray(g, dtype=float)
     margin = float(ga[level, beta] - cfg.fee_B[alpha, beta] - ga[level, alpha])
     scale = max(1.0, float(np.max(np.abs(ga))))
     if abs(margin) > BOUNDARY_TOL * scale:

@@ -64,6 +64,8 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path):
         tracer.restore()
     metrics = tracer.per_layer(1, 0, 0)
     assert set(metrics) == want
+    # the Control hook counts every control built: the stay path, one best response a sweep
+    assert metrics["model.control_checks"] == metrics["solver.sweeps"] + 1
     assert metrics["solver.sweeps"] >= 1 and metrics["stationary.complement_solves"] > 0
     # the integrators' spans stay the per-layer evidence for the solve path
     for name in ("kinetics.rk4_steps", "kinetics.forward_sweep_ms", "hjb.backward_sweep_ms"):

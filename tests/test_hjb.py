@@ -8,7 +8,7 @@ import pytest
 
 import hbmfg.hjb
 from hbmfg import (
-    ControlPath,
+    Control,
     GameConfig,
     HjbError,
     Regime,
@@ -183,7 +183,7 @@ def test_integrate_backward_occupation_forms_agree():
     u = random_control(3, 2, rng)
     c = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=u)
     d = integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg,
-                           control=ControlPath.of_steps(np.broadcast_to(u, (50, 3, 2))))
+                           control=Control.of_steps(np.broadcast_to(u, (50, 3, 2))))
     npt.assert_array_equal(c.g, d.g)
     # on a node path each step sees the mean of its two end nodes
     y = random_simplex(3, 2, rng)
@@ -201,7 +201,7 @@ def test_integrate_backward_rejects_paths_of_wrong_length():
         integrate_backward(gT, np.broadcast_to(x, (40, 3, 2)), 0.0, 1.0, 0.02, cfg)
     stack = np.broadcast_to(random_control(3, 2, rng), (49, 3, 2))
     with pytest.raises(ValueError, match=r"\(49, 3, 2\).* 50 steps"):
-        integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=ControlPath.of_steps(stack))
+        integrate_backward(gT, x, 0.0, 1.0, 0.02, cfg, control=Control.of_steps(stack))
 
 
 def test_optimizing_mode_dominates_frozen_control():
@@ -251,7 +251,7 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         gT = rng.normal(size=(cfg.n, cfg.m))
         stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
         fixed = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg,
-                                   control=ControlPath.of_steps(stack))
+                                   control=Control.of_steps(stack))
         assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
         free = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg)
         assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])

@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import hbmfg
-from hbmfg import ControlPath, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
+from hbmfg import Control, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
     ConfigError,
@@ -27,6 +27,7 @@ from hbmfg.io import (
     write_state_csv,
     write_trajectory_csv,
 )
+from hbmfg.kinetics import MAX_STEPS
 from util_configs import config_doc, cycle_config, make_config, theorem_config, write_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
@@ -493,7 +494,7 @@ def test_controls_json_lists_each_piece_switching_cells(tmp_path, capsys, monkey
     # several cells switching at once are listed as 1-based triples in order
     stay = [[0, 1, 2], [0, 1, 2]]
     mixed = [[1, 2, 2], [0, 1, 0]]
-    u_path = ControlPath.of_steps([stay, stay, mixed, mixed, [[0, 0, 2], [0, 1, 2]]])
+    u_path = Control.of_steps([stay, stay, mixed, mixed, [[0, 0, 2], [0, 1, 2]]])
 
     def solve(*args, **kwargs):
         res = solve_mfg(*args, **kwargs)
@@ -867,6 +868,26 @@ def test_cli_rejects_scales_that_overflow_or_underflow(tmp_path, capsys, regime,
     code, _, _ = cli(["stationary", EXAMPLE, "--out", str(tmp_path / "o"),
                       "--regime", regime, "--delta", repr(delta)], capsys)
     assert code == 1 and os.listdir(tmp_path / "o") == []
+
+
+def test_cli_solve_refuses_a_grid_past_the_step_bound(tmp_path, capsys):
+    # T / dt overflows float64: the count is refused by the bound, not by an OverflowError
+    out = tmp_path / "o"
+    code, summary, _ = cli(["solve", EXAMPLE, "--T", "1e308", "--dt", "1e-300",
+                            "--out", str(out)], capsys)
+    assert code == 1 and summary["error"] == (
+        f"a grid of inf steps exceeds the bound of {MAX_STEPS} steps")
+    assert os.listdir(out) == []
+
+
+def test_cli_simulate_refuses_samples_past_the_step_bound(tmp_path, capsys):
+    # refused before the output grid is allocated
+    out = tmp_path / "o"
+    code, summary, _ = cli(["simulate", EXAMPLE, "--N", "10", "--T", "1", "--samples",
+                            str(MAX_STEPS + 1), "--out", str(out)], capsys)
+    assert code == 1 and summary["error"] == (
+        f"need 1 to {MAX_STEPS} output samples, got {MAX_STEPS + 1}")
+    assert os.listdir(out) == []
 
 
 def test_cli_sweep_stationary(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from hbmfg import (
-    ControlPath,
+    Control,
     GameConfig,
     KineticsError,
     Occupation,
@@ -13,7 +13,7 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
 )
-from hbmfg.kinetics import rk4_step
+from hbmfg.kinetics import MAX_STEPS, rk4_step, step_grid
 from util_configs import make_config, theorem_config
 
 
@@ -224,14 +224,14 @@ def test_integrate_forward_constant_control_vs_per_step_stack():
     x0 = random_simplex(3, 2, rng)
     u = random_control(3, 2, rng)
     a = integrate_forward(x0, u, 0.0, 1.0, 0.02, cfg)
-    b = integrate_forward(x0, ControlPath.of_steps(np.broadcast_to(u, (50, 3, 2))), 0.0, 1.0,
+    b = integrate_forward(x0, Control.of_steps(np.broadcast_to(u, (50, 3, 2))), 0.0, 1.0,
                           0.02, cfg)
     npt.assert_array_equal(a.x, b.x)
     npt.assert_array_equal(a.times, 0.02 * np.arange(51))
     # a piece runs under its targets: a control switched halfway equals two
     # half-horizon runs chained at the midpoint
     v = (u + 1) % 2
-    halves = ControlPath([0, 25], [u, v], 50)
+    halves = Control([0, 25], [u, v], 50)
     c = integrate_forward(x0, halves, 0.0, 1.0, 0.02, cfg)
     first = integrate_forward(x0, u, 0.0, 0.5, 0.02, cfg)
     second = integrate_forward(first.x[-1], v, 0.5, 1.0, 0.02, cfg)
@@ -263,10 +263,22 @@ def test_integrate_forward_rejects_bad_grid():
     # a control path must cover the grid's steps exactly
     stack = np.broadcast_to(random_control(2, 2, rng), (40, 2, 2))
     with pytest.raises(ValueError, match=r"\(40, 2, 2\).* 50 steps"):
-        integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 1.0, 0.02, cfg)
+        integrate_forward(x0, Control.of_steps(stack), 0.0, 1.0, 0.02, cfg)
     # and a bare per-step stack is not a control
     with pytest.raises(ValueError, match="target matrix"):
         integrate_forward(x0, stack, 0.0, 1.0, 0.02, cfg)
+
+
+def test_step_grid_refuses_counts_past_the_bound():
+    # a grid is refused before its arrays exist; the bound itself is a grid
+    assert step_grid(0.0, 1.0, 1.0 / MAX_STEPS)[0] == MAX_STEPS
+    # past it, also where the quotient or the span itself overflows to inf
+    for t0, t1, dt, count in ((0.0, 1.0, 0.5 / MAX_STEPS, r"2e\+08"),
+                              (0.0, 1e308, 1e-300, "inf"),
+                              (-1e308, 1e308, 1e308, "inf")):
+        with pytest.raises(ValueError, match=f"grid of {count} steps exceeds the bound of "
+                                             f"{MAX_STEPS} steps"):
+            step_grid(t0, t1, dt)
 
 
 def test_rk4_step_is_fourth_order_on_scalar_exponential():
@@ -329,14 +341,14 @@ def test_integrate_forward_equals_rk4_loop_over_kinetic_rhs():
     for cfg, x0, rng, steps in stage_cases():
         h = 1.0 / steps
         stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
-        traj = integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 1.0, h, cfg)
+        traj = integrate_forward(x0, Control.of_steps(stack), 0.0, 1.0, h, cfg)
         assert np.array_equal(traj.x, forward_loop(x0, stack, h, cfg))
         # held for five steps at a time, a control's step kernel is reused
         runs = np.repeat(stack[::5], 5, axis=0)
-        traj = integrate_forward(x0, ControlPath.of_steps(runs), 0.0, 1.0, h, cfg)
+        traj = integrate_forward(x0, Control.of_steps(runs), 0.0, 1.0, h, cfg)
         assert np.array_equal(traj.x, forward_loop(x0, runs, h, cfg))
         # a path whose targets all stay is nobody switching, bit for bit
-        stay = ControlPath.of_steps(np.broadcast_to(np.arange(cfg.m), (steps, cfg.n, cfg.m)))
+        stay = Control.of_steps(np.broadcast_to(np.arange(cfg.m), (steps, cfg.n, cfg.m)))
         free = integrate_forward(x0, None, 0.0, 1.0, h, cfg)
         assert np.array_equal(integrate_forward(x0, stay, 0.0, 1.0, h, cfg).x, free.x)
         assert np.array_equal(free.x, forward_loop(x0, [None] * steps, h, cfg))
@@ -353,7 +365,7 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
     x0[:, 2] = -0.0
     stack = np.broadcast_to(np.arange(3), (200, 3, 3)).copy()
     stack[40:60] = [1, 1, 2]
-    traj = integrate_forward(x0, ControlPath.of_steps(stack), 0.0, 4.0, 0.02, cfg)
+    traj = integrate_forward(x0, Control.of_steps(stack), 0.0, 4.0, 0.02, cfg)
     ref = forward_loop(x0, stack, 0.02, cfg)
     assert np.array_equal(traj.x.view(np.int64), ref.view(np.int64))
     assert np.signbit(traj.x[0, :, 2]).all() and not np.signbit(traj.x[1:]).any()

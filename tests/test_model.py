@@ -8,7 +8,6 @@ import pytest
 
 from hbmfg import (
     Control,
-    ControlPath,
     CountState,
     GameConfig,
     Occupation,
@@ -222,15 +221,18 @@ def test_occupation_simplex_checks():
 
 
 def test_control_checks():
-    npt.assert_array_equal(Control.stay(2, 3).target, [[0, 1, 2], [0, 1, 2]])
-    good = Control(np.array([[1, 1], [0, 0]]))
-    assert not good.target.flags.writeable
-    with pytest.raises(ValueError):
-        Control(np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        Control(np.array([[0, 1], [-1, 1]]))
-    with pytest.raises(ValueError):
-        Control(np.array([[0, 1, 3]]))
+    stay = Control.stay(2, 3, 4)
+    npt.assert_array_equal(stay.starts, [0])
+    npt.assert_array_equal(stay.targets, [[[0, 1, 2], [0, 1, 2]]])
+    assert stay.n_steps == 4
+    good = Control([0], [np.array([[1, 1], [0, 0]])], 4)
+    assert not good.targets.flags.writeable
+    with pytest.raises(ValueError, match="integer"):
+        Control([0], [np.full((2, 2), 0.5)], 4)
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        Control([0], [np.array([[0, 1], [-1, 1]])], 4)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        Control([0], [np.array([[0, 1, 3]])], 4)
 
 
 def test_control_path_of_steps_starts_a_piece_where_the_stack_changes():
@@ -238,14 +240,14 @@ def test_control_path_of_steps_starts_a_piece_where_the_stack_changes():
     # step before; the pieces hold the targets once each
     u = np.array([[1, 0], [0, 1], [1, 1]])
     v = (u + 1) % 2
-    path = ControlPath.of_steps(np.array([u, u, v, v, v, u]))
+    path = Control.of_steps(np.array([u, u, v, v, v, u]))
     npt.assert_array_equal(path.starts, [0, 2, 5])
     npt.assert_array_equal(path.targets, [u, v, u])
     assert path.n_steps == 6 and path.nbytes == 3 * 8 + 3 * 6 * 8
     assert [(a, b) for a, b, _ in control_pieces(path, 6, 3, 2)] == [(0, 2), (2, 5), (5, 6)]
     assert not path.targets.flags.writeable
     # a fixed control is one piece, as a path and as an integrator's control
-    fixed = ControlPath.of_steps(np.array([u] * 3))
+    fixed = Control.of_steps(np.array([u] * 3))
     npt.assert_array_equal(fixed.starts, [0])
     assert [(a, b) for a, b, _ in control_pieces(u, 3, 3, 2)] == [(0, 3)]
     assert [(a, b) for a, b, _ in control_pieces(fixed, 3, 3, 2)] == [(0, 3)]
@@ -256,21 +258,21 @@ def test_control_path_of_steps_starts_a_piece_where_the_stack_changes():
     assert path.steps_differing(path) == 0
     with pytest.raises(ValueError, match="different grids"):
         path.steps_differing(fixed)
-    other = ControlPath.of_steps(np.array([u, v, v, v, u, u]))
+    other = Control.of_steps(np.array([u, v, v, v, u, u]))
     assert path.steps_differing(other) == other.steps_differing(path) == 2
 
 
 def test_control_path_refuses_malformed_pieces():
-    u = Control.stay(2, 3).target
+    u = Control.stay(2, 3, 1).targets[0]
     for starts, targets, n_steps in (([1], [u], 4), ([0, 0], [u, u], 4), ([0, 4], [u, u], 4),
                                      ([0, 2], [u], 4), ([], np.empty((0, 2, 3), int), 4),
                                      ([0], u, 4), ([0], [u + 1], 4), ([0], [u * 0.5], 4),
                                      ([0, 1.5], [u, u], 4)):
         with pytest.raises(ValueError):
-            ControlPath(starts, targets, n_steps)
+            Control(starts, targets, n_steps)
     for stack in (u, np.empty((0, 2, 3), int)):
         with pytest.raises(ValueError, match="stack of"):
-            ControlPath.of_steps(stack)
+            Control.of_steps(stack)
 
 
 def test_tensor_control_is_rejected():
@@ -288,22 +290,24 @@ def test_tensor_control_is_rejected():
     with pytest.raises(ValueError, match="target matrix"):
         simulate(CountState.from_occupation(x, 12), tensor, 1.0, 0, cfg)
     # the optimizing payoff plays its own best response: any control is refused
-    for u in (tensor, Control.stay(2, 3)):
+    for u in (tensor, Control.stay(2, 3, 4)):
         with pytest.raises(ValueError, match="takes no control"):
             integrate_backward(np.zeros((2, 3)), x, 0.0, 1.0, 0.25, cfg, mode="optimizing",
                                control=u)
     for bad in (tensor.astype(int), np.full((2, 3), 1.0), np.array([[0, 1, 3], [0, 1, 2]])):
         with pytest.raises(ValueError):
-            Control(bad)
-    stay = Control.stay(2, 3)
-    npt.assert_array_equal(kinetic_rhs(x, stay, cfg), kinetic_rhs(x, None, cfg))
-    npt.assert_array_equal(hjb_rhs(np.ones((2, 3)), x, stay, cfg),
-                           hjb_rhs(np.ones((2, 3)), x, None, cfg))
+            Control([0], [bad], 1)
+    # the stay-put matrix, bare or as a one-step control, is no switch at all
+    stay = Control.stay(2, 3, 1)
+    for u in (stay, stay.targets[0]):
+        npt.assert_array_equal(kinetic_rhs(x, u, cfg), kinetic_rhs(x, None, cfg))
+        npt.assert_array_equal(hjb_rhs(np.ones((2, 3)), x, u, cfg),
+                               hjb_rhs(np.ones((2, 3)), x, None, cfg))
 
 
 # every entry point that takes a control, called on a 2 x 3 config; the
 # integrators and the simulator run 4 steps, but a 4-step stack is no control
-# form: its path is, and ControlPath.of_steps refuses the stack's bad step
+# form: its path is, and Control.of_steps refuses the stack's bad step
 _CONTROL_ENTRY_POINTS = {
     "kinetic_rhs": lambda x, u, cfg: kinetic_rhs(x, u, cfg),
     "hjb_rhs": lambda x, u, cfg: hjb_rhs(np.zeros((2, 3)), x, u, cfg),
@@ -318,7 +322,7 @@ _CONTROL_ENTRY_POINTS = {
 
 
 def _bad_target(kind):
-    stay = Control.stay(2, 3).target
+    stay = Control.stay(2, 3, 1).targets[0]
     if kind == "float":
         return stay.astype(float)
     if kind == "stack":
@@ -342,9 +346,9 @@ def test_every_entry_point_refuses_what_control_refuses(entry, kind):
     x = np.full((2, 3), 1.0 / 6.0)
     bad = _bad_target(kind)
     with pytest.raises(ValueError):
-        Control(bad)
+        Control([0], [bad], 4)
     with pytest.raises(ValueError):
         _CONTROL_ENTRY_POINTS[entry](x, bad, cfg)
     if kind == "stack":
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            ControlPath.of_steps(bad)
+            Control.of_steps(bad)

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from hbmfg import (
-    ControlPath,
+    Control,
     CountState,
     GameConfig,
     SinkRates,
@@ -218,7 +218,7 @@ def test_equilibrium_occupancy_binomial_band():
 def test_policy_sampled_at_interval_midpoints():
     # the policy "switch from t = 0.5 on" as the path of its interval-midpoint samples
     cfg = switch_cfg(lam=10.0)
-    stack = ControlPath.of_steps([[[0, 1]], [[1, 1]]])
+    stack = Control.of_steps([[[0, 1]], [[1, 1]]])
     N = 50
     s0 = CountState(counts=np.array([[N, 0]]), N=N)
     path = simulate(s0, stack, T=1.0, seed=8, cfg=cfg, samples=2)
@@ -275,7 +275,7 @@ def test_convergence_study_takes_a_per_interval_stack():
     cfg = read_config(EXAMPLE)
     x0 = np.full((3, 3), 1 / 9)
     up = np.tile([1, 2, 2], (3, 1))
-    stack = ControlPath.of_steps([np.tile(np.arange(3), (3, 1))] * 5 + [up] * 5)
+    stack = Control.of_steps([np.tile(np.arange(3), (3, 1))] * 5 + [up] * 5)
     study = convergence_study(cfg, stack, x0, 1.0, (50, 100), 2, 1, samples=10)
     assert np.all(np.isfinite(study.rmse))
     halves = (integrate_forward(x0, None, 0.0, 0.5, 5e-4, cfg).x[::200],
@@ -283,12 +283,12 @@ def test_convergence_study_takes_a_per_interval_stack():
     npt.assert_allclose(study.reference, np.concatenate([halves[0], halves[1][1:]]),
                         rtol=0, atol=1e-15)
     fixed = convergence_study(cfg, up, x0, 1.0, (50, 100), 2, 1, samples=10)
-    const = convergence_study(cfg, ControlPath.of_steps([up] * 10), x0, 1.0, (50, 100), 2, 1,
+    const = convergence_study(cfg, Control.of_steps([up] * 10), x0, 1.0, (50, 100), 2, 1,
                               samples=10)
     npt.assert_array_equal(const.reference, fixed.reference)
     npt.assert_array_equal(const.rmse, fixed.rmse)
     with pytest.raises(ValueError, match="grid's 10 steps"):
-        convergence_study(cfg, ControlPath(stack.starts, stack.targets, 7), x0, 1.0,
+        convergence_study(cfg, Control(stack.starts, stack.targets, 7), x0, 1.0,
                           (50, 100), 2, 1, samples=10)
 
 
@@ -311,13 +311,13 @@ def _lockstep_case(name):
         cfg = make_config(2, 2, rng, delta=0.2, regime="id2", lam=3.0)
         a, stay, b = np.array([[1, 1], [0, 1]]), np.array([[0, 1], [0, 1]]), np.zeros((2, 2), int)
         return (CountState.from_occupation(np.full((2, 2), 0.25), 100),
-                ControlPath.of_steps([a, a, stay, stay, b, b]), 1.5, 6, cfg)
+                Control.of_steps([a, a, stay, stay, b, b]), 1.5, 6, cfg)
     if name == "stalls-mid-run":
         # everyone switches to behaviour 2, where the total rate is 0, each
         # replication at its own time; from t = 1 everyone switches back
         there, back = np.array([[1, 1]]), np.array([[0, 0]])
         return (CountState(counts=np.array([[12, 0]]), N=12),
-                ControlPath.of_steps([there, there, back, back]), 2.0, 4, switch_cfg(lam=10.0))
+                Control.of_steps([there, there, back, back]), 2.0, 4, switch_cfg(lam=10.0))
     if name == "no-channels":
         return CountState(counts=np.array([[3, 2]]), N=5), None, 1.0, 2, switch_cfg()
     if name == "refills":

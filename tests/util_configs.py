@@ -9,10 +9,10 @@ import json
 
 import numpy as np
 
-from hbmfg import ControlPath, GameConfig, Regime, SinkRates
+from hbmfg import Control, GameConfig, Regime, SinkRates
 
 
-def steps_of(path: ControlPath) -> np.ndarray:
+def steps_of(path: Control) -> np.ndarray:
     """A control path as its per-step stack of target matrices (n_steps, n, m)."""
     return np.repeat(path.targets, np.diff(path.starts, append=path.n_steps), axis=0)
 
