@@ -11,15 +11,18 @@ the payoff flow is the adjoint of the forward flow.  The switch term plays
 either a given model.Control, one gain per piece, or the best response,
 which integrate_backward returns as a Control.  Without the switch term
 it is affine in g, and integrate_backward builds that map for a block of
-steps at a time.  Inside the no-switch cone, where the payoff spread less
-the smallest switch fee bounds every gain by SWITCH_TOL, an optimizing
-stage is that map alone: the switch term is exactly zero and is skipped.
+steps at a time, or once for a run of equal occupation nodes.  Inside the
+no-switch cone, where the payoff spread less the smallest switch fee bounds
+every gain by SWITCH_TOL, an optimizing stage is that map alone: the switch
+term is exactly zero and is skipped.  While the pass stays in the cone, a
+step is bare RK4 arithmetic on preallocated buffers with one cone check of
+its four stage inputs together.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .kinetics import Trajectory, rk4_step, step_grid
+from .kinetics import Trajectory, rk4_step, step_grid  # noqa: F401  (rk4_step: a perfbench hook)
 from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
@@ -95,35 +98,44 @@ def _block_steps(cfg: GameConfig) -> int:
     return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (cfg.n + 12)))
 
 
-def _payoff_stage(M, c, switch, lam: float):
-    """dG/dt of the payoff by column: M @ G + c, less lam times switch(G), the
-    gain net of the fee that each state takes (None: nobody switches)."""
-    if switch is None:
-        return lambda y: M @ y + c
-    return lambda y: M @ y + c - lam * switch(y)
-
-
-def _optimizing_stage(M, c, gain, lam: float, fee_min: float, skipped: list):
-    """_payoff_stage with the best switch gain, skipped while the stage
-    input's payoff spread less fee_min, the smallest switch fee, is at most
-    SWITCH_TOL.  IEEE subtraction is monotone in each argument, so every gain
-    is then at most that bound, the switch term is exactly zero, and
-    M @ G + c is the stage, bit for bit (for a finite nonnegative lam, since
-    v - 0.0 == v for every v; fee_min nan never skips).  Once a stage fails
-    the bound the rest of the step takes the full maximum; skipped[0] counts
-    the stages that skipped."""
-    inside = True
-
-    def stage(y):
-        nonlocal inside
-        if inside:
-            if float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL:
-                skipped[0] += 1
-                return M @ y + c
+def _payoff_step(M, c, h: float, gain, lam: float, fee_min, ys, ks, out) -> int:
+    """One RK4 step of dG/dt = M @ G + c - lam * gain(G) from G = ys[0], with
+    step h, into out: rk4_step's arithmetic, bit for bit, on preallocated
+    buffers, ys the four stage inputs and ks their slopes.  gain None:
+    nobody switches.  With fee_min given (the smallest switch fee), the
+    stages skip gain, in order, while each input's payoff spread less
+    fee_min is at most SWITCH_TOL: IEEE subtraction is monotone in each
+    argument, so every best gain is then at most that bound, the switch term
+    is exactly zero, and M @ G + c is the stage, bit for bit (for a finite
+    nonnegative lam, since v - 0.0 == v for every v; fee_min nan never
+    skips).  Once a stage fails the bound the rest of the step takes the
+    full term.  Returns the number of stages that skipped it.
+    """
+    inside, skipped = fee_min is not None, 0
+    g = ys[0]
+    for s in range(4):
+        y = ys[s]
+        if s:
+            np.multiply(ks[s - 1], h if s == 3 else 0.5 * h, out=y)
+            y += g
+        k = np.matmul(M, y, out=ks[s])
+        k += c
+        if gain is None:
+            continue
+        if inside and float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL:
+            skipped += 1
+        else:
             inside = False
-        return M @ y + c - lam * gain(y)
-
-    return stage
+            k -= lam * gain(y)
+    k1, k2, k3, k4 = ks
+    np.multiply(k2, 2.0, out=out)
+    out += k1
+    k3 *= 2.0
+    out += k3
+    out += k4
+    out *= h / 6.0
+    out += g
+    return skipped
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
@@ -164,8 +176,10 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     """
     M, c = _payoff_operators(None if x is None else occupation_array(x)[None], cfg)
     target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
-    switch = None if target is None else _target_gain(target, cfg)
-    dg = _payoff_stage(M[0], c[0], switch, cfg.lam)(_by_column(g))
+    G = _by_column(g)
+    dg = M[0] @ G + c[0]
+    if target is not None:
+        dg -= cfg.lam * _target_gain(target, cfg)(G)
     return np.ascontiguousarray(dg[..., 0].T)
 
 
@@ -199,8 +213,9 @@ def _node_pass(times: np.ndarray, gs: np.ndarray, cfg: GameConfig):
     for lo in range(0, len(gs), size):
         gains = switch_gains(gs[lo:lo + size], cfg)
         best = gains.max(axis=-1)
-        us[lo:lo + size] = _best_targets(gains, best)
         top = float(best.max())
+        # no gain above SWITCH_TOL: every target stays, no argmax needed
+        us[lo:lo + size] = np.arange(m) if top <= SWITCH_TOL else _best_targets(gains, best)
         worst = max(worst, top)
         if top > 0.0:
             hits = gains > 0.0
@@ -244,10 +259,15 @@ def integrate_backward(
     mode "optimizing": control must be None; every stage takes the best
     switch at the current g, the maximum of switch_gains over the target,
     without storing the gains; a stage inside the no-switch cone skips it
-    (_optimizing_stage), and meta["cone_stages"] counts those stages.
+    (_payoff_step), and meta["cone_stages"] counts those stages.  After a
+    step whose four stages all skipped, the next is first run bare, without
+    the switch term, and kept when its four stage inputs pass the cone bound
+    together (a joint spread bounds each input's spread); otherwise it is
+    run again stage by stage.
     Each step's switch-free flow is hjb_rhs's affine map of the payoff by
     behaviour column, assembled for a block of steps at a time within
-    BLOCK_BYTES (once for a fixed occupation).  Finiteness is checked once
+    BLOCK_BYTES, once for a fixed occupation, and once for a run of blocks
+    whose path nodes are all equal in bits.  Finiteness is checked once
     per block and reported at the first step, in reversed time, that failed.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
@@ -274,27 +294,49 @@ def integrate_backward(
     n, m = cfg.n, cfg.m
     gs = np.empty((n_steps + 1, n, m))
     gs[n_steps] = gT
-    g = _by_column(gT)
+    Y = np.empty((4, m, n, 1))   # a step's stage inputs, g first
+    ys, ks = tuple(Y), tuple(np.empty_like(Y))   # the stages' inputs and slopes
+    Y[0] = _by_column(gT)
     best = _best_gain(cfg) if optimizing else None
     # a negative or infinite lam turns lam * 0.0 into -0.0 or nan: never skip
     fee_min = float(cfg.switch_fee.min()) if 0.0 <= cfg.lam < np.inf else np.nan
-    skipped = [0]
+    cone = fee_min if optimizing else None
+    skipped, inside = 0, optimizing   # inside: the last step skipped all four stages
     size = _block_steps(cfg)
-    if not on_path:
+    if on_path:
+        # held: M, c are one constant run's.  Blocks in a row share a node,
+        # so two constant blocks in a row hold the same bits.
+        bits, held = x_nodes.view(np.int64), False
+    else:
         M, c = _payoff_operators(None if x_nodes is None else x_nodes[None], cfg)
     cols = np.empty((min(size, n_steps), m, n, 1))   # the block's nodes, by column
     for hi in range(n_steps, 0, -size):
         lo = max(0, hi - size)
         if on_path:
-            M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
+            run = bits[lo:hi + 1]
+            if not (run == run[-1]).all():
+                M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
+                held = False
+            elif not held:
+                v = x_nodes[hi:hi + 1]   # every step's mean node, bit for bit: one operator
+                M, c = _payoff_operators(0.5 * (v + v), cfg)
+                held = True
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(hi - 1, lo - 1, -1):
-                j = k - lo if on_path else 0
-                if optimizing:
-                    stage = _optimizing_stage(M[j], c[j], best, cfg.lam, fee_min, skipped)
-                else:
-                    stage = _payoff_stage(M[j], c[j], step_gain[k], cfg.lam)
-                g = cols[k - lo] = rk4_step(stage, g, -h)
+                j = k - lo if len(M) > 1 else 0
+                out = cols[k - lo]
+                if inside:
+                    # a bare step, kept when its four stage inputs lie in the cone
+                    # together: then each one does, and every stage skips
+                    _payoff_step(M[j], c[j], -h, None, cfg.lam, None, ys, ks, out)
+                    inside = float(Y.max()) - float(Y.min()) - fee_min <= SWITCH_TOL
+                    skipped += 4 * inside
+                if not inside:
+                    stages = _payoff_step(M[j], c[j], -h, best if optimizing else step_gain[k],
+                                          cfg.lam, cone, ys, ks, out)
+                    skipped += stages
+                    inside = stages == 4
+                ys[0][...] = out
         bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
         if bad.size:
             raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
@@ -305,4 +347,4 @@ def integrate_backward(
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
     return Trajectory(times=times, g=gs, u=Control.of_steps(us[:-1]),
-                      meta={**meta, "cone_stages": skipped[0], **scan})
+                      meta={**meta, "cone_stages": skipped, **scan})

@@ -21,7 +21,7 @@ from hbmfg import (
     optimal_control,
     switch_gains,
 )
-from hbmfg.hjb import BLOCK_BYTES, _block_steps, _node_pass
+from hbmfg.hjb import BLOCK_BYTES, SWITCH_TOL, _block_steps, _node_pass
 from hbmfg.kinetics import rk4_step
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
@@ -221,12 +221,13 @@ def test_optimizing_mode_dominates_frozen_control():
     assert (free.u.targets != np.arange(3)).any()
 
 
-def backward_loop(gT, x_path, controls, h, cfg):
+def backward_loop(gT, x_path, controls, h, cfg, inputs=None):
     """integrate_backward as an rk4_step loop over -hjb_rhs in the reversed clock.
 
     controls: one target matrix or None per step, or "optimizing" for the best
     response at every stage.  Returns the nodes' g and each step's first-stage
-    control, which sits on the step's starting node.
+    control, which sits on the step's starting node.  A list given as inputs
+    collects every stage's input, four a step, from the step next to T on.
     """
     gs, firsts = [np.asarray(gT, dtype=float)], []
     for k in reversed(range(len(x_path) - 1)):
@@ -234,6 +235,8 @@ def backward_loop(gT, x_path, controls, h, cfg):
         stage_u = []
 
         def f(y):
+            if inputs is not None:
+                inputs.append(y)
             stage_u.append(optimal_control(y, cfg) if isinstance(controls, str)
                            else controls[k])
             return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
@@ -264,22 +267,66 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
     assert min(blocks[-2:]) > 5
 
 
+def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
+    # each piece of a two-piece control settles on its own fixed point, bit
+    # for bit, part way through the piece (the stay piece after 242 steps, the
+    # circulating one after about 250).  With interaction on, the two fixed
+    # points give different payoff operators, so an operator reused past a
+    # change of node bits would show; without it the operator would not
+    # depend on the nodes.  Small blocks make each constant run span several.
+    monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", 1 << 13)
+    rng = np.random.default_rng(1)
+    cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=0.2, delta=0.3)
+    x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
+    stay, circulate = np.tile(np.arange(2), (3, 1)), np.array([[1, 1], [0, 1], [0, 0]])
+    steps, h = 600, 0.2
+    fwd = integrate_forward(x0, Control([0, 300], [stay, circulate], steps), 0.0, steps * h, h, cfg)
+    x_path, bits, size = fwd.x, fwd.x.view(np.int64), _block_steps(cfg)
+    constant = [hi for hi in range(steps, 0, -size)
+                if (bits[max(0, hi - size):hi + 1] == bits[hi]).all()]
+    assert sum(hi <= 300 for hi in constant) >= 2 and sum(hi - size >= 300 for hi in constant) >= 2
+    assert (bits[300] != bits[steps]).any() and cfg.delta_int > 0.0
+    gT = rng.normal(size=(cfg.n, cfg.m))
+    stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
+    fixed = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, control=Control.of_steps(stack))
+    assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
+    free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
+    assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
+    best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
+    assert np.array_equal(best.g, g)
+    assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+
+
+def stages_in_cone(inputs, cfg):
+    """Each step's count of stages that the per-stage rule lets skip the
+    switch term: those before the first input whose payoff spread less the
+    smallest switch fee exceeds SWITCH_TOL."""
+    fee_min = float(cfg.switch_fee.min())
+    inside = [float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL for y in inputs]
+    return [(inside[i:i + 4] + [False]).index(False) for i in range(0, len(inside), 4)]
+
+
 def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     # theorem_config's fees exceed every payoff spread, so every stage skips
     # the maximum; the example's cheaper fees bound the spread only on its
     # last nodes near T, so the pass starts inside the cone and leaves it
-    for cfg, steps, everywhere in ((theorem_config(3, 3, np.random.default_rng(7)), 80, True),
-                                   (read_config(EXAMPLE), 60, False)):
+    thm = theorem_config(3, 3, np.random.default_rng(7))
+    for cfg, steps, everywhere in ((thm, 80, True), (read_config(EXAMPLE), 60, False)):
         h = 3.0 / steps
         x0 = np.full((cfg.n, cfg.m), 1.0 / (cfg.n * cfg.m))
         x_path = integrate_forward(x0, None, 0.0, 3.0, h, cfg).x
         gT = np.zeros((cfg.n, cfg.m))
         best = integrate_backward(gT, x_path, 0.0, 3.0, h, cfg, mode="optimizing")
-        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
+        inputs = []
+        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
         assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
         assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
         skipped = best.meta["cone_stages"]
         assert skipped == 4 * steps if everywhere else 0 < skipped < 2 * steps
+        per_step = stages_in_cone(inputs, cfg)
+        assert skipped == sum(per_step) and per_step[0] == 4
+        assert everywhere or per_step[-1] < 4
     # lam = inf makes the switch term inf * 0.0 = nan even inside the cone,
     # so no stage may skip it: the first step, next to T, fails
     blowup = dataclasses.replace(cfg, lam=np.inf)
@@ -287,13 +334,32 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         assert np.isnan(backward_loop(gT, x_path[-2:], "optimizing", h, blowup)[0][0]).all()
     with pytest.raises(HjbError, match=rf"non-finite payoff at t={3.0 - h:.6g};"):
         integrate_backward(gT, x_path, 0.0, 3.0, h, blowup, mode="optimizing")
+    # from a gT whose last column tops the rest by more than the fees, the
+    # theorem config's pass starts outside the cone and decays back into it
+    h = 3.0 / 80
+    x_path = integrate_forward(np.full((3, 3), 1.0 / 9.0), None, 0.0, 3.0, h, thm).x
+    gT = np.zeros((3, 3))
+    gT[:, 2] = thm.switch_fee.min() + 2.0
+    best = integrate_backward(gT, x_path, 0.0, 3.0, h, thm, mode="optimizing")
+    inputs = []
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs)
+    assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
+    assert np.array_equal(steps_of(best.u), [optimal_control(g[0], thm)] + firsts[:-1])
+    per_step = stages_in_cone(inputs, thm)
+    assert best.meta["cone_stages"] == sum(per_step)
+    assert per_step[0] == 0 and per_step[-1] == 4 and best.meta["violations"] > 0
 
 
 def test_node_pass_equals_a_node_by_node_scan(monkeypatch):
     # the 10 x 10 case's gains alone fill several node blocks; profitable
-    # switches start after the first block, the largest well before the last
+    # switches start after the first block, the largest well before the last.
+    # In the second block of 11 nodes the best gains lie in (0, SWITCH_TOL]:
+    # every target stays, yet the gains count as violations.  In the third
+    # the best gains are exactly 0.
     cfg = stage_cases()[-2][0]
     gs = np.zeros((100, cfg.n, cfg.m))
+    gs[11:22, 5, 3] = cfg.fee_B[0, 3] + 4e-13
+    gs[22:33, 1, 6] = cfg.fee_B[0, 6]
     gs[40, 3, 7] = 5.0
     gs[70:, 2, 4] = 1.0
     gs[90:, 6] = 0.1 * np.arange(cfg.m)
@@ -310,6 +376,9 @@ def test_node_pass_equals_a_node_by_node_scan(monkeypatch):
     assert scan["cone_worst"] == max(h[-1] for h in hits) == 5.0 - cfg.fee_B[0, 7]
     assert scan["violations"] == len(hits) > 200
     assert scan["violations_head"] == hits[:200]
+    assert 0.0 < switch_gains(gs[11:22], cfg).max() <= SWITCH_TOL
+    assert switch_gains(gs[22:33], cfg).max() == 0.0
+    assert (u[11:33] == np.arange(cfg.m)).all() and hits[0][0] == times[11]
 
 
 def test_integrate_backward_names_the_first_non_finite_step():
