@@ -6,17 +6,16 @@ lever is the behaviour switch: the gain of moving (i,j) -> (i,k) is
 g[i,k] - g[i,j] - fee_B[j,k], and staying put is always available.  Pressure
 moves and stimulated moves (weighted by the current occupation) act on the
 agent regardless, with the downgrade fine charged on every enforced drop.
-Both variants' level moves, step-down and sink, come from GameConfig.moves:
-the payoff flow is the adjoint of the forward flow.  The switch term plays
-either a given model.Control, one gain per piece, or the best response,
-which integrate_backward returns as a Control.  Without the switch term
-it is affine in g, and integrate_backward builds that map for a block of
-steps at a time, or once for a run of equal occupation nodes.  Inside the
-no-switch cone, where the payoff spread less the smallest switch fee bounds
-every gain by SWITCH_TOL, an optimizing stage is that map alone: the switch
-term is exactly zero and is skipped.  While the pass stays in the cone, a
-step is bare RK4 arithmetic on preallocated buffers with one cone check of
-its four stage inputs together.
+Both variants' level moves come from GameConfig.moves: the payoff flow runs
+the adjoint of Moves.generator, the level chain of the forward flow.  The
+switch term plays either a given model.Control, one gain per piece, or the
+best response, which integrate_backward returns as a Control.  Without it
+the flow is affine in g, a map built for a block of steps at a time, or once
+for a run of equal occupation nodes.  Inside the no-switch cone, where the
+payoff spread less the smallest switch fee bounds every gain by SWITCH_TOL,
+the switch term is exactly zero.  One rule uses that, per step: after a
+step whose four stage inputs lay in the cone together, the next step is
+bare RK4 arithmetic, kept when its own four inputs lie in the cone too.
 """
 from __future__ import annotations
 
@@ -69,49 +68,35 @@ def _payoff_operators(x, cfg: GameConfig):
     as an affine map of the payoff by behaviour column, G = g.T[:, :, None]
     of shape (m, n, 1): dG/dt = M[b] @ G + c[b].
 
-    Level moves keep the behaviour, so the map on the flattened state is
-    block diagonal: M[b] (m, n, n) holds column j's block, the discount plus
-    the level moves' adjoint, assembled by one bincount; c[b] (m, n, 1) is
-    -w plus the expected fines.  x None (only without stimulated moves)
-    gives one map, B = 1.
+    Level moves keep the behaviour, so the map is block diagonal: column j's
+    block M[b, j] = delta_dis * I - A.T is the discount less the adjoint of
+    A = cfg.moves.generator of the column's per-capita rates, the level chain
+    that kinetic_rhs runs forward.  c[b] (m, n, 1) is -w plus the expected
+    fines.  x None (only without stimulated moves) gives one map, B = 1.
     """
     mv, n, m = cfg.moves, cfg.n, cfg.m
     if x is None and mv.evo.any():
         raise HjbError("occupation required when the config has stimulated moves")
     rate = mv.per_capita(x).reshape(-1, len(mv.rate), n, m)
-    B = len(rate)
-    # M[b, j, i, i] for each (i, j), then M[b, j, i, dest[f, i]] for each (f, i, j)
-    lv, col = np.arange(n)[:, None], n * n * np.arange(m)
-    cells = np.concatenate([(col + lv * (n + 1)).ravel(),
-                            (col + lv * n + mv.dest[:, :, None]).ravel()])
-    weights = np.concatenate([(cfg.delta_dis + rate.sum(axis=1)).reshape(B, -1),
-                              -rate.reshape(B, -1)], axis=1)
-    M = np.bincount((m * n * n * np.arange(B)[:, None] + cells).ravel(), weights.ravel(),
-                    B * m * n * n)
+    A = mv.generator(rate.transpose(0, 3, 1, 2))   # (B, m, n, n)
+    # M in C order: matmul rounds a transposed layout differently
+    M = np.subtract(cfg.delta_dis * np.eye(n), A.swapaxes(-1, -2), out=np.empty(A.shape))
     c = (rate * mv.fine[:, :, None]).sum(axis=1) - cfg.w
-    return M.reshape(B, m, n, n), c.transpose(0, 2, 1)[..., None]
+    return M, c.transpose(0, 2, 1)[..., None]
 
 
 def _block_steps(cfg: GameConfig) -> int:
-    # a step's operator holds n values per state; its rates, weights and
-    # bincount indices about 12 more
-    return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (cfg.n + 12)))
+    # a step's generator and operator hold n values per state each; its
+    # rates and constant about 8 more
+    return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (2 * cfg.n + 8)))
 
 
-def _payoff_step(M, c, h: float, gain, lam: float, fee_min, ys, ks, out) -> int:
+def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
     """One RK4 step of dG/dt = M @ G + c - lam * gain(G) from G = ys[0], with
     step h, into out: rk4_step's arithmetic, bit for bit, on preallocated
     buffers, ys the four stage inputs and ks their slopes.  gain None:
-    nobody switches.  With fee_min given (the smallest switch fee), the
-    stages skip gain, in order, while each input's payoff spread less
-    fee_min is at most SWITCH_TOL: IEEE subtraction is monotone in each
-    argument, so every best gain is then at most that bound, the switch term
-    is exactly zero, and M @ G + c is the stage, bit for bit (for a finite
-    nonnegative lam, since v - 0.0 == v for every v; fee_min nan never
-    skips).  Once a stage fails the bound the rest of the step takes the
-    full term.  Returns the number of stages that skipped it.
+    nobody switches.
     """
-    inside, skipped = fee_min is not None, 0
     g = ys[0]
     for s in range(4):
         y = ys[s]
@@ -120,12 +105,7 @@ def _payoff_step(M, c, h: float, gain, lam: float, fee_min, ys, ks, out) -> int:
             y += g
         k = np.matmul(M, y, out=ks[s])
         k += c
-        if gain is None:
-            continue
-        if inside and float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL:
-            skipped += 1
-        else:
-            inside = False
+        if gain is not None:
             k -= lam * gain(y)
     k1, k2, k3, k4 = ks
     np.multiply(k2, 2.0, out=out)
@@ -135,7 +115,6 @@ def _payoff_step(M, c, h: float, gain, lam: float, fee_min, ys, ks, out) -> int:
     out += k4
     out *= h / 6.0
     out += g
-    return skipped
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
@@ -174,7 +153,8 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     fee_B[j, k]; a stay gains 0.  This is integrate_backward's stage on a
     one-step block.
     """
-    M, c = _payoff_operators(None if x is None else occupation_array(x)[None], cfg)
+    x = None if x is None else occupation_array(x, (cfg.n, cfg.m))[None]
+    M, c = _payoff_operators(x, cfg)
     target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
     G = _by_column(g)
     dg = M[0] @ G + c[0]
@@ -232,7 +212,7 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     Nonpositive means no occupied state profits from deviating.  With a single
     behaviour level there is nothing to deviate to: returns -inf.
     """
-    occupied = occupation_array(x) > OCCUPIED_TOL
+    occupied = occupation_array(x, (cfg.n, cfg.m)) > OCCUPIED_TOL
     if not occupied.any():
         return float("-inf")
     return float(switch_gains(np.asarray(g, dtype=float), cfg)[occupied].max())
@@ -253,22 +233,22 @@ def integrate_backward(
     The grid is step_grid(t0, t1, dt), the forward integrator's grid.
     occupation: None (only without stimulated moves), one (n, m) matrix, or
     a node path of shape (n_steps + 1, n, m) such as a forward Trajectory.x;
-    each step then sees the mean of its two end nodes.
+    each step sees the mean of its two end nodes (a matrix: equal nodes).
     mode "fixed": control is used as is, in integrate_forward's forms (None,
     one (n, m) target matrix or a Control), one gain per piece;
     mode "optimizing": control must be None; every stage takes the best
-    switch at the current g, the maximum of switch_gains over the target,
-    without storing the gains; a stage inside the no-switch cone skips it
-    (_payoff_step), and meta["cone_stages"] counts those stages.  After a
-    step whose four stages all skipped, the next is first run bare, without
-    the switch term, and kept when its four stage inputs pass the cone bound
-    together (a joint spread bounds each input's spread); otherwise it is
-    run again stage by stage.
-    Each step's switch-free flow is hjb_rhs's affine map of the payoff by
-    behaviour column, assembled for a block of steps at a time within
-    BLOCK_BYTES, once for a fixed occupation, and once for a run of blocks
-    whose path nodes are all equal in bits.  Finiteness is checked once
-    per block and reported at the first step, in reversed time, that failed.
+    switch at the current g, the maximum of switch_gains over the target.
+    Inside the no-switch cone, where the payoff spread less the smallest
+    switch fee is at most SWITCH_TOL, that term is exactly zero (IEEE
+    subtraction is monotone).  One rule, per step: first, and after a step
+    whose four stage inputs lay in the cone together, a step runs bare and
+    is kept when its own four inputs do too; otherwise it runs with the
+    switch term, and its inputs decide the next step.  With lam negative,
+    nan or inf no step is kept bare.  meta["cone_steps"] counts those kept.
+    Each step's switch-free flow is hjb_rhs's affine map, built for a block
+    of steps at a time within BLOCK_BYTES, and once for a run of blocks
+    whose nodes are all equal in bits.  Finiteness is checked once per
+    block and reported at the first step, in reversed time, that failed.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone scan of the path: cone_worst,
@@ -280,62 +260,60 @@ def integrate_backward(
     if optimizing and control is not None:
         raise ValueError("mode 'optimizing' takes no control: it plays the best response")
     n_steps, h = step_grid(t0, t1, dt)
-    x_nodes = None if occupation is None else occupation_array(occupation)
-    on_path = x_nodes is not None and x_nodes.ndim == 3
-    if on_path and len(x_nodes) != n_steps + 1:
-        raise ValueError(f"occupation path of shape {x_nodes.shape} does not match the "
-                         f"grid's {n_steps + 1} nodes")
+    n, m = cfg.n, cfg.m
+    x_nodes = occupation
+    if np.ndim(occupation) == 3:
+        x_nodes = np.asarray(occupation, dtype=float)
+        if x_nodes.shape != (n_steps + 1, n, m):
+            raise ValueError(f"occupation path of shape {x_nodes.shape} does not match the "
+                             f"grid's {n_steps + 1} nodes of ({n}, {m})")
+    elif occupation is not None:
+        x_nodes = np.broadcast_to(occupation_array(occupation, (n, m)), (n_steps + 1, n, m))
     step_gain = []   # fixed mode: each step's switch gain, one built per piece
-    for a, b, target in [] if optimizing else control_pieces(control, n_steps, cfg.n, cfg.m):
+    for a, b, target in [] if optimizing else control_pieces(control, n_steps, n, m):
         step_gain += [None if target is None else _target_gain(target, cfg)] * (b - a)
     times = t0 + h * np.arange(n_steps + 1)
 
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
-    n, m = cfg.n, cfg.m
     gs = np.empty((n_steps + 1, n, m))
     gs[n_steps] = gT
     Y = np.empty((4, m, n, 1))   # a step's stage inputs, g first
     ys, ks = tuple(Y), tuple(np.empty_like(Y))   # the stages' inputs and slopes
     Y[0] = _by_column(gT)
     best = _best_gain(cfg) if optimizing else None
-    # a negative or infinite lam turns lam * 0.0 into -0.0 or nan: never skip
+    # lam * 0.0 must be +0.0 for a bare step to equal one with the switch term
     fee_min = float(cfg.switch_fee.min()) if 0.0 <= cfg.lam < np.inf else np.nan
-    cone = fee_min if optimizing else None
-    skipped, inside = 0, optimizing   # inside: the last step skipped all four stages
+
+    def in_cone():   # the step's four stage inputs together (nan: never)
+        return float(Y.max()) - float(Y.min()) - fee_min <= SWITCH_TOL
+
+    bare, cone_steps = optimizing, 0   # bare: the last step's inputs lay in the cone
     size = _block_steps(cfg)
-    if on_path:
-        # held: M, c are one constant run's.  Blocks in a row share a node,
-        # so two constant blocks in a row hold the same bits.
-        bits, held = x_nodes.view(np.int64), False
-    else:
-        M, c = _payoff_operators(None if x_nodes is None else x_nodes[None], cfg)
+    # held: M, c are one constant run's.  Blocks in a row share a node, so two
+    # constant blocks in a row hold the same bits.
+    held, bits = False, None if x_nodes is None else x_nodes.view(np.int64)
     cols = np.empty((min(size, n_steps), m, n, 1))   # the block's nodes, by column
     for hi in range(n_steps, 0, -size):
         lo = max(0, hi - size)
-        if on_path:
-            run = bits[lo:hi + 1]
-            if not (run == run[-1]).all():
-                M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
-                held = False
-            elif not held:
-                v = x_nodes[hi:hi + 1]   # every step's mean node, bit for bit: one operator
-                M, c = _payoff_operators(0.5 * (v + v), cfg)
-                held = True
+        if bits is not None and not (bits[lo:hi + 1] == bits[hi]).all():
+            M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
+            held = False
+        elif not held:   # every step's mean node, bit for bit: one operator
+            v = None if bits is None else x_nodes[hi:hi + 1]
+            M, c = _payoff_operators(None if v is None else 0.5 * (v + v), cfg)
+            held = True
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(hi - 1, lo - 1, -1):
                 j = k - lo if len(M) > 1 else 0
                 out = cols[k - lo]
-                if inside:
-                    # a bare step, kept when its four stage inputs lie in the cone
-                    # together: then each one does, and every stage skips
-                    _payoff_step(M[j], c[j], -h, None, cfg.lam, None, ys, ks, out)
-                    inside = float(Y.max()) - float(Y.min()) - fee_min <= SWITCH_TOL
-                    skipped += 4 * inside
-                if not inside:
-                    stages = _payoff_step(M[j], c[j], -h, best if optimizing else step_gain[k],
-                                          cfg.lam, cone, ys, ks, out)
-                    skipped += stages
-                    inside = stages == 4
+                if bare:
+                    _payoff_step(M[j], c[j], -h, None, cfg.lam, ys, ks, out)
+                    bare = in_cone()
+                    cone_steps += bare
+                if not bare:
+                    _payoff_step(M[j], c[j], -h, best if optimizing else step_gain[k],
+                                 cfg.lam, ys, ks, out)
+                    bare = optimizing and in_cone()
                 ys[0][...] = out
         bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
         if bad.size:
@@ -347,4 +325,4 @@ def integrate_backward(
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
     return Trajectory(times=times, g=gs, u=Control.of_steps(us[:-1]),
-                      meta={**meta, "cone_stages": skipped, **scan})
+                      meta={**meta, "cone_steps": cone_steps, **scan})

@@ -102,7 +102,8 @@ def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     a one-step Control, or None for "nobody switches"; whatever Control
     refuses is a ValueError.  The level moves are the flux balance of cfg.moves.
     """
-    return _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)(occupation_array(x))
+    x = occupation_array(x, (cfg.n, cfg.m))
+    return _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)(x)
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
@@ -139,7 +140,7 @@ def integrate_forward(
     pieces = control_pieces(control, n_steps, cfg.n, cfg.m)
 
     times = t0 + h * np.arange(n_steps + 1)
-    x = occupation_array(x0)
+    x = occupation_array(x0, (cfg.n, cfg.m))
     xs = np.empty((n_steps + 1,) + x.shape)
     xs[0] = x
     drift_max = 0.0

@@ -116,13 +116,14 @@ class Moves:
         return self.rate + (self.evo @ x[..., None, :, :, None])[..., 0]
 
     def generator(self, rates: np.ndarray) -> np.ndarray:
-        """The n x n level chain of one column's per-capita rates (F, n).
+        """The n x n level chains (..., n, n) of per-capita rates (..., F, n),
+        one column's rates or a stack of them.
 
         A[a, i] is the rate at which one agent at level i adds to level a's
         count, so A @ v is the flow of column occupation v; columns sum to zero.
         """
         n = self.net.shape[0]
-        return np.einsum("afi,fi->ai", self.net.reshape(n, -1, n), rates)
+        return np.einsum("afi,...fi->...ai", self.net.reshape(n, -1, n), rates)
 
     def payoff_change(self, g: np.ndarray) -> np.ndarray:
         """(F, n, m): what each move gains on payoff g, net of its fine."""
@@ -301,11 +302,14 @@ class Control:
         return int(np.diff(cuts, append=self.n_steps)[np.any(mine != theirs, axis=(1, 2))].sum())
 
 
-def occupation_array(x) -> np.ndarray:
-    """Accept an Occupation or a bare matrix; return a float ndarray."""
-    if isinstance(x, Occupation):
-        return x.x
-    return np.asarray(x, dtype=float)
+def occupation_array(x, shape=None) -> np.ndarray:
+    """Accept an Occupation or a bare matrix; return a float ndarray.  A
+    matrix not of the given shape, the grid's (n, m), is refused by name."""
+    a = x.x if isinstance(x, Occupation) else np.asarray(x, dtype=float)
+    if shape is not None and a.shape != tuple(shape):
+        raise ValueError(f"occupation of shape {a.shape} does not match the grid's "
+                         f"{tuple(shape)}")
+    return a
 
 
 def control_pieces(u, n_steps: int, n: int, m: int) -> list:

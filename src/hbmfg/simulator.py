@@ -77,17 +77,24 @@ class CountState:
 
     @staticmethod
     def from_occupation(x, N: int) -> "CountState":
-        """Largest-remainder rounding of x*N; ties go to the lower flat index."""
+        """Largest-remainder rounding of x*N; ties go to the lower flat index.
+
+        A mass just above 1, which Occupation accepts, floors to more than N
+        agents: one leaves each of that many occupied cells, smallest
+        remainders first, and the largest cell gives any excess beyond them.
+        """
         _check_population(N)
-        xa = occupation_array(x)
-        target = xa * N
+        target = occupation_array(x) * N
         base = np.floor(target)
         need = int(round(N - base.sum()))
-        if need:
-            rem = (target - base).ravel()
-            order = np.argsort(-rem, kind="stable")
-            flat = base.ravel()
-            flat[order[:need]] += 1.0
+        rem, flat = (target - base).ravel(), base.ravel()
+        if need > 0:
+            flat[np.argsort(-rem, kind="stable")[:need]] += 1.0
+        elif need < 0:
+            occupied = np.flatnonzero(flat >= 1.0)
+            take = occupied[np.argsort(rem[occupied], kind="stable")[:-need]]
+            flat[take] -= 1.0
+            flat[np.argmax(flat)] += need + len(take)
         return CountState(counts=base.astype(np.int64), N=N)
 
 
@@ -451,7 +458,7 @@ def convergence_study(
         raise ValueError("N_list must be strictly increasing with at least two sizes")
     if replications < 2:
         raise ValueError("need at least two replications for standard errors")
-    x0a = occupation_array(x0)
+    x0a = occupation_array(x0, (cfg.n, cfg.m))
     times = np.linspace(0.0, T, samples + 1)
 
     per = max(1, int(math.ceil(2000.0 / samples)))

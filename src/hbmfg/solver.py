@@ -107,7 +107,7 @@ def solve_mfg(
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
     n_steps, h = step_grid(0.0, T, dt)
-    x0a = occupation_array(x0)
+    x0a = occupation_array(x0, (cfg.n, cfg.m))
     gTa = np.asarray(gT, dtype=float)
 
     stay = Control.stay(cfg.n, cfg.m, n_steps)
@@ -205,16 +205,15 @@ def rate_ordering_check(cfg: GameConfig) -> List[dict]:
 class TurnpikeMetrics:
     """How a finite-horizon solve tracks the stationary expansion.
 
-    d0/d1: sup-distance per node to the uniform stationary occupation and to
-    its interaction-corrected version.  g_distance: sup-distance per node to
-    the assembled stationary payoff.  sup_middle_* take the supremum over the
-    middle 80% of the horizon; plateau is the final d0 sample.
+    d0: sup-distance per node to the uniform stationary occupation.
+    g_distance: sup-distance per node to the assembled stationary payoff.
+    sup_middle_* take the supremum over the middle 80% of the horizon;
+    plateau is the final d0 sample.
     switch_fraction is the solve's share of steps where anyone switches.
     """
 
     times: np.ndarray
     d0: np.ndarray
-    d1: np.ndarray
     g_distance: np.ndarray
     sup_middle: float
     sup_middle_g: float
@@ -226,14 +225,12 @@ def turnpike_metrics(result: MfgSolveResult, cfg: GameConfig) -> TurnpikeMetrics
     sol = stationary_solution(cfg)
     traj = result.trajectory
     d0 = np.max(np.abs(traj.x - sol.x0.x), axis=(1, 2))
-    d1 = np.max(np.abs(traj.x - sol.x_corrected), axis=(1, 2))
     gd = np.max(np.abs(traj.g - sol.g), axis=(1, 2))
     t0, t1 = traj.times[0], traj.times[-1]
     middle = (traj.times >= t0 + 0.1 * (t1 - t0)) & (traj.times <= t0 + 0.9 * (t1 - t0))
     return TurnpikeMetrics(
         times=traj.times,
         d0=d0,
-        d1=d1,
         g_distance=gd,
         sup_middle=float(d0[middle].max()) if middle.any() else float(d0.max()),
         sup_middle_g=float(gd[middle].max()) if middle.any() else float(gd.max()),

@@ -57,14 +57,14 @@ def _kinetic_jacobian(x: np.ndarray, cfg: GameConfig) -> np.ndarray:
 
     The flux of family f out of (i, j) is per_capita[f, i, j] * x[i, j]; its
     derivative in x[i, k] is per_capita * [j == k] + evo[f, i, j, k] * x[i, j],
-    and net scatters it onto the levels.
+    and the level chain of cfg.moves.generator scatters it onto the levels.
     """
     n, m = cfg.n, cfg.m
     mv = cfg.moves
     dflux = mv.evo * x[None, :, :, None]
     dflux += mv.per_capita(x)[..., None] * np.eye(m)
-    J = np.einsum("afi,fijk->jaki", mv.net.reshape(n, -1, n), dflux)
-    return J.reshape(n * m, n * m)
+    J = mv.generator(dflux.transpose(2, 3, 0, 1))   # J[j, k, a, i]
+    return J.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def build_reduced_linearization(cfg: GameConfig, base=None) -> np.ndarray:
@@ -84,7 +84,7 @@ def build_reduced_linearization(cfg: GameConfig, base=None) -> np.ndarray:
             f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})"
         )
     x = np.full((cfg.n, cfg.m), 1.0 / (cfg.n * cfg.m)) if base is None else (
-        occupation_array(base)
+        occupation_array(base, (cfg.n, cfg.m))
     )
     J = _kinetic_jacobian(x, cfg)
     return J[:-1, :-1] - J[:-1, -1][:, None]

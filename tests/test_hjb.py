@@ -298,19 +298,22 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
 
 
-def stages_in_cone(inputs, cfg):
-    """Each step's count of stages that the per-stage rule lets skip the
-    switch term: those before the first input whose payoff spread less the
-    smallest switch fee exceeds SWITCH_TOL."""
+def steps_kept_bare(inputs, cfg):
+    """Each step's flag under the per-step cone rule, from the reference
+    loop's stage inputs, four a step: a step runs bare after a step whose
+    four inputs lay in the cone together (the first step too), and is kept
+    when its own four do, their joint spread less the smallest switch fee
+    being at most SWITCH_TOL."""
     fee_min = float(cfg.switch_fee.min())
-    inside = [float(y.max()) - float(y.min()) - fee_min <= SWITCH_TOL for y in inputs]
-    return [(inside[i:i + 4] + [False]).index(False) for i in range(0, len(inside), 4)]
+    inside = [float(np.max(inputs[i:i + 4])) - float(np.min(inputs[i:i + 4])) - fee_min
+              <= SWITCH_TOL for i in range(0, len(inputs), 4)]
+    return [before and now for before, now in zip([True] + inside, inside)]
 
 
 def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
-    # theorem_config's fees exceed every payoff spread, so every stage skips
-    # the maximum; the example's cheaper fees bound the spread only on its
-    # last nodes near T, so the pass starts inside the cone and leaves it
+    # theorem_config's fees exceed every payoff spread, so every step is kept
+    # bare; the example's cheaper fees bound the spread only on its last
+    # nodes near T, so the pass starts inside the cone and leaves it
     thm = theorem_config(3, 3, np.random.default_rng(7))
     for cfg, steps, everywhere in ((thm, 80, True), (read_config(EXAMPLE), 60, False)):
         h = 3.0 / steps
@@ -322,13 +325,12 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
         assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
         assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
-        skipped = best.meta["cone_stages"]
-        assert skipped == 4 * steps if everywhere else 0 < skipped < 2 * steps
-        per_step = stages_in_cone(inputs, cfg)
-        assert skipped == sum(per_step) and per_step[0] == 4
-        assert everywhere or per_step[-1] < 4
+        kept = steps_kept_bare(inputs, cfg)
+        assert best.meta["cone_steps"] == sum(kept) and kept[0]
+        assert sum(kept) == steps if everywhere else 0 < sum(kept) < steps // 2
+        assert everywhere or not kept[-1]
     # lam = inf makes the switch term inf * 0.0 = nan even inside the cone,
-    # so no stage may skip it: the first step, next to T, fails
+    # so no step may be kept bare: the first step, next to T, fails
     blowup = dataclasses.replace(cfg, lam=np.inf)
     with np.errstate(invalid="ignore"):
         assert np.isnan(backward_loop(gT, x_path[-2:], "optimizing", h, blowup)[0][0]).all()
@@ -345,9 +347,9 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs)
     assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
     assert np.array_equal(steps_of(best.u), [optimal_control(g[0], thm)] + firsts[:-1])
-    per_step = stages_in_cone(inputs, thm)
-    assert best.meta["cone_stages"] == sum(per_step)
-    assert per_step[0] == 0 and per_step[-1] == 4 and best.meta["violations"] > 0
+    kept = steps_kept_bare(inputs, thm)
+    assert best.meta["cone_steps"] == sum(kept)
+    assert not kept[0] and kept[-1] and best.meta["violations"] > 0
 
 
 def test_node_pass_equals_a_node_by_node_scan(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -352,3 +353,16 @@ def test_every_entry_point_refuses_what_control_refuses(entry, kind):
     if kind == "stack":
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             Control.of_steps(bad)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 2), (2, 2, 3)])
+@pytest.mark.parametrize("entry", ["hjb_rhs", "integrate_backward", "integrate_forward",
+                                   "kinetic_rhs"])
+def test_every_entry_point_refuses_a_misshaped_occupation(entry, shape):
+    # on the 2 x 3 config, (3,) and (1, 3) would broadcast across the levels
+    # and (2, 2, 3) would run as a stack; integrate_backward takes a node
+    # path of 5 nodes, so (2, 2, 3) is a path of the wrong length
+    cfg = make_config(2, 3, np.random.default_rng(4), lam=1.5)
+    x = np.full(shape, 1.0 / np.prod(shape))
+    with pytest.raises(ValueError, match=rf"occupation (path )?of shape {re.escape(str(shape))}"):
+        _CONTROL_ENTRY_POINTS[entry](x, None, cfg)

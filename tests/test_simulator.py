@@ -11,6 +11,7 @@ from hbmfg import (
     Control,
     CountState,
     GameConfig,
+    Occupation,
     SinkRates,
     convergence_study,
     enumerate_transitions,
@@ -54,6 +55,26 @@ def test_from_occupation_rounding():
     npt.assert_array_equal(s2.counts, [[3], [7]])
     s3 = CountState.from_occupation(np.array([[0.26, 0.24], [0.25, 0.25]]), 4)
     npt.assert_array_equal(s3.counts, [[1, 1], [1, 1]])
+
+
+def test_from_occupation_rounds_a_mass_just_above_one():
+    # Occupation accepts a mass within 1e-9 of 1; at N = 10**10 this one
+    # floors to 4 agents too many, and the 4 occupied cells with the smallest
+    # remainders give one each (ties to the lower flat index)
+    x = np.full((3, 3), 1 / 9)
+    x[0, 0] += 5e-10
+    Occupation(x)
+    N = 10**10
+    target = (x * N).ravel()
+    s = CountState.from_occupation(x, N)
+    assert int(s.counts.sum()) == N
+    taken = np.floor(target) - s.counts.ravel()
+    assert set(taken.tolist()) == {0.0, 1.0}
+    rem = target - np.floor(target)
+    npt.assert_array_equal(np.flatnonzero(taken), np.sort(np.argsort(rem, kind="stable")[:4]))
+    # more excess agents than occupied cells: the largest cell gives the rest
+    s = CountState.from_occupation(np.array([[1.0 + 5e-10], [0.0]]), 10**12)
+    npt.assert_array_equal(s.counts, [[10**12], [0]])
 
 
 def test_count_state_refuses_populations_past_2_53():

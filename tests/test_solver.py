@@ -23,6 +23,7 @@ from hbmfg import (
 )
 from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config
+from test_hjb import backward_loop, steps_kept_bare
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, steps_of, theorem_config
@@ -115,7 +116,8 @@ def _sweep(x0, u_path, T, dt, cfg):
 def test_exact_shortcuts_fire_inside_the_cone():
     # acceptance 07's setting: the uniform start is a fixed point of the
     # stay-put step map, and the fees keep every node inside the cone, so all
-    # forward steps but the first are filled and no stage takes the maximum
+    # forward steps but the first are filled and every payoff step is kept
+    # bare, as the reference loop's stage inputs tell
     rng = np.random.default_rng(707)
     for n in (2, 3):
         cfg = theorem_config(n, n, rng, delta=0.05)
@@ -123,7 +125,10 @@ def test_exact_shortcuts_fire_inside_the_cone():
                           default_dt(cfg), cfg)
         steps = len(fwd.times) - 1
         assert fwd.meta["fixed_steps"] == steps - 1
-        assert bwd.meta["cone_stages"] == 4 * steps
+        inputs = []
+        g = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg, inputs)[0]
+        assert np.array_equal(bwd.g, g)
+        assert bwd.meta["cone_steps"] == sum(steps_kept_bare(inputs, cfg)) == steps
 
 
 def test_forward_fill_starts_mid_run_on_a_decaying_start():
@@ -143,9 +148,9 @@ def test_forward_fill_starts_mid_run_on_a_decaying_start():
 
 
 def test_example_solve_skips_only_near_the_horizon():
-    # on the example's converged path nothing is filled, and a stage skips
-    # the maximum only in steps that start at a node whose payoff spread less
-    # the smallest fee is within SWITCH_TOL: the last few nodes before T
+    # on the example's converged path nothing is filled, and a step is kept
+    # bare only if it starts at a node whose payoff spread less the smallest
+    # fee is within SWITCH_TOL: the last few nodes before T
     cfg = read_config(EXAMPLE)
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), 10.0, 0.05, cfg)
@@ -157,7 +162,11 @@ def test_example_solve_skips_only_near_the_horizon():
     inside = g.max(axis=(1, 2)) - g.min(axis=(1, 2)) - cfg.switch_fee.min() <= SWITCH_TOL
     near_t = int(inside.sum())
     assert 0 < near_t < 0.1 * len(g) and inside[-near_t:].all()
-    assert near_t <= bwd.meta["cone_stages"] <= 4 * near_t
+    inputs = []
+    assert np.array_equal(backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05,
+                                        cfg, inputs)[0], g)
+    kept = steps_kept_bare(inputs, cfg)
+    assert 0 < bwd.meta["cone_steps"] == sum(kept) <= near_t and all(kept[:sum(kept)])
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
