@@ -4,10 +4,12 @@ Configs are JSON with four required sections (dimensions, rates, economics,
 scales) and an optional flags section, every field listed once in _FIELDS
 with its kind; parse errors name the offending field or the JSON line.
 Trajectory CSVs carry a time column followed by the states flattened
-row-major with 1-based labels (x_1_1 ... x_n_m); floats are written
-with 17 significant digits so values round-trip exactly.  Every output
-directory gets a manifest.json listing relative paths and content hashes;
-no timestamps, so identical runs produce identical bytes.
+row-major with 1-based labels (x_1_1 ... x_n_m); every float is written
+byte for byte as '%.17g' % v writes it, so values round-trip exactly.
+Large blocks of rows are formatted in bulk by numpy (bulkfmt); the '%'
+template formats the rest, and is the fallback and the tests' oracle.
+Every output directory gets a manifest.json listing relative paths and
+content hashes; no timestamps, so identical runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+from operator import ne
 
 import numpy as np
 
@@ -204,17 +207,73 @@ def _state_labels(prefix: str, n: int, m: int) -> list:
     return [f"{prefix}_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
 
 
+# The CSV writer takes a block of rows at a time.  A block with enough new
+# values, most of them in bulkfmt's range, is formatted by numpy; every other
+# block, and every value outside the range, by the "%.17g" template.
+WRITE_BLOCK_BYTES = 1 << 19   # a block's text and temporaries stay within this
+_VALUE_BYTES = 192            # a bulk block's bytes per value, with margin
+_BULK_MIN = 400               # fewer new values in a block: "%" pays
+_BULK_SHARE = 0.6             # a smaller share of them in range: "%" pays
+
+
+def _bulk_lines(t, rows, new) -> bytes | None:
+    """A block's lines with its values formatted by numpy, those outside the
+    range by one "%"; None when too few of its new values lie in the range.
+    Each row that is not new repeats its predecessor's text."""
+    # imported here, so that a process writing only small tables never loads it
+    from .bulkfmt import MARK, SLOT, format_slots, in_range
+    width = rows.shape[1]
+    v = np.concatenate([t, rows[new].ravel()])
+    ok = in_range(v)
+    if np.count_nonzero(ok) < _BULK_SHARE * len(v):
+        return None
+    slots = format_slots(v, ok)
+    del v, ok
+    values = slots[len(t):].reshape(-1, width, SLOT)
+    values[:, -1, -1] = ord("\n")
+    text = np.empty((len(t), width + 1, SLOT), np.uint8)
+    text[:, 0] = slots[:len(t)]
+    text[:, 1:] = values if len(values) == len(t) else values[np.cumsum(new) - 1]
+    del slots, values
+    marked = text[:, :, 0] == ord(MARK)
+    out = text.tobytes().translate(None, b"\0")
+    if not marked.any():
+        return out
+    fills = np.column_stack([t, rows])[marked].tolist()
+    pieces = [b""] * (2 * len(fills) + 1)
+    pieces[::2] = out.split(MARK)
+    pieces[1::2] = (MARK.join([b"%.17g"] * len(fills)) % tuple(fills)).split(MARK)
+    return b"".join(pieces)
+
+
 def _write_rows(path: str, head: list, times, table: np.ndarray) -> None:
-    # row by row, one "%.17g" template formatting each value as fmt does; a row
-    # whose bits equal the previous row's reuses its text, only t is formatted
-    template = "".join([",%.17g"] * (len(head) - 1)) + "\n"
-    bits = text = None
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(head) + "\n")
-        for t, row in zip(np.asarray(times, dtype=float).tolist(), table):
-            if (row_bits := row.tobytes()) != bits:
-                bits, text = row_bits, template % tuple(row.tolist())
-            fh.write("%.17g" % t + text)
+    """t, then the row's values, one line per row and every value as "%.17g"
+    formats it, a block of rows at a time.  A row whose bits equal the previous
+    row's reuses its text."""
+    times = np.asarray(times, dtype=float)
+    table = np.ascontiguousarray(table, dtype=float)
+    width = table.shape[1]
+    template = b"".join([b",%.17g"] * width) + b"\n"
+    size = max(1, WRITE_BLOCK_BYTES // (_VALUE_BYTES * (width + 1)))
+    last = text = None   # the bits and text of the template's last row
+    with open(path, "wb") as fh:
+        fh.write((",".join(head) + "\n").encode())
+        for start in range(0, len(table), size):
+            rows, t = table[start:start + size], times[start:start + size]
+            keys = [row.tobytes() for row in rows]
+            new = list(map(ne, keys, [last] + keys[:-1]))
+            if sum(new) * width >= _BULK_MIN:
+                new[0] = True   # the block's own text starts at its first row
+                if (out := _bulk_lines(t, rows, np.array(new))) is not None:
+                    fh.write(out)
+                    continue
+            lines, stamps = [], (b"%.17g\0" * len(t) % tuple(t.tolist())).split(b"\0")   # t: one "%"
+            for stamp, row, changed in zip(stamps, rows, new):
+                if changed:
+                    text = template % tuple(row.tolist())
+                lines += stamp, text
+            fh.write(b"".join(lines))
+            last = keys[-1]
 
 
 def write_trajectory_csv(path: str, times, values, prefix: str = "x") -> None:

@@ -98,6 +98,12 @@ class CountState:
         return CountState(counts=base.astype(np.int64), N=N)
 
 
+def _check_grid(state: CountState, cfg: GameConfig) -> None:
+    if state.counts.shape != (cfg.n, cfg.m):
+        raise ValueError(f"counts of shape {state.counts.shape} do not match the grid's "
+                         f"{(cfg.n, cfg.m)}")
+
+
 class Transition(NamedTuple):
     src: tuple
     dst: tuple
@@ -138,6 +144,7 @@ def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
 
 def enumerate_transitions(state: CountState, u, cfg: GameConfig) -> List[Transition]:
     """All currently possible single-agent moves with their total rates."""
+    _check_grid(state, cfg)
     n, m = cfg.n, cfg.m
     target = control_pieces(u, 1, n, m)[0][2]
     src, dst, coeff, partner = _build_channels(cfg, target, state.N)
@@ -211,6 +218,7 @@ def simulate(
             raise ValueError(f"seed must be a nonnegative integer, got {s}")
     if record_events and len(seeds) > 1:
         raise ValueError("record_events needs a single seed")
+    _check_grid(s0, cfg)
     n, m = cfg.n, cfg.m
     pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
               for a, b, target in control_pieces(u, samples, n, m)]

@@ -3,16 +3,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import hbmfg
+import hbmfg.io as hio
 from hbmfg import Control, GameConfig, Regime, SinkRates, solve_mfg, stationary_solution
 from hbmfg.cli import run as cli_run
 from hbmfg.io import (
@@ -311,6 +316,129 @@ def test_csv_rows_are_fmt_joined(tmp_path):
     for k, line in enumerate(q.read_text().splitlines()[1:]):
         assert line == ",".join(fmt(v) for v in [times[k], *vals[k].ravel(),
                                                  *vals[::-1][k].ravel()])
+
+
+def template_text(times, table) -> bytes:
+    """The CSV writer's oracle: every value through the "%.17g" template."""
+    return "".join("%.17g" % t + "".join(",%.17g" % v for v in row) + "\n"
+                   for t, row in zip(np.asarray(times, float).tolist(), table.tolist())).encode()
+
+
+def write_checked(monkeypatch, path, times, table) -> list:
+    """Write table (rows, width) as a trajectory CSV, check its lines against
+    the template, and return each block's row count, negative where the
+    block took the template."""
+    blocks, bulk = [], hio._bulk_lines
+
+    def spy(t, rows, new):
+        out = bulk(t, rows, new)
+        blocks.append(len(rows) if out is not None else -len(rows))
+        return out
+
+    monkeypatch.setattr(hio, "_bulk_lines", spy)
+    write_trajectory_csv(str(path), times, table[:, :, None])
+    assert path.read_bytes().split(b"\n", 1)[1] == template_text(times, table)
+    return blocks
+
+
+def bulk_table(values, width, rng) -> np.ndarray:
+    """values shuffled into rows of width, the last row padded with ones."""
+    pad = -len(values) % width
+    return rng.permutation(np.concatenate([values, np.ones(pad)])).reshape(-1, width)
+
+
+def test_bulk_csv_prints_powers_of_ten_and_their_neighbours(tmp_path, monkeypatch):
+    # every power of ten from 1e-9 to 1e18 with 40 doubles on each side, and
+    # the doubles next to each scaled value 10**16 - 0.5, 10**16, 10**17 - 0.5
+    # and 10**17 times 10**-p, where the decade and the 17 digits change
+    rng = np.random.default_rng(31)
+    powers = np.array([float(f"1e{k}") for k in range(-9, 19)])
+    near = [Decimal(d) / 10 ** p for p in range(23)
+            for d in ("9999999999999999.5", "1e16", "99999999999999999.5", "1e17")]
+    near = np.array([float(d) for d in near] + [1e-6])
+    steps = np.arange(-40, 41)
+    values = np.concatenate([(powers.view(np.int64)[:, None] + steps).ravel(),
+                             (near.view(np.int64)[:, None] + steps[37:44]).ravel()]).view(float)
+    table = bulk_table(np.concatenate([values, -values]), 50, rng)
+    blocks = write_checked(monkeypatch, tmp_path / "p.csv", np.arange(len(table)) * 0.05, table)
+    assert len(blocks) >= 3 and min(blocks) > 0
+
+
+def test_bulk_csv_prints_random_bit_patterns(tmp_path, monkeypatch):
+    # 10**5 random doubles over the whole range (subnormals, nan and inf
+    # included), 30 to a row of 100 so that rows mix both routes
+    rng = np.random.default_rng(37)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1.7976931348623157e308, 1e17, 99999999999999984.0, 1e-6, 1.0000000000000002e-06]
+    bits = np.concatenate([special, rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(float)])
+    rows = -(-len(bits) // 30)
+    table = rng.normal(size=(rows, 100)) * 10.0 ** rng.integers(-5, 16, (rows, 100))
+    table[:, rng.permutation(100)[:30]] = np.resize(bits, (rows, 30))
+    blocks = write_checked(monkeypatch, tmp_path / "bits.csv", rng.normal(size=rows), table)
+    assert len(blocks) >= 3 and min(blocks) > 0
+
+
+def test_bulk_csv_rounds_exact_ties_half_to_even(tmp_path, monkeypatch):
+    # k * 2**-(p + 1) with k odd lies exactly halfway between two 17-digit
+    # decimals when k * 5**p has 17 digits: the 18th digit is a 5 and nothing
+    # follows; "%.17g" rounds it to the even digit
+    rng = np.random.default_rng(41)
+    ties = []
+    for p in range(1, 23):
+        lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+        if lo < hi:
+            ties += [math.ldexp(k, -(p + 1)) for k in (rng.integers(lo, hi, 300) | 1).tolist()]
+    for v in ties[::30]:
+        x = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
+        assert x - math.floor(x) == Fraction(1, 2)
+    table = bulk_table(np.array(ties) * rng.choice([-1.0, 1.0], len(ties)), 40, rng)
+    blocks = write_checked(monkeypatch, tmp_path / "ties.csv", np.arange(len(table)) / 3, table)
+    assert len(blocks) >= 3 and min(blocks) > 0
+
+
+def test_bulk_csv_reuses_rows_across_block_edges(tmp_path, monkeypatch):
+    # row counts one short of a block, a block and one more (whose last row
+    # alone is too few values for bulk formatting); then runs of equal rows
+    # across block edges: bulk to bulk, and of nan; two blocks of values out
+    # of range (the template's), the second opening with the first one's
+    # first row; the template's last row opening a bulk block; two blocks of
+    # one repeated row (the template's), the first closing on another row;
+    # and rows equal under == but not bit for bit (0.0 and -0.0), all
+    # against the template
+    rng = np.random.default_rng(43)
+    table = rng.normal(size=(400, 100))
+    size = write_checked(monkeypatch, tmp_path / "a.csv", np.arange(400.0), table)[0]
+    for rows in (size - 1, size, size + 1):
+        blocks = write_checked(monkeypatch, tmp_path / "b.csv", np.arange(rows) * 0.1, table[:rows])
+        assert blocks == [min(rows, size)]
+    table[size - 3:size + 2] = table[size - 3]
+    table[size + 2:3 * size] *= 1e-20
+    table[2 * size] = table[size]
+    table[3 * size:3 * size + 3] = table[3 * size - 1]
+    table[5 * size - 1:5 * size + 1] = np.nan
+    table[6 * size + 5:6 * size + 9] = [[0.0], [-0.0], [-0.0], [0.0]]
+    table[8 * size:10 * size] = table[8 * size]
+    table[9 * size - 1] = table[0]
+    blocks = write_checked(monkeypatch, tmp_path / "c.csv", np.arange(400.0), table)
+    assert blocks[1] < 0 and blocks[2] < 0 < min(blocks[:1] + blocks[3:]) and len(blocks) >= 7
+
+
+def test_csv_writer_memory_stays_within_its_block(tmp_path):
+    # tracemalloc sees numpy's buffers: 4000 rows cost what 1000 do, once a
+    # first table has loaded the bulk formatter and its tables
+    rng = np.random.default_rng(47)
+    write_trajectory_csv(str(tmp_path / "g.csv"), np.arange(100.0), rng.uniform(size=(100, 10, 10)))
+    peaks = []
+    for rows in (1000, 4000):
+        times, g = np.arange(rows) * 0.05, rng.uniform(-30.0, 30.0, (rows, 10, 10))
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(str(tmp_path / "g.csv"), times, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4096
+    assert max(peaks) < hio.WRITE_BLOCK_BYTES
 
 
 def test_manifest_is_deterministic(tmp_path):

@@ -77,6 +77,24 @@ def test_from_occupation_rounds_a_mass_just_above_one():
     npt.assert_array_equal(s.counts, [[10**12], [0]])
 
 
+@pytest.mark.parametrize("seed", [3, [3, 4]])
+def test_simulate_refuses_counts_not_of_the_grid(seed):
+    # 2 x 2 counts on the 3 x 3 example: the scalar and the lockstep loop
+    # failed with numpy's broadcast error before
+    cfg = read_config(EXAMPLE)
+    s0 = CountState.from_occupation(np.full((2, 2), 0.25), 100)
+    with pytest.raises(ValueError, match=r"counts of shape \(2, 2\) do not match the grid's \(3, 3\)"):
+        simulate(s0, None, 1.0, seed, cfg, samples=4)
+
+
+def test_enumerate_transitions_refuses_counts_not_of_the_grid():
+    # a bare IndexError before: the channel table indexes the example's 9 cells
+    cfg = read_config(EXAMPLE)
+    s0 = CountState.from_occupation(np.full((2, 2), 0.25), 100)
+    with pytest.raises(ValueError, match=r"counts of shape \(2, 2\) do not match the grid's \(3, 3\)"):
+        enumerate_transitions(s0, None, cfg)
+
+
 def test_count_state_refuses_populations_past_2_53():
     # counts are exact as float64 only up to 2**53, in the rounding and in the
     # lockstep loop; past it the refusal comes first, before any numpy warning
