@@ -32,6 +32,7 @@ from .io import (
     read_config_doc,
     read_state_csv,
     write_aggregate_csv,
+    write_chunks,
     write_json,
     write_manifest,
     write_state_csv,
@@ -102,7 +103,7 @@ def _initial_occupation(x0, cfg) -> np.ndarray:
     return Occupation.uniform(cfg.n, cfg.m).x
 
 
-def _run_validate(config: str, out: str):
+def _run_validate(config: str, out: str, written: dict):
     try:
         cfg = read_config(config)
         violations = validate(cfg)
@@ -110,12 +111,12 @@ def _run_validate(config: str, out: str):
         violations = [str(e)]
     ok = not violations
     write_json(os.path.join(out, "validation.json"),
-               {"ok": ok, "violations": violations})
+               {"ok": ok, "violations": violations}, written)
     summary = {"cmd": "validate", "ok": ok, "violations": len(violations), "out": out}
     return (0 if ok else 1), summary
 
 
-def _run_stationary(config: str, out: str, regime=None, delta=None):
+def _run_stationary(config: str, out: str, written: dict, regime=None, delta=None):
     cfg = read_config(config)
     overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
     if overrides:  # the new config derives delta_int and delta_dis afresh
@@ -136,14 +137,14 @@ def _run_stationary(config: str, out: str, regime=None, delta=None):
         "g1": sol.g1,
         "g2": sol.g2,
         "g": sol.g,
-    })
-    write_state_csv(os.path.join(out, "x_star.csv"), sol.x_corrected)
+    }, written)
+    write_state_csv(os.path.join(out, "x_star.csv"), sol.x_corrected, written=written)
     summary = {"cmd": "stationary", "b": sol.b_1based, "margin": sol.margin,
                "margin_leading": sol.margin_leading, "out": out}
     return 0, summary
 
 
-def _run_stability(config: str, out: str):
+def _run_stability(config: str, out: str, written: dict):
     cfg = _require_valid(read_config(config))
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
@@ -158,14 +159,15 @@ def _run_stability(config: str, out: str):
         "tol_zero": rep.tol_zero,
         "d_block": {"max_abs_diff": cmp_["max_abs_diff"], "agree": cmp_["agree"]},
         "rate_ordering": rate_ordering_check(cfg),
-    })
+    }, written)
     summary = {"cmd": "stability", "zero": rep.zero_count,
                "negative": rep.negative_count, "positive": rep.positive_count,
                "out": out}
     return 0, summary
 
 
-def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_iter=50):
+def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, gT=None,
+               max_iter=50):
     cfg = _require_valid(read_config(config))
     horizon = float(T) if T is not None else default_horizon(cfg)
     step = float(dt) if dt is not None else default_dt(cfg)
@@ -173,14 +175,14 @@ def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_ite
 
     res = solve_mfg(_initial_occupation(x0, cfg), g_end, horizon, step, cfg, max_iter=max_iter)
     traj = res.trajectory
-    write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, prefix="x")
-    write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, prefix="g")
+    write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, "x", written)
+    write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, "g", written)
     # one change point per control piece, its switching cells as 1-based [level, from, to]
     stay = np.arange(cfg.m)
     write_json(os.path.join(out, "controls.json"), {"steps": traj.u.n_steps, "change_points": [
         {"t": float(traj.times[k]),
          "active": [[i + 1, a + 1, int(u[i, a]) + 1] for i, a in zip(*np.nonzero(u != stay))]}
-        for k, u in zip(traj.u.starts.tolist(), traj.u.targets)]})
+        for k, u in zip(traj.u.starts.tolist(), traj.u.targets)]}, written)
 
     turnpike = None
     try:
@@ -206,14 +208,14 @@ def _run_solve(config: str, out: str, T=None, dt=None, x0=None, gT=None, max_ite
             for (t, i, a, b, gain) in res.cone_violations[:20]
         ],
         "turnpike": turnpike,
-    })
+    }, written)
     summary = {"cmd": "solve", "converged": res.converged,
                "iterations": res.iterations,
                "cone_worst": res.meta["cone_worst"], "out": out}
     return (0 if res.converged else 2), summary
 
 
-def _run_simulate(config: str, out: str, N, T, reps=1, seed=0, samples=50,
+def _run_simulate(config: str, out: str, written: dict, N, T, reps=1, seed=0, samples=50,
                   per_rep=False, x0=None):
     cfg = _require_valid(read_config(config))
     if N < 1 or reps < 1:
@@ -227,18 +229,18 @@ def _run_simulate(config: str, out: str, N, T, reps=1, seed=0, samples=50,
     else:
         stderr = np.zeros_like(mean)
     write_aggregate_csv(os.path.join(out, "aggregate.csv"),
-                        paths[0].times, mean, stderr)
+                        paths[0].times, mean, stderr, written)
     if per_rep:
         for r, p in enumerate(paths):
             write_trajectory_csv(os.path.join(out, f"rep_{r:03d}.csv"),
-                                 p.times, p.x, prefix="x")
+                                 p.times, p.x, "x", written)
     events_per_rep = [p.events for p in paths]
     events = sum(events_per_rep)
     write_json(os.path.join(out, "simulate.json"), {
         "N": int(N), "T": float(T), "replications": int(reps),
         "samples": int(samples), "seed": int(seed), "events": events,
         "events_per_rep": events_per_rep, "rng": paths[0].meta["rng"],
-    })
+    }, written)
     summary = {"cmd": "simulate", "N": int(N), "replications": int(reps),
                "events": events, "out": out}
     return 0, summary
@@ -290,7 +292,7 @@ _SWEEP_OPS = {
 }
 
 
-def _run_sweep(config: str, out: str, param: str, values: list[str], op: str):
+def _run_sweep(config: str, out: str, written: dict, param: str, values: list[str], op: str):
     base = read_config_doc(config)
     tokens = param.split(".")
     vals = [_parse_sweep_value(v) for v in values]
@@ -306,18 +308,17 @@ def _run_sweep(config: str, out: str, param: str, values: list[str], op: str):
         sub = os.path.join(out, f"val_{k}")
         os.makedirs(sub, exist_ok=True)
         sub_cfg = os.path.join(sub, "config.json")
-        with open(sub_cfg, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_chunks(sub_cfg, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()],
+                     written)
         try:
-            code, summary = _SWEEP_OPS[op](sub_cfg, sub)
+            code, summary = _SWEEP_OPS[op](sub_cfg, sub, written)
         except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
             code, summary = _exit_code(e), {"error": str(e)}
         results.append({"value": val, "dir": f"val_{k}",
                         "status": code, "summary": summary})
         worst = max(worst, code)
     write_json(os.path.join(out, "sweep.json"),
-               {"param": param, "op": op, "values": vals, "results": results})
+               {"param": param, "op": op, "values": vals, "results": results}, written)
     summary = {"cmd": "sweep", "runs": len(vals),
                "failed": sum(1 for r in results if r["status"] != 0), "out": out}
     return worst, summary
@@ -381,8 +382,9 @@ def run(argv=None) -> int:
     opts = vars(args)
     cmd, handler = opts.pop("cmd"), opts.pop("handler")
     out = opts["out"] = _outdir(opts["out"])
+    written = {}   # each file the run writes, with the SHA-256 of its bytes
     try:
-        code, summary = handler(**opts)
+        code, summary = handler(written=written, **opts)
     except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
         code = _exit_code(e)
         print(f"hbmfg {cmd}: {'numerical failure: ' if code == 2 else ''}{e}",
@@ -391,13 +393,13 @@ def run(argv=None) -> int:
         if code == 1:  # a rejected input leaves no artifacts behind
             _emit(summary)
             return 1
-        write_json(os.path.join(out, "error.json"), {"cmd": cmd, "error": str(e)})
+        write_json(os.path.join(out, "error.json"), {"cmd": cmd, "error": str(e)}, written)
 
     try:
         cfg_hash = config_sha256(opts["config"])
     except OSError:
         cfg_hash = None
-    write_manifest(out, ["hbmfg"] + argv, cfg_hash, __version__)
+    write_manifest(out, ["hbmfg"] + argv, cfg_hash, __version__, written)
     _emit(summary)
     return code
 

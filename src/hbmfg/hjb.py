@@ -11,11 +11,15 @@ the adjoint of Moves.generator, the level chain of the forward flow.  The
 switch term plays either a given model.Control, one gain per piece, or the
 best response, which integrate_backward returns as a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
-for a run of equal occupation nodes.  Inside the no-switch cone, where the
-payoff spread less the smallest switch fee bounds every gain by SWITCH_TOL,
-the switch term is exactly zero.  One rule uses that, per step: after a
-step whose four stage inputs lay in the cone together, the next step is
-bare RK4 arithmetic, kept when its own four inputs lie in the cone too.
+for a held run of occupation nodes equal in bits, which is stepped in long
+blocks.  Inside the no-switch cone, where the payoff spread less the
+smallest switch fee bounds every gain by SWITCH_TOL, the switch term is
+exactly zero.  One rule uses that, per step: after a step whose four stage
+inputs lay in the cone together, the next step is bare RK4 arithmetic, kept
+when its own four inputs lie in the cone too.  After the sweep, one pass
+over the nodes gives the best responses and the cone scan.  It first finds
+the largest gain column pair by column pair; below 0, every target stays
+and no gain tensor is built.
 """
 from __future__ import annotations
 
@@ -37,8 +41,9 @@ __all__ = [
 SWITCH_TOL = 1e-12
 # States with occupation above this count as occupied for consistency checks.
 OCCUPIED_TOL = 1e-9
-# Per-step payoff operators, with the arrays that assemble them, and the node
-# pass's switch gains are built a block at a time in about this many bytes.
+# Per-step payoff operators, with the arrays that assemble them, a held run's
+# nodes, and the node pass's switch gains and column-pair differences are
+# built a block at a time in about this many bytes.
 BLOCK_BYTES = 1 << 17
 # Profitable switches the node pass lists before truncation (all are counted).
 VIOLATION_CAP = 1000
@@ -89,6 +94,42 @@ def _block_steps(cfg: GameConfig) -> int:
     # a step's generator and operator hold n values per state each; its
     # rates and constant about 8 more
     return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (2 * cfg.n + 8)))
+
+
+def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
+    """The payoff pass's blocks of steps, from n_steps down to 0, as (lo, hi,
+    M, c): steps lo..hi-1 and their operators, one per step or one for all.
+
+    A held run, _block_steps or more steps whose end nodes are all equal in
+    bits (the forward fill, a fixed occupation; the whole path when x_nodes
+    is None), shares one operator, built from 0.5 * (v + v) as each of its
+    steps' mean nodes is, and goes in blocks of run_size steps.  The steps
+    between held runs go in blocks of _block_steps, one operator per step.
+    """
+    size = _block_steps(cfg)
+    if x_nodes is None:
+        runs = [(0, n_steps)]
+    else:
+        bits = x_nodes.view(np.int64)
+        held = np.zeros(n_steps + 2, dtype=bool)   # held[k + 1]: step k's nodes are equal
+        chunk = max(1, BLOCK_BYTES // (cfg.n * cfg.m))   # the compare's bools
+        for lo in range(0, n_steps, chunk):
+            hi = min(lo + chunk, n_steps)
+            held[lo + 1:hi + 1] = (bits[lo + 1:hi + 1] == bits[lo:hi]).all(axis=(1, 2))
+        edges = np.flatnonzero(held[1:] != held[:-1]).reshape(-1, 2).tolist()
+        runs = [(a, b) for a, b in edges if b - a >= size]
+    top = n_steps
+    for a, b in reversed([(0, 0)] + runs):   # each held run [a, b) and the steps above it
+        for hi in range(top, b, -size):
+            lo = max(b, hi - size)
+            mean = 0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1])
+            yield (lo, hi, *_payoff_operators(mean, cfg))
+        if a < b:
+            v = None if x_nodes is None else x_nodes[b:b + 1]
+            M, c = _payoff_operators(None if v is None else 0.5 * (v + v), cfg)
+            for hi in range(b, a, -run_size):
+                yield max(a, hi - run_size), hi, M, c
+        top = a
 
 
 def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
@@ -175,27 +216,55 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     return _best_targets(gains, gains.max(axis=-1))
 
 
+def _cone_worst(gs: np.ndarray, cfg: GameConfig) -> float:
+    """The largest switch gain on a payoff path, a column pair at a time: for
+    each (from j, to k), the largest g[..., k] - g[..., j] over nodes and
+    levels, less switch_fee[j, k]; then the largest over pairs (-inf when
+    m == 1).  x -> fl(x - fee) is monotone, so this is the largest entry of
+    switch_gains over the path, bit for bit, up to the sign of a zero.
+    """
+    m = cfg.m
+    rows = gs.reshape(-1, m)
+    size = max(1, BLOCK_BYTES // (16 * m))   # the block's columns and one difference
+    spread = np.full((m, m), -np.inf)   # spread[j, k]: the largest g[..., k] - g[..., j]
+    cols, diff = np.empty((2, m, min(size, len(rows))))
+    for lo in range(0, len(rows), size):
+        block = rows[lo:lo + size]
+        c, d = cols[:, :len(block)], diff[:, :len(block)]
+        c[...] = block.T
+        for j in range(m):
+            np.maximum(spread[j], np.subtract(c, c[j], out=d).max(axis=1), out=spread[j])
+    return float((spread - cfg.switch_fee).max())
+
+
 def _node_pass(times: np.ndarray, gs: np.ndarray, cfg: GameConfig):
     """Best response at every node of a payoff path, and its profitable switches.
 
-    Runs over the path in blocks of nodes whose gains, about m + 4 values
-    per state with the maxima, targets and hits, fit in BLOCK_BYTES.
     Returns u, with u[k] = optimal_control(gs[k]), and the cone scan:
     cone_worst, the largest switch gain on the path (-inf when m == 1);
     violations, the number of (node, level, from, to) switches with a
     positive gain; violations_head, the first VIOLATION_CAP of them as
-    (t, level, from, to, gain).
+    (t, level, from, to, gain).  _cone_worst comes first: below 0, every
+    target stays and nothing is profitable, so no gain tensor is built.
+    Otherwise a pass over the path in blocks of nodes whose gains, about
+    m + 4 values per state with the maxima, targets and hits, fit in
+    BLOCK_BYTES gives all of them.
     """
     n, m = cfg.n, cfg.m
+    stay = np.arange(m, dtype=np.min_scalar_type(m - 1))   # targets lie in [0, m)
+    worst = _cone_worst(gs, cfg)
+    if worst < 0.0:
+        return np.broadcast_to(stay, gs.shape), {"cone_worst": worst, "violations": 0,
+                                                 "violations_head": []}
     size = max(1, BLOCK_BYTES // (8 * n * m * (m + 4)))
-    us = np.empty(gs.shape, dtype=np.min_scalar_type(m - 1))   # targets lie in [0, m)
+    us = np.empty(gs.shape, dtype=stay.dtype)
     worst, count, head = float("-inf"), 0, []
     for lo in range(0, len(gs), size):
         gains = switch_gains(gs[lo:lo + size], cfg)
         best = gains.max(axis=-1)
         top = float(best.max())
         # no gain above SWITCH_TOL: every target stays, no argmax needed
-        us[lo:lo + size] = np.arange(m) if top <= SWITCH_TOL else _best_targets(gains, best)
+        us[lo:lo + size] = stay if top <= SWITCH_TOL else _best_targets(gains, best)
         worst = max(worst, top)
         if top > 0.0:
             hits = gains > 0.0
@@ -246,9 +315,11 @@ def integrate_backward(
     switch term, and its inputs decide the next step.  With lam negative,
     nan or inf no step is kept bare.  meta["cone_steps"] counts those kept.
     Each step's switch-free flow is hjb_rhs's affine map, built for a block
-    of steps at a time within BLOCK_BYTES, and once for a run of blocks
-    whose nodes are all equal in bits.  Finiteness is checked once per
-    block and reported at the first step, in reversed time, that failed.
+    of steps at a time within BLOCK_BYTES.  A held run, at least a block of
+    steps whose end nodes are all equal in bits, shares one map and is
+    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.
+    Finiteness is checked once per block and reported at the first step, in
+    reversed time, that failed.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone scan of the path: cone_worst,
@@ -288,20 +359,9 @@ def integrate_backward(
         return float(Y.max()) - float(Y.min()) - fee_min <= SWITCH_TOL
 
     bare, cone_steps = optimizing, 0   # bare: the last step's inputs lay in the cone
-    size = _block_steps(cfg)
-    # held: M, c are one constant run's.  Blocks in a row share a node, so two
-    # constant blocks in a row hold the same bits.
-    held, bits = False, None if x_nodes is None else x_nodes.view(np.int64)
-    cols = np.empty((min(size, n_steps), m, n, 1))   # the block's nodes, by column
-    for hi in range(n_steps, 0, -size):
-        lo = max(0, hi - size)
-        if bits is not None and not (bits[lo:hi + 1] == bits[hi]).all():
-            M, c = _payoff_operators(0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1]), cfg)
-            held = False
-        elif not held:   # every step's mean node, bit for bit: one operator
-            v = None if bits is None else x_nodes[hi:hi + 1]
-            M, c = _payoff_operators(None if v is None else 0.5 * (v + v), cfg)
-            held = True
+    run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
+    cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
+    for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(hi - 1, lo - 1, -1):
                 j = k - lo if len(M) > 1 else 0

@@ -8,8 +8,11 @@ row-major with 1-based labels (x_1_1 ... x_n_m); every float is written
 byte for byte as '%.17g' % v writes it, so values round-trip exactly.
 Large blocks of rows are formatted in bulk by numpy (bulkfmt); the '%'
 template formats the rest, and is the fallback and the tests' oracle.
-Every output directory gets a manifest.json listing relative paths and
-content hashes; no timestamps, so identical runs produce identical bytes.
+Every writer takes an optional dict, written, which gets each path it
+writes with the SHA-256 of the bytes written.  A run's manifest.json lists
+those files by relative path with their hashes, so a file already in the
+output directory is not listed; no timestamps, so identical runs produce
+identical bytes.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ __all__ = [
     "config_sha256",
     "fmt",
     "jsonable",
+    "write_chunks",
     "write_json",
     "write_trajectory_csv",
     "write_state_csv",
@@ -197,10 +201,21 @@ def jsonable(obj):
     return obj
 
 
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def write_chunks(path: str, chunks, written: dict | None = None) -> None:
+    """Write the chunks of bytes to path in turn; written, if given, gets path
+    with the SHA-256 of all of them."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in chunks:
+            fh.write(data)
+            digest.update(data)
+    if written is not None:
+        written[path] = digest.hexdigest()
+
+
+def write_json(path: str, obj, written: dict | None = None) -> None:
+    text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_chunks(path, [text.encode()], written)
 
 
 def _state_labels(prefix: str, n: int, m: int) -> list:
@@ -246,47 +261,49 @@ def _bulk_lines(t, rows, new) -> bytes | None:
     return b"".join(pieces)
 
 
-def _write_rows(path: str, head: list, times, table: np.ndarray) -> None:
-    """t, then the row's values, one line per row and every value as "%.17g"
-    formats it, a block of rows at a time.  A row whose bits equal the previous
-    row's reuses its text."""
+def _row_lines(head: list, times, table: np.ndarray):
+    """The header, then t and the row's values, one line per row and every
+    value as "%.17g" formats it, as bytes a block of rows at a time.  A row
+    whose bits equal the previous row's reuses its text."""
     times = np.asarray(times, dtype=float)
     table = np.ascontiguousarray(table, dtype=float)
     width = table.shape[1]
     template = b"".join([b",%.17g"] * width) + b"\n"
     size = max(1, WRITE_BLOCK_BYTES // (_VALUE_BYTES * (width + 1)))
     last = text = None   # the bits and text of the template's last row
-    with open(path, "wb") as fh:
-        fh.write((",".join(head) + "\n").encode())
-        for start in range(0, len(table), size):
-            rows, t = table[start:start + size], times[start:start + size]
-            keys = [row.tobytes() for row in rows]
-            new = list(map(ne, keys, [last] + keys[:-1]))
-            if sum(new) * width >= _BULK_MIN:
-                new[0] = True   # the block's own text starts at its first row
-                if (out := _bulk_lines(t, rows, np.array(new))) is not None:
-                    fh.write(out)
-                    continue
-            lines, stamps = [], (b"%.17g\0" * len(t) % tuple(t.tolist())).split(b"\0")   # t: one "%"
-            for stamp, row, changed in zip(stamps, rows, new):
-                if changed:
-                    text = template % tuple(row.tolist())
-                lines += stamp, text
-            fh.write(b"".join(lines))
-            last = keys[-1]
+    yield (",".join(head) + "\n").encode()
+    for start in range(0, len(table), size):
+        rows, t = table[start:start + size], times[start:start + size]
+        keys = [row.tobytes() for row in rows]
+        new = list(map(ne, keys, [last] + keys[:-1]))
+        if sum(new) * width >= _BULK_MIN:
+            new[0] = True   # the block's own text starts at its first row
+            if (out := _bulk_lines(t, rows, np.array(new))) is not None:
+                yield out
+                continue
+        lines, stamps = [], (b"%.17g\0" * len(t) % tuple(t.tolist())).split(b"\0")   # t: one "%"
+        for stamp, row, changed in zip(stamps, rows, new):
+            if changed:
+                text = template % tuple(row.tolist())
+            lines += stamp, text
+        yield b"".join(lines)
+        last = keys[-1]
 
 
-def write_trajectory_csv(path: str, times, values, prefix: str = "x") -> None:
+def write_trajectory_csv(path: str, times, values, prefix: str = "x",
+                         written: dict | None = None) -> None:
     """times (T,) and values (T, n, m) to CSV: t, then states row-major."""
     values = np.asarray(values, dtype=float)
     n, m = values.shape[1], values.shape[2]
-    _write_rows(path, ["t"] + _state_labels(prefix, n, m), times, values.reshape(len(values), -1))
+    head = ["t"] + _state_labels(prefix, n, m)
+    write_chunks(path, _row_lines(head, times, values.reshape(len(values), -1)), written)
 
 
-def write_state_csv(path: str, state, prefix: str = "x", t: float = 0.0) -> None:
+def write_state_csv(path: str, state, prefix: str = "x", t: float = 0.0,
+                    written: dict | None = None) -> None:
     """Single state matrix as a one-row trajectory CSV."""
     a = np.asarray(state, dtype=float)
-    write_trajectory_csv(path, [t], a[None, :, :], prefix=prefix)
+    write_trajectory_csv(path, [t], a[None, :, :], prefix=prefix, written=written)
 
 
 def read_state_csv(path: str, n: int, m: int) -> np.ndarray:
@@ -321,12 +338,12 @@ def read_state_csv(path: str, n: int, m: int) -> np.ndarray:
     return state
 
 
-def write_aggregate_csv(path: str, times, means, stderrs) -> None:
+def write_aggregate_csv(path: str, times, means, stderrs, written: dict | None = None) -> None:
     """Replication means and standard errors on the output grid."""
     n, m = np.shape(means)[1:]
     head = ["t"] + _state_labels("mean_x", n, m) + _state_labels("stderr_x", n, m)
     table = np.concatenate([means, stderrs], axis=1, dtype=float)
-    _write_rows(path, head, times, table.reshape(len(table), -1))
+    write_chunks(path, _row_lines(head, times, table.reshape(len(table), -1)), written)
 
 
 def _sha256_file(path: str) -> str:
@@ -337,16 +354,13 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: str, command: list, config_hash: str, version: str) -> str:
-    """Hash every artifact in out_dir into manifest.json (relative paths only)."""
-    files = {}
-    for root, _dirs, names in os.walk(out_dir):
-        for name in sorted(names):
-            if name == "manifest.json":
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir).replace(os.sep, "/")
-            files[rel] = _sha256_file(full)
+def write_manifest(out_dir: str, command: list, config_hash: str, version: str,
+                   written: dict) -> str:
+    """manifest.json in out_dir: the command, the config's hash, the version and
+    the files the writers recorded in written, by path relative to out_dir,
+    each with the SHA-256 of the bytes written.  Nothing is read back."""
+    files = {os.path.relpath(path, out_dir).replace(os.sep, "/"): digest
+             for path, digest in written.items()}
     manifest = {
         "command": list(command),
         "config_sha256": config_hash,

@@ -221,11 +221,18 @@ class TurnpikeMetrics:
     switch_fraction: float
 
 
+def _sup_distance(path: np.ndarray, point: np.ndarray) -> np.ndarray:
+    # one buffer: the difference, made absolute in place, then a row maximum
+    d = np.subtract(path, point)
+    np.abs(d, out=d)
+    return d.reshape(len(d), -1).max(axis=1)
+
+
 def turnpike_metrics(result: MfgSolveResult, cfg: GameConfig) -> TurnpikeMetrics:
     sol = stationary_solution(cfg)
     traj = result.trajectory
-    d0 = np.max(np.abs(traj.x - sol.x0.x), axis=(1, 2))
-    gd = np.max(np.abs(traj.g - sol.g), axis=(1, 2))
+    d0 = _sup_distance(traj.x, sol.x0.x)
+    gd = _sup_distance(traj.g, sol.g)
     t0, t1 = traj.times[0], traj.times[-1]
     middle = (traj.times >= t0 + 0.1 * (t1 - t0)) & (traj.times <= t0 + 0.9 * (t1 - t0))
     return TurnpikeMetrics(

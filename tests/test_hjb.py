@@ -268,34 +268,50 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
 
 
 def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
-    # each piece of a two-piece control settles on its own fixed point, bit
-    # for bit, part way through the piece (the stay piece after 242 steps, the
-    # circulating one after about 250).  With interaction on, the two fixed
-    # points give different payoff operators, so an operator reused past a
-    # change of node bits would show; without it the operator would not
-    # depend on the nodes.  Small blocks make each constant run span several.
-    monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", 1 << 13)
+    # each piece of a three-piece control settles on its own fixed point, bit
+    # for bit, part way through the piece, so held runs of about 270 steps
+    # alternate with moving steps.  With interaction on, the two fixed points
+    # give different payoff operators, so an operator reused past a change of
+    # node bits would show; without it the operator would not depend on the
+    # nodes.  At 8 KB each held run spans two held blocks and each moving
+    # stretch many operator blocks (at 4 KB the node compare also takes two
+    # chunks); at the default a held run is still at least one operator block
+    # long, so it shares one operator.
+    # The fees let the optimizing pass leave the cone near T and come back.
     rng = np.random.default_rng(1)
-    cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=0.2, delta=0.3)
+    cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=1.5, delta=0.3)
     x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
     stay, circulate = np.tile(np.arange(2), (3, 1)), np.array([[1, 1], [0, 1], [0, 0]])
-    steps, h = 600, 0.2
-    fwd = integrate_forward(x0, Control([0, 300], [stay, circulate], steps), 0.0, steps * h, h, cfg)
-    x_path, bits, size = fwd.x, fwd.x.view(np.int64), _block_steps(cfg)
-    constant = [hi for hi in range(steps, 0, -size)
-                if (bits[max(0, hi - size):hi + 1] == bits[hi]).all()]
-    assert sum(hi <= 300 for hi in constant) >= 2 and sum(hi - size >= 300 for hi in constant) >= 2
-    assert (bits[300] != bits[steps]).any() and cfg.delta_int > 0.0
+    steps, h = 1200, 0.4
+    fwd = integrate_forward(x0, Control([0, 400, 800], [stay, circulate, stay], steps),
+                            0.0, steps * h, h, cfg)
+    x_path, bits = fwd.x, fwd.x.view(np.int64)
+    held = np.concatenate(([False], (bits[1:] == bits[:-1]).all(axis=(1, 2)), [False]))
+    runs = np.flatnonzero(held[1:] != held[:-1]).reshape(-1, 2)
+    assert [b for a, b in runs] == [400, 800, 1200] and (runs[:, 0] % 400 > 100).all()
+    lengths = runs[:, 1] - runs[:, 0]
+    assert ((1 << 13) // (8 * cfg.n * cfg.m) < lengths).all()   # at 8 KB: two held blocks
+    assert (bits[400] != bits[800]).any() and cfg.delta_int > 0.0
     gT = rng.normal(size=(cfg.n, cfg.m))
     stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
-    fixed = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, control=Control.of_steps(stack))
-    assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
-    free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
-    assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
-    best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
-    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
-    assert np.array_equal(best.g, g)
-    assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+    fixed_g = backward_loop(gT, x_path, stack, h, cfg)[0]
+    free_g = backward_loop(gT, x_path, [None] * steps, h, cfg)[0]
+    inputs = []
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
+    kept = steps_kept_bare(inputs, cfg)
+    assert 0 < sum(kept) < steps and not kept[0] and len(Control.of_steps(firsts).starts) > 1
+    for block in (1 << 12, 1 << 13, BLOCK_BYTES):
+        monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
+        assert _block_steps(cfg) <= lengths.min()   # each held run shares one operator
+        fixed = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg,
+                                   control=Control.of_steps(stack))
+        assert np.array_equal(fixed.g, fixed_g)
+        free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
+        assert np.array_equal(free.g, free_g)
+        best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
+        assert np.array_equal(best.g, g)
+        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+        assert best.meta["cone_steps"] == sum(kept)
 
 
 def steps_kept_bare(inputs, cfg):
@@ -381,6 +397,51 @@ def test_node_pass_equals_a_node_by_node_scan(monkeypatch):
     assert 0.0 < switch_gains(gs[11:22], cfg).max() <= SWITCH_TOL
     assert switch_gains(gs[22:33], cfg).max() == 0.0
     assert (u[11:33] == np.arange(cfg.m)).all() and hits[0][0] == times[11]
+
+
+def node_by_node(times, gs, cfg):
+    """_node_pass's results from switch_gains and optimal_control, one node at a time."""
+    hits, worst = [], float("-inf")
+    for t, g in zip(times, gs):
+        gains = switch_gains(g, cfg)
+        worst = max(worst, float(gains.max()))
+        hits += [(float(t), i, a, b, float(gains[i, a, b]))
+                 for i, a, b in np.argwhere(gains > 0.0).tolist()]
+    return [optimal_control(g, cfg) for g in gs], worst, hits
+
+
+def test_node_pass_builds_no_gain_tensor_only_below_zero(monkeypatch):
+    # the pair pass decides: a largest gain below 0 returns every target
+    # staying without the block pass, which alone calls switch_gains; a
+    # largest gain of exactly 0.0, or one in (0, SWITCH_TOL], falls through
+    cfg, _, rng, _ = stage_cases()[-2]
+    one = stage_cases()[9][0]
+    assert cfg.m == 10 and one.m == 1
+    monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", 1 << 13)
+    calls = []
+    monkeypatch.setattr(hbmfg.hjb, "switch_gains",
+                        lambda g, c: calls.append(len(g)) or switch_gains(g, c))
+    times = 0.5 * np.arange(100)
+    below = rng.uniform(0.0, 0.1, size=(100, cfg.n, cfg.m))
+    below[83, 4, 7] = 0.15   # the largest gain sits in a late row block
+    zero, tiny = np.zeros((2, 100, cfg.n, cfg.m))
+    zero[50, 1, 6] = cfg.fee_B[0, 6]
+    tiny[50, 5, 3] = cfg.fee_B[0, 3] + 4e-13
+    assert len(below) * cfg.n > 3 * (1 << 13) // (16 * cfg.m)   # rows over pair blocks
+    for c, gs, shortcut in ((cfg, below, True), (one, rng.normal(size=(100, one.n, 1)), True),
+                            (cfg, zero, False), (cfg, tiny, False)):
+        calls.clear()
+        u, scan = _node_pass(times, gs, c)
+        assert (not calls) == shortcut
+        want_u, worst, hits = node_by_node(times, gs, c)
+        npt.assert_array_equal(u, want_u)
+        assert u.dtype == np.uint8 and u.shape == gs.shape
+        assert scan["cone_worst"] == worst
+        assert scan["violations"] == len(hits) and scan["violations_head"] == hits
+        assert c.m > 1 or worst == float("-inf")
+    assert 0.0 < worst <= SWITCH_TOL and len(hits) == cfg.m - 1
+    assert node_by_node(times, below, cfg)[1] == switch_gains(below[83], cfg).max() < 0.0
+    assert node_by_node(times, zero, cfg)[1] == 0.0
 
 
 def test_integrate_backward_names_the_first_non_finite_step():

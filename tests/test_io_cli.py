@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -28,6 +29,7 @@ from hbmfg.io import (
     read_config,
     read_state_csv,
     write_aggregate_csv,
+    write_json,
     write_manifest,
     write_state_csv,
     write_trajectory_csv,
@@ -443,19 +445,22 @@ def test_csv_writer_memory_stays_within_its_block(tmp_path):
 
 def test_manifest_is_deterministic(tmp_path):
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "a.txt").write_text("alpha")
-    sub = out / "sub"
-    sub.mkdir()
-    (sub / "b.txt").write_text("beta")
-    write_manifest(str(out), ["hbmfg", "validate", "cfg.json"], "deadbeef", "0.1.0")
+    (out / "sub").mkdir(parents=True)
+    (out / "earlier.txt").write_text("left by an earlier run")
+    written = {}
+    write_json(str(out / "a.json"), {"alpha": 1.5}, written)
+    write_state_csv(str(out / "sub" / "b.csv"), np.eye(2), written=written)
+    write_manifest(str(out), ["hbmfg", "validate", "cfg.json"], "deadbeef", "0.1.0", written)
     first = (out / "manifest.json").read_bytes()
-    write_manifest(str(out), ["hbmfg", "validate", "cfg.json"], "deadbeef", "0.1.0")
+    write_manifest(str(out), ["hbmfg", "validate", "cfg.json"], "deadbeef", "0.1.0", written)
     assert (out / "manifest.json").read_bytes() == first
     doc = json.loads(first)
     assert doc["command"] == ["hbmfg", "validate", "cfg.json"]
     assert doc["config_sha256"] == "deadbeef"
-    assert set(doc["files"]) == {"a.txt", "sub/b.txt"}  # manifest itself excluded
+    # the manifest itself excluded, and so is the file this run did not write
+    assert set(doc["files"]) == {"a.json", "sub/b.csv"}
+    for rel, digest in doc["files"].items():
+        assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
     assert doc["version"] == hbmfg.__version__
 
 
@@ -480,6 +485,24 @@ def test_cli_validate_ok(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_sha256"] == config_sha256(EXAMPLE)
     assert "validation.json" in manifest["files"]
+
+
+def test_manifest_lists_only_the_files_its_run_wrote(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli(["stability", EXAMPLE, "--out", str(out)], capsys)[0] == 0
+    assert cli(["solve", EXAMPLE, "--out", str(out), "--T", "1", "--dt", "0.05"], capsys)[0] == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert sorted(files) == ["controls.json", "g.csv", "solve.json", "x.csv"]
+    assert (out / "stability.json").exists()
+    # a sweep lists each value's config and artifacts under its own directory
+    sweep = tmp_path / "s"
+    assert cli(["sweep", EXAMPLE, "--out", str(sweep), "--param", "scales.delta",
+                "--values", "0.1", "0.05", "--op", "validate"], capsys)[0] == 0
+    files = json.loads((sweep / "manifest.json").read_text())["files"]
+    assert sorted(files) == ["sweep.json"] + [f"val_{k}/{name}" for k in (0, 1)
+                                              for name in ("config.json", "validation.json")]
+    for rel, digest in files.items():
+        assert digest == hashlib.sha256((sweep / rel).read_bytes()).hexdigest()
 
 
 def test_cli_validate_flags_violations(tmp_path, capsys):

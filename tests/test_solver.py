@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +30,8 @@ from test_hjb import backward_loop, steps_kept_bare
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, steps_of, theorem_config
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
 
 def test_default_horizon_and_dt():
@@ -167,6 +172,24 @@ def test_example_solve_skips_only_near_the_horizon():
                                         cfg, inputs)[0], g)
     kept = steps_kept_bare(inputs, cfg)
     assert 0 < bwd.meta["cone_steps"] == sum(kept) <= near_t and all(kept[:sum(kept)])
+
+
+def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path, monkeypatch):
+    # the example's largest gain is positive, so its node pass builds the gain
+    # tensor; perfbench's seed-1 stay-put config has no gain above 0, so the
+    # pair pass alone gives its cone_worst
+    cfg = read_config(EXAMPLE)
+    x0 = Occupation.uniform(cfg.n, cfg.m).x
+    res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), default_horizon(cfg), default_dt(cfg), cfg)
+    assert res.meta["cone_worst"] == 1.5203133046333726 and res.meta["violations"] == 7369
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cfg = read_config(workloads.write_stayput_config(1, str(tmp_path)))
+    res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
+    assert res.meta["cone_worst"] == -26.344619424234665 and res.meta["violations"] == 0
+    assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
