@@ -6,13 +6,14 @@ manifest.json with content hashes, and prints a one-line JSON summary to
 stdout.  Exit codes: 0 success, 1 usage/validation/assumption failures,
 2 numerical failures (including a solve that does not converge).  A run
 stopped by a usage error or a rejected input writes nothing; one stopped by
-a numerical error writes error.json and the manifest.
+a numerical error writes error.json and the manifest.  A sweep hands each run
+its config document in memory; the run's config.json records it, unread.
 """
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -32,7 +33,7 @@ from .io import (
     read_config_doc,
     read_state_csv,
     write_aggregate_csv,
-    write_chunks,
+    write_config_doc,
     write_json,
     write_manifest,
     write_state_csv,
@@ -103,7 +104,7 @@ def _initial_occupation(x0, cfg) -> np.ndarray:
     return Occupation.uniform(cfg.n, cfg.m).x
 
 
-def _run_validate(config: str, out: str, written: dict):
+def _run_validate(config, out: str, written: dict):
     try:
         cfg = read_config(config)
         violations = validate(cfg)
@@ -116,7 +117,7 @@ def _run_validate(config: str, out: str, written: dict):
     return (0 if ok else 1), summary
 
 
-def _run_stationary(config: str, out: str, written: dict, regime=None, delta=None):
+def _run_stationary(config, out: str, written: dict, regime=None, delta=None):
     cfg = read_config(config)
     overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
     if overrides:  # the new config derives delta_int and delta_dis afresh
@@ -144,7 +145,7 @@ def _run_stationary(config: str, out: str, written: dict, regime=None, delta=Non
     return 0, summary
 
 
-def _run_stability(config: str, out: str, written: dict):
+def _run_stability(config, out: str, written: dict):
     cfg = _require_valid(read_config(config))
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
@@ -261,28 +262,32 @@ def _parse_sweep_value(token: str):
         return token
 
 
+def _list_index(items: list, token: str, label: str) -> int:
+    """token as an index of items: digits only, below len(items)."""
+    if not (token.isascii() and token.isdigit() and int(token) < len(items)):
+        raise ConfigError(f"sweep parameter path '{label}': bad index '{token}'")
+    return int(token)
+
+
 def _set_config_path(doc, tokens, value, label: str):
-    cur = doc
+    """A copy of doc with value at the path; only the containers along it are copied."""
+    new = cur = doc.copy() if isinstance(doc, (dict, list)) else doc
     for t in tokens[:-1]:
         if isinstance(cur, list):
-            try:
-                cur = cur[int(t)]
-            except (ValueError, IndexError):
-                raise ConfigError(f"sweep parameter path '{label}': bad index '{t}'")
-        elif isinstance(cur, dict) and t in cur:
-            cur = cur[t]
-        else:
+            t = _list_index(cur, t, label)
+        elif not (isinstance(cur, dict) and t in cur):
             raise ConfigError(f"sweep parameter path '{label}' not found at '{t}'")
+        if isinstance(cur[t], (dict, list)):
+            cur[t] = cur[t].copy()
+        cur = cur[t]
     last = tokens[-1]
     if isinstance(cur, list):
-        try:
-            cur[int(last)] = value
-        except (ValueError, IndexError):
-            raise ConfigError(f"sweep parameter path '{label}': bad index '{last}'")
+        cur[_list_index(cur, last, label)] = value
     elif isinstance(cur, dict):
         cur[last] = value
     else:
         raise ConfigError(f"sweep parameter path '{label}' does not address a field")
+    return new
 
 
 _SWEEP_OPS = {
@@ -298,20 +303,17 @@ def _run_sweep(config: str, out: str, written: dict, param: str, values: list[st
     vals = [_parse_sweep_value(v) for v in values]
     if not vals:
         raise ValueError("sweep needs at least one value")
-    docs = [copy.deepcopy(base) for _ in vals]
-    for doc, val in zip(docs, vals):  # every value's fields are checked before any run
-        _set_config_path(doc, tokens, val, param)
+    docs = [_set_config_path(base, tokens, val, param) for val in vals]
+    for doc in docs:  # every value's fields are checked before any run
         check_fields(doc)
     results = []
     worst = 0
     for k, (val, doc) in enumerate(zip(vals, docs)):
         sub = os.path.join(out, f"val_{k}")
         os.makedirs(sub, exist_ok=True)
-        sub_cfg = os.path.join(sub, "config.json")
-        write_chunks(sub_cfg, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()],
-                     written)
-        try:
-            code, summary = _SWEEP_OPS[op](sub_cfg, sub, written)
+        write_config_doc(os.path.join(sub, "config.json"), doc, written)
+        try:  # the op takes the document itself, not the file just written
+            code, summary = _SWEEP_OPS[op](doc, sub, written)
         except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
             code, summary = _exit_code(e), {"error": str(e)}
         results.append({"value": val, "dir": f"val_{k}",
@@ -369,12 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it as it was."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         print(f"hbmfg: error: {e}", file=sys.stderr)
         return 1

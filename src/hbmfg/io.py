@@ -8,6 +8,7 @@ row-major with 1-based labels (x_1_1 ... x_n_m); every float is written
 byte for byte as '%.17g' % v writes it, so values round-trip exactly.
 Large blocks of rows are formatted in bulk by numpy (bulkfmt); the '%'
 template formats the rest, and is the fallback and the tests' oracle.
+JSON goes through one indent-2 encoder, byte for byte as json.dumps writes it.
 Every writer takes an optional dict, written, which gets each path it
 writes with the SHA-256 of the bytes written.  A run's manifest.json lists
 those files by relative path with their hashes, so a file already in the
@@ -38,6 +39,7 @@ __all__ = [
     "jsonable",
     "write_chunks",
     "write_json",
+    "write_config_doc",
     "write_trajectory_csv",
     "write_state_csv",
     "read_state_csv",
@@ -149,9 +151,9 @@ def read_config_doc(path: str):
         ) from None
 
 
-def read_config(path: str) -> GameConfig:
-    """Parse a config file into a GameConfig; shape checks happen there too."""
-    doc = read_config_doc(path)
+def read_config(source) -> GameConfig:
+    """A GameConfig from a config path or a parsed document; shape checks happen there too."""
+    doc = read_config_doc(source) if isinstance(source, (str, os.PathLike)) else source
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     check_fields(doc)
@@ -213,9 +215,50 @@ def write_chunks(path: str, chunks, written: dict | None = None) -> None:
         written[path] = digest.hexdigest()
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NULLS = dict.fromkeys(("nan", "inf", "-inf"), "null")             # as jsonable has them
+_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
+
+def _json(obj, pad: str, nonfinite: dict) -> str:
+    """obj as json.dumps(jsonable(obj), indent=2, sort_keys=True) writes it at the
+    indent pad (a line break, 2 spaces a level), non-finite floats spelled by
+    nonfinite, in one walk that joins a list of floats with one repr each."""
+    kind = type(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        return nonfinite[text] if "n" in text else text
+    if kind is str:
+        return _ESCAPE(obj)
+    if kind is np.ndarray:
+        return _json(obj.tolist(), pad, nonfinite)
+    if kind is not list and kind is not dict and kind is not tuple:
+        obj = jsonable(obj)   # numpy scalars, complex values, subclasses
+        if not isinstance(obj, (dict, list)):   # json refuses what jsonable leaves unknown
+            return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        return "{" + inner + sep.join([_ESCAPE(k) + ": " + _json(items[k], inner, nonfinite)
+                                       for k in sorted(items)]) + pad + "}"
+    if set(map(type, obj)) == {float}:   # each finite unless its repr has an n
+        text = sep.join(map(float.__repr__, obj))
+        if "n" not in text:
+            return "[" + inner + text + pad + "]"
+    return "[" + inner + sep.join([_json(v, inner, nonfinite) for v in obj]) + pad + "]"
+
+
 def write_json(path: str, obj, written: dict | None = None) -> None:
-    text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    write_chunks(path, [text.encode()], written)
+    """obj as json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) writes it."""
+    write_chunks(path, [(_json(obj, "\n", _NULLS) + "\n").encode()], written)
+
+
+def write_config_doc(path: str, doc, written: dict | None = None) -> None:
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, NaN and Infinity kept."""
+    write_chunks(path, [(_json(doc, "\n", _NAMES) + "\n").encode()], written)
 
 
 def _state_labels(prefix: str, n: int, m: int) -> list:

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -253,6 +254,62 @@ def test_jsonable_basic_types():
     assert out["z"] == [1.0, 2.0]
     assert out["i"] == 7
     assert json.dumps(out)  # serializable end to end
+
+
+_BIT_FLOATS = np.random.default_rng(2024).integers(0, 2**63, 20).view(float).tolist()
+_JSON_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5e300, math.nan, math.inf, -math.inf,
+                *_BIT_FLOATS]
+_JSON_SCALARS = [*_JSON_FLOATS, 0, -1, 7, 2**63, -2**64 - 3, 10**40, True, False, None,
+                 "", "plain", "\t\x1f\"\\\x7f", "é\u2028\ud800\U0001f600"]
+_NUMPY_SCALARS = [
+    np.float64(0.1), np.float64(math.nan), np.float32(0.1), np.float32(-math.inf),
+    np.float16(1.5), np.int64(-5), np.uint64(2**64 - 1), np.bool_(True), np.bool_(False),
+    complex(0.5, -1.5), complex(math.inf, 0), np.complex64(1 - 0.3j), (1, 2.5),
+    np.arange(3.0), np.array(2.5), np.array([[1, 2], [3, 4]], dtype=np.int32),
+    np.array([True, False]), np.zeros((2, 0)), np.array([1 + 2j, math.nan]),
+    np.array([0.1, math.inf], dtype=np.float32),
+]
+
+
+def _random_json_input(rng, depth: int, native: bool):
+    """A random value for the JSON writers: with native, only what json.load
+    returns (NaN and Infinity included); else numpy values, complex values,
+    tuples and non-str keys too."""
+    kind = rng.randrange(4) if depth > 0 else 0
+    if kind == 0:
+        return rng.choice(_JSON_SCALARS if native or rng.random() < 0.5 else _NUMPY_SCALARS)
+    if kind == 1:   # a run of floats, some maybe not finite
+        return [rng.choice(_JSON_FLOATS) for _ in range(rng.randrange(1, 6))]
+    items = [_random_json_input(rng, depth - 1, native) for _ in range(rng.randrange(5))]
+    if kind == 2:
+        return items if native or rng.random() < 0.5 else tuple(items)
+    keys = ["a", "b", "z", "é", "\n", ""]
+    if not native:   # str() of a key can meet a str key: the later value stays
+        keys += [3, "3", 2.5, None, "None", True, (1, 2)]
+    return {rng.choice(keys): item for item in items}
+
+
+def test_json_writers_equal_json_dumps(tmp_path):
+    # the fast encoder against json.dumps, on random nested structures
+    rng = random.Random(2024)
+    path = tmp_path / "w.json"
+    for _ in range(2000):
+        obj = _random_json_input(rng, 4, native=False)
+        write_json(str(path), obj)
+        assert path.read_text() == json.dumps(jsonable(obj), indent=2, sort_keys=True,
+                                              allow_nan=False) + "\n", obj
+    for _ in range(1000):   # a config document keeps NaN and Infinity as json reads them
+        doc = _random_json_input(rng, 4, native=True)
+        hio.write_config_doc(str(path), doc)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == text, doc
+        assert json.dumps(hio.read_config_doc(str(path)), indent=2, sort_keys=True) + "\n" == text
+    for bad in ({1, 2}, object(), b"bytes", np.datetime64("2020-01-01"), {"k": [1, {2}]}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(jsonable(bad), indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(str(tmp_path / "bad.json"), bad)
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_state_csv_round_trip(tmp_path):
@@ -980,15 +1037,19 @@ def test_cli_refuses_integers_beyond_float64(tmp_path, capsys, field):
 def test_cli_sweep_sets_and_refuses_list_indices(tmp_path, capsys):
     out = tmp_path / "ok"
     code, _, _ = cli(["sweep", EXAMPLE, "--param", "economics.fee_H.1", "--values", "0.3",
-                      "--op", "validate", "--out", str(out)], capsys)
+                      "0.4", "--op", "validate", "--out", str(out)], capsys)
     assert code == 0
-    doc = json.loads((out / "val_0" / "config.json").read_text())
-    assert doc["economics"]["fee_H"] == [0.2, 0.3, 0.2]
+    for k, value in enumerate((0.3, 0.4)):  # each value's document is its own
+        doc = json.loads((out / f"val_{k}" / "config.json").read_text())
+        assert doc["economics"]["fee_H"] == [0.2, value, 0.2]
+    # a negative index would count from the end: -3 is row 0, which 0.9 breaks
     for param, why in (("economics.fee_H.9", "bad index '9'"),
+                       ("rates.q_up.-3.0", "bad index '-3'"),
+                       ("rates.q_up.-1.0", "bad index '-1'"),
                        ("rates.q_up.0.x", "bad index 'x'"),
                        ("scales.delta.x", "does not address a field")):
         out = tmp_path / param
-        code, summary, _ = cli(["sweep", EXAMPLE, "--param", param, "--values", "0.3",
+        code, summary, _ = cli(["sweep", EXAMPLE, "--param", param, "--values", "0.9",
                                 "--op", "validate", "--out", str(out)], capsys)
         assert code == 1 and why in summary["error"], param
         assert os.listdir(out) == []
@@ -1052,6 +1113,58 @@ def test_cli_sweep_stationary(tmp_path, capsys):
     assert all(e["status"] == 0 for e in doc["results"])
     assert (out / "val_0" / "stationary.json").exists()
     assert (out / "val_1" / "config.json").exists()
+
+
+def _artifacts(out) -> dict:
+    """Each file under out by relative path, its bytes with out's own path as OUT;
+    none when out was never made."""
+    files = sorted(out.rglob("*")) if out.exists() else []
+    return {str(p.relative_to(out)): p.read_bytes().replace(str(out).encode(), b"OUT")
+            for p in files if p.is_file()}
+
+
+def test_cli_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # one process parses every run with one parser; each run must still act as if first
+    sim = ["simulate", EXAMPLE, "--N", "40", "--T", "1", "--seed", "4"]
+    runs = [sim + ["--per-rep", "--reps", "2"], sim,
+            ["stationary", EXAMPLE, "--regime", "id3", "--delta", "0.01"],
+            ["stationary", EXAMPLE, "--regime", "id3", "--delta", "oops"],
+            ["stationary", EXAMPLE]]
+    hbmfg.cli._parser.cache_clear()
+    after = [cli(argv + ["--out", str(tmp_path / f"seq_{k}")], capsys)[:2]
+             for k, argv in enumerate(runs)]
+    for k, argv in enumerate(runs):
+        hbmfg.cli._parser.cache_clear()
+        first = cli(argv + ["--out", str(tmp_path / f"first_{k}")], capsys)[:2]
+        assert after[k][0] == first[0], argv
+        assert _artifacts(tmp_path / f"seq_{k}") == _artifacts(tmp_path / f"first_{k}"), argv
+    assert after[3][0] == 1 and not (tmp_path / "seq_3").exists()
+    assert len(_artifacts(tmp_path / "seq_0")) == 5 and len(_artifacts(tmp_path / "seq_1")) == 3
+
+
+@pytest.mark.parametrize("op", ["stationary", "stability", "validate"])
+def test_cli_sweep_runs_equal_runs_on_their_config_files(tmp_path, capsys, op):
+    # each sweep run takes its document in memory; run on the file written, it must agree
+    out = tmp_path / "sweep"
+    code, _, _ = cli(["sweep", EXAMPLE, "--param", "scales.delta", "--values", "0.1",
+                      "-1e-3", "--op", op, "--out", str(out)], capsys)
+    assert code == 1
+    results = json.loads((out / "sweep.json").read_text())["results"]
+    for k, result in enumerate(results):
+        sub = out / f"val_{k}"
+        direct = tmp_path / f"direct_{k}"
+        code, summary, _ = cli([op, str(sub / "config.json"), "--out", str(direct)], capsys)
+        assert result["status"] == code
+        got = _artifacts(direct)
+        got.pop("manifest.json", None)
+        want = _artifacts(sub)
+        want.pop("config.json")
+        assert got == want
+        if "error" in result["summary"]:
+            assert result["summary"]["error"] == summary["error"]
+        else:
+            assert {**result["summary"], "out": str(direct)} == summary
+    assert results[1]["status"] == 1
 
 
 def test_cli_usage_and_missing_file(tmp_path, capsys):
