@@ -8,8 +8,8 @@ moves and stimulated moves (weighted by the current occupation) act on the
 agent regardless, with the downgrade fine charged on every enforced drop.
 Both variants' level moves come from GameConfig.moves: the payoff flow runs
 the adjoint of Moves.generator, the level chain of the forward flow.  The
-switch term plays either a given model.Control, one gain per piece, or the
-best response, which integrate_backward returns as a Control.  Without it
+switch term plays a given model.Control, one gain per piece at the cells
+GameConfig.switch_cells gives, or the best response, a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
 for a held run of occupation nodes equal in bits, which is stepped in long
 blocks.  Inside the no-switch cone, where the payoff spread less the
@@ -159,7 +159,8 @@ def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
-    cells = (target * cfg.n + np.arange(cfg.n)[:, None]).T[:, :, None]
+    i, k = np.divmod(cfg.switch_cells(target), cfg.m)   # by column, G's flat k * n + i
+    cells = (k * cfg.n + i).T[:, :, None]
     fee = cfg.fee_B[np.arange(cfg.m), target].T[:, :, None]
     return lambda y: np.take(y, cells) - y - fee
 

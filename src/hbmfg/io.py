@@ -68,10 +68,13 @@ _OPTIONAL = {"rates.q_sink", "flags", "flags.detailed_balance"}
 
 
 def check_fields(doc) -> None:
-    """Refuse, by its dotted name, a config field _FIELDS does not list, or a key with a dot."""
+    """Refuse a root that is not an object, and by its dotted name a config field
+    _FIELDS does not list or a key with a dot."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
     objects = [("", doc)]
     for prefix, obj in objects:  # the list grows by each listed object met
-        for key, value in obj.items() if isinstance(obj, dict) else ():
+        for key, value in obj.items():
             name = prefix + key
             if "." in key or name not in _FIELDS:
                 raise ConfigError(f"config has unknown field '{name}'")
@@ -154,8 +157,6 @@ def read_config_doc(path: str):
 def read_config(source) -> GameConfig:
     """A GameConfig from a config path or a parsed document; shape checks happen there too."""
     doc = read_config_doc(source) if isinstance(source, (str, os.PathLike)) else source
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     check_fields(doc)
     kwargs = _read_fields(doc)
     kwargs["lam"] = kwargs.pop("lambda")

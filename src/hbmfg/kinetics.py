@@ -3,8 +3,8 @@
 The occupation matrix x(t) evolves under three flows: principal pressure
 (level moves at configured rates), stimulating binary interactions (the same
 moves pushed by same-level partners, quadratic in x, scaled by delta_int)
-and the agents' own behaviour switches (rate lam, to the behaviour the
-control's target matrix names).  The level moves of both variants, step-down
+and the agents' own behaviour switches (rate lam, to GameConfig.switch_cells
+of the control's target matrix).  The level moves of both variants, step-down
 and sink, come from the config's move table, GameConfig.moves.  Every flow
 moves mass along one axis at a time, so the total mass (and, absent
 switching, each behaviour column's mass) is conserved.  The control is a
@@ -79,12 +79,12 @@ def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
 
 
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
-    """dx/dt as a function of x, agents at (i, j) moving to (i, target[i, j]) at
+    """dx/dt as a function of x, agents moving to cfg.switch_cells(target) at
     rate lam; target None or all staying builds no scatter index."""
     mv, m, lam = cfg.moves, cfg.m, cfg.lam
     cells = None
     if target is not None and lam != 0.0 and (target != np.arange(m)).any():
-        cells = (target + m * np.arange(cfg.n)[:, None]).ravel()
+        cells = cfg.switch_cells(target).ravel()
 
     def rhs(x):
         out = mv.net @ (mv.per_capita(x) * x).reshape(-1, m)

@@ -222,6 +222,10 @@ class GameConfig:
         """fee_B with +inf on its diagonal: staying is no switch and gains -inf."""
         return _ro(np.where(np.eye(self.m, dtype=bool), np.inf, self.fee_B))
 
+    def switch_cells(self, target: np.ndarray) -> np.ndarray:
+        """The flat cell i * m + target[i, j] each (i, j) switches to; a stay maps to itself."""
+        return target + self.m * np.arange(self.n)[:, None]
+
 
 @dataclass(frozen=True)
 class Occupation:

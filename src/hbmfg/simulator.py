@@ -5,9 +5,9 @@ at a time: pressure moves one level up or down at the configured per-agent
 rates; stimulated moves do the same at delta_int times the pairwise rate,
 scaled by the count of same-level partners over N (pairs within one cell are
 counted literally, the mover included); switching moves an agent at rate lam
-to the behaviour the control's target matrix names.  The level moves of both
-variants come from GameConfig.moves; the sink variant's downward events drop
-straight to the lowest level.
+to the cell GameConfig.switch_cells gives for the control's target matrix.
+The level moves of both variants come from GameConfig.moves; the sink
+variant's downward events drop straight to the lowest level.
 
 Total event rates are linear-or-quadratic in the counts, so the chain is
 simulated exactly: exponential waiting time at the total rate, categorical
@@ -117,15 +117,15 @@ def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
     partner points at row n * m, whose count is fixed at 1.
 
     Walks cfg.moves cell by cell (behaviour, then level), each move family's
-    own rate before its partner channels, then the cell's switch, if its
-    target is another behaviour; the order decides which channel a random
-    draw picks, so it fixes seeded runs.
+    own rate before its partner channels, then the cell's switch to its
+    cfg.switch_cells destination, if that is another cell; the order decides
+    which channel a random draw picks, so it fixes seeded runs.
     """
     n, m = cfg.n, cfg.m
     unit = n * m   # the count row fixed at 1, partner of a channel without one
     mv = cfg.moves
     dest, rate, evo = mv.dest.tolist(), mv.rate.tolist(), mv.evo.tolist()
-    switch = None if target is None or cfg.lam <= 0.0 else target.tolist()
+    switch = None if target is None or cfg.lam <= 0.0 else cfg.switch_cells(target).tolist()
     rows = []    # (src, dst, coeff, partner)
     for j in range(m):
         for i in range(n):
@@ -135,8 +135,8 @@ def _build_channels(cfg: GameConfig, target: Optional[np.ndarray], N: int):
                 rows.append((src, dst, rate[f][i][j], unit))
                 for k in range(m):
                     rows.append((src, dst, evo[f][i][j][k] / N, i * m + k))
-            if switch is not None and switch[i][j] != j:
-                rows.append((src, i * m + switch[i][j], cfg.lam, unit))
+            if switch is not None and switch[i][j] != src:
+                rows.append((src, switch[i][j], cfg.lam, unit))
     table = np.array(rows, dtype=float).reshape(-1, 4)
     src, dst, coeff, partner = table[table[:, 2] > 0.0].T
     return src.astype(np.intp), dst.astype(np.intp), coeff, partner.astype(np.intp)

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .hjb import hjb_rhs, integrate_backward, switch_gains  # noqa: F401  (a perfbench hook)
+from .hjb import hjb_rhs, integrate_backward, switch_gains
 from .kinetics import Trajectory, integrate_forward, step_grid
 from .model import Control, GameConfig, occupation_array
 from .stationary import stationary_solution
@@ -154,15 +154,18 @@ def boundary_tangent_condition(
 ) -> Tuple[float, float]:
     """Payoff-flow tangency at a switching boundary point.
 
-    The probe (level, alpha, beta) must satisfy g[level, beta] =
-    g[level, alpha] + fee_B[alpha, beta] to within 1e-9 (else ValueError).
+    The probe (level, alpha, beta) must be a switch on the grid (alpha != beta)
+    whose switch_gains entry is within 1e-9 of 0 (else ValueError).
     Returns (value, leading): value is the exact difference of the switch-free
     payoff flows of the two behaviours at that level (<= 0 keeps the boundary
     repelling); leading keeps only the pressure moves' payoff differences
     rate * (g[dest] - g), dropping fines, rewards and interactions.
     """
+    for name, k, size in (("level", level, cfg.n), ("alpha", alpha, cfg.m), ("beta", beta, cfg.m)):
+        if not 0 <= k < size:
+            raise ValueError(f"probe {name} {k} lies outside [0, {size})")
     ga = np.asarray(g, dtype=float)
-    margin = float(ga[level, beta] - cfg.fee_B[alpha, beta] - ga[level, alpha])
+    margin = float(switch_gains(ga[level], cfg)[alpha, beta])   # a stay gains -inf
     scale = max(1.0, float(np.max(np.abs(ga))))
     if abs(margin) > BOUNDARY_TOL * scale:
         raise ValueError(

@@ -1003,6 +1003,19 @@ def test_cli_refuses_misspelled_fields(tmp_path, capsys):
         assert os.listdir(out) == []
 
 
+def test_cli_sweep_refuses_a_root_that_is_not_an_object(tmp_path, capsys):
+    # the path "1" addresses the list's second entry, so every value sets a
+    # field; the sweep must refuse the root before any run writes a file
+    p = tmp_path / "listed.json"
+    p.write_text(json.dumps([example_doc(), 1]))
+    for op in ("validate", "stationary"):
+        out = tmp_path / op
+        code, summary, _ = cli(["sweep", str(p), "--param", "1", "--values", "2", "--op", op,
+                                "--out", str(out)], capsys)
+        assert code == 1 and summary["error"] == "config root must be a JSON object"
+        assert os.listdir(out) == []
+
+
 def test_cli_sweep_refuses_non_finite_values(tmp_path, capsys):
     huge = "1" + "0" * 400   # an integer beyond float64's range
     longer = "1" + "0" * 5000   # and one beyond Python's 4300-digit int() limit

@@ -298,12 +298,22 @@ def test_tensor_control_is_rejected():
     for bad in (tensor.astype(int), np.full((2, 3), 1.0), np.array([[0, 1, 3], [0, 1, 2]])):
         with pytest.raises(ValueError):
             Control([0], [bad], 1)
-    # the stay-put matrix, bare or as a one-step control, is no switch at all
+    # the stay-put matrix, bare or as a one-step control, is no switch at all,
+    # and at lam = 0 neither is a moving target: every consumer of
+    # GameConfig.switch_cells reads either as u=None
     stay = Control.stay(2, 3, 1)
-    for u in (stay, stay.targets[0]):
-        npt.assert_array_equal(kinetic_rhs(x, u, cfg), kinetic_rhs(x, None, cfg))
-        npt.assert_array_equal(hjb_rhs(np.ones((2, 3)), x, u, cfg),
-                               hjb_rhs(np.ones((2, 3)), x, None, cfg))
+    g = np.arange(6.0).reshape(2, 3)
+    state = CountState.from_occupation(x, 12)
+    moving = np.array([[1, 2, 0], [2, 0, 1]])
+    still = dataclasses.replace(cfg, lam=0.0)
+    for c, u in ((cfg, stay), (cfg, stay.targets[0]), (still, moving),
+                 (still, Control([0], [moving], 1))):
+        npt.assert_array_equal(kinetic_rhs(x, u, c), kinetic_rhs(x, None, c))
+        npt.assert_array_equal(hjb_rhs(g, x, u, c), hjb_rhs(g, x, None, c))
+        assert enumerate_transitions(state, u, c) == enumerate_transitions(state, None, c)
+    # the moving target does switch at lam > 0
+    assert len(enumerate_transitions(state, moving, cfg)) > len(
+        enumerate_transitions(state, None, cfg))
 
 
 # every entry point that takes a control, called on a 2 x 3 config; the

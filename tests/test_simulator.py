@@ -166,6 +166,18 @@ def test_simulate_pins_a_seeded_run_on_the_example():
     assert listed.seed == 7 and listed.events == len(listed.event_log) == 510
     npt.assert_array_equal(listed.counts, path.counts)
     assert listed.meta == path.meta == {"rng": "pcg64"}
+    # a two-piece switching control pins the switch channel's place in the
+    # table too, in the scalar loop and in the lockstep loop
+    u = Control([0, 3], [np.zeros((3, 3), int), [[0, 2, 2], [1, 1, 0], [2, 0, 1]]], 5)
+    path = simulate(s0, u, 1.0, 7, cfg, samples=5)
+    assert path.events == 668
+    npt.assert_array_equal(path.counts[3], [[69, 18, 12], [60, 18, 18], [62, 22, 21]])
+    npt.assert_array_equal(path.counts[-1], [[57, 15, 22], [59, 34, 22], [46, 26, 19]])
+    first, second = simulate(s0, u, 1.0, [7, 8], cfg, samples=5)
+    npt.assert_array_equal(first.counts, path.counts)
+    assert (first.events, second.events) == (668, 685)
+    npt.assert_array_equal(second.counts[-1], [[59, 18, 26], [62, 26, 16], [34, 24, 35]])
+    assert second.meta == {"rng": "pcg64", "lockstep_steps": 702}
 
 
 def test_simulate_conserves_agents_and_time_grid():

@@ -302,3 +302,11 @@ def test_boundary_tangent_condition_sign_and_probe():
     g_off[level, beta] += 0.01
     with pytest.raises(ValueError, match="boundary"):
         boundary_tangent_condition(g_off, x, cfg, level, alpha, beta)
+    # a stay is no switch, so no boundary: its margin is -inf, never 0
+    with pytest.raises(ValueError, match="boundary"):
+        boundary_tangent_condition(g, x, cfg, 1, 1, 1)
+    # an index off the grid is refused by name, not read from the other end
+    for probe, name in (((-1, 0, 1), "level"), ((3, 0, 1), "level"), ((1, 0, 3), "beta"),
+                        ((1, -1, 1), "alpha")):
+        with pytest.raises(ValueError, match=f"probe {name} "):
+            boundary_tangent_condition(g, x, cfg, *probe)
