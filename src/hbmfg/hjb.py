@@ -12,16 +12,19 @@ switch term plays a given model.Control, one gain per piece at the cells
 GameConfig.switch_cells gives, or the best response, a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
 for a held run of occupation nodes equal in bits, which is stepped in long
-blocks.  Inside the no-switch cone, where the payoff spread less the
-smallest switch fee bounds every gain by SWITCH_TOL, the switch term is
-exactly zero.  One rule uses that, per step: after a step whose four stage
-inputs lay in the cone together, the next step is bare RK4 arithmetic, kept
-when its own four inputs lie in the cone too.  After the sweep, one pass
-over the nodes gives the best responses and the cone scan.  It first finds
-the largest gain column pair by column pair; below 0, every target stays
-and no gain tensor is built.
+blocks.  The optimizing pass holds the best response over a response run
+of steps: the run plays the response at its first node through the
+fixed-target gain, bare when everybody stays, and one vectorized check
+over the run's stage inputs then confirms, in bits, that the best switch
+gives the same term at each.  A failed step is rerun with the best switch,
+the steps before it kept.  After the sweep, one pass over the nodes gives
+the best responses and the cone scan.  It first finds the largest gain
+column pair by column pair; below 0, every target stays and no gain tensor
+is built.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,8 +45,9 @@ SWITCH_TOL = 1e-12
 # States with occupation above this count as occupied for consistency checks.
 OCCUPIED_TOL = 1e-9
 # Per-step payoff operators, with the arrays that assemble them, a held run's
-# nodes, and the node pass's switch gains and column-pair differences are
-# built a block at a time in about this many bytes.
+# nodes, a response run's stage inputs (half) and its check's bounds and
+# switch gains (a quarter each), and the node pass's switch gains and
+# column-pair differences are built a block at a time in about this many bytes.
 BLOCK_BYTES = 1 << 17
 # Profitable switches the node pass lists before truncation (all are counted).
 VIOLATION_CAP = 1000
@@ -160,24 +164,109 @@ def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
     i, k = np.divmod(cfg.switch_cells(target), cfg.m)   # by column, G's flat k * n + i
-    cells = (k * cfg.n + i).T[:, :, None]
-    fee = cfg.fee_B[np.arange(cfg.m), target].T[:, :, None]
-    return lambda y: np.take(y, cells) - y - fee
+    return _cell_gain((k * cfg.n + i).T[:, :, None],
+                      cfg.fee_B[np.arange(cfg.m), target].T[:, :, None])
 
 
-def _best_gain(cfg: GameConfig):
+def _cell_gain(cells, fee):
+    # the switch term of fixed targets at a stage input G (m, n, 1): G[cells] - G - fee
+    return lambda y: y.take(cells) - y - fee
+
+
+def _best_response(cfg: GameConfig):
+    """The optimizing pass's uses of the best switch, as three closures.
+
+    gain(G): the best-switch term where(best > SWITCH_TOL, best, 0) at a
+    stage input G (m, n, 1).  respond(G): the best response at G,
+    optimal_control's, as a response run holds it: (gain, cells, fee,
+    moving), its fixed-target gain G[cells] - G - fee and the mask of the
+    cells that switch (None when everybody stays).  An all-stay response
+    runs bare, gain None, where lam * 0.0 is +0.0.  check(Y, response): how
+    many steps of a run that held that response, from its first, played the
+    best response, given their stage inputs Y (S, 4, m, n, 1).  A step did
+    when at each of its inputs the best-switch term equals the held term
+    (+0.0 when bare) in bits, so that nan and the sign of a zero are exact
+    too.  Bounds settle most inputs, since x -> fl(x - y) is monotone: an
+    all-stay run first tries the cone bound, each step's joint stage spread
+    less the smallest switch fee at most SWITCH_TOL; then every gain at
+    (i, j) is at most fl(fl(max_k g[i, k] - g[i, j]) - the column's
+    smallest fee), which settles a stay bounded by SWITCH_TOL and a switch
+    bounded by its held gain, itself above SWITCH_TOL.  The inputs left,
+    or a one-step run's three, whose gains cost no more than the bound,
+    take the best switch itself.
+    The check goes a chunk of inputs at a time, its bounds and gains each
+    within a quarter of BLOCK_BYTES, and stops at the first failed input.
+    The run's first input needs none: the held response was chosen there.
+    """
     # switch_gains on the flattened columns, target first: gains[k, j*n + i]
     # is the gain of (i, j) -> (i, k), so the best switch is a column maximum
     n, m = cfg.n, cfg.m
     to = n * np.arange(m)[:, None] + np.arange(n * m) % n
     fee = np.repeat(cfg.switch_fee.T, n, axis=1)
+    own, level = np.divmod(np.arange(n * m), n)   # each flat cell's column and level
+    fee_min = float(cfg.switch_fee.min())
+    fee_low = cfg.switch_fee.min(axis=1)[:, None]   # each column's smallest switch fee
+    rows = max(1, BLOCK_BYTES // (4 * 32 * n * m))   # a chunk of inputs: its bounds
+    exact = max(1, BLOCK_BYTES // (4 * 8 * m * n * m))   # the gains of that many
+    # lam * 0.0 is +0.0 (0 <= lam < inf, and not -0.0): k - 0.0 is k, bit for bit
+    bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
+    held = {}   # a response's bytes -> respond's tuple
 
     def gain(y):
         flat = y.reshape(-1)
         best = (flat[to] - flat - fee).max(axis=0).reshape(y.shape)
         return np.where(best > SWITCH_TOL, best, 0.0)
 
-    return gain
+    def respond(y):
+        flat = y.reshape(-1)
+        gains = flat[to] - flat - fee
+        target = np.where(gains.max(axis=0) > SWITCH_TOL, gains.argmax(axis=0), own)
+        key = target.tobytes()
+        if key not in held:
+            moving = target != own
+            moving = moving if moving.any() else None
+            cells, cost = target * n + level, cfg.fee_B[own, target]
+            held[key] = ((None, None, None, None) if moving is None and bare else
+                         (_cell_gain(cells.reshape(m, n, 1), cost.reshape(m, n, 1)),
+                          cells, cost, moving))
+        return held[key]
+
+    def check(Y, response):
+        _, cells, cost, moving = response
+        S = len(Y)
+        if moving is None:
+            flat = Y.reshape(S, -1)
+            if (flat.max(axis=1) - flat.min(axis=1) - fee_min <= SWITCH_TOL).all():
+                return S
+        Z = Y.reshape(4 * S, m, n)
+        for lo in range(1, 4 * S, rows):
+            z = Z[lo:lo + rows]
+            flat = z.reshape(len(z), -1)
+            term = None if cells is None else flat.take(cells, axis=1) - flat - cost
+            miss = np.arange(len(z))
+            if S > 1:
+                bound = (z.max(axis=1, keepdims=True) - z - fee_low).reshape(len(z), -1)
+                if moving is None:
+                    ok = bound <= SWITCH_TOL
+                else:
+                    ok = bound <= np.where(moving, term, SWITCH_TOL)
+                    ok &= (term > SWITCH_TOL) | ~moving
+                miss = miss[~ok.all(axis=1)]
+            for a in range(0, len(miss), exact):
+                r = miss[a:a + exact]
+                y = flat[r]
+                gains = y[:, to]
+                gains -= y[:, None, :]
+                gains -= fee
+                best = gains.max(axis=1)
+                best = np.where(best > SWITCH_TOL, best, 0.0).view(np.int64)
+                bad = best != (0 if term is None else term[r].view(np.int64))
+                bad = bad.any(axis=1)
+                if bad.any():
+                    return (lo + int(r[bad.argmax()])) // 4
+        return S
+
+    return gain, respond, check
 
 
 def _by_column(g) -> np.ndarray:
@@ -307,14 +396,22 @@ def integrate_backward(
     mode "fixed": control is used as is, in integrate_forward's forms (None,
     one (n, m) target matrix or a Control), one gain per piece;
     mode "optimizing": control must be None; every stage takes the best
-    switch at the current g, the maximum of switch_gains over the target.
-    Inside the no-switch cone, where the payoff spread less the smallest
-    switch fee is at most SWITCH_TOL, that term is exactly zero (IEEE
-    subtraction is monotone).  One rule, per step: first, and after a step
-    whose four stage inputs lay in the cone together, a step runs bare and
-    is kept when its own four inputs do too; otherwise it runs with the
-    switch term, and its inputs decide the next step.  With lam negative,
-    nan or inf no step is kept bare.  meta["cone_steps"] counts those kept.
+    switch at the current g, the maximum of switch_gains over the target,
+    bit for bit.  A response run of steps plays instead the best response
+    at its first node, held fixed, through the fixed-target gain; an
+    all-stay response runs bare, and only where lam * 0.0 is +0.0
+    (0 <= lam < inf, -0.0 excepted).  The run's stage inputs are kept, and
+    one vectorized check after it confirms that the best-switch term
+    equals the held one in bits at each; exact bounds settle most of them
+    without the maximum (_best_response).  Where the held target is the
+    argmax, or ties it, the term is the same float.  The steps before the first failed
+    step are kept; that step is rerun from its saved input with the best
+    switch.  A run is twice the last verified one, one step after a
+    failure, and at most as many steps as half of BLOCK_BYTES holds stage
+    inputs of.  After a run fails at its first step, the next 4, 16, 64,
+    ... steps take the best switch directly, until a run verifies.
+    meta["held_steps"] counts the steps kept from verified runs,
+    meta["rerun_steps"] the n_steps others.
     Each step's switch-free flow is hjb_rhs's affine map, built for a block
     of steps at a time within BLOCK_BYTES.  A held run, at least a block of
     steps whose end nodes are all equal in bits, shares one map and is
@@ -349,33 +446,50 @@ def integrate_backward(
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
     gs = np.empty((n_steps + 1, n, m))
     gs[n_steps] = gT
-    Y = np.empty((4, m, n, 1))   # a step's stage inputs, g first
-    ys, ks = tuple(Y), tuple(np.empty_like(Y))   # the stages' inputs and slopes
-    Y[0] = _by_column(gT)
-    best = _best_gain(cfg) if optimizing else None
-    # lam * 0.0 must be +0.0 for a bare step to equal one with the switch term
-    fee_min = float(cfg.switch_fee.min()) if 0.0 <= cfg.lam < np.inf else np.nan
-
-    def in_cone():   # the step's four stage inputs together (nan: never)
-        return float(Y.max()) - float(Y.min()) - fee_min <= SWITCH_TOL
-
-    bare, cone_steps = optimizing, 0   # bare: the last step's inputs lay in the cone
+    # a response run's most steps: their stage inputs fill half of BLOCK_BYTES
+    size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m)) if optimizing else 1
+    H = np.empty((size, 4, m, n, 1))   # a run's stage inputs by step, g first
+    stages, ks = [tuple(H[0])], tuple(np.empty((4, m, n, 1)))   # stages: H's, as runs need
+    H[0, 0] = _by_column(gT)
+    if optimizing:
+        best, respond, check = _best_response(cfg)
+    # run: the next response run's length.  direct: steps left to take the best
+    # switch directly, `backoff` of them after a run fails at its first
+    # step; fixed mode takes every step so.
+    run, backoff, direct, held_steps = 1, 4, 0 if optimizing else n_steps, 0
     run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
     cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
     for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
+        def step(k, gain, ys):   # step k from ys[0] into cols
+            j = k - lo if len(M) > 1 else 0
+            _payoff_step(M[j], c[j], -h, gain, cfg.lam, ys, ks, cols[k - lo])
+            return cols[k - lo]
+
+        k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(hi - 1, lo - 1, -1):
-                j = k - lo if len(M) > 1 else 0
-                out = cols[k - lo]
-                if bare:
-                    _payoff_step(M[j], c[j], -h, None, cfg.lam, ys, ks, out)
-                    bare = in_cone()
-                    cone_steps += bare
-                if not bare:
-                    _payoff_step(M[j], c[j], -h, best if optimizing else step_gain[k],
-                                 cfg.lam, ys, ks, out)
-                    bare = optimizing and in_cone()
-                ys[0][...] = out
+            while k >= lo:
+                if direct:
+                    H[0, 0] = step(k, best if optimizing else step_gain[k], stages[0])
+                    k, direct = k - 1, direct - 1
+                    continue
+                response = respond(H[0, 0])
+                length = min(run, k - lo + 1)
+                stages += [tuple(Y) for Y in H[len(stages):length]]
+                for r in range(length):
+                    out = step(k - r, response[0], stages[r])
+                    if r + 1 < length:
+                        H[r + 1, 0] = out
+                kept = check(H[:length], response)
+                held_steps += kept
+                if kept == length:
+                    H[0, 0] = out
+                    run, backoff = min(2 * run, size), 4
+                else:   # rerun the first failed step from its saved input
+                    H[0, 0] = step(k - kept, best, stages[kept])
+                    run = 1
+                    if kept == 0:
+                        direct, backoff = backoff, 4 * backoff
+                k -= min(kept + 1, length)
         bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
         if bad.size:
             raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
@@ -386,4 +500,5 @@ def integrate_backward(
         return Trajectory(times=times, g=gs, meta=meta)
     us, scan = _node_pass(times, gs, cfg)
     return Trajectory(times=times, g=gs, u=Control.of_steps(us[:-1]),
-                      meta={**meta, "cone_steps": cone_steps, **scan})
+                      meta={**meta, "held_steps": held_steps,
+                            "rerun_steps": n_steps - held_steps, **scan})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -277,7 +278,8 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     # stretch many operator blocks (at 4 KB the node compare also takes two
     # chunks); at the default a held run is still at least one operator block
     # long, so it shares one operator.
-    # The fees let the optimizing pass leave the cone near T and come back.
+    # Near T the optimizing pass's best response changes within a few steps,
+    # which it reruns; elsewhere it holds one response over long runs.
     rng = np.random.default_rng(1)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=1.5, delta=0.3)
     x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
@@ -298,8 +300,8 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     free_g = backward_loop(gT, x_path, [None] * steps, h, cfg)[0]
     inputs = []
     g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
-    kept = steps_kept_bare(inputs, cfg)
-    assert 0 < sum(kept) < steps and not kept[0] and len(Control.of_steps(firsts).starts) > 1
+    changing = steps_changing(inputs, cfg)
+    assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         assert _block_steps(cfg) <= lengths.min()   # each held run shares one operator
@@ -311,25 +313,30 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
         best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
         assert np.array_equal(best.g, g)
         assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
-        assert best.meta["cone_steps"] == sum(kept)
+        assert_reruns(best, changing)
 
 
-def steps_kept_bare(inputs, cfg):
-    """Each step's flag under the per-step cone rule, from the reference
-    loop's stage inputs, four a step: a step runs bare after a step whose
-    four inputs lay in the cone together (the first step too), and is kept
-    when its own four do, their joint spread less the smallest switch fee
-    being at most SWITCH_TOL."""
-    fee_min = float(cfg.switch_fee.min())
-    inside = [float(np.max(inputs[i:i + 4])) - float(np.min(inputs[i:i + 4])) - fee_min
-              <= SWITCH_TOL for i in range(0, len(inputs), 4)]
-    return [before and now for before, now in zip([True] + inside, inside)]
+def steps_changing(inputs, cfg):
+    """Each step's flag, from the reference loop's stage inputs, four a step
+    from the step next to T on: the best responses at its four stage inputs,
+    the loop's per-stage controls, are not all equal.  Without exact ties,
+    no held response plays such a step, so the pass reruns it."""
+    us = np.array([optimal_control(y, cfg) for y in inputs]).reshape(-1, 4, cfg.n, cfg.m)
+    return (us != us[:, :1]).any(axis=(1, 2, 3)).tolist()
+
+
+def assert_reruns(best, changing):
+    # every step is held or rerun; each changing step is rerun, and isolated
+    # changes cost at most a back-off of four direct steps each
+    assert best.meta["held_steps"] + best.meta["rerun_steps"] == len(changing)
+    assert sum(changing) <= best.meta["rerun_steps"] <= 5 * sum(changing)
 
 
 def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
-    # theorem_config's fees exceed every payoff spread, so every step is kept
-    # bare; the example's cheaper fees bound the spread only on its last
-    # nodes near T, so the pass starts inside the cone and leaves it
+    # theorem_config's fees exceed every payoff spread, so everybody stays and
+    # every step is held bare; the example's cheaper fees bound the spread
+    # only on its last nodes near T, so the pass starts inside the cone,
+    # leaves it and reruns the steps on which the best response changes
     thm = theorem_config(3, 3, np.random.default_rng(7))
     for cfg, steps, everywhere in ((thm, 80, True), (read_config(EXAMPLE), 60, False)):
         h = 3.0 / steps
@@ -341,12 +348,12 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
         assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
         assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
-        kept = steps_kept_bare(inputs, cfg)
-        assert best.meta["cone_steps"] == sum(kept) and kept[0]
-        assert sum(kept) == steps if everywhere else 0 < sum(kept) < steps // 2
-        assert everywhere or not kept[-1]
+        changing = steps_changing(inputs, cfg)
+        assert_reruns(best, changing)
+        assert not any(changing) if everywhere else 0 < sum(changing) < steps // 10
+        assert not changing[0] and not changing[-1]
     # lam = inf makes the switch term inf * 0.0 = nan even inside the cone,
-    # so no step may be kept bare: the first step, next to T, fails
+    # so no step may run bare: the first step, next to T, fails
     blowup = dataclasses.replace(cfg, lam=np.inf)
     with np.errstate(invalid="ignore"):
         assert np.isnan(backward_loop(gT, x_path[-2:], "optimizing", h, blowup)[0][0]).all()
@@ -363,9 +370,126 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs)
     assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
     assert np.array_equal(steps_of(best.u), [optimal_control(g[0], thm)] + firsts[:-1])
-    kept = steps_kept_bare(inputs, thm)
-    assert best.meta["cone_steps"] == sum(kept)
-    assert not kept[0] and kept[-1] and best.meta["violations"] > 0
+    changing = steps_changing(inputs, thm)
+    assert_reruns(best, changing)
+    assert 0 < sum(changing) and not changing[0] and not changing[-1]
+    assert (firsts[-1] != np.arange(3)).any() and (firsts[0] == np.arange(3)).all()
+    assert best.meta["violations"] > 0
+
+
+def tied_config():
+    """Columns 1 and 2 alike in rates, rewards and fees, without interaction:
+    the payoff flow keeps them equal bit for bit, so from column 0 the two
+    switches tie on gain.  Column 1 dominates, so column 0 comes to switch."""
+    cfg = make_config(3, 3, np.random.default_rng(3), with_evo=False, fee_switch=0.2,
+                      delta=0.3, b=1)
+    cols = [0, 1, 1]
+    return dataclasses.replace(cfg, q_up=cfg.q_up[:, cols], q_down=cfg.q_down[:, cols],
+                               w=cfg.w[:, cols])
+
+
+def fee_ordered_config():
+    """From column 0 a switch costs 0.1 into column 1 and 0.5 into column 2,
+    and columns 1 and 2 earn alike, without interaction.  From a terminal
+    payoff whose column 2 tops column 1 by 1.5, the best switch from column
+    0 moves from column 2 to column 1 once that lead decays below 0.4, while
+    column 2 keeps each level's largest payoff."""
+    cfg = make_config(3, 3, np.random.default_rng(3), with_evo=False, delta=0.3)
+    return dataclasses.replace(cfg, fee_B=np.array([[0.0, 0.1, 0.5], [0.3, 0.0, 0.3],
+                                                    [0.3, 0.3, 0.0]]),
+                               w=np.tile([0.5, 1.0, 1.0], (3, 1)))
+
+
+def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
+    # the optimizing pass against the reference loop, bit for bit in g and u,
+    # at 4 KB, 8 KB and the default BLOCK_BYTES (response runs of at most 7, 14
+    # and 227 steps on 3 x 3; 1, 1 and 20 on 10 x 10):
+    # - the example from the uniform start: near T, runs fail their check at
+    #   their first, a middle and their last step;
+    # - tied_config: the held target is the first of two tied on gain;
+    # - fee_ordered_config: the best target changes to one with a cheaper
+    #   fee and a smaller payoff, which only the column's smallest fee bounds;
+    # - lam = inf: the same HjbError at the same t;
+    # - a 10 x 10 path whose best response changes on every step: every step
+    #   is rerun, and the runs that fail at their first step, each one held
+    #   step wasted, come ever further apart.
+    checks = []   # (steps, steps kept) of every response run's check
+    real = hbmfg.hjb._best_response
+
+    def recording(cfg):
+        gain, respond, check = real(cfg)
+
+        def logged(Y, held):
+            checks.append((len(Y), check(Y, held)))
+            return checks[-1][1]
+
+        return gain, respond, logged
+
+    monkeypatch.setattr(hbmfg.hjb, "_best_response", recording)
+    example, tie, fees = read_config(EXAMPLE), tied_config(), fee_ordered_config()
+    ten, x10, _, _ = stage_cases()[-2]
+    uniform = np.full((3, 3), 1.0 / 9.0)
+    cases = {"example": (example, np.zeros((3, 3)), uniform, 3.0, 60),
+             "tie": (tie, np.zeros((3, 3)), uniform, 3.0, 60),
+             "fees": (fees, np.tile([0.0, 0.5, 2.0], (3, 1)), uniform, 6.0, 120),
+             "changing": (ten, 3.0 * np.random.default_rng(5).normal(size=(10, 10)), x10,
+                          16.0, 40)}
+    refs = {}
+    for name, (cfg, gT, x0, T, steps) in cases.items():
+        x_path = integrate_forward(x0, None, 0.0, T, T / steps, cfg).x
+        inputs = []
+        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs)
+        refs[name] = x_path, g, [optimal_control(g[0], cfg)] + firsts[:-1], inputs
+    changing = steps_changing(refs["changing"][3], ten)
+    assert all(changing) and len(changing) == 40
+    g = refs["tie"][1]
+    gains = switch_gains(g, tie)
+    assert np.array_equal(g[..., 1], g[..., 2]) and (gains[..., 0, 1] > SWITCH_TOL).any()
+    assert (np.array(refs["tie"][2])[..., 0] == 1).any()
+    g, us = refs["fees"][1:3]
+    assert {1, 2} <= set(np.array(us)[:, :, 0].ravel()) and (g[..., 2] > g[..., 1]).all()
+    blowup = dataclasses.replace(example, lam=np.inf)
+    with np.errstate(invalid="ignore"):
+        g = backward_loop(np.zeros((3, 3)), refs["example"][0], "optimizing", 0.05, blowup)[0]
+    first = max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2))))
+    for block in (1 << 12, 1 << 13, BLOCK_BYTES):
+        monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
+        for name, (cfg, gT, x0, T, steps) in cases.items():
+            x_path, g, us, _ = refs[name]
+            checks.clear()
+            best = integrate_backward(gT, x_path, 0.0, T, T / steps, cfg, mode="optimizing")
+            assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
+            assert np.array_equal(steps_of(best.u), us)
+            failed = [(length, kept) for length, kept in checks if kept < length]
+            if name == "example":
+                assert {"first" if kept == 0 else "last" if kept == length - 1 else "middle"
+                        for length, kept in failed} == {"first", "middle", "last"}
+            if name == "changing":
+                assert best.meta["rerun_steps"] == steps
+                assert sum(length - kept for length, kept in failed) <= 1 + math.log(steps, 4)
+        with pytest.raises(HjbError, match=rf"non-finite payoff at t={first * 0.05:.6g};"):
+            integrate_backward(np.zeros((3, 3)), refs["example"][0], 0.0, 3.0, 0.05, blowup,
+                               mode="optimizing")
+
+
+def test_held_run_check_compares_bits():
+    # with free switches, a held switch whose gain falls to -0.0 gives the
+    # term -0.0 where the best switch, no longer above SWITCH_TOL, gives
+    # +0.0: equal under ==, yet k - lam * term differs in the sign of a zero
+    cfg = make_config(2, 2, np.random.default_rng(4), fee_switch=0.0)
+    _, respond, check = hbmfg.hjb._best_response(cfg)
+    Y = np.zeros((2, 4, 2, 2, 1))   # two steps' stage inputs, by column
+    Y[0, :, 1, 0] = 1.0   # column 1 tops column 0 at level 0: switch 0 -> 1
+    Y[1, 1:, 1, 0] = -0.0
+    held = respond(Y[0, 0])
+    assert held[0] is not None and held[1].tolist() == [2, 1, 2, 3]
+    assert check(Y[:1], held) == 1 and check(Y, held) == 1
+    Y[1, 1:, 1, 0] = 0.0
+    assert check(Y, held) == 2
+    # an all-stay response runs bare only where lam * 0.0 is +0.0
+    for lam in (0.0, 1.0, -0.0, -1.0, np.inf, np.nan):
+        respond = hbmfg.hjb._best_response(dataclasses.replace(cfg, lam=lam))[1]
+        assert (respond(Y[1, 0])[0] is None) == (lam in (0.0, 1.0) and math.copysign(1, lam) > 0)
 
 
 def test_node_pass_equals_a_node_by_node_scan(monkeypatch):

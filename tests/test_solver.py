@@ -26,7 +26,7 @@ from hbmfg import (
 )
 from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config
-from test_hjb import backward_loop, steps_kept_bare
+from test_hjb import assert_reruns, backward_loop, steps_changing
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, steps_of, theorem_config
@@ -121,8 +121,8 @@ def _sweep(x0, u_path, T, dt, cfg):
 def test_exact_shortcuts_fire_inside_the_cone():
     # acceptance 07's setting: the uniform start is a fixed point of the
     # stay-put step map, and the fees keep every node inside the cone, so all
-    # forward steps but the first are filled and every payoff step is kept
-    # bare, as the reference loop's stage inputs tell
+    # forward steps but the first are filled, and every payoff step is held:
+    # the reference loop's stage controls never change
     rng = np.random.default_rng(707)
     for n in (2, 3):
         cfg = theorem_config(n, n, rng, delta=0.05)
@@ -133,7 +133,7 @@ def test_exact_shortcuts_fire_inside_the_cone():
         inputs = []
         g = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg, inputs)[0]
         assert np.array_equal(bwd.g, g)
-        assert bwd.meta["cone_steps"] == sum(steps_kept_bare(inputs, cfg)) == steps
+        assert bwd.meta["held_steps"] == steps and not any(steps_changing(inputs, cfg))
 
 
 def test_forward_fill_starts_mid_run_on_a_decaying_start():
@@ -153,9 +153,10 @@ def test_forward_fill_starts_mid_run_on_a_decaying_start():
 
 
 def test_example_solve_skips_only_near_the_horizon():
-    # on the example's converged path nothing is filled, and a step is kept
-    # bare only if it starts at a node whose payoff spread less the smallest
-    # fee is within SWITCH_TOL: the last few nodes before T
+    # on the example's converged path nothing is filled.  The nodes whose
+    # payoff spread less the smallest fee is within SWITCH_TOL are the last
+    # few before T; the best response changes, and the pass reruns steps,
+    # only just below them
     cfg = read_config(EXAMPLE)
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), 10.0, 0.05, cfg)
@@ -170,8 +171,9 @@ def test_example_solve_skips_only_near_the_horizon():
     inputs = []
     assert np.array_equal(backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05,
                                         cfg, inputs)[0], g)
-    kept = steps_kept_bare(inputs, cfg)
-    assert 0 < bwd.meta["cone_steps"] == sum(kept) <= near_t and all(kept[:sum(kept)])
+    changing = steps_changing(inputs, cfg)   # from the step next to T on
+    assert_reruns(bwd, changing)
+    assert 0 < sum(changing) and not any(changing[:near_t - 1] + changing[2 * near_t:])
 
 
 def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path, monkeypatch):
