@@ -12,15 +12,10 @@ switch term plays a given model.Control, one gain per piece at the cells
 GameConfig.switch_cells gives, or the best response, a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
 for a held run of occupation nodes equal in bits, which is stepped in long
-blocks.  The optimizing pass holds the best response over a response run
-of steps: the run plays the response at its first node through the
-fixed-target gain, bare when everybody stays, and one vectorized check
-over the run's stage inputs then confirms, in bits, that the best switch
-gives the same term at each.  A failed step is rerun with the best switch,
-the steps before it kept.  After the sweep, one pass over the nodes gives
-the best responses and the cone scan.  It first finds the largest gain
-column pair by column pair; below 0, every target stays and no gain tensor
-is built.
+blocks.  The optimizing pass holds the best response over response runs of
+steps, checked in bits against the best switch (_best_response).  After
+the sweep, one pass over the nodes gives the best responses and the cone
+scan.
 """
 from __future__ import annotations
 
@@ -29,7 +24,7 @@ import math
 import numpy as np
 
 from .kinetics import Trajectory, rk4_step, step_grid  # noqa: F401  (rk4_step: a perfbench hook)
-from .model import Control, GameConfig, control_pieces, occupation_array
+from .model import Control, GameConfig, control_pieces, grid_array, occupation_array
 
 __all__ = [
     "HjbError",
@@ -163,73 +158,84 @@ def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
 
 
 def _target_gain(target: np.ndarray, cfg: GameConfig):
-    i, k = np.divmod(cfg.switch_cells(target), cfg.m)   # by column, G's flat k * n + i
-    return _cell_gain((k * cfg.n + i).T[:, :, None],
-                      cfg.fee_B[np.arange(cfg.m), target].T[:, :, None])
-
-
-def _cell_gain(cells, fee):
-    # the switch term of fixed targets at a stage input G (m, n, 1): G[cells] - G - fee
-    return lambda y: y.take(cells) - y - fee
+    """The switch term of fixed targets (n, m) at a stage input G (m, n, 1),
+    G[cells] - G - fee, with its cells and fees: the flat by-column index
+    k * n + i of each cell's destination (i, k), switch_cells's, and the fee
+    of that switch, both flat in G's order."""
+    i, k = np.divmod(cfg.switch_cells(target).T, cfg.m)
+    cells, fee = (k * cfg.n + i).reshape(-1), cfg.fee_B[np.arange(cfg.m), target].T.reshape(-1)
+    at, cost = cells.reshape(cfg.m, cfg.n, 1), fee.reshape(cfg.m, cfg.n, 1)
+    return (lambda y: y.take(at) - y - cost), cells, fee
 
 
 def _best_response(cfg: GameConfig):
-    """The optimizing pass's uses of the best switch, as three closures.
+    """The optimizing pass's uses of the best switch, as three closures, and
+    the response runs that integrate_backward plays with them.
 
     gain(G): the best-switch term where(best > SWITCH_TOL, best, 0) at a
-    stage input G (m, n, 1).  respond(G): the best response at G,
-    optimal_control's, as a response run holds it: (gain, cells, fee,
-    moving), its fixed-target gain G[cells] - G - fee and the mask of the
-    cells that switch (None when everybody stays).  An all-stay response
-    runs bare, gain None, where lam * 0.0 is +0.0.  check(Y, response): how
-    many steps of a run that held that response, from its first, played the
-    best response, given their stage inputs Y (S, 4, m, n, 1).  A step did
-    when at each of its inputs the best-switch term equals the held term
-    (+0.0 when bare) in bits, so that nan and the sign of a zero are exact
-    too.  Bounds settle most inputs, since x -> fl(x - y) is monotone: an
-    all-stay run first tries the cone bound, each step's joint stage spread
-    less the smallest switch fee at most SWITCH_TOL; then every gain at
-    (i, j) is at most fl(fl(max_k g[i, k] - g[i, j]) - the column's
+    stage input G (m, n, 1), the maximum of switch_gains over the target,
+    bit for bit.  respond(G): the best response at G, optimal_control's, as
+    a response run holds it: (gain, cells, fee, moving), _target_gain's
+    term of its targets and the mask of the cells that switch (None when
+    everybody stays).  An all-stay response runs bare, gain None, where
+    lam * 0.0 is +0.0 (0 <= lam < inf, -0.0 excepted).  check(Y, response):
+    how many steps of a run that held that response, from its first, played
+    the best response, given their stage inputs Y (S, 4, m, n, 1).  A step
+    did when at each of its inputs the best-switch term equals the held
+    term (+0.0 when bare) in bits, so that nan and the sign of a zero are
+    exact too; where the held target is the argmax, or ties it, the term is
+    the same float.  Bounds settle most inputs, since x -> fl(x - y) is
+    monotone: an all-stay run first tries the cone bound, each step's joint
+    stage spread less the smallest switch fee at most SWITCH_TOL; then every
+    gain at (i, j) is at most fl(fl(max_k g[i, k] - g[i, j]) - the column's
     smallest fee), which settles a stay bounded by SWITCH_TOL and a switch
-    bounded by its held gain, itself above SWITCH_TOL.  The inputs left,
-    or a one-step run's three, whose gains cost no more than the bound,
-    take the best switch itself.
-    The check goes a chunk of inputs at a time, its bounds and gains each
-    within a quarter of BLOCK_BYTES, and stops at the first failed input.
-    The run's first input needs none: the held response was chosen there.
+    bounded by its held gain, itself above SWITCH_TOL.  The inputs left, or
+    a one-step run's three, whose gains cost no more than the bound, take
+    the best switch itself.  The check goes a chunk of inputs at a time, its
+    bounds and gains each within a quarter of BLOCK_BYTES, and stops at the
+    first failed input.  The run's first input needs none: the held
+    response was chosen there.
+    A response run plays the response at its first node through the
+    fixed-target gain, its stage inputs kept.  The steps before its first
+    failed step are kept; that step is rerun from its saved input with the
+    best switch.  A run is twice the last verified one, one step after a
+    failure, and at most as many steps as half of BLOCK_BYTES holds stage
+    inputs of.  After a run fails at its first step, the next 4, 16, 64,
+    ... steps take the best switch directly, until a run verifies.
     """
-    # switch_gains on the flattened columns, target first: gains[k, j*n + i]
-    # is the gain of (i, j) -> (i, k), so the best switch is a column maximum
     n, m = cfg.n, cfg.m
+    # switch_gains on the flattened columns, target first: gains(flat)[..., k,
+    # j*n + i] is the gain of (i, j) -> (i, k), so the best switch is a maximum
+    # over axis -2
     to = n * np.arange(m)[:, None] + np.arange(n * m) % n
     fee = np.repeat(cfg.switch_fee.T, n, axis=1)
-    own, level = np.divmod(np.arange(n * m), n)   # each flat cell's column and level
+    own = np.arange(n * m) // n   # each flat cell's column
     fee_min = float(cfg.switch_fee.min())
     fee_low = cfg.switch_fee.min(axis=1)[:, None]   # each column's smallest switch fee
     rows = max(1, BLOCK_BYTES // (4 * 32 * n * m))   # a chunk of inputs: its bounds
     exact = max(1, BLOCK_BYTES // (4 * 8 * m * n * m))   # the gains of that many
     # lam * 0.0 is +0.0 (0 <= lam < inf, and not -0.0): k - 0.0 is k, bit for bit
     bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
-    held = {}   # a response's bytes -> respond's tuple
 
-    def gain(y):
-        flat = y.reshape(-1)
-        best = (flat[to] - flat - fee).max(axis=0).reshape(y.shape)
+    def gains(flat):
+        return flat.take(to, axis=-1) - flat[..., None, :] - fee
+
+    def switch(g):   # the best-switch term; > 0.0 exactly where best > SWITCH_TOL
+        best = g.max(axis=-2)
         return np.where(best > SWITCH_TOL, best, 0.0)
 
+    def gain(y):
+        return switch(gains(y.reshape(-1))).reshape(y.shape)
+
     def respond(y):
-        flat = y.reshape(-1)
-        gains = flat[to] - flat - fee
-        target = np.where(gains.max(axis=0) > SWITCH_TOL, gains.argmax(axis=0), own)
-        key = target.tobytes()
-        if key not in held:
-            moving = target != own
-            moving = moving if moving.any() else None
-            cells, cost = target * n + level, cfg.fee_B[own, target]
-            held[key] = ((None, None, None, None) if moving is None and bare else
-                         (_cell_gain(cells.reshape(m, n, 1), cost.reshape(m, n, 1)),
-                          cells, cost, moving))
-        return held[key]
+        g = gains(y.reshape(-1))
+        target = np.where(switch(g) > 0.0, g.argmax(axis=0), own)
+        moving = target != own
+        if not moving.any():
+            if bare:
+                return None, None, None, None
+            moving = None
+        return (*_target_gain(target.reshape(m, n).T, cfg), moving)   # targets as (n, m)
 
     def check(Y, response):
         _, cells, cost, moving = response
@@ -254,12 +260,7 @@ def _best_response(cfg: GameConfig):
                 miss = miss[~ok.all(axis=1)]
             for a in range(0, len(miss), exact):
                 r = miss[a:a + exact]
-                y = flat[r]
-                gains = y[:, to]
-                gains -= y[:, None, :]
-                gains -= fee
-                best = gains.max(axis=1)
-                best = np.where(best > SWITCH_TOL, best, 0.0).view(np.int64)
+                best = switch(gains(flat[r])).view(np.int64)
                 bad = best != (0 if term is None else term[r].view(np.int64))
                 bad = bad.any(axis=1)
                 if bad.any():
@@ -269,8 +270,8 @@ def _best_response(cfg: GameConfig):
     return gain, respond, check
 
 
-def _by_column(g) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(g, dtype=float).T)[:, :, None]
+def _by_column(g: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(g.T)[:, :, None]
 
 
 def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
@@ -287,10 +288,10 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     x = None if x is None else occupation_array(x, (cfg.n, cfg.m))[None]
     M, c = _payoff_operators(x, cfg)
     target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
-    G = _by_column(g)
+    G = _by_column(grid_array(g, (cfg.n, cfg.m), "payoff"))
     dg = M[0] @ G + c[0]
     if target is not None:
-        dg -= cfg.lam * _target_gain(target, cfg)(G)
+        dg -= cfg.lam * _target_gain(target, cfg)[0](G)
     return np.ascontiguousarray(dg[..., 0].T)
 
 
@@ -302,7 +303,7 @@ def optimal_control(g, cfg: GameConfig) -> np.ndarray:
     1e-12 of zero keep the agent in place; among tied positive gains the
     lowest target index wins (deterministic).
     """
-    gains = switch_gains(np.asarray(g, dtype=float), cfg)
+    gains = switch_gains(grid_array(g, (cfg.n, cfg.m), "payoff"), cfg)
     return _best_targets(gains, gains.max(axis=-1))
 
 
@@ -371,10 +372,11 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     Nonpositive means no occupied state profits from deviating.  With a single
     behaviour level there is nothing to deviate to: returns -inf.
     """
+    g = grid_array(g, (cfg.n, cfg.m), "payoff")
     occupied = occupation_array(x, (cfg.n, cfg.m)) > OCCUPIED_TOL
     if not occupied.any():
         return float("-inf")
-    return float(switch_gains(np.asarray(g, dtype=float), cfg)[occupied].max())
+    return float(switch_gains(g, cfg)[occupied].max())
 
 
 def integrate_backward(
@@ -397,27 +399,16 @@ def integrate_backward(
     one (n, m) target matrix or a Control), one gain per piece;
     mode "optimizing": control must be None; every stage takes the best
     switch at the current g, the maximum of switch_gains over the target,
-    bit for bit.  A response run of steps plays instead the best response
-    at its first node, held fixed, through the fixed-target gain; an
-    all-stay response runs bare, and only where lam * 0.0 is +0.0
-    (0 <= lam < inf, -0.0 excepted).  The run's stage inputs are kept, and
-    one vectorized check after it confirms that the best-switch term
-    equals the held one in bits at each; exact bounds settle most of them
-    without the maximum (_best_response).  Where the held target is the
-    argmax, or ties it, the term is the same float.  The steps before the first failed
-    step are kept; that step is rerun from its saved input with the best
-    switch.  A run is twice the last verified one, one step after a
-    failure, and at most as many steps as half of BLOCK_BYTES holds stage
-    inputs of.  After a run fails at its first step, the next 4, 16, 64,
-    ... steps take the best switch directly, until a run verifies.
-    meta["held_steps"] counts the steps kept from verified runs,
-    meta["rerun_steps"] the n_steps others.
+    bit for bit, most of them through a held best response
+    (_best_response).  meta["held_steps"] counts the steps kept from
+    response runs, meta["rerun_steps"] the n_steps others.
     Each step's switch-free flow is hjb_rhs's affine map, built for a block
     of steps at a time within BLOCK_BYTES.  A held run, at least a block of
     steps whose end nodes are all equal in bits, shares one map and is
     stepped in blocks of as many steps as BLOCK_BYTES holds nodes.
-    Finiteness is checked once per block and reported at the first step, in
-    reversed time, that failed.
+    A payoff gT not of the grid's (n, m) raises ValueError.  A non-finite
+    payoff raises HjbError at the first step, in reversed time, that gave
+    one; it is checked once per block.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone scan of the path: cone_worst,
@@ -430,6 +421,7 @@ def integrate_backward(
         raise ValueError("mode 'optimizing' takes no control: it plays the best response")
     n_steps, h = step_grid(t0, t1, dt)
     n, m = cfg.n, cfg.m
+    gT = grid_array(gT, (n, m), "payoff")
     x_nodes = occupation
     if np.ndim(occupation) == 3:
         x_nodes = np.asarray(occupation, dtype=float)
@@ -440,7 +432,7 @@ def integrate_backward(
         x_nodes = np.broadcast_to(occupation_array(occupation, (n, m)), (n_steps + 1, n, m))
     step_gain = []   # fixed mode: each step's switch gain, one built per piece
     for a, b, target in [] if optimizing else control_pieces(control, n_steps, n, m):
-        step_gain += [None if target is None else _target_gain(target, cfg)] * (b - a)
+        step_gain += [None if target is None else _target_gain(target, cfg)[0]] * (b - a)
     times = t0 + h * np.arange(n_steps + 1)
 
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
@@ -449,7 +441,7 @@ def integrate_backward(
     # a response run's most steps: their stage inputs fill half of BLOCK_BYTES
     size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m)) if optimizing else 1
     H = np.empty((size, 4, m, n, 1))   # a run's stage inputs by step, g first
-    stages, ks = [tuple(H[0])], tuple(np.empty((4, m, n, 1)))   # stages: H's, as runs need
+    stages, ks = [tuple(Y) for Y in H], tuple(np.empty((4, m, n, 1)))
     H[0, 0] = _by_column(gT)
     if optimizing:
         best, respond, check = _best_response(cfg)
@@ -474,7 +466,6 @@ def integrate_backward(
                     continue
                 response = respond(H[0, 0])
                 length = min(run, k - lo + 1)
-                stages += [tuple(Y) for Y in H[len(stages):length]]
                 for r in range(length):
                     out = step(k - r, response[0], stages[r])
                     if r + 1 < length:

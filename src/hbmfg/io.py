@@ -173,7 +173,11 @@ def read_config(source) -> GameConfig:
 
 
 def config_sha256(path: str) -> str:
-    return _sha256_file(path)
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(65536), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def fmt(x: float) -> str:
@@ -388,14 +392,6 @@ def write_aggregate_csv(path: str, times, means, stderrs, written: dict | None =
     head = ["t"] + _state_labels("mean_x", n, m) + _state_labels("stderr_x", n, m)
     table = np.concatenate([means, stderrs], axis=1, dtype=float)
     write_chunks(path, _row_lines(head, times, table.reshape(len(table), -1)), written)
-
-
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 def write_manifest(out_dir: str, command: list, config_hash: str, version: str,

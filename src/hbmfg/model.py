@@ -32,6 +32,7 @@ __all__ = [
     "balance_gap",
     "effective_rewards",
     "dominant_level",
+    "grid_array",
     "occupation_array",
     "control_pieces",
 ]
@@ -306,14 +307,18 @@ class Control:
         return int(np.diff(cuts, append=self.n_steps)[np.any(mine != theirs, axis=(1, 2))].sum())
 
 
-def occupation_array(x, shape=None) -> np.ndarray:
-    """Accept an Occupation or a bare matrix; return a float ndarray.  A
-    matrix not of the given shape, the grid's (n, m), is refused by name."""
-    a = x.x if isinstance(x, Occupation) else np.asarray(x, dtype=float)
+def grid_array(a, shape, name: str) -> np.ndarray:
+    """a as a float ndarray.  One not of the given shape, the grid's (n, m),
+    is refused by name: an occupation or a payoff."""
+    a = np.asarray(a, dtype=float)
     if shape is not None and a.shape != tuple(shape):
-        raise ValueError(f"occupation of shape {a.shape} does not match the grid's "
-                         f"{tuple(shape)}")
+        raise ValueError(f"{name} of shape {a.shape} does not match the grid's {tuple(shape)}")
     return a
+
+
+def occupation_array(x, shape=None) -> np.ndarray:
+    """Accept an Occupation or a bare matrix; return it as grid_array does."""
+    return grid_array(x.x if isinstance(x, Occupation) else x, shape, "occupation")
 
 
 def control_pieces(u, n_steps: int, n: int, m: int) -> list:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains
 from .kinetics import Trajectory, integrate_forward, step_grid
-from .model import Control, GameConfig, occupation_array
+from .model import Control, GameConfig, grid_array, occupation_array
 from .stationary import stationary_solution
 
 __all__ = [
@@ -108,7 +108,7 @@ def solve_mfg(
         raise ValueError("need max_iter >= 1")
     n_steps, h = step_grid(0.0, T, dt)
     x0a = occupation_array(x0, (cfg.n, cfg.m))
-    gTa = np.asarray(gT, dtype=float)
+    gTa = grid_array(gT, (cfg.n, cfg.m), "payoff")
 
     stay = Control.stay(cfg.n, cfg.m, n_steps)
     u_path, u_prev = stay, None
@@ -161,10 +161,10 @@ def boundary_tangent_condition(
     repelling); leading keeps only the pressure moves' payoff differences
     rate * (g[dest] - g), dropping fines, rewards and interactions.
     """
+    ga = grid_array(g, (cfg.n, cfg.m), "payoff")
     for name, k, size in (("level", level, cfg.n), ("alpha", alpha, cfg.m), ("beta", beta, cfg.m)):
         if not 0 <= k < size:
             raise ValueError(f"probe {name} {k} lies outside [0, {size})")
-    ga = np.asarray(g, dtype=float)
     margin = float(switch_gains(ga[level], cfg)[alpha, beta])   # a stay gains -inf
     scale = max(1.0, float(np.max(np.abs(ga))))
     if abs(margin) > BOUNDARY_TOL * scale:

@@ -14,6 +14,8 @@ from hbmfg import (
     Occupation,
     Regime,
     SinkRates,
+    boundary_tangent_condition,
+    consistency_margin,
     dominant_level,
     effective_rewards,
     enumerate_transitions,
@@ -21,8 +23,10 @@ from hbmfg import (
     integrate_backward,
     integrate_forward,
     kinetic_rhs,
+    optimal_control,
     regime_scales,
     simulate,
+    solve_mfg,
     validate,
 )
 from hbmfg.model import BALANCE_TOL, control_pieces
@@ -376,3 +380,25 @@ def test_every_entry_point_refuses_a_misshaped_occupation(entry, shape):
     x = np.full(shape, 1.0 / np.prod(shape))
     with pytest.raises(ValueError, match=rf"occupation (path )?of shape {re.escape(str(shape))}"):
         _CONTROL_ENTRY_POINTS[entry](x, None, cfg)
+
+
+_PAYOFF_ENTRY_POINTS = {
+    "hjb_rhs": lambda g, x, cfg: hjb_rhs(g, x, None, cfg),
+    "optimal_control": lambda g, x, cfg: optimal_control(g, cfg),
+    "consistency_margin": lambda g, x, cfg: consistency_margin(g, x, cfg),
+    "boundary_tangent_condition": lambda g, x, cfg: boundary_tangent_condition(g, x, cfg, 0, 0, 1),
+    "integrate_backward": lambda g, x, cfg: integrate_backward(g, x, 0.0, 1.0, 0.25, cfg,
+                                                               mode="optimizing"),
+    "solve_mfg": lambda g, x, cfg: solve_mfg(x, g, 1.0, 0.25, cfg),
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 3), (2, 3, 1)])
+@pytest.mark.parametrize("entry", sorted(_PAYOFF_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_misshaped_payoff(entry, shape):
+    # on the 2 x 3 config, (3,) and (1, 3) would broadcast across the levels,
+    # (3, 3) has a level too many and (2, 3, 1) would run as a stack
+    cfg = make_config(2, 3, np.random.default_rng(4), lam=1.5)
+    x = np.full((2, 3), 1.0 / 6.0)
+    with pytest.raises(ValueError, match=rf"payoff of shape {re.escape(str(shape))}"):
+        _PAYOFF_ENTRY_POINTS[entry](np.zeros(shape), x, cfg)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import sys
@@ -24,6 +25,7 @@ from hbmfg import (
     switch_gains,
     turnpike_metrics,
 )
+from hbmfg.cli import run as cli_run
 from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config
 from test_hjb import assert_reruns, backward_loop, steps_changing
@@ -184,14 +186,49 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), default_horizon(cfg), default_dt(cfg), cfg)
     assert res.meta["cone_worst"] == 1.5203133046333726 and res.meta["violations"] == 7369
+    cfg = read_config(_stayput_config(tmp_path, monkeypatch))
+    res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
+    assert res.meta["cone_worst"] == -26.344619424234665 and res.meta["violations"] == 0
+    assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
+
+
+def _stayput_config(tmp_path, monkeypatch) -> str:
+    # perfbench's seed-1 stay-put config, written into tmp_path
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    cfg = read_config(workloads.write_stayput_config(1, str(tmp_path)))
-    res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
-    assert res.meta["cone_worst"] == -26.344619424234665 and res.meta["violations"] == 0
-    assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
+    return workloads.write_stayput_config(1, str(tmp_path))
+
+
+SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
+    "example": {
+        "x.csv": "f6713548515571173f5225c3fbb0c8c414c8f21c53f1418597b95183cdd84fc2",
+        "g.csv": "81bbb4f7aa9938b658a38f4e24216c447ed699819b096f2a51c6227bf3c7ec74",
+        "controls.json": "1748a50a3758b21c912ba0303bb799ec77e81d24e26ba08b5fed299f67ae582f",
+        "solve.json": "a85908de0453a80a4295f0c9e5c34bc1ab97bfca953e4a8501b0bb0fac10baed",
+    },
+    "stayput": {
+        "x.csv": "9aecc53c82d0d9785cca3e24413651f61a1e993c0f7add9e02cfe249c7fccb44",
+        "g.csv": "0642923a2701858a9f3bcb9c0f7542070939a17feef15a6744f75ad8a89865d8",
+        "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
+        "solve.json": "c7c96572d72a5ee6c3d33e62961b68e8755829a26d06cf36fcbefd747c7a6cca",
+    },
+}
+
+
+def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
+    # the example at its default horizon, and the seed-1 stay-put config on a
+    # short horizon: a change that moves any bit of a solve changes these
+    # pins, and has to say so
+    argv = {"example": ["solve", EXAMPLE],
+            "stayput": ["solve", _stayput_config(tmp_path, monkeypatch), "--T", "5",
+                        "--dt", "0.05"]}
+    for name, pins in SOLVE_PINS.items():
+        out = tmp_path / name
+        assert cli_run(argv[name] + ["--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
+        assert got == pins, name
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
