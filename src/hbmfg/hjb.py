@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .kinetics import Trajectory, rk4_step, step_grid  # noqa: F401  (rk4_step: a perfbench hook)
+from .kinetics import Trajectory, check_nodes, rk4_scalars, step_grid
+from .kinetics import rk4_step  # noqa: F401  (a perfbench hook)
 from .model import Control, GameConfig, control_pieces, grid_array, occupation_array
 
 __all__ = [
@@ -131,41 +132,67 @@ def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
         top = a
 
 
-def _payoff_step(M, c, h: float, gain, lam: float, ys, ks, out) -> None:
+def _payoff_step(M, c, scalars: tuple, gain, lam: np.ndarray, ys, ks, out) -> None:
     """One RK4 step of dG/dt = M @ G + c - lam * gain(G) from G = ys[0], with
-    step h, into out: rk4_step's arithmetic, bit for bit, on preallocated
-    buffers, ys the four stage inputs and ks their slopes.  gain None:
-    nobody switches.
+    the stage scalars of rk4_scalars(h), into out: rk4_step's arithmetic,
+    bit for bit, on preallocated buffers, ys the four stage inputs and ks
+    their slopes.  lam is a 0-d array; gain(y) returns an array that the
+    step may overwrite, or gain is None: nobody switches.
     """
+    half, step, sixth, two = scalars
     g = ys[0]
     for s in range(4):
         y = ys[s]
         if s:
-            np.multiply(ks[s - 1], h if s == 3 else 0.5 * h, out=y)
+            np.multiply(ks[s - 1], step if s == 3 else half, out=y)
             y += g
         k = np.matmul(M, y, out=ks[s])
         k += c
         if gain is not None:
-            k -= lam * gain(y)
+            term = gain(y)
+            term *= lam
+            k -= term
     k1, k2, k3, k4 = ks
-    np.multiply(k2, 2.0, out=out)
+    np.multiply(k2, two, out=out)
     out += k1
-    k3 *= 2.0
+    k3 *= two
     out += k3
     out += k4
-    out *= h / 6.0
+    out *= sixth
     out += g
 
 
-def _target_gain(target: np.ndarray, cfg: GameConfig):
-    """The switch term of fixed targets (n, m) at a stage input G (m, n, 1),
-    G[cells] - G - fee, with its cells and fees: the flat by-column index
-    k * n + i of each cell's destination (i, k), switch_cells's, and the fee
-    of that switch, both flat in G's order."""
-    i, k = np.divmod(cfg.switch_cells(target).T, cfg.m)
-    cells, fee = (k * cfg.n + i).reshape(-1), cfg.fee_B[np.arange(cfg.m), target].T.reshape(-1)
-    at, cost = cells.reshape(cfg.m, cfg.n, 1), fee.reshape(cfg.m, cfg.n, 1)
-    return (lambda y: y.take(at) - y - cost), cells, fee
+def _target_gains(cfg: GameConfig):
+    """The switch term of fixed targets, built once per pass: gain_of(target)
+    gives, for an (n, m) target matrix, (term, cells, fee).  term(G) is
+    G[cells] - G - fee at a stage input G (m, n, 1), in a buffer of its own
+    that its next call overwrites.  cells is the flat by-column index
+    k * n + i of each cell's destination (i, k), switch_cells's, and fee
+    the fee of that switch, both flat in G's order: one lookup of
+    switch_cells(target) in two tables by source column and row-major
+    destination gives both."""
+    n, m = cfg.n, cfg.m
+    dest = np.arange(n * m)   # row-major, i * m + k
+    cell_table = np.tile(dest % m * n + dest // m, m)
+    fee_table = cfg.fee_B[:, dest % m].reshape(-1)
+    column = n * m * np.arange(m)[:, None]   # each source column's table
+
+    def gain_of(target):
+        at = cfg.switch_cells(target).T + column   # (m, n): by source column
+        cells, fee = cell_table.take(at).reshape(-1), fee_table.take(at).reshape(-1)
+        cost = fee.reshape(m, n, 1)
+        out = np.empty((m, n, 1))
+        flat = out.reshape(-1)
+
+        def term(y):
+            y.take(cells, out=flat, mode="clip")   # cells are in range: take's unbuffered path
+            np.subtract(out, y, out)
+            np.subtract(out, cost, out)
+            return out
+
+        return term, cells, fee
+
+    return gain_of
 
 
 def _best_response(cfg: GameConfig):
@@ -175,7 +202,7 @@ def _best_response(cfg: GameConfig):
     gain(G): the best-switch term where(best > SWITCH_TOL, best, 0) at a
     stage input G (m, n, 1), the maximum of switch_gains over the target,
     bit for bit.  respond(G): the best response at G, optimal_control's, as
-    a response run holds it: (gain, cells, fee, moving), _target_gain's
+    a response run holds it: (gain, cells, fee, moving), _target_gains's
     term of its targets and the mask of the cells that switch (None when
     everybody stays).  An all-stay response runs bare, gain None, where
     lam * 0.0 is +0.0 (0 <= lam < inf, -0.0 excepted).  check(Y, response):
@@ -204,6 +231,7 @@ def _best_response(cfg: GameConfig):
     ... steps take the best switch directly, until a run verifies.
     """
     n, m = cfg.n, cfg.m
+    gain_of = _target_gains(cfg)
     # switch_gains on the flattened columns, target first: gains(flat)[..., k,
     # j*n + i] is the gain of (i, j) -> (i, k), so the best switch is a maximum
     # over axis -2
@@ -235,7 +263,7 @@ def _best_response(cfg: GameConfig):
             if bare:
                 return None, None, None, None
             moving = None
-        return (*_target_gain(target.reshape(m, n).T, cfg), moving)   # targets as (n, m)
+        return (*gain_of(target.reshape(m, n).T), moving)   # targets as (n, m)
 
     def check(Y, response):
         _, cells, cost, moving = response
@@ -291,7 +319,7 @@ def hjb_rhs(g, x, u, cfg: GameConfig) -> np.ndarray:
     G = _by_column(grid_array(g, (cfg.n, cfg.m), "payoff"))
     dg = M[0] @ G + c[0]
     if target is not None:
-        dg -= cfg.lam * _target_gain(target, cfg)[0](G)
+        dg -= cfg.lam * _target_gains(cfg)(target)[0](G)
     return np.ascontiguousarray(dg[..., 0].T)
 
 
@@ -406,7 +434,8 @@ def integrate_backward(
     of steps at a time within BLOCK_BYTES.  A held run, at least a block of
     steps whose end nodes are all equal in bits, shares one map and is
     stepped in blocks of as many steps as BLOCK_BYTES holds nodes.
-    A payoff gT not of the grid's (n, m) raises ValueError.  A non-finite
+    A payoff gT not of the grid's (n, m) raises ValueError, and so does a
+    grid whose node array would pass kinetics.NODE_BYTES.  A non-finite
     payoff raises HjbError at the first step, in reversed time, that gave
     one; it is checked once per block.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
@@ -421,6 +450,7 @@ def integrate_backward(
         raise ValueError("mode 'optimizing' takes no control: it plays the best response")
     n_steps, h = step_grid(t0, t1, dt)
     n, m = cfg.n, cfg.m
+    check_nodes(n_steps + 1, n * m)
     gT = grid_array(gT, (n, m), "payoff")
     x_nodes = occupation
     if np.ndim(occupation) == 3:
@@ -431,9 +461,11 @@ def integrate_backward(
     elif occupation is not None:
         x_nodes = np.broadcast_to(occupation_array(occupation, (n, m)), (n_steps + 1, n, m))
     step_gain = []   # fixed mode: each step's switch gain, one built per piece
+    gain_of = _target_gains(cfg)
     for a, b, target in [] if optimizing else control_pieces(control, n_steps, n, m):
-        step_gain += [None if target is None else _target_gain(target, cfg)[0]] * (b - a)
+        step_gain += [None if target is None else gain_of(target)[0]] * (b - a)
     times = t0 + h * np.arange(n_steps + 1)
+    scalars, lam = rk4_scalars(-h), np.array(cfg.lam)
 
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
     gs = np.empty((n_steps + 1, n, m))
@@ -454,7 +486,7 @@ def integrate_backward(
     for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
         def step(k, gain, ys):   # step k from ys[0] into cols
             j = k - lo if len(M) > 1 else 0
-            _payoff_step(M[j], c[j], -h, gain, cfg.lam, ys, ks, cols[k - lo])
+            _payoff_step(M[j], c[j], scalars, gain, lam, ys, ks, cols[k - lo])
             return cols[k - lo]
 
         k = hi - 1

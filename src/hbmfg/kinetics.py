@@ -9,9 +9,11 @@ and sink, come from the config's move table, GameConfig.moves.  Every flow
 moves mass along one axis at a time, so the total mass (and, absent
 switching, each behaviour column's mass) is conserved.  The control is a
 model.Control, piecewise constant on the step grid; one target matrix is a
-one-piece control.  The forward integrator stops stepping once a step
-returns its input bit for bit, and fills the rest of that control piece
-with the fixed point.
+one-piece control.  The forward integrator steps runs of up to RUN_STEPS
+steps and checks each run at once; it stops stepping once a step returns
+its input bit for bit, and fills the rest of that control piece with the
+fixed point.  Every stage scales by 0-d float64 arrays (rk4_scalars).  A
+grid whose node array would pass NODE_BYTES is refused before allocation.
 """
 from __future__ import annotations
 
@@ -37,9 +39,14 @@ log = logging.getLogger(__name__)
 
 # A stored sample is re-projected to the simplex only past this drift.
 DRIFT_TOL = 1e-12
-# The most steps a grid may have: every node array of a solve holds 8 * n * m
-# bytes a node, and each step costs tens of microseconds of Python-level work.
+# The most steps a grid may have: each step costs tens of microseconds of
+# Python-level work.
 MAX_STEPS = 10**8
+# The most bytes one node array may take: rows of n * m 8-byte values, one a
+# node, so a grid's (n_steps + 1, n, m) path, or a simulation's counts.
+NODE_BYTES = 1 << 30
+# The forward pass's longest run of steps checked at once.
+RUN_STEPS = 64
 
 
 class KineticsError(RuntimeError):
@@ -64,7 +71,8 @@ class Trajectory:
 
 def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
     """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h); a count
-    past MAX_STEPS, or one that overflows, is refused before any allocation."""
+    past MAX_STEPS, or one that overflows, is refused before any allocation.
+    Its node arrays are held to NODE_BYTES by check_nodes."""
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("need finite t0, t1 and dt")
     if not (t1 > t0):
@@ -78,18 +86,35 @@ def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
     return n_steps, (t1 - t0) / n_steps
 
 
+def check_nodes(rows: int, cells: int) -> None:
+    """Refuse a node array of rows x cells 8-byte values past NODE_BYTES,
+    before it is allocated."""
+    size = 8 * rows * cells
+    if size > NODE_BYTES:
+        raise ValueError(f"a node array of {rows} x {cells} values takes {size} bytes, "
+                         f"past the budget of {NODE_BYTES} bytes")
+
+
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
     """dx/dt as a function of x, agents moving to cfg.switch_cells(target) at
-    rate lam; target None or all staying builds no scatter index."""
-    mv, m, lam = cfg.moves, cfg.m, cfg.lam
+    rate lam; target None or all staying builds no scatter index.  The
+    per-capita rates go into a scratch buffer, the flux and switch term are
+    formed in place, and each call returns a new array."""
+    mv, m, lam = cfg.moves, cfg.m, np.array(cfg.lam)
     cells = None
-    if target is not None and lam != 0.0 and (target != np.arange(m)).any():
+    if target is not None and cfg.lam != 0.0 and (target != np.arange(m)).any():
         cells = cfg.switch_cells(target).ravel()
+    rate = np.empty(mv.rate.shape)
 
     def rhs(x):
-        out = mv.net @ (mv.per_capita(x) * x).reshape(-1, m)
+        flux = mv.per_capita(x, out=rate)
+        flux *= x
+        out = mv.net @ flux.reshape(-1, m)
         if cells is not None:
-            out += lam * (np.bincount(cells, x.ravel(), x.size).reshape(x.shape) - x)
+            switch = np.bincount(cells, x.ravel(), x.size).reshape(x.shape)
+            switch -= x
+            switch *= lam
+            out += switch
         return out
 
     return rhs
@@ -106,12 +131,37 @@ def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     return _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)(x)
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
+def rk4_scalars(h: float) -> tuple:
+    """RK4's stage scalars 0.5 * h, h, h / 6 and 2.0 as float64 0-d arrays.
+
+    numpy scales an array by a 0-d array with the bits it gives for the
+    float, in fewer steps: a Python float goes through scalar promotion on
+    every call.  A loop of steps builds them once.
+    """
+    return tuple(np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+
+
+def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y) from y, with step h, into out
+    when given: y + h / 6 * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
+
+    h is the step, or its rk4_scalars(h).  The weighted sum of the slopes is
+    formed in place; IEEE + and * commute, so each sum and product rounds as
+    the expression does.  f must return a new array.
+    """
+    half, step, sixth, two = h if isinstance(h, tuple) else rk4_scalars(h)
     k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(y + half * k1)
+    k3 = f(y + half * k2)
+    k4 = f(y + step * k3)
+    k2 *= two
+    k2 += k1
+    k3 *= two
+    k2 += k3
+    k2 += k4
+    k2 *= sixth
+    return np.add(y, k2, out=out)
 
 
 def integrate_forward(
@@ -127,48 +177,97 @@ def integrate_forward(
     The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
     (n, m) target matrix held fixed, or a model.Control of the grid's n_steps
     steps.  The step kernel, with its control's scatter index, is built once
-    per control piece, and one sum serves each step's non-finite and drift
-    checks.
+    per control piece.
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
     and logged.  A step whose output equals its input bit for bit has reached
     a fixed point of its control piece's step map: the rest of the piece is
     filled with it and not stepped (meta["fixed_steps"] counts the filled
     steps, and a projected fixed point counts as projected at each of them).
+    A sample whose sum is not finite raises KineticsError; a grid whose
+    node array would pass NODE_BYTES raises ValueError before allocation.
+
+    The steps go in runs of 1, 2, 4, ... up to RUN_STEPS steps within a
+    piece, each rk4_step written straight into the node array; then one
+    row sum and one row minimum over the run serve every step's checks at
+    once (the same bits as each step's x.sum() and x.min()).  At the first
+    step that is not finite, drifts past 1e-12 or returns its input, the
+    per-step rule above takes over: it raises, projects the step and resumes
+    from it, or fills the piece.  The steps computed past that one are
+    discarded.  A run stops at a step that meets a floating-point error the
+    caller does not ignore, and that step is rerun outside the run, so the
+    caller sees exactly the warnings of a step-by-step pass.
     """
+    n, m = cfg.n, cfg.m
     n_steps, h = step_grid(t0, t1, dt)
-    pieces = control_pieces(control, n_steps, cfg.n, cfg.m)
+    check_nodes(n_steps + 1, n * m)
+    pieces = control_pieces(control, n_steps, n, m)
 
     times = t0 + h * np.arange(n_steps + 1)
-    x = occupation_array(x0, (cfg.n, cfg.m))
-    xs = np.empty((n_steps + 1,) + x.shape)
-    xs[0] = x
+    xs = np.empty((n_steps + 1, n, m))
+    xs[0] = occupation_array(x0, (n, m))
+    rows = xs.reshape(n_steps + 1, n * m)
+    bits = rows.view(np.int64)
+    scalars = rk4_scalars(h)
+    errors = []   # the floating-point errors the caller would see, met inside a run
+    caught = {kind: "ignore" if mode == "ignore" else "call"
+              for kind, mode in np.geterr().items()}
+
+    def record(kind, flag):
+        errors.append(kind)
+
     drift_max = 0.0
     projections = fixed_steps = 0
     for a, b, target in pieces:  # one control piece: steps a .. b-1
         kernel = _kinetic_kernel(target, cfg)
-        for k in range(a, b):
-            x_in, x = x, rk4_step(kernel, x, h)
-            mass = float(x.sum())  # any inf or nan entry makes it non-finite
+        k, run = a, 1
+        while k < b:
+            end = min(k + run, b)   # steps k .. end-1, into nodes k+1 .. end
+            with np.errstate(**caught, call=record):
+                for j in range(k, end):
+                    rk4_step(kernel, xs[j], scalars, out=xs[j + 1])
+                    if errors:
+                        end = j + 1
+                        break
+            if errors:   # rerun as a step-by-step pass would take it
+                errors.clear()
+                rk4_step(kernel, xs[end - 1], scalars, out=xs[end])
+            with np.errstate(all="ignore"):   # the per-step rule below warns as it would
+                block = rows[k + 1:end + 1]
+                mass = block.sum(axis=1)
+                drift = np.maximum(np.abs(mass - 1.0), -block.min(axis=1))
+                plain = drift <= DRIFT_TOL   # False where the mass is not finite
+                plain &= (bits[k + 1:end + 1] != bits[k:end]).any(axis=1)
+            first = int(plain.argmin())   # the first step the per-step rule takes
+            if plain[first]:
+                first = end - k
+            if first:
+                drift_max = max(drift_max, float(drift[:first].max()))
+            if k + first == end:
+                k, run = end, min(2 * run, RUN_STEPS)
+                continue
+            # the per-step rule at step j = k + first
+            j = k + first
+            x = xs[j + 1]
+            mass = float(x.sum())
             if not math.isfinite(mass):
                 raise KineticsError(
-                    f"non-finite occupation at t={times[k + 1]:.6g}; reduce dt (dt={h:.3g})"
+                    f"non-finite occupation at t={times[j + 1]:.6g}; reduce dt (dt={h:.3g})"
                 )
             drift = max(abs(mass - 1.0), max(0.0, -float(x.min())))
             drift_max = max(drift_max, drift)
             projected = drift > DRIFT_TOL
             if projected:
-                x = np.clip(x, 0.0, None)
+                np.clip(x, 0.0, None, out=x)
                 x /= x.sum()
                 projections += 1
-            xs[k + 1] = x
-            # a step that returns its input bit for bit, in the same C layout,
-            # returns it at every later step of the piece: fill them
-            if (x_in.flags.c_contiguous and x.flags.c_contiguous
-                    and x.tobytes() == x_in.tobytes()):
-                xs[k + 2:b + 1] = x
-                fixed_steps += b - k - 1
-                projections += projected * (b - k - 1)
+            k, run = j + 1, 1
+            # a step that returns its input bit for bit returns it at every
+            # later step of the piece: fill them
+            if x.tobytes() == xs[j].tobytes():
+                xs[j + 2:b + 1] = x
+                fixed_steps += b - j - 1
+                projections += projected * (b - j - 1)
                 break
     if projections:
         log.warning(

@@ -109,12 +109,16 @@ class Moves:
     fine: np.ndarray
     net: np.ndarray
 
-    def per_capita(self, x: Optional[np.ndarray]) -> np.ndarray:
+    def per_capita(self, x: Optional[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-capita rates (..., F, n, m) at occupations x (..., n, m), one
-        matrix or a stack of them; None means no partners: (F, n, m)."""
+        matrix or a stack of them, written into out when given; None means
+        no partners: (F, n, m), the rates themselves."""
         if x is None:
             return self.rate
-        return self.rate + (self.evo @ x[..., None, :, :, None])[..., 0]
+        rate = np.matmul(self.evo, x[..., None, :, :, None],
+                         out=None if out is None else out[..., None])[..., 0]
+        rate += self.rate   # the same bits as self.rate + rate: IEEE + commutes
+        return rate
 
     def generator(self, rates: np.ndarray) -> np.ndarray:
         """The n x n level chains (..., n, n) of per-capita rates (..., F, n),
@@ -223,9 +227,13 @@ class GameConfig:
         """fee_B with +inf on its diagonal: staying is no switch and gains -inf."""
         return _ro(np.where(np.eye(self.m, dtype=bool), np.inf, self.fee_B))
 
+    @cached_property
+    def _level_cells(self) -> np.ndarray:
+        return _ro(self.m * np.arange(self.n)[:, None], int)   # each level's first flat cell
+
     def switch_cells(self, target: np.ndarray) -> np.ndarray:
         """The flat cell i * m + target[i, j] each (i, j) switches to; a stay maps to itself."""
-        return target + self.m * np.arange(self.n)[:, None]
+        return target + self._level_cells
 
 
 @dataclass(frozen=True)

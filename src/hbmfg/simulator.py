@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import MAX_STEPS, integrate_forward
+from .kinetics import MAX_STEPS, check_nodes, integrate_forward
 from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
@@ -204,12 +204,15 @@ def simulate(
     same order (a uniform for each wait, and one for the pick if the event
     falls inside the interval), so a lockstep replication is bit for bit the
     path that its seed gives alone.  record_events needs a single seed.
+    A count array of replications x (samples + 1) nodes past
+    kinetics.NODE_BYTES is refused before it is allocated.
     """
     if not (0.0 < T < math.inf):
         raise ValueError("need a finite T > 0")
     if not 1 <= samples <= MAX_STEPS:
         raise ValueError(f"need 1 to {MAX_STEPS} output samples, got {samples}")
     single = isinstance(seed, (int, np.integer))
+    check_nodes((1 if single else len(seed)) * (samples + 1), cfg.n * cfg.m)   # the counts
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one seed")

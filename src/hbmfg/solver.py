@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains
-from .kinetics import Trajectory, integrate_forward, step_grid
+from .kinetics import Trajectory, check_nodes, integrate_forward, step_grid
 from .model import Control, GameConfig, grid_array, occupation_array
 from .stationary import stationary_solution
 
@@ -102,11 +102,13 @@ def solve_mfg(
     solve stops there, oscillating and not converged.  meta["flipped_steps"]
     counts the steps whose control the last best response changed, 0 exactly
     when converged.  meta["switch_fraction"] is the share of steps on which
-    anyone switches.
+    anyone switches.  A grid whose node paths would pass kinetics.NODE_BYTES
+    is refused before the first sweep.
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
     n_steps, h = step_grid(0.0, T, dt)
+    check_nodes(n_steps + 1, cfg.n * cfg.m)
     x0a = occupation_array(x0, (cfg.n, cfg.m))
     gTa = grid_array(gT, (cfg.n, cfg.m), "payoff")
 

@@ -35,7 +35,7 @@ from hbmfg.io import (
     write_state_csv,
     write_trajectory_csv,
 )
-from hbmfg.kinetics import MAX_STEPS
+from hbmfg.kinetics import MAX_STEPS, NODE_BYTES
 from util_configs import config_doc, cycle_config, make_config, theorem_config, write_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
@@ -1103,6 +1103,27 @@ def test_cli_solve_refuses_a_grid_past_the_step_bound(tmp_path, capsys):
     assert code == 1 and summary["error"] == (
         f"a grid of inf steps exceeds the bound of {MAX_STEPS} steps")
     assert os.listdir(out) == []
+
+
+def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, capsys):
+    # 1e8 steps are within MAX_STEPS, but the (1e8 + 1, 3, 3) node path would
+    # take 7.2 GB; three replications of 4971027 nodes take just past the
+    # budget.  Each is refused by name, with numpy's traced peak far below it.
+    runs = {"solve": (["--T", "1e308", "--dt", "1e300"], 100000001),
+            "simulate": (["--N", "10", "--T", "1", "--reps", "3", "--samples", "4971026"],
+                         3 * 4971027)}
+    for cmd, (args, rows) in runs.items():
+        out = tmp_path / cmd
+        tracemalloc.start()
+        try:
+            code, summary, _ = cli([cmd, EXAMPLE, *args, "--out", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and summary["error"] == (
+            f"a node array of {rows} x 9 values takes {72 * rows} bytes, "
+            f"past the budget of {NODE_BYTES} bytes")
+        assert os.listdir(out) == [] and peak < 1 << 24
 
 
 def test_cli_simulate_refuses_samples_past_the_step_bound(tmp_path, capsys):

@@ -1,20 +1,31 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hbmfg import (
     Control,
+    CountState,
     GameConfig,
     KineticsError,
     Occupation,
     SinkRates,
+    integrate_backward,
     integrate_forward,
     kinetic_rhs,
+    simulate,
 )
-from hbmfg.kinetics import MAX_STEPS, rk4_step, step_grid
-from util_configs import make_config, theorem_config
+from hbmfg import kinetics
+from hbmfg.io import read_config
+from hbmfg.kinetics import MAX_STEPS, NODE_BYTES, rk4_step, step_grid
+from hbmfg.model import control_pieces, occupation_array
+from hbmfg.solver import default_dt, default_horizon, solve_mfg
+from test_io_cli import EXAMPLE
+from util_configs import make_config, stayput_config, theorem_config
 
 
 def rhs_loops(x, u, cfg):
@@ -373,3 +384,202 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
     # step; the switching piece in between is stepped
     assert traj.meta["fixed_steps"] == 38 + 139
     assert (traj.x[41:61] != traj.x[40:60]).any(axis=(1, 2)).all()
+
+
+def forward_per_step(x0, control, t0, t1, dt, cfg):
+    """integrate_forward's per-step rule, one step and its checks at a time:
+    the reference for the run-checked pass.  Returns (xs, meta)."""
+    n_steps, h = step_grid(t0, t1, dt)
+    times = t0 + h * np.arange(n_steps + 1)
+    x = np.array(occupation_array(x0, (cfg.n, cfg.m)))
+    xs = np.empty((n_steps + 1,) + x.shape)
+    xs[0] = x
+    drift_max = 0.0
+    projections = fixed_steps = 0
+    for a, b, target in control_pieces(control, n_steps, cfg.n, cfg.m):
+        kernel = kinetics._kinetic_kernel(target, cfg)
+        for k in range(a, b):
+            x_in, x = x, rk4_step(kernel, x, h)
+            mass = float(x.sum())
+            if not math.isfinite(mass):
+                raise KineticsError(
+                    f"non-finite occupation at t={times[k + 1]:.6g}; reduce dt (dt={h:.3g})")
+            drift = max(abs(mass - 1.0), max(0.0, -float(x.min())))
+            drift_max = max(drift_max, drift)
+            projected = drift > kinetics.DRIFT_TOL
+            if projected:
+                x = np.clip(x, 0.0, None)
+                x /= x.sum()
+                projections += 1
+            xs[k + 1] = x
+            if x.tobytes() == x_in.tobytes():
+                xs[k + 2:b + 1] = x
+                fixed_steps += b - k - 1
+                projections += projected * (b - k - 1)
+                break
+    return xs, {"dt": h, "drift_max": drift_max, "projections": projections,
+                "fixed_steps": fixed_steps}
+
+
+def _outcome(integrate, *args):
+    # (xs bytes, meta) or the KineticsError's text, with the warnings raised
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            xs, meta = integrate(*args)
+            got = (xs.tobytes(), meta)
+        except KineticsError as e:
+            got = str(e)
+    return got, [(w.category, str(w.message)) for w in seen]
+
+
+def _forward(*args):
+    traj = integrate_forward(*args)
+    return traj.x, traj.meta
+
+
+def assert_runs_match_per_step(monkeypatch, *args):
+    """integrate_forward with runs capped at 1, 3 and RUN_STEPS steps equals
+    the per-step rule: the node bits, meta, the error text and the warnings.
+    Returns the outcome, (xs bytes, meta) or the error text, and the warnings."""
+    want = _outcome(forward_per_step, *args)
+    for cap in (1, 3, kinetics.RUN_STEPS):
+        with monkeypatch.context() as mp:
+            mp.setattr(kinetics, "RUN_STEPS", cap)
+            assert _outcome(_forward, *args) == want, cap
+    return want
+
+
+def test_run_checked_forward_pass_equals_the_per_step_rule_on_solve_paths(
+        tmp_path, monkeypatch):
+    # the example under its converged control, and the seed-1 stay-put config
+    # at dt 0.4, where most steps project, from the uniform and a seeded start
+    cfg = read_config(EXAMPLE)
+    x0 = Occupation.uniform(cfg.n, cfg.m).x
+    T, dt = default_horizon(cfg), default_dt(cfg)
+    res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), T, dt, cfg)
+    assert res.converged
+    (_, meta), _ = assert_runs_match_per_step(monkeypatch, x0, res.trajectory.u, 0.0, T, dt,
+                                              cfg)
+    assert meta["projections"] == meta["fixed_steps"] == 0
+    cfg = read_config(stayput_config(tmp_path, monkeypatch))
+    T = default_horizon(cfg)
+    moving = np.random.default_rng(0).random((cfg.n, cfg.m))
+    moving /= moving.sum()
+    for x0 in (Occupation.uniform(cfg.n, cfg.m).x, moving):
+        u = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), T, 0.4, cfg).trajectory.u
+        (_, meta), _ = assert_runs_match_per_step(monkeypatch, x0, u, 0.0, T, 0.4, cfg)
+        assert meta["projections"] > 100
+
+
+def test_run_checked_forward_pass_projects_inside_runs_as_the_per_step_rule(
+        tmp_path, monkeypatch):
+    # with the drift tolerance moved, steps that project sit between plain
+    # ones, so runs are cut inside, and the steps computed past a cut drift
+    # further than any kept: rounding drift on the seeded path at dt 0.05,
+    # and the stay-put solve's switching path at dt 0.4 with a tolerance of 0.2
+    cfg = read_config(stayput_config(tmp_path, monkeypatch))
+    T = default_horizon(cfg)
+    x0 = Occupation.uniform(cfg.n, cfg.m).x
+    u = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), T, 0.4, cfg).trajectory.u
+    moving = np.random.default_rng(0).random((cfg.n, cfg.m))
+    moving /= moving.sum()
+    for tol, args, projected in ((3e-16, (moving, None, 0.0, 87.5, 0.05), 7),
+                                 (0.2, (x0, u, 0.0, T, 0.4), 194)):
+        monkeypatch.setattr(kinetics, "DRIFT_TOL", tol)
+        (_, meta), _ = assert_runs_match_per_step(monkeypatch, *args, cfg)
+        assert meta["projections"] == projected
+
+
+def _subnormal_start(ulps):
+    # theorem_config's level chains without interaction keep an occupation
+    # uniform over each column's levels; column 2 holds `ulps` subnormal
+    # units at level 0, which spread until every step rounds to its input
+    x0 = np.full((3, 3), 0.5 / 3)
+    x0[:, 2] = 0.0
+    x0[0, 2] = ulps * 5e-324
+    return x0
+
+
+def test_run_checked_forward_pass_fills_fixed_points_as_the_per_step_rule(monkeypatch):
+    cfg = theorem_config(3, 3, np.random.default_rng(3), with_evo=False)
+
+    def fixed_steps(x0, control):
+        (_, meta), _ = assert_runs_match_per_step(monkeypatch, x0, control, 0.0, 4.0, 0.02, cfg)
+        return meta["fixed_steps"]
+
+    # a fixed point at step 0
+    assert fixed_steps(_subnormal_start(0), None) == 199
+    # inside a run: step 45, the 15th of the 32-step run from step 31
+    assert fixed_steps(_subnormal_start(100), None) == 200 - 46
+    # at a piece edge: step 45 ends its piece, which fills nothing; the next
+    # piece switches column 0 into column 1, the last is fixed at its first step
+    stack = np.broadcast_to(np.arange(3), (200, 3, 3)).copy()
+    stack[46:60] = [1, 1, 2]
+    assert fixed_steps(_subnormal_start(100), Control.of_steps(stack)) == 200 - 61
+    # and the -0.0 start of the fill test: fixed at step 1
+    x0 = np.full((3, 3), 0.5 / 3)
+    x0[:, 2] = -0.0
+    stack[40:60] = [1, 1, 2]
+    assert fixed_steps(x0, Control.of_steps(stack)) == 38 + 139
+
+
+def test_run_checked_forward_pass_warns_as_the_per_step_rule(monkeypatch):
+    # the blow-up: a step whose stages overflow is rerun outside its run, so
+    # exactly the per-step rule's warnings fire, and the same error is raised
+    rng = np.random.default_rng(9)
+    cfg = make_config(3, 2, rng)
+    x0 = random_simplex(3, 2, rng)
+    with np.errstate(all="warn"):
+        got, seen = assert_runs_match_per_step(monkeypatch, x0, None, 0.0, 2e80, 1e80, cfg)
+    assert got.startswith("non-finite occupation at t=") and seen
+    # a step that underflows warns where the caller asks for it, also in the
+    # middle of a run, and its run goes on from it
+    cfg = theorem_config(3, 3, np.random.default_rng(3), with_evo=False)
+    with np.errstate(under="warn"):
+        got, seen = assert_runs_match_per_step(monkeypatch, _subnormal_start(100), None, 0.0,
+                                               4.0, 0.02, cfg)
+    assert seen and got[1]["fixed_steps"] == 200 - 46
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 8, 9, 16, 17, 100, 128, 129, 300])
+def test_row_reductions_equal_each_matrix_reduction(cells):
+    # a run's checks rest on this: each row's sum and minimum of a (B, n * m)
+    # block are, in bits, the step's x.sum() and x.min() of its (n, m) matrix
+    rng = np.random.default_rng(cells)
+    shapes = [(n, cells // n) for n in range(1, cells + 1) if cells % n == 0]
+    for B in (1, 3, 64):
+        near_simplex = rng.dirichlet(np.ones(cells), B) * (1 + 1e-13 * rng.standard_normal((B, 1)))
+        for block in (rng.standard_normal((B, cells)), near_simplex):
+            sums, mins = block.sum(axis=1), block.min(axis=1)
+            for n, m in shapes:
+                x = block.reshape(B, n, m)
+                assert sums.tobytes() == np.array([r.sum() for r in x]).tobytes(), (B, n, m)
+                assert mins.tobytes() == np.array([r.min() for r in x]).tobytes(), (B, n, m)
+
+
+def test_node_arrays_past_the_budget_are_refused_before_allocation():
+    # one node past NODE_BYTES on 3 x 3: 14913081 nodes of 9 values; the
+    # rule itself admits the node before (it is arithmetic, nothing is built)
+    def refusal(rows):
+        return (f"a node array of {rows} x 9 values takes {72 * rows} bytes, "
+                f"past the budget of {NODE_BYTES} bytes")
+
+    rows = NODE_BYTES // 72 + 1
+    kinetics.check_nodes(rows - 1, 9)
+    cfg = make_config(3, 3, np.random.default_rng(1))
+    x0, steps = Occupation.uniform(3, 3).x, float(rows - 1)
+    assert step_grid(0.0, steps, 1.0)[0] == rows - 1 <= MAX_STEPS
+    with pytest.raises(ValueError, match=refusal(rows)):
+        integrate_forward(x0, None, 0.0, steps, 1.0, cfg)
+    with pytest.raises(ValueError, match=refusal(rows)):
+        integrate_backward(np.zeros((3, 3)), None, 0.0, steps, 1.0,
+                           make_config(3, 3, np.random.default_rng(1), with_evo=False))
+    with pytest.raises(ValueError, match=refusal(rows)):
+        solve_mfg(x0, np.zeros((3, 3)), steps, 1.0, cfg)
+    s0 = CountState.from_occupation(x0, 9)
+    with pytest.raises(ValueError, match=refusal(rows)):
+        simulate(s0, None, 1.0, 0, cfg, samples=rows - 1)
+    # replications share one count array: 3 of 4971027 nodes each
+    with pytest.raises(ValueError, match=refusal(3 * 4971027)):
+        simulate(s0, None, 1.0, [0, 1, 2], cfg, samples=4971026)

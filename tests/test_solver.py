@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
-import os
-import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -31,9 +28,8 @@ from hbmfg.io import read_config
 from test_hjb import assert_reruns, backward_loop, steps_changing
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
-from util_configs import cycle_config, make_config, steps_of, theorem_config
+from util_configs import cycle_config, make_config, stayput_config, steps_of, theorem_config
 
-WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
 
 def test_default_horizon_and_dt():
@@ -186,19 +182,10 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), default_horizon(cfg), default_dt(cfg), cfg)
     assert res.meta["cone_worst"] == 1.5203133046333726 and res.meta["violations"] == 7369
-    cfg = read_config(_stayput_config(tmp_path, monkeypatch))
+    cfg = read_config(stayput_config(tmp_path, monkeypatch))
     res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
     assert res.meta["cone_worst"] == -26.344619424234665 and res.meta["violations"] == 0
     assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
-
-
-def _stayput_config(tmp_path, monkeypatch) -> str:
-    # perfbench's seed-1 stay-put config, written into tmp_path
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    return workloads.write_stayput_config(1, str(tmp_path))
 
 
 SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
@@ -222,7 +209,7 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
     # short horizon: a change that moves any bit of a solve changes these
     # pins, and has to say so
     argv = {"example": ["solve", EXAMPLE],
-            "stayput": ["solve", _stayput_config(tmp_path, monkeypatch), "--T", "5",
+            "stayput": ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5",
                         "--dt", "0.05"]}
     for name, pins in SOLVE_PINS.items():
         out = tmp_path / name

@@ -5,11 +5,25 @@ touch module-level random state.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import sys
 
 import numpy as np
 
 from hbmfg import Control, GameConfig, Regime, SinkRates
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+
+
+def stayput_config(tmp_path, monkeypatch) -> str:
+    """perfbench's seed-1 stay-put config (10 x 10), written into tmp_path; its path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.write_stayput_config(1, str(tmp_path))
 
 
 def steps_of(path: Control) -> np.ndarray:
