@@ -222,7 +222,7 @@ def _run_simulate(config: str, out: str, written: dict, N, T, reps=1, seed=0, sa
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
     s0 = CountState.from_occupation(_initial_occupation(x0, cfg), int(N))
-    paths = simulate(s0, None, float(T), [seed + r for r in range(reps)], cfg, samples=samples)
+    paths = simulate(s0, None, float(T), range(seed, seed + reps), cfg, samples=samples)
     xs = np.stack([p.x for p in paths])
     mean = xs.mean(axis=0)
     if reps > 1:

@@ -12,10 +12,10 @@ switch term plays a given model.Control, one gain per piece at the cells
 GameConfig.switch_cells gives, or the best response, a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
 for a held run of occupation nodes equal in bits, which is stepped in long
-blocks.  The optimizing pass holds the best response over response runs of
-steps, checked in bits against the best switch (_best_response).  After
-the sweep, one pass over the nodes gives the best responses and the cone
-scan.
+blocks, each step a kinetics.rk4_step.  The optimizing pass holds the best
+response over response runs of steps, checked in bits against the best
+switch at their stage inputs (_best_response).  After the sweep, one pass
+over the nodes gives the best responses and the cone scan.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .kinetics import Trajectory, check_nodes, rk4_scalars, step_grid
-from .kinetics import rk4_step  # noqa: F401  (a perfbench hook)
+from .kinetics import Trajectory, rk4_scalars, rk4_step, step_grid
 from .model import Control, GameConfig, control_pieces, grid_array, occupation_array
 
 __all__ = [
@@ -130,36 +129,6 @@ def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
             for hi in range(b, a, -run_size):
                 yield max(a, hi - run_size), hi, M, c
         top = a
-
-
-def _payoff_step(M, c, scalars: tuple, gain, lam: np.ndarray, ys, ks, out) -> None:
-    """One RK4 step of dG/dt = M @ G + c - lam * gain(G) from G = ys[0], with
-    the stage scalars of rk4_scalars(h), into out: rk4_step's arithmetic,
-    bit for bit, on preallocated buffers, ys the four stage inputs and ks
-    their slopes.  lam is a 0-d array; gain(y) returns an array that the
-    step may overwrite, or gain is None: nobody switches.
-    """
-    half, step, sixth, two = scalars
-    g = ys[0]
-    for s in range(4):
-        y = ys[s]
-        if s:
-            np.multiply(ks[s - 1], step if s == 3 else half, out=y)
-            y += g
-        k = np.matmul(M, y, out=ks[s])
-        k += c
-        if gain is not None:
-            term = gain(y)
-            term *= lam
-            k -= term
-    k1, k2, k3, k4 = ks
-    np.multiply(k2, two, out=out)
-    out += k1
-    k3 *= two
-    out += k3
-    out += k4
-    out *= sixth
-    out += g
 
 
 def _target_gains(cfg: GameConfig):
@@ -433,9 +402,11 @@ def integrate_backward(
     Each step's switch-free flow is hjb_rhs's affine map, built for a block
     of steps at a time within BLOCK_BYTES.  A held run, at least a block of
     steps whose end nodes are all equal in bits, shares one map and is
-    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.
+    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.  Each
+    step is a kinetics.rk4_step of one slope, M @ G + c - lam * gain(G),
+    that keeps its stage inputs for the response run's check.
     A payoff gT not of the grid's (n, m) raises ValueError, and so does a
-    grid whose node array would pass kinetics.NODE_BYTES.  A non-finite
+    grid that step_grid refuses (past kinetics.NODE_BYTES, say).  A non-finite
     payoff raises HjbError at the first step, in reversed time, that gave
     one; it is checked once per block.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
@@ -448,9 +419,8 @@ def integrate_backward(
     optimizing = mode == "optimizing"
     if optimizing and control is not None:
         raise ValueError("mode 'optimizing' takes no control: it plays the best response")
-    n_steps, h = step_grid(t0, t1, dt)
     n, m = cfg.n, cfg.m
-    check_nodes(n_steps + 1, n * m)
+    n_steps, h = step_grid(t0, t1, dt, n * m)
     gT = grid_array(gT, (n, m), "payoff")
     x_nodes = occupation
     if np.ndim(occupation) == 3:
@@ -473,7 +443,7 @@ def integrate_backward(
     # a response run's most steps: their stage inputs fill half of BLOCK_BYTES
     size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m)) if optimizing else 1
     H = np.empty((size, 4, m, n, 1))   # a run's stage inputs by step, g first
-    stages, ks = [tuple(Y) for Y in H], tuple(np.empty((4, m, n, 1)))
+    inputs = [(Y[0], tuple(Y[1:])) for Y in H]
     H[0, 0] = _by_column(gT)
     if optimizing:
         best, respond, check = _best_response(cfg)
@@ -483,23 +453,36 @@ def integrate_backward(
     run, backoff, direct, held_steps = 1, 4, 0 if optimizing else n_steps, 0
     run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
     cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
-    for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
-        def step(k, gain, ys):   # step k from ys[0] into cols
-            j = k - lo if len(M) > 1 else 0
-            _payoff_step(M[j], c[j], scalars, gain, lam, ys, ks, cols[k - lo])
-            return cols[k - lo]
+    M_k = c_k = gain_k = None   # the step's operator, constant and switch term
 
+    def slope(y):   # gain_k(y) returns an array the slope may overwrite
+        dg = np.matmul(M_k, y)
+        dg += c_k
+        if gain_k is not None:
+            term = gain_k(y)
+            term *= lam
+            dg -= term
+        return dg
+
+    def step(k, gain, r):   # step k from H[r, 0] into cols, its stage inputs into H[r, 1:]
+        nonlocal M_k, c_k, gain_k
+        j = k - lo if len(M) > 1 else 0
+        M_k, c_k, gain_k = M[j], c[j], gain
+        y, stages = inputs[r]
+        return rk4_step(slope, y, scalars, out=cols[k - lo], stages=stages)
+
+    for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
         k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
             while k >= lo:
                 if direct:
-                    H[0, 0] = step(k, best if optimizing else step_gain[k], stages[0])
+                    H[0, 0] = step(k, best if optimizing else step_gain[k], 0)
                     k, direct = k - 1, direct - 1
                     continue
                 response = respond(H[0, 0])
                 length = min(run, k - lo + 1)
                 for r in range(length):
-                    out = step(k - r, response[0], stages[r])
+                    out = step(k - r, response[0], r)
                     if r + 1 < length:
                         H[r + 1, 0] = out
                 kept = check(H[:length], response)
@@ -508,7 +491,7 @@ def integrate_backward(
                     H[0, 0] = out
                     run, backoff = min(2 * run, size), 4
                 else:   # rerun the first failed step from its saved input
-                    H[0, 0] = step(k - kept, best, stages[kept])
+                    H[0, 0] = step(k - kept, best, kept)
                     run = 1
                     if kept == 0:
                         direct, backoff = backoff, 4 * backoff

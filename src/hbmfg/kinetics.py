@@ -12,8 +12,9 @@ model.Control, piecewise constant on the step grid; one target matrix is a
 one-piece control.  The forward integrator steps runs of up to RUN_STEPS
 steps and checks each run at once; it stops stepping once a step returns
 its input bit for bit, and fills the rest of that control piece with the
-fixed point.  Every stage scales by 0-d float64 arrays (rk4_scalars).  A
-grid whose node array would pass NODE_BYTES is refused before allocation.
+fixed point.  Every stage scales by 0-d float64 arrays (rk4_scalars), and
+rk4_step is the RK4 step of hjb's payoff pass too.  step_grid refuses a
+grid whose node array would pass NODE_BYTES, before allocation.
 """
 from __future__ import annotations
 
@@ -69,10 +70,10 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
+def step_grid(t0: float, t1: float, dt: float, cells: int) -> tuple[int, float]:
     """The uniform grid of [t0, t1] with step nearest dt: (n_steps, h); a count
-    past MAX_STEPS, or one that overflows, is refused before any allocation.
-    Its node arrays are held to NODE_BYTES by check_nodes."""
+    past MAX_STEPS, or one that overflows, is refused before any allocation,
+    and so is a node array of n_steps + 1 nodes of `cells` values past NODE_BYTES."""
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("need finite t0, t1 and dt")
     if not (t1 > t0):
@@ -83,15 +84,16 @@ def step_grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
     if not count <= MAX_STEPS:   # inf when the span or the quotient overflows
         raise ValueError(f"a grid of {count:.6g} steps exceeds the bound of {MAX_STEPS} steps")
     n_steps = max(1, int(round(count)))
+    check_nodes(n_steps + 1, cells)
     return n_steps, (t1 - t0) / n_steps
 
 
-def check_nodes(rows: int, cells: int) -> None:
-    """Refuse a node array of rows x cells 8-byte values past NODE_BYTES,
-    before it is allocated."""
+def check_nodes(rows: int, cells: int, what: str = "a node array") -> None:
+    """Refuse rows x cells 8-byte values past NODE_BYTES, before they are
+    allocated: a grid's node array, or what the refusal names."""
     size = 8 * rows * cells
     if size > NODE_BYTES:
-        raise ValueError(f"a node array of {rows} x {cells} values takes {size} bytes, "
+        raise ValueError(f"{what} of {rows} x {cells} values takes {size} bytes, "
                          f"past the budget of {NODE_BYTES} bytes")
 
 
@@ -142,19 +144,23 @@ def rk4_scalars(h: float) -> tuple:
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
+             out: Optional[np.ndarray] = None, stages: tuple = (None, None, None)) -> np.ndarray:
     """One classical RK4 step of dy/dt = f(y) from y, with step h, into out
     when given: y + h / 6 * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
 
-    h is the step, or its rk4_scalars(h).  The weighted sum of the slopes is
-    formed in place; IEEE + and * commute, so each sum and product rounds as
-    the expression does.  f must return a new array.
+    h is the step, or its rk4_scalars(h).  stages are three arrays that
+    receive the stage inputs y + h/2 k1, y + h/2 k2 and y + h k3, or None
+    each; like out, they change where the step writes, not its bits.  The
+    stage inputs and the weighted sum of the slopes are formed in place;
+    IEEE + and * commute, so each rounds as the expression does.  f must
+    return a new array.
     """
     half, step, sixth, two = h if isinstance(h, tuple) else rk4_scalars(h)
+    a, b, c = stages
     k1 = f(y)
-    k2 = f(y + half * k1)
-    k3 = f(y + half * k2)
-    k4 = f(y + step * k3)
+    k2 = f(np.add(np.multiply(k1, half, out=a), y, out=a))
+    k3 = f(np.add(np.multiply(k2, half, out=b), y, out=b))
+    k4 = f(np.add(np.multiply(k3, step, out=c), y, out=c))
     k2 *= two
     k2 += k1
     k3 *= two
@@ -184,8 +190,8 @@ def integrate_forward(
     a fixed point of its control piece's step map: the rest of the piece is
     filled with it and not stepped (meta["fixed_steps"] counts the filled
     steps, and a projected fixed point counts as projected at each of them).
-    A sample whose sum is not finite raises KineticsError; a grid whose
-    node array would pass NODE_BYTES raises ValueError before allocation.
+    A sample whose sum is not finite raises KineticsError; a grid that
+    step_grid refuses (past NODE_BYTES, say) raises ValueError.
 
     The steps go in runs of 1, 2, 4, ... up to RUN_STEPS steps within a
     piece, each rk4_step written straight into the node array; then one
@@ -199,8 +205,7 @@ def integrate_forward(
     caller sees exactly the warnings of a step-by-step pass.
     """
     n, m = cfg.n, cfg.m
-    n_steps, h = step_grid(t0, t1, dt)
-    check_nodes(n_steps + 1, n * m)
+    n_steps, h = step_grid(t0, t1, dt, n * m)
     pieces = control_pieces(control, n_steps, n, m)
 
     times = t0 + h * np.arange(n_steps + 1)

@@ -27,6 +27,7 @@ bit for bit the one its seed gives alone (see simulate).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -47,6 +48,7 @@ __all__ = [
 
 RNG_NAME = "pcg64"
 _ROW_WIDTH = 1024    # uniforms buffered per replication, by either loop
+_CHANNEL_VALUES = 6  # a bound on the values a lockstep step holds per channel and replication
 MAX_N = 2**53        # the lockstep loop and the rounding hold counts as exact floats
 
 
@@ -181,6 +183,13 @@ def _refill(rng, rest, width: int) -> np.ndarray:
     return np.concatenate((rest, rng.random(width - len(rest))))
 
 
+def _count(seeds: Sequence[int]) -> int:
+    # len(seeds), also for a range past sys.maxsize, which len() cannot give
+    if isinstance(seeds, range):
+        return max(0, -((seeds.start - seeds.stop) // seeds.step))
+    return len(seeds)
+
+
 def simulate(
     s0: CountState,
     u,
@@ -204,15 +213,26 @@ def simulate(
     same order (a uniform for each wait, and one for the pick if the event
     falls inside the interval), so a lockstep replication is bit for bit the
     path that its seed gives alone.  record_events needs a single seed.
-    A count array of replications x (samples + 1) nodes past
-    kinetics.NODE_BYTES is refused before it is allocated.
+    The arrays of every replication are held to kinetics.NODE_BYTES, as a
+    grid's node arrays are: its counts, node times (built through a copy)
+    and sample times, (samples + 1) * (n * m + 3) values, two uniform
+    buffers of _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel.
+    A run past it is refused before any seed is listed (a range is
+    counted) or any generator is built.
     """
     if not (0.0 < T < math.inf):
         raise ValueError("need a finite T > 0")
     if not 1 <= samples <= MAX_STEPS:
         raise ValueError(f"need 1 to {MAX_STEPS} output samples, got {samples}")
+    _check_grid(s0, cfg)
+    n, m = cfg.n, cfg.m
+    pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
+              for a, b, target in control_pieces(u, samples, n, m)]
     single = isinstance(seed, (int, np.integer))
-    check_nodes((1 if single else len(seed)) * (samples + 1), cfg.n * cfg.m)   # the counts
+    channels = max(len(table[0]) for _, _, table in pieces)
+    check_nodes(1 if single else _count(seed),
+                (samples + 1) * (n * m + 3) + 2 * _ROW_WIDTH + _CHANNEL_VALUES * channels,
+                "a simulation")
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -221,10 +241,6 @@ def simulate(
             raise ValueError(f"seed must be a nonnegative integer, got {s}")
     if record_events and len(seeds) > 1:
         raise ValueError("record_events needs a single seed")
-    _check_grid(s0, cfg)
-    n, m = cfg.n, cfg.m
-    pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
-              for a, b, target in control_pieces(u, samples, n, m)]
     times = np.linspace(0.0, T, samples + 1)
     if len(seeds) > 1:
         return _simulate_lockstep(s0, pieces, times, seeds, cfg)
@@ -245,15 +261,14 @@ def simulate(
     for a, b, table in pieces:
         srcs, dsts, coeffs, partners = (col.tolist() for col in table)
         C = len(srcs)
-        rates = [0.0] * C
+        sums = [0.0] * C   # the running sums of the channel rates, in channel order
         for kseg in range(a, b):
             t_end = float(times[kseg + 1])
             while True:
                 tot = 0.0
                 for c in range(C):
-                    r = coeffs[c] * counts[srcs[c]] * counts[partners[c]]
-                    rates[c] = r
-                    tot += r
+                    tot += coeffs[c] * counts[srcs[c]] * counts[partners[c]]
+                    sums[c] = tot
                 if tot <= 0.0:
                     break
                 if pos > lim:
@@ -264,15 +279,10 @@ def simulate(
                 if t + wait > t_end:
                     break
                 t += wait
-                pick = buf[pos] * tot
+                # the first channel whose running sum passes the pick, the
+                # last if rounding lets the pick reach the total
+                chosen = min(bisect_right(sums, buf[pos] * tot), C - 1)
                 pos += 1
-                acc = 0.0
-                chosen = C - 1
-                for c in range(C):
-                    acc += rates[c]
-                    if pick < acc:
-                        chosen = c
-                        break
                 counts[srcs[chosen]] -= 1
                 counts[dsts[chosen]] += 1
                 events += 1
@@ -485,7 +495,7 @@ def convergence_study(
         s0 = CountState.from_occupation(x0a, int(Nv))
         acc = np.zeros((samples + 1, cfg.n, cfg.m))
         acc2 = np.zeros_like(acc)
-        seeds = [seed + k * replications + r for r in range(replications)]
+        seeds = range(seed + k * replications, seed + (k + 1) * replications)
         for path in simulate(s0, u, T, seeds, cfg, samples=samples):
             xs = path.x
             acc += xs

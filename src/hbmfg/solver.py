@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .hjb import hjb_rhs, integrate_backward, switch_gains
-from .kinetics import Trajectory, check_nodes, integrate_forward, step_grid
+from .kinetics import Trajectory, integrate_forward, step_grid
 from .model import Control, GameConfig, grid_array, occupation_array
 from .stationary import stationary_solution
 
@@ -107,8 +107,7 @@ def solve_mfg(
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
-    n_steps, h = step_grid(0.0, T, dt)
-    check_nodes(n_steps + 1, cfg.n * cfg.m)
+    n_steps, h = step_grid(0.0, T, dt, cfg.n * cfg.m)
     x0a = occupation_array(x0, (cfg.n, cfg.m))
     gTa = grid_array(gT, (cfg.n, cfg.m), "payoff")
 

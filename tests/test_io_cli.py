@@ -804,7 +804,7 @@ def test_cli_simulate_runs_replications_in_one_call(tmp_path, capsys, monkeypatc
     batched = hbmfg.cli.simulate
 
     def spy(s0, u, T, seed, cfg, **kw):
-        calls.append(seed)
+        calls.append(list(seed))
         return batched(s0, u, T, seed, cfg, **kw)
 
     monkeypatch.setattr(hbmfg.cli, "simulate", spy)
@@ -831,7 +831,7 @@ def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys,
 
     def spy(s0, u, T, seed, cfg, **kw):
         paths = scalar(s0, u, T, seed, cfg, **kw)
-        calls.append((seed, [p.meta for p in paths]))
+        calls.append((list(seed), [p.meta for p in paths]))
         return paths
 
     monkeypatch.setattr(hbmfg.cli, "simulate", spy)
@@ -1107,13 +1107,25 @@ def test_cli_solve_refuses_a_grid_past_the_step_bound(tmp_path, capsys):
 
 def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, capsys):
     # 1e8 steps are within MAX_STEPS, but the (1e8 + 1, 3, 3) node path would
-    # take 7.2 GB; three replications of 4971027 nodes take just past the
-    # budget.  Each is refused by name, with numpy's traced peak far below it.
-    runs = {"solve": (["--T", "1e308", "--dt", "1e300"], 100000001),
-            "simulate": (["--N", "10", "--T", "1", "--reps", "3", "--samples", "4971026"],
-                         3 * 4971027)}
-    for cmd, (args, rows) in runs.items():
-        out = tmp_path / cmd
+    # take 7.2 GB.  A simulation holds, per replication, its counts, node
+    # times and sample times ((samples + 1) x 12 values), two uniform buffers
+    # of 1024 and 6 values for each of the example's 48 channels: 1e6
+    # replications of one sample would take 18.9 GB.  Each is refused by name, before any seed is
+    # listed, with numpy's traced peak far below it; so is a count of
+    # replications too large for len().
+    def sim(reps, samples):
+        values = (samples + 1) * 12 + 2 * 1024 + 6 * 48
+        return (["--N", "10", "--T", "1", "--reps", str(reps), "--samples", str(samples)],
+                f"a simulation of {reps} x {values} values takes {8 * reps * values} bytes")
+
+    node_path = f"a node array of 100000001 x 9 values takes {72 * 100000001} bytes"
+    runs = [("solve", ["--T", "1e308", "--dt", "1e300"], node_path),
+            ("simulate", *sim(3, 4971026)),
+            ("simulate", *sim(10**6, 1)),
+            ("simulate", *sim(10**6, 1000)),
+            ("simulate", *sim(10**30, 1))]
+    for k, (cmd, args, refusal) in enumerate(runs):
+        out = tmp_path / str(k)
         tracemalloc.start()
         try:
             code, summary, _ = cli([cmd, EXAMPLE, *args, "--out", str(out)], capsys)
@@ -1121,8 +1133,7 @@ def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, cap
         finally:
             tracemalloc.stop()
         assert code == 1 and summary["error"] == (
-            f"a node array of {rows} x 9 values takes {72 * rows} bytes, "
-            f"past the budget of {NODE_BYTES} bytes")
+            f"{refusal}, past the budget of {NODE_BYTES} bytes")
         assert os.listdir(out) == [] and peak < 1 << 24
 
 

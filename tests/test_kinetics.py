@@ -19,7 +19,7 @@ from hbmfg import (
     kinetic_rhs,
     simulate,
 )
-from hbmfg import kinetics
+from hbmfg import kinetics, simulator
 from hbmfg.io import read_config
 from hbmfg.kinetics import MAX_STEPS, NODE_BYTES, rk4_step, step_grid
 from hbmfg.model import control_pieces, occupation_array
@@ -282,14 +282,15 @@ def test_integrate_forward_rejects_bad_grid():
 
 def test_step_grid_refuses_counts_past_the_bound():
     # a grid is refused before its arrays exist; the bound itself is a grid
-    assert step_grid(0.0, 1.0, 1.0 / MAX_STEPS)[0] == MAX_STEPS
+    # (of one-value nodes, within the node budget)
+    assert step_grid(0.0, 1.0, 1.0 / MAX_STEPS, 1)[0] == MAX_STEPS
     # past it, also where the quotient or the span itself overflows to inf
     for t0, t1, dt, count in ((0.0, 1.0, 0.5 / MAX_STEPS, r"2e\+08"),
                               (0.0, 1e308, 1e-300, "inf"),
                               (-1e308, 1e308, 1e308, "inf")):
         with pytest.raises(ValueError, match=f"grid of {count} steps exceeds the bound of "
                                              f"{MAX_STEPS} steps"):
-            step_grid(t0, t1, dt)
+            step_grid(t0, t1, dt, 1)
 
 
 def test_rk4_step_is_fourth_order_on_scalar_exponential():
@@ -300,6 +301,31 @@ def test_rk4_step_is_fourth_order_on_scalar_exponential():
         errs.append(abs(float(rk4_step(f, y0, h)) - np.exp(-2.0 * h)))
     order = np.log2(errs[0] / errs[1])
     assert 4.6 < order < 5.4  # local error is O(h^5)
+
+
+def test_rk4_step_writes_its_stage_inputs_without_changing_a_bit():
+    # stages are out-arrays: the step gives the same bits with or without
+    # them, and they receive y + h/2 k1, y + h/2 k2 and y + h k3 in bits
+    rng = np.random.default_rng(3)
+    h = 0.37
+    for shape in ((4, 3), (3, 4, 1)):   # a matrix, and an (m, n, 1) stack
+        y = rng.standard_normal(shape)
+        M = rng.standard_normal(shape[:-2] + (shape[-2],) * 2)
+        for f in (lambda v: M @ v, lambda v: np.cos(v) - v * v):
+            k1 = f(y)
+            a = y + 0.5 * h * k1
+            k2 = f(a)
+            b = y + 0.5 * h * k2
+            c = y + h * f(b)
+            stages = tuple(np.full(shape, np.nan) for _ in range(3))
+            plain = rk4_step(f, y, h)
+            staged = rk4_step(f, y, h, stages=stages)
+            into = np.empty(shape)
+            assert rk4_step(f, y, kinetics.rk4_scalars(h), out=into, stages=stages) is into
+            for got in (staged, into):
+                assert got.tobytes() == plain.tobytes()
+            for got, want in zip(stages, (a, b, c)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_stationary_residual_zero_on_balanced_kernel():
@@ -389,7 +415,7 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
 def forward_per_step(x0, control, t0, t1, dt, cfg):
     """integrate_forward's per-step rule, one step and its checks at a time:
     the reference for the run-checked pass.  Returns (xs, meta)."""
-    n_steps, h = step_grid(t0, t1, dt)
+    n_steps, h = step_grid(t0, t1, dt, cfg.n * cfg.m)
     times = t0 + h * np.arange(n_steps + 1)
     x = np.array(occupation_array(x0, (cfg.n, cfg.m)))
     xs = np.empty((n_steps + 1,) + x.shape)
@@ -569,7 +595,12 @@ def test_node_arrays_past_the_budget_are_refused_before_allocation():
     kinetics.check_nodes(rows - 1, 9)
     cfg = make_config(3, 3, np.random.default_rng(1))
     x0, steps = Occupation.uniform(3, 3).x, float(rows - 1)
-    assert step_grid(0.0, steps, 1.0)[0] == rows - 1 <= MAX_STEPS
+    # step_grid applies the budget to the grid it makes: within MAX_STEPS,
+    # one-value nodes pass and 3 x 3 nodes do not; a step fewer passes
+    assert step_grid(0.0, steps, 1.0, 1)[0] == rows - 1 <= MAX_STEPS
+    assert step_grid(0.0, steps - 1.0, 1.0, 9)[0] == rows - 2
+    with pytest.raises(ValueError, match=refusal(rows)):
+        step_grid(0.0, steps, 1.0, 9)
     with pytest.raises(ValueError, match=refusal(rows)):
         integrate_forward(x0, None, 0.0, steps, 1.0, cfg)
     with pytest.raises(ValueError, match=refusal(rows)):
@@ -577,9 +608,23 @@ def test_node_arrays_past_the_budget_are_refused_before_allocation():
                            make_config(3, 3, np.random.default_rng(1), with_evo=False))
     with pytest.raises(ValueError, match=refusal(rows)):
         solve_mfg(x0, np.zeros((3, 3)), steps, 1.0, cfg)
+    # a simulation holds, per replication, its counts, node times and sample
+    # times ((samples + 1) x 12 values), two uniform buffers and 6 values a
+    # channel
+    channels = len(simulator._build_channels(cfg, None, 9)[0])
+
+    def sim_refusal(reps, samples):
+        values = (samples + 1) * 12 + 2 * 1024 + 6 * channels
+        return (f"a simulation of {reps} x {values} values takes {8 * reps * values} bytes, "
+                f"past the budget of {NODE_BYTES} bytes")
+
     s0 = CountState.from_occupation(x0, 9)
-    with pytest.raises(ValueError, match=refusal(rows)):
+    with pytest.raises(ValueError, match=sim_refusal(1, rows - 1)):
         simulate(s0, None, 1.0, 0, cfg, samples=rows - 1)
-    # replications share one count array: 3 of 4971027 nodes each
-    with pytest.raises(ValueError, match=refusal(3 * 4971027)):
-        simulate(s0, None, 1.0, [0, 1, 2], cfg, samples=4971026)
+    # three replications whose counts and times alone are within the budget
+    samples = NODE_BYTES // (8 * 3 * 12)
+    with pytest.raises(ValueError, match=sim_refusal(3, samples)):
+        simulate(s0, None, 1.0, [0, 1, 2], cfg, samples=samples)
+    # a range of seeds is counted, not listed: also one too long for len()
+    with pytest.raises(ValueError, match=sim_refusal(2**64, 1)):
+        simulate(s0, None, 1.0, range(2**64), cfg, samples=1)

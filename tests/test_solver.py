@@ -24,7 +24,7 @@ from hbmfg import (
 )
 from hbmfg.cli import run as cli_run
 from hbmfg.hjb import SWITCH_TOL
-from hbmfg.io import read_config
+from hbmfg.io import read_config, write_state_csv
 from test_hjb import assert_reruns, backward_loop, steps_changing
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
@@ -201,16 +201,26 @@ SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
         "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
         "solve.json": "c7c96572d72a5ee6c3d33e62961b68e8755829a26d06cf36fcbefd747c7a6cca",
     },
+    "stayput-x0": {
+        "x.csv": "bcc99b589d50e6d1f558fea0bd372d00a5a02e3c0fd9a77109c0e1e97b5932c9",
+        "g.csv": "58990e83dca745957a755998d6136bb4758e569906c08adf58f824612e46e0bf",
+        "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
+        "solve.json": "48754bbc923da852a1a7052039e17888a3679f46c15086897acd0e354ab3f731",
+    },
 }
 
 
 def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
     # the example at its default horizon, and the seed-1 stay-put config on a
-    # short horizon: a change that moves any bit of a solve changes these
-    # pins, and has to say so
-    argv = {"example": ["solve", EXAMPLE],
-            "stayput": ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5",
-                        "--dt", "0.05"]}
+    # short horizon, from its stationary start and from CI's seeded moving
+    # start, which reaches the moving 10 x 10 payoff operators and the
+    # run-checked forward pass: a change that moves any bit of a solve
+    # changes these pins, and has to say so
+    stayput = ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5", "--dt", "0.05"]
+    x = np.random.default_rng(0).random((10, 10))
+    write_state_csv(str(tmp_path / "x0.csv"), x / x.sum())
+    argv = {"example": ["solve", EXAMPLE], "stayput": stayput,
+            "stayput-x0": stayput + ["--x0", str(tmp_path / "x0.csv")]}
     for name, pins in SOLVE_PINS.items():
         out = tmp_path / name
         assert cli_run(argv[name] + ["--out", str(out)]) == 0
