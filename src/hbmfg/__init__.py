@@ -68,6 +68,7 @@ from .simulator import (
     Transition,
     convergence_study,
     enumerate_transitions,
+    replication_summary,
     simulate,
 )
 from .io import ConfigError, read_config
@@ -97,7 +98,7 @@ __all__ = [
     "turnpike_metrics", "default_horizon", "default_dt",
     # simulator
     "CountState", "Transition", "SimPath", "ConvergenceStudy",
-    "enumerate_transitions", "simulate", "convergence_study",
+    "enumerate_transitions", "simulate", "replication_summary", "convergence_study",
     # io
     "ConfigError", "read_config",
 ]

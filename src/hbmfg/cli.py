@@ -41,7 +41,7 @@ from .io import (
 )
 from .kinetics import KineticsError
 from .model import Occupation, Regime, validate
-from .simulator import CountState, simulate
+from .simulator import CountState, replication_summary, simulate
 from .solver import (
     default_dt,
     default_horizon,
@@ -218,17 +218,14 @@ def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, g
 
 def _run_simulate(config: str, out: str, written: dict, N, T, reps=1, seed=0, samples=50,
                   per_rep=False, x0=None):
+    """reps replications in one simulate call, seeds seed, seed + 1, ...; aggregate.csv
+    holds replication_summary's means and standard errors, one CSV each with per_rep."""
     cfg = _require_valid(read_config(config))
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
     s0 = CountState.from_occupation(_initial_occupation(x0, cfg), int(N))
     paths = simulate(s0, None, float(T), range(seed, seed + reps), cfg, samples=samples)
-    xs = np.stack([p.x for p in paths])
-    mean = xs.mean(axis=0)
-    if reps > 1:
-        stderr = xs.std(axis=0, ddof=1) / np.sqrt(reps)
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = replication_summary(paths)
     write_aggregate_csv(os.path.join(out, "aggregate.csv"),
                         paths[0].times, mean, stderr, written)
     if per_rep:

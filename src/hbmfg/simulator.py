@@ -43,6 +43,7 @@ __all__ = [
     "ConvergenceStudy",
     "enumerate_transitions",
     "simulate",
+    "replication_summary",
     "convergence_study",
 ]
 
@@ -98,6 +99,14 @@ class CountState:
             flat[take] -= 1.0
             flat[np.argmax(flat)] += need + len(take)
         return CountState(counts=base.astype(np.int64), N=N)
+
+
+def _check_output_grid(T, samples) -> None:
+    """simulate's rules for its output grid, `samples` intervals over [0, T]."""
+    if not (0.0 < T < math.inf):
+        raise ValueError("need a finite T > 0")
+    if not 1 <= samples <= MAX_STEPS:
+        raise ValueError(f"need 1 to {MAX_STEPS} output samples, got {samples}")
 
 
 def _check_grid(state: CountState, cfg: GameConfig) -> None:
@@ -220,10 +229,7 @@ def simulate(
     A run past it is refused before any seed is listed (a range is
     counted) or any generator is built.
     """
-    if not (0.0 < T < math.inf):
-        raise ValueError("need a finite T > 0")
-    if not 1 <= samples <= MAX_STEPS:
-        raise ValueError(f"need 1 to {MAX_STEPS} output samples, got {samples}")
+    _check_output_grid(T, samples)
     _check_grid(s0, cfg)
     n, m = cfg.n, cfg.m
     pieces = [(a, b, _build_channels(cfg, target, s0.N))   # one channel table per piece
@@ -435,6 +441,27 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
             for r in range(R)]
 
 
+def replication_summary(paths: Sequence[SimPath]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node means of the paths' x and their standard errors: the sample
+    deviation (ddof 1) over sqrt(R), 0 for one path.  numpy's mean and std of
+    the stacked x, bit for bit, in two passes that hold one path's x at a time."""
+    R = len(paths)
+    mean = paths[0].x
+    for p in paths[1:]:
+        mean += p.x
+    mean /= R
+    var = np.zeros_like(mean)
+    for p in paths:
+        d = p.x
+        d -= mean
+        var += np.square(d, out=d)
+        del d   # before the next path's x is made
+    var /= max(R - 1, 1)
+    stderr = np.sqrt(var, out=var)
+    stderr /= math.sqrt(R)
+    return mean, stderr
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     """Empirical mean paths vs the kinetic solution across population sizes.
@@ -471,14 +498,15 @@ def convergence_study(
     Replication r at the k-th population size draws its own PCG64 stream,
     seeded seed + k*replications + r; each size is one lockstep `simulate`
     call.  u takes simulate's forms; the kinetic reference holds a control
-    path's targets over each output interval's integration steps.  Returns per-N
-    mean paths, per-cell standard errors of those means, and the pooled RMSE
-    with its log-log slope in N.
+    path's targets over each output interval's integration steps; T and
+    samples are checked by simulate's rules first.  Returns replication_summary's
+    per-N means and standard errors, and the pooled RMSE with its slope in N.
     """
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing with at least two sizes")
     if replications < 2:
         raise ValueError("need at least two replications for standard errors")
+    _check_output_grid(T, samples)
     x0a = occupation_array(x0, (cfg.n, cfg.m))
     times = np.linspace(0.0, T, samples + 1)
 
@@ -493,17 +521,10 @@ def convergence_study(
     rmse = np.zeros(len(N_list))
     for k, Nv in enumerate(N_list):
         s0 = CountState.from_occupation(x0a, int(Nv))
-        acc = np.zeros((samples + 1, cfg.n, cfg.m))
-        acc2 = np.zeros_like(acc)
         seeds = range(seed + k * replications, seed + (k + 1) * replications)
-        for path in simulate(s0, u, T, seeds, cfg, samples=samples):
-            xs = path.x
-            acc += xs
-            acc2 += xs * xs
-        mean = acc / replications
-        var = np.clip((acc2 - replications * mean * mean) / (replications - 1), 0.0, None)
+        mean, stderrs[int(Nv)] = replication_summary(
+            simulate(s0, u, T, seeds, cfg, samples=samples))
         means[int(Nv)] = mean
-        stderrs[int(Nv)] = np.sqrt(var / replications)
         rmse[k] = float(np.sqrt(np.mean((mean[1:] - ref[1:]) ** 2)))
     slope = float(np.polyfit(np.log10(np.asarray(N_list, float)), np.log10(rmse), 1)[0])
     return ConvergenceStudy(

@@ -106,10 +106,16 @@ def test_rhs_frozen_two_level_chain():
 
 
 def test_rhs_requires_occupation_with_interaction():
+    # hjb_rhs and both modes of integrate_backward refuse a missing occupation
     rng = np.random.default_rng(2)
     cfg = make_config(2, 2, rng)  # delta_int = 0.05^2 > 0
-    with pytest.raises(HjbError, match="occupation"):
+    assert cfg.moves.evo.any()
+    why = "^occupation required when the config has stimulated moves$"
+    with pytest.raises(HjbError, match=why):
         hjb_rhs(np.zeros((2, 2)), None, None, cfg)
+    for mode in ("fixed", "optimizing"):
+        with pytest.raises(HjbError, match=why):
+            integrate_backward(np.zeros((2, 2)), None, 0.0, 1.0, 0.1, cfg, mode=mode)
 
 
 def test_switch_gains_frozen():

@@ -849,6 +849,22 @@ def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys,
     assert doc["events_per_rep"] == [solo.events] == [summary["events"]]
 
 
+@pytest.mark.parametrize("reps", [3, 16])
+def test_cli_simulate_aggregate_is_the_numpy_reduction(tmp_path, capsys, reps):
+    # several replications run the lockstep loop; aggregate.csv holds numpy's
+    # mean and ddof-1 standard error of the stacked paths, byte for byte
+    out = tmp_path / "o"
+    code, _, _ = cli(["simulate", EXAMPLE, "--out", str(out), "--N", "200", "--T", "1",
+                      "--reps", str(reps), "--seed", "7", "--samples", "8"], capsys)
+    assert code == 0
+    s0 = hbmfg.CountState.from_occupation(hbmfg.Occupation.uniform(3, 3).x, 200)
+    paths = hbmfg.simulate(s0, None, 1.0, range(7, 7 + reps), read_config(EXAMPLE), samples=8)
+    xs = np.stack([p.x for p in paths])
+    write_aggregate_csv(str(tmp_path / "ref.csv"), paths[0].times, xs.mean(axis=0),
+                        xs.std(axis=0, ddof=1) / np.sqrt(reps))
+    assert (out / "aggregate.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_cli_simulate_refuses_huge_populations_and_negative_seeds(tmp_path, capsys):
     negative = "seed must be a nonnegative integer, got -1"
     for extra, why in ((["--N", str(2**53 + 1)], "at most 2**53"),

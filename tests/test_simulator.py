@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,12 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
     read_config,
+    replication_summary,
     simulate,
 )
-from hbmfg.simulator import MAX_N, _ROW_WIDTH
+import hbmfg.simulator
+from hbmfg.kinetics import MAX_STEPS
+from hbmfg.simulator import MAX_N, _ROW_WIDTH, SimPath
 from test_kinetics import random_control
 from util_configs import make_config
 
@@ -318,6 +322,79 @@ def test_convergence_study_structure_and_guards():
     with pytest.raises(ValueError):
         convergence_study(cfg, None, x0, 1.0, N_list=(50, 200),
                           replications=1, seed=1)
+
+
+def test_convergence_study_summarizes_its_own_seeds():
+    # the means are np.mean over the paths of the study's seeds, in bits, and
+    # the standard errors the two-pass np.std (ddof 1) over sqrt(R)
+    cfg = read_config(EXAMPLE)
+    x0 = np.full((3, 3), 1 / 9)
+    study = convergence_study(cfg, None, x0, 1.0, (30, 90), 5, 11, samples=6)
+    for k, Nv in enumerate((30, 90)):
+        paths = simulate(CountState.from_occupation(x0, Nv), None, 1.0,
+                         range(11 + 5 * k, 16 + 5 * k), cfg, samples=6)
+        xs = np.stack([p.x for p in paths])
+        npt.assert_array_equal(study.means[Nv], xs.mean(axis=0))
+        npt.assert_array_equal(study.stderrs[Nv], xs.std(axis=0, ddof=1) / np.sqrt(5))
+    npt.assert_array_equal(study.times, paths[0].times)
+
+
+def test_convergence_study_refuses_bad_output_grids_before_running(monkeypatch):
+    def never(*args, **kw):
+        raise AssertionError("ran before the output grid was checked")
+
+    monkeypatch.setattr(hbmfg.simulator, "integrate_forward", never)
+    monkeypatch.setattr(hbmfg.simulator, "simulate", never)
+    cfg = chain_cfg()
+    x0 = np.array([[1.0], [0.0]])
+    for T, samples, why in ((1.0, 0, f"need 1 to {MAX_STEPS} output samples, got 0"),
+                            (1.0, -1, f"need 1 to {MAX_STEPS} output samples, got -1"),
+                            (0.0, 10, "need a finite T > 0")):
+        with pytest.raises(ValueError) as refused:
+            convergence_study(cfg, None, x0, T, (50, 200), 3, 1, samples=samples)
+        assert str(refused.value) == why
+        # simulate's own refusal reads the same
+        with pytest.raises(ValueError) as direct:
+            simulate(CountState(counts=[[50], [0]], N=50), None, T, 1, cfg, samples=samples)
+        assert str(direct.value) == why
+
+
+def _synthetic_paths(R, K, n, m, N=1000, seed=0):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, K)
+    return [SimPath(times=times, counts=rng.integers(0, N, size=(K, n, m)), N=N, events=0,
+                    seed=r) for r in range(R)]
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 7, 16, 64, 200])
+def test_replication_summary_is_the_numpy_reduction_in_bits(R):
+    paths = _synthetic_paths(R, 11, 3, 2, seed=R)
+    mean, stderr = replication_summary(paths)
+    xs = np.stack([p.x for p in paths])
+    npt.assert_array_equal(mean, xs.mean(axis=0))
+    if R == 1:
+        npt.assert_array_equal(stderr, np.zeros_like(mean))
+    else:
+        npt.assert_array_equal(stderr, xs.std(axis=0, ddof=1) / np.sqrt(R))
+
+
+def test_replication_summary_holds_one_path_of_floats_at_a_time():
+    # three paths of 100001 x 3 x 3 counts: the summary's peak stays below 4
+    # float copies of one path; stacking the paths' x takes 3, and np.std of
+    # the stack 3 more
+    paths = _synthetic_paths(3, 100001, 3, 3)
+    one = paths[0].counts.size * 8
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: replication_summary(paths)) < 4 * one
+    assert peak(lambda: np.stack([p.x for p in paths]).std(axis=0, ddof=1)) >= 6 * one
 
 
 def test_convergence_study_takes_a_per_interval_stack():
