@@ -9,11 +9,12 @@ byte for byte as '%.17g' % v writes it, so values round-trip exactly.
 Large blocks of rows are formatted in bulk by numpy (bulkfmt); the '%'
 template formats the rest, and is the fallback and the tests' oracle.
 JSON goes through one indent-2 encoder, byte for byte as json.dumps writes it.
-Every writer takes an optional dict, written, which gets each path it
-writes with the SHA-256 of the bytes written.  A run's manifest.json lists
-those files by relative path with their hashes, so a file already in the
-output directory is not listed; no timestamps, so identical runs produce
-identical bytes.
+Every writer goes through write_chunks, which rewrites a file already at
+its path in place.  Every writer takes an optional dict, written, which gets
+each path it writes with the SHA-256 of the bytes written.  A run's
+manifest.json lists those files by relative path with their hashes, so a
+file already in the output directory is not listed; no timestamps, so
+identical runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -208,14 +209,36 @@ def jsonable(obj):
     return obj
 
 
+# write_chunks opens its path with these flags, not with "wb", whose flags
+# include O_TRUNC (os has O_BINARY on Windows only)
+_IN_PLACE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_chunks(path: str, chunks, written: dict | None = None) -> None:
     """Write the chunks of bytes to path in turn; written, if given, gets path
-    with the SHA-256 of all of them."""
+    with the SHA-256 of all of them.
+
+    A file already at path is rewritten in place and then cut at the end of
+    what was written, so it holds exactly the chunks; an exception from the
+    chunks leaves the ones written before it, as a truncating open would.
+    The open does not truncate: a rerun into an existing output directory
+    overwrites each file's blocks, where a truncation would free them first,
+    and on a file system mounted with discard freeing them costs more than
+    writing the file.  A new or empty file has nothing to cut, and a device
+    or a pipe, which reports no size, cannot be cut.  A process killed while
+    it writes (where the cut never runs) leaves the new bytes followed by the
+    tail of a longer old file, which can read as a whole file: after such a
+    run, trust only the files whose bytes match their hash in a manifest."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for data in chunks:
-            fh.write(data)
-            digest.update(data)
+    with open(os.open(path, _IN_PLACE, 0o666), "wb") as fh:
+        held = os.fstat(fh.fileno()).st_size > 0   # bytes an earlier write left
+        try:
+            for data in chunks:
+                fh.write(data)
+                digest.update(data)
+        finally:
+            if held:
+                fh.truncate()
     if written is not None:
         written[path] = digest.hexdigest()
 
@@ -309,19 +332,21 @@ def _bulk_lines(t, rows, new) -> bytes | None:
     return b"".join(pieces)
 
 
-def _row_lines(head: list, times, table: np.ndarray):
-    """The header, then t and the row's values, one line per row and every
-    value as "%.17g" formats it, as bytes a block of rows at a time.  A row
+def _row_lines(head: list, times, *tables: np.ndarray):
+    """The header, then t and the row's values, the tables' columns side by
+    side, one line per row and every value as "%.17g" formats it, as bytes a
+    block of rows at a time; only a block of the tables is ever joined.  A row
     whose bits equal the previous row's reuses its text."""
     times = np.asarray(times, dtype=float)
-    table = np.ascontiguousarray(table, dtype=float)
-    width = table.shape[1]
+    tables = [np.ascontiguousarray(table, dtype=float) for table in tables]
+    width = sum([table.shape[1] for table in tables])
     template = b"".join([b",%.17g"] * width) + b"\n"
     size = max(1, WRITE_BLOCK_BYTES // (_VALUE_BYTES * (width + 1)))
     last = text = None   # the bits and text of the template's last row
     yield (",".join(head) + "\n").encode()
-    for start in range(0, len(table), size):
-        rows, t = table[start:start + size], times[start:start + size]
+    for start in range(0, len(times), size):
+        rows = np.concatenate([table[start:start + size] for table in tables], axis=1)
+        t = times[start:start + size]
         keys = [row.tobytes() for row in rows]
         new = list(map(ne, keys, [last] + keys[:-1]))
         if sum(new) * width >= _BULK_MIN:
@@ -390,8 +415,8 @@ def write_aggregate_csv(path: str, times, means, stderrs, written: dict | None =
     """Replication means and standard errors on the output grid."""
     n, m = np.shape(means)[1:]
     head = ["t"] + _state_labels("mean_x", n, m) + _state_labels("stderr_x", n, m)
-    table = np.concatenate([means, stderrs], axis=1, dtype=float)
-    write_chunks(path, _row_lines(head, times, table.reshape(len(table), -1)), written)
+    flat = [np.reshape(a, (len(a), -1)) for a in (means, stderrs)]
+    write_chunks(path, _row_lines(head, times, *flat), written)
 
 
 def write_manifest(out_dir: str, command: list, config_hash: str, version: str,

@@ -30,6 +30,7 @@ from hbmfg.io import (
     read_config,
     read_state_csv,
     write_aggregate_csv,
+    write_chunks,
     write_json,
     write_manifest,
     write_state_csv,
@@ -498,6 +499,62 @@ def test_csv_writer_memory_stays_within_its_block(tmp_path):
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4096
     assert max(peaks) < hio.WRITE_BLOCK_BYTES
+
+
+def test_aggregate_csv_joins_means_and_stderrs_a_block_at_a_time(tmp_path):
+    # the writer formats each block of rows from both arrays: the text is the
+    # template's of the joined table, and no joined (K, 2n, m) copy is made
+    rng = np.random.default_rng(53)
+    times = np.arange(20000) * 0.01
+    means, stderrs = rng.uniform(size=(2, 20000, 3, 3))
+    path = tmp_path / "aggregate.csv"
+    write_aggregate_csv(str(path), times[:100], means[:100], stderrs[:100])   # loads bulkfmt
+    tracemalloc.start()
+    try:
+        write_aggregate_csv(str(path), times, means, stderrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hio.WRITE_BLOCK_BYTES < means.nbytes
+    head, body = path.read_bytes().split(b"\n", 1)
+    assert head.decode().split(",")[1::9] == ["mean_x_1_1", "stderr_x_1_1"]
+    assert body == template_text(times, np.hstack([means.reshape(20000, -1),
+                                                   stderrs.reshape(20000, -1)]))
+
+
+@pytest.mark.parametrize("before", [b"left by an earlier, longer write\n" * 40, b"old", None],
+                         ids=["longer", "shorter", "absent"])
+def test_write_chunks_leaves_exactly_the_chunks(tmp_path, before):
+    path = tmp_path / "f.csv"
+    if before is not None:
+        path.write_bytes(before)
+    chunks = [b"t,x_1_1\n", b"0,0.25\n" * 3, b"", b"1,0.5\n"]
+    written = {}
+    write_chunks(str(path), iter(chunks), written)
+    assert path.read_bytes() == b"".join(chunks)
+    assert written == {str(path): hashlib.sha256(b"".join(chunks)).hexdigest()}
+
+
+def test_write_chunks_writes_to_a_device_it_cannot_cut():
+    written = {}
+    write_chunks(os.devnull, [b"discarded"], written)
+    assert written == {os.devnull: hashlib.sha256(b"discarded").hexdigest()}
+
+
+def test_write_chunks_keeps_the_chunks_before_an_exception(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"an earlier run's longer file\n" * 100)
+
+    def chunks():
+        yield b"first,"
+        yield b"second,"
+        raise RuntimeError("formatting failed")
+
+    written = {}
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_chunks(str(path), chunks(), written)
+    assert path.read_bytes() == b"first,second,"
+    assert written == {}
 
 
 def test_manifest_is_deterministic(tmp_path):
@@ -1182,6 +1239,29 @@ def _artifacts(out) -> dict:
     files = sorted(out.rglob("*")) if out.exists() else []
     return {str(p.relative_to(out)): p.read_bytes().replace(str(out).encode(), b"OUT")
             for p in files if p.is_file()}
+
+
+def test_cli_rerun_into_a_filled_out_rewrites_the_first_runs_bytes(tmp_path, capsys):
+    # each command runs into its own --out, then a smaller variant of it, then
+    # itself again; every manifest hash matches its file, so no rewritten file
+    # keeps a tail of a longer one, and the last run's files equal the first's
+    values = ["0.3", "0.2", "0.15", "0.1", "0.07", "0.05", "0.03", "0.02"]
+    sweep = ["sweep", EXAMPLE, "--param", "scales.delta", "--values"]
+    sim = ["simulate", EXAMPLE, "--N", "60", "--T", "1", "--seed", "2", "--per-rep", "--reps"]
+    solve = ["solve", EXAMPLE, "--T"]
+    for name, first, smaller in (("sweep", sweep + values, sweep + values[:2]),
+                                 ("solve", solve + ["4"], solve + ["2"]),
+                                 ("simulate", sim + ["3"], sim + ["2"])):
+        out = tmp_path / name
+        snapshots = []
+        for argv in (first, smaller, first):
+            assert cli(argv + ["--out", str(out)], capsys)[0] == 0, argv
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            for rel, digest in files.items():
+                assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest(), rel
+            snapshots.append(_artifacts(out))
+        assert snapshots[2] == snapshots[0], name
+        assert len(snapshots[1]) == len(snapshots[0]) and snapshots[1] != snapshots[0]
 
 
 def test_cli_parser_keeps_no_state_between_runs(tmp_path, capsys):
