@@ -4,10 +4,12 @@ Subcommands: validate, stationary, stability, solve, simulate, sweep.  Every
 run writes its artifacts into --out (or $MFG_OUT, or ./out), including a
 manifest.json with content hashes, and prints a one-line JSON summary to
 stdout.  Exit codes: 0 success, 1 usage/validation/assumption failures,
-2 numerical failures (including a solve that does not converge).  A run
-stopped by a usage error or a rejected input writes nothing; one stopped by
-a numerical error writes error.json and the manifest.  A sweep hands each run
-its config document in memory; the run's config.json records it, unread.
+2 numerical failures (including a solve that does not converge, or whose
+payoff passes its a-priori bound).  A run stopped by a usage error or a
+rejected input writes nothing; one stopped by a numerical error writes
+error.json and the manifest.  A sweep hands each run its config document in
+memory; the run's config.json records it, unread.  What the documents share
+is encoded and read once per sweep.
 """
 from __future__ import annotations
 
@@ -104,9 +106,9 @@ def _initial_occupation(x0, cfg) -> np.ndarray:
     return Occupation.uniform(cfg.n, cfg.m).x
 
 
-def _run_validate(config, out: str, written: dict):
+def _run_validate(config, out: str, written: dict, memo=None):
     try:
-        cfg = read_config(config)
+        cfg = read_config(config, memo)
         violations = validate(cfg)
     except ConfigError as e:
         violations = [str(e)]
@@ -117,8 +119,8 @@ def _run_validate(config, out: str, written: dict):
     return (0 if ok else 1), summary
 
 
-def _run_stationary(config, out: str, written: dict, regime=None, delta=None):
-    cfg = read_config(config)
+def _run_stationary(config, out: str, written: dict, regime=None, delta=None, memo=None):
+    cfg = read_config(config, memo)
     overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
     if overrides:  # the new config derives delta_int and delta_dis afresh
         cfg = dataclasses.replace(cfg, **overrides)
@@ -145,8 +147,8 @@ def _run_stationary(config, out: str, written: dict, regime=None, delta=None):
     return 0, summary
 
 
-def _run_stability(config, out: str, written: dict):
-    cfg = _require_valid(read_config(config))
+def _run_stability(config, out: str, written: dict, memo=None):
+    cfg = _require_valid(read_config(config, memo))
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
     cmp_ = compare_d_block(cfg)
@@ -167,6 +169,21 @@ def _run_stability(config, out: str, written: dict):
     return 0, summary
 
 
+# A solve whose payoff path passes this multiple of _payoff_bound has blown up
+_PAYOFF_SLACK = 2.0
+
+
+def _payoff_bound(cfg, g_end: np.ndarray) -> float:
+    """A bound on |g| over an exact solve: max |gT| + (max |w| + F) / delta_dis,
+    F the largest expected fine flow per capita with every partner cell at mass
+    1, which no occupation exceeds.  Staying is always feasible and no fee or
+    fine is negative, so a payoff is worth at most the best reward flow and at
+    least the worst reward less the largest fine flow, each discounted."""
+    mv = cfg.moves
+    fines = ((mv.rate + mv.evo.sum(axis=-1)) * mv.fine[:, :, None]).sum(axis=0)
+    return float(np.abs(g_end).max() + (np.abs(cfg.w).max() + fines.max()) / cfg.delta_dis)
+
+
 def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, gT=None,
                max_iter=50):
     cfg = _require_valid(read_config(config))
@@ -176,6 +193,11 @@ def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, g
 
     res = solve_mfg(_initial_occupation(x0, cfg), g_end, horizon, step, cfg, max_iter=max_iter)
     traj = res.trajectory
+    g_max, bound = max(traj.g.max(), -traj.g.min()), _payoff_bound(cfg, g_end)
+    if g_max > _PAYOFF_SLACK * bound:
+        raise HjbError(f"payoff path reached max |g| = {g_max:.6g}, past {_PAYOFF_SLACK:g} x "
+                       f"its a-priori bound {bound:.6g}: the payoff pass is unstable at "
+                       f"--dt {step:g}; take a smaller --dt")
     write_trajectory_csv(os.path.join(out, "x.csv"), traj.times, traj.x, "x", written)
     write_trajectory_csv(os.path.join(out, "g.csv"), traj.times, traj.g, "g", written)
     # one change point per control piece, its switching cells as 1-based [level, from, to]
@@ -303,14 +325,17 @@ def _run_sweep(config: str, out: str, written: dict, param: str, values: list[st
     docs = [_set_config_path(base, tokens, val, param) for val in vals]
     for doc in docs:  # every value's fields are checked before any run
         check_fields(doc)
+    # the documents share every subtree off the path with base, and nothing
+    # mutates them from here on: the memo encodes and reads each shared one once
+    memo = {}
     results = []
     worst = 0
     for k, (val, doc) in enumerate(zip(vals, docs)):
         sub = os.path.join(out, f"val_{k}")
         os.makedirs(sub, exist_ok=True)
-        write_config_doc(os.path.join(sub, "config.json"), doc, written)
+        write_config_doc(os.path.join(sub, "config.json"), doc, written, memo)
         try:  # the op takes the document itself, not the file just written
-            code, summary = _SWEEP_OPS[op](doc, sub, written)
+            code, summary = _SWEEP_OPS[op](doc, sub, written, memo=memo)
         except _VALIDATION_ERRORS + _NUMERICAL_ERRORS as e:
             code, summary = _exit_code(e), {"error": str(e)}
         results.append({"value": val, "dir": f"val_{k}",

@@ -8,7 +8,9 @@ row-major with 1-based labels (x_1_1 ... x_n_m); every float is written
 byte for byte as '%.17g' % v writes it, so values round-trip exactly.
 Large blocks of rows are formatted in bulk by numpy (bulkfmt); the '%'
 template formats the rest, and is the fallback and the tests' oracle.
-JSON goes through one indent-2 encoder, byte for byte as json.dumps writes it.
+JSON goes through one indent-2 encoder, byte for byte as json.dumps writes it;
+config documents that share subtrees may pass one memo through it and
+through the config reader, which then encode and read each shared one once.
 Every writer goes through write_chunks, which rewrites a file already at
 its path in place.  Every writer takes an optional dict, written, which gets
 each path it writes with the SHA-256 of the bytes written.  A run's
@@ -106,10 +108,15 @@ def _numeric(name: str, value, kind: str):
         raise ConfigError(f"config field '{name}' is not numeric: {e}") from None
 
 
-def _read_fields(doc: dict) -> dict:
+def _read_fields(doc: dict, memo: dict | None = None) -> dict:
     """Each config field read by its kind and keyed by its last name, an object
     field's own fields in a dict under its name.  A missing field, or one not of
-    its kind, is refused by its dotted name; text goes on to GameConfig as it is."""
+    its kind, is refused by its dotted name; text goes on to GameConfig as it is.
+
+    memo, if given, keeps each array field read with its JSON value, by the
+    value's id and the field's name, so documents that share a field's list
+    check and convert it once; the caller must mutate none of them while the
+    memo lives."""
     top = {}
     objects = {"": (doc, top)}   # each object read: its JSON and the dict its fields fill
     for name, kind in _FIELDS.items():
@@ -129,6 +136,10 @@ def _read_fields(doc: dict) -> dict:
                               "must be an object")
         elif kind == "bool" and not isinstance(value, bool):
             raise ConfigError(f"config field '{name}' must be true or false")
+        elif kind == "array" and memo is not None:
+            if (hit := memo.get((id(value), name))) is None:   # held with value, as in _json
+                hit = memo[id(value), name] = value, _numeric(name, value, kind)
+            into[key] = hit[1]
         else:
             into[key] = _numeric(name, value, kind) if kind in ("number", "array") else value
     return top
@@ -155,11 +166,12 @@ def read_config_doc(path: str):
         ) from None
 
 
-def read_config(source) -> GameConfig:
-    """A GameConfig from a config path or a parsed document; shape checks happen there too."""
+def read_config(source, memo: dict | None = None) -> GameConfig:
+    """A GameConfig from a config path or a parsed document; shape checks happen
+    there too.  memo, if given, is _read_fields'."""
     doc = read_config_doc(source) if isinstance(source, (str, os.PathLike)) else source
     check_fields(doc)
-    kwargs = _read_fields(doc)
+    kwargs = _read_fields(doc, memo)
     kwargs["lam"] = kwargs.pop("lambda")
     n, m = kwargs["n"], kwargs["m"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
@@ -248,10 +260,14 @@ _NULLS = dict.fromkeys(("nan", "inf", "-inf"), "null")             # as jsonable
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 
-def _json(obj, pad: str, nonfinite: dict) -> str:
+def _json(obj, pad: str, nonfinite: dict, memo: dict | None = None) -> str:
     """obj as json.dumps(jsonable(obj), indent=2, sort_keys=True) writes it at the
     indent pad (a line break, 2 spaces a level), non-finite floats spelled by
-    nonfinite, in one walk that joins a list of floats with one repr each."""
+    nonfinite, in one walk that joins a list of floats with one repr each.
+
+    memo, if given, keeps each list or dict met with its text, by its id, pad
+    and spelling, so a container met again is not walked again; the caller
+    must mutate none of them while the memo lives."""
     kind = type(obj)
     if kind is float:
         text = float.__repr__(obj)
@@ -259,24 +275,34 @@ def _json(obj, pad: str, nonfinite: dict) -> str:
     if kind is str:
         return _ESCAPE(obj)
     if kind is np.ndarray:
-        return _json(obj.tolist(), pad, nonfinite)
+        return _json(obj.tolist(), pad, nonfinite, memo)
     if kind is not list and kind is not dict and kind is not tuple:
         obj = jsonable(obj)   # numpy scalars, complex values, subclasses
         if not isinstance(obj, (dict, list)):   # json refuses what jsonable leaves unknown
             return json.dumps(obj)
+    if memo is None:
+        return _json_container(obj, pad, nonfinite, None)
+    key = (id(obj), pad, id(nonfinite))
+    if (hit := memo.get(key)) is None:   # held with obj, so no other object takes its id
+        hit = memo[key] = obj, _json_container(obj, pad, nonfinite, memo)
+    return hit[1]
+
+
+def _json_container(obj, pad: str, nonfinite: dict, memo: dict | None) -> str:
+    """_json of a dict, list or tuple."""
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
     sep = "," + inner
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
-        return "{" + inner + sep.join([_ESCAPE(k) + ": " + _json(items[k], inner, nonfinite)
+        return "{" + inner + sep.join([_ESCAPE(k) + ": " + _json(items[k], inner, nonfinite, memo)
                                        for k in sorted(items)]) + pad + "}"
     if set(map(type, obj)) == {float}:   # each finite unless its repr has an n
         text = sep.join(map(float.__repr__, obj))
         if "n" not in text:
             return "[" + inner + text + pad + "]"
-    return "[" + inner + sep.join([_json(v, inner, nonfinite) for v in obj]) + pad + "]"
+    return "[" + inner + sep.join([_json(v, inner, nonfinite, memo) for v in obj]) + pad + "]"
 
 
 def write_json(path: str, obj, written: dict | None = None) -> None:
@@ -284,9 +310,12 @@ def write_json(path: str, obj, written: dict | None = None) -> None:
     write_chunks(path, [(_json(obj, "\n", _NULLS) + "\n").encode()], written)
 
 
-def write_config_doc(path: str, doc, written: dict | None = None) -> None:
-    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, NaN and Infinity kept."""
-    write_chunks(path, [(_json(doc, "\n", _NAMES) + "\n").encode()], written)
+def write_config_doc(path: str, doc, written: dict | None = None,
+                     memo: dict | None = None) -> None:
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, NaN and Infinity
+    kept; memo, if given, is _json's, so documents that share subtrees encode
+    each shared one once."""
+    write_chunks(path, [(_json(doc, "\n", _NAMES, memo) + "\n").encode()], written)
 
 
 def _state_labels(prefix: str, n: int, m: int) -> list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -37,7 +38,14 @@ from hbmfg.io import (
     write_trajectory_csv,
 )
 from hbmfg.kinetics import MAX_STEPS, NODE_BYTES
-from util_configs import config_doc, cycle_config, make_config, theorem_config, write_config
+from util_configs import (
+    config_doc,
+    cycle_config,
+    make_config,
+    stayput_config,
+    theorem_config,
+    write_config,
+)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.json")
 
@@ -311,6 +319,33 @@ def test_json_writers_equal_json_dumps(tmp_path):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             write_json(str(tmp_path / "bad.json"), bad)
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_json_encoder_memo_keeps_each_documents_text(tmp_path, monkeypatch):
+    # documents that share subtrees by identity, at several depths, through one
+    # memo and under both spellings of a non-finite float: each document's text
+    # is still json.dumps's, so a memo entry serves only its own indent and spelling
+    rng = random.Random(7)
+    path = tmp_path / "w.json"
+    memo, pool = {}, []
+    for _ in range(500):
+        part = _random_json_input(rng, 3, native=True)
+        shared = rng.choice(pool) if pool else []
+        doc = {"a": shared, "b": [part, {"c": shared}], "d": part}
+        pool.append(part)
+        hio.write_config_doc(str(path), doc, memo=memo)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
+        assert hio._json(doc, "\n", hio._NULLS, memo) == json.dumps(
+            jsonable(doc), indent=2, sort_keys=True, allow_nan=False), doc
+    # each entry holds the object whose id it is keyed by, so no other takes the id
+    assert all(key[0] == id(obj) for key, (obj, _) in memo.items())
+    # a document met again is not walked again
+    walked = []
+    container = hio._json_container
+    monkeypatch.setattr(hio, "_json_container", lambda obj, *a: walked.append(obj) or
+                        container(obj, *a))
+    hio.write_config_doc(str(path), doc, memo=memo)
+    assert walked == [] and path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_state_csv_round_trip(tmp_path):
@@ -811,6 +846,36 @@ def test_cli_numerical_failure_writes_error_and_manifest(tmp_path, capsys, monke
     assert code == 2 and (tmp_path / "s" / "error.json").exists()
 
 
+def test_cli_solve_refuses_a_payoff_past_its_a_priori_bound(tmp_path, capsys, monkeypatch):
+    # the bound is max |gT| + (max |w| + F) / delta_dis, F the largest fine flow
+    # with every partner cell at mass 1: on the example the fine of 0.2 on the
+    # down moves out of cell (3, 3), at 1.8 plus delta_int times its
+    # stimulated rates 0.4 + 0.5 + 0.6
+    cfg = read_config(EXAMPLE)
+    gT = np.zeros((3, 3))
+    gT[1, 2] = -3.0
+    assert hbmfg.cli._payoff_bound(cfg, gT) == pytest.approx(
+        3.0 + (2.2 + 0.2 * (1.8 + 0.05 ** 2 * 1.5)) / 0.05, rel=1e-14)
+    # perfbench's seed-1 stay-put config at --dt 0.4: the payoff pass blows up
+    # to max |g| about 2e68 and stays finite, against a bound of 23.8; the solve
+    # is a numerical failure that writes error.json and the manifest alone
+    config = stayput_config(tmp_path, monkeypatch)
+    cfg = read_config(config)
+    bound = hbmfg.cli._payoff_bound(cfg, np.zeros((cfg.n, cfg.m)))
+    assert bound == pytest.approx(23.825072722080876, rel=1e-14)
+    out = tmp_path / "dt0.4"
+    code, summary, err = cli(["solve", config, "--T", "87.5", "--dt", "0.4",
+                              "--out", str(out)], capsys)
+    assert code == 2 and summary["ok"] is False and "numerical failure" in err
+    assert "a-priori bound 23.8251" in summary["error"] and "--dt 0.4" in summary["error"]
+    assert sorted(os.listdir(out)) == ["error.json", "manifest.json"]
+    # at --dt 0.2 the same solve stays within the bound
+    out = tmp_path / "dt0.2"
+    code, _, _ = cli(["solve", config, "--T", "87.5", "--dt", "0.2", "--out", str(out)], capsys)
+    g = np.loadtxt(out / "g.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert code == 0 and 17 < np.abs(g).max() < bound
+
+
 def test_cli_solve_control_cycle_exit_code(tmp_path, capsys):
     p = write_config(tmp_path / "cycle.json", cycle_config())
     out = tmp_path / "o"
@@ -1141,6 +1206,76 @@ def test_cli_sweep_sets_and_refuses_list_indices(tmp_path, capsys):
         assert os.listdir(out) == []
 
 
+def _set_path(doc, path: str, value):
+    """A deep copy of doc with value at the dotted path, each list index an int."""
+    doc = copy.deepcopy(doc)
+    *head, last = path.split(".")
+    cur = doc
+    for token in head:
+        cur = cur[int(token)] if isinstance(cur, list) else cur[token]
+    cur[int(last) if isinstance(cur, list) else last] = value
+    return doc
+
+
+SWEEP_PATHS = [
+    ("scales.delta", ["0.1", "0.05", "-1e-3"]),
+    ("economics.fee_H.1", ["0.3", "0.1"]),
+    ("rates.q_up_evo.0.1.2", ["0.25", "0.5", "0.25"]),
+    ("economics.fee_H", ["[0.1,0.2,0.3]", "[0.3,0.2,0.1]"]),
+]
+
+
+@pytest.mark.parametrize("non_finite", [False, True])
+@pytest.mark.parametrize("param, values", SWEEP_PATHS)
+def test_cli_sweep_writes_each_values_config_as_json_dumps(tmp_path, capsys, param, values,
+                                                          non_finite):
+    # the values share, by identity, every subtree off the path with the base
+    # document, and the sweep encodes each shared one once; every value's
+    # config.json must still be json.dumps of its own document, byte for byte.
+    # With non_finite the base holds NaN and Infinity, which a config keeps
+    base = example_doc()
+    if non_finite:
+        base["economics"]["w"][0] = [math.nan, math.inf, -math.inf]
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(base))
+    out = tmp_path / "o"
+    _, summary, _ = cli(["sweep", str(config), "--param", param, "--values", *values,
+                            "--op", "validate", "--out", str(out)], capsys)
+    assert summary["runs"] == len(values)
+    for k, value in enumerate(values):
+        doc = _set_path(base, param, json.loads(value))
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (out / f"val_{k}" / "config.json").read_text() == want, (param, k)
+
+
+def test_cli_sweeps_in_one_process_each_write_their_own_documents(tmp_path, capsys):
+    # no memo outlives its sweep: a sweep over another config between two runs
+    # of the same sweep writes and reads its own documents, and so does the rerun
+    other = example_doc()
+    other["economics"]["w"][1] = [1.0, 0.5, 0.25]
+    other["rates"]["q_up_evo"][0][1] = [0.1, 0.2, 0.3]
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps(other))
+    for k, (path, base) in enumerate([(EXAMPLE, example_doc()), (str(config), other),
+                                      (EXAMPLE, example_doc())]):
+        out = tmp_path / f"sweep_{k}"
+        code, _, _ = cli(["sweep", path, "--param", "scales.delta", "--values", "0.1", "0.05",
+                          "--op", "stationary", "--out", str(out)], capsys)
+        assert code == 0
+        for j, value in enumerate((0.1, 0.05)):
+            sub = out / f"val_{j}"
+            doc = _set_path(base, "scales.delta", value)
+            assert (sub / "config.json").read_text() == json.dumps(
+                doc, indent=2, sort_keys=True) + "\n", (k, j)
+            direct = tmp_path / f"direct_{k}_{j}"
+            assert cli(["stationary", str(sub / "config.json"), "--out", str(direct)],
+                       capsys)[0] == 0
+            assert (direct / "stationary.json").read_bytes() == (
+                sub / "stationary.json").read_bytes(), (k, j)
+    assert (tmp_path / "sweep_0" / "val_0" / "stationary.json").read_bytes() != (
+        tmp_path / "sweep_1" / "val_0" / "stationary.json").read_bytes()
+
+
 def test_cli_sweep_takes_negative_values_in_exponent_notation(tmp_path, capsys):
     # argparse alone would read -1e-3 as an option; validation refuses the negative delta
     out = tmp_path / "o"
@@ -1283,29 +1418,73 @@ def test_cli_parser_keeps_no_state_between_runs(tmp_path, capsys):
     assert len(_artifacts(tmp_path / "seq_0")) == 5 and len(_artifacts(tmp_path / "seq_1")) == 3
 
 
+# sweeps whose runs must equal direct runs: each (param, values, per-value status)
+EQUAL_RUN_SWEEPS = [
+    ("scales.delta", ["0.1", "-1e-3"], [0, 1]),
+    ("rates.q_up_evo.0.1.2", ["0.25", "0.5"], [0, 0]),
+    ("rates.q_up.0.1", ['"x"', "1.0"], [1, 0]),   # "x" makes the field non-numeric
+]
+
+
 @pytest.mark.parametrize("op", ["stationary", "stability", "validate"])
 def test_cli_sweep_runs_equal_runs_on_their_config_files(tmp_path, capsys, op):
-    # each sweep run takes its document in memory; run on the file written, it must agree
-    out = tmp_path / "sweep"
-    code, _, _ = cli(["sweep", EXAMPLE, "--param", "scales.delta", "--values", "0.1",
-                      "-1e-3", "--op", op, "--out", str(out)], capsys)
-    assert code == 1
-    results = json.loads((out / "sweep.json").read_text())["results"]
-    for k, result in enumerate(results):
-        sub = out / f"val_{k}"
-        direct = tmp_path / f"direct_{k}"
-        code, summary, _ = cli([op, str(sub / "config.json"), "--out", str(direct)], capsys)
-        assert result["status"] == code
-        got = _artifacts(direct)
-        got.pop("manifest.json", None)
-        want = _artifacts(sub)
-        want.pop("config.json")
-        assert got == want
-        if "error" in result["summary"]:
-            assert result["summary"]["error"] == summary["error"]
+    # each sweep run takes its document in memory, reading what it shares with
+    # the other values once; run on the file written, it must agree
+    for case, (param, values, statuses) in enumerate(EQUAL_RUN_SWEEPS):
+        out = tmp_path / f"sweep_{case}"
+        code, _, _ = cli(["sweep", EXAMPLE, "--param", param, "--values", *values,
+                          "--op", op, "--out", str(out)], capsys)
+        results = json.loads((out / "sweep.json").read_text())["results"]
+        assert code == max(statuses) and [r["status"] for r in results] == statuses, param
+        for k, result in enumerate(results):
+            sub = out / f"val_{k}"
+            direct = tmp_path / f"direct_{case}_{k}"
+            code, summary, _ = cli([op, str(sub / "config.json"), "--out", str(direct)],
+                                   capsys)
+            assert result["status"] == code
+            got = _artifacts(direct)
+            got.pop("manifest.json", None)
+            want = _artifacts(sub)
+            want.pop("config.json")
+            assert got == want, (param, k)
+            if "error" in result["summary"]:
+                assert result["summary"]["error"] == summary["error"]
+            else:
+                assert {**result["summary"], "out": str(direct)} == summary
+
+
+def _same_config(a: GameConfig, b: GameConfig) -> None:
+    """a equals b field by field, every array in dtype, shape and bits."""
+    for f in dataclasses.fields(GameConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
         else:
-            assert {**result["summary"], "out": str(direct)} == summary
-    assert results[1]["status"] == 1
+            assert type(x) is type(y) and repr(x) == repr(y), f.name
+
+
+def test_cli_sweep_reads_each_value_as_a_fresh_read_of_its_config(tmp_path, capsys,
+                                                                  monkeypatch):
+    # every GameConfig a sweep builds equals read_config of that value's
+    # config.json, bit for bit; the values whose q_up_evo element changed each
+    # get their own q_up_evo, while every array they share is read once
+    built, reads = [], []
+    read, numeric = hbmfg.cli.read_config, hio._numeric
+    monkeypatch.setattr(hbmfg.cli, "read_config",
+                        lambda config, memo=None: built.append(read(config, memo)) or built[-1])
+    monkeypatch.setattr(hio, "_numeric",
+                        lambda name, *a: reads.append(name) or numeric(name, *a))
+    values = ["0.25", "0.5", "0.25", "0.125"]
+    out = tmp_path / "o"
+    code, _, _ = cli(["sweep", EXAMPLE, "--param", "rates.q_up_evo.0.1.2", "--values", *values,
+                      "--op", "stationary", "--out", str(out)], capsys)
+    assert code == 0 and len(built) == len(values)
+    assert reads.count("rates.q_up_evo") == len(values)
+    assert reads.count("rates.q_down_evo") == reads.count("economics.w") == 1
+    fresh = [read_config(str(out / f"val_{k}" / "config.json")) for k in range(len(values))]
+    for cfg, want, value in zip(built, fresh, values):
+        _same_config(cfg, want)
+        assert cfg.q_up_evo[0, 1, 2] == float(value)
 
 
 def test_cli_usage_and_missing_file(tmp_path, capsys):
