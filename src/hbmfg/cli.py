@@ -9,7 +9,7 @@ payoff passes its a-priori bound).  A run stopped by a usage error or a
 rejected input writes nothing; one stopped by a numerical error writes
 error.json and the manifest.  A sweep hands each run its config document in
 memory; the run's config.json records it, unread.  What the documents share
-is encoded and read once per sweep.
+is encoded, read and validated once per sweep.
 """
 from __future__ import annotations
 
@@ -92,8 +92,8 @@ def _outdir(out) -> str:
     return out
 
 
-def _require_valid(cfg):
-    violations = validate(cfg)
+def _require_valid(cfg, memo=None):
+    violations = validate(cfg, memo)
     if violations:
         raise ConfigError("config fails validation: " + "; ".join(violations))
     return cfg
@@ -109,7 +109,7 @@ def _initial_occupation(x0, cfg) -> np.ndarray:
 def _run_validate(config, out: str, written: dict, memo=None):
     try:
         cfg = read_config(config, memo)
-        violations = validate(cfg)
+        violations = validate(cfg, memo)
     except ConfigError as e:
         violations = [str(e)]
     ok = not violations
@@ -124,7 +124,7 @@ def _run_stationary(config, out: str, written: dict, regime=None, delta=None, me
     overrides = {k: v for k, v in (("regime", regime), ("delta", delta)) if v is not None}
     if overrides:  # the new config derives delta_int and delta_dis afresh
         cfg = dataclasses.replace(cfg, **overrides)
-    sol = stationary_solution(_require_valid(cfg))
+    sol = stationary_solution(_require_valid(cfg, memo))
     write_json(os.path.join(out, "stationary.json"), {
         "b": sol.b_1based,
         "regime": cfg.regime.value,
@@ -148,7 +148,7 @@ def _run_stationary(config, out: str, written: dict, regime=None, delta=None, me
 
 
 def _run_stability(config, out: str, written: dict, memo=None):
-    cfg = _require_valid(read_config(config, memo))
+    cfg = _require_valid(read_config(config, memo), memo)
     L = build_reduced_linearization(cfg)
     rep = spectrum(L)
     cmp_ = compare_d_block(cfg)
@@ -323,11 +323,12 @@ def _run_sweep(config: str, out: str, written: dict, param: str, values: list[st
     if not vals:
         raise ValueError("sweep needs at least one value")
     docs = [_set_config_path(base, tokens, val, param) for val in vals]
-    for doc in docs:  # every value's fields are checked before any run
-        check_fields(doc)
     # the documents share every subtree off the path with base, and nothing
-    # mutates them from here on: the memo encodes and reads each shared one once
+    # mutates them from here on: the memo checks each document's fields once,
+    # and encodes, reads and validates what they share once
     memo = {}
+    for doc in docs:  # every value's fields are checked before any run
+        check_fields(doc, memo)
     results = []
     worst = 0
     for k, (val, doc) in enumerate(zip(vals, docs)):

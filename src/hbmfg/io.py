@@ -70,9 +70,16 @@ _FIELDS = {
 _OPTIONAL = {"rates.q_sink", "flags", "flags.detailed_balance"}
 
 
-def check_fields(doc) -> None:
+def check_fields(doc, memo: dict | None = None) -> None:
     """Refuse a root that is not an object, and by its dotted name a config field
-    _FIELDS does not list or a key with a dot."""
+    _FIELDS does not list or a key with a dot.
+
+    memo, if given, keeps each document that passed, by its id, so a document
+    checked again is not walked again; the caller must mutate none of them
+    while the memo lives."""
+    checked = (id(doc), "check_fields")
+    if memo is not None and memo.get(checked) is doc:   # held with doc, so no other takes its id
+        return
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     objects = [("", doc)]
@@ -83,6 +90,8 @@ def check_fields(doc) -> None:
                 raise ConfigError(f"config has unknown field '{name}'")
             if isinstance(value, dict) and _FIELDS[name] == "object":
                 objects.append((name + ".", value))
+    if memo is not None:
+        memo[checked] = doc
 
 
 def _numeric(name: str, value, kind: str):
@@ -168,9 +177,10 @@ def read_config_doc(path: str):
 
 def read_config(source, memo: dict | None = None) -> GameConfig:
     """A GameConfig from a config path or a parsed document; shape checks happen
-    there too.  memo, if given, is _read_fields'."""
+    there too.  memo, if given, is check_fields' and _read_fields', so a
+    document check_fields passed with it is not checked again."""
     doc = read_config_doc(source) if isinstance(source, (str, os.PathLike)) else source
-    check_fields(doc)
+    check_fields(doc, memo)
     kwargs = _read_fields(doc, memo)
     kwargs["lam"] = kwargs.pop("lambda")
     n, m = kwargs["n"], kwargs["m"]

@@ -30,6 +30,7 @@ __all__ = [
     "regime_scales",
     "validate",
     "balance_gap",
+    "column_balance_gaps",
     "effective_rewards",
     "dominant_level",
     "grid_array",
@@ -354,17 +355,45 @@ def _check_matrix(out: list, name: str, a: np.ndarray, shape: tuple) -> bool:
     return True
 
 
-def validate(cfg: GameConfig) -> list[str]:
+def validate(cfg: GameConfig, memo: Optional[dict] = None) -> list[str]:
     """Structural validation; returns a list of human-readable violations.
 
     Empty list means the configuration is well formed.  Indices in messages
-    are 1-based.
+    are 1-based; the array checks come first, then the scales, then detailed
+    balance.
+
+    memo, if given, keeps the array checks' and the balance check's
+    violations by what they read: n, m, the detailed_balance flag, whether
+    a sink is present, and each checked array's shape and bytes.  Configs
+    that share those arrays, as the values of a sweep do, check them once;
+    the scales are checked on every call.  A key made of the bytes cannot
+    go stale, so the memo may outlive any one config.
     """
-    v: list[str] = []
     n, m = cfg.n, cfg.m
     if n < 1 or m < 1:
         return [f"dimensions: n={n}, m={m} must be positive"]
+    if memo is None:
+        arrays, balance = _array_violations(cfg)
+    else:
+        key = ("validate", n, m, cfg.detailed_balance, cfg.q_sink is not None,
+               *[(a.shape, a.tobytes()) for a in _checked_arrays(cfg)])
+        if (hit := memo.get(key)) is None:
+            hit = memo[key] = _array_violations(cfg)
+        arrays, balance = hit
+    return arrays + _scale_violations(cfg) + balance
 
+
+def _checked_arrays(cfg: GameConfig) -> list:
+    """Every array _array_violations reads."""
+    sink = () if cfg.q_sink is None else (cfg.q_sink.direct, cfg.q_sink.interaction)
+    return [cfg.q_up, cfg.q_down, cfg.q_up_evo, cfg.q_down_evo, cfg.w, cfg.fee_B, cfg.fee_H,
+            *sink]
+
+
+def _array_violations(cfg: GameConfig) -> tuple[list, list]:
+    """validate's violations of the arrays, and of detailed balance."""
+    v: list[str] = []
+    n, m = cfg.n, cfg.m
     ok = {}
     for dest, pairs in cfg.move_families():
         dead = np.flatnonzero(dest == np.arange(n))
@@ -397,7 +426,20 @@ def validate(cfg: GameConfig) -> list[str]:
     if ok_fh and cfg.fee_H.min() < 0:
         v.append("fee_H has negative entries")
 
-    # written so that nan fails too
+    balance = []
+    if cfg.detailed_balance and ok["q_up"] and ok["q_down"]:
+        gap, (i, j) = balance_gap(cfg)
+        if not gap <= BALANCE_TOL:
+            balance.append(
+                f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
+                f"({float(cfg.q_up[i, j])!r} vs {float(cfg.q_down[i + 1, j])!r})"
+            )
+    return v, balance
+
+
+def _scale_violations(cfg: GameConfig) -> list[str]:
+    """validate's violations of lambda and the scales; written so that nan fails too."""
+    v = []
     if not (0 <= cfg.lam < np.inf):
         v.append(f"lambda: decision rate must be finite and nonnegative, got {cfg.lam!r}")
     if not (0 < cfg.delta < np.inf):
@@ -406,35 +448,35 @@ def validate(cfg: GameConfig) -> list[str]:
         v.append(f"regime {cfg.regime.value} at delta={cfg.delta!r}: derived scales "
                  f"delta_int={cfg.delta_int!r}, delta_dis={cfg.delta_dis!r} must be "
                  "finite, delta_dis positive")
-
-    if cfg.detailed_balance and ok["q_up"] and ok["q_down"]:
-        gap, (i, j) = balance_gap(cfg)
-        if not gap <= BALANCE_TOL:
-            v.append(
-                f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
-                f"({float(cfg.q_up[i, j])!r} vs {float(cfg.q_down[i + 1, j])!r})"
-            )
-
     return v
 
 
-def balance_gap(cfg: GameConfig, j: Optional[int] = None) -> tuple[float, tuple[int, int]]:
+def _link_gaps(cfg: GameConfig) -> tuple[np.ndarray, float]:
+    """Each link's |q_up[i, j] - q_down[i+1, j]|, (n - 1, m), and the scale the
+    gaps are taken relative to: max(1, largest link rate of the config)."""
+    up, down = cfg.q_up[:-1], cfg.q_down[1:]
+    scale = max(1.0, float(np.max(np.abs(up), initial=0.0)),
+                float(np.max(np.abs(down), initial=0.0)))
+    return np.abs(up - down), scale
+
+
+def balance_gap(cfg: GameConfig) -> tuple[float, tuple[int, int]]:
     """Worst detailed-balance link gap and the 0-based (i, j) where it sits.
 
     The gap is |q_up[i, j] - q_down[i+1, j]| relative to max(1, largest link
-    rate of the config), taken over every column or over column j alone.
-    Detailed balance holds when it is at most BALANCE_TOL.
+    rate of the config).  Detailed balance holds when it is at most BALANCE_TOL.
     """
-    up, down = cfg.q_up[:-1], cfg.q_down[1:]
-    if up.size == 0:
-        return 0.0, (0, 0 if j is None else j)
-    scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
-    diff = np.abs(up - down)
-    if j is not None:
-        i = int(np.argmax(diff[:, j]))
-        return float(diff[i, j]) / scale, (i, j)
+    diff, scale = _link_gaps(cfg)
+    if diff.size == 0:
+        return 0.0, (0, 0)
     i, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
     return float(diff[i, k]) / scale, (int(i), int(k))
+
+
+def column_balance_gaps(cfg: GameConfig) -> np.ndarray:
+    """The worst balance_gap of each column alone, (m,), from one difference array."""
+    diff, scale = _link_gaps(cfg)
+    return diff.max(axis=0, initial=0.0) / scale
 
 
 def effective_rewards(cfg: GameConfig) -> np.ndarray:

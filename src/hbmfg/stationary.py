@@ -13,16 +13,17 @@ the StationarySolution it returns are the expansion terms.  It checks each
 precondition once, in this order, and raises StationaryError naming the one
 that fails:
 
-1. detailed balance of the pressure rates (model.balance_gap);
+1. detailed balance of the pressure rates (model.column_balance_gaps);
 2. a nonzero net effective reward sum in every column, at the tolerance of
    model.dominant_level (the message names the dead columns, 1-based);
 3. a unique dominant column (a tie is refused);
 4. in ID2, the second-order data sums to zero in every column (at 1e-9).
 
-The column solves (solve_on_complement) raise DegenerateChainError for a
-vanishing link rate and StationaryError for the sink variant's chain.
-Everything works column by column on small dense chains; solves are
-closed-form recursions.
+The complement solves (solve_on_complement) raise DegenerateChainError for
+a vanishing link rate and StationaryError for the sink variant's chain.
+The chains are small and dense, and the solves closed-form recursions: each
+term takes one solve, x1 on the dominant column and g1 and g2 on every
+column at once, so the expansion takes 3 solves (2 in ID3).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .model import (
     GameConfig,
     Occupation,
     Regime,
-    balance_gap,
+    column_balance_gaps,
     dominant_level,
     effective_rewards,
 )
@@ -92,7 +93,7 @@ def build_level_chain(j: int, cfg: GameConfig) -> LevelChain:
     return LevelChain(
         j=j,
         A=mv.generator(mv.rate[:, :, j]),
-        detailed_balance=balance_gap(cfg, j)[0] <= BALANCE_TOL,
+        detailed_balance=bool(column_balance_gaps(cfg)[j] <= BALANCE_TOL),
     )
 
 
@@ -134,12 +135,50 @@ def kernel_product_forms(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
     return v_bottom, v_top
 
 
-def solve_on_complement(chain: LevelChain, y) -> np.ndarray:
+def solve_on_complement(chain, y) -> np.ndarray:
     """Unique mean-zero z with A z = -y, for mean-zero y on a balanced chain.
 
     Closed-form recursion down the chain: cumulative loads on the links,
     summed back with the weights that make the result mean-zero.
+
+    chain may also be a sequence of k column chains on the same n levels,
+    with y of shape (n, k): column c of the (n, k) result solves chain c on
+    y[:, c], bit for bit as a call on that chain alone, and the first column
+    whose own call raises raises the same error.
     """
+    if isinstance(chain, LevelChain):
+        return _solve_column(chain, y)
+    chains = list(chain)
+    ya = np.asarray(y, dtype=float)
+    if (not chains or ya.ndim != 2 or ya.shape[1] != len(chains)
+            or any(c.n != len(ya) for c in chains)):
+        raise ValueError(f"right-hand side has shape {ya.shape}; it needs one column per "
+                         f"chain ({len(chains)}), as long as every chain")
+    n, k = ya.shape
+    yt = ya.T.copy()   # each column's data contiguous: its row sum is its 1-D sum's bits
+    bad = np.abs(yt.sum(axis=1)) > MEAN_TOL * np.maximum(1.0, np.abs(yt).max(axis=1, initial=0.0))
+    bad |= [not c.detailed_balance for c in chains]
+    if n > 1:   # a cell off the one-level links (a sink's drop), or a link rate not above 0
+        A = np.array([c.A for c in chains])
+        up, down = A.diagonal(-1, 1, 2), A.diagonal(1, 1, 2)
+        lv = np.arange(n)
+        skips = A[:, np.abs(lv[:, None] - lv) > 1] != 0
+        # fmin skips a nan as rates <= 0 does: the link fails where either rate is <= 0
+        bad |= np.concatenate([skips, np.fmin(up, down) <= 0], axis=1).any(axis=1)
+    if bad.any():   # column by column, so the first failing column raises its own error
+        return np.column_stack([_solve_column(c, col) for c, col in zip(chains, yt)])
+    z = np.zeros((n, k))
+    if n > 1:
+        loads = np.cumsum(yt, axis=1)[:, :-1] / up
+        weights = (n - np.arange(1, n)) / n
+        # one dot per column: a matrix-vector product rounds differently past length 3
+        z[0] = [np.dot(weights, row) for row in loads]
+        z[1:] = z[0] - np.cumsum(loads, axis=1).T
+    return z
+
+
+def _solve_column(chain: LevelChain, y) -> np.ndarray:
+    """solve_on_complement on one chain."""
     ya = np.asarray(y, dtype=float).reshape(-1)
     if ya.size != chain.n:
         raise ValueError(f"right-hand side has length {ya.size}, chain has {chain.n}")
@@ -201,8 +240,10 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     """Build the full stationary expansion, certifying its preconditions.
 
     The preconditions are checked once each, in the order the module
-    docstring lists.  Each column's chain is built once, and each term takes
-    one solve per column it touches: m + 1 solves in ID3, 2m + 1 otherwise.
+    docstring lists.  The m column chains come from one cfg.moves generator
+    call and their balance flags from one difference array; each term then
+    takes one solve_on_complement call, x1 on column b and g1 and g2 on
+    every column at once: 2 calls in ID3, 3 otherwise.
 
     x1: the uniform occupation feeds cfg.moves' stimulated moves on column b
     a net flow r per level, at unit interaction scale (evo over n^2 *
@@ -215,7 +256,8 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     """
     from .hjb import consistency_margin  # local import keeps module load light
 
-    gap = balance_gap(cfg)[0]
+    gaps = column_balance_gaps(cfg)
+    gap = float(gaps.max())
     if not gap <= BALANCE_TOL:
         raise StationaryError(
             f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})"
@@ -234,22 +276,20 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
         )
     b = rep.level
     n = cfg.n
-    chains = [build_level_chain(j, cfg) for j in range(cfg.m)]
-
-    def solve_columns(y: np.ndarray) -> np.ndarray:
-        return np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
-
     mv = cfg.moves
+    A = mv.generator(np.moveaxis(mv.rate, -1, 0))   # (m, n, n): column j's chain
+    chains = [LevelChain(j, A[j], bool(gaps[j] <= BALANCE_TOL)) for j in range(cfg.m)]
+
     unit = cfg.delta_int or 1.0   # evo / unit: unit interaction scale (ID1's may underflow to 0)
     r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
     x1 = np.zeros((n, cfg.m))
     x1[:, b] = solve_on_complement(chains[b], r - r.mean())
 
     g0 = np.tile(sums / n, (n, 1))
-    g1 = solve_columns(effective_rewards(cfg) - g0)
+    g1 = solve_on_complement(chains, effective_rewards(cfg) - g0)
     g2 = None
     if cfg.regime is Regime.ID1:
-        g2 = solve_columns(-g1)
+        g2 = solve_on_complement(chains, -g1)
     elif cfg.regime is Regime.ID2:
         partners = mv.evo[..., b] / (n * unit)
         rhs = g1 - (partners * mv.payoff_change(g1)).sum(axis=0)
@@ -261,7 +301,7 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
                     f"second-order solvability fails in column {j + 1} "
                     f"(data sums to {s:.3e}); no correction exists for this config"
                 )
-        g2 = solve_columns(-(rhs - rhs.mean(axis=0)))
+        g2 = solve_on_complement(chains, -(rhs - rhs.mean(axis=0)))
     g = g0 / cfg.delta_dis + g1
     if g2 is not None:
         g = g + cfg.delta_dis * g2

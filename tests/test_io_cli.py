@@ -1423,6 +1423,13 @@ EQUAL_RUN_SWEEPS = [
     ("scales.delta", ["0.1", "-1e-3"], [0, 1]),
     ("rates.q_up_evo.0.1.2", ["0.25", "0.5"], [0, 0]),
     ("rates.q_up.0.1", ['"x"', "1.0"], [1, 0]),   # "x" makes the field non-numeric
+    # the validation memo must give each value its own arrays' verdict: a
+    # verdict met again, one undone, and each key part changed on its own
+    ("rates.q_up.0.1", ["-0.5", "1.0", "-0.5"], [1, 0, 1]),
+    ("economics.fee_B.0.0", ["0.5", "0.0"], [1, 0]),
+    ("rates.q_down.1.0", ["0.9", "0.8"], [1, 0]),   # breaks detailed balance, then restores it
+    ("flags.detailed_balance", ["false", "true"], [0, 0]),
+    ("dimensions.n", ["2", "3"], [1, 0]),
 ]
 
 
@@ -1485,6 +1492,31 @@ def test_cli_sweep_reads_each_value_as_a_fresh_read_of_its_config(tmp_path, caps
     for cfg, want, value in zip(built, fresh, values):
         _same_config(cfg, want)
         assert cfg.q_up_evo[0, 1, 2] == float(value)
+
+
+def test_cli_sweep_checks_each_document_once_and_its_shared_arrays_once(tmp_path, capsys,
+                                                                       monkeypatch):
+    # check_fields walks each value's document once, and validate checks the
+    # arrays of each distinct value once per sweep, for every op
+    class Fields(dict):
+        walks = 0
+
+        def __contains__(self, name):
+            Fields.walks += name == "dimensions"   # a walk meets the root's first key once
+            return super().__contains__(name)
+
+    checks = []
+    arrays = hbmfg.model._array_violations
+    monkeypatch.setattr(hio, "_FIELDS", Fields(hio._FIELDS))
+    monkeypatch.setattr(hbmfg.model, "_array_violations",
+                        lambda cfg: checks.append(cfg) or arrays(cfg))
+    for op in ("validate", "stationary", "stability"):
+        for param, values, distinct in (("scales.delta", ["0.1", "0.05", "0.1", "0.2"], 1),
+                                        ("rates.q_up.0.1", ["-0.5", "1.0", "-0.5"], 2)):
+            Fields.walks, checks[:] = 0, []
+            cli(["sweep", EXAMPLE, "--param", param, "--values", *values, "--op", op,
+                 "--out", str(tmp_path / f"{op}_{param}")], capsys)
+            assert (Fields.walks, len(checks)) == (len(values), distinct), (op, param)
 
 
 def test_cli_usage_and_missing_file(tmp_path, capsys):

@@ -29,7 +29,7 @@ from hbmfg import (
     solve_mfg,
     validate,
 )
-from hbmfg.model import BALANCE_TOL, control_pieces
+from hbmfg.model import BALANCE_TOL, balance_gap, column_balance_gaps, control_pieces
 from hbmfg.stability import StabilityError, build_reduced_linearization
 from hbmfg.stationary import StationaryError, build_level_chain, stationary_solution
 from util_configs import make_config
@@ -145,6 +145,58 @@ def test_detailed_balance_decided_alike():
                 assert "detailed-balanced" in str(e)
                 verdicts.append(False)
         assert verdicts == [balanced] * 4, (factor, verdicts, msgs)
+
+
+def test_validate_memo_gives_each_config_its_own_violations():
+    # one memo across configs that differ in one array element (sign, nan,
+    # -0.0), in an array's shape alone, in n or m, in the balance flag, the
+    # sink, or the scales alone: each gets validate's own list, in order
+    rng = np.random.default_rng(23)
+    base = make_config(3, 3, rng, db=True, fine=0.1)
+    sink = make_config(3, 3, rng, sink=True)
+    cfgs = [base, sink, dataclasses.replace(base, delta=-1.0),
+            dataclasses.replace(base, lam=float("nan"), delta=1e200),
+            dataclasses.replace(base, n=2), dataclasses.replace(base, m=4),
+            dataclasses.replace(base, q_up=base.q_up.reshape(9)),
+            dataclasses.replace(base, w=base.w.reshape(1, 9)),
+            dataclasses.replace(base, q_sink=sink.q_sink),
+            dataclasses.replace(sink, q_down=np.zeros((3, 3)), delta=0.5)]   # a fresh copy
+    for name in ("q_up", "q_down", "q_up_evo", "q_down_evo", "w", "fee_B", "fee_H"):
+        for value in (-0.5, float("nan"), -0.0, 7.0):
+            a = getattr(base, name).copy()
+            a.flat[int(rng.integers(1, a.size))] = value
+            cfgs.append(dataclasses.replace(base, **{name: a}))
+    q_down = base.q_down.copy()
+    q_down[1, 0] += 0.25
+    cfgs += [dataclasses.replace(base, q_down=q_down, detailed_balance=flag)
+             for flag in (True, False)]
+    want = [validate(cfg) for cfg in cfgs]
+    assert sum(map(bool, want)) > len(cfgs) // 2
+    memo = {}
+    for k in np.concatenate([rng.permutation(len(cfgs)) for _ in range(3)]):
+        assert validate(cfgs[k], memo) == want[k], k
+    # the three that differ from base or sink in their scales alone share its entry
+    assert len(memo) == len(cfgs) - 3
+
+
+def test_column_balance_gaps_are_each_columns_worst_link():
+    # each column's gap in the bits of its own worst link over the common
+    # scale, and the worst column's is balance_gap's; a nan link gives nan
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5):
+        for db in (True, False):
+            cfg = make_config(n, 3, rng, db=db)
+            gaps = column_balance_gaps(cfg)
+            up, down = cfg.q_up[:-1], cfg.q_down[1:]
+            scale = max([1.0] + np.abs(np.concatenate([up, down])).ravel().tolist())
+            for j in range(3):
+                worst = max(np.abs(up[:, j] - down[:, j]).tolist(), default=0.0)
+                assert repr(float(gaps[j])) == repr(worst / scale), (n, db, j)
+            assert repr(float(gaps.max())) == repr(balance_gap(cfg)[0])
+    q_up = cfg.q_up.copy()
+    q_up[0, 1] = np.nan
+    gaps = column_balance_gaps(dataclasses.replace(cfg, q_up=q_up))
+    assert np.isnan(gaps[1]) and not np.isnan(gaps[[0, 2]]).any()
 
 
 def test_validate_sink_exclusivity():

@@ -10,6 +10,7 @@ import pytest
 from hbmfg import (
     DegenerateChainError,
     GameConfig,
+    LevelChain,
     Regime,
     StationaryError,
     build_level_chain,
@@ -289,19 +290,161 @@ def test_stationary_point_is_exact_fixed_point_with_balanced_tensors():
 
 
 def test_stationary_solution_solves_each_column_once_per_term(monkeypatch):
-    # x1 takes one solve on the dominant column, g1 and g2 one per column each
+    # x1 takes one solve on the dominant column first, then g1 and g2 one each
+    # on every column at once
     calls = []
     solve = hbmfg.stationary.solve_on_complement
 
     def counting(chain, y):
-        calls.append(chain.j)
+        calls.append(chain.j if isinstance(chain, LevelChain) else [c.j for c in chain])
         return solve(chain, y)
 
     monkeypatch.setattr(hbmfg.stationary, "solve_on_complement", counting)
     rng = np.random.default_rng(63)
-    for regime, m, per_column in ((Regime.ID1, 3, 2), (Regime.ID2, 3, 2), (Regime.ID3, 2, 1)):
+    for regime, m, terms in ((Regime.ID1, 3, 3), (Regime.ID2, 3, 3), (Regime.ID3, 2, 2)):
         cfg = make_config(4, m, rng, db=True, balanced_evo=True, regime=regime)
         calls.clear()
         sol = stationary_solution(cfg)
-        assert len(calls) == per_column * m + 1, regime
-        assert calls[0] == sol.b
+        assert calls == [sol.b] + [list(range(m))] * (terms - 1), regime
+
+
+def _column_by_column(cfg):
+    """The expansion with each column's chain built and solved on its own, by
+    single-chain solve_on_complement calls: the reference for the stacked solves."""
+    from hbmfg.hjb import consistency_margin
+    from hbmfg.model import BALANCE_TOL, balance_gap
+
+    gap = balance_gap(cfg)[0]
+    if not gap <= BALANCE_TOL:
+        raise StationaryError(
+            f"pressure rates are not detailed-balanced (worst relative link gap {gap:.3e})")
+    rep = dominant_level(cfg)
+    sums = rep.column_sums
+    if not rep.nonzero_sums:
+        cols = ", ".join(str(j + 1) for j in np.flatnonzero(np.abs(sums) <= rep.tol))
+        raise StationaryError(f"net effective reward sums to zero in behaviour column(s) "
+                              f"{cols}; the payoff expansion is degenerate there")
+    if not rep.unique:
+        raise StationaryError(f"dominant behaviour column is tied (column sums {sums.tolist()})")
+    b, n, mv = rep.level, cfg.n, cfg.moves
+    up, down = cfg.q_up[:-1], cfg.q_down[1:]
+
+    def column_gap(j):   # column j's worst link gap, found on its own
+        if up.size == 0:
+            return 0.0
+        scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
+        diff = np.abs(up - down)
+        return float(diff[int(np.argmax(diff[:, j])), j]) / scale
+
+    chains = [LevelChain(j, mv.generator(mv.rate[:, :, j]), column_gap(j) <= BALANCE_TOL)
+              for j in range(cfg.m)]
+
+    def columns(y):
+        return np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
+
+    unit = cfg.delta_int or 1.0
+    r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
+    x1 = np.zeros((n, cfg.m))
+    x1[:, b] = solve_on_complement(chains[b], r - r.mean())
+    g0 = np.tile(sums / n, (n, 1))
+    g1 = columns(effective_rewards(cfg) - g0)
+    g2 = None
+    if cfg.regime is Regime.ID1:
+        g2 = columns(-g1)
+    elif cfg.regime is Regime.ID2:
+        rhs = g1 - (mv.evo[..., b] / (n * unit) * mv.payoff_change(g1)).sum(axis=0)
+        for j in range(cfg.m):
+            scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))
+            s = float(rhs[:, j].sum())
+            if abs(s) > 1e-9 * scale:
+                raise StationaryError(
+                    f"second-order solvability fails in column {j + 1} "
+                    f"(data sums to {s:.3e}); no correction exists for this config")
+        g2 = columns(-(rhs - rhs.mean(axis=0)))
+    g = g0 / cfg.delta_dis + g1
+    if g2 is not None:
+        g = g + cfg.delta_dis * g2
+    x0m = np.zeros((n, cfg.m))
+    x0m[:, b] = 1.0 / n
+    lead = float(np.max(np.delete(sums, b) - sums[b])) if cfg.m > 1 else float("-inf")
+    return dict(x0=x0m, x1=x1, x_corrected=x0m + cfg.delta_int * x1, g0=g0, g1=g1, g2=g2,
+                g=g, b=b, margin=consistency_margin(g, x0m, cfg), margin_leading=lead)
+
+
+def _outcome(fn, cfg):
+    try:
+        return fn(cfg)
+    except StationaryError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 12])
+def test_stationary_solution_equals_column_by_column_solves(n):
+    # the stacked solves give every field in the bits, and every failure the
+    # error and message, of one single-chain solve per column and term;
+    # n >= 9 sums each column pairwise
+    rng = np.random.default_rng(300 + n)
+    seen = set()
+    for m in (1, 2, 3, 5):
+        for regime in Regime:
+            for kind in ("balanced", "unbalanced", "sink", "nondb", "dead link"):
+                cfg = make_config(n, m, rng, regime=regime, db=kind != "nondb",
+                                  balanced_evo=kind != "unbalanced", sink=kind == "sink",
+                                  fine=0.3, b=int(rng.integers(m)))
+                if kind == "dead link" and n > 1:   # a vanishing link on the last column
+                    q_up, q_down = cfg.q_up.copy(), cfg.q_down.copy()
+                    q_up[n - 2, m - 1] = q_down[n - 1, m - 1] = 0.0
+                    cfg = replace(cfg, q_up=q_up, q_down=q_down)
+                want = _outcome(_column_by_column, cfg)
+                got = _outcome(stationary_solution, cfg)
+                if isinstance(want, tuple):
+                    assert got == want, (m, regime, kind)
+                    seen.add(want)
+                    continue
+                for name, value in want.items():
+                    mine = got.x0.x if name == "x0" else getattr(got, name)
+                    if isinstance(value, np.ndarray):   # C order too: matmul rounds by layout
+                        assert (mine.dtype, mine.shape, mine.tobytes(), mine.flags.c_contiguous) \
+                            == (value.dtype, value.shape, value.tobytes(), True), \
+                            (m, regime, kind, name)
+                    else:
+                        assert repr(mine) == repr(value), (m, regime, kind, name)
+    if n > 1:   # the failing kinds reached their own errors
+        assert {t for t, _ in seen} == {StationaryError, DegenerateChainError}
+
+
+def test_stacked_complement_solve_matches_a_call_per_column():
+    # on random stacks, some columns failing one check or another: the result
+    # in bits, or the first failing column's error and message
+    rng = np.random.default_rng(77)
+    kinds, errors = ("detailed-balanced", "mean-zero", "sink variant", "vanishes"), set()
+    for trial in range(400):
+        n, m = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+        cfg = make_config(n, m, rng, db=bool(rng.random() < 0.85),
+                          sink=bool(rng.random() < 0.1))
+        if n > 1 and rng.random() < 0.15:
+            q_up, q_down = cfg.q_up.copy(), cfg.q_down.copy()
+            j, i = int(rng.integers(m)), int(rng.integers(n - 1))
+            q_up[i, j] = q_down[i + 1, j] = 0.0
+            cfg = replace(cfg, q_up=q_up, q_down=q_down)
+        chains = [build_level_chain(j, cfg) for j in range(m)]
+        if rng.random() < 0.3:   # flagged balanced, so a sink chain meets its own check
+            chains = [LevelChain(c.j, c.A, True) for c in chains]
+        y = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=m)
+        y -= y.mean(axis=0)
+        if rng.random() < 0.2:
+            y[:, int(rng.integers(m))] += 1e-6
+        try:
+            want = np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
+        except StationaryError as e:
+            errors.add(next(kind for kind in kinds if kind in str(e)))
+            with pytest.raises(type(e)) as got:
+                solve_on_complement(chains, y)
+            assert str(got.value) == str(e), trial
+            continue
+        got = solve_on_complement(chains, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+    assert errors == set(kinds)   # each check is the first to fail somewhere
+    for stack, y in ((chains, np.zeros((n + 1, m))), (chains, np.zeros((n, m + 1))), ([], [])):
+        with pytest.raises(ValueError, match="one column per chain"):
+            solve_on_complement(stack, y)
