@@ -19,11 +19,14 @@ that fails:
 3. a unique dominant column (a tie is refused);
 4. in ID2, the second-order data sums to zero in every column (at 1e-9).
 
-The complement solves (solve_on_complement) raise DegenerateChainError for
-a vanishing link rate and StationaryError for the sink variant's chain.
 The chains are small and dense, and the solves closed-form recursions: each
-term takes one solve, x1 on the dominant column and g1 and g2 on every
-column at once, so the expansion takes 3 solves (2 in ID3).
+term takes one solve_on_complement call, x1 on the dominant column and g1
+and g2 on every column at once, so the expansion takes 3 solves (2 in ID3).
+A chain finds its link fault once, when it is built: a nonzero cell off the
+one-level links (the sink's drop; StationaryError), else the first up, else
+the first down link whose rate is <= 0 (DegenerateChainError; nan passes).
+A solve takes each column in turn, checks that its chain is balanced, its
+data mean-zero and its links fault-free, and raises the first failure.
 """
 from __future__ import annotations
 
@@ -74,11 +77,27 @@ class LevelChain:
     zero, and A[i+1, i] is the up rate on the link above level i.
     detailed_balance means the up rates equal the matching down rates (A
     symmetric, uniform kernel); only then do the complement solves apply.
+    Building never raises: link_error keeps the chain's link fault, the first
+    the module docstring lists, as (error class, message), or None.
     """
 
     j: int
     A: np.ndarray
     detailed_balance: bool
+    link_error: Optional[tuple] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        A, error = self.A, None
+        up, down = A.diagonal(-1), A.diagonal(1)
+        if np.count_nonzero(A) > sum(map(np.count_nonzero, (A.diagonal(), up, down))):
+            error = (StationaryError, f"column {self.j + 1}: the sink variant's chain skips "
+                                      "levels; its closed forms need one-level links")
+        for name, rates, shift in (("up", up, 1), ("down", down, 2)):
+            bad = np.flatnonzero(rates <= 0.0)
+            if bad.size and error is None:   # shift makes the 1-based source level
+                error = (DegenerateChainError, f"column {self.j + 1}: {name} rate vanishes on "
+                         f"the link at level {bad[0] + shift}; the chain does not connect all levels")
+        object.__setattr__(self, "link_error", error)
 
     @property
     def n(self) -> int:
@@ -97,37 +116,18 @@ def build_level_chain(j: int, cfg: GameConfig) -> LevelChain:
     )
 
 
-def _link_rates(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
-    up, down = chain.A.diagonal(-1), chain.A.diagonal(1)
-    if np.count_nonzero(chain.A) > sum(map(np.count_nonzero, (chain.A.diagonal(), up, down))):
-        raise StationaryError(f"column {chain.j + 1}: the sink variant's chain skips levels; "
-                              "its closed forms need one-level links")
-    return up, down
-
-
-def _require_positive_links(chain: LevelChain, up: np.ndarray, down: np.ndarray):
-    for name, rates in (("up", up), ("down", down)):
-        bad = np.flatnonzero(rates <= 0.0)
-        if bad.size:
-            lvl = bad[0] + (1 if name == "up" else 2)  # 1-based source level
-            raise DegenerateChainError(
-                f"column {chain.j + 1}: {name} rate vanishes on the link at level "
-                f"{lvl}; the chain does not connect all levels"
-            )
-
-
 def kernel_product_forms(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
     """The chain's stationary occupation built two independent ways.
 
     First form chains the link ratios upward from the bottom level, second
     chains the inverse ratios downward from the top; both are normalized to
     unit mass.  They agree up to rounding and serve as a cross-check.
+    Raises the chain's link_error.
     """
-    up, down = _link_rates(chain)
-    if up.size == 0:
-        one = np.ones(1)
-        return one.copy(), one.copy()
-    _require_positive_links(chain, up, down)
+    if chain.link_error:
+        cls, message = chain.link_error
+        raise cls(message)
+    up, down = chain.A.diagonal(-1), chain.A.diagonal(1)
     v_bottom = np.concatenate(([1.0], np.cumprod(up / down)))
     v_bottom /= v_bottom.sum()
     v_top = np.concatenate(([1.0], np.cumprod((down / up)[::-1])))[::-1]
@@ -141,68 +141,46 @@ def solve_on_complement(chain, y) -> np.ndarray:
     Closed-form recursion down the chain: cumulative loads on the links,
     summed back with the weights that make the result mean-zero.
 
-    chain may also be a sequence of k column chains on the same n levels,
-    with y of shape (n, k): column c of the (n, k) result solves chain c on
-    y[:, c], bit for bit as a call on that chain alone, and the first column
-    whose own call raises raises the same error.
+    chain is one LevelChain with y of length n, solved as a stack of one, or
+    a sequence of k column chains on the same n levels with y of shape
+    (n, k): column c of the (n, k) result solves chain c on y[:, c].  The
+    first column that fails a check (module docstring) raises its error.
     """
     if isinstance(chain, LevelChain):
-        return _solve_column(chain, y)
-    chains = list(chain)
-    ya = np.asarray(y, dtype=float)
-    if (not chains or ya.ndim != 2 or ya.shape[1] != len(chains)
-            or any(c.n != len(ya) for c in chains)):
-        raise ValueError(f"right-hand side has shape {ya.shape}; it needs one column per "
-                         f"chain ({len(chains)}), as long as every chain")
-    n, k = ya.shape
-    yt = ya.T.copy()   # each column's data contiguous: its row sum is its 1-D sum's bits
-    bad = np.abs(yt.sum(axis=1)) > MEAN_TOL * np.maximum(1.0, np.abs(yt).max(axis=1, initial=0.0))
-    bad |= [not c.detailed_balance for c in chains]
-    if n > 1:   # a cell off the one-level links (a sink's drop), or a link rate not above 0
-        A = np.array([c.A for c in chains])
-        up, down = A.diagonal(-1, 1, 2), A.diagonal(1, 1, 2)
-        lv = np.arange(n)
-        skips = A[:, np.abs(lv[:, None] - lv) > 1] != 0
-        # fmin skips a nan as rates <= 0 does: the link fails where either rate is <= 0
-        bad |= np.concatenate([skips, np.fmin(up, down) <= 0], axis=1).any(axis=1)
-    if bad.any():   # column by column, so the first failing column raises its own error
-        return np.column_stack([_solve_column(c, col) for c, col in zip(chains, yt)])
-    z = np.zeros((n, k))
-    if n > 1:
-        loads = np.cumsum(yt, axis=1)[:, :-1] / up
-        weights = (n - np.arange(1, n)) / n
-        # one dot per column: a matrix-vector product rounds differently past length 3
-        z[0] = [np.dot(weights, row) for row in loads]
-        z[1:] = z[0] - np.cumsum(loads, axis=1).T
-    return z
-
-
-def _solve_column(chain: LevelChain, y) -> np.ndarray:
-    """solve_on_complement on one chain."""
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    if ya.size != chain.n:
-        raise ValueError(f"right-hand side has length {ya.size}, chain has {chain.n}")
-    if not chain.detailed_balance:
-        raise StationaryError(
-            f"column {chain.j + 1} chain is not detailed-balanced; "
-            "the complement solve requires matching up/down link rates"
-        )
-    scale = max(1.0, float(np.max(np.abs(ya), initial=0.0)))
-    if abs(float(ya.sum())) > MEAN_TOL * scale:
-        raise StationaryError(
-            f"right-hand side is not mean-zero (sum {ya.sum():.3e}); "
-            "it leaves the solvable complement"
-        )
-    if chain.n == 1:
-        return np.zeros(1)
-    up, down = _link_rates(chain)
-    _require_positive_links(chain, up, down)
-    n = chain.n
-    loads = np.cumsum(ya)[:-1] / up  # mass below each link over its rate
-    z = np.empty(n)
-    z[0] = float(np.dot((n - np.arange(1, n)) / n, loads))
-    z[1:] = z[0] - np.cumsum(loads)
-    return z
+        chains, yt = [chain], np.asarray(y, dtype=float).reshape(1, -1)
+        if yt.size != chain.n:
+            raise ValueError(f"right-hand side has length {yt.size}, chain has {chain.n}")
+    else:
+        chains, ya = list(chain), np.asarray(y, dtype=float)
+        if (not chains or ya.ndim != 2 or ya.shape[1] != len(chains)
+                or any(c.n != len(ya) for c in chains)):
+            raise ValueError(f"right-hand side has shape {ya.shape}; it needs one column per "
+                             f"chain ({len(chains)}), as long as every chain")
+        yt = ya.T.copy()   # each column's data contiguous: its row sum is its 1-D sum's bits
+    k, n = yt.shape
+    sums = yt.sum(axis=1)
+    biased = np.abs(sums) > MEAN_TOL * np.maximum(1.0, np.abs(yt).max(axis=1, initial=0.0))
+    for c, s, off in zip(chains, sums.tolist(), biased.tolist()):
+        if not c.detailed_balance:
+            raise StationaryError(
+                f"column {c.j + 1} chain is not detailed-balanced; "
+                "the complement solve requires matching up/down link rates"
+            )
+        if off:
+            raise StationaryError(
+                f"right-hand side is not mean-zero (sum {s:.3e}); "
+                "it leaves the solvable complement"
+            )
+        if c.link_error:
+            cls, message = c.link_error
+            raise cls(message)
+    z = np.empty((n, k))
+    loads = np.cumsum(yt, axis=1)[:, :-1] / [c.A.diagonal(-1) for c in chains]
+    weights = (n - np.arange(1, n)) / n
+    # one dot per column: a matrix-vector product rounds differently past length 3
+    z[0] = [np.dot(weights, row) for row in loads]
+    z[1:] = z[0] - np.cumsum(loads, axis=1).T
+    return z[:, 0] if isinstance(chain, LevelChain) else z
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from hbmfg import (
     stationary_solution,
     validate,
 )
+from hbmfg.stationary import MEAN_TOL
 from test_kinetics import column_generator
 from util_configs import make_config, nondb_pressure
 
@@ -90,10 +91,25 @@ def test_kernel_uniform_under_detailed_balance():
     npt.assert_allclose(v, 0.2, atol=1e-14)
 
 
+def _raises_link_error(chain, y):
+    # a chain is built without raising and keeps its link fault; the kernel,
+    # and a solve on the chain flagged balanced, raise it
+    cls, message = chain.link_error
+    for call in (lambda: kernel_product_forms(chain),
+                 lambda: solve_on_complement(LevelChain(chain.j, chain.A, True), y)):
+        with pytest.raises(cls) as err:
+            call()
+        assert type(err.value) is cls and str(err.value) == message
+    return message
+
+
 def test_degenerate_link_raises_with_level():
-    cfg = two_level_cfg(q_up0=0.0)
-    with pytest.raises(DegenerateChainError, match="level 1"):
-        kernel_product_forms(build_level_chain(0, cfg))
+    chain = build_level_chain(0, two_level_cfg(q_up0=0.0))
+    assert _raises_link_error(chain, [1.0, -1.0]) == (
+        "column 1: up rate vanishes on the link at level 1; the chain does not connect all levels")
+    A = np.array([[-1.0, 0.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -1.0]])   # the first down link
+    assert "down rate vanishes on the link at level 2" in _raises_link_error(
+        LevelChain(2, A, False), [1.0, 0.0, -1.0])
 
 
 def test_sink_chain_is_refused_by_name():
@@ -101,9 +117,19 @@ def test_sink_chain_is_refused_by_name():
     # forms read only one-level links, so they must refuse it, not call it cut
     cfg = make_config(3, 2, np.random.default_rng(1), with_evo=False, sink=True)
     chain = build_level_chain(0, cfg)
-    with pytest.raises(StationaryError, match="sink variant") as err:
-        kernel_product_forms(chain)
-    assert not isinstance(err.value, DegenerateChainError)
+    assert chain.link_error[0] is StationaryError
+    assert "sink variant" in _raises_link_error(chain, [1.0, 0.0, -1.0])
+
+
+def test_nan_link_rate_passes_the_link_check():
+    # rates <= 0 is false for nan: the chain has no link fault, and the closed
+    # forms return nan where the reference does
+    A = np.array([[-np.nan, 1.0], [np.nan, -1.0]])
+    chain = LevelChain(0, A, True)
+    assert chain.link_error is None
+    assert np.isnan(kernel_product_forms(chain)[0]).all()
+    y = np.array([1.0, -1.0])
+    npt.assert_array_equal(solve_on_complement(chain, y), _solve_column(chain, y))
 
 
 def test_complement_sign_convention():
@@ -308,9 +334,59 @@ def test_stationary_solution_solves_each_column_once_per_term(monkeypatch):
         assert calls == [sol.b] + [list(range(m))] * (terms - 1), regime
 
 
+# The single-column solve as it stood before solve_on_complement took a stack
+# of chains, kept verbatim as the reference for its bits and messages.
+
+def _link_rates(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
+    up, down = chain.A.diagonal(-1), chain.A.diagonal(1)
+    if np.count_nonzero(chain.A) > sum(map(np.count_nonzero, (chain.A.diagonal(), up, down))):
+        raise StationaryError(f"column {chain.j + 1}: the sink variant's chain skips levels; "
+                              "its closed forms need one-level links")
+    return up, down
+
+
+def _require_positive_links(chain: LevelChain, up: np.ndarray, down: np.ndarray):
+    for name, rates in (("up", up), ("down", down)):
+        bad = np.flatnonzero(rates <= 0.0)
+        if bad.size:
+            lvl = bad[0] + (1 if name == "up" else 2)  # 1-based source level
+            raise DegenerateChainError(
+                f"column {chain.j + 1}: {name} rate vanishes on the link at level "
+                f"{lvl}; the chain does not connect all levels"
+            )
+
+
+def _solve_column(chain: LevelChain, y) -> np.ndarray:
+    """solve_on_complement on one chain."""
+    ya = np.asarray(y, dtype=float).reshape(-1)
+    if ya.size != chain.n:
+        raise ValueError(f"right-hand side has length {ya.size}, chain has {chain.n}")
+    if not chain.detailed_balance:
+        raise StationaryError(
+            f"column {chain.j + 1} chain is not detailed-balanced; "
+            "the complement solve requires matching up/down link rates"
+        )
+    scale = max(1.0, float(np.max(np.abs(ya), initial=0.0)))
+    if abs(float(ya.sum())) > MEAN_TOL * scale:
+        raise StationaryError(
+            f"right-hand side is not mean-zero (sum {ya.sum():.3e}); "
+            "it leaves the solvable complement"
+        )
+    if chain.n == 1:
+        return np.zeros(1)
+    up, down = _link_rates(chain)
+    _require_positive_links(chain, up, down)
+    n = chain.n
+    loads = np.cumsum(ya)[:-1] / up  # mass below each link over its rate
+    z = np.empty(n)
+    z[0] = float(np.dot((n - np.arange(1, n)) / n, loads))
+    z[1:] = z[0] - np.cumsum(loads)
+    return z
+
+
 def _column_by_column(cfg):
     """The expansion with each column's chain built and solved on its own, by
-    single-chain solve_on_complement calls: the reference for the stacked solves."""
+    the reference _solve_column: the reference for solve_on_complement."""
     from hbmfg.hjb import consistency_margin
     from hbmfg.model import BALANCE_TOL, balance_gap
 
@@ -340,12 +416,12 @@ def _column_by_column(cfg):
               for j in range(cfg.m)]
 
     def columns(y):
-        return np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
+        return np.column_stack([_solve_column(c, y[:, c.j]) for c in chains])
 
     unit = cfg.delta_int or 1.0
     r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
     x1 = np.zeros((n, cfg.m))
-    x1[:, b] = solve_on_complement(chains[b], r - r.mean())
+    x1[:, b] = _solve_column(chains[b], r - r.mean())
     g0 = np.tile(sums / n, (n, 1))
     g1 = columns(effective_rewards(cfg) - g0)
     g2 = None
@@ -371,9 +447,9 @@ def _column_by_column(cfg):
                 g=g, b=b, margin=consistency_margin(g, x0m, cfg), margin_leading=lead)
 
 
-def _outcome(fn, cfg):
+def _outcome(fn, *args):
     try:
-        return fn(cfg)
+        return fn(*args)
     except StationaryError as e:
         return type(e), str(e)
 
@@ -381,7 +457,7 @@ def _outcome(fn, cfg):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 12])
 def test_stationary_solution_equals_column_by_column_solves(n):
     # the stacked solves give every field in the bits, and every failure the
-    # error and message, of one single-chain solve per column and term;
+    # error and message, of the reference solve per column and term;
     # n >= 9 sums each column pairwise
     rng = np.random.default_rng(300 + n)
     seen = set()
@@ -415,7 +491,8 @@ def test_stationary_solution_equals_column_by_column_solves(n):
 
 def test_stacked_complement_solve_matches_a_call_per_column():
     # on random stacks, some columns failing one check or another: the result
-    # in bits, or the first failing column's error and message
+    # in bits, or the first failing column's error and message, of the
+    # reference solve per column; and so for each column's single-chain call
     rng = np.random.default_rng(77)
     kinds, errors = ("detailed-balanced", "mean-zero", "sink variant", "vanishes"), set()
     for trial in range(400):
@@ -434,13 +511,18 @@ def test_stacked_complement_solve_matches_a_call_per_column():
         y -= y.mean(axis=0)
         if rng.random() < 0.2:
             y[:, int(rng.integers(m))] += 1e-6
+        for c in chains:
+            want, got = (_outcome(fn, c, y[:, c.j]) for fn in (_solve_column, solve_on_complement))
+            if isinstance(want, tuple):
+                assert got == want, trial
+            else:
+                assert (got.shape, got.tobytes(), got.flags.c_contiguous) \
+                    == (want.shape, want.tobytes(), True), trial
         try:
-            want = np.column_stack([solve_on_complement(c, y[:, c.j]) for c in chains])
+            want = np.column_stack([_solve_column(c, y[:, c.j]) for c in chains])
         except StationaryError as e:
             errors.add(next(kind for kind in kinds if kind in str(e)))
-            with pytest.raises(type(e)) as got:
-                solve_on_complement(chains, y)
-            assert str(got.value) == str(e), trial
+            assert _outcome(solve_on_complement, chains, y) == (type(e), str(e)), trial
             continue
         got = solve_on_complement(chains, y)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
@@ -448,3 +530,6 @@ def test_stacked_complement_solve_matches_a_call_per_column():
     for stack, y in ((chains, np.zeros((n + 1, m))), (chains, np.zeros((n, m + 1))), ([], [])):
         with pytest.raises(ValueError, match="one column per chain"):
             solve_on_complement(stack, y)
+    for y in (np.zeros(n + 1), np.zeros((n, 2))):   # one chain keeps its own message
+        with pytest.raises(ValueError, match=f"right-hand side has length {y.size}, chain has {n}$"):
+            solve_on_complement(chains[0], y)
