@@ -223,14 +223,16 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     takes one solve_on_complement call, x1 on column b and g1 and g2 on
     every column at once: 2 calls in ID3, 3 otherwise.
 
-    x1: the uniform occupation feeds cfg.moves' stimulated moves on column b
-    a net flow r per level, at unit interaction scale (evo over n^2 *
-    delta_int); x1 is the mean-zero chain solution balancing it on column b.
-    g1 solves each column's chain with the centered effective rewards as
-    data.  g2's data is g1 itself in ID1; in ID2 it is g1 minus the expected
-    payoff change, on g1 and net of fines, of cfg.moves' stimulated moves
-    with partners uniform on column b, at unit interaction scale (evo over
-    n * delta_int).
+    No term depends on delta: the stimulated moves enter at unit scale, as
+    cfg.move_families()' tensors (zero where a family makes no move), not as
+    cfg.moves' evo, which is delta_int times them and underflows with it.
+    x1: the uniform occupation feeds the stimulated moves on column b a net
+    flow r per level (the tensors over n^2); x1 is the mean-zero chain
+    solution balancing it on column b.  g1 solves each column's chain with
+    the centered effective rewards as data.  g2's data is g1 itself in ID1;
+    in ID2 it is g1 minus the expected payoff change, on g1 and net of
+    fines, of the stimulated moves with partners uniform on column b (the
+    tensors over n).
     """
     from .hjb import consistency_margin  # local import keeps module load light
 
@@ -258,8 +260,9 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     A = mv.generator(np.moveaxis(mv.rate, -1, 0))   # (m, n, n): column j's chain
     chains = [LevelChain(j, A[j], bool(gaps[j] <= BALANCE_TOL)) for j in range(cfg.m)]
 
-    unit = cfg.delta_int or 1.0   # evo / unit: unit interaction scale (ID1's may underflow to 0)
-    r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
+    live = (mv.dest != np.arange(n))[:, :, None, None]
+    q = np.where(live, np.stack([e for _, (_, (_, e)) in cfg.move_families()]), 0.0)
+    r = mv.net @ q[:, :, b, b].ravel() / (n * n)
     x1 = np.zeros((n, cfg.m))
     x1[:, b] = solve_on_complement(chains[b], r - r.mean())
 
@@ -269,7 +272,7 @@ def stationary_solution(cfg: GameConfig) -> StationarySolution:
     if cfg.regime is Regime.ID1:
         g2 = solve_on_complement(chains, -g1)
     elif cfg.regime is Regime.ID2:
-        partners = mv.evo[..., b] / (n * unit)
+        partners = q[..., b] / n
         rhs = g1 - (partners * mv.payoff_change(g1)).sum(axis=0)
         for j in range(cfg.m):
             scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))

@@ -255,14 +255,33 @@ def test_x1_defining_equation_generic_tensors():
 
 def test_expansion_is_finite_at_zero_interaction_scale():
     # in id1 a delta below about 1e-162 underflows delta_int = delta^2 to 0,
-    # which validate accepts; the move table then holds no stimulated moves,
-    # so their terms vanish instead of reading 0 / 0
+    # which validate accepts; the stimulated moves enter x1 at unit
+    # interaction scale, so it is the x1 of every other delta, not zero
     base = make_config(4, 3, np.random.default_rng(15), db=True, balanced_evo=False)
     cfg = replace(base, regime="id1", delta=1e-170)
     assert cfg.delta_int == 0.0 and validate(cfg) == []
     sol = stationary_solution(cfg)
-    npt.assert_array_equal(sol.x1, 0.0)
+    assert np.abs(sol.x1).max() > 0
+    assert sol.x1.tobytes() == stationary_solution(base).x1.tobytes()
     assert np.all(np.isfinite(sol.g))
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_expansion_terms_are_equal_in_bits_across_delta(regime):
+    # the terms are the small-delta series' coefficients, so no delta reaches
+    # their bits, also where delta_int (id1) or delta_dis (id3) underflows to
+    # 0 at 1e-170; id2's second order is solvable only with balanced tensors,
+    # whose x1 is 0
+    cfg = make_config(4, 3, np.random.default_rng(15), db=True, regime=regime,
+                      balanced_evo=regime is Regime.ID2)
+    terms = []
+    for delta in (0.05, 1e-3, 1e-100, 1e-170):
+        with np.errstate(divide="ignore", invalid="ignore"):   # g0 / delta_dis in id3
+            sol = stationary_solution(replace(cfg, delta=delta))
+        terms.append([t.tobytes() for t in (sol.x1, sol.g0, sol.g1, sol.g2) if t is not None])
+    assert all(t == terms[0] for t in terms)
+    assert len(terms[0]) == (3 if regime is Regime.ID3 else 4)
+    assert bool(np.abs(sol.x1).max() > 0) == (regime is not Regime.ID2)
 
 
 def test_stationary_solution_assembly():
@@ -418,8 +437,9 @@ def _column_by_column(cfg):
     def columns(y):
         return np.column_stack([_solve_column(c, y[:, c.j]) for c in chains])
 
-    unit = cfg.delta_int or 1.0
-    r = mv.net @ mv.evo[:, :, b, b].ravel() / (n * n * unit)
+    live = (mv.dest != np.arange(n))[:, :, None, None]
+    q = np.where(live, np.stack([e for _, (_, (_, e)) in cfg.move_families()]), 0.0)
+    r = mv.net @ q[:, :, b, b].ravel() / (n * n)
     x1 = np.zeros((n, cfg.m))
     x1[:, b] = _solve_column(chains[b], r - r.mean())
     g0 = np.tile(sums / n, (n, 1))
@@ -428,7 +448,7 @@ def _column_by_column(cfg):
     if cfg.regime is Regime.ID1:
         g2 = columns(-g1)
     elif cfg.regime is Regime.ID2:
-        rhs = g1 - (mv.evo[..., b] / (n * unit) * mv.payoff_change(g1)).sum(axis=0)
+        rhs = g1 - (q[..., b] / n * mv.payoff_change(g1)).sum(axis=0)
         for j in range(cfg.m):
             scale = max(1.0, float(np.max(np.abs(rhs[:, j]))))
             s = float(rhs[:, j].sum())
