@@ -227,7 +227,10 @@ def simulate(
     and sample times, (samples + 1) * (n * m + 3) values, two uniform
     buffers of _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel.
     A run past it is refused before any seed is listed (a range is
-    counted) or any generator is built.
+    counted) or any generator is built.  A run whose estimated events pass
+    kinetics.MAX_STEPS (each piece's total rate at s0's counts times its
+    span, summed, times the replications) is refused too, before any
+    generator is built.
     """
     _check_output_grid(T, samples)
     _check_grid(s0, cfg)
@@ -248,6 +251,13 @@ def simulate(
     if record_events and len(seeds) > 1:
         raise ValueError("record_events needs a single seed")
     times = np.linspace(0.0, T, samples + 1)
+    c0 = np.append(s0.counts.ravel(), 1.0)   # the partner row n*m holds 1
+    with np.errstate(over="ignore"):   # an overflowing rate estimates inf events
+        estimate = len(seeds) * sum(float(coeff @ (c0[src] * c0[partner])) * (times[b] - times[a])
+                                    for a, b, (src, _, coeff, partner) in pieces)
+    if not estimate <= MAX_STEPS:
+        raise ValueError(f"a simulation of an estimated {estimate:.6g} events exceeds the "
+                         f"bound of {MAX_STEPS} events")
     if len(seeds) > 1:
         return _simulate_lockstep(s0, pieces, times, seeds, cfg)
 

@@ -1345,6 +1345,25 @@ def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, cap
         assert os.listdir(out) == [] and peak < 1 << 24
 
 
+def test_cli_simulate_refuses_a_run_past_the_event_bound(tmp_path, capsys):
+    # validate accepts the example at delta 5e10, whose stimulated rates near
+    # 1e21 would run for hours; solve refuses it by its step bound, and
+    # simulate by its estimate of the events, total rate x T x replications
+    doc = example_doc()
+    doc["scales"]["delta"] = 5e10
+    p = str(tmp_path / "fast.json")
+    with open(p, "w") as fh:
+        json.dump(doc, fh)
+    for reps in ("1", "4"):
+        out = tmp_path / f"o{reps}"
+        code, summary, err = cli(["simulate", p, "--N", "20", "--T", "0.5", "--reps", reps,
+                                  "--out", str(out)], capsys)
+        assert code == 1 and "numerical failure" not in err
+        assert re.fullmatch(rf"a simulation of an estimated \S+ events exceeds the bound of "
+                            rf"{MAX_STEPS} events", summary["error"])
+        assert os.listdir(out) == []
+
+
 def test_cli_simulate_refuses_samples_past_the_step_bound(tmp_path, capsys):
     # refused before the output grid is allocated
     out = tmp_path / "o"

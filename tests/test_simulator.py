@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import tracemalloc
 import warnings
@@ -527,6 +528,34 @@ def test_simulate_refuses_a_negative_seed(monkeypatch):
     for seed in (-1, np.int64(-1), [3, -1], (-1, 2)):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
             simulate(s0, None, 1.0, seed, cfg)
+
+
+def test_simulate_refuses_a_run_past_its_event_estimate(monkeypatch):
+    # the estimate is each control piece's total rate at s0's counts times its
+    # span, summed, times the replications; a run past MAX_STEPS is refused
+    # before any generator is built, and one at it runs
+    cfg = read_config(EXAMPLE)
+    s0 = CountState.from_occupation(np.full((cfg.n, cfg.m), 1 / 9), 40)
+    stay, down = np.tile(np.arange(cfg.m), (cfg.n, 1)), np.zeros((cfg.n, cfg.m), int)
+    u = Control.of_steps([stay, stay, down, down, down])
+    T, reps = 0.5, 3
+    total = [sum(t.rate for t in enumerate_transitions(s0, target, cfg)) for target in (stay, down)]
+    estimate = reps * (total[0] * 0.4 + total[1] * 0.6) * T
+    build = np.random.PCG64
+
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    for seeds in (range(reps), [7] * reps):
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        monkeypatch.setattr(hbmfg.simulator, "MAX_STEPS", math.floor(estimate))
+        with pytest.raises(ValueError) as err:
+            simulate(s0, u, T, seeds, cfg, samples=5)
+        assert str(err.value) == (f"a simulation of an estimated {estimate:.6g} events exceeds "
+                                  f"the bound of {math.floor(estimate)} events")
+        monkeypatch.setattr(np.random, "PCG64", build)
+        monkeypatch.setattr(hbmfg.simulator, "MAX_STEPS", math.ceil(estimate))
+        assert len(simulate(s0, u, T, seeds, cfg, samples=5)) == reps
 
 
 def test_lockstep_rejects_event_log_and_empty_seed_list():
