@@ -252,7 +252,7 @@ def simulate(
         raise ValueError("record_events needs a single seed")
     times = np.linspace(0.0, T, samples + 1)
     c0 = np.append(s0.counts.ravel(), 1.0)   # the partner row n*m holds 1
-    with np.errstate(over="ignore"):   # an overflowing rate estimates inf events
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow estimates inf or nan
         estimate = len(seeds) * sum(float(coeff @ (c0[src] * c0[partner])) * (times[b] - times[a])
                                     for a, b, (src, _, coeff, partner) in pieces)
     if not estimate <= MAX_STEPS:

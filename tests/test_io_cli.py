@@ -1348,19 +1348,22 @@ def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, cap
 def test_cli_simulate_refuses_a_run_past_the_event_bound(tmp_path, capsys):
     # validate accepts the example at delta 5e10, whose stimulated rates near
     # 1e21 would run for hours; solve refuses it by its step bound, and
-    # simulate by its estimate of the events, total rate x T x replications
-    doc = example_doc()
-    doc["scales"]["delta"] = 5e10
-    p = str(tmp_path / "fast.json")
-    with open(p, "w") as fh:
-        json.dump(doc, fh)
-    for reps in ("1", "4"):
-        out = tmp_path / f"o{reps}"
-        code, summary, err = cli(["simulate", p, "--N", "20", "--T", "0.5", "--reps", reps,
+    # simulate by its estimate of the events, total rate x T x replications.
+    # A stimulated rate of 1e307 among 1e9 agents overflows the estimate to inf.
+    fast, huge = example_doc(), example_doc()
+    fast["scales"]["delta"] = 5e10
+    huge["rates"]["q_up_evo"][0][0][1] = 1e307
+    for k, (doc, N, reps, estimate) in enumerate(((fast, "20", "1", r"4\.1375e\+21"),
+                                                  (fast, "20", "4", r"1\.655e\+22"),
+                                                  (huge, "1000000000", "1", "inf"))):
+        p, out = str(tmp_path / f"c{k}.json"), tmp_path / f"o{k}"
+        with open(p, "w") as fh:
+            json.dump(doc, fh)
+        code, summary, err = cli(["simulate", p, "--N", N, "--T", "0.5", "--reps", reps,
                                   "--out", str(out)], capsys)
         assert code == 1 and "numerical failure" not in err
-        assert re.fullmatch(rf"a simulation of an estimated \S+ events exceeds the bound of "
-                            rf"{MAX_STEPS} events", summary["error"])
+        assert re.fullmatch(rf"a simulation of an estimated {estimate} events exceeds the bound "
+                            rf"of {MAX_STEPS} events", summary["error"])
         assert os.listdir(out) == []
 
 

@@ -272,7 +272,7 @@ def test_expansion_terms_are_equal_in_bits_across_delta(regime):
     # their bits, also where delta_int (id1) or delta_dis (id3) underflows to
     # 0 at 1e-170; id2's second order is solvable only with balanced tensors,
     # whose x1 is 0
-    cfg = make_config(4, 3, np.random.default_rng(15), db=True, regime=regime,
+    cfg = make_config(4, 3, np.random.default_rng(5), db=True, regime=regime,
                       balanced_evo=regime is Regime.ID2)
     terms = []
     for delta in (0.05, 1e-3, 1e-100, 1e-170):
@@ -282,6 +282,22 @@ def test_expansion_terms_are_equal_in_bits_across_delta(regime):
     assert all(t == terms[0] for t in terms)
     assert len(terms[0]) == (3 if regime is Regime.ID3 else 4)
     assert bool(np.abs(sol.x1).max() > 0) == (regime is not Regime.ID2)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_expansion_reads_no_rate_on_a_dead_row(regime):
+    # a stimulated drop out of level 1, which validate refuses and the move
+    # table drops, reaches no term, not even through a fine on level 1
+    cfg = make_config(4, 3, np.random.default_rng(6), db=True, regime=regime)
+    cfg = replace(cfg, fee_H=[0.5, 0.0, 0.0, 0.0])
+    q_down_evo = cfg.q_down_evo.copy()
+    q_down_evo[0] = 0.7
+    dead = replace(cfg, q_down_evo=q_down_evo)
+    assert validate(dead) == ["q_down_evo row 1 nonzero: no such move out of level 1"]
+    want, got = stationary_solution(cfg), stationary_solution(dead)
+    for name in ("x1", "g1", "g2"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a is b is None or a.tobytes() == b.tobytes(), name
 
 
 def test_stationary_solution_assembly():
@@ -353,8 +369,8 @@ def test_stationary_solution_solves_each_column_once_per_term(monkeypatch):
         assert calls == [sol.b] + [list(range(m))] * (terms - 1), regime
 
 
-# The single-column solve as it stood before solve_on_complement took a stack
-# of chains, kept verbatim as the reference for its bits and messages.
+# A per-column complement solve with its own link checks, kept verbatim as the
+# reference for solve_on_complement's bits and messages.
 
 def _link_rates(chain: LevelChain) -> tuple[np.ndarray, np.ndarray]:
     up, down = chain.A.diagonal(-1), chain.A.diagonal(1)
