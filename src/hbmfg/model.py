@@ -13,6 +13,7 @@ Indexing is 0-based in memory; file formats and reports are 1-based.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -366,21 +367,22 @@ def validate(cfg: GameConfig, memo: Optional[dict] = None) -> list[str]:
     violations by what they read: n, m, the detailed_balance flag, whether
     a sink is present, and each checked array's shape and bytes.  Configs
     that share those arrays, as the values of a sweep do, check them once;
-    the scales are checked on every call.  A key made of the bytes cannot
+    the scales, and the stimulated rates they scale, are checked on every
+    call.  A key made of the bytes cannot
     go stale, so the memo may outlive any one config.
     """
     n, m = cfg.n, cfg.m
     if n < 1 or m < 1:
         return [f"dimensions: n={n}, m={m} must be positive"]
     if memo is None:
-        arrays, balance = _array_violations(cfg)
+        arrays, balance, largest = _array_violations(cfg)
     else:
         key = ("validate", n, m, cfg.detailed_balance, cfg.q_sink is not None,
                *[(a.shape, a.tobytes()) for a in _checked_arrays(cfg)])
         if (hit := memo.get(key)) is None:
             hit = memo[key] = _array_violations(cfg)
-        arrays, balance = hit
-    return arrays + _scale_violations(cfg) + balance
+        arrays, balance, largest = hit
+    return arrays + _scale_violations(cfg, largest) + balance
 
 
 def _checked_arrays(cfg: GameConfig) -> list:
@@ -390,9 +392,16 @@ def _checked_arrays(cfg: GameConfig) -> list:
             *sink]
 
 
-def _array_violations(cfg: GameConfig) -> tuple[list, list]:
-    """validate's violations of the arrays, and of detailed balance."""
+def _position(idx) -> str:
+    return ",".join(str(i + 1) for i in idx)
+
+
+def _array_violations(cfg: GameConfig) -> tuple[list, list, list]:
+    """validate's violations of the arrays, and of detailed balance, and the
+    entry of largest magnitude of each well-formed interaction tensor, as
+    (name, 1-based position, value), for the scale checks."""
     v: list[str] = []
+    largest = []
     n, m = cfg.n, cfg.m
     ok = {}
     for dest, pairs in cfg.move_families():
@@ -403,8 +412,10 @@ def _array_violations(cfg: GameConfig) -> tuple[list, list]:
                 continue
             if a.min() < 0:
                 idx = np.unravel_index(int(np.argmin(a)), a.shape)
-                pos = ",".join(str(i + 1) for i in idx)
-                v.append(f"{name}[{pos}]: negative rate {float(a[idx])!r}")
+                v.append(f"{name}[{_position(idx)}]: negative rate {float(a[idx])!r}")
+            if a.ndim == 3:   # the family's interaction tensor
+                idx = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
+                largest.append((name, _position(idx), float(a[idx])))
             v.extend(f"{name} row {i + 1} nonzero: no such move out of level {i + 1}"
                      for i in dead if np.any(a[i] != 0))
     if cfg.q_sink is not None:  # the sink drop replaces step-down moves; mixing is rejected
@@ -434,11 +445,14 @@ def _array_violations(cfg: GameConfig) -> tuple[list, list]:
                 f"detailed_balance: q_up[{i + 1},{j + 1}] != q_down[{i + 2},{j + 1}] "
                 f"({float(cfg.q_up[i, j])!r} vs {float(cfg.q_down[i + 1, j])!r})"
             )
-    return v, balance
+    return v, balance, largest
 
 
-def _scale_violations(cfg: GameConfig) -> list[str]:
-    """validate's violations of lambda and the scales; written so that nan fails too."""
+def _scale_violations(cfg: GameConfig, largest: list) -> list[str]:
+    """validate's violations of lambda and the scales, written so that nan fails
+    too, and of the stimulated rates they give: delta_int times each
+    interaction tensor must be finite, which holds when it does at the
+    tensor's largest entry (`largest`, from _array_violations)."""
     v = []
     if not (0 <= cfg.lam < np.inf):
         v.append(f"lambda: decision rate must be finite and nonnegative, got {cfg.lam!r}")
@@ -448,6 +462,9 @@ def _scale_violations(cfg: GameConfig) -> list[str]:
         v.append(f"regime {cfg.regime.value} at delta={cfg.delta!r}: derived scales "
                  f"delta_int={cfg.delta_int!r}, delta_dis={cfg.delta_dis!r} must be "
                  "finite, delta_dis positive")
+    else:   # a Python product: an overflow gives inf, and no warning
+        v.extend(f"{name}[{pos}]: {a!r} times delta_int={cfg.delta_int!r} is not finite"
+                 for name, pos, a in largest if not math.isfinite(cfg.delta_int * a))
     return v
 
 

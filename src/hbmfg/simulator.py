@@ -22,7 +22,13 @@ serves each of its pieces, a run of intervals under one target matrix.
 `simulate` with one seed runs a scalar per-event loop, the reference the
 tests hold the lockstep loop to.  With several seeds one numpy step
 applies every replication's next event or node crossing, and each path is
-bit for bit the one its seed gives alone (see simulate).
+bit for bit the one its seed gives alone (see simulate).  When the
+replications expect many events before their next output node, a step
+speculates: it guesses up to a power of two of each replication's next
+events from the current running rate sums, checks every guess against the
+exact rates of the state the guesses before it give, and keeps the
+verified ones (optimistic execution, checked after the fact).  Its arrays
+stay within a fixed _SPEC_BYTES, whatever the replications.
 """
 from __future__ import annotations
 
@@ -50,6 +56,11 @@ __all__ = [
 RNG_NAME = "pcg64"
 _ROW_WIDTH = 1024    # uniforms buffered per replication, by either loop
 _CHANNEL_VALUES = 6  # a bound on the values a lockstep step holds per channel and replication
+_SPEC_BYTES = 3 << 19   # 1.5 MiB, a bound on a speculative lockstep step's arrays
+_SPEC_MAX = _ROW_WIDTH // 8   # the most events a column takes in one lockstep step
+_SPEC_MIN_K = 32        # a lockstep step takes fewer events per column than this one at a time
+_SPEC_LOOK = 128        # one-event steps between two looks at the depth
+_LOOP_SUMS = 512        # from this many columns a channel loop forms the running sums
 MAX_N = 2**53        # the lockstep loop and the rounding hold counts as exact floats
 
 
@@ -218,19 +229,21 @@ def simulate(
     seed: an int returns one SimPath, a sequence of ints one SimPath per
     seed, in order.  One seed runs the scalar event loop; several run one
     lockstep loop (_simulate_lockstep; meta["lockstep_steps"] counts its
-    steps).  Every trajectory draws from its own PCG64(seed) stream in the
-    same order (a uniform for each wait, and one for the pick if the event
-    falls inside the interval), so a lockstep replication is bit for bit the
-    path that its seed gives alone.  record_events needs a single seed.
+    steps, one-event and speculative alike).  Every trajectory draws from
+    its own PCG64(seed) stream in the same order (a uniform for each wait,
+    and one for the pick if the event falls inside the interval), so a
+    lockstep replication is bit for bit the path that its seed gives alone.
+    record_events needs a single seed.
     The arrays of every replication are held to kinetics.NODE_BYTES, as a
     grid's node arrays are: its counts, node times (built through a copy)
     and sample times, (samples + 1) * (n * m + 3) values, two uniform
-    buffers of _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel.
-    A run past it is refused before any seed is listed (a range is
-    counted) or any generator is built.  A run whose estimated events pass
-    kinetics.MAX_STEPS (each piece's total rate at s0's counts times its
-    span, summed, times the replications) is refused too, before any
-    generator is built.
+    buffers of _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel;
+    a speculative step's arrays add at most _SPEC_BYTES to the whole call,
+    whatever the replications.  A run past it is refused before any seed
+    is listed (a range is counted) or any generator is built.  A run whose
+    estimated events pass kinetics.MAX_STEPS (each piece's total rate at
+    s0's counts times its span, summed, times the replications) is refused
+    too, before any generator is built.
     """
     _check_output_grid(T, samples)
     _check_grid(s0, cfg)
@@ -319,6 +332,93 @@ def simulate(
     return path if single else [path]
 
 
+def _running_sums(counts: np.ndarray, take: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The running sums of each column's channel rates, in channel order.
+
+    counts holds a count column per state, the partner row of 1s last; a
+    channel's rate is (coeff * counts[src]) * counts[partner], as in the
+    scalar loop, with take listing every channel's src, then every partner.
+    Summed in sequence, the same bits either way: np.add.accumulate, or a
+    loop down the channels, which is cheaper from _LOOP_SUMS columns on.
+    """
+    g = counts.take(take, axis=0)
+    sums = g[:len(coeffs)]
+    sums *= coeffs
+    sums *= g[len(coeffs):]
+    if sums.shape[1] >= _LOOP_SUMS:
+        for i in range(1, len(sums)):
+            np.add(sums[i - 1], sums[i], out=sums[i])
+    else:
+        np.add.accumulate(sums, axis=0, out=sums)
+    return sums
+
+
+def _depth(expected: float, cap: int) -> int:
+    """Events per column in the next lockstep step: 2, doubled while that
+    stays at most both the live columns' largest expected events before
+    their next node and cap; or 1 when it falls below _SPEC_MIN_K or above
+    cap."""
+    depth = 2
+    while 2 * depth <= min(expected, cap):
+        depth *= 2
+    return depth if _SPEC_MIN_K <= depth <= cap else 1
+
+
+def _speculate(c, rates, t, te, at, depth, take, coeffs, moves, flat, comp_flat):
+    """Up to `depth` events of every column in one step, each checked after the fact.
+
+    c, rates, t, te and at are the columns' counts, running sums (with
+    _simulate_lockstep's sentinel rows 0 and C + 1), times, next node times
+    and next uniforms.  Event k of a column reads the uniforms at at + 2k and
+    at + 2k + 1.  Its channel is guessed from the current running sums; the
+    guesses give depth prefix states, c plus the guessed moves before each
+    event, exact because every partial sum is a small integer.  Each state
+    gets its exact rates and running sums, as a one-event step forms them,
+    and keeps its guess g when sums[g - 1] <= u * tot < sums[g], which is the
+    one-event step's first-index rule.  Waits, -log(1 - u) / tot, accumulate
+    in sequence.  A column's events stand while their guesses hold and they
+    stay at or before its node; its first event that fails (the last one if
+    none does) is the column's last of the step, and its state is exact.
+
+    Returns that event's counts, running sums, time and pick, as the
+    one-event step has them, and the count of verified events before it.
+    """
+    C = len(coeffs) - 2
+    R = c.shape[1]
+    KR = depth * R
+    cols = np.arange(R)
+    idx = at + np.arange(2 * depth)[:, None]   # (2 depth, R): wait, pick, wait, pick, ...
+    u = flat.take(idx[1::2])
+    # one sorted search over every column's running sums over its total, offset by 2r
+    key = (rates[1:C + 1] / rates[C] + 2.0 * cols).T.ravel()
+    guess = np.searchsorted(key, u + 2.0 * cols, side="right")
+    guess -= cols * C - 1
+    np.clip(guess, 1, C + 1, out=guess)
+    states = np.matmul(np.tri(depth, k=-1), moves.take(guess, axis=1))   # (S + 1, depth, R)
+    states += c[:, None]
+    states = states.reshape(-1, KR)
+    sums = _running_sums(states, take, coeffs)
+    tot = sums[C]
+    pick = u.ravel() * tot
+    at_guess = guess.ravel() * KR + np.arange(KR)
+    flat_sums = sums.ravel()
+    good = flat_sums.take(at_guess - KR) <= pick
+    good &= pick < flat_sums.take(at_guess)
+    tn = np.empty((depth + 1, R))
+    tn[0] = t
+    # math.log, as in the scalar loop: np.log can differ in the last bit
+    logs = np.fromiter(map(math.log, comp_flat.take(idx[::2]).ravel().tolist()), float, KR)
+    np.divide(logs.reshape(depth, R), tot.reshape(depth, R), out=tn[1:])
+    np.subtract.accumulate(tn, axis=0, out=tn)
+    good = good.reshape(depth, R)
+    good &= tn[1:] <= te
+    good[-1] = False
+    ahead = good.argmin(axis=0)
+    sel = ahead * R + cols
+    return (states.take(sel, axis=1), sums.take(sel, axis=1), tn[1:].ravel().take(sel),
+            pick.take(sel), ahead)
+
+
 # A replication whose total rate is 0 gets a wait of x/0 (inf or nan); it reads
 # no uniform and leaves its piece.
 @np.errstate(divide="ignore", invalid="ignore")
@@ -339,6 +439,25 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
     fills the piece's remaining nodes with its counts and leaves; so does one
     that crosses the piece's last node.  Replications meet again only where
     a piece starts.
+
+    A step may speculate (_speculate).  At a piece's first step and after a
+    speculative step, the loop takes the live columns' largest expected
+    events before their next node, tot * (te - t), from the step's rates,
+    and _depth makes it the depth of the steps until the next look: a power
+    of two of at least _SPEC_MIN_K, capped so that a step's arrays (2C + 2S
+    + 20 values per event slot and column, S = n*m, and one depth x depth
+    triangle) stay within _SPEC_BYTES whatever the replications; or 1.
+    After a look that gives 1, the next comes when the column nearest its
+    node may have crossed it, if the busiest column expects _SPEC_MIN_K
+    events in an interval, or else _SPEC_LOOK steps on; a call with too
+    many replications for _SPEC_MIN_K slots each never looks.  A step of
+    depth 1 is the one-event step above and nothing more.  A deeper step
+    takes each column's verified events and then its last event of the
+    step, the one-event step applied to an exact state.  Either way a column
+    reads the same uniforms in the same order as the scalar loop.
+    meta["lockstep_steps"] counts the steps, one-event and speculative
+    alike; a column's events are the steps it took, less the nodes it
+    passed, plus its verified events.
 
     Replication r reads its uniforms from buf[r], _ROW_WIDTH numbers refilled
     from its own generator.  The count matrix has n*m + 1 rows, the last the
@@ -383,6 +502,11 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
         moves[dst, range(1, C + 1)] = 1.0
         moves[:, C + 1] = moves[:, C]
         last = float(times[j1])
+        span = (last - float(times[j0])) / (j1 - j0)   # the piece's interval width
+        # a speculative step holds, per event slot and column, 2C + 4 gathered
+        # rates, two prefix states of S + 1 counts and at most 14 more values,
+        # and one depth x depth triangle
+        slot_bytes = 8 * (2 * C + 2 * S + 20)
 
         live = reps
         c = cnt.copy()
@@ -392,16 +516,6 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
         at = reps * W + pos              # flat index of each column's next uniform
         steps = guard = 0
         while True:
-            if guard == 0:
-                p = at - live * W
-                for i in np.flatnonzero(p > W - 2).tolist():
-                    r = int(live[i])
-                    buf[r] = _refill(gens[r], buf[r, p[i]:], W)
-                    comp[r] = 1.0 - buf[r]
-                    at[i] = r * W
-                    p[i] = 0
-                guard = (W - 2 - int(p.max())) // 2 + 1
-            guard -= 1
             steps += 1
             g = c.take(take, axis=0)
             rates = g[:C + 2]
@@ -409,9 +523,41 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
             rates *= g[C + 2:]
             np.add.accumulate(rates, axis=0, out=rates)
             tot = rates[C]
-            # math.log, as in the scalar loop: np.log can differ in the last bit
-            tn = t - np.array(list(map(ln, comp_flat.take(at).tolist()))) / tot
-            pick = picks.take(at) * tot
+            if guard == 0:
+                # the depth of the steps until the next look, then a refill of
+                # every buffer with fewer than 2 * depth unread uniforms
+                cap = min(_SPEC_MAX, (_SPEC_BYTES - 8 * _SPEC_MAX**2) // (slot_bytes * live.size))
+                depth, guard = 1, W
+                if cap >= _SPEC_MIN_K:
+                    expect = tot * (te - t)   # each column's expected events before its node
+                    depth = _depth(float(expect.max()), cap)
+                    if depth > 1:
+                        guard = 1
+                    elif float(tot.max()) * span >= _SPEC_MIN_K:
+                        # look again once a column may have crossed into an
+                        # interval that expects _SPEC_MIN_K events
+                        guard = int(expect.min()) + 1
+                    else:
+                        guard = _SPEC_LOOK
+                p = at - live * W
+                for i in np.flatnonzero(p > W - 2 * depth).tolist():
+                    r = int(live[i])
+                    buf[r] = _refill(gens[r], buf[r, p[i]:], W)
+                    comp[r] = 1.0 - buf[r]
+                    at[i] = r * W
+                    p[i] = 0
+                guard = min(guard, (W - 2 - int(p.max())) // 2 + 1)
+            guard -= 1
+            if depth == 1:
+                # math.log, as in the scalar loop: np.log can differ in the last bit
+                tn = t - np.array(list(map(ln, comp_flat.take(at).tolist()))) / tot
+                pick = picks.take(at) * tot
+            else:
+                c, rates, tn, pick, ahead = _speculate(c, rates, t, te, at, depth, take,
+                                                       coeffs, moves, flat, comp_flat)
+                tot = rates[C]
+                at += 2 * ahead
+                events[live] += ahead
             go = tn <= te
             if not go.all():
                 # every column writes its counts at its interval's end; the last
@@ -432,7 +578,8 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
                         out[row:r * K + j1 + 1] = out[row - 1]   # a stall fills its piece
                     cnt[:, gone] = c[:, done]
                     pos[gone] = at[done] + 2 - gone * W - stall[done]
-                    # each step was an event or a node passed (a stall passes one)
+                    # each step was an event or a node passed (a stall passes one),
+                    # besides a speculative step's verified events
                     events[gone] += steps - (node[done] - gone * K - j0 - 1)
                     keep = ~done
                     live, c, rates, pick, tn, te, node, at = (

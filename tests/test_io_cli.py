@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -1365,6 +1366,52 @@ def test_cli_simulate_refuses_a_run_past_the_event_bound(tmp_path, capsys):
         assert re.fullmatch(rf"a simulation of an estimated {estimate} events exceeds the bound "
                             rf"of {MAX_STEPS} events", summary["error"])
         assert os.listdir(out) == []
+
+
+def test_cli_refuses_stimulated_rates_that_overflow_once_scaled(tmp_path, capsys):
+    # 1e308 is a finite interaction rate, but delta_int = 10 (regime id2)
+    # scales it past the largest float.  validate accepted it, and the other
+    # subcommands then failed after an overflow warning, each in its own way;
+    # now every one refuses the config by that entry, with warnings as errors.
+    # The verdict depends on the scales, so a sweep down delta, whose values
+    # share their arrays and validate's memo, gives each value its own.
+    doc = example_doc()
+    doc["rates"]["q_up_evo"][0][0][1] = 1e308
+    doc["scales"].update(regime="id2", delta=10.0)
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    why = "q_up_evo[1,1,2]: 1e+308 times delta_int=10.0 is not finite"
+    runs = [["solve"], ["simulate", "--N", "100", "--T", "1"],
+            ["simulate", "--N", "100", "--T", "1", "--reps", "4"], ["stationary"],
+            ["stability"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tmp_path / "validate"
+        code, summary, _ = cli(["validate", str(p), "--out", str(out)], capsys)
+        assert code == 1 and summary["violations"] == 1
+        assert json.loads((out / "validation.json").read_text()) == {"ok": False,
+                                                                     "violations": [why]}
+        for k, (cmd, *args) in enumerate(runs):
+            out = tmp_path / str(k)
+            code, summary, err = cli([cmd, str(p), *args, "--out", str(out)], capsys)
+            assert code == 1 and summary["error"] == "config fails validation: " + why, cmd
+            assert "numerical failure" not in err and os.listdir(out) == []
+        out = tmp_path / "sweep"
+        code, summary, _ = cli(["sweep", str(p), "--param", "scales.delta", "--values",
+                                "0.05", "10", "0.05", "--op", "validate", "--out", str(out)],
+                               capsys)
+        assert code == 1 and (summary["runs"], summary["failed"]) == (3, 1)
+        verdicts = [json.loads((out / f"val_{k}" / "validation.json").read_text())["violations"]
+                    for k in range(3)]
+        assert verdicts == [[], [why], []]
+    # the sink's interaction tensor is scaled and named as well
+    sink = make_config(3, 2, np.random.default_rng(5), sink=True, delta=10.0, regime="id2")
+    interaction = sink.q_sink.interaction.copy()
+    interaction[2, 1, 0] = 1e308
+    bad = dataclasses.replace(sink, q_sink=SinkRates(sink.q_sink.direct, interaction))
+    assert hbmfg.validate(bad) == [
+        "q_sink.interaction[3,2,1]: 1e+308 times delta_int=10.0 is not finite"]
+    assert hbmfg.validate(dataclasses.replace(bad, delta=1.0)) == []
 
 
 def test_cli_simulate_refuses_samples_past_the_step_bound(tmp_path, capsys):

@@ -170,13 +170,20 @@ def test_validate_memo_gives_each_config_its_own_violations():
     q_down[1, 0] += 0.25
     cfgs += [dataclasses.replace(base, q_down=q_down, detailed_balance=flag)
              for flag in (True, False)]
+    # one interaction tensor at two scales: delta_int = 10 takes its entry past
+    # the largest float, which only the scales decide
+    huge = base.q_up_evo.copy()
+    huge[1, 0, 2] = 1e308
+    cfgs += [dataclasses.replace(base, q_up_evo=huge, regime="id2", delta=d) for d in (0.5, 10.0)]
     want = [validate(cfg) for cfg in cfgs]
+    assert want[-2:] == [[], ["q_up_evo[2,1,3]: 1e+308 times delta_int=10.0 is not finite"]]
     assert sum(map(bool, want)) > len(cfgs) // 2
     memo = {}
     for k in np.concatenate([rng.permutation(len(cfgs)) for _ in range(3)]):
         assert validate(cfgs[k], memo) == want[k], k
-    # the three that differ from base or sink in their scales alone share its entry
-    assert len(memo) == len(cfgs) - 3
+    # the four that differ from base, sink or each other in their scales alone
+    # share an entry
+    assert len(memo) == len(cfgs) - 4
 
 
 def test_column_balance_gaps_are_each_columns_worst_link():

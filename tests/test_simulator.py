@@ -182,7 +182,7 @@ def test_simulate_pins_a_seeded_run_on_the_example():
     npt.assert_array_equal(first.counts, path.counts)
     assert (first.events, second.events) == (668, 685)
     npt.assert_array_equal(second.counts[-1], [[59, 18, 26], [62, 26, 16], [34, 24, 35]])
-    assert second.meta == {"rng": "pcg64", "lockstep_steps": 702}
+    assert second.meta == {"rng": "pcg64", "lockstep_steps": 100}
 
 
 def test_simulate_conserves_agents_and_time_grid():
@@ -463,10 +463,12 @@ def _lockstep_case(name):
     raise KeyError(name)
 
 
-@pytest.mark.parametrize("name", ["example", "sink", "fixed-control", "policy",
-                                  "stalls-mid-run", "no-channels", "refills",
-                                  "absorbs-within-piece", "sparse-events"])
-def test_lockstep_replications_equal_solo_runs(name):
+LOCKSTEP_CASES = ["example", "sink", "fixed-control", "policy", "stalls-mid-run", "no-channels",
+                  "refills", "absorbs-within-piece", "sparse-events"]
+
+
+def _lockstep_equals_solo(name):
+    """The case's lockstep paths, each checked against its seed's solo run."""
     s0, u, T, samples, cfg = _lockstep_case(name)
     seeds = [5, 6, 1234, 2**40 + 3] if name == "refills" else list(range(20, 36))
     paths = simulate(s0, u, T, seeds, cfg, samples=samples)
@@ -477,22 +479,187 @@ def test_lockstep_replications_equal_solo_runs(name):
         assert path.counts.dtype == solo.counts.dtype
         npt.assert_array_equal(path.counts, solo.counts)
         npt.assert_array_equal(path.times, solo.times)
+    return paths
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_lockstep_replications_equal_solo_runs(name):
+    s0, u, T, samples, cfg = _lockstep_case(name)
+    paths = _lockstep_equals_solo(name)
     events = [p.events for p in paths]
     if name == "stalls-mid-run":
         assert all(p.counts[2, 0, 0] == 0 for p in paths)
         assert all(e > 12 for e in events)
     if name == "no-channels":
-        assert events == [0] * len(seeds)
+        assert events == [0] * len(paths)
     if name == "refills":
         # two uniforms per event: every replication refills its buffer at least once
         assert 2 * min(events) > _ROW_WIDTH
     if name == "absorbs-within-piece":
-        assert events == [10] * len(seeds)
+        assert events == [10] * len(paths)
         assert all(p.counts[-1, 1, 0] == 0 for p in paths)
         absorbed = {int(np.argmax(p.counts[:, 1, 0] == 0)) for p in paths}
         assert len(absorbed) > 1 and max(absorbed) < samples
     if name == "sparse-events":
         assert max(events) < samples
+
+
+def _spy_speculation(monkeypatch):
+    """Count, per speculative step, the columns whose last event of the step
+    is a failed guess inside the interval (mismatch), a node crossing or a
+    stall after verified events, and the buffers refilled and the columns
+    that left the piece between two steps."""
+    seen = dict.fromkeys(("steps", "mismatch", "cross", "stall", "refill", "leave"), 0)
+    speculate, refill = hbmfg.simulator._speculate, hbmfg.simulator._refill
+    width = [None]
+
+    def spy(c, rates, t, te, at, depth, *rest):
+        out = speculate(c, rates, t, te, at, depth, *rest)
+        _, sums, tn, _, ahead = out
+        go, tot = tn <= te, sums[-2]
+        seen["steps"] += 1
+        seen["mismatch"] += int(np.sum((ahead < depth - 1) & go))
+        seen["cross"] += int(np.sum((ahead > 0) & ~go & (tot > 0)))
+        seen["stall"] += int(np.sum((ahead > 0) & (tot == 0)))
+        seen["leave"] += width[0] is not None and c.shape[1] < width[0]
+        width[0] = c.shape[1]
+        return out
+
+    def spy_refill(rng, rest, size):
+        seen["refill"] += len(rest) > 0
+        return refill(rng, rest, size)
+
+    monkeypatch.setattr(hbmfg.simulator, "_speculate", spy)
+    monkeypatch.setattr(hbmfg.simulator, "_refill", spy_refill)
+    return seen
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_speculative_steps_equal_solo_runs(name, monkeypatch):
+    # with the threshold at 2, every step takes at least 2 events per column:
+    # each column keeps its verified events and then takes its last one as a
+    # one-event step would; every path is still its seed's solo path
+    monkeypatch.setattr(hbmfg.simulator, "_SPEC_MIN_K", 2)
+    seen = _spy_speculation(monkeypatch)
+    paths = _lockstep_equals_solo(name)
+    assert seen["steps"] == paths[0].meta["lockstep_steps"]
+    # each edge is met inside a speculative step, after verified events
+    edges = {"example": ("mismatch", "cross", "refill", "leave"),
+             "policy": ("mismatch", "cross", "leave"),
+             "stalls-mid-run": ("cross", "stall", "leave"),
+             "refills": ("mismatch", "cross", "refill", "leave"),
+             "absorbs-within-piece": ("cross", "stall", "leave"),
+             "sparse-events": ("cross", "leave")}
+    for edge in edges.get(name, ()):
+        assert seen[edge] > 0, edge
+    if name == "no-channels":
+        assert seen["steps"] == 0
+
+
+def test_speculative_steps_keep_the_first_index_rule_on_ties(monkeypatch):
+    # integer rates and uniforms on eighths put many picks exactly on a running
+    # sum (a pick of 0 too); the event there is the first channel whose sum
+    # passes the pick, in a speculative step's guesses as in the scalar loop
+    def eighths(rng, rest, width):
+        return np.concatenate((rest, rng.integers(0, 8, width - len(rest)) / 8.0))
+
+    monkeypatch.setattr(hbmfg.simulator, "_refill", eighths)
+    monkeypatch.setattr(hbmfg.simulator, "_SPEC_MIN_K", 2)
+    seen = _spy_speculation(monkeypatch)
+    cfg = GameConfig(n=3, m=2, q_up=[[1.0, 2.0], [3.0, 1.0], [0.0, 0.0]],
+                     q_down=[[0.0, 0.0], [2.0, 1.0], [1.0, 3.0]],
+                     q_up_evo=np.zeros((3, 2, 2)), q_down_evo=np.zeros((3, 2, 2)),
+                     w=np.ones((3, 2)), fee_B=1.0 - np.eye(2), fee_H=np.zeros(3), lam=2.0)
+    s0 = CountState(counts=np.array([[40, 30], [20, 30], [10, 20]]), N=150)
+    u = np.array([[1, 1], [0, 0], [1, 0]])
+    paths = simulate(s0, u, 0.5, range(8), cfg, samples=4)
+    assert seen["steps"] == paths[0].meta["lockstep_steps"]
+    for seed, path in enumerate(paths):
+        solo = simulate(s0, u, 0.5, seed, cfg, samples=4)
+        assert path.events == solo.events > 100
+        npt.assert_array_equal(path.counts, solo.counts)
+
+
+def test_running_sums_are_the_same_bits_by_loop_or_accumulate(monkeypatch):
+    # the example's channels over random count columns: the loop down the
+    # channels and np.add.accumulate give the scalar loop's sums in bits
+    cfg = read_config(EXAMPLE)
+    src, _, coeff, partner = hbmfg.simulator._build_channels(cfg, None, 1000)
+    take = np.concatenate(([9], src, [9, 9], partner, [9]))
+    coeffs = np.concatenate(([0.0], coeff, [math.inf]))[:, None]
+    counts = np.ones((10, 40))
+    counts[:9] = np.random.default_rng(3).integers(0, 1000, size=(9, 40))
+    sums = {}
+    for at in (1, 10**9):
+        monkeypatch.setattr(hbmfg.simulator, "_LOOP_SUMS", at)
+        sums[at] = hbmfg.simulator._running_sums(counts, take, coeffs)
+    npt.assert_array_equal(sums[1], sums[10**9])
+    for r in (0, 39):
+        tot, want = 0.0, [0.0]
+        for s_, c_, p_ in zip(src.tolist(), coeff.tolist(), partner.tolist()):
+            tot += c_ * int(counts[s_, r]) * int(counts[p_, r])
+            want.append(tot)
+        assert sums[1][:-1, r].tolist() == want and sums[1][-1, r] == math.inf
+
+
+def test_speculative_depth_is_a_power_of_two_within_its_cap():
+    assert hbmfg.simulator._SPEC_MIN_K == 32
+    depth = hbmfg.simulator._depth
+    assert [depth(e, 64) for e in (0.0, 17.0, 31.9, 32.0, 63.9, 64.0, 167.0, math.inf)] == [
+        1, 1, 1, 32, 32, 64, 64, 64]
+    assert depth(167.0, 128) == 128 and depth(167.0, 40) == 32 and depth(167.0, 20) == 1
+    assert depth(math.nan, 64) == 1
+
+
+def test_benchmark_shapes_speculate_only_with_few_replications(monkeypatch):
+    # perfbench's N = 1e4 x 16 simulation expects about 170 events per column
+    # and interval: its steps speculate, at most 64 events per column
+    # (1024 slots within the byte bound), in under an eighth of its busiest
+    # replication's events.  At N = 1e3, 16 columns expect about 17 events
+    # and 64 columns hold at most 16 slots each: one event per step, as before
+    cfg = read_config(EXAMPLE)
+    x0 = np.full((3, 3), 1 / 9)
+    seen = _spy_speculation(monkeypatch)
+    paths = simulate(CountState.from_occupation(x0, 10000), None, 0.1, range(16), cfg,
+                     samples=10)
+    assert paths[0].meta["lockstep_steps"] <= max(p.events for p in paths) / 8
+    assert seen["steps"] > 0
+    for seed in (0, 15):
+        solo = simulate(CountState.from_occupation(x0, 10000), None, 0.1, seed, cfg, samples=10)
+        assert paths[seed].events == solo.events
+        npt.assert_array_equal(paths[seed].counts, solo.counts)
+    for R in (16, 64):
+        seen["steps"] = 0
+        paths = simulate(CountState.from_occupation(x0, 1000), None, 0.1, range(R), cfg,
+                         samples=10)
+        assert seen["steps"] == 0
+        assert paths[0].meta["lockstep_steps"] >= max(p.events for p in paths)
+
+
+def test_speculative_steps_stay_within_the_byte_bound(monkeypatch):
+    # what a speculative step allocates, traced, stays within _SPEC_BYTES,
+    # with 16 columns of 64 events and with 3 of 128
+    speculate = hbmfg.simulator._speculate
+    peaks = []
+
+    def traced(c, *rest):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = speculate(c, *rest)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(hbmfg.simulator, "_speculate", traced)
+    cfg = read_config(EXAMPLE)
+    s0 = CountState.from_occupation(np.full((3, 3), 1 / 9), 10000)
+    for R in (16, 3):
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            simulate(s0, None, 0.1, range(R), cfg, samples=10)
+        finally:
+            tracemalloc.stop()
+        assert peaks and max(peaks) <= hbmfg.simulator._SPEC_BYTES
 
 
 def test_lockstep_steps_fall_short_of_waiting_at_every_node():
