@@ -88,13 +88,15 @@ def step_grid(t0: float, t1: float, dt: float, cells: int) -> tuple[int, float]:
     return n_steps, (t1 - t0) / n_steps
 
 
-def check_nodes(rows: int, cells: int, what: str = "a node array") -> None:
-    """Refuse rows x cells 8-byte values past NODE_BYTES, before they are
-    allocated: a grid's node array, or what the refusal names."""
+def check_nodes(rows: int, cells: int, what: str = "a node array",
+                budget: int = NODE_BYTES) -> None:
+    """Refuse rows x cells 8-byte values past budget (NODE_BYTES, or what
+    the caller leaves of it), before they are allocated: a grid's node
+    array, or what the refusal names."""
     size = 8 * rows * cells
-    if size > NODE_BYTES:
+    if size > budget:
         raise ValueError(f"{what} of {rows} x {cells} values takes {size} bytes, "
-                         f"past the budget of {NODE_BYTES} bytes")
+                         f"past the budget of {budget} bytes")
 
 
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:

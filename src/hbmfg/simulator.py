@@ -39,7 +39,7 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .kinetics import MAX_STEPS, check_nodes, integrate_forward
+from .kinetics import MAX_STEPS, NODE_BYTES, check_nodes, integrate_forward
 from .model import Control, GameConfig, control_pieces, occupation_array
 
 __all__ = [
@@ -59,8 +59,6 @@ _CHANNEL_VALUES = 6  # a bound on the values a lockstep step holds per channel a
 _SPEC_BYTES = 3 << 19   # 1.5 MiB, a bound on a speculative lockstep step's arrays
 _SPEC_MAX = _ROW_WIDTH // 8   # the most events a column takes in one lockstep step
 _SPEC_MIN_K = 32        # a lockstep step takes fewer events per column than this one at a time
-_SPEC_LOOK = 128        # one-event steps between two looks at the depth
-_LOOP_SUMS = 512        # from this many columns a channel loop forms the running sums
 MAX_N = 2**53        # the lockstep loop and the rounding hold counts as exact floats
 
 
@@ -234,16 +232,17 @@ def simulate(
     and one for the pick if the event falls inside the interval), so a
     lockstep replication is bit for bit the path that its seed gives alone.
     record_events needs a single seed.
-    The arrays of every replication are held to kinetics.NODE_BYTES, as a
-    grid's node arrays are: its counts, node times (built through a copy)
-    and sample times, (samples + 1) * (n * m + 3) values, two uniform
-    buffers of _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel;
-    a speculative step's arrays add at most _SPEC_BYTES to the whole call,
-    whatever the replications.  A run past it is refused before any seed
-    is listed (a range is counted) or any generator is built.  A run whose
-    estimated events pass kinetics.MAX_STEPS (each piece's total rate at
-    s0's counts times its span, summed, times the replications) is refused
-    too, before any generator is built.
+    The arrays of every replication are held to kinetics.NODE_BYTES less
+    _SPEC_BYTES, the most a speculative step's arrays add to the whole call
+    whatever the replications, as a grid's node arrays are held to
+    NODE_BYTES: its counts, node times (built through a copy) and sample
+    times, (samples + 1) * (n * m + 3) values, two uniform buffers of
+    _ROW_WIDTH and a lockstep step's _CHANNEL_VALUES a channel.  A run past
+    it is refused before any seed is listed (a range is counted) or any
+    generator is built.  A run whose estimated events pass
+    kinetics.MAX_STEPS (each piece's total rate at s0's counts times its
+    span, summed, times the replications) is refused too, before any
+    generator is built.
     """
     _check_output_grid(T, samples)
     _check_grid(s0, cfg)
@@ -254,7 +253,7 @@ def simulate(
     channels = max(len(table[0]) for _, _, table in pieces)
     check_nodes(1 if single else _count(seed),
                 (samples + 1) * (n * m + 3) + 2 * _ROW_WIDTH + _CHANNEL_VALUES * channels,
-                "a simulation")
+                "a simulation", NODE_BYTES - _SPEC_BYTES)
     seeds = [int(seed)] if single else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -332,25 +331,16 @@ def simulate(
     return path if single else [path]
 
 
-def _running_sums(counts: np.ndarray, take: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The running sums of each column's channel rates, in channel order.
-
-    counts holds a count column per state, the partner row of 1s last; a
-    channel's rate is (coeff * counts[src]) * counts[partner], as in the
-    scalar loop, with take listing every channel's src, then every partner.
-    Summed in sequence, the same bits either way: np.add.accumulate, or a
-    loop down the channels, which is cheaper from _LOOP_SUMS columns on.
-    """
+def _channel_rates(counts: np.ndarray, take: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Each column's channel rates, (coeff * counts[src]) * counts[partner] as
+    in the scalar loop: counts holds a count column per state, the partner
+    row of 1s last, and take lists every channel's src, then every partner.
+    Callers sum the rates in place, in channel order."""
     g = counts.take(take, axis=0)
-    sums = g[:len(coeffs)]
-    sums *= coeffs
-    sums *= g[len(coeffs):]
-    if sums.shape[1] >= _LOOP_SUMS:
-        for i in range(1, len(sums)):
-            np.add(sums[i - 1], sums[i], out=sums[i])
-    else:
-        np.add.accumulate(sums, axis=0, out=sums)
-    return sums
+    rates = g[:len(coeffs)]
+    rates *= coeffs
+    rates *= g[len(coeffs):]
+    return rates
 
 
 def _depth(expected: float, cap: int) -> int:
@@ -397,7 +387,11 @@ def _speculate(c, rates, t, te, at, depth, take, coeffs, moves, flat, comp_flat)
     states = np.matmul(np.tri(depth, k=-1), moves.take(guess, axis=1))   # (S + 1, depth, R)
     states += c[:, None]
     states = states.reshape(-1, KR)
-    sums = _running_sums(states, take, coeffs)
+    sums = _channel_rates(states, take, coeffs)
+    # the running sums, in the one-event step's bits: on depth x R columns a
+    # loop down the channels costs less than its np.add.accumulate
+    for i in range(1, len(sums)):
+        np.add(sums[i - 1], sums[i], out=sums[i])
     tot = sums[C]
     pick = u.ravel() * tot
     at_guess = guess.ravel() * KR + np.arange(KR)
@@ -449,9 +443,9 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
     triangle) stay within _SPEC_BYTES whatever the replications; or 1.
     After a look that gives 1, the next comes when the column nearest its
     node may have crossed it, if the busiest column expects _SPEC_MIN_K
-    events in an interval, or else _SPEC_LOOK steps on; a call with too
-    many replications for _SPEC_MIN_K slots each never looks.  A step of
-    depth 1 is the one-event step above and nothing more.  A deeper step
+    events in an interval, or else with the next refill of a buffer; a call
+    with too many replications for _SPEC_MIN_K slots each never looks.  A
+    step of depth 1 is the one-event step above and nothing more.  A deeper step
     takes each column's verified events and then its last event of the
     step, the one-event step applied to an exact state.  Either way a column
     reads the same uniforms in the same order as the scalar loop.
@@ -517,10 +511,9 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
         steps = guard = 0
         while True:
             steps += 1
-            g = c.take(take, axis=0)
-            rates = g[:C + 2]
-            rates *= coeffs
-            rates *= g[C + 2:]
+            rates = _channel_rates(c, take, coeffs)
+            # the running sums: on R columns np.add.accumulate costs less
+            # than _speculate's loop down the channels, in the same bits
             np.add.accumulate(rates, axis=0, out=rates)
             tot = rates[C]
             if guard == 0:
@@ -537,8 +530,6 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
                         # look again once a column may have crossed into an
                         # interval that expects _SPEC_MIN_K events
                         guard = int(expect.min()) + 1
-                    else:
-                        guard = _SPEC_LOOK
                 p = at - live * W
                 for i in np.flatnonzero(p > W - 2 * depth).tolist():
                     r = int(live[i])

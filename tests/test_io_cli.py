@@ -39,6 +39,7 @@ from hbmfg.io import (
     write_trajectory_csv,
 )
 from hbmfg.kinetics import MAX_STEPS, NODE_BYTES
+from hbmfg.simulator import _SPEC_BYTES
 from util_configs import (
     config_doc,
     cycle_config,
@@ -1321,19 +1322,21 @@ def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, cap
     # of 1024 and 6 values for each of the example's 48 channels: 1e6
     # replications of one sample would take 18.9 GB.  Each is refused by name, before any seed is
     # listed, with numpy's traced peak far below it; so is a count of
-    # replications too large for len().
+    # replications too large for len().  A simulation's budget is NODE_BYTES
+    # less the most a speculative lockstep step holds.
     def sim(reps, samples):
         values = (samples + 1) * 12 + 2 * 1024 + 6 * 48
         return (["--N", "10", "--T", "1", "--reps", str(reps), "--samples", str(samples)],
-                f"a simulation of {reps} x {values} values takes {8 * reps * values} bytes")
+                f"a simulation of {reps} x {values} values takes {8 * reps * values} bytes",
+                NODE_BYTES - _SPEC_BYTES)
 
     node_path = f"a node array of 100000001 x 9 values takes {72 * 100000001} bytes"
-    runs = [("solve", ["--T", "1e308", "--dt", "1e300"], node_path),
+    runs = [("solve", ["--T", "1e308", "--dt", "1e300"], node_path, NODE_BYTES),
             ("simulate", *sim(3, 4971026)),
             ("simulate", *sim(10**6, 1)),
             ("simulate", *sim(10**6, 1000)),
             ("simulate", *sim(10**30, 1))]
-    for k, (cmd, args, refusal) in enumerate(runs):
+    for k, (cmd, args, refusal, budget) in enumerate(runs):
         out = tmp_path / str(k)
         tracemalloc.start()
         try:
@@ -1342,7 +1345,7 @@ def test_cli_refuses_node_arrays_past_the_budget_before_allocating(tmp_path, cap
         finally:
             tracemalloc.stop()
         assert code == 1 and summary["error"] == (
-            f"{refusal}, past the budget of {NODE_BYTES} bytes")
+            f"{refusal}, past the budget of {budget} bytes")
         assert os.listdir(out) == [] and peak < 1 << 24
 
 

@@ -610,17 +610,25 @@ def test_node_arrays_past_the_budget_are_refused_before_allocation():
         solve_mfg(x0, np.zeros((3, 3)), steps, 1.0, cfg)
     # a simulation holds, per replication, its counts, node times and sample
     # times ((samples + 1) x 12 values), two uniform buffers and 6 values a
-    # channel
+    # channel, within the budget less a speculative step's _SPEC_BYTES
     channels = len(simulator._build_channels(cfg, None, 9)[0])
+    budget = NODE_BYTES - simulator._SPEC_BYTES
 
     def sim_refusal(reps, samples):
         values = (samples + 1) * 12 + 2 * 1024 + 6 * channels
         return (f"a simulation of {reps} x {values} values takes {8 * reps * values} bytes, "
-                f"past the budget of {NODE_BYTES} bytes")
+                f"past the budget of {budget} bytes")
 
     s0 = CountState.from_occupation(x0, 9)
     with pytest.raises(ValueError, match=sim_refusal(1, rows - 1)):
         simulate(s0, None, 1.0, 0, cfg, samples=rows - 1)
+    # one or two replications within NODE_BYTES, but not within what a
+    # speculative step leaves of it
+    for reps in (1, 2):
+        samples = (NODE_BYTES // (8 * reps) - 2 * 1024 - 6 * channels) // 12 - 1
+        assert 8 * reps * ((samples + 1) * 12 + 2 * 1024 + 6 * channels) <= NODE_BYTES
+        with pytest.raises(ValueError, match=sim_refusal(reps, samples)):
+            simulate(s0, None, 1.0, list(range(reps)) if reps > 1 else 0, cfg, samples=samples)
     # three replications whose counts and times alone are within the budget
     samples = NODE_BYTES // (8 * 3 * 12)
     with pytest.raises(ValueError, match=sim_refusal(3, samples)):

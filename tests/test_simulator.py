@@ -580,26 +580,43 @@ def test_speculative_steps_keep_the_first_index_rule_on_ties(monkeypatch):
         npt.assert_array_equal(path.counts, solo.counts)
 
 
-def test_running_sums_are_the_same_bits_by_loop_or_accumulate(monkeypatch):
-    # the example's channels over random count columns: the loop down the
-    # channels and np.add.accumulate give the scalar loop's sums in bits
+def _scalar_sums(counts, src, coeff, partner):
+    # the scalar loop's running sums of one count column, channel 0's 0 first
+    tot, sums = 0.0, [0.0]
+    for s_, c_, p_ in zip(src.tolist(), coeff.tolist(), partner.tolist()):
+        tot += c_ * int(counts[s_]) * int(counts[p_])
+        sums.append(tot)
+    return sums
+
+
+def test_running_sums_are_the_scalar_loops_in_bits(monkeypatch):
+    # the example's channels: the one-event step's running sums of random
+    # count columns, and those a speculative step returns with each column's
+    # last state, are the scalar loop's sums in bits
     cfg = read_config(EXAMPLE)
-    src, _, coeff, partner = hbmfg.simulator._build_channels(cfg, None, 1000)
+    src, _, coeff, partner = hbmfg.simulator._build_channels(cfg, None, 10000)
     take = np.concatenate(([9], src, [9, 9], partner, [9]))
     coeffs = np.concatenate(([0.0], coeff, [math.inf]))[:, None]
     counts = np.ones((10, 40))
-    counts[:9] = np.random.default_rng(3).integers(0, 1000, size=(9, 40))
-    sums = {}
-    for at in (1, 10**9):
-        monkeypatch.setattr(hbmfg.simulator, "_LOOP_SUMS", at)
-        sums[at] = hbmfg.simulator._running_sums(counts, take, coeffs)
-    npt.assert_array_equal(sums[1], sums[10**9])
-    for r in (0, 39):
-        tot, want = 0.0, [0.0]
-        for s_, c_, p_ in zip(src.tolist(), coeff.tolist(), partner.tolist()):
-            tot += c_ * int(counts[s_, r]) * int(counts[p_, r])
-            want.append(tot)
-        assert sums[1][:-1, r].tolist() == want and sums[1][-1, r] == math.inf
+    counts[:9] = np.random.default_rng(3).integers(0, 10000, size=(9, 40))
+    sums = hbmfg.simulator._channel_rates(counts, take, coeffs)
+    np.add.accumulate(sums, axis=0, out=sums)
+    for r in range(40):
+        assert sums[:-1, r].tolist() == _scalar_sums(counts[:, r], src, coeff, partner)
+        assert sums[-1, r] == math.inf
+    speculate, checked = hbmfg.simulator._speculate, []
+
+    def check(*args):
+        out = speculate(*args)
+        for r in range(out[0].shape[1]):
+            assert out[1][:-1, r].tolist() == _scalar_sums(out[0][:, r], src, coeff, partner)
+        checked.append(out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(hbmfg.simulator, "_speculate", check)
+    simulate(CountState.from_occupation(np.full((3, 3), 1 / 9), 10000), None, 0.1,
+             range(16), cfg, samples=10)
+    assert checked and max(checked) == 16
 
 
 def test_speculative_depth_is_a_power_of_two_within_its_cap():
