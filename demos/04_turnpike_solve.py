@@ -60,7 +60,7 @@ def run(label: str, cfg: GameConfig, x0: np.ndarray) -> None:
     print(f"--- {label} ---")
     print(f"horizon T={T:.1f}, dt={dt:g}, "
           f"converged={res.converged} after {res.iterations} iteration(s)")
-    print(f"fraction of steps with any switching: {tm.switch_fraction:.3f}")
+    print(f"fraction of steps with any switching: {res.meta['switch_fraction']:.3f}")
     print(f"worst switching gain along the payoff path: "
           f"{res.meta['cone_worst']:+.3f}")
     print(f"behaviour masses at t=0: {x0.sum(axis=0)}")

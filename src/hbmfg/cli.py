@@ -211,7 +211,7 @@ def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, g
     try:
         tm = turnpike_metrics(res, cfg)
         turnpike = {"sup_middle": tm.sup_middle, "sup_middle_g": tm.sup_middle_g,
-                    "plateau": tm.plateau, "switch_fraction": tm.switch_fraction}
+                    "plateau": tm.plateau}
     except StationaryError:
         pass
     write_json(os.path.join(out, "solve.json"), {
@@ -225,11 +225,6 @@ def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, g
         "flipped_steps": res.meta["flipped_steps"],
         "drift_max": traj.meta["drift_max"],
         "projections": traj.meta["projections"],
-        "violations": res.meta["violations"],
-        "violations_head": [
-            [t, i + 1, a + 1, b + 1, gain]
-            for (t, i, a, b, gain) in res.cone_violations[:20]
-        ],
         "turnpike": turnpike,
     }, written)
     summary = {"cmd": "solve", "converged": res.converged,

@@ -15,7 +15,7 @@ for a held run of occupation nodes equal in bits, which is stepped in long
 blocks, each step a kinetics.rk4_step.  The optimizing pass holds the best
 response over response runs of steps, checked in bits against the best
 switch at their stage inputs (_best_response).  After the sweep, one pass
-over the nodes gives the best responses and the cone scan.
+over the nodes gives the best responses and the path's largest switch gain.
 """
 from __future__ import annotations
 
@@ -44,8 +44,6 @@ OCCUPIED_TOL = 1e-9
 # switch gains (a quarter each), and the node pass's switch gains and
 # column-pair differences are built a block at a time in about this many bytes.
 BLOCK_BYTES = 1 << 17
-# Profitable switches the node pass lists before truncation (all are counted).
-VIOLATION_CAP = 1000
 
 
 class HjbError(RuntimeError):
@@ -325,42 +323,29 @@ def _cone_worst(gs: np.ndarray, cfg: GameConfig) -> float:
     return float((spread - cfg.switch_fee).max())
 
 
-def _node_pass(times: np.ndarray, gs: np.ndarray, cfg: GameConfig):
-    """Best response at every node of a payoff path, and its profitable switches.
+def _node_pass(gs: np.ndarray, cfg: GameConfig):
+    """Best response at every node of a payoff path, and its largest switch gain.
 
-    Returns u, with u[k] = optimal_control(gs[k]), and the cone scan:
-    cone_worst, the largest switch gain on the path (-inf when m == 1);
-    violations, the number of (node, level, from, to) switches with a
-    positive gain; violations_head, the first VIOLATION_CAP of them as
-    (t, level, from, to, gain).  _cone_worst comes first: below 0, every
-    target stays and nothing is profitable, so no gain tensor is built.
-    Otherwise a pass over the path in blocks of nodes whose gains, about
-    m + 4 values per state with the maxima, targets and hits, fit in
-    BLOCK_BYTES gives all of them.
+    Returns u, with u[k] = optimal_control(gs[k]), and cone_worst, the
+    largest switch gain on the path (_cone_worst's; -inf when m == 1).  At
+    most SWITCH_TOL, every target stays, so no gain tensor is built.
+    Otherwise a pass over the path in blocks of nodes whose gains, m + 3
+    values per state with their maxima, argmax and targets, fit in
+    BLOCK_BYTES gives the targets; a block with no gain above SWITCH_TOL
+    stays without the argmax.
     """
     n, m = cfg.n, cfg.m
     stay = np.arange(m, dtype=np.min_scalar_type(m - 1))   # targets lie in [0, m)
     worst = _cone_worst(gs, cfg)
-    if worst < 0.0:
-        return np.broadcast_to(stay, gs.shape), {"cone_worst": worst, "violations": 0,
-                                                 "violations_head": []}
-    size = max(1, BLOCK_BYTES // (8 * n * m * (m + 4)))
+    if worst <= SWITCH_TOL:
+        return np.broadcast_to(stay, gs.shape), worst
+    size = max(1, BLOCK_BYTES // (8 * n * m * (m + 3)))
     us = np.empty(gs.shape, dtype=stay.dtype)
-    worst, count, head = float("-inf"), 0, []
     for lo in range(0, len(gs), size):
         gains = switch_gains(gs[lo:lo + size], cfg)
         best = gains.max(axis=-1)
-        top = float(best.max())
-        # no gain above SWITCH_TOL: every target stays, no argmax needed
-        us[lo:lo + size] = stay if top <= SWITCH_TOL else _best_targets(gains, best)
-        worst = max(worst, top)
-        if top > 0.0:
-            hits = gains > 0.0
-            count += int(np.count_nonzero(hits))
-            first = np.flatnonzero(hits)[:VIOLATION_CAP - len(head)]
-            for k, i, a, b in zip(*(v.tolist() for v in np.unravel_index(first, hits.shape))):
-                head.append((float(times[lo + k]), i, a, b, float(gains[k, i, a, b])))
-    return us, {"cone_worst": worst, "violations": count, "violations_head": head}
+        us[lo:lo + size] = stay if best.max() <= SWITCH_TOL else _best_targets(gains, best)
+    return us, worst
 
 
 def consistency_margin(g, x, cfg: GameConfig) -> float:
@@ -411,8 +396,8 @@ def integrate_backward(
     one; it is checked once per block.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
-    response to g(times[k]), and meta's cone scan of the path: cone_worst,
-    violations and violations_head, as _node_pass gives them.
+    response to g(times[k]), and meta's cone_worst, the largest switch gain
+    on the path, as _node_pass gives it.
     """
     if mode not in ("fixed", "optimizing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -504,7 +489,7 @@ def integrate_backward(
     meta = {"dt": h, "mode": mode}
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
-    us, scan = _node_pass(times, gs, cfg)
+    us, worst = _node_pass(gs, cfg)
     return Trajectory(times=times, g=gs, u=Control.of_steps(us[:-1]),
                       meta={**meta, "held_steps": held_steps,
-                            "rerun_steps": n_steps - held_steps, **scan})
+                            "rerun_steps": n_steps - held_steps, "cone_worst": worst})

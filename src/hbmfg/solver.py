@@ -9,11 +9,12 @@ control, a model.Control of a few pieces, and the backward pass
 takes the forward occupation at the nodes.  It stops when the control path
 is its own best response on every step: an exact equilibrium certificate.
 
-The diagnostics certify the no-switching regime: solve_mfg records the best
-switching gain along the path (cone_worst), boundary_tangent_condition
-evaluates the payoff flow exactly on a switching boundary, and
-rate_ordering_check tests the per-pair rate comparability that keeps
-boundaries repelling.  turnpike_metrics
+The diagnostics certify the no-switching regime: solve_mfg records the
+largest switching gain along the final payoff path (cone_worst), at most 0
+exactly when no switch beats staying there; where agents do switch is the
+control itself.  boundary_tangent_condition evaluates the payoff flow
+exactly on a switching boundary, and rate_ordering_check tests the per-pair
+rate comparability that keeps boundaries repelling.  turnpike_metrics
 measures how long a finite-horizon solve hugs the stationary expansion.
 """
 from __future__ import annotations
@@ -71,17 +72,15 @@ class MfgSolveResult:
     model.Control whose targets[p, i, j] == j means stay.  When
     converged, u is also the control the occupation path was integrated
     under, so (x, g, u) is an exact equilibrium on the grid.  oscillating
-    marks a period-2 control cycle.  cone_violations lists (t, level, from,
-    to, gain) where switching was profitable on the final payoff path,
-    truncated at hjb.VIOLATION_CAP; meta["violations"] counts them all.  Both
-    come from integrate_backward's node pass.
+    marks a period-2 control cycle.  meta["cone_worst"], the largest switch
+    gain on the final payoff path (integrate_backward's), is at most 0
+    exactly when no switch there beats staying.
     """
 
     trajectory: Trajectory
     iterations: int
     converged: bool
     oscillating: bool
-    cone_violations: List[Tuple[float, int, int, int, float]]
     meta: dict = field(default_factory=dict, repr=False)
 
 
@@ -137,14 +136,12 @@ def solve_mfg(
         iterations=iterations,
         converged=converged,
         oscillating=oscillating,
-        cone_violations=bwd.meta["violations_head"],
         meta={
             "flipped_steps": flipped,
             # perfbench's traced run reads these two: no halvings, zero residual
             "damping_final": 0.5,
             "dx_final": 0.0,
             "cone_worst": bwd.meta["cone_worst"],
-            "violations": bwd.meta["violations"],
             "switch_fraction": bwd.u.steps_differing(stay) / n_steps,
         },
     )
@@ -213,7 +210,6 @@ class TurnpikeMetrics:
     g_distance: sup-distance per node to the assembled stationary payoff.
     sup_middle_* take the supremum over the middle 80% of the horizon;
     plateau is the final d0 sample.
-    switch_fraction is the solve's share of steps where anyone switches.
     """
 
     times: np.ndarray
@@ -222,7 +218,6 @@ class TurnpikeMetrics:
     sup_middle: float
     sup_middle_g: float
     plateau: float
-    switch_fraction: float
 
 
 def _sup_distance(path: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -246,5 +241,4 @@ def turnpike_metrics(result: MfgSolveResult, cfg: GameConfig) -> TurnpikeMetrics
         sup_middle=float(d0[middle].max()) if middle.any() else float(d0.max()),
         sup_middle_g=float(gd[middle].max()) if middle.any() else float(gd.max()),
         plateau=float(d0[-1]),
-        switch_fraction=result.meta["switch_fraction"],
     )

@@ -208,8 +208,6 @@ def test_07_cone_invariance():
                f"case {c}: converged={res.converged} iterations={res.iterations}")
         _check(failures, np.all(res.trajectory.u.targets == np.arange(m)),
                f"case {c}: control switched somewhere")
-        _check(failures, not res.cone_violations,
-               f"case {c}: {len(res.cone_violations)} cone violations")
         worst = res.meta["cone_worst"]
         _check(failures, worst <= 0.0, f"case {c}: cone_worst {worst:.3e}")
     _verdict(7, "cone-invariance", failures)

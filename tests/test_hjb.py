@@ -380,7 +380,7 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     assert_reruns(best, changing)
     assert 0 < sum(changing) and not changing[0] and not changing[-1]
     assert (firsts[-1] != np.arange(3)).any() and (firsts[0] == np.arange(3)).all()
-    assert best.meta["violations"] > 0
+    assert best.meta["cone_worst"] == switch_gains(best.g, thm).max() > SWITCH_TOL
 
 
 def tied_config():
@@ -501,49 +501,53 @@ def test_held_run_check_compares_bits():
 def test_node_pass_equals_a_node_by_node_scan(monkeypatch):
     # the 10 x 10 case's gains alone fill several node blocks; profitable
     # switches start after the first block, the largest well before the last.
-    # In the second block of 11 nodes the best gains lie in (0, SWITCH_TOL]:
-    # every target stays, yet the gains count as violations.  In the third
-    # the best gains are exactly 0.
+    # In the second block the best gains lie in (0, SWITCH_TOL], in the third
+    # they are exactly 0: both keep every target without the argmax
     cfg = stage_cases()[-2][0]
+    size = BLOCK_BYTES // (8 * cfg.n * cfg.m * (cfg.m + 3))   # nodes per block
     gs = np.zeros((100, cfg.n, cfg.m))
-    gs[11:22, 5, 3] = cfg.fee_B[0, 3] + 4e-13
-    gs[22:33, 1, 6] = cfg.fee_B[0, 6]
+    gs[size:2 * size, 5, 3] = cfg.fee_B[0, 3] + 4e-13
+    gs[2 * size:3 * size, 1, 6] = cfg.fee_B[0, 6]
     gs[40, 3, 7] = 5.0
     gs[70:, 2, 4] = 1.0
     gs[90:, 6] = 0.1 * np.arange(cfg.m)
-    times = 0.5 * np.arange(100)
     assert len(gs) * 8 * cfg.n * cfg.m ** 2 > 3 * BLOCK_BYTES
-    monkeypatch.setattr(hbmfg.hjb, "VIOLATION_CAP", 200)
-    u, scan = _node_pass(times, gs, cfg)
-    npt.assert_array_equal(u, [optimal_control(g, cfg) for g in gs])
-    hits = []
-    for t, g in zip(times, gs):
-        gains = switch_gains(g, cfg)
-        hits += [(float(t), i, a, b, float(gains[i, a, b]))
-                 for i, a, b in np.argwhere(gains > 0.0).tolist()]
-    assert scan["cone_worst"] == max(h[-1] for h in hits) == 5.0 - cfg.fee_B[0, 7]
-    assert scan["violations"] == len(hits) > 200
-    assert scan["violations_head"] == hits[:200]
-    assert 0.0 < switch_gains(gs[11:22], cfg).max() <= SWITCH_TOL
-    assert switch_gains(gs[22:33], cfg).max() == 0.0
-    assert (u[11:33] == np.arange(cfg.m)).all() and hits[0][0] == times[11]
+    want_u, want_worst = node_by_node(gs, cfg)
+    blocks, argmax, best_targets = [], [], hbmfg.hjb._best_targets
+    monkeypatch.setattr(hbmfg.hjb, "switch_gains",
+                        lambda g, c: blocks.append(len(g)) or switch_gains(g, c))
+    monkeypatch.setattr(hbmfg.hjb, "_best_targets",
+                        lambda gains, best: argmax.append(len(blocks) - 1)
+                        or best_targets(gains, best))
+    u, worst = _node_pass(gs, cfg)
+    npt.assert_array_equal(u, want_u)
+    assert same_bits(worst, want_worst) and worst == 5.0 - cfg.fee_B[0, 7]
+    assert sum(blocks) == len(gs) and set(blocks[:-1]) == {size}
+    assert argmax == [b for b in range(len(blocks))
+                      if switch_gains(gs[b * size:(b + 1) * size], cfg).max() > SWITCH_TOL]
+    assert argmax[0] == 40 // size > 2
+    assert 0.0 < switch_gains(gs[size:2 * size], cfg).max() <= SWITCH_TOL
+    assert switch_gains(gs[2 * size:3 * size], cfg).max() == 0.0
+    assert (u[:3 * size] == np.arange(cfg.m)).all()
 
 
-def node_by_node(times, gs, cfg):
+def node_by_node(gs, cfg):
     """_node_pass's results from switch_gains and optimal_control, one node at a time."""
-    hits, worst = [], float("-inf")
-    for t, g in zip(times, gs):
-        gains = switch_gains(g, cfg)
-        worst = max(worst, float(gains.max()))
-        hits += [(float(t), i, a, b, float(gains[i, a, b]))
-                 for i, a, b in np.argwhere(gains > 0.0).tolist()]
-    return [optimal_control(g, cfg) for g in gs], worst, hits
+    worst = float("-inf")
+    for g in gs:
+        worst = max(worst, float(switch_gains(g, cfg).max()))
+    return [optimal_control(g, cfg) for g in gs], worst
 
 
-def test_node_pass_builds_no_gain_tensor_only_below_zero(monkeypatch):
-    # the pair pass decides: a largest gain below 0 returns every target
-    # staying without the block pass, which alone calls switch_gains; a
-    # largest gain of exactly 0.0, or one in (0, SWITCH_TOL], falls through
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+def test_node_pass_builds_no_gain_tensor_at_most_switch_tol(monkeypatch):
+    # the pair pass decides: a largest gain at most SWITCH_TOL (below 0,
+    # exactly 0.0, or in (0, SWITCH_TOL]) returns every target staying
+    # without the block pass, which alone calls switch_gains; a largest gain
+    # above SWITCH_TOL falls through
     cfg, _, rng, _ = stage_cases()[-2]
     one = stage_cases()[9][0]
     assert cfg.m == 10 and one.m == 1
@@ -551,27 +555,27 @@ def test_node_pass_builds_no_gain_tensor_only_below_zero(monkeypatch):
     calls = []
     monkeypatch.setattr(hbmfg.hjb, "switch_gains",
                         lambda g, c: calls.append(len(g)) or switch_gains(g, c))
-    times = 0.5 * np.arange(100)
     below = rng.uniform(0.0, 0.1, size=(100, cfg.n, cfg.m))
     below[83, 4, 7] = 0.15   # the largest gain sits in a late row block
-    zero, tiny = np.zeros((2, 100, cfg.n, cfg.m))
+    zero, tiny, above = np.zeros((3, 100, cfg.n, cfg.m))
     zero[50, 1, 6] = cfg.fee_B[0, 6]
     tiny[50, 5, 3] = cfg.fee_B[0, 3] + 4e-13
+    above[50, 5, 3] = cfg.fee_B[0, 3] + 4e-12
     assert len(below) * cfg.n > 3 * (1 << 13) // (16 * cfg.m)   # rows over pair blocks
     for c, gs, shortcut in ((cfg, below, True), (one, rng.normal(size=(100, one.n, 1)), True),
-                            (cfg, zero, False), (cfg, tiny, False)):
+                            (cfg, zero, True), (cfg, tiny, True), (cfg, above, False)):
+        want_u, want_worst = node_by_node(gs, c)
         calls.clear()
-        u, scan = _node_pass(times, gs, c)
+        u, worst = _node_pass(gs, c)
         assert (not calls) == shortcut
-        want_u, worst, hits = node_by_node(times, gs, c)
         npt.assert_array_equal(u, want_u)
         assert u.dtype == np.uint8 and u.shape == gs.shape
-        assert scan["cone_worst"] == worst
-        assert scan["violations"] == len(hits) and scan["violations_head"] == hits
+        assert same_bits(worst, want_worst)
         assert c.m > 1 or worst == float("-inf")
-    assert 0.0 < worst <= SWITCH_TOL and len(hits) == cfg.m - 1
-    assert node_by_node(times, below, cfg)[1] == switch_gains(below[83], cfg).max() < 0.0
-    assert node_by_node(times, zero, cfg)[1] == 0.0
+    assert worst > SWITCH_TOL and u[50, 5, 3] == 3 and (u[:50] == np.arange(cfg.m)).all()
+    assert node_by_node(below, cfg)[1] == switch_gains(below[83], cfg).max() < 0.0
+    assert node_by_node(zero, cfg)[1] == 0.0
+    assert 0.0 < node_by_node(tiny, cfg)[1] <= SWITCH_TOL
 
 
 def test_integrate_backward_names_the_first_non_finite_step():

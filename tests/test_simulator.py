@@ -14,6 +14,7 @@ from hbmfg import (
     CountState,
     GameConfig,
     Occupation,
+    Regime,
     SinkRates,
     convergence_study,
     enumerate_transitions,
@@ -25,7 +26,7 @@ from hbmfg import (
 )
 import hbmfg.simulator
 from hbmfg.kinetics import MAX_STEPS
-from hbmfg.simulator import MAX_N, _ROW_WIDTH, SimPath
+from hbmfg.simulator import MAX_N, _ROW_WIDTH, SimPath, _build_channels
 from test_kinetics import random_control
 from util_configs import make_config
 
@@ -749,3 +750,78 @@ def test_lockstep_rejects_event_log_and_empty_seed_list():
         simulate(s0, None, 1.0, [1, 2], cfg, record_events=True)
     with pytest.raises(ValueError):
         simulate(s0, None, 1.0, [], cfg)
+
+
+def lattice_mean(cfg, target, counts0, T, h):
+    """E[counts / N] at T of the exact N-agent chain from counts0, (n, m).
+
+    The chain's generator is built on every count vector of N agents, from
+    _build_channels's table: channel c moves an agent from src[c] to dst[c]
+    at rate coeff[c] * counts[src[c]] * counts[partner[c]].  Its convention
+    is the simulator's: a stimulated move's partner is the cell (i, k), so
+    when k = j the partner is src itself, and an agent counts itself among
+    its own cell's partners (counts[src] ** 2, not counts[src] * (counts[src]
+    - 1)).  The master equation dp/dt = L p is integrated by RK4 at step h,
+    L applied through np.bincount over the (state, channel) transitions.
+    """
+    N, cells = int(counts0.sum()), cfg.n * cfg.m
+    src, dst, coeff, partner = _build_channels(cfg, target, N)
+    grid = np.indices((N + 1,) * (cells - 1)).reshape(cells - 1, -1).T
+    grid = grid[grid.sum(axis=1) <= N]
+    states = np.column_stack([grid, N - grid.sum(axis=1)])   # every count vector
+    index = np.full((N + 1,) * (cells - 1), -1)   # a state's row, by its first cells
+    index[tuple(grid.T)] = np.arange(len(states))
+    counts = np.column_stack([states, np.ones(len(states))])   # with the row fixed at 1
+    rates = coeff * counts[:, src] * counts[:, partner]
+    frm, ch = np.nonzero(rates > 0.0)
+    moved = states[frm]
+    rows = np.arange(len(frm))
+    moved[rows, src[ch]] -= 1
+    moved[rows, dst[ch]] += 1
+    to, rate = index[tuple(moved[:, :-1].T)], rates[frm, ch]
+    out = np.bincount(frm, rate, len(states))
+
+    def L(p):
+        return np.bincount(to, rate * p[frm], len(states)) - out * p
+
+    p = np.zeros(len(states))
+    p[index[tuple(counts0.ravel()[:-1])]] = 1.0
+    for _ in range(round(T / h)):
+        k1 = L(p)
+        k2 = L(p + 0.5 * h * k1)
+        k3 = L(p + 0.5 * h * k2)
+        p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + L(p + h * k3))
+    return (p @ states / N).reshape(cfg.n, cfg.m)
+
+
+LATTICE_X0 = np.array([[0.4, 0.3], [0.2, 0.1]])   # N * x0 is whole for N = 10, 20, 40
+
+
+@pytest.mark.parametrize("sink, target", [(False, None), (False, [[1, 1], [0, 0]]),
+                                          (True, [[1, 0], [1, 0]])])
+def test_linear_chain_mean_is_the_mean_field_path(sink, target):
+    # without stimulated moves every rate is linear in the counts, so the
+    # exact chain's mean solves the forward equation, and RK4 at one step
+    # keeps that: the means agree up to rounding, for every N
+    cfg = make_config(2, 2, np.random.default_rng(4), with_evo=False, lam=2.0, sink=sink)
+    target = None if target is None else np.array(target)
+    T, h = 1.0, 0.02
+    x = integrate_forward(LATTICE_X0, target, 0.0, T, h, cfg).x[-1]
+    assert np.abs(x - LATTICE_X0).max() > 0.05   # the path moves
+    for N in (10, 20):
+        mean = lattice_mean(cfg, target, np.rint(N * LATTICE_X0).astype(int), T, h)
+        assert np.abs(mean - x).max() < 1e-10, N
+
+
+def test_stimulated_chain_mean_is_off_the_mean_field_path_by_order_one_over_n():
+    # stimulated moves are quadratic in the counts: the exact chain's mean
+    # is off the mean-field path by a bias that halves as N doubles
+    cfg = make_config(2, 2, np.random.default_rng(4), db=False, balanced_evo=False,
+                      delta=1.0, regime=Regime.ID2)
+    T, h = 1.0, 0.02
+    x = integrate_forward(LATTICE_X0, None, 0.0, T, h, cfg).x[-1]
+    bias = [np.abs(lattice_mean(cfg, None, np.rint(N * LATTICE_X0).astype(int), T, h)
+                   - x).max() for N in (10, 20, 40)]
+    assert 1e-4 < bias[-1] < bias[0] < 1e-3
+    for coarse, fine in zip(bias, bias[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
