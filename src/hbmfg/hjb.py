@@ -12,10 +12,14 @@ switch term plays a given model.Control, one gain per piece at the cells
 GameConfig.switch_cells gives, or the best response, a Control.  Without it
 the flow is affine in g, a map built for a block of steps at a time, or once
 for a held run of occupation nodes equal in bits, which is stepped in long
-blocks, each step a kinetics.rk4_step.  The optimizing pass holds the best
-response over response runs of steps, checked in bits against the best
-switch at their stage inputs (_best_response).  After the sweep, one pass
-over the nodes gives the best responses and the path's largest switch gain.
+blocks.  A step is a kinetics.rk4_step, except where the optimizing pass
+holds both the operator and the response, everybody staying or fixed
+targets: the flow is then autonomous and affine, so RK4 is one affine map
+of g (_step_map), built once per held run and response, and the step one
+matmul and one add.  The optimizing pass holds the best response over
+response runs of steps, checked in bits against the best switch at their
+stage inputs (_best_response).  After the sweep, one pass over the nodes
+gives the best responses and the path's largest switch gain.
 """
 from __future__ import annotations
 
@@ -42,7 +46,8 @@ OCCUPIED_TOL = 1e-9
 # Per-step payoff operators, with the arrays that assemble them, a held run's
 # nodes, a response run's stage inputs (half) and its check's bounds and
 # switch gains (a quarter each), and the node pass's switch gains and
-# column-pair differences are built a block at a time in about this many bytes.
+# column-pair differences are built a block at a time in about this many
+# bytes; a step map of fixed targets is built only within a quarter of it.
 BLOCK_BYTES = 1 << 17
 
 
@@ -95,13 +100,15 @@ def _block_steps(cfg: GameConfig) -> int:
 
 def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
     """The payoff pass's blocks of steps, from n_steps down to 0, as (lo, hi,
-    M, c): steps lo..hi-1 and their operators, one per step or one for all.
+    M, c, held): steps lo..hi-1 and their operators, one per step or one for
+    all, and the held run's length (0 between held runs).
 
     A held run, _block_steps or more steps whose end nodes are all equal in
     bits (the forward fill, a fixed occupation; the whole path when x_nodes
     is None), shares one operator, built from 0.5 * (v + v) as each of its
-    steps' mean nodes is, and goes in blocks of run_size steps.  The steps
-    between held runs go in blocks of _block_steps, one operator per step.
+    steps' mean nodes is, and goes in blocks of run_size steps, each given
+    the same M and c.  The steps between held runs go in blocks of
+    _block_steps, one operator per step.
     """
     size = _block_steps(cfg)
     if x_nodes is None:
@@ -120,12 +127,12 @@ def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
         for hi in range(top, b, -size):
             lo = max(b, hi - size)
             mean = 0.5 * (x_nodes[lo:hi] + x_nodes[lo + 1:hi + 1])
-            yield (lo, hi, *_payoff_operators(mean, cfg))
+            yield (lo, hi, *_payoff_operators(mean, cfg), 0)
         if a < b:
             v = None if x_nodes is None else x_nodes[b:b + 1]
             M, c = _payoff_operators(None if v is None else 0.5 * (v + v), cfg)
             for hi in range(b, a, -run_size):
-                yield max(a, hi - run_size), hi, M, c
+                yield max(a, hi - run_size), hi, M, c, b - a
         top = a
 
 
@@ -160,6 +167,44 @@ def _target_gains(cfg: GameConfig):
         return term, cells, fee
 
     return gain_of
+
+
+def _step_map(M, c, cells, fee, lam: float, h):
+    """One RK4 step, of step h, of a held operator's flow under held targets,
+    as an affine map of the payoff: (Q, q), with Q[s] @ G + q[s] the step's
+    stage inputs (s = 0, 1, 2) and its output (s = 3).
+
+    cells None (everybody stays) keeps the by-column blocks of M (m, n, n)
+    and c (m, n, 1): Q (4, m, n, n) and q (4, m, n, 1) act on G (m, n, 1).
+    Otherwise the flow M @ G + c - lam * (G[cells] - G - fee), with
+    _target_gains's cells and fee, is A @ G + b on the flat by-column payoff
+    (n * m, 1): A = M's blocks on the diagonal less lam * (P - I), P the
+    gather of cells, and b = c + lam * fee; Q (4, nm, nm) and q (4, nm, 1).
+    Either is one kinetics.rk4_step, with its stages, of the slope Z ->
+    A @ Z + [0 | b] from the augmented identity [I | 0]: on an affine flow
+    each RK4 stage is an affine map (the step's is R(hA)), so the identity
+    columns carry the linear parts and the last column, from 0, the
+    constants.
+    """
+    if cells is None:
+        A, b = M, c
+    else:
+        m, n = M.shape[:2]
+        size = n * m
+        A = np.zeros((m, n, m, n))
+        A[np.arange(m), :, np.arange(m)] = M
+        A = A.reshape(size, size)
+        eye = np.eye(size)
+        A -= lam * (eye[cells] - eye)
+        b = c.reshape(size, 1) + lam * fee[:, None]
+    rows = A.shape[-1]
+    Z = np.zeros(A.shape[:-1] + (rows + 1,))
+    Z[..., :rows] = np.eye(rows)
+    C = np.zeros(Z.shape)
+    C[..., rows:] = b
+    Q = np.empty((4, *Z.shape))
+    rk4_step(lambda z: np.matmul(A, z) + C, Z, h, out=Q[3], stages=tuple(Q[:3]))
+    return np.ascontiguousarray(Q[..., :rows]), np.ascontiguousarray(Q[..., rows:])
 
 
 def _best_response(cfg: GameConfig):
@@ -387,9 +432,19 @@ def integrate_backward(
     Each step's switch-free flow is hjb_rhs's affine map, built for a block
     of steps at a time within BLOCK_BYTES.  A held run, at least a block of
     steps whose end nodes are all equal in bits, shares one map and is
-    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.  Each
-    step is a kinetics.rk4_step of one slope, M @ G + c - lam * gain(G),
-    that keeps its stage inputs for the response run's check.
+    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.  A step
+    is a kinetics.rk4_step of one slope, M @ G + c - lam * gain(G), that
+    keeps its stage inputs for the response run's check; on a held run, a
+    response run's step (optimizing mode, bare or of fixed targets) goes
+    through that response's step map instead (_step_map, cached per held
+    operator by target cells): one matmul and one add give the step's
+    stage inputs and output, and a copy its node.  A map of rows x rows
+    blocks (rows n bare, n * m for targets) is built only for a held run of
+    rows**2 steps or more; a target map also needs 0 <= lam < inf and its
+    four matrices within a quarter of BLOCK_BYTES (3 x 3, not 10 x 10).
+    Fixed mode, the best switch's direct steps and reruns keep the stages.
+    meta["map_steps"] counts the steps kept from step maps, meta["maps"]
+    the maps built.
     A payoff gT not of the grid's (n, m) raises ValueError, and so does a
     grid that step_grid refuses (past kinetics.NODE_BYTES, say).  A non-finite
     payoff raises HjbError at the first step, in reversed time, that gave
@@ -427,7 +482,9 @@ def integrate_backward(
     gs[n_steps] = gT
     # a response run's most steps: their stage inputs fill half of BLOCK_BYTES
     size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m)) if optimizing else 1
-    H = np.empty((size, 4, m, n, 1))   # a run's stage inputs by step, g first
+    # a run's stage inputs by step, g first, and then its output: a step map
+    # writes step r's stage inputs and output, H[r, 1:] and H[r + 1, 0], at once
+    H = np.empty((size + 1, 4, m, n, 1))
     inputs = [(Y[0], tuple(Y[1:])) for Y in H]
     H[0, 0] = _by_column(gT)
     if optimizing:
@@ -439,6 +496,31 @@ def integrate_backward(
     run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
     cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
     M_k = c_k = gain_k = None   # the step's operator, constant and switch term
+    # a target map's four matrices, (nm, nm + 1) values each, fit a quarter of
+    # BLOCK_BYTES, as the check's arrays do; its switch term needs a finite lam >= 0
+    target_maps = 0.0 <= cfg.lam < np.inf and 32 * n * m * (n * m + 1) <= BLOCK_BYTES // 4
+    maps, maps_for = {}, None   # the step maps of operator maps_for, by target cells
+    map_steps = built = 0
+
+    def step_map(response):   # the held run's step map under a response, or None
+        nonlocal built, maps_for
+        cells, fee = response[1:3]
+        # a map of rows x rows blocks costs about `rows` of its steps to build,
+        # and a bare map step as much arithmetic as its stages: a held run of
+        # rows**2 steps or more builds one, at most 1 / rows of its steps' cost
+        rows = n if cells is None else n * m
+        if held < rows * rows or cells is not None and not target_maps:
+            return None
+        if M is not maps_for:
+            maps.clear()
+            maps_for = M
+        key = None if cells is None else cells.tobytes()
+        if key not in maps:
+            Q, q = _step_map(M[0], c[0], cells, fee, cfg.lam, scalars)
+            shape = q.shape[1:]
+            maps[key] = Q, q, H.reshape(-1, *shape)
+            built += 1
+        return maps[key]
 
     def slope(y):   # gain_k(y) returns an array the slope may overwrite
         dg = np.matmul(M_k, y)
@@ -456,7 +538,7 @@ def integrate_backward(
         y, stages = inputs[r]
         return rk4_step(slope, y, scalars, out=cols[k - lo], stages=stages)
 
-    for lo, hi, M, c in _operator_blocks(x_nodes, n_steps, run_size, cfg):
+    for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, run_size, cfg):
         k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
             while k >= lo:
@@ -466,14 +548,22 @@ def integrate_backward(
                     continue
                 response = respond(H[0, 0])
                 length = min(run, k - lo + 1)
-                for r in range(length):
-                    out = step(k - r, response[0], r)
-                    if r + 1 < length:
-                        H[r + 1, 0] = out
+                mapped = step_map(response)
+                if mapped:   # H's slots 4r .. 4r + 4: step r's input, stage inputs, output
+                    Q, q, slots = mapped
+                    for r in range(length):
+                        out = slots[4 * r + 1:4 * r + 5]
+                        np.matmul(Q, slots[4 * r], out=out)
+                        out += q
+                        cols[k - r - lo] = H[r + 1, 0]
+                else:
+                    for r in range(length):
+                        H[r + 1, 0] = step(k - r, response[0], r)
                 kept = check(H[:length], response)
                 held_steps += kept
+                map_steps += kept if mapped else 0
                 if kept == length:
-                    H[0, 0] = out
+                    H[0, 0] = H[length, 0]
                     run, backoff = min(2 * run, size), 4
                 else:   # rerun the first failed step from its saved input
                     H[0, 0] = step(k - kept, best, kept)
@@ -486,7 +576,7 @@ def integrate_backward(
             raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
                            f"reduce dt (dt={h:.3g})")
         gs[lo:hi] = cols[:hi - lo, :, :, 0].transpose(0, 2, 1)
-    meta = {"dt": h, "mode": mode}
+    meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built}
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, worst = _node_pass(gs, cfg)

@@ -12,8 +12,11 @@ from hbmfg import (
     Control,
     GameConfig,
     HjbError,
+    Occupation,
     Regime,
     consistency_margin,
+    default_dt,
+    default_horizon,
     effective_rewards,
     hjb_rhs,
     integrate_backward,
@@ -27,7 +30,7 @@ from hbmfg.kinetics import rk4_step
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
 from test_kinetics import column_generator, random_control, random_simplex, stage_cases
-from util_configs import make_config, steps_of, theorem_config
+from util_configs import load_oracle, make_config, stayput_config, steps_of, theorem_config
 
 
 def hjb_loops(g, x, u, cfg):
@@ -228,28 +231,150 @@ def test_optimizing_mode_dominates_frozen_control():
     assert (free.u.targets != np.arange(3)).any()
 
 
-def backward_loop(gT, x_path, controls, h, cfg, inputs=None):
+def held_run_lengths(x_path, cfg):
+    """Each step's held run length, 0 off a held run: a held run is
+    _block_steps(cfg) or more steps whose end nodes are all equal in bits,
+    whose steps share one payoff operator in integrate_backward."""
+    bits = x_path.view(np.int64)
+    same = np.concatenate(([False], (bits[1:] == bits[:-1]).all(axis=(1, 2)), [False]))
+    held = np.zeros(len(x_path) - 1, dtype=int)
+    for a, b in np.flatnonzero(same[1:] != same[:-1]).reshape(-1, 2):
+        held[a:b] = b - a if b - a >= _block_steps(cfg) else 0
+    return held
+
+
+def step_map(x_mid, target, h, cfg):
+    """The RK4 step of the payoff flow at occupation x_mid under a target
+    matrix (None: everybody stays), as a map built here from
+    _payoff_operators, _target_gains and rk4_step on the augmented identity
+    [I | 0]: Y(g), the step's three stage inputs and its output (4, n, m).
+    A target gives a flat by-column operator, M's blocks on the diagonal
+    less lam * (P - I) with P the gather of the target's cells, and the
+    constant c + lam * fee; without one, M's blocks act column by column."""
+    n, m = cfg.n, cfg.m
+    M, c = (a[0] for a in hbmfg.hjb._payoff_operators(x_mid[None], cfg))
+    if target is None:
+        A, b = M, c
+    else:
+        _, cells, fee = hbmfg.hjb._target_gains(cfg)(target)
+        A = np.zeros((n * m, n * m))
+        for j in range(m):
+            A[j * n:(j + 1) * n, j * n:(j + 1) * n] = M[j]
+        eye = np.eye(n * m)
+        A -= cfg.lam * (eye[cells] - eye)
+        b = c.reshape(-1, 1) + cfg.lam * fee[:, None]
+    rows = A.shape[-1]
+    identity = np.concatenate([np.broadcast_to(np.eye(rows), A.shape),
+                               np.zeros(A.shape[:-1] + (1,))], axis=-1)
+    C = np.concatenate([np.zeros(A.shape), b], axis=-1)
+    stages = []
+
+    def f(z):
+        stages.append(z.copy())
+        return A @ z + C
+
+    out = rk4_step(f, identity, -h)
+    Q = np.array(stages[1:] + [out])
+    Q, q = np.ascontiguousarray(Q[..., :rows]), np.ascontiguousarray(Q[..., rows:])
+
+    def apply(g):
+        G = np.ascontiguousarray(g.T)[:, :, None]
+        return (Q @ G.reshape(q.shape[1:]) + q).reshape(4, m, n).transpose(0, 2, 1)
+
+    return apply
+
+
+def held_term_holds(y, target, cfg):
+    """The best-switch term at y equals, in bits, the term of a held target
+    (None: everybody stays, term +0.0): the response check's test."""
+    best = switch_gains(y, cfg).max(axis=-1)
+    term = np.where(best > SWITCH_TOL, best, 0.0)
+    if target is None:
+        held = np.zeros(y.shape)
+    else:
+        held = y[np.arange(cfg.n)[:, None], target] - y - cfg.fee_B[np.arange(cfg.m), target]
+    return np.array_equal(term.view(np.int64), held.view(np.int64))
+
+
+def backward_loop(gT, x_path, controls, h, cfg, inputs=None, maps=True):
     """integrate_backward as an rk4_step loop over -hjb_rhs in the reversed clock.
 
     controls: one target matrix or None per step, or "optimizing" for the best
     response at every stage.  Returns the nodes' g and each step's first-stage
     control, which sits on the step's starting node.  A list given as inputs
     collects every stage's input, four a step, from the step next to T on.
+    With maps, an optimizing step of a held run (held_run_lengths) goes
+    through step_map where loop_step lets it; without, every step is the
+    stage loop.
     """
+    held, built = held_run_lengths(x_path, cfg) * maps, {}
     gs, firsts = [np.asarray(gT, dtype=float)], []
     for k in reversed(range(len(x_path) - 1)):
-        x_mid = 0.5 * (x_path[k] + x_path[k + 1])
-        stage_u = []
-
-        def f(y):
-            if inputs is not None:
-                inputs.append(y)
-            stage_u.append(optimal_control(y, cfg) if isinstance(controls, str)
-                           else controls[k])
-            return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
-        gs.append(rk4_step(f, gs[-1], h))
-        firsts.append(stage_u[0])
+        g, u, _ = loop_step(gs[-1], k, x_path, controls, h, cfg, held[k], built, inputs)
+        gs.append(g)
+        firsts.append(u)
     return np.array(gs[::-1]), firsts[::-1]
+
+
+def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None):
+    """backward_loop's step k from g: (output, first-stage control, mapped).
+
+    held: the step's held run length, 0 off a held run.  An optimizing step
+    of a held run goes through step_map, as integrate_backward takes it,
+    under the best response at g when the best-switch term keeps that
+    response's at the map's stage inputs.  Everybody staying is bare where
+    0 <= lam < inf (not -0.0), a map of n rows; a target is a map of nm
+    rows, which needs 0 <= lam < inf and its four (nm, nm + 1) matrices
+    within a quarter of hjb.BLOCK_BYTES.  A map of `rows` rows needs a held
+    run of rows**2 steps.  Any other step is an rk4_step of -hjb_rhs.  built
+    keeps the maps by their mean node and target.
+    """
+    optimizing = isinstance(controls, str)
+    n, m = cfg.n, cfg.m
+    x_mid = 0.5 * (x_path[k] + x_path[k + 1])
+    if held and optimizing:
+        bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
+        targets = (0.0 <= cfg.lam < np.inf
+                   and 32 * n * m * (n * m + 1) <= hbmfg.hjb.BLOCK_BYTES // 4)
+        u = optimal_control(g, cfg)
+        target = None if bare and (u == np.arange(m)).all() else u
+        if held >= n * n if target is None else targets and held >= (n * m) ** 2:
+            key = x_mid.tobytes(), None if target is None else target.tobytes()
+            if key not in built:
+                built[key] = step_map(x_mid, target, h, cfg)
+            Y = built[key](g)
+            if all(held_term_holds(y, target, cfg) for y in Y[:3]):
+                if inputs is not None:
+                    inputs += [g, *Y[:3]]
+                return Y[3], u, True
+    stage_u = []
+
+    def f(y):
+        if inputs is not None:
+            inputs.append(y)
+        stage_u.append(optimal_control(y, cfg) if optimizing else controls[k])
+        return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
+    return rk4_step(f, g, h), stage_u[0], False
+
+
+def replay(traj, x_path, controls, h, cfg):
+    """Each step of a pass replayed from the pass's own input: every step
+    equals in bits its loop_step with a map or its stage step, and a
+    mapped one only where loop_step maps it.  Returns how many equal the
+    mapped step alone, and how many equal it at all (a map step whose
+    bits its stage step gives too)."""
+    held, built = held_run_lengths(x_path, cfg), {}
+    alone = either = 0
+    for k in range(len(x_path) - 1):
+        got = traj.g[k].view(np.int64)
+        stage = loop_step(traj.g[k + 1], k, x_path, controls, h, cfg, 0, built)[0]
+        out, _, mapped = loop_step(traj.g[k + 1], k, x_path, controls, h, cfg, held[k], built)
+        by_map = mapped and np.array_equal(got, out.view(np.int64))
+        by_stage = np.array_equal(got, stage.view(np.int64))
+        assert by_map or by_stage, k
+        alone += by_map and not by_stage
+        either += by_map
+    return alone, either
 
 
 def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
@@ -286,6 +411,10 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     # long, so it shares one operator.
     # Near T the optimizing pass's best response changes within a few steps,
     # which it reruns; elsewhere it holds one response over long runs.
+    # The optimizing pass's held responses go through step maps: bare, and
+    # under targets where their maps fit a quarter of BLOCK_BYTES.  It equals
+    # the reference loop with the same maps in bits, and the stage loop
+    # within rounding; the fixed passes keep their stages.
     rng = np.random.default_rng(1)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=1.5, delta=0.3)
     x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
@@ -304,22 +433,39 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
     fixed_g = backward_loop(gT, x_path, stack, h, cfg)[0]
     free_g = backward_loop(gT, x_path, [None] * steps, h, cfg)[0]
-    inputs = []
-    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
-    changing = steps_changing(inputs, cfg)
-    assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
+    stage_g = backward_loop(gT, x_path, "optimizing", h, cfg, maps=False)[0]
+    refs = {}   # the optimizing reference loop's (g, first-stage controls, stage inputs), by fit
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         assert _block_steps(cfg) <= lengths.min()   # each held run shares one operator
         fixed = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg,
                                    control=Control.of_steps(stack))
-        assert np.array_equal(fixed.g, fixed_g)
+        assert np.array_equal(fixed.g, fixed_g) and fixed.meta["map_steps"] == 0
         free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
-        assert np.array_equal(free.g, free_g)
+        assert np.array_equal(free.g, free_g) and free.meta["map_steps"] == 0
+        # the target maps (6 x 7 values each, four) fit from 8 KB up
+        fits = 32 * 6 * 7 <= block // 4
+        if fits not in refs:
+            inputs = []
+            refs[fits] = (*backward_loop(gT, x_path, "optimizing", h, cfg, inputs), inputs)
+        g, firsts, inputs = refs[fits]
+        changing = steps_changing(inputs, cfg)
+        assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
         best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
-        assert np.array_equal(best.g, g)
+        assert np.array_equal(best.g, g), block
+        assert_near(best.g, stage_g)
+        # each held run has an operator of its own, so maps of its own
+        assert 0 < best.meta["map_steps"] <= best.meta["held_steps"]
+        assert best.meta["maps"] >= len(runs)
         assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
         assert_reruns(best, changing)
+
+
+def assert_near(g, stage):
+    """g within 1e-12 * max(1, max |g|) of the stage loop's: a held run's
+    step map rounds otherwise than its stages do."""
+    scale = max(1.0, float(np.abs(stage).max()))
+    assert np.abs(g - stage).max() <= 1e-12 * scale
 
 
 def steps_changing(inputs, cfg):
@@ -419,6 +565,12 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     # - a 10 x 10 path whose best response changes on every step: every step
     #   is rerun, and the runs that fail at their first step, each one held
     #   step wasted, come ever further apart.
+    # The uniform start is a fixed point of the 3 x 3 paths, so at 4 KB and
+    # 8 KB each path is one held run (at the default, shorter than an
+    # operator block, none), and the example's and tied_config's all-stay
+    # steps near T go through a bare step map (their target maps do not
+    # fit), as in the reference loop; every case is also within rounding of
+    # the stage loop.
     checks = []   # (steps, steps kept) of every response run's check
     real = hbmfg.hjb._best_response
 
@@ -440,11 +592,11 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
              "fees": (fees, np.tile([0.0, 0.5, 2.0], (3, 1)), uniform, 6.0, 120),
              "changing": (ten, 3.0 * np.random.default_rng(5).normal(size=(10, 10)), x10,
                           16.0, 40)}
-    refs = {}
+    refs = {}   # the stage loop's
     for name, (cfg, gT, x0, T, steps) in cases.items():
         x_path = integrate_forward(x0, None, 0.0, T, T / steps, cfg).x
         inputs = []
-        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs)
+        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs, maps=False)
         refs[name] = x_path, g, [optimal_control(g[0], cfg)] + firsts[:-1], inputs
     changing = steps_changing(refs["changing"][3], ten)
     assert all(changing) and len(changing) == 40
@@ -458,14 +610,19 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     with np.errstate(invalid="ignore"):
         g = backward_loop(np.zeros((3, 3)), refs["example"][0], "optimizing", 0.05, blowup)[0]
     first = max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2))))
+    mapped = set()   # the cases whose pass took map steps, by block
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         for name, (cfg, gT, x0, T, steps) in cases.items():
-            x_path, g, us, _ = refs[name]
+            x_path, stage_g = refs[name][:2]
+            g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg)
             checks.clear()
             best = integrate_backward(gT, x_path, 0.0, T, T / steps, cfg, mode="optimizing")
             assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
-            assert np.array_equal(steps_of(best.u), us)
+            assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+            assert_near(best.g, stage_g)
+            if best.meta["map_steps"]:
+                mapped.add((block, name))
             failed = [(length, kept) for length, kept in checks if kept < length]
             if name == "example":
                 assert {"first" if kept == 0 else "last" if kept == length - 1 else "middle"
@@ -476,6 +633,7 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
         with pytest.raises(HjbError, match=rf"non-finite payoff at t={first * 0.05:.6g};"):
             integrate_backward(np.zeros((3, 3)), refs["example"][0], 0.0, 3.0, 0.05, blowup,
                                mode="optimizing")
+    assert mapped == {(block, name) for block in (1 << 12, 1 << 13) for name in ("example", "tie")}
 
 
 def test_held_run_check_compares_bits():
@@ -576,6 +734,82 @@ def test_node_pass_builds_no_gain_tensor_at_most_switch_tol(monkeypatch):
     assert node_by_node(below, cfg)[1] == switch_gains(below[83], cfg).max() < 0.0
     assert node_by_node(zero, cfg)[1] == 0.0
     assert 0.0 < node_by_node(tiny, cfg)[1] <= SWITCH_TOL
+
+
+def test_step_maps_give_an_rk4_step_and_its_stage_inputs():
+    # _step_map's four maps, applied to a payoff, give an RK4 step's three
+    # stage inputs and its output under -hjb_rhs within rounding, bare and
+    # under a target, and the test's own step_map gives them in bits
+    rng = np.random.default_rng(12)
+    cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, lam=1.5, delta=0.3)
+    x, h = random_simplex(3, 2, rng), 0.05
+    M, c = (a[0] for a in hbmfg.hjb._payoff_operators(x[None], cfg))
+    for target in (None, np.array([[1, 1], [0, 1], [0, 0]])):
+        cells, fee = (None, None) if target is None else hbmfg.hjb._target_gains(cfg)(target)[1:]
+        Q, q = hbmfg.hjb._step_map(M, c, cells, fee, cfg.lam, -h)
+        for g in rng.normal(size=(3, 3, 2)):
+            G = np.ascontiguousarray(g.T)[:, :, None]
+            Y = (Q @ G.reshape(q.shape[1:]) + q).reshape(4, 2, 3).transpose(0, 2, 1)
+            stages = []
+
+            def f(y):
+                stages.append(y)
+                return -hjb_rhs(y, x, target, cfg)
+            stages.append(rk4_step(f, g, h))
+            assert np.abs(Y - np.array(stages[1:])).max() <= 1e-14 * np.abs(g).max()
+            assert np.array_equal(Y, step_map(x, target, h, cfg)(g))
+
+
+def test_held_runs_match_the_oracle(tmp_path, monkeypatch):
+    # the optimizing pass on two held runs against perfbench's oracle, which
+    # takes the best response at every stage of a plain RK4 loop:
+    # - perfbench's seed-1 stay-put config from its stationary start at T = 5,
+    #   one held run on which everybody stays: one bare map takes every step;
+    # - the example against its first sweep's stationary fill, a held run on
+    #   which the best response switches: target maps take its held steps,
+    #   and the back-off's direct steps and the reruns take stages
+    oracle = load_oracle()
+    stayput = stayput_config(tmp_path, monkeypatch)
+    example = read_config(EXAMPLE)
+    cases = {"stayput": (stayput, read_config(stayput), 5.0, 0.05),
+             "example": (EXAMPLE, example, default_horizon(example), default_dt(example))}
+    for name, (path, cfg, T, dt) in cases.items():
+        x = integrate_forward(Occupation.uniform(cfg.n, cfg.m).x, None, 0.0, T, dt, cfg).x
+        steps = len(x) - 1
+        assert held_run_lengths(x, cfg).all()
+        best = integrate_backward(np.zeros((cfg.n, cfg.m)), x, 0.0, T, dt, cfg,
+                                  mode="optimizing")
+        want = oracle.integrate_backward(oracle.Generator(oracle.Model.load(path)),
+                                         np.zeros(cfg.n * cfg.m), x.reshape(steps + 1, -1), T)
+        scale = float(np.abs(want).max())
+        assert np.abs(best.g.reshape(steps + 1, -1) - want).max() <= 1e-12 * scale, name
+        alone, either = replay(best, x, "optimizing", dt, cfg)
+        assert alone <= best.meta["map_steps"] <= either
+        if name == "stayput":
+            assert best.meta["map_steps"] == steps and best.meta["maps"] == 1
+        else:   # a bare map near T, then target maps; held and rerun steps as before
+            assert best.meta["map_steps"] == best.meta["held_steps"] == 1243
+            assert best.meta["rerun_steps"] == 7 and best.meta["maps"] > 1
+
+
+def test_held_runs_shorter_than_rows_squared_keep_their_stages(tmp_path, monkeypatch):
+    # a bare map of the 10 x 10 stay-put config costs about 10 of its steps
+    # to build, and a step as much arithmetic as its stages: a held run of
+    # 99 steps keeps the stage loop's bits, one of 100 goes through one map
+    cfg = read_config(stayput_config(tmp_path, monkeypatch))
+    gT = np.zeros((cfg.n, cfg.m))
+    for steps in (99, 100):
+        T = steps * 0.05
+        x = integrate_forward(Occupation.uniform(cfg.n, cfg.m).x, None, 0.0, T, 0.05, cfg).x
+        assert len(x) == steps + 1 and (held_run_lengths(x, cfg) == steps).all()
+        best = integrate_backward(gT, x, 0.0, T, 0.05, cfg, mode="optimizing")
+        assert np.array_equal(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
+        if steps < 100:
+            assert best.meta["map_steps"] == best.meta["maps"] == 0
+            assert np.array_equal(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg,
+                                                        maps=False)[0])
+        else:
+            assert best.meta["map_steps"] == steps and best.meta["maps"] == 1
 
 
 def test_integrate_backward_names_the_first_non_finite_step():

@@ -825,3 +825,20 @@ def test_stimulated_chain_mean_is_off_the_mean_field_path_by_order_one_over_n():
     assert 1e-4 < bias[-1] < bias[0] < 1e-3
     for coarse, fine in zip(bias, bias[1:]):
         assert 1.9 <= coarse / fine <= 2.1
+
+
+def test_simulated_mean_is_the_exact_finite_n_mean():
+    # simulate's mean over replications at N = 20 lies within 4 standard
+    # errors of the exact 20-agent chain's mean at every output node, on the
+    # stimulated config: the event loop samples the chain that lattice_mean
+    # integrates from the same channel table
+    cfg = make_config(2, 2, np.random.default_rng(4), db=False, balanced_evo=False,
+                      delta=1.0, regime=Regime.ID2)
+    N, T, h = 20, 1.0, 0.02
+    counts0 = np.rint(N * LATTICE_X0).astype(int)
+    paths = simulate(CountState(counts=counts0, N=N), None, T, list(range(400)), cfg, samples=5)
+    mean, stderr = replication_summary(paths)
+    assert (stderr[1:] > 0).all()
+    exact = np.array([lattice_mean(cfg, None, counts0, t, h) for t in paths[0].times])
+    # 1e-12: the replications' sum rounds at t = 0, where every path sits at counts0
+    assert (np.abs(mean - exact) <= 4 * stderr + 1e-12).all()

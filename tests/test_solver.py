@@ -25,7 +25,7 @@ from hbmfg import (
 from hbmfg.cli import run as cli_run
 from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config, write_state_csv
-from test_hjb import assert_reruns, backward_loop, same_bits, steps_changing
+from test_hjb import assert_near, assert_reruns, backward_loop, same_bits, steps_changing
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, stayput_config, steps_of, theorem_config
@@ -131,6 +131,11 @@ def test_exact_shortcuts_fire_inside_the_cone():
         g = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg, inputs)[0]
         assert np.array_equal(bwd.g, g)
         assert bwd.meta["held_steps"] == steps and not any(steps_changing(inputs, cfg))
+        # the whole path is one held run, everybody stays: one bare map takes every step
+        assert bwd.meta["map_steps"] == steps and bwd.meta["maps"] == 1
+        stage = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg,
+                              maps=False)[0]
+        assert_near(bwd.g, stage)
 
 
 def test_forward_fill_starts_mid_run_on_a_decaying_start():
@@ -176,15 +181,24 @@ def test_example_solve_skips_only_near_the_horizon():
 def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path, monkeypatch):
     # the example's largest gain is positive, so its node pass builds the gain
     # tensor; perfbench's seed-1 stay-put config has no gain above SWITCH_TOL,
-    # so the pair pass alone gives its cone_worst
+    # so the pair pass alone gives its cone_worst.  The stay-put path is one
+    # held run that everybody stays on, so a bare step map takes its payoff
+    # steps: the reference loop with the same map gives its bits, and the
+    # stage loop its payoff and cone_worst within rounding
     cfg = read_config(EXAMPLE)
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), default_horizon(cfg), default_dt(cfg), cfg)
     assert res.meta["cone_worst"] == 1.5203133046333726
     cfg = read_config(stayput_config(tmp_path, monkeypatch))
     res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
-    assert res.meta["cone_worst"] == -26.344619424234665
+    assert res.meta["cone_worst"] == -26.344619424234676
     assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
+    gT, x = np.zeros((cfg.n, cfg.m)), res.trajectory.x
+    assert np.array_equal(res.trajectory.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
+    stage = backward_loop(gT, x, "optimizing", 0.05, cfg, maps=False)[0]
+    assert_near(res.trajectory.g, stage)
+    worst = float(switch_gains(stage, cfg).max())
+    assert abs(res.meta["cone_worst"] - worst) <= 1e-12 * max(1.0, float(np.abs(stage).max()))
 
 
 SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
@@ -196,9 +210,9 @@ SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
     },
     "stayput": {
         "x.csv": "9aecc53c82d0d9785cca3e24413651f61a1e993c0f7add9e02cfe249c7fccb44",
-        "g.csv": "0642923a2701858a9f3bcb9c0f7542070939a17feef15a6744f75ad8a89865d8",
+        "g.csv": "6b160f5300cd4be2655c3e7dcb98e817960947aee18f201062fb1db666db392e",
         "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
-        "solve.json": "eee9d4bd8de071937564679551773a5f6f2a58cb341df0d123ca9f0f3ae5b5a2",
+        "solve.json": "5e9dd41e701affd0147b37fb98e662ab59faafd0080db6cba1d06e30c51edf9f",
     },
     "stayput-x0": {
         "x.csv": "bcc99b589d50e6d1f558fea0bd372d00a5a02e3c0fd9a77109c0e1e97b5932c9",
@@ -214,7 +228,9 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
     # short horizon, from its stationary start and from CI's seeded moving
     # start, which reaches the moving 10 x 10 payoff operators and the
     # run-checked forward pass: a change that moves any bit of a solve
-    # changes these pins, and has to say so
+    # changes these pins, and has to say so.  The stay-put payoff, whose held
+    # run steps by a step map, stays within rounding of the stage loop run
+    # over its own x.csv
     stayput = ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5", "--dt", "0.05"]
     x = np.random.default_rng(0).random((10, 10))
     write_state_csv(str(tmp_path / "x0.csv"), x / x.sum())
@@ -225,6 +241,10 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
         assert cli_run(argv[name] + ["--out", str(out)]) == 0
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
         assert got == pins, name
+    cfg = read_config(argv["stayput"][1])
+    x, g = (np.loadtxt(tmp_path / "stayput" / f, delimiter=",", skiprows=1)[:, 1:]
+            .reshape(-1, cfg.n, cfg.m) for f in ("x.csv", "g.csv"))
+    assert_near(g, backward_loop(g[-1], x, "optimizing", 0.05, cfg, maps=False)[0])
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():

@@ -15,6 +15,7 @@ import numpy as np
 from hbmfg import Control, GameConfig, Regime, SinkRates
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+ORACLE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "oracle.py")
 
 
 def stayput_config(tmp_path, monkeypatch) -> str:
@@ -24,6 +25,14 @@ def stayput_config(tmp_path, monkeypatch) -> str:
     monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
     spec.loader.exec_module(workloads)
     return workloads.write_stayput_config(1, str(tmp_path))
+
+
+def load_oracle():
+    """perfbench's reference model, written apart from the package, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
 
 
 def steps_of(path: Control) -> np.ndarray:
