@@ -16,9 +16,14 @@ blocks.  A step is a kinetics.rk4_step, except where the optimizing pass
 holds both the operator and the response, everybody staying or fixed
 targets: the flow is then autonomous and affine, so RK4 is one affine map
 of g (_step_map), built once per held run and response, and the step one
-matmul and one add.  The optimizing pass holds the best response over
-response runs of steps, checked in bits against the best switch at their
-stage inputs (_best_response).  After the sweep, one pass over the nodes
+matmul and one add.  Where kinetics.flat_operators holds (up to 31
+states, 5 x 5 but not 6 x 6), a response run that holds targets without a
+map, on moving operator blocks say, steps by the flat operator A_k @ G +
+b_k that folds the held switch into each step's operator (_flat_operator,
+the assembly the target maps use too): a stage is one matmul and one add.
+The optimizing pass holds the best response over response runs of steps,
+checked in bits against the best switch at their stage inputs
+(_best_response).  After the sweep, one pass over the nodes
 gives the best responses and the path's largest switch gain.
 """
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from .kinetics import Trajectory, rk4_scalars, rk4_step, step_grid
+from .kinetics import Trajectory, flat_operators, rk4_scalars, rk4_step, step_grid
 from .model import Control, GameConfig, control_pieces, grid_array, occupation_array
 
 __all__ = [
@@ -169,6 +174,22 @@ def _target_gains(cfg: GameConfig):
     return gain_of
 
 
+def _flat_operator(M, c, cells, fee, lam: float):
+    """The payoff flow of operators M (..., m, n, n) and c (..., m, n, 1)
+    under fixed targets, M @ G + c - lam * (G[cells] - G - fee) with
+    _target_gains's cells and fee, as A @ G + b on the flat by-column payoff
+    (n * m, 1): A (..., nm, nm) holds M's blocks on the diagonal less
+    lam * (P - I), P the gather of cells, and b (..., nm, 1) = c + lam * fee."""
+    *stack, m, n, _ = M.shape
+    size = n * m
+    A = np.zeros((*stack, m, n, m, n))
+    A[..., np.arange(m), :, np.arange(m), :] = np.moveaxis(M, -3, 0)
+    A = A.reshape(*stack, size, size)
+    eye = np.eye(size)
+    A -= lam * (eye[cells] - eye)
+    return A, c.reshape(*stack, size, 1) + lam * fee[:, None]
+
+
 def _step_map(M, c, cells, fee, lam: float, h):
     """One RK4 step, of step h, of a held operator's flow under held targets,
     as an affine map of the payoff: (Q, q), with Q[s] @ G + q[s] the step's
@@ -176,27 +197,14 @@ def _step_map(M, c, cells, fee, lam: float, h):
 
     cells None (everybody stays) keeps the by-column blocks of M (m, n, n)
     and c (m, n, 1): Q (4, m, n, n) and q (4, m, n, 1) act on G (m, n, 1).
-    Otherwise the flow M @ G + c - lam * (G[cells] - G - fee), with
-    _target_gains's cells and fee, is A @ G + b on the flat by-column payoff
-    (n * m, 1): A = M's blocks on the diagonal less lam * (P - I), P the
-    gather of cells, and b = c + lam * fee; Q (4, nm, nm) and q (4, nm, 1).
-    Either is one kinetics.rk4_step, with its stages, of the slope Z ->
-    A @ Z + [0 | b] from the augmented identity [I | 0]: on an affine flow
-    each RK4 stage is an affine map (the step's is R(hA)), so the identity
-    columns carry the linear parts and the last column, from 0, the
-    constants.
+    Otherwise the flow is _flat_operator's A @ G + b on the flat by-column
+    payoff (n * m, 1): Q (4, nm, nm) and q (4, nm, 1).  Either is one
+    kinetics.rk4_step, with its stages, of the slope Z -> A @ Z + [0 | b]
+    from the augmented identity [I | 0]: on an affine flow each RK4 stage
+    is an affine map (the step's is R(hA)), so the identity columns carry
+    the linear parts and the last column, from 0, the constants.
     """
-    if cells is None:
-        A, b = M, c
-    else:
-        m, n = M.shape[:2]
-        size = n * m
-        A = np.zeros((m, n, m, n))
-        A[np.arange(m), :, np.arange(m)] = M
-        A = A.reshape(size, size)
-        eye = np.eye(size)
-        A -= lam * (eye[cells] - eye)
-        b = c.reshape(size, 1) + lam * fee[:, None]
+    A, b = (M, c) if cells is None else _flat_operator(M, c, cells, fee, lam)
     rows = A.shape[-1]
     Z = np.zeros(A.shape[:-1] + (rows + 1,))
     Z[..., :rows] = np.eye(rows)
@@ -440,11 +448,18 @@ def integrate_backward(
     operator by target cells): one matmul and one add give the step's
     stage inputs and output, and a copy its node.  A map of rows x rows
     blocks (rows n bare, n * m for targets) is built only for a held run of
-    rows**2 steps or more; a target map also needs 0 <= lam < inf and its
-    four matrices within a quarter of BLOCK_BYTES (3 x 3, not 10 x 10).
-    Fixed mode, the best switch's direct steps and reruns keep the stages.
-    meta["map_steps"] counts the steps kept from step maps, meta["maps"]
-    the maps built.
+    rows**2 steps or more; a target map also needs kinetics.flat_operators
+    (0 <= lam < inf, and four (nm, nm + 1) matrices within
+    kinetics.FLAT_BYTES: 3 x 3 and 5 x 5, not 6 x 6 or 10 x 10).  Where that
+    rule holds, a response run of held targets that takes no map steps by
+    their flat operators (_flat_operator), built for up to as many steps of
+    a moving block as BLOCK_BYTES holds, or once on a held one: each slope
+    one matmul and one add on the flat by-column payoff.  A flat step whose
+    output is not finite is rerun with the best switch, as the stages would
+    meet it.  Fixed mode, the best switch's direct steps and reruns keep
+    the stages.  meta["map_steps"] counts the steps kept from step maps,
+    meta["maps"] the maps built, meta["flat_steps"] the steps kept from
+    flat operators.
     A payoff gT not of the grid's (n, m) raises ValueError, and so does a
     grid that step_grid refuses (past kinetics.NODE_BYTES, say).  A non-finite
     payoff raises HjbError at the first step, in reversed time, that gave
@@ -485,7 +500,9 @@ def integrate_backward(
     # a run's stage inputs by step, g first, and then its output: a step map
     # writes step r's stage inputs and output, H[r, 1:] and H[r + 1, 0], at once
     H = np.empty((size + 1, 4, m, n, 1))
+    H_flat = H.reshape(size + 1, 4, n * m, 1)   # the same, as flat by-column payoffs
     inputs = [(Y[0], tuple(Y[1:])) for Y in H]
+    flat_inputs = [(Y[0], tuple(Y[1:])) for Y in H_flat]
     H[0, 0] = _by_column(gT)
     if optimizing:
         best, respond, check = _best_response(cfg)
@@ -495,12 +512,13 @@ def integrate_backward(
     run, backoff, direct, held_steps = 1, 4, 0 if optimizing else n_steps, 0
     run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
     cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
+    flat_cols = cols.reshape(len(cols), n * m, 1)
     M_k = c_k = gain_k = None   # the step's operator, constant and switch term
-    # a target map's four matrices, (nm, nm + 1) values each, fit a quarter of
-    # BLOCK_BYTES, as the check's arrays do; its switch term needs a finite lam >= 0
-    target_maps = 0.0 <= cfg.lam < np.inf and 32 * n * m * (n * m + 1) <= BLOCK_BYTES // 4
+    flat = flat_operators(cfg)   # held targets step by _flat_operator's A @ G + b
+    # the most steps of a moving block whose flat operators fit BLOCK_BYTES
+    flat_run = max(1, BLOCK_BYTES // (8 * n * m * (n * m + 1)))
     maps, maps_for = {}, None   # the step maps of operator maps_for, by target cells
-    map_steps = built = 0
+    map_steps = built = flat_steps = 0
 
     def step_map(response):   # the held run's step map under a response, or None
         nonlocal built, maps_for
@@ -509,7 +527,7 @@ def integrate_backward(
         # and a bare map step as much arithmetic as its stages: a held run of
         # rows**2 steps or more builds one, at most 1 / rows of its steps' cost
         rows = n if cells is None else n * m
-        if held < rows * rows or cells is not None and not target_maps:
+        if held < rows * rows or cells is not None and not flat:
             return None
         if M is not maps_for:
             maps.clear()
@@ -538,6 +556,12 @@ def integrate_backward(
         y, stages = inputs[r]
         return rk4_step(slope, y, scalars, out=cols[k - lo], stages=stages)
 
+    def flat_step(k, A, b, r):   # step k as `step`, by the flat operator A @ G + b
+        nonlocal M_k, c_k, gain_k
+        M_k, c_k, gain_k = A, b, None
+        y, stages = flat_inputs[r]
+        return rk4_step(slope, y, scalars, out=flat_cols[k - lo], stages=stages)
+
     for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, run_size, cfg):
         k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -549,6 +573,7 @@ def integrate_backward(
                 response = respond(H[0, 0])
                 length = min(run, k - lo + 1)
                 mapped = step_map(response)
+                by_flat = not mapped and flat and response[1] is not None
                 if mapped:   # H's slots 4r .. 4r + 4: step r's input, stage inputs, output
                     Q, q, slots = mapped
                     for r in range(length):
@@ -556,12 +581,28 @@ def integrate_backward(
                         np.matmul(Q, slots[4 * r], out=out)
                         out += q
                         cols[k - r - lo] = H[r + 1, 0]
+                elif by_flat:   # steps k - length + 1 .. k, or the held block's one operator
+                    moving = len(M) > 1
+                    if moving:
+                        length = min(length, flat_run)
+                    span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
+                    A, b = _flat_operator(M[span], c[span], *response[1:3], cfg.lam)
+                    for r in range(length):
+                        j = length - 1 - r if moving else 0
+                        H_flat[r + 1, 0] = flat_step(k - r, A[j], b[j], r)
                 else:
                     for r in range(length):
                         H[r + 1, 0] = step(k - r, response[0], r)
                 kept = check(H[:length], response)
+                # a flat step rounds, and may overflow, otherwise than its stages:
+                # the first whose output is not finite is rerun with the best
+                # switch (a sum of finite outputs that overflows finds none)
+                if by_flat and not math.isfinite(H[1:kept + 1, 0].sum()):
+                    finite = np.isfinite(H[1:kept + 1, 0]).all(axis=(1, 2, 3))
+                    kept = kept if finite.all() else int(finite.argmin())
                 held_steps += kept
                 map_steps += kept if mapped else 0
+                flat_steps += kept if by_flat else 0
                 if kept == length:
                     H[0, 0] = H[length, 0]
                     run, backoff = min(2 * run, size), 4
@@ -576,7 +617,8 @@ def integrate_backward(
             raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
                            f"reduce dt (dt={h:.3g})")
         gs[lo:hi] = cols[:hi - lo, :, :, 0].transpose(0, 2, 1)
-    meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built}
+    meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built,
+            "flat_steps": flat_steps}
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, worst = _node_pass(gs, cfg)

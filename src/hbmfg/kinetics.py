@@ -9,12 +9,18 @@ and sink, come from the config's move table, GameConfig.moves.  Every flow
 moves mass along one axis at a time, so the total mass (and, absent
 switching, each behaviour column's mass) is conserved.  The control is a
 model.Control, piecewise constant on the step grid; one target matrix is a
-one-piece control.  The forward integrator steps runs of up to RUN_STEPS
-steps and checks each run at once; it stops stepping once a step returns
-its input bit for bit, and fills the rest of that control piece with the
-fixed point.  Every stage scales by 0-d float64 arrays (rk4_scalars), and
-rk4_step is the RK4 step of hjb's payoff pass too.  step_grid refuses a
-grid whose node array would pass NODE_BYTES, before allocation.
+one-piece control.  On a grid within flat_operators (0 <= lam < inf and
+up to 31 states, 5 x 5 but not 6 x 6) the step kernel is one flat operator
+on the n * m states, the held switch one more move family beside the level
+moves, and a stage four numpy calls; larger grids keep the by-column
+kernel (on 10 x 10 the flat one is slower).  hjb's payoff pass reads the
+same rule for its held targets.  The forward integrator steps runs of up
+to RUN_STEPS steps and checks each run at once; it stops stepping once a
+step returns its input bit for bit, and fills the rest of that control
+piece with the fixed point.  Every stage scales by 0-d float64 arrays
+(rk4_scalars), and rk4_step is the RK4 step of hjb's payoff pass too.
+step_grid refuses a grid whose node array would pass NODE_BYTES, before
+allocation.
 """
 from __future__ import annotations
 
@@ -48,6 +54,10 @@ MAX_STEPS = 10**8
 NODE_BYTES = 1 << 30
 # The forward pass's longest run of steps checked at once.
 RUN_STEPS = 64
+# A held switch folds into one flat operator where four (nm, nm + 1)
+# matrices fit this many bytes (flat_operators): a quarter of
+# hjb.BLOCK_BYTES, within which the payoff pass's target maps were built.
+FLAT_BYTES = 1 << 15
 
 
 class KineticsError(RuntimeError):
@@ -99,15 +109,54 @@ def check_nodes(rows: int, cells: int, what: str = "a node array",
                          f"past the budget of {budget} bytes")
 
 
+def flat_operators(cfg: GameConfig) -> bool:
+    """Whether a held switch joins cfg's level moves in one flat operator on
+    the n * m states, in both passes: 0 <= lam < inf, and four (nm, nm + 1)
+    matrices, a step map's, within FLAT_BYTES (up to 31 states: 3 x 3 and
+    5 x 5, not 6 x 6 or 10 x 10).  The payoff pass's target maps take the
+    same rule."""
+    cells = cfg.n * cfg.m
+    return 0.0 <= cfg.lam < math.inf and 32 * cells * (cells + 1) <= FLAT_BYTES
+
+
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
     """dx/dt as a function of x, agents moving to cfg.switch_cells(target) at
-    rate lam; target None or all staying builds no scatter index.  The
-    per-capita rates go into a scratch buffer, the flux and switch term are
-    formed in place, and each call returns a new array."""
-    mv, m, lam = cfg.moves, cfg.m, np.array(cfg.lam)
+    rate lam; target None or all staying builds no switch.  Each call returns
+    a new array.
+
+    Where flat_operators(cfg) holds, x is the flat occupation (n * m,): the
+    per-capita rates of the level families and the switch, one more family
+    at rate lam with no partner, are E @ x + r0, and the flow is N @ (rates
+    * x), N holding Moves.net per column and the switch's P - I, P the
+    scatter to the switch cells: four numpy calls.  Otherwise x is (n, m):
+    Moves.per_capita goes into a scratch buffer, and the flux and the
+    switch's scatter are formed in place.
+    """
+    mv, n, m, lam = cfg.moves, cfg.n, cfg.m, np.array(cfg.lam)
     cells = None
     if target is not None and cfg.lam != 0.0 and (target != np.arange(m)).any():
         cells = cfg.switch_cells(target).ravel()
+    if flat_operators(cfg):
+        size, families, lv = n * m, len(mv.rate), np.arange(n)
+        E = np.zeros((families, n, m, n, m))
+        E[:, lv, :, lv, :] = mv.evo.swapaxes(0, 1)   # (f, i, j) reads (i, k)
+        N = np.einsum("afi,jl->ajfil", mv.net.reshape(n, families, n), np.eye(m))
+        E, r0, N = E.reshape(-1, size), mv.rate.reshape(-1), N.reshape(size, -1)
+        if cells is not None:
+            eye = np.eye(size)
+            E = np.concatenate([E, np.zeros((size, size))])
+            r0 = np.concatenate([r0, np.full(size, cfg.lam)])
+            N = np.concatenate([N, eye[cells].T - eye], axis=1)
+        rate = np.empty(len(E))
+        flux = rate.reshape(-1, size)
+
+        def flat(x):
+            np.matmul(E, x, out=rate)
+            np.add(rate, r0, out=rate)
+            np.multiply(flux, x, out=flux)
+            return N @ rate
+
+        return flat
     rate = np.empty(mv.rate.shape)
 
     def rhs(x):
@@ -132,7 +181,8 @@ def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     refuses is a ValueError.  The level moves are the flux balance of cfg.moves.
     """
     x = occupation_array(x, (cfg.n, cfg.m))
-    return _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)(x)
+    kernel = _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)
+    return kernel(x.reshape(-1)).reshape(x.shape) if flat_operators(cfg) else kernel(x)
 
 
 def rk4_scalars(h: float) -> tuple:
@@ -215,6 +265,7 @@ def integrate_forward(
     xs[0] = occupation_array(x0, (n, m))
     rows = xs.reshape(n_steps + 1, n * m)
     bits = rows.view(np.int64)
+    nodes = rows if flat_operators(cfg) else xs   # the shape the kernel steps
     scalars = rk4_scalars(h)
     errors = []   # the floating-point errors the caller would see, met inside a run
     caught = {kind: "ignore" if mode == "ignore" else "call"
@@ -232,13 +283,13 @@ def integrate_forward(
             end = min(k + run, b)   # steps k .. end-1, into nodes k+1 .. end
             with np.errstate(**caught, call=record):
                 for j in range(k, end):
-                    rk4_step(kernel, xs[j], scalars, out=xs[j + 1])
+                    rk4_step(kernel, nodes[j], scalars, out=nodes[j + 1])
                     if errors:
                         end = j + 1
                         break
             if errors:   # rerun as a step-by-step pass would take it
                 errors.clear()
-                rk4_step(kernel, xs[end - 1], scalars, out=xs[end])
+                rk4_step(kernel, nodes[end - 1], scalars, out=nodes[end])
             with np.errstate(all="ignore"):   # the per-step rule below warns as it would
                 block = rows[k + 1:end + 1]
                 mass = block.sum(axis=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -23,9 +24,11 @@ from hbmfg import (
     integrate_forward,
     kinetic_rhs,
     optimal_control,
+    solve_mfg,
     switch_gains,
 )
 from hbmfg.hjb import BLOCK_BYTES, SWITCH_TOL, _block_steps, _node_pass
+from hbmfg import kinetics
 from hbmfg.kinetics import rk4_step
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
@@ -243,26 +246,34 @@ def held_run_lengths(x_path, cfg):
     return held
 
 
-def step_map(x_mid, target, h, cfg):
-    """The RK4 step of the payoff flow at occupation x_mid under a target
-    matrix (None: everybody stays), as a map built here from
-    _payoff_operators, _target_gains and rk4_step on the augmented identity
-    [I | 0]: Y(g), the step's three stage inputs and its output (4, n, m).
-    A target gives a flat by-column operator, M's blocks on the diagonal
-    less lam * (P - I) with P the gather of the target's cells, and the
-    constant c + lam * fee; without one, M's blocks act column by column."""
+def flat_operator(x_mid, target, cfg):
+    """The payoff flow at occupation x_mid under a target matrix as A @ G + b
+    on the flat by-column payoff G (n * m, 1), built here from
+    _payoff_operators and _target_gains: M's blocks on the diagonal less
+    lam * (P - I) with P the gather of the target's cells, and the constant
+    c + lam * fee."""
     n, m = cfg.n, cfg.m
     M, c = (a[0] for a in hbmfg.hjb._payoff_operators(x_mid[None], cfg))
+    _, cells, fee = hbmfg.hjb._target_gains(cfg)(target)
+    A = np.zeros((n * m, n * m))
+    for j in range(m):
+        A[j * n:(j + 1) * n, j * n:(j + 1) * n] = M[j]
+    eye = np.eye(n * m)
+    A -= cfg.lam * (eye[cells] - eye)
+    return A, c.reshape(-1, 1) + cfg.lam * fee[:, None]
+
+
+def step_map(x_mid, target, h, cfg):
+    """The RK4 step of the payoff flow at occupation x_mid under a target
+    matrix (None: everybody stays), as a map built here from flat_operator
+    and rk4_step on the augmented identity [I | 0]: Y(g), the step's three
+    stage inputs and its output (4, n, m).  Without a target, M's blocks
+    act column by column."""
+    n, m = cfg.n, cfg.m
     if target is None:
-        A, b = M, c
+        A, b = (a[0] for a in hbmfg.hjb._payoff_operators(x_mid[None], cfg))
     else:
-        _, cells, fee = hbmfg.hjb._target_gains(cfg)(target)
-        A = np.zeros((n * m, n * m))
-        for j in range(m):
-            A[j * n:(j + 1) * n, j * n:(j + 1) * n] = M[j]
-        eye = np.eye(n * m)
-        A -= cfg.lam * (eye[cells] - eye)
-        b = c.reshape(-1, 1) + cfg.lam * fee[:, None]
+        A, b = flat_operator(x_mid, target, cfg)
     rows = A.shape[-1]
     identity = np.concatenate([np.broadcast_to(np.eye(rows), A.shape),
                                np.zeros(A.shape[:-1] + (1,))], axis=-1)
@@ -284,6 +295,26 @@ def step_map(x_mid, target, h, cfg):
     return apply
 
 
+def flat_step(x_mid, target, h, cfg):
+    """The RK4 step of the payoff flow at occupation x_mid under a target
+    matrix, an rk4_step of -(A @ G + b) on flat_operator's flat by-column
+    payoff: Y(g), the step's three stage inputs and its output (4, n, m)."""
+    n, m = cfg.n, cfg.m
+    A, b = flat_operator(x_mid, target, cfg)
+
+    def apply(g):
+        stages = []
+
+        def f(y):
+            stages.append(y)
+            return -(A @ y + b)
+
+        out = rk4_step(f, np.ascontiguousarray(g.T).reshape(-1, 1), h)
+        return np.array(stages[1:] + [out]).reshape(4, m, n).transpose(0, 2, 1)
+
+    return apply
+
+
 def held_term_holds(y, target, cfg):
     """The best-switch term at y equals, in bits, the term of a held target
     (None: everybody stays, term +0.0): the response check's test."""
@@ -296,57 +327,62 @@ def held_term_holds(y, target, cfg):
     return np.array_equal(term.view(np.int64), held.view(np.int64))
 
 
-def backward_loop(gT, x_path, controls, h, cfg, inputs=None, maps=True):
+def backward_loop(gT, x_path, controls, h, cfg, inputs=None, fold=True):
     """integrate_backward as an rk4_step loop over -hjb_rhs in the reversed clock.
 
     controls: one target matrix or None per step, or "optimizing" for the best
     response at every stage.  Returns the nodes' g and each step's first-stage
     control, which sits on the step's starting node.  A list given as inputs
     collects every stage's input, four a step, from the step next to T on.
-    With maps, an optimizing step of a held run (held_run_lengths) goes
-    through step_map where loop_step lets it; without, every step is the
-    stage loop.
+    With fold, an optimizing step goes through step_map or flat_step where
+    loop_step lets it; without, every step is the stage loop.
     """
-    held, built = held_run_lengths(x_path, cfg) * maps, {}
+    held, built = held_run_lengths(x_path, cfg), {}
     gs, firsts = [np.asarray(gT, dtype=float)], []
     for k in reversed(range(len(x_path) - 1)):
-        g, u, _ = loop_step(gs[-1], k, x_path, controls, h, cfg, held[k], built, inputs)
+        g, u, _ = loop_step(gs[-1], k, x_path, controls, h, cfg, held[k], built, inputs, fold)
         gs.append(g)
         firsts.append(u)
     return np.array(gs[::-1]), firsts[::-1]
 
 
-def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None):
-    """backward_loop's step k from g: (output, first-stage control, mapped).
+def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None, fold=True):
+    """backward_loop's step k from g: (output, first-stage control, how),
+    how "map" or "flat" for a step taken so, else None.
 
-    held: the step's held run length, 0 off a held run.  An optimizing step
-    of a held run goes through step_map, as integrate_backward takes it,
-    under the best response at g when the best-switch term keeps that
-    response's at the map's stage inputs.  Everybody staying is bare where
-    0 <= lam < inf (not -0.0), a map of n rows; a target is a map of nm
-    rows, which needs 0 <= lam < inf and its four (nm, nm + 1) matrices
-    within a quarter of hjb.BLOCK_BYTES.  A map of `rows` rows needs a held
-    run of rows**2 steps.  Any other step is an rk4_step of -hjb_rhs.  built
-    keeps the maps by their mean node and target.
+    held: the step's held run length, 0 off a held run.  With fold, an
+    optimizing step plays the best response at g, as integrate_backward's
+    response runs hold it, where the best-switch term keeps that response's
+    at the step's stage inputs.  Everybody staying is bare where 0 <= lam <
+    inf (not -0.0).  On a held run a bare response is a map of n rows, and a
+    target one of nm rows where kinetics.flat_operators(cfg) holds; a map of
+    `rows` rows needs a held run of rows**2 steps.  A target response that
+    takes no map is a flat_step where flat_operators(cfg) holds.  Any other
+    step is an rk4_step of -hjb_rhs.  built keeps the maps and flat steps by
+    their mean node and target.
     """
     optimizing = isinstance(controls, str)
     n, m = cfg.n, cfg.m
     x_mid = 0.5 * (x_path[k] + x_path[k + 1])
-    if held and optimizing:
+    if fold and optimizing:
         bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
-        targets = (0.0 <= cfg.lam < np.inf
-                   and 32 * n * m * (n * m + 1) <= hbmfg.hjb.BLOCK_BYTES // 4)
+        flat = kinetics.flat_operators(cfg)
         u = optimal_control(g, cfg)
         target = None if bare and (u == np.arange(m)).all() else u
-        if held >= n * n if target is None else targets and held >= (n * m) ** 2:
-            key = x_mid.tobytes(), None if target is None else target.tobytes()
+        how = None
+        if held and (held >= n * n if target is None else flat and held >= (n * m) ** 2):
+            how = "map"
+        elif target is not None and flat:
+            how = "flat"
+        if how:
+            key = how, x_mid.tobytes(), None if target is None else target.tobytes()
             if key not in built:
-                built[key] = step_map(x_mid, target, h, cfg)
+                built[key] = (step_map if how == "map" else flat_step)(x_mid, target, h, cfg)
             Y = built[key](g)
             if all(held_term_holds(y, target, cfg) for y in Y[:3]):
                 if inputs is not None:
                     inputs += [g, *Y[:3]]
-                return Y[3], u, True
+                return Y[3], u, how
     stage_u = []
 
     def f(y):
@@ -354,31 +390,44 @@ def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None):
             inputs.append(y)
         stage_u.append(optimal_control(y, cfg) if optimizing else controls[k])
         return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
-    return rk4_step(f, g, h), stage_u[0], False
+    return rk4_step(f, g, h), stage_u[0], None
 
 
-def replay(traj, x_path, controls, h, cfg):
-    """Each step of a pass replayed from the pass's own input: every step
-    equals in bits its loop_step with a map or its stage step, and a
-    mapped one only where loop_step maps it.  Returns how many equal the
-    mapped step alone, and how many equal it at all (a map step whose
-    bits its stage step gives too)."""
+def replay(traj, x_path, h, cfg):
+    """Each step of an optimizing pass replayed from the pass's own input:
+    every step equals in bits its loop_step folded (a map or a flat step)
+    or its stage step, and a folded one only where loop_step folds it.
+    Returns how many equal the folded step alone, and how many equal it at
+    all: a folded step whose bits its stage step gives too, or a back-off
+    step that the pass took by the best switch where the folded step would
+    have held."""
     held, built = held_run_lengths(x_path, cfg), {}
     alone = either = 0
     for k in range(len(x_path) - 1):
         got = traj.g[k].view(np.int64)
-        stage = loop_step(traj.g[k + 1], k, x_path, controls, h, cfg, 0, built)[0]
-        out, _, mapped = loop_step(traj.g[k + 1], k, x_path, controls, h, cfg, held[k], built)
-        by_map = mapped and np.array_equal(got, out.view(np.int64))
+        stage = loop_step(traj.g[k + 1], k, x_path, "optimizing", h, cfg, 0, built,
+                          fold=False)[0]
+        out, _, how = loop_step(traj.g[k + 1], k, x_path, "optimizing", h, cfg, held[k], built)
+        by_fold = how is not None and np.array_equal(got, out.view(np.int64))
         by_stage = np.array_equal(got, stage.view(np.int64))
-        assert by_map or by_stage, k
-        alone += by_map and not by_stage
-        either += by_map
+        assert by_fold or by_stage, k
+        alone += by_fold and not by_stage
+        either += by_fold
     return alone, either
 
 
+def assert_replays(best, x_path, h, cfg):
+    """An optimizing pass against the reference loop step by step (replay):
+    the steps only a folded step gives are at most the pass's map and flat
+    steps, and those at most the steps a folded step gives at all; and u[k]
+    is the best response at node k, every node across block edges."""
+    alone, either = replay(best, x_path, h, cfg)
+    assert alone <= best.meta["map_steps"] + best.meta["flat_steps"] <= either
+    assert np.array_equal(steps_of(best.u), [optimal_control(g, cfg) for g in best.g[:-1]])
+
+
 def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
-    blocks = []
+    blocks, flat_steps = [], {True: 0, False: 0}
     for cfg, x0, rng, steps in stage_cases():
         h = 1.0 / steps
         blocks.append(steps / _block_steps(cfg))
@@ -390,13 +439,15 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         assert np.array_equal(fixed.g, backward_loop(gT, x_path, stack, h, cfg)[0])
         free = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg)
         assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
+        # the optimizing pass: step by step the reference loop's folded or
+        # stage steps in bits, and within rounding of the stage loop; its
+        # held targets take flat steps where kinetics.flat_operators holds
         best = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg, mode="optimizing")
-        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg)
-        assert np.array_equal(best.g, g)
-        # u[k] is the best response at node k, every node across block edges:
-        # step k-1's first stage, and t0's own call
-        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+        assert_replays(best, x_path, h, cfg)
+        assert_near(best.g, backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0])
+        flat_steps[kinetics.flat_operators(cfg)] += best.meta["flat_steps"]
     assert min(blocks[-2:]) > 5
+    assert flat_steps[True] > 0 and flat_steps[False] == 0
 
 
 def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
@@ -412,9 +463,10 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     # Near T the optimizing pass's best response changes within a few steps,
     # which it reruns; elsewhere it holds one response over long runs.
     # The optimizing pass's held responses go through step maps: bare, and
-    # under targets where their maps fit a quarter of BLOCK_BYTES.  It equals
-    # the reference loop with the same maps in bits, and the stage loop
-    # within rounding; the fixed passes keep their stages.
+    # under targets where kinetics.flat_operators holds, as on 3 x 2 at
+    # every BLOCK_BYTES; its moving stretches stay bare.  It equals the
+    # reference loop with the same maps in bits, and the stage loop within
+    # rounding; the fixed passes keep their stages.
     rng = np.random.default_rng(1)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=1.5, delta=0.3)
     x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
@@ -433,8 +485,11 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
     fixed_g = backward_loop(gT, x_path, stack, h, cfg)[0]
     free_g = backward_loop(gT, x_path, [None] * steps, h, cfg)[0]
-    stage_g = backward_loop(gT, x_path, "optimizing", h, cfg, maps=False)[0]
-    refs = {}   # the optimizing reference loop's (g, first-stage controls, stage inputs), by fit
+    stage_g = backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0]
+    inputs = []
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
+    changing = steps_changing(inputs, cfg)
+    assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         assert _block_steps(cfg) <= lengths.min()   # each held run shares one operator
@@ -443,14 +498,6 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
         assert np.array_equal(fixed.g, fixed_g) and fixed.meta["map_steps"] == 0
         free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
         assert np.array_equal(free.g, free_g) and free.meta["map_steps"] == 0
-        # the target maps (6 x 7 values each, four) fit from 8 KB up
-        fits = 32 * 6 * 7 <= block // 4
-        if fits not in refs:
-            inputs = []
-            refs[fits] = (*backward_loop(gT, x_path, "optimizing", h, cfg, inputs), inputs)
-        g, firsts, inputs = refs[fits]
-        changing = steps_changing(inputs, cfg)
-        assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
         best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
         assert np.array_equal(best.g, g), block
         assert_near(best.g, stage_g)
@@ -497,9 +544,9 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         gT = np.zeros((cfg.n, cfg.m))
         best = integrate_backward(gT, x_path, 0.0, 3.0, h, cfg, mode="optimizing")
         inputs = []
-        g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
-        assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
-        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+        g = backward_loop(gT, x_path, "optimizing", h, cfg, inputs, fold=False)[0]
+        assert_replays(best, x_path, h, cfg)
+        assert_near(best.g, g)
         changing = steps_changing(inputs, cfg)
         assert_reruns(best, changing)
         assert not any(changing) if everywhere else 0 < sum(changing) < steps // 10
@@ -519,9 +566,9 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     gT[:, 2] = thm.switch_fee.min() + 2.0
     best = integrate_backward(gT, x_path, 0.0, 3.0, h, thm, mode="optimizing")
     inputs = []
-    g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs)
-    assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
-    assert np.array_equal(steps_of(best.u), [optimal_control(g[0], thm)] + firsts[:-1])
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs, fold=False)
+    assert_replays(best, x_path, h, thm)
+    assert_near(best.g, g)
     changing = steps_changing(inputs, thm)
     assert_reruns(best, changing)
     assert 0 < sum(changing) and not changing[0] and not changing[-1]
@@ -553,8 +600,8 @@ def fee_ordered_config():
 
 
 def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
-    # the optimizing pass against the reference loop, bit for bit in g and u,
-    # at 4 KB, 8 KB and the default BLOCK_BYTES (response runs of at most 7, 14
+    # the optimizing pass against the reference loop, step by step in bits
+    # (replay), at 4 KB, 8 KB and the default BLOCK_BYTES (response runs of at most 7, 14
     # and 227 steps on 3 x 3; 1, 1 and 20 on 10 x 10):
     # - the example from the uniform start: near T, runs fail their check at
     #   their first, a middle and their last step;
@@ -567,10 +614,11 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     #   step wasted, come ever further apart.
     # The uniform start is a fixed point of the 3 x 3 paths, so at 4 KB and
     # 8 KB each path is one held run (at the default, shorter than an
-    # operator block, none), and the example's and tied_config's all-stay
-    # steps near T go through a bare step map (their target maps do not
-    # fit), as in the reference loop; every case is also within rounding of
-    # the stage loop.
+    # operator block, none): its all-stay steps near T go through a bare
+    # step map, and fee_ordered_config's 120 steps, past 9**2, through
+    # target maps.  The 3 x 3 paths' other held targets take flat steps, as
+    # in the reference loop, step by step; every case is also within
+    # rounding of the stage loop.
     checks = []   # (steps, steps kept) of every response run's check
     real = hbmfg.hjb._best_response
 
@@ -596,7 +644,7 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     for name, (cfg, gT, x0, T, steps) in cases.items():
         x_path = integrate_forward(x0, None, 0.0, T, T / steps, cfg).x
         inputs = []
-        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs, maps=False)
+        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs, fold=False)
         refs[name] = x_path, g, [optimal_control(g[0], cfg)] + firsts[:-1], inputs
     changing = steps_changing(refs["changing"][3], ten)
     assert all(changing) and len(changing) == 40
@@ -610,19 +658,18 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     with np.errstate(invalid="ignore"):
         g = backward_loop(np.zeros((3, 3)), refs["example"][0], "optimizing", 0.05, blowup)[0]
     first = max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2))))
-    mapped = set()   # the cases whose pass took map steps, by block
+    folded = set()   # the cases whose pass took map or flat steps, by block
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         for name, (cfg, gT, x0, T, steps) in cases.items():
             x_path, stage_g = refs[name][:2]
-            g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg)
             checks.clear()
             best = integrate_backward(gT, x_path, 0.0, T, T / steps, cfg, mode="optimizing")
-            assert np.array_equal(best.g.view(np.int64), g.view(np.int64))
-            assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+            assert_replays(best, x_path, T / steps, cfg)
             assert_near(best.g, stage_g)
-            if best.meta["map_steps"]:
-                mapped.add((block, name))
+            for how in ("map", "flat"):
+                if best.meta[how + "_steps"]:
+                    folded.add((how, block, name))
             failed = [(length, kept) for length, kept in checks if kept < length]
             if name == "example":
                 assert {"first" if kept == 0 else "last" if kept == length - 1 else "middle"
@@ -633,7 +680,38 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
         with pytest.raises(HjbError, match=rf"non-finite payoff at t={first * 0.05:.6g};"):
             integrate_backward(np.zeros((3, 3)), refs["example"][0], 0.0, 3.0, 0.05, blowup,
                                mode="optimizing")
-    assert mapped == {(block, name) for block in (1 << 12, 1 << 13) for name in ("example", "tie")}
+    small = (1 << 12, 1 << 13)
+    assert folded == ({("map", block, name) for block in small
+                       for name in ("example", "tie", "fees")}
+                      | {("flat", block, name) for block in (*small, BLOCK_BYTES)
+                         for name in ("example", "tie")} | {("flat", BLOCK_BYTES, "fees")})
+
+
+def test_flat_payoff_overflow_raises_at_the_stage_loops_t():
+    # the example's converged path, its rewards and fees scaled to 1e307:
+    # the payoff overflows at t = 4.6, where the pass had taken flat steps on
+    # the moving path; it raises HjbError at the first non-finite node of the
+    # stage loop, also with every warning an error (-W error)
+    example = read_config(EXAMPLE)
+    x0 = np.full((3, 3), 1.0 / 9.0)
+    u = solve_mfg(x0, np.zeros((3, 3)), 10.0, 0.05, example).trajectory.u
+    x_path = integrate_forward(x0, u, 0.0, 10.0, 0.05, example).x
+    cfg = dataclasses.replace(example, w=example.w * 1e307, fee_B=example.fee_B * 1e307,
+                              fee_H=example.fee_H * 1e307)
+    assert kinetics.flat_operators(cfg)
+    gT = np.zeros((3, 3))
+    with np.errstate(all="ignore"):
+        g = backward_loop(gT, x_path, "optimizing", 0.05, cfg, fold=False)[0]
+    first = max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2))))
+    assert first == 92
+    after = integrate_backward(gT, x_path[first + 1:], (first + 1) * 0.05, 10.0, 0.05, cfg,
+                               mode="optimizing")
+    assert after.meta["flat_steps"] > 0
+    with warnings.catch_warnings():
+        for action in ("default", "error"):
+            warnings.simplefilter(action)
+            with pytest.raises(HjbError, match=rf"non-finite payoff at t={first * 0.05:.6g};"):
+                integrate_backward(gT, x_path, 0.0, 10.0, 0.05, cfg, mode="optimizing")
 
 
 def test_held_run_check_compares_bits():
@@ -783,8 +861,7 @@ def test_held_runs_match_the_oracle(tmp_path, monkeypatch):
                                          np.zeros(cfg.n * cfg.m), x.reshape(steps + 1, -1), T)
         scale = float(np.abs(want).max())
         assert np.abs(best.g.reshape(steps + 1, -1) - want).max() <= 1e-12 * scale, name
-        alone, either = replay(best, x, "optimizing", dt, cfg)
-        assert alone <= best.meta["map_steps"] <= either
+        assert_replays(best, x, dt, cfg)
         if name == "stayput":
             assert best.meta["map_steps"] == steps and best.meta["maps"] == 1
         else:   # a bare map near T, then target maps; held and rerun steps as before
@@ -807,7 +884,7 @@ def test_held_runs_shorter_than_rows_squared_keep_their_stages(tmp_path, monkeyp
         if steps < 100:
             assert best.meta["map_steps"] == best.meta["maps"] == 0
             assert np.array_equal(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg,
-                                                        maps=False)[0])
+                                                        fold=False)[0])
         else:
             assert best.meta["map_steps"] == steps and best.meta["maps"] == 1
 

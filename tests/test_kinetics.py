@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from hbmfg import (
     GameConfig,
     KineticsError,
     Occupation,
+    Regime,
     SinkRates,
     integrate_backward,
     integrate_forward,
@@ -414,11 +416,14 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
 
 def forward_per_step(x0, control, t0, t1, dt, cfg):
     """integrate_forward's per-step rule, one step and its checks at a time:
-    the reference for the run-checked pass.  Returns (xs, meta)."""
+    the reference for the run-checked pass.  Returns (xs, meta).  The step
+    kernel takes the flat occupation where kinetics.flat_operators holds."""
     n_steps, h = step_grid(t0, t1, dt, cfg.n * cfg.m)
     times = t0 + h * np.arange(n_steps + 1)
     x = np.array(occupation_array(x0, (cfg.n, cfg.m)))
     xs = np.empty((n_steps + 1,) + x.shape)
+    if kinetics.flat_operators(cfg):
+        x, xs = x.reshape(-1), xs.reshape(n_steps + 1, -1)
     xs[0] = x
     drift_max = 0.0
     projections = fixed_steps = 0
@@ -443,8 +448,8 @@ def forward_per_step(x0, control, t0, t1, dt, cfg):
                 fixed_steps += b - k - 1
                 projections += projected * (b - k - 1)
                 break
-    return xs, {"dt": h, "drift_max": drift_max, "projections": projections,
-                "fixed_steps": fixed_steps}
+    return xs.reshape(n_steps + 1, cfg.n, cfg.m), {
+        "dt": h, "drift_max": drift_max, "projections": projections, "fixed_steps": fixed_steps}
 
 
 def _outcome(integrate, *args):
@@ -566,6 +571,85 @@ def test_run_checked_forward_pass_warns_as_the_per_step_rule(monkeypatch):
         got, seen = assert_runs_match_per_step(monkeypatch, _subnormal_start(100), None, 0.0,
                                                4.0, 0.02, cfg)
     assert seen and got[1]["fixed_steps"] == 200 - 46
+
+
+def test_forward_overflow_inside_a_flat_run_warns_and_raises_as_the_per_step_rule(monkeypatch):
+    # a 3 x 3 switching path, whose stages are the flat kernel's BLAS
+    # matmuls: at these steps every step projects, until one overflows into
+    # node 5 (step 4, inside the run of steps 3 .. 6) or node 72 (inside the
+    # 64-step run from step 63; there the mass check's sum overflows); the
+    # same warnings fire as step by step, and the same error is raised.
+    # Under -W error the first warning is raised instead, the same one.
+    rng = np.random.default_rng(9)
+    cfg = make_config(3, 3, rng, balanced_evo=False, delta=0.3)
+    x0 = random_simplex(3, 3, rng)
+    u = random_control(3, 3, rng)
+    assert kinetics.flat_operators(cfg) and (u != np.arange(3)).any()
+
+    def raised(integrate, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                integrate(*args)
+            except (KineticsError, RuntimeWarning) as e:
+                return type(e), str(e)
+
+    for dt, node in ((2e21, 5), (1.6e21, 72)):
+        args = (x0, u, 0.0, 100 * dt, dt, cfg)
+        with np.errstate(all="warn"):
+            got, seen = assert_runs_match_per_step(monkeypatch, *args)
+            want = raised(forward_per_step, *args)
+            for cap in (1, 3, kinetics.RUN_STEPS):
+                monkeypatch.setattr(kinetics, "RUN_STEPS", cap)
+                assert raised(_forward, *args) == want, cap
+        assert got == f"non-finite occupation at t={node * dt:.6g}; reduce dt (dt={dt:.3g})", got
+        assert seen and want == seen[0]
+
+
+def by_column_rhs(x, target, cfg):
+    """kinetic_rhs by columns, x (n, m): the per-capita rates of cfg.moves
+    times x, net @ flux, and the switch's scatter to cfg.switch_cells of
+    target less x, times lam; the kernel grids outside
+    kinetics.flat_operators step, and the reference for the flat one."""
+    mv, m = cfg.moves, cfg.m
+    flux = mv.per_capita(x) * x
+    out = mv.net @ flux.reshape(-1, m)
+    if target is not None and cfg.lam != 0.0 and (target != np.arange(m)).any():
+        cells = cfg.switch_cells(target).ravel()
+        switch = np.bincount(cells, x.ravel(), x.size).reshape(x.shape) - x
+        out += np.array(cfg.lam) * switch
+    return out
+
+
+def test_flat_kernel_equals_the_by_column_formula():
+    # on 3 x 3 grids, each level variant and regime, lam = 0 and m = 1, under
+    # no control, an all-stay target and a switching one: the flat kernel,
+    # one flat operator with the switch as one more move family, is the
+    # by-column formula within rounding; past kinetics.flat_operators (6 x 6,
+    # 10 x 10) the kernel is the by-column formula in bits
+    rng = np.random.default_rng(40)
+    small = [make_config(3, 3, rng, balanced_evo=False, delta=0.3, regime=regime, sink=sink,
+                         lam=float(rng.uniform(0.5, 2.0)))
+             for sink in (False, True) for regime in Regime]
+    small += [make_config(3, 3, rng, balanced_evo=False, delta=0.3, lam=0.0),
+              make_config(3, 1, rng, balanced_evo=False, delta=0.3),
+              make_config(5, 5, rng, balanced_evo=False, delta=0.3, sink=True)]
+    large = [make_config(n, n, rng, balanced_evo=False, delta=0.3) for n in (6, 10)]
+    for cfg in small + large:
+        n, m = cfg.n, cfg.m
+        stay = np.tile(np.arange(m), (n, 1))
+        switch = (stay + 1) % m
+        switch[0] = stay[0]
+        for target in (None, stay, switch):
+            for x in (random_simplex(n, m, rng), rng.uniform(0.0, 10.0, (n, m))):
+                want = by_column_rhs(x, target, cfg)
+                got = kinetic_rhs(x, target, cfg)
+                if kinetics.flat_operators(cfg):
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), cfg
+                else:
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert [kinetics.flat_operators(cfg) for cfg in small + large] == [True] * 9 + [False] * 2
+    assert not kinetics.flat_operators(dataclasses.replace(small[0], lam=np.inf))
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 8, 9, 16, 17, 100, 128, 129, 300])

@@ -25,7 +25,8 @@ from hbmfg import (
 from hbmfg.cli import run as cli_run
 from hbmfg.hjb import SWITCH_TOL
 from hbmfg.io import read_config, write_state_csv
-from test_hjb import assert_near, assert_reruns, backward_loop, same_bits, steps_changing
+from test_hjb import (assert_near, assert_replays, assert_reruns, backward_loop, same_bits,
+                      steps_changing)
 from test_io_cli import EXAMPLE
 from test_kinetics import random_simplex
 from util_configs import cycle_config, make_config, stayput_config, steps_of, theorem_config
@@ -134,7 +135,7 @@ def test_exact_shortcuts_fire_inside_the_cone():
         # the whole path is one held run, everybody stays: one bare map takes every step
         assert bwd.meta["map_steps"] == steps and bwd.meta["maps"] == 1
         stage = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg,
-                              maps=False)[0]
+                              fold=False)[0]
         assert_near(bwd.g, stage)
 
 
@@ -170,12 +171,19 @@ def test_example_solve_skips_only_near_the_horizon():
     inside = g.max(axis=(1, 2)) - g.min(axis=(1, 2)) - cfg.switch_fee.min() <= SWITCH_TOL
     near_t = int(inside.sum())
     assert 0 < near_t < 0.1 * len(g) and inside[-near_t:].all()
+    # the pass is step by step the reference loop's, and near the stage loop
     inputs = []
-    assert np.array_equal(backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05,
-                                        cfg, inputs)[0], g)
+    stage = backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05, cfg, inputs,
+                          fold=False)[0]
+    assert_replays(bwd, fwd.x, 0.05, cfg)
+    assert_near(g, stage)
     changing = steps_changing(inputs, cfg)   # from the step next to T on
     assert_reruns(bwd, changing)
     assert 0 < sum(changing) and not any(changing[:near_t - 1] + changing[2 * near_t:])
+    # the held steps hold targets, and take flat steps, but for the 17 next
+    # to T, where everybody stays; the moving path builds no step map
+    assert (bwd.meta["held_steps"], bwd.meta["rerun_steps"]) == (193, 7)
+    assert bwd.meta["flat_steps"] == 193 - 17 and bwd.meta["map_steps"] == 0
 
 
 def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path, monkeypatch):
@@ -187,15 +195,26 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
     # stage loop its payoff and cone_worst within rounding
     cfg = read_config(EXAMPLE)
     x0 = Occupation.uniform(cfg.n, cfg.m).x
-    res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), default_horizon(cfg), default_dt(cfg), cfg)
-    assert res.meta["cone_worst"] == 1.5203133046333726
+    T, dt = default_horizon(cfg), default_dt(cfg)
+    res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), T, dt, cfg)
+    assert res.meta["cone_worst"] == 1.520313304633369 and res.iterations == 2
+    # its two sweeps: the first fills all forward steps but one and its
+    # payoff pass is one held run; the last, under the converged control,
+    # moves, and its held steps take flat steps but for the 17 bare ones
+    # next to T
+    fwd, bwd = _sweep(x0, None, T, dt, cfg)
+    assert fwd.meta["fixed_steps"] == 1249 and bwd.meta["map_steps"] == 1243
+    fwd, bwd = _sweep(x0, res.trajectory.u, T, dt, cfg)
+    assert fwd.meta["fixed_steps"] == 0 and np.array_equal(bwd.g, res.trajectory.g)
+    assert (bwd.meta["held_steps"], bwd.meta["rerun_steps"]) == (1243, 7)
+    assert bwd.meta["flat_steps"] == 1243 - 17 and bwd.meta["map_steps"] == 0
     cfg = read_config(stayput_config(tmp_path, monkeypatch))
     res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
     assert res.meta["cone_worst"] == -26.344619424234676
     assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
     gT, x = np.zeros((cfg.n, cfg.m)), res.trajectory.x
     assert np.array_equal(res.trajectory.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
-    stage = backward_loop(gT, x, "optimizing", 0.05, cfg, maps=False)[0]
+    stage = backward_loop(gT, x, "optimizing", 0.05, cfg, fold=False)[0]
     assert_near(res.trajectory.g, stage)
     worst = float(switch_gains(stage, cfg).max())
     assert abs(res.meta["cone_worst"] - worst) <= 1e-12 * max(1.0, float(np.abs(stage).max()))
@@ -203,10 +222,10 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
 
 SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
     "example": {
-        "x.csv": "f6713548515571173f5225c3fbb0c8c414c8f21c53f1418597b95183cdd84fc2",
-        "g.csv": "81bbb4f7aa9938b658a38f4e24216c447ed699819b096f2a51c6227bf3c7ec74",
+        "x.csv": "891227463f439992f847d5d033848412db7c1b4560423d264b0d94204515f5f3",
+        "g.csv": "4b7cb3efcf815d9c7e13f9fb387f33069c986501dd6d40889153036c4c0c3d18",
         "controls.json": "1748a50a3758b21c912ba0303bb799ec77e81d24e26ba08b5fed299f67ae582f",
-        "solve.json": "f58fd95094d5c70796b6d80a62ff586ee57ba4bd693ec595cdda6b592653e112",
+        "solve.json": "bd467fc3a9932291745471136c686a4bd5016aa51103c43d08bd7d19dd03cf8d",
     },
     "stayput": {
         "x.csv": "9aecc53c82d0d9785cca3e24413651f61a1e993c0f7add9e02cfe249c7fccb44",
@@ -228,9 +247,12 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
     # short horizon, from its stationary start and from CI's seeded moving
     # start, which reaches the moving 10 x 10 payoff operators and the
     # run-checked forward pass: a change that moves any bit of a solve
-    # changes these pins, and has to say so.  The stay-put payoff, whose held
-    # run steps by a step map, stays within rounding of the stage loop run
-    # over its own x.csv
+    # changes these pins, and has to say so.  The 10 x 10 grids lie outside
+    # kinetics.flat_operators, so their kernels and pins are the by-column
+    # ones; the example's held switch takes the flat operators in both
+    # passes.  The stay-put payoff, whose held run steps by a step map, and
+    # the example's, whose held targets take flat steps, stay within
+    # rounding of the stage loop run over their own x.csv
     stayput = ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5", "--dt", "0.05"]
     x = np.random.default_rng(0).random((10, 10))
     write_state_csv(str(tmp_path / "x0.csv"), x / x.sum())
@@ -241,10 +263,11 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
         assert cli_run(argv[name] + ["--out", str(out)]) == 0
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
         assert got == pins, name
-    cfg = read_config(argv["stayput"][1])
-    x, g = (np.loadtxt(tmp_path / "stayput" / f, delimiter=",", skiprows=1)[:, 1:]
-            .reshape(-1, cfg.n, cfg.m) for f in ("x.csv", "g.csv"))
-    assert_near(g, backward_loop(g[-1], x, "optimizing", 0.05, cfg, maps=False)[0])
+    for name in ("stayput", "example"):
+        cfg = read_config(argv[name][1])
+        x, g = (np.loadtxt(tmp_path / name / f, delimiter=",", skiprows=1)[:, 1:]
+                .reshape(-1, cfg.n, cfg.m) for f in ("x.csv", "g.csv"))
+        assert_near(g, backward_loop(g[-1], x, "optimizing", 0.05, cfg, fold=False)[0])
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
