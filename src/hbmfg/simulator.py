@@ -10,19 +10,22 @@ The level moves of both variants come from GameConfig.moves; the sink
 variant's downward events drop straight to the lowest level.
 
 Total event rates are linear-or-quadratic in the counts, so the chain is
-simulated exactly: exponential waiting time at the total rate, categorical
-choice of channel.  One rule, coeff * counts[src] * counts[partner], gives
-every channel's rate; a channel without a partner points at row n*m of the
-counts, fixed at 1.  Mean counts over N follow the kinetic equation as N grows.
+simulated exactly (Gillespie): exponential waiting time at the total rate,
+categorical choice of channel.  One rule, coeff * counts[src] * counts[partner],
+gives every channel's rate; a channel without a partner points at row n*m of
+the counts, fixed at 1.  Mean counts over N follow the kinetic equation as N grows.
 
 The control takes the integrators' forms, with one step per output
 interval: None, one target matrix, or a model.Control.  One channel table
 serves each of its pieces, a run of intervals under one target matrix.
 
-`simulate` with one seed runs a scalar per-event loop, the reference the
-tests hold the lockstep loop to.  With several seeds one numpy step
-applies every replication's next event or node crossing, and each path is
-bit for bit the one its seed gives alone (see simulate).  When the
+Each replication reads its own PCG64 stream in order: a uniform u for each
+wait, -math.log(1 - u) / total, then one for the pick if the event falls
+inside the interval, which takes the first channel whose running rate sum
+passes u * total (the last if rounding lets u * total reach the total).
+`simulate` runs every seed count, one included, in one lockstep loop: a
+numpy step applies every replication's next event or node crossing, and
+each path is bit for bit the one its seed gives alone.  When the
 replications expect many events before their next output node, a step
 speculates: it guesses up to a power of two of each replication's next
 events from the current running rate sums, checks every guess against the
@@ -33,7 +36,6 @@ stay within a fixed _SPEC_BYTES, whatever the replications.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 RNG_NAME = "pcg64"
-_ROW_WIDTH = 1024    # uniforms buffered per replication, by either loop
+_ROW_WIDTH = 1024    # uniforms buffered per replication: a wait's, then a pick's, per event
 _CHANNEL_VALUES = 6  # a bound on the values a lockstep step holds per channel and replication
 _SPEC_BYTES = 3 << 19   # 1.5 MiB, a bound on a speculative lockstep step's arrays
 _SPEC_MAX = _ROW_WIDTH // 8   # the most events a column takes in one lockstep step
@@ -177,14 +179,17 @@ def enumerate_transitions(state: CountState, u, cfg: GameConfig) -> List[Transit
 
 @dataclass(frozen=True)
 class SimPath:
-    """Counts sampled on a uniform grid, plus bookkeeping for reproducibility."""
+    """Counts sampled on a uniform grid, plus bookkeeping for reproducibility.
+
+    meta holds the generator's name, "rng", and "lockstep_steps", the steps
+    of the simulate call that made the path (see _simulate_lockstep).
+    """
 
     times: np.ndarray
     counts: np.ndarray  # (len(times), n, m) int64
     N: int
     events: int
     seed: int
-    event_log: Optional[list] = field(default=None, repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -215,7 +220,6 @@ def simulate(
     seed: Union[int, Sequence[int]],
     cfg: GameConfig,
     samples: int = 50,
-    record_events: bool = False,
 ) -> Union[SimPath, List[SimPath]]:
     """Run exact trajectories from s0 over [0, T].
 
@@ -225,13 +229,13 @@ def simulate(
     Restarting the exponential clock at each node is exact by memorylessness.
 
     seed: an int returns one SimPath, a sequence of ints one SimPath per
-    seed, in order.  One seed runs the scalar event loop; several run one
-    lockstep loop (_simulate_lockstep; meta["lockstep_steps"] counts its
-    steps, one-event and speculative alike).  Every trajectory draws from
-    its own PCG64(seed) stream in the same order (a uniform for each wait,
-    and one for the pick if the event falls inside the interval), so a
-    lockstep replication is bit for bit the path that its seed gives alone.
-    record_events needs a single seed.
+    seed, in order.  Every seed count runs one lockstep loop
+    (_simulate_lockstep; meta["lockstep_steps"] counts its steps,
+    one-event and speculative alike).  Every trajectory reads its own
+    PCG64(seed) stream in one order (a uniform u for each wait,
+    -math.log(1 - u) / total, and one for the pick, the first channel whose
+    running rate sum passes u * total), so a replication is bit for bit the
+    path that its seed gives alone.
     The arrays of every replication are held to kinetics.NODE_BYTES less
     _SPEC_BYTES, the most a speculative step's arrays add to the whole call
     whatever the replications, as a grid's node arrays are held to
@@ -260,8 +264,6 @@ def simulate(
     for s in seeds:
         if s < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {s}")
-    if record_events and len(seeds) > 1:
-        raise ValueError("record_events needs a single seed")
     times = np.linspace(0.0, T, samples + 1)
     c0 = np.append(s0.counts.ravel(), 1.0)   # the partner row n*m holds 1
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow estimates inf or nan
@@ -270,71 +272,14 @@ def simulate(
     if not estimate <= MAX_STEPS:
         raise ValueError(f"a simulation of an estimated {estimate:.6g} events exceeds the "
                          f"bound of {MAX_STEPS} events")
-    if len(seeds) > 1:
-        return _simulate_lockstep(s0, pieces, times, seeds, cfg)
-
-    rng = np.random.Generator(np.random.PCG64(seeds[0]))
-    buf = _refill(rng, (), _ROW_WIDTH).tolist()
-    pos = 0
-    lim = _ROW_WIDTH - 2
-
-    out = np.empty((samples + 1, n, m), dtype=np.int64)
-    out[0] = s0.counts
-    counts = s0.counts.ravel().tolist() + [1]   # the partner row n*m holds 1
-    events = 0
-    t = 0.0
-    log_: Optional[list] = [] if record_events else None
-    ln = math.log
-
-    for a, b, table in pieces:
-        srcs, dsts, coeffs, partners = (col.tolist() for col in table)
-        C = len(srcs)
-        sums = [0.0] * C   # the running sums of the channel rates, in channel order
-        for kseg in range(a, b):
-            t_end = float(times[kseg + 1])
-            while True:
-                tot = 0.0
-                for c in range(C):
-                    tot += coeffs[c] * counts[srcs[c]] * counts[partners[c]]
-                    sums[c] = tot
-                if tot <= 0.0:
-                    break
-                if pos > lim:
-                    buf = _refill(rng, buf[pos:], _ROW_WIDTH).tolist()
-                    pos = 0
-                wait = -ln(1.0 - buf[pos]) / tot
-                pos += 1
-                if t + wait > t_end:
-                    break
-                t += wait
-                # the first channel whose running sum passes the pick, the
-                # last if rounding lets the pick reach the total
-                chosen = min(bisect_right(sums, buf[pos] * tot), C - 1)
-                pos += 1
-                counts[srcs[chosen]] -= 1
-                counts[dsts[chosen]] += 1
-                events += 1
-                if log_ is not None:
-                    log_.append((t, srcs[chosen], dsts[chosen]))
-            t = t_end
-            out[kseg + 1] = np.asarray(counts[:-1], dtype=np.int64).reshape(n, m)
-
-    path = SimPath(
-        times=times,
-        counts=out,
-        N=s0.N,
-        events=events,
-        seed=seeds[0],
-        event_log=log_,
-        meta={"rng": RNG_NAME},
-    )
-    return path if single else [path]
+    paths = _simulate_lockstep(s0, pieces, times, seeds, cfg)
+    return paths[0] if single else paths
 
 
 def _channel_rates(counts: np.ndarray, take: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Each column's channel rates, (coeff * counts[src]) * counts[partner] as
-    in the scalar loop: counts holds a count column per state, the partner
-    row of 1s last, and take lists every channel's src, then every partner.
+    """Each column's channel rates, (coeff * counts[src]) * counts[partner]
+    in that order: counts holds a count column per state, the partner row of
+    1s last, and take lists every channel's src, then every partner.
     Callers sum the rates in place, in channel order."""
     g = counts.take(take, axis=0)
     rates = g[:len(coeffs)]
@@ -365,10 +310,11 @@ def _speculate(c, rates, t, te, at, depth, take, coeffs, moves, flat, comp_flat)
     event, exact because every partial sum is a small integer.  Each state
     gets its exact rates and running sums, as a one-event step forms them,
     and keeps its guess g when sums[g - 1] <= u * tot < sums[g], which is the
-    one-event step's first-index rule.  Waits, -log(1 - u) / tot, accumulate
-    in sequence.  A column's events stand while their guesses hold and they
-    stay at or before its node; its first event that fails (the last one if
-    none does) is the column's last of the step, and its state is exact.
+    one-event step's first-index rule.  Waits, -math.log(1 - u) / tot,
+    accumulate in sequence.  A column's events stand while their guesses
+    hold and they stay at or before its node; its first event that fails
+    (the last one if none does) is the column's last of the step, and its
+    state is exact.
 
     Returns that event's counts, running sums, time and pick, as the
     one-event step has them, and the count of verified events before it.
@@ -400,7 +346,7 @@ def _speculate(c, rates, t, te, at, depth, take, coeffs, moves, flat, comp_flat)
     good &= pick < flat_sums.take(at_guess)
     tn = np.empty((depth + 1, R))
     tn[0] = t
-    # math.log, as in the scalar loop: np.log can differ in the last bit
+    # math.log of 1 - u, the rule's wait: np.log can differ in the last bit
     logs = np.fromiter(map(math.log, comp_flat.take(idx[::2]).ravel().tolist()), float, KR)
     np.divide(logs.reshape(depth, R), tot.reshape(depth, R), out=tn[1:])
     np.subtract.accumulate(tn, axis=0, out=tn)
@@ -418,15 +364,16 @@ def _speculate(c, rates, t, te, at, depth, take, coeffs, moves, flat, comp_flat)
 @np.errstate(divide="ignore", invalid="ignore")
 def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
                        seeds: List[int], cfg: GameConfig) -> List[SimPath]:
-    """The scalar loop of `simulate` run for every seed at once.
+    """Every seed's event loop of `simulate` at once, one column each.
 
     The output intervals come in pieces (first, end, channel table): runs of
     intervals under one control.  Within a piece, arrays hold one
     column per replication still in it, and each column carries its own
     time, interval and next uniform.  Each step computes every column's
-    channel rates as the scalar loop does (coeff * counts[src] *
-    counts[partner], in channel order) and their sequential cumsum, whose
-    entry C is the total; then each replication draws its own wait.  One
+    channel rates (coeff * counts[src] * counts[partner], in channel order)
+    and their sequential cumsum, whose entry C is the total; then each
+    replication draws its own wait, -math.log(1 - u) / total, and its pick,
+    the first channel whose running sum passes u * total.  One
     whose wait passes its interval's end crosses the node: it has read only
     that wait, writes its counts at the node and goes on from the node time,
     without waiting for the others.  One whose total rate is 0 reads nothing,
@@ -448,7 +395,8 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
     step of depth 1 is the one-event step above and nothing more.  A deeper step
     takes each column's verified events and then its last event of the
     step, the one-event step applied to an exact state.  Either way a column
-    reads the same uniforms in the same order as the scalar loop.
+    reads its uniforms in stream order, a wait's and then a pick's per event,
+    and a crossing's wait alone.
     meta["lockstep_steps"] counts the steps, one-event and speculative
     alike; a column's events are the steps it took, less the nodes it
     passed, plus its verified events.
@@ -470,7 +418,7 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
     buf = np.stack([_refill(g, (), W) for g in gens])
     flat = buf.ravel()
     picks = flat[1:]                   # picks[i] is flat[i + 1], the uniform after a wait
-    comp = 1.0 - buf                   # 1 - u, the scalar loop's log argument
+    comp = 1.0 - buf                   # 1 - u, the log argument of a wait
     comp_flat = comp.ravel()
     pos = np.zeros(R, dtype=np.intp)   # each replication's next unread uniform
     cnt = np.ones((S + 1, R))          # counts as exact floats
@@ -540,7 +488,7 @@ def _simulate_lockstep(s0: CountState, pieces: list, times: np.ndarray,
                 guard = min(guard, (W - 2 - int(p.max())) // 2 + 1)
             guard -= 1
             if depth == 1:
-                # math.log, as in the scalar loop: np.log can differ in the last bit
+                # math.log of 1 - u, the rule's wait: np.log can differ in the last bit
                 tn = t - np.array(list(map(ln, comp_flat.take(at).tolist()))) / tot
                 pick = picks.take(at) * tot
             else:

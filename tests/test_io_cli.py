@@ -973,28 +973,31 @@ def test_cli_simulate_runs_replications_in_one_call(tmp_path, capsys, monkeypatc
     assert doc["events_per_rep"] == events and doc["events"] == sum(events)
 
 
-def test_cli_simulate_single_replication_takes_the_scalar_path(tmp_path, capsys, monkeypatch):
+def test_cli_simulate_single_replication_is_the_reference_path(tmp_path, capsys, monkeypatch):
+    from test_simulator import reference_run   # test_simulator imports this module
+
     calls = []
-    scalar = hbmfg.cli.simulate
+    batched = hbmfg.cli.simulate
 
     def spy(s0, u, T, seed, cfg, **kw):
-        paths = scalar(s0, u, T, seed, cfg, **kw)
-        calls.append((list(seed), [p.meta for p in paths]))
+        paths = batched(s0, u, T, seed, cfg, **kw)
+        calls.append((list(seed), [sorted(p.meta) for p in paths]))
         return paths
 
     monkeypatch.setattr(hbmfg.cli, "simulate", spy)
     out = tmp_path / "o"
     code, summary, _ = cli(["simulate", EXAMPLE, "--out", str(out), "--N", "120", "--T", "1",
                             "--seed", "5", "--samples", "5"], capsys)
-    # one seed in a list runs the scalar loop, which counts no lockstep steps
-    assert code == 0 and calls == [([5], [{"rng": "pcg64"}])]
+    # one seed in a list runs the lockstep loop with one column, which counts its steps
+    assert code == 0 and calls == [([5], [["lockstep_steps", "rng"]])]
     cfg = read_config(EXAMPLE)
     s0 = hbmfg.CountState.from_occupation(hbmfg.Occupation.uniform(3, 3).x, 120)
-    solo = scalar(s0, None, 1.0, 5, cfg, samples=5)
-    write_aggregate_csv(str(tmp_path / "solo.csv"), solo.times, solo.x, np.zeros_like(solo.x))
-    assert (out / "aggregate.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+    counts, events, _ = reference_run(s0, None, 1.0, 5, cfg, 5)
+    x = counts / 120.0
+    write_aggregate_csv(str(tmp_path / "ref.csv"), np.linspace(0.0, 1.0, 6), x, np.zeros_like(x))
+    assert (out / "aggregate.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     doc = json.loads((out / "simulate.json").read_text())
-    assert doc["events_per_rep"] == [solo.events] == [summary["events"]]
+    assert doc["events_per_rep"] == [events] == [summary["events"]]
 
 
 @pytest.mark.parametrize("reps", [3, 16])

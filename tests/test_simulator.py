@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import numpy.testing as npt
@@ -26,6 +27,7 @@ from hbmfg import (
 )
 import hbmfg.simulator
 from hbmfg.kinetics import MAX_STEPS
+from hbmfg.model import control_pieces
 from hbmfg.simulator import MAX_N, _ROW_WIDTH, SimPath, _build_channels
 from test_kinetics import random_control
 from util_configs import make_config
@@ -52,6 +54,66 @@ def switch_cfg(lam=1.0):
         w=np.ones((1, 2)), fee_B=1.0 - np.eye(2), fee_H=np.zeros(1),
         lam=lam,
     )
+
+
+def running_sums(counts, srcs, coeffs, partners):
+    """The running sums of the channel rates coeff * counts[src] *
+    counts[partner], in channel order, over lists of Python numbers."""
+    sums, tot = [], 0.0
+    for s, c, p in zip(srcs, coeffs, partners):
+        tot += c * counts[s] * counts[p]
+        sums.append(tot)
+    return sums
+
+
+def reference_run(s0, u, T, seed, cfg, samples):
+    """The exact chain for one seed, one event at a time in Python: the
+    reference that every simulate path is held to, bit for bit.
+
+    The seed's PCG64 stream is read through simulate's own _refill into a
+    buffer of _ROW_WIDTH uniforms: a uniform u for each wait,
+    -math.log(1 - u) / total, and one for the pick if the event falls inside
+    the interval, the first channel whose running sum passes u * total (the
+    last if rounding lets the pick reach the total).  Returns the counts at
+    the samples + 1 nodes, the event count and the event log, one (time,
+    src, dst) per event, in flat cells.
+    """
+    n, m = cfg.n, cfg.m
+    times = np.linspace(0.0, T, samples + 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    buf = hbmfg.simulator._refill(rng, (), _ROW_WIDTH).tolist()
+    pos = 0
+    out = np.empty((samples + 1, n, m), dtype=np.int64)
+    out[0] = s0.counts
+    counts = s0.counts.ravel().tolist() + [1]   # the partner row n*m holds 1
+    log = []
+    t = 0.0
+    for a, b, target in control_pieces(u, samples, n, m):
+        srcs, dsts, coeffs, partners = (col.tolist() for col in
+                                        _build_channels(cfg, target, s0.N))
+        for k in range(a, b):
+            t_end = float(times[k + 1])
+            while True:
+                sums = running_sums(counts, srcs, coeffs, partners)
+                tot = sums[-1] if sums else 0.0
+                if tot <= 0.0:
+                    break
+                if pos > _ROW_WIDTH - 2:
+                    buf = hbmfg.simulator._refill(rng, buf[pos:], _ROW_WIDTH).tolist()
+                    pos = 0
+                wait = -math.log(1.0 - buf[pos]) / tot
+                pos += 1
+                if t + wait > t_end:
+                    break
+                t += wait
+                chosen = min(bisect_right(sums, buf[pos] * tot), len(sums) - 1)
+                pos += 1
+                counts[srcs[chosen]] -= 1
+                counts[dsts[chosen]] += 1
+                log.append((t, srcs[chosen], dsts[chosen]))
+            t = t_end
+            out[k + 1] = np.reshape(counts[:-1], (n, m))
+    return out, len(log), log
 
 
 def test_from_occupation_rounding():
@@ -85,7 +147,7 @@ def test_from_occupation_rounds_a_mass_just_above_one():
 
 @pytest.mark.parametrize("seed", [3, [3, 4]])
 def test_simulate_refuses_counts_not_of_the_grid(seed):
-    # 2 x 2 counts on the 3 x 3 example: the scalar and the lockstep loop
+    # 2 x 2 counts on the 3 x 3 example: an int seed and a list of seeds
     # failed with numpy's broadcast error before
     cfg = read_config(EXAMPLE)
     s0 = CountState.from_occupation(np.full((2, 2), 0.25), 100)
@@ -166,14 +228,16 @@ def test_simulate_pins_a_seeded_run_on_the_example():
     path = simulate(s0, None, 1.0, 7, cfg, samples=5)
     assert path.events == 510
     npt.assert_array_equal(path.counts[-1], [[36, 34, 35], [34, 38, 35], [30, 28, 30]])
-    # one seed in a list runs the same scalar loop, which logs events and
-    # counts no lockstep steps
-    [listed] = simulate(s0, None, 1.0, [7], cfg, samples=5, record_events=True)
-    assert listed.seed == 7 and listed.events == len(listed.event_log) == 510
+    # one seed in a list runs the same one-column loop; both give the
+    # reference loop's path, whose log holds the 510 events
+    [listed] = simulate(s0, None, 1.0, [7], cfg, samples=5)
+    counts, events, log = reference_run(s0, None, 1.0, 7, cfg, 5)
+    assert listed.seed == 7 and listed.events == events == len(log) == 510
     npt.assert_array_equal(listed.counts, path.counts)
-    assert listed.meta == path.meta == {"rng": "pcg64"}
+    npt.assert_array_equal(counts, path.counts)
+    assert listed.meta == path.meta and set(path.meta) == {"rng", "lockstep_steps"}
     # a two-piece switching control pins the switch channel's place in the
-    # table too, in the scalar loop and in the lockstep loop
+    # table too, with one seed and with two
     u = Control([0, 3], [np.zeros((3, 3), int), [[0, 2, 2], [1, 1, 0], [2, 0, 1]]], 5)
     path = simulate(s0, u, 1.0, 7, cfg, samples=5)
     assert path.events == 668
@@ -211,10 +275,11 @@ def test_exponential_clock_statistics():
     u = np.array([[1, 0]])
     N, T = 200, 5.0
     s0 = CountState(counts=np.array([[N, 0]]), N=N)
-    path = simulate(s0, u, T=T, seed=31, cfg=cfg, samples=5, record_events=True)
-    K = path.events
+    path = simulate(s0, u, T=T, seed=31, cfg=cfg, samples=5)
+    counts, K, log = reference_run(s0, u, T, 31, cfg, 5)
+    assert path.events == K and np.array_equal(path.counts, counts)
     assert abs(K - N * T) < 4.5 * np.sqrt(N * T)  # Poisson(N*T) band
-    ts = np.array([e[0] for e in path.event_log])
+    ts = np.array([e[0] for e in log])
     assert len(ts) == K
     assert np.all(np.diff(ts) >= 0.0) and 0.0 <= ts[0] and ts[-1] <= T
     waits = np.diff(np.concatenate(([0.0], ts)))
@@ -294,10 +359,10 @@ def test_sink_variant_events_drop_to_bottom():
                          interaction=np.zeros((n, 1, 1))),
     )
     s0 = CountState(counts=np.array([[100], [0], [0]]), N=100)
-    path = simulate(s0, None, T=4.0, seed=77, cfg=cfg, samples=4,
-                    record_events=True)
-    assert path.events > 0
-    drops = [(s, d) for _, s, d in path.event_log if d < s]
+    path = simulate(s0, None, T=4.0, seed=77, cfg=cfg, samples=4)
+    counts, events, log = reference_run(s0, None, 4.0, 77, cfg, 4)
+    assert path.events == events > 0 and np.array_equal(path.counts, counts)
+    drops = [(s, d) for _, s, d in log if d < s]
     assert drops and all(d == 0 for _, d in drops)
     assert any(s == 2 for s, _ in drops)  # straight from the top level
     npt.assert_array_equal(path.counts.sum(axis=(1, 2)), np.full(5, 100))
@@ -423,11 +488,16 @@ def test_convergence_study_takes_a_per_interval_stack():
 
 
 def _lockstep_case(name):
-    """(s0, u, T, samples, cfg) for one lockstep-versus-solo comparison."""
+    """(s0, u, T, samples, cfg) for one lockstep-versus-reference comparison."""
     rng = np.random.default_rng(17)
     if name == "example":
         cfg = read_config(EXAMPLE)
         return CountState.from_occupation(np.full((3, 3), 1 / 9), 300), None, 1.0, 5, cfg
+    if name == "example-N100":
+        # about 80 events an interval: a lone column speculates, and most of
+        # its guesses fail
+        cfg = read_config(EXAMPLE)
+        return CountState.from_occupation(np.full((3, 3), 1 / 9), 100), None, 5.0, 10, cfg
     if name == "sink":
         cfg = make_config(3, 2, rng, delta=0.3, regime="id2", sink=True)
         return CountState.from_occupation(np.full((3, 2), 1 / 6), 200), None, 1.0, 4, cfg
@@ -464,30 +534,40 @@ def _lockstep_case(name):
     raise KeyError(name)
 
 
-LOCKSTEP_CASES = ["example", "sink", "fixed-control", "policy", "stalls-mid-run", "no-channels",
-                  "refills", "absorbs-within-piece", "sparse-events"]
+LOCKSTEP_CASES = ["example", "example-N100", "sink", "fixed-control", "policy", "stalls-mid-run",
+                  "no-channels", "refills", "absorbs-within-piece", "sparse-events"]
 
 
-def _lockstep_equals_solo(name):
-    """The case's lockstep paths, each checked against its seed's solo run."""
+def _lockstep_equals_reference(name):
+    """The case's multi-seed paths and each seed's own simulate(seed=int)
+    path, of one lockstep column, each checked against the reference loop."""
     s0, u, T, samples, cfg = _lockstep_case(name)
     seeds = [5, 6, 1234, 2**40 + 3] if name == "refills" else list(range(20, 36))
     paths = simulate(s0, u, T, seeds, cfg, samples=samples)
     assert len(paths) == len(seeds)
+    solos = []
     for seed, path in zip(seeds, paths):
-        solo = simulate(s0, u, T, seed, cfg, samples=samples)
-        assert path.seed == seed and path.events == solo.events
-        assert path.counts.dtype == solo.counts.dtype
-        npt.assert_array_equal(path.counts, solo.counts)
-        npt.assert_array_equal(path.times, solo.times)
-    return paths
+        counts, events, _ = reference_run(s0, u, T, seed, cfg, samples)
+        solos.append(simulate(s0, u, T, seed, cfg, samples=samples))
+        for run in (path, solos[-1]):
+            assert run.seed == seed and run.events == events
+            assert run.counts.dtype == counts.dtype
+            npt.assert_array_equal(run.counts, counts)
+            npt.assert_array_equal(run.times, np.linspace(0.0, T, samples + 1))
+    return paths, solos
 
 
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
-def test_lockstep_replications_equal_solo_runs(name):
+def test_lockstep_replications_equal_solo_runs(name, monkeypatch):
     s0, u, T, samples, cfg = _lockstep_case(name)
-    paths = _lockstep_equals_solo(name)
+    paths, _ = _lockstep_equals_reference(name)
     events = [p.events for p in paths]
+    if name == "example-N100":
+        # at the default _SPEC_MIN_K, one column's speculative steps end on
+        # failed guesses inside the interval
+        seen = _spy_speculation(monkeypatch)
+        assert simulate(s0, u, T, 20, cfg, samples=samples).events == events[0]
+        assert seen["mismatch"] > 0
     if name == "stalls-mid-run":
         assert all(p.counts[2, 0, 0] == 0 for p in paths)
         assert all(e > 12 for e in events)
@@ -512,7 +592,12 @@ def _spy_speculation(monkeypatch):
     that left the piece between two steps."""
     seen = dict.fromkeys(("steps", "mismatch", "cross", "stall", "refill", "leave"), 0)
     speculate, refill = hbmfg.simulator._speculate, hbmfg.simulator._refill
-    width = [None]
+    lockstep = hbmfg.simulator._simulate_lockstep
+    width = [None]   # the columns of the call's last speculative step
+
+    def spy_call(*args):
+        width[0] = None
+        return lockstep(*args)
 
     def spy(c, rates, t, te, at, depth, *rest):
         out = speculate(c, rates, t, te, at, depth, *rest)
@@ -532,6 +617,7 @@ def _spy_speculation(monkeypatch):
 
     monkeypatch.setattr(hbmfg.simulator, "_speculate", spy)
     monkeypatch.setattr(hbmfg.simulator, "_refill", spy_refill)
+    monkeypatch.setattr(hbmfg.simulator, "_simulate_lockstep", spy_call)
     return seen
 
 
@@ -539,13 +625,15 @@ def _spy_speculation(monkeypatch):
 def test_speculative_steps_equal_solo_runs(name, monkeypatch):
     # with the threshold at 2, every step takes at least 2 events per column:
     # each column keeps its verified events and then takes its last one as a
-    # one-event step would; every path is still its seed's solo path
+    # one-event step would; every path, of many columns or one, is still the
+    # reference loop's
     monkeypatch.setattr(hbmfg.simulator, "_SPEC_MIN_K", 2)
     seen = _spy_speculation(monkeypatch)
-    paths = _lockstep_equals_solo(name)
-    assert seen["steps"] == paths[0].meta["lockstep_steps"]
+    paths, solos = _lockstep_equals_reference(name)
+    assert seen["steps"] == sum(p.meta["lockstep_steps"] for p in [paths[0], *solos])
     # each edge is met inside a speculative step, after verified events
     edges = {"example": ("mismatch", "cross", "refill", "leave"),
+             "example-N100": ("mismatch", "cross", "leave"),
              "policy": ("mismatch", "cross", "leave"),
              "stalls-mid-run": ("cross", "stall", "leave"),
              "refills": ("mismatch", "cross", "refill", "leave"),
@@ -560,7 +648,7 @@ def test_speculative_steps_equal_solo_runs(name, monkeypatch):
 def test_speculative_steps_keep_the_first_index_rule_on_ties(monkeypatch):
     # integer rates and uniforms on eighths put many picks exactly on a running
     # sum (a pick of 0 too); the event there is the first channel whose sum
-    # passes the pick, in a speculative step's guesses as in the scalar loop
+    # passes the pick, in a speculative step's guesses as in the reference loop
     def eighths(rng, rest, width):
         return np.concatenate((rest, rng.integers(0, 8, width - len(rest)) / 8.0))
 
@@ -576,24 +664,23 @@ def test_speculative_steps_keep_the_first_index_rule_on_ties(monkeypatch):
     paths = simulate(s0, u, 0.5, range(8), cfg, samples=4)
     assert seen["steps"] == paths[0].meta["lockstep_steps"]
     for seed, path in enumerate(paths):
+        counts, events, _ = reference_run(s0, u, 0.5, seed, cfg, 4)
         solo = simulate(s0, u, 0.5, seed, cfg, samples=4)
-        assert path.events == solo.events > 100
-        npt.assert_array_equal(path.counts, solo.counts)
+        assert path.events == solo.events == events > 100
+        npt.assert_array_equal(path.counts, counts)
+        npt.assert_array_equal(solo.counts, counts)
 
 
-def _scalar_sums(counts, src, coeff, partner):
-    # the scalar loop's running sums of one count column, channel 0's 0 first
-    tot, sums = 0.0, [0.0]
-    for s_, c_, p_ in zip(src.tolist(), coeff.tolist(), partner.tolist()):
-        tot += c_ * int(counts[s_]) * int(counts[p_])
-        sums.append(tot)
-    return sums
+def _reference_sums(counts, src, coeff, partner):
+    # the reference loop's running sums of one count column, channel 0's 0 first
+    return [0.0] + running_sums(counts.astype(np.int64).tolist(), src.tolist(), coeff.tolist(),
+                                partner.tolist())
 
 
 def test_running_sums_are_the_scalar_loops_in_bits(monkeypatch):
     # the example's channels: the one-event step's running sums of random
     # count columns, and those a speculative step returns with each column's
-    # last state, are the scalar loop's sums in bits
+    # last state, are the reference loop's sums in bits
     cfg = read_config(EXAMPLE)
     src, _, coeff, partner = hbmfg.simulator._build_channels(cfg, None, 10000)
     take = np.concatenate(([9], src, [9, 9], partner, [9]))
@@ -603,14 +690,14 @@ def test_running_sums_are_the_scalar_loops_in_bits(monkeypatch):
     sums = hbmfg.simulator._channel_rates(counts, take, coeffs)
     np.add.accumulate(sums, axis=0, out=sums)
     for r in range(40):
-        assert sums[:-1, r].tolist() == _scalar_sums(counts[:, r], src, coeff, partner)
+        assert sums[:-1, r].tolist() == _reference_sums(counts[:, r], src, coeff, partner)
         assert sums[-1, r] == math.inf
     speculate, checked = hbmfg.simulator._speculate, []
 
     def check(*args):
         out = speculate(*args)
         for r in range(out[0].shape[1]):
-            assert out[1][:-1, r].tolist() == _scalar_sums(out[0][:, r], src, coeff, partner)
+            assert out[1][:-1, r].tolist() == _reference_sums(out[0][:, r], src, coeff, partner)
         checked.append(out[0].shape[1])
         return out
 
@@ -643,9 +730,10 @@ def test_benchmark_shapes_speculate_only_with_few_replications(monkeypatch):
     assert paths[0].meta["lockstep_steps"] <= max(p.events for p in paths) / 8
     assert seen["steps"] > 0
     for seed in (0, 15):
-        solo = simulate(CountState.from_occupation(x0, 10000), None, 0.1, seed, cfg, samples=10)
-        assert paths[seed].events == solo.events
-        npt.assert_array_equal(paths[seed].counts, solo.counts)
+        counts, events, _ = reference_run(CountState.from_occupation(x0, 10000), None, 0.1, seed,
+                                          cfg, 10)
+        assert paths[seed].events == events
+        npt.assert_array_equal(paths[seed].counts, counts)
     for R in (16, 64):
         seen["steps"] = 0
         paths = simulate(CountState.from_occupation(x0, 1000), None, 0.1, range(R), cfg,
@@ -692,13 +780,15 @@ def test_lockstep_steps_fall_short_of_waiting_at_every_node():
     assert all(p.meta["lockstep_steps"] == steps for p in paths)
     per_interval = []
     for seed, path in zip(seeds, paths):
-        solo = simulate(s0, None, 0.1, seed, cfg, samples=10, record_events=True)
-        assert path.events == solo.events == len(solo.event_log)
-        at = np.array([t for t, _, _ in solo.event_log])
+        counts, events, log = reference_run(s0, None, 0.1, seed, cfg, 10)
+        solo = simulate(s0, None, 0.1, seed, cfg, samples=10)
+        assert path.events == solo.events == events == len(log)
+        npt.assert_array_equal(path.counts, counts)
+        npt.assert_array_equal(solo.counts, counts)
+        at = np.array([t for t, _, _ in log])
         # an event at t lies in interval k when times[k] < t <= times[k + 1]
-        k = np.searchsorted(solo.times, at, side="left") - 1
+        k = np.searchsorted(path.times, at, side="left") - 1
         per_interval.append(np.bincount(k, minlength=10))
-    assert "lockstep_steps" not in solo.meta
     assert steps <= max(p.events + 10 for p in paths)
     assert steps < np.max(per_interval, axis=0).sum()
 
@@ -743,12 +833,10 @@ def test_simulate_refuses_a_run_past_its_event_estimate(monkeypatch):
         assert len(simulate(s0, u, T, seeds, cfg, samples=5)) == reps
 
 
-def test_lockstep_rejects_event_log_and_empty_seed_list():
+def test_simulate_rejects_an_empty_seed_list():
     cfg = chain_cfg()
     s0 = CountState(counts=np.array([[5], [5]]), N=10)
-    with pytest.raises(ValueError):
-        simulate(s0, None, 1.0, [1, 2], cfg, record_events=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one seed"):
         simulate(s0, None, 1.0, [], cfg)
 
 
