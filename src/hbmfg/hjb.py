@@ -10,21 +10,16 @@ Both variants' level moves come from GameConfig.moves: the payoff flow runs
 the adjoint of Moves.generator, the level chain of the forward flow.  The
 switch term plays a given model.Control, one gain per piece at the cells
 GameConfig.switch_cells gives, or the best response, a Control.  Without it
-the flow is affine in g, a map built for a block of steps at a time, or once
-for a held run of occupation nodes equal in bits, which is stepped in long
-blocks.  A step is a kinetics.rk4_step, except where the optimizing pass
-holds both the operator and the response, everybody staying or fixed
-targets: the flow is then autonomous and affine, so RK4 is one affine map
-of g (_step_map), built once per held run and response, and the step one
-matmul and one add.  Where kinetics.flat_operators holds (up to 31
-states, 5 x 5 but not 6 x 6), a response run that holds targets without a
-map, on moving operator blocks say, steps by the flat operator A_k @ G +
-b_k that folds the held switch into each step's operator (_flat_operator,
-the assembly the target maps use too): a stage is one matmul and one add.
-The optimizing pass holds the best response over response runs of steps,
-checked in bits against the best switch at their stage inputs
-(_best_response).  After the sweep, one pass over the nodes
-gives the best responses and the path's largest switch gain.
+the flow is affine in g, an operator pair built for a block of steps at a
+time, or once for a held run of occupation nodes equal in bits.
+integrate_backward steps the payoff in runs, each holding one switch term
+and one operator pair: the block's, by column, or for held targets within
+kinetics.flat_operators a flat one that folds the switch in
+(_flat_operator).  A run steps by kinetics.rk4_step, or on a held run by
+the pair's RK4 step map (_step_map).  The optimizing pass holds the best
+response over response runs, checked in bits against the best switch at
+their stage inputs (_best_response).  After the sweep, one pass over the
+nodes gives the best responses and the path's largest switch gain.
 """
 from __future__ import annotations
 
@@ -51,8 +46,7 @@ OCCUPIED_TOL = 1e-9
 # Per-step payoff operators, with the arrays that assemble them, a held run's
 # nodes, a response run's stage inputs (half) and its check's bounds and
 # switch gains (a quarter each), and the node pass's switch gains and
-# column-pair differences are built a block at a time in about this many
-# bytes; a step map of fixed targets is built only within a quarter of it.
+# column-pair differences are built a block at a time in about this many bytes.
 BLOCK_BYTES = 1 << 17
 
 
@@ -190,21 +184,20 @@ def _flat_operator(M, c, cells, fee, lam: float):
     return A, c.reshape(*stack, size, 1) + lam * fee[:, None]
 
 
-def _step_map(M, c, cells, fee, lam: float, h):
-    """One RK4 step, of step h, of a held operator's flow under held targets,
-    as an affine map of the payoff: (Q, q), with Q[s] @ G + q[s] the step's
-    stage inputs (s = 0, 1, 2) and its output (s = 3).
+def _step_map(A, b, h):
+    """One RK4 step, of step h, of the affine flow A @ G + b, as an affine map
+    of the payoff: (Q, q), with Q[s] @ G + q[s] the step's stage inputs (s =
+    0, 1, 2) and its output (s = 3).
 
-    cells None (everybody stays) keeps the by-column blocks of M (m, n, n)
-    and c (m, n, 1): Q (4, m, n, n) and q (4, m, n, 1) act on G (m, n, 1).
-    Otherwise the flow is _flat_operator's A @ G + b on the flat by-column
-    payoff (n * m, 1): Q (4, nm, nm) and q (4, nm, 1).  Either is one
+    A run's operator pair on either layout: the by-column blocks of M (m, n,
+    n) and c (m, n, 1), giving Q (4, m, n, n) and q (4, m, n, 1) on G (m, n,
+    1), or _flat_operator's A (nm, nm) and b (nm, 1), giving Q (4, nm, nm)
+    and q (4, nm, 1) on the flat by-column payoff.  Either is one
     kinetics.rk4_step, with its stages, of the slope Z -> A @ Z + [0 | b]
     from the augmented identity [I | 0]: on an affine flow each RK4 stage
     is an affine map (the step's is R(hA)), so the identity columns carry
     the linear parts and the last column, from 0, the constants.
     """
-    A, b = (M, c) if cells is None else _flat_operator(M, c, cells, fee, lam)
     rows = A.shape[-1]
     Z = np.zeros(A.shape[:-1] + (rows + 1,))
     Z[..., :rows] = np.eye(rows)
@@ -437,33 +430,30 @@ def integrate_backward(
     bit for bit, most of them through a held best response
     (_best_response).  meta["held_steps"] counts the steps kept from
     response runs, meta["rerun_steps"] the n_steps others.
-    Each step's switch-free flow is hjb_rhs's affine map, built for a block
-    of steps at a time within BLOCK_BYTES.  A held run, at least a block of
-    steps whose end nodes are all equal in bits, shares one map and is
-    stepped in blocks of as many steps as BLOCK_BYTES holds nodes.  A step
-    is a kinetics.rk4_step of one slope, M @ G + c - lam * gain(G), that
-    keeps its stage inputs for the response run's check; on a held run, a
-    response run's step (optimizing mode, bare or of fixed targets) goes
-    through that response's step map instead (_step_map, cached per held
-    operator by target cells): one matmul and one add give the step's
-    stage inputs and output, and a copy its node.  A map of rows x rows
-    blocks (rows n bare, n * m for targets) is built only for a held run of
-    rows**2 steps or more; a target map also needs kinetics.flat_operators
-    (0 <= lam < inf, and four (nm, nm + 1) matrices within
-    kinetics.FLAT_BYTES: 3 x 3 and 5 x 5, not 6 x 6 or 10 x 10).  Where that
-    rule holds, a response run of held targets that takes no map steps by
-    their flat operators (_flat_operator), built for up to as many steps of
-    a moving block as BLOCK_BYTES holds, or once on a held one: each slope
-    one matmul and one add on the flat by-column payoff.  A flat step whose
-    output is not finite is rerun with the best switch, as the stages would
-    meet it.  Fixed mode, the best switch's direct steps and reruns keep
-    the stages.  meta["map_steps"] counts the steps kept from step maps,
-    meta["maps"] the maps built, meta["flat_steps"] the steps kept from
-    flat operators.
     A payoff gT not of the grid's (n, m) raises ValueError, and so does a
-    grid that step_grid refuses (past kinetics.NODE_BYTES, say).  A non-finite
-    payoff raises HjbError at the first step, in reversed time, that gave
-    one; it is checked once per block.
+    grid that step_grid refuses (past kinetics.NODE_BYTES, say).
+    The steps go in runs, each within one of _operator_blocks's blocks and
+    holding one switch term: fixed mode's control, a held best response (a
+    response run) or the best switch itself (direct steps and reruns).  A
+    run's operator pair is the block's by-column (M, c), hjb_rhs's affine
+    map, or, for held targets where kinetics.flat_operators holds (3 x 3
+    and 5 x 5, not 6 x 6), _flat_operator's (A, b), built once per run and
+    block.  A run steps by kinetics.rk4_step of A @ G + b - lam * term(G)
+    on A's layout; a response run on a held block steps by the pair's step
+    map instead (_step_map, cached per held operator and response), one
+    matmul and one add a step, where the held run has rows**2 steps or more
+    (rows n bare, n * m for targets).  Each step writes its stage inputs,
+    which the response check reads, and its output into the run's history,
+    copied into the node path once per run.  meta's map_steps and
+    flat_steps count the steps kept from maps and flat operators, maps the
+    maps built.
+    One rule for a non-finite payoff: a run's first kept step whose output
+    is not finite is rerun by stages with the best switch, and a stage step
+    of the best switch or of fixed mode whose output is not finite raises
+    HjbError at its node.  A stage step the check kept reruns to its own
+    bits; a map or flat step, which rounds and overflows otherwise, reruns
+    as the stages take it.  The rule cannot reach a map or flat output that
+    stays finite where the stages would overflow.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone_worst, the largest switch gain
@@ -495,34 +485,38 @@ def integrate_backward(
     # Step k runs from node k+1 down to node k: an RK4 step of dg/dt with step -h.
     gs = np.empty((n_steps + 1, n, m))
     gs[n_steps] = gT
-    # a response run's most steps: their stage inputs fill half of BLOCK_BYTES
-    size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m)) if optimizing else 1
-    # a run's stage inputs by step, g first, and then its output: a step map
-    # writes step r's stage inputs and output, H[r, 1:] and H[r + 1, 0], at once
+    # a run's most steps: their stage inputs fill half of BLOCK_BYTES
+    size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m))
+    # the run's history: step r's input H[r, 0], its stage inputs H[r, 1:]
+    # and its output H[r + 1, 0]; and each step's views of it on either
+    # operator layout, by column (m, n, 1) and flat (n * m, 1), by b's ndim
     H = np.empty((size + 1, 4, m, n, 1))
-    H_flat = H.reshape(size + 1, 4, n * m, 1)   # the same, as flat by-column payoffs
-    inputs = [(Y[0], tuple(Y[1:])) for Y in H]
-    flat_inputs = [(Y[0], tuple(Y[1:])) for Y in H_flat]
     H[0, 0] = _by_column(gT)
+    views = {}
+    for shape in ((m, n, 1), (n * m, 1)):
+        V = H.reshape(size + 1, 4, *shape)
+        views[len(shape)] = [(Y[0], tuple(Y[1:]), Z[0]) for Y, Z in zip(V, V[1:])]
     if optimizing:
         best, respond, check = _best_response(cfg)
     # run: the next response run's length.  direct: steps left to take the best
     # switch directly, `backoff` of them after a run fails at its first
-    # step; fixed mode takes every step so.
+    # step; fixed mode takes every step so, with its control's gain.
     run, backoff, direct, held_steps = 1, 4, 0 if optimizing else n_steps, 0
-    run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: its nodes alone
-    cols = np.empty((min(run_size, n_steps), m, n, 1))   # a block's nodes, by column
-    flat_cols = cols.reshape(len(cols), n * m, 1)
-    M_k = c_k = gain_k = None   # the step's operator, constant and switch term
+    run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: BLOCK_BYTES of nodes
+    A_k = b_k = term_k = None   # the step's operator, constant and switch term
     flat = flat_operators(cfg)   # held targets step by _flat_operator's A @ G + b
     # the most steps of a moving block whose flat operators fit BLOCK_BYTES
     flat_run = max(1, BLOCK_BYTES // (8 * n * m * (n * m + 1)))
     maps, maps_for = {}, None   # the step maps of operator maps_for, by target cells
     map_steps = built = flat_steps = 0
 
-    def step_map(response):   # the held run's step map under a response, or None
+    def operators(span, cells, fee):   # a run's operator pair on the block's steps `span`
+        if cells is None or not flat:
+            return M[span], c[span]
+        return _flat_operator(M[span], c[span], cells, fee, cfg.lam)
+
+    def step_map(cells, fee):   # the held run's step map under a response, or None
         nonlocal built, maps_for
-        cells, fee = response[1:3]
         # a map of rows x rows blocks costs about `rows` of its steps to build,
         # and a bare map step as much arithmetic as its stages: a held run of
         # rows**2 steps or more builds one, at most 1 / rows of its steps' cost
@@ -534,89 +528,85 @@ def integrate_backward(
             maps_for = M
         key = None if cells is None else cells.tobytes()
         if key not in maps:
-            Q, q = _step_map(M[0], c[0], cells, fee, cfg.lam, scalars)
-            shape = q.shape[1:]
-            maps[key] = Q, q, H.reshape(-1, *shape)
+            A, b = operators(slice(None), cells, fee)
+            Q, q = _step_map(A[0], b[0], scalars)
+            maps[key] = Q, q, H.reshape(-1, *q.shape[1:])
             built += 1
         return maps[key]
 
-    def slope(y):   # gain_k(y) returns an array the slope may overwrite
-        dg = np.matmul(M_k, y)
-        dg += c_k
-        if gain_k is not None:
-            term = gain_k(y)
+    def slope(y):   # term_k(y) returns an array the slope may overwrite
+        dg = np.matmul(A_k, y)
+        dg += b_k
+        if term_k is not None:
+            term = term_k(y)
             term *= lam
             dg -= term
         return dg
 
-    def step(k, gain, r):   # step k from H[r, 0] into cols, its stage inputs into H[r, 1:]
-        nonlocal M_k, c_k, gain_k
-        j = k - lo if len(M) > 1 else 0
-        M_k, c_k, gain_k = M[j], c[j], gain
-        y, stages = inputs[r]
-        return rk4_step(slope, y, scalars, out=cols[k - lo], stages=stages)
+    def step(A, b, term, r):   # a run's step r by stages, on A's layout
+        nonlocal A_k, b_k, term_k
+        A_k, b_k, term_k = A, b, term
+        y, stages, out = views[b.ndim][r]
+        rk4_step(slope, y, scalars, out=out, stages=stages)
 
-    def flat_step(k, A, b, r):   # step k as `step`, by the flat operator A @ G + b
-        nonlocal M_k, c_k, gain_k
-        M_k, c_k, gain_k = A, b, None
-        y, stages = flat_inputs[r]
-        return rk4_step(slope, y, scalars, out=flat_cols[k - lo], stages=stages)
+    def finite_steps(count):   # how many of a run's first `count` outputs lead, all finite
+        out = H[1:count + 1, 0]
+        if math.isfinite(out.sum()):   # a sum of finite outputs that overflows finds none
+            return count
+        finite = np.isfinite(out).all(axis=(1, 2, 3))
+        return count if finite.all() else int(finite.argmin())
 
     for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, run_size, cfg):
+        moving = len(M) > 1
         k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            while k >= lo:
+            while k >= lo:   # a run of steps k, k - 1, ..., from H[0, 0]
+                length = min(direct or run, size, k - lo + 1)
                 if direct:
-                    H[0, 0] = step(k, best if optimizing else step_gain[k], 0)
-                    k, direct = k - 1, direct - 1
-                    continue
-                response = respond(H[0, 0])
-                length = min(run, k - lo + 1)
-                mapped = step_map(response)
-                by_flat = not mapped and flat and response[1] is not None
-                if mapped:   # H's slots 4r .. 4r + 4: step r's input, stage inputs, output
-                    Q, q, slots = mapped
                     for r in range(length):
-                        out = slots[4 * r + 1:4 * r + 5]
-                        np.matmul(Q, slots[4 * r], out=out)
-                        out += q
-                        cols[k - r - lo] = H[r + 1, 0]
-                elif by_flat:   # steps k - length + 1 .. k, or the held block's one operator
-                    moving = len(M) > 1
-                    if moving:
-                        length = min(length, flat_run)
-                    span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
-                    A, b = _flat_operator(M[span], c[span], *response[1:3], cfg.lam)
-                    for r in range(length):
-                        j = length - 1 - r if moving else 0
-                        H_flat[r + 1, 0] = flat_step(k - r, A[j], b[j], r)
+                        j = k - r - lo if moving else 0
+                        step(M[j], c[j], best if optimizing else step_gain[k - r], r)
+                    direct, kept = direct - length, length
                 else:
-                    for r in range(length):
-                        H[r + 1, 0] = step(k - r, response[0], r)
-                kept = check(H[:length], response)
-                # a flat step rounds, and may overflow, otherwise than its stages:
-                # the first whose output is not finite is rerun with the best
-                # switch (a sum of finite outputs that overflows finds none)
-                if by_flat and not math.isfinite(H[1:kept + 1, 0].sum()):
-                    finite = np.isfinite(H[1:kept + 1, 0]).all(axis=(1, 2, 3))
-                    kept = kept if finite.all() else int(finite.argmin())
-                held_steps += kept
-                map_steps += kept if mapped else 0
-                flat_steps += kept if by_flat else 0
-                if kept == length:
-                    H[0, 0] = H[length, 0]
-                    run, backoff = min(2 * run, size), 4
-                else:   # rerun the first failed step from its saved input
-                    H[0, 0] = step(k - kept, best, kept)
-                    run = 1
-                    if kept == 0:
-                        direct, backoff = backoff, 4 * backoff
-                k -= min(kept + 1, length)
-        bad = np.flatnonzero(~np.isfinite(cols[:hi - lo]).all(axis=(1, 2, 3)))
-        if bad.size:
-            raise HjbError(f"non-finite payoff at t={times[lo + bad[-1]]:.6g}; "
-                           f"reduce dt (dt={h:.3g})")
-        gs[lo:hi] = cols[:hi - lo, :, :, 0].transpose(0, 2, 1)
+                    response = respond(H[0, 0])
+                    term, cells, fee = response[:3]
+                    mapped = step_map(cells, fee)
+                    by_flat = not mapped and flat and cells is not None
+                    if mapped:   # H's slots 4r .. 4r + 4: step r's input, stage inputs, output
+                        Q, q, slots = mapped
+                        for r in range(length):
+                            out = slots[4 * r + 1:4 * r + 5]
+                            np.matmul(Q, slots[4 * r], out=out)
+                            out += q
+                    else:   # by stages on steps k .. k - length + 1's operators
+                        if by_flat and moving:
+                            length = min(length, flat_run)
+                        span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
+                        A, b = operators(span, cells, fee)
+                        term = None if by_flat else term   # flat operators hold the targets
+                        for r in range(length):
+                            j = length - 1 - r if moving else 0
+                            step(A[j], b[j], term, r)
+                    kept = finite_steps(check(H[:length], response))
+                    held_steps += kept
+                    map_steps += kept if mapped else 0
+                    flat_steps += kept if by_flat else 0
+                    if kept == length:
+                        run, backoff = min(2 * run, size), 4
+                    else:   # rerun the first failed step from its saved input
+                        j = k - kept - lo if moving else 0
+                        step(M[j], c[j], best, kept)
+                        run = 1
+                        if kept == 0:
+                            direct, backoff = backoff, 4 * backoff
+                end = min(kept + 1, length)
+                bad = finite_steps(end)
+                if bad < end:
+                    raise HjbError(f"non-finite payoff at t={times[k - bad]:.6g}; "
+                                   f"reduce dt (dt={h:.3g})")
+                gs[k - end + 1:k + 1] = H[end:0:-1, 0, :, :, 0].transpose(0, 2, 1)
+                H[0, 0] = H[end, 0]
+                k -= end
     meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built,
             "flat_steps": flat_steps}
     if not optimizing:

@@ -120,15 +120,15 @@ def flat_operators(cfg: GameConfig) -> bool:
 
 
 def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
-    """dx/dt as a function of x, agents moving to cfg.switch_cells(target) at
-    rate lam; target None or all staying builds no switch.  Each call returns
-    a new array.
+    """dx/dt as a function of x, the flat occupation (n * m,), agents moving
+    to cfg.switch_cells(target) at rate lam; target None or all staying
+    builds no switch.  Each call returns a new flat array.
 
-    Where flat_operators(cfg) holds, x is the flat occupation (n * m,): the
-    per-capita rates of the level families and the switch, one more family
-    at rate lam with no partner, are E @ x + r0, and the flow is N @ (rates
-    * x), N holding Moves.net per column and the switch's P - I, P the
-    scatter to the switch cells: four numpy calls.  Otherwise x is (n, m):
+    Where flat_operators(cfg) holds, the per-capita rates of the level
+    families and the switch, one more family at rate lam with no partner,
+    are E @ x + r0, and the flow is N @ (rates * x), N holding Moves.net per
+    column and the switch's P - I, P the scatter to the switch cells: four
+    numpy calls.  Otherwise the kernel goes by column on x's (n, m) view:
     Moves.per_capita goes into a scratch buffer, and the flux and the
     switch's scatter are formed in place.
     """
@@ -160,11 +160,12 @@ def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
     rate = np.empty(mv.rate.shape)
 
     def rhs(x):
-        flux = mv.per_capita(x, out=rate)
-        flux *= x
-        out = mv.net @ flux.reshape(-1, m)
+        y = x.reshape(n, m)
+        flux = mv.per_capita(y, out=rate)
+        flux *= y
+        out = (mv.net @ flux.reshape(-1, m)).reshape(-1)
         if cells is not None:
-            switch = np.bincount(cells, x.ravel(), x.size).reshape(x.shape)
+            switch = np.bincount(cells, x, x.size)
             switch -= x
             switch *= lam
             out += switch
@@ -182,7 +183,7 @@ def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     """
     x = occupation_array(x, (cfg.n, cfg.m))
     kernel = _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)
-    return kernel(x.reshape(-1)).reshape(x.shape) if flat_operators(cfg) else kernel(x)
+    return kernel(x.reshape(-1)).reshape(x.shape)
 
 
 def rk4_scalars(h: float) -> tuple:
@@ -265,7 +266,6 @@ def integrate_forward(
     xs[0] = occupation_array(x0, (n, m))
     rows = xs.reshape(n_steps + 1, n * m)
     bits = rows.view(np.int64)
-    nodes = rows if flat_operators(cfg) else xs   # the shape the kernel steps
     scalars = rk4_scalars(h)
     errors = []   # the floating-point errors the caller would see, met inside a run
     caught = {kind: "ignore" if mode == "ignore" else "call"
@@ -283,13 +283,13 @@ def integrate_forward(
             end = min(k + run, b)   # steps k .. end-1, into nodes k+1 .. end
             with np.errstate(**caught, call=record):
                 for j in range(k, end):
-                    rk4_step(kernel, nodes[j], scalars, out=nodes[j + 1])
+                    rk4_step(kernel, rows[j], scalars, out=rows[j + 1])
                     if errors:
                         end = j + 1
                         break
             if errors:   # rerun as a step-by-step pass would take it
                 errors.clear()
-                rk4_step(kernel, nodes[end - 1], scalars, out=nodes[end])
+                rk4_step(kernel, rows[end - 1], scalars, out=rows[end])
             with np.errstate(all="ignore"):   # the per-step rule below warns as it would
                 block = rows[k + 1:end + 1]
                 mass = block.sum(axis=1)

@@ -65,6 +65,8 @@ MAX_N = 2**53        # the lockstep loop and the rounding hold counts as exact f
 
 
 def _check_population(N) -> None:
+    if N < 1:   # the channel table divides the stimulated rates by N
+        raise ValueError(f"N must be at least 1, got {N}: an empty population has no shares")
     if N > MAX_N:
         raise ValueError(f"N must be at most 2**53 = {MAX_N}, the largest population "
                          f"whose counts float64 holds exactly, got {N}")
@@ -72,7 +74,7 @@ def _check_population(N) -> None:
 
 @dataclass(frozen=True)
 class CountState:
-    """Agent counts per (level, behaviour) cell; N is the fixed total, at most 2**53."""
+    """Agent counts per (level, behaviour) cell; N is the fixed total, from 1 to 2**53."""
 
     counts: np.ndarray
     N: int

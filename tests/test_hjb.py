@@ -687,6 +687,60 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
                          for name in ("example", "tie")} | {("flat", BLOCK_BYTES, "fees")})
 
 
+def test_map_payoff_overflow_takes_the_one_non_finite_rule(monkeypatch):
+    # held uniform occupations, rewards (and fees) scaled up, so held runs of
+    # 400 steps, past 9**2, step by maps.  The rule: a map step whose output
+    # is not finite is rerun by stages with the best switch, and a stage
+    # step's non-finite output raises HjbError at its node.
+    # - the example x 1e307, T = 20: at node 138 a target map's stage inputs
+    #   overflow, so the check fails there and reruns the step by stages,
+    #   which overflow too: HjbError at 138, where the stage loop, whose path
+    #   rounds otherwise, first overflows at 292;
+    # - the example x 3e306: the maps stay finite where the stage loop
+    #   overflows from node 28 on.  A finite map output is kept: the case
+    #   the rule cannot reach;
+    # - theorem_config with rewards x 1e307 and no switch affordable (fees
+    #   inf), T = 80: a bare map's outputs overflow at node 47, and the check
+    #   passes them (every gain nan, so everybody stays); the rule reruns that
+    #   step by stages, which overflow too: HjbError at 47, the stage loop's
+    #   node 356.
+    example = read_config(EXAMPLE)
+    thm = theorem_config(3, 3, np.random.default_rng(7))
+    unaffordable = np.where(np.eye(3, dtype=bool), 0.0, np.inf)
+    cases = [(dataclasses.replace(example, w=example.w * scale, fee_B=example.fee_B * scale,
+                                  fee_H=example.fee_H * scale), 20.0, node, first)
+             for scale, node, first in ((1e307, 138, 292), (3e306, None, 28))]
+    cases.append((dataclasses.replace(thm, w=thm.w * 1e307, fee_B=unaffordable), 80.0, 47, 356))
+    uniform = np.full((3, 3), 1.0 / 9.0)
+    x_path = np.broadcast_to(uniform, (401, 3, 3))
+    gT = np.zeros((3, 3))
+    finite = []   # whether each stage step's output is finite, in order
+    real = hbmfg.hjb.rk4_step
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        finite.append(bool(np.isfinite(out).all()))
+        return out
+
+    monkeypatch.setattr(hbmfg.hjb, "rk4_step", spy)
+    for cfg, T, node, stage_first in cases:
+        h = T / 400
+        assert kinetics.flat_operators(cfg)
+        with np.errstate(all="ignore"):
+            g = backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0]
+        assert max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))) == stage_first
+        finite.clear()
+        if node is None:
+            best = integrate_backward(gT, uniform, 0.0, T, h, cfg, mode="optimizing")
+            assert np.isfinite(best.g).all() and all(finite)
+            assert best.meta["map_steps"] == best.meta["held_steps"] > 0
+            continue
+        with pytest.raises(HjbError, match=rf"non-finite payoff at t={node * h:.6g};"):
+            integrate_backward(gT, uniform, 0.0, T, h, cfg, mode="optimizing")
+        # the last stage step, the rerun of the map step, alone overflows
+        assert finite[-1] is False and all(finite[:-1])
+
+
 def test_flat_payoff_overflow_raises_at_the_stage_loops_t():
     # the example's converged path, its rewards and fees scaled to 1e307:
     # the payoff overflows at t = 4.6, where the pass had taken flat steps on
@@ -823,8 +877,11 @@ def test_step_maps_give_an_rk4_step_and_its_stage_inputs():
     x, h = random_simplex(3, 2, rng), 0.05
     M, c = (a[0] for a in hbmfg.hjb._payoff_operators(x[None], cfg))
     for target in (None, np.array([[1, 1], [0, 1], [0, 0]])):
-        cells, fee = (None, None) if target is None else hbmfg.hjb._target_gains(cfg)(target)[1:]
-        Q, q = hbmfg.hjb._step_map(M, c, cells, fee, cfg.lam, -h)
+        A, b = M, c
+        if target is not None:
+            cells, fee = hbmfg.hjb._target_gains(cfg)(target)[1:]
+            A, b = hbmfg.hjb._flat_operator(M, c, cells, fee, cfg.lam)
+        Q, q = hbmfg.hjb._step_map(A, b, -h)
         for g in rng.normal(size=(3, 3, 2)):
             G = np.ascontiguousarray(g.T)[:, :, None]
             Y = (Q @ G.reshape(q.shape[1:]) + q).reshape(4, 2, 3).transpose(0, 2, 1)

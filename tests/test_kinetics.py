@@ -417,13 +417,11 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
 def forward_per_step(x0, control, t0, t1, dt, cfg):
     """integrate_forward's per-step rule, one step and its checks at a time:
     the reference for the run-checked pass.  Returns (xs, meta).  The step
-    kernel takes the flat occupation where kinetics.flat_operators holds."""
+    kernel takes the flat occupation."""
     n_steps, h = step_grid(t0, t1, dt, cfg.n * cfg.m)
     times = t0 + h * np.arange(n_steps + 1)
-    x = np.array(occupation_array(x0, (cfg.n, cfg.m)))
+    x = np.array(occupation_array(x0, (cfg.n, cfg.m))).reshape(-1)
     xs = np.empty((n_steps + 1,) + x.shape)
-    if kinetics.flat_operators(cfg):
-        x, xs = x.reshape(-1), xs.reshape(n_steps + 1, -1)
     xs[0] = x
     drift_max = 0.0
     projections = fixed_steps = 0

@@ -177,6 +177,23 @@ def test_count_state_refuses_populations_past_2_53():
         CountState(counts=np.array([[2**53], [1]]), N=2**53 + 1)
 
 
+def test_count_state_refuses_an_empty_population():
+    # N = 0 was accepted by both constructors, and simulate and
+    # enumerate_transitions then died with a ZeroDivisionError in the
+    # channel table's division by N; now the state is refused first
+    x = np.full((3, 3), 1 / 9)
+    for make in (lambda N: CountState(counts=np.zeros((3, 3), dtype=int), N=N),
+                 lambda N: CountState.from_occupation(x, N)):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match=rf"^N must be at least 1, got {N}: "):
+                make(N)
+    cfg = read_config(EXAMPLE)
+    for call in (lambda s: simulate(s, None, 1.0, 1, cfg),
+                 lambda s: enumerate_transitions(s, None, cfg)):
+        with pytest.raises(ValueError, match=r"^N must be at least 1, got 0: "):
+            call(CountState.from_occupation(x, 0))
+
+
 def test_count_state_validation():
     with pytest.raises(ValueError):
         CountState(counts=np.array([[1, 2], [3, -1]]), N=5)
