@@ -15,11 +15,15 @@ time, or once for a held run of occupation nodes equal in bits.
 integrate_backward steps the payoff in runs, each holding one switch term
 and one operator pair: the block's, by column, or for held targets within
 kinetics.flat_operators a flat one that folds the switch in
-(_flat_operator).  A run steps by kinetics.rk4_step, or on a held run by
-the pair's RK4 step map (_step_map).  The optimizing pass holds the best
-response over response runs, checked in bits against the best switch at
-their stage inputs (_best_response).  After the sweep, one pass over the
-nodes gives the best responses and the path's largest switch gain.
+(_flat_operator).  A run whose flow is affine, a bare response or flat
+targets, computes its step outputs alone: on a held run of rows**2 steps
+or more as powers of the pair's RK4 step map (_step_map, _extend_powers),
+otherwise as RK4 in Horner form (_horner_run), and then its stage inputs
+in one batched pass (_stage_inputs).  Other runs step by kinetics.rk4_step.
+The optimizing pass holds the best response over response runs, checked
+in bits against the best switch at their stage inputs (_best_response).
+After the sweep, one pass over the nodes gives the best responses and the
+path's largest switch gain.
 """
 from __future__ import annotations
 
@@ -43,10 +47,12 @@ __all__ = [
 SWITCH_TOL = 1e-12
 # States with occupation above this count as occupied for consistency checks.
 OCCUPIED_TOL = 1e-9
-# Per-step payoff operators, with the arrays that assemble them, a held run's
-# nodes, a response run's stage inputs (half) and its check's bounds and
-# switch gains (a quarter each), and the node pass's switch gains and
-# column-pair differences are built a block at a time in about this many bytes.
+# Per-step payoff operators, with the arrays that assemble them, a response
+# run's stage inputs (half) and its check's bounds and switch gains (a
+# quarter each), and the node pass's switch gains and column-pair
+# differences are built a block at a time in about this many bytes.  A held
+# step map's powers, one map for each step a response run may take, take
+# rows / 8 times that (rows: the map's, n by column or n * m flat).
 BLOCK_BYTES = 1 << 17
 
 
@@ -97,17 +103,16 @@ def _block_steps(cfg: GameConfig) -> int:
     return max(1, BLOCK_BYTES // (8 * cfg.n * cfg.m * (2 * cfg.n + 8)))
 
 
-def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
+def _operator_blocks(x_nodes, n_steps: int, cfg: GameConfig):
     """The payoff pass's blocks of steps, from n_steps down to 0, as (lo, hi,
     M, c, held): steps lo..hi-1 and their operators, one per step or one for
     all, and the held run's length (0 between held runs).
 
     A held run, _block_steps or more steps whose end nodes are all equal in
     bits (the forward fill, a fixed occupation; the whole path when x_nodes
-    is None), shares one operator, built from 0.5 * (v + v) as each of its
-    steps' mean nodes is, and goes in blocks of run_size steps, each given
-    the same M and c.  The steps between held runs go in blocks of
-    _block_steps, one operator per step.
+    is None), is one block sharing one operator, built from 0.5 * (v + v)
+    as each of its steps' mean nodes is.  The steps between held runs go in
+    blocks of _block_steps, one operator per step.
     """
     size = _block_steps(cfg)
     if x_nodes is None:
@@ -129,9 +134,7 @@ def _operator_blocks(x_nodes, n_steps: int, run_size: int, cfg: GameConfig):
             yield (lo, hi, *_payoff_operators(mean, cfg), 0)
         if a < b:
             v = None if x_nodes is None else x_nodes[b:b + 1]
-            M, c = _payoff_operators(None if v is None else 0.5 * (v + v), cfg)
-            for hi in range(b, a, -run_size):
-                yield max(a, hi - run_size), hi, M, c, b - a
+            yield (a, b, *_payoff_operators(None if v is None else 0.5 * (v + v), cfg), b - a)
         top = a
 
 
@@ -186,26 +189,82 @@ def _flat_operator(M, c, cells, fee, lam: float):
 
 def _step_map(A, b, h):
     """One RK4 step, of step h, of the affine flow A @ G + b, as an affine map
-    of the payoff: (Q, q), with Q[s] @ G + q[s] the step's stage inputs (s =
-    0, 1, 2) and its output (s = 3).
+    of the payoff: (P, o), with P @ G + o the step's output.
 
     A run's operator pair on either layout: the by-column blocks of M (m, n,
-    n) and c (m, n, 1), giving Q (4, m, n, n) and q (4, m, n, 1) on G (m, n,
-    1), or _flat_operator's A (nm, nm) and b (nm, 1), giving Q (4, nm, nm)
-    and q (4, nm, 1) on the flat by-column payoff.  Either is one
-    kinetics.rk4_step, with its stages, of the slope Z -> A @ Z + [0 | b]
-    from the augmented identity [I | 0]: on an affine flow each RK4 stage
-    is an affine map (the step's is R(hA)), so the identity columns carry
-    the linear parts and the last column, from 0, the constants.
+    n) and c (m, n, 1), giving P (m, n, n) and o (m, n, 1) on G (m, n, 1),
+    or _flat_operator's A (nm, nm) and b (nm, 1), giving P (nm, nm) and o
+    (nm, 1) on the flat by-column payoff.  Either is one kinetics.rk4_step
+    of the slope Z -> A @ Z + [0 | b] from the augmented identity [I | 0]:
+    on an affine flow each RK4 stage is an affine map (the step's is
+    R(hA)), so the identity columns carry the linear part and the last
+    column, from 0, the constant.  integrate_backward builds one per held
+    operator and response, and a held run's nodes come from its powers
+    (_extend_powers).
     """
     rows = A.shape[-1]
     Z = np.zeros(A.shape[:-1] + (rows + 1,))
     Z[..., :rows] = np.eye(rows)
     C = np.zeros(Z.shape)
     C[..., rows:] = b
-    Q = np.empty((4, *Z.shape))
-    rk4_step(lambda z: np.matmul(A, z) + C, Z, h, out=Q[3], stages=tuple(Q[:3]))
+    Q = rk4_step(lambda z: np.matmul(A, z) + C, Z, h)
     return np.ascontiguousarray(Q[..., :rows]), np.ascontiguousarray(Q[..., rows:])
+
+
+def _extend_powers(P, o, have: int, want: int) -> int:
+    """Extend a held step map's powers from `have` steps to `want`, in place:
+    node r of a held run from G is P[r] @ G + o[r], P[1] and o[1] the step
+    map.  P[r + 1] = P[1] @ P[r] and o[r + 1] = P[1] @ o[r] + o[1], so the
+    constants are the step map's own steps from 0.  Returns want."""
+    for r in range(have, want):
+        np.matmul(P[1], P[r], out=P[r + 1])
+        np.matmul(P[1], o[r], out=o[r + 1])
+        o[r + 1] += o[1]
+    return want
+
+
+def _horner_run(A, b, step, nodes) -> None:
+    """RK4 steps of the affine flow A @ y + b with step `step`, from nodes[0]
+    into nodes[1], nodes[2], ...: step r by A[r] and b[r], or every step by
+    A[0] and b[0] when they hold one operator.
+
+    Each step is y + phi(hA) @ (hA @ y + hb), phi(z) = 1 + z/2 (1 + z/3 (1 +
+    z/4)) in Horner form: the classical RK4 step of an affine flow, whose
+    stability polynomial is 1 + z phi(z), in four matmuls and five adds
+    against a stage step's 21 numpy calls.  hA, hA / 4, hA / 3, hA / 2 and
+    hb are formed once, for all steps at once.
+    """
+    hA = A * step
+    ops = list(zip(hA, hA / 4, hA / 3, hA / 2, b * step))
+    d, u = np.empty((2, *nodes[0].shape))
+    for r in range(len(nodes) - 1):
+        a1, a4, a3, a2, hb = ops[r if len(ops) > 1 else 0]
+        y, out = nodes[r], nodes[r + 1]
+        np.matmul(a1, y, out=d)
+        d += hb
+        np.matmul(a4, d, out=u)
+        u += d
+        np.matmul(a3, u, out=out)
+        out += d
+        np.matmul(a2, out, out=u)
+        u += d
+        np.add(y, u, out=out)
+
+
+def _stage_inputs(Y, S, scalars, A, b) -> None:
+    """The three RK4 stage inputs of each step of an affine run, from the
+    steps' inputs Y (L, ...) into S (L, 3, ...), all steps at once:
+    kinetics.rk4_step's stage formulas on the slope A @ y + b, in its order
+    of operations, A and b holding one operator per step or one for all."""
+    half, step = scalars[:2]
+    T = np.empty((3, *Y.shape))   # then into S at once: steps on a strided S are slower
+    stage = Y
+    for s, scale in enumerate((half, half, step)):
+        stage = np.matmul(A, stage, out=T[s])
+        stage += b
+        stage *= scale
+        stage += Y
+    S[...] = T.swapaxes(0, 1)
 
 
 def _best_response(cfg: GameConfig):
@@ -438,22 +497,33 @@ def integrate_backward(
     run's operator pair is the block's by-column (M, c), hjb_rhs's affine
     map, or, for held targets where kinetics.flat_operators holds (3 x 3
     and 5 x 5, not 6 x 6), _flat_operator's (A, b), built once per run and
-    block.  A run steps by kinetics.rk4_step of A @ G + b - lam * term(G)
-    on A's layout; a response run on a held block steps by the pair's step
-    map instead (_step_map, cached per held operator and response), one
-    matmul and one add a step, where the held run has rows**2 steps or more
-    (rows n bare, n * m for targets).  Each step writes its stage inputs,
-    which the response check reads, and its output into the run's history,
-    copied into the node path once per run.  meta's map_steps and
-    flat_steps count the steps kept from maps and flat operators, maps the
+    block.  A response run whose flow is affine (a bare response, or
+    targets on the flat pair) computes its step outputs alone.  On a held
+    block of rows**2 steps or more (rows n bare, n * m for targets), node r
+    of the run is P[r] @ G + o[r] from its first node G, the powers of the
+    pair's step map (_step_map, cached per held operator and response, its
+    powers extended as far as the runs reach): one product for the run.
+    Such a node's last bits depend on where its run started, and run starts
+    on the run cap and block edges that BLOCK_BYTES sets, so g's last bits
+    depend on BLOCK_BYTES too.
+    Otherwise each step is RK4 in Horner form (_horner_run), 9 numpy calls
+    against 21 for the stages.  One batched pass then gives the run's stage
+    inputs, which the response check reads (_stage_inputs: rk4_step's stage
+    formulas on the run's operator pair, from the run's nodes).  Every
+    other run (the best switch's direct steps and reruns, fixed mode, and
+    held targets outside flat_operators) steps by kinetics.rk4_step of A @
+    G + b - lam * term(G) on A's layout, writing its stage inputs.  A run
+    writes into its history, copied into the node path once per run.
+    meta's map_steps and horner_steps count the steps kept from map powers
+    and Horner steps, flat_steps the Horner steps on flat pairs, maps the
     maps built.
     One rule for a non-finite payoff: a run's first kept step whose output
     is not finite is rerun by stages with the best switch, and a stage step
     of the best switch or of fixed mode whose output is not finite raises
     HjbError at its node.  A stage step the check kept reruns to its own
-    bits; a map or flat step, which rounds and overflows otherwise, reruns
-    as the stages take it.  The rule cannot reach a map or flat output that
-    stays finite where the stages would overflow.
+    bits; a Horner or map-power step, which rounds and overflows otherwise,
+    reruns as the stages take it.  The rule cannot reach a Horner or
+    map-power output that stays finite where the stages would overflow.
     Returns a Trajectory with g at the nodes.  In optimizing mode, one pass
     over the nodes adds u, the Control that holds on step k the best
     response to g(times[k]), and meta's cone_worst, the largest switch gain
@@ -488,40 +558,38 @@ def integrate_backward(
     # a run's most steps: their stage inputs fill half of BLOCK_BYTES
     size = max(1, BLOCK_BYTES // (2 * 8 * 4 * n * m))
     # the run's history: step r's input H[r, 0], its stage inputs H[r, 1:]
-    # and its output H[r + 1, 0]; and each step's views of it on either
-    # operator layout, by column (m, n, 1) and flat (n * m, 1), by b's ndim
+    # and its output H[r + 1, 0]; as seen on either operator layout, by
+    # column (m, n, 1) and flat (n * m, 1), by a step's b.ndim
     H = np.empty((size + 1, 4, m, n, 1))
     H[0, 0] = _by_column(gT)
-    views = {}
-    for shape in ((m, n, 1), (n * m, 1)):
-        V = H.reshape(size + 1, 4, *shape)
-        views[len(shape)] = [(Y[0], tuple(Y[1:]), Z[0]) for Y, Z in zip(V, V[1:])]
+    layouts = {len(shape): H.reshape(size + 1, 4, *shape) for shape in ((m, n, 1), (n * m, 1))}
     if optimizing:
         best, respond, check = _best_response(cfg)
     # run: the next response run's length.  direct: steps left to take the best
     # switch directly, `backoff` of them after a run fails at its first
     # step; fixed mode takes every step so, with its control's gain.
     run, backoff, direct, held_steps = 1, 4, 0 if optimizing else n_steps, 0
-    run_size = max(1, BLOCK_BYTES // (8 * n * m))   # a held run's block: BLOCK_BYTES of nodes
     A_k = b_k = term_k = None   # the step's operator, constant and switch term
     flat = flat_operators(cfg)   # held targets step by _flat_operator's A @ G + b
     # the most steps of a moving block whose flat operators fit BLOCK_BYTES
+    # (their Horner form's four scaled copies take four times that)
     flat_run = max(1, BLOCK_BYTES // (8 * n * m * (n * m + 1)))
     maps, maps_for = {}, None   # the step maps of operator maps_for, by target cells
-    map_steps = built = flat_steps = 0
+    map_steps = built = flat_steps = horner_steps = 0
 
     def operators(span, cells, fee):   # a run's operator pair on the block's steps `span`
         if cells is None or not flat:
             return M[span], c[span]
         return _flat_operator(M[span], c[span], cells, fee, cfg.lam)
 
-    def step_map(cells, fee):   # the held run's step map under a response, or None
+    def step_map(cells, fee, length):   # the held run's operator pair and powers, or None
         nonlocal built, maps_for
         # a map of rows x rows blocks costs about `rows` of its steps to build,
         # and a bare map step as much arithmetic as its stages: a held run of
-        # rows**2 steps or more builds one, at most 1 / rows of its steps' cost
+        # rows**2 steps or more builds one, at most 1 / rows of its steps' cost.
+        # Its powers, a product each, reach as far as its longest run
         rows = n if cells is None else n * m
-        if held < rows * rows or cells is not None and not flat:
+        if held < rows * rows:
             return None
         if M is not maps_for:
             maps.clear()
@@ -529,10 +597,16 @@ def integrate_backward(
         key = None if cells is None else cells.tobytes()
         if key not in maps:
             A, b = operators(slice(None), cells, fee)
-            Q, q = _step_map(A[0], b[0], scalars)
-            maps[key] = Q, q, H.reshape(-1, *q.shape[1:])
+            P1, o1 = _step_map(A[0], b[0], scalars)
+            P = np.empty((min(size, held) + 1, *P1.shape))
+            o = np.empty((len(P), *o1.shape))
+            P[0], o[0], P[1], o[1] = np.eye(rows), 0.0, P1, o1
+            maps[key] = [A, b, P, o, 1]   # and how many powers are built
             built += 1
-        return maps[key]
+        entry = maps[key]
+        if entry[4] < length:
+            entry[4] = _extend_powers(entry[2], entry[3], entry[4], length)
+        return entry[:4]
 
     def slope(y):   # term_k(y) returns an array the slope may overwrite
         dg = np.matmul(A_k, y)
@@ -546,8 +620,8 @@ def integrate_backward(
     def step(A, b, term, r):   # a run's step r by stages, on A's layout
         nonlocal A_k, b_k, term_k
         A_k, b_k, term_k = A, b, term
-        y, stages, out = views[b.ndim][r]
-        rk4_step(slope, y, scalars, out=out, stages=stages)
+        V = layouts[b.ndim]
+        rk4_step(slope, V[r, 0], scalars, out=V[r + 1, 0], stages=(V[r, 1], V[r, 2], V[r, 3]))
 
     def finite_steps(count):   # how many of a run's first `count` outputs lead, all finite
         out = H[1:count + 1, 0]
@@ -556,7 +630,7 @@ def integrate_backward(
         finite = np.isfinite(out).all(axis=(1, 2, 3))
         return count if finite.all() else int(finite.argmin())
 
-    for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, run_size, cfg):
+    for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, cfg):
         moving = len(M) > 1
         k = hi - 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -570,26 +644,33 @@ def integrate_backward(
                 else:
                     response = respond(H[0, 0])
                     term, cells, fee = response[:3]
-                    mapped = step_map(cells, fee)
+                    # affine: a bare response by column, or targets on a flat operator
+                    affine = cells is None or flat
+                    mapped = affine and step_map(cells, fee, length)
                     by_flat = not mapped and flat and cells is not None
-                    if mapped:   # H's slots 4r .. 4r + 4: step r's input, stage inputs, output
-                        Q, q, slots = mapped
-                        for r in range(length):
-                            out = slots[4 * r + 1:4 * r + 5]
-                            np.matmul(Q, slots[4 * r], out=out)
-                            out += q
-                    else:   # by stages on steps k .. k - length + 1's operators
+                    if mapped:   # node r of the run: P[r] @ G + o[r], G its first
+                        A, b, P, o = mapped
+                        V = layouts[b.ndim - 1]
+                        nodes = np.matmul(P[1:length + 1], V[0, 0])
+                        nodes += o[1:length + 1]
+                        V[1:length + 1, 0] = nodes
+                    else:   # steps k .. k - length + 1's operators, step r's at r
                         if by_flat and moving:
                             length = min(length, flat_run)
                         span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
-                        A, b = operators(span, cells, fee)
-                        term = None if by_flat else term   # flat operators hold the targets
-                        for r in range(length):
-                            j = length - 1 - r if moving else 0
-                            step(A[j], b[j], term, r)
+                        A, b = (a[::-1] for a in operators(span, cells, fee))
+                        V = layouts[b.ndim - 1]
+                        if affine:
+                            _horner_run(A, b, scalars[1], list(V[:length + 1, 0]))
+                        else:   # held targets by column: stages with their gather
+                            for r in range(length):
+                                step(A[r if moving else 0], b[r if moving else 0], term, r)
+                    if affine:
+                        _stage_inputs(V[:length, 0], V[:length, 1:], scalars, A, b)
                     kept = finite_steps(check(H[:length], response))
                     held_steps += kept
                     map_steps += kept if mapped else 0
+                    horner_steps += kept if affine and not mapped else 0
                     flat_steps += kept if by_flat else 0
                     if kept == length:
                         run, backoff = min(2 * run, size), 4
@@ -608,7 +689,7 @@ def integrate_backward(
                 H[0, 0] = H[end, 0]
                 k -= end
     meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built,
-            "flat_steps": flat_steps}
+            "horner_steps": horner_steps, "flat_steps": flat_steps}
     if not optimizing:
         return Trajectory(times=times, g=gs, meta=meta)
     us, worst = _node_pass(gs, cfg)

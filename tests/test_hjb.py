@@ -29,7 +29,7 @@ from hbmfg import (
 )
 from hbmfg.hjb import BLOCK_BYTES, SWITCH_TOL, _block_steps, _node_pass
 from hbmfg import kinetics
-from hbmfg.kinetics import rk4_step
+from hbmfg.kinetics import rk4_scalars, rk4_step
 from hbmfg.io import read_config
 from test_io_cli import EXAMPLE
 from test_kinetics import column_generator, random_control, random_simplex, stage_cases
@@ -263,54 +263,73 @@ def flat_operator(x_mid, target, cfg):
     return A, c.reshape(-1, 1) + cfg.lam * fee[:, None]
 
 
+def affine_operator(x_mid, target, cfg):
+    """The payoff flow at occupation x_mid under a target matrix as A @ G + b:
+    flat_operator's, or without a target (everybody stays) M and c of
+    _payoff_operators, whose blocks act column by column on G (m, n, 1)."""
+    if target is None:
+        return tuple(a[0] for a in hbmfg.hjb._payoff_operators(x_mid[None], cfg))
+    return flat_operator(x_mid, target, cfg)
+
+
+def on_layout(g, b):
+    """A payoff matrix g (n, m) as a column of b's layout: by column (m, n, 1)
+    or flat by column (n * m, 1)."""
+    return np.ascontiguousarray(g.T).reshape(b.shape)
+
+
+def off_layout(ys, cfg):
+    """A stack of columns of either layout back to payoff matrices (S, n, m)."""
+    return np.asarray(ys).reshape(-1, cfg.m, cfg.n).swapaxes(-1, -2)
+
+
 def step_map(x_mid, target, h, cfg):
     """The RK4 step of the payoff flow at occupation x_mid under a target
-    matrix (None: everybody stays), as a map built here from flat_operator
-    and rk4_step on the augmented identity [I | 0]: Y(g), the step's three
-    stage inputs and its output (4, n, m).  Without a target, M's blocks
-    act column by column."""
-    n, m = cfg.n, cfg.m
-    if target is None:
-        A, b = (a[0] for a in hbmfg.hjb._payoff_operators(x_mid[None], cfg))
-    else:
-        A, b = flat_operator(x_mid, target, cfg)
+    matrix (None: everybody stays) as an affine map built here from
+    affine_operator and rk4_step on the augmented identity [I | 0]: (Q, q),
+    Q @ G + q the step's output on the operator's layout."""
+    A, b = affine_operator(x_mid, target, cfg)
     rows = A.shape[-1]
     identity = np.concatenate([np.broadcast_to(np.eye(rows), A.shape),
                                np.zeros(A.shape[:-1] + (1,))], axis=-1)
     C = np.concatenate([np.zeros(A.shape), b], axis=-1)
-    stages = []
-
-    def f(z):
-        stages.append(z.copy())
-        return A @ z + C
-
-    out = rk4_step(f, identity, -h)
-    Q = np.array(stages[1:] + [out])
-    Q, q = np.ascontiguousarray(Q[..., :rows]), np.ascontiguousarray(Q[..., rows:])
-
-    def apply(g):
-        G = np.ascontiguousarray(g.T)[:, :, None]
-        return (Q @ G.reshape(q.shape[1:]) + q).reshape(4, m, n).transpose(0, 2, 1)
-
-    return apply
+    Q = rk4_step(lambda z: A @ z + C, identity, -h)
+    return np.ascontiguousarray(Q[..., :rows]), np.ascontiguousarray(Q[..., rows:])
 
 
-def flat_step(x_mid, target, h, cfg):
+def map_power(Q, q, r, powers):
+    """The step map (Q, q) taken r times, built here one step at a time:
+    node r of a held run from G is P @ G + o, with P_(r+1) = Q @ P_r and
+    o_(r+1) = Q @ o_r + q.  powers caches them by r."""
+    if not powers:
+        powers.append((Q, q))
+    while len(powers) < r:
+        P, o = powers[-1]
+        powers.append((Q @ P, Q @ o + q))
+    return powers[r - 1]
+
+
+def horner_step(x_mid, target, h, cfg):
     """The RK4 step of the payoff flow at occupation x_mid under a target
-    matrix, an rk4_step of -(A @ G + b) on flat_operator's flat by-column
-    payoff: Y(g), the step's three stage inputs and its output (4, n, m)."""
-    n, m = cfg.n, cfg.m
-    A, b = flat_operator(x_mid, target, cfg)
+    matrix (None: everybody stays) in Horner form, built here: y + phi(hA)
+    @ (hA @ y + hb), phi(z) = 1 + z/2 (1 + z/3 (1 + z/4)), with step -h in
+    the reversed clock, A and b affine_operator's.  Y(g): the step's three
+    stage inputs, from rk4_step on A @ y + b, and its output (4, n, m)."""
+    A, b = affine_operator(x_mid, target, cfg)
+    hA, hb = A * -h, b * -h
 
     def apply(g):
+        y = on_layout(g, b)
         stages = []
 
-        def f(y):
-            stages.append(y)
-            return -(A @ y + b)
+        def f(z):
+            stages.append(z)
+            return A @ z + b
 
-        out = rk4_step(f, np.ascontiguousarray(g.T).reshape(-1, 1), h)
-        return np.array(stages[1:] + [out]).reshape(4, m, n).transpose(0, 2, 1)
+        rk4_step(f, y, -h)
+        d = hA @ y + hb
+        out = y + ((hA / 2) @ ((hA / 3) @ ((hA / 4) @ d + d) + d) + d)
+        return off_layout(stages[1:] + [out], cfg)
 
     return apply
 
@@ -327,62 +346,27 @@ def held_term_holds(y, target, cfg):
     return np.array_equal(term.view(np.int64), held.view(np.int64))
 
 
-def backward_loop(gT, x_path, controls, h, cfg, inputs=None, fold=True):
+def backward_loop(gT, x_path, controls, h, cfg, inputs=None):
     """integrate_backward as an rk4_step loop over -hjb_rhs in the reversed clock.
 
     controls: one target matrix or None per step, or "optimizing" for the best
     response at every stage.  Returns the nodes' g and each step's first-stage
     control, which sits on the step's starting node.  A list given as inputs
     collects every stage's input, four a step, from the step next to T on.
-    With fold, an optimizing step goes through step_map or flat_step where
-    loop_step lets it; without, every step is the stage loop.
     """
-    held, built = held_run_lengths(x_path, cfg), {}
     gs, firsts = [np.asarray(gT, dtype=float)], []
     for k in reversed(range(len(x_path) - 1)):
-        g, u, _ = loop_step(gs[-1], k, x_path, controls, h, cfg, held[k], built, inputs, fold)
+        g, u = stage_step(gs[-1], k, x_path, controls, h, cfg, inputs)
         gs.append(g)
         firsts.append(u)
     return np.array(gs[::-1]), firsts[::-1]
 
 
-def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None, fold=True):
-    """backward_loop's step k from g: (output, first-stage control, how),
-    how "map" or "flat" for a step taken so, else None.
-
-    held: the step's held run length, 0 off a held run.  With fold, an
-    optimizing step plays the best response at g, as integrate_backward's
-    response runs hold it, where the best-switch term keeps that response's
-    at the step's stage inputs.  Everybody staying is bare where 0 <= lam <
-    inf (not -0.0).  On a held run a bare response is a map of n rows, and a
-    target one of nm rows where kinetics.flat_operators(cfg) holds; a map of
-    `rows` rows needs a held run of rows**2 steps.  A target response that
-    takes no map is a flat_step where flat_operators(cfg) holds.  Any other
-    step is an rk4_step of -hjb_rhs.  built keeps the maps and flat steps by
-    their mean node and target.
-    """
+def stage_step(g, k, x_path, controls, h, cfg, inputs=None):
+    """backward_loop's step k from g, an rk4_step of -hjb_rhs: (output,
+    first-stage control)."""
     optimizing = isinstance(controls, str)
-    n, m = cfg.n, cfg.m
     x_mid = 0.5 * (x_path[k] + x_path[k + 1])
-    if fold and optimizing:
-        bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
-        flat = kinetics.flat_operators(cfg)
-        u = optimal_control(g, cfg)
-        target = None if bare and (u == np.arange(m)).all() else u
-        how = None
-        if held and (held >= n * n if target is None else flat and held >= (n * m) ** 2):
-            how = "map"
-        elif target is not None and flat:
-            how = "flat"
-        if how:
-            key = how, x_mid.tobytes(), None if target is None else target.tobytes()
-            if key not in built:
-                built[key] = (step_map if how == "map" else flat_step)(x_mid, target, h, cfg)
-            Y = built[key](g)
-            if all(held_term_holds(y, target, cfg) for y in Y[:3]):
-                if inputs is not None:
-                    inputs += [g, *Y[:3]]
-                return Y[3], u, how
     stage_u = []
 
     def f(y):
@@ -390,25 +374,78 @@ def loop_step(g, k, x_path, controls, h, cfg, held, built, inputs=None, fold=Tru
             inputs.append(y)
         stage_u.append(optimal_control(y, cfg) if optimizing else controls[k])
         return -hjb_rhs(y, x_mid, stage_u[-1], cfg)
-    return rk4_step(f, g, h), stage_u[0], None
+    return rk4_step(f, g, h), stage_u[0]
+
+
+def folded_steps(gs, k, x_path, h, cfg, held, built, starts):
+    """The folded steps an optimizing pass may give for step k, from its own
+    nodes gs: a list of (output, start), start None for a Horner step.
+
+    A response run holds the best response at its first node, everybody
+    staying bare where 0 <= lam < inf (not -0.0).  On a held run (held: its
+    length, 0 off one) a bare response is a map of n rows, and a target one
+    of nm rows where kinetics.flat_operators(cfg) holds; a map of `rows`
+    rows needs a held run of rows**2 steps.  A map step's output is node s
+    - k of the run from node s, P @ gs[s] + o (map_power), s either k + 1,
+    a run starting at the step, or one of starts, the runs that step k + 1
+    took.  Any other affine response, bare or flat, gives the Horner step
+    from gs[k + 1] (horner_step), under the response at gs[k + 1].  Either
+    is a candidate only where the best switch keeps the held response's
+    term at the step's input and stage inputs, rk4_step's from gs[k + 1]
+    on the run's operators.  Targets outside
+    flat_operators give none.  built keeps maps by mean node and target.
+    """
+    n, m = cfg.n, cfg.m
+    x_mid = 0.5 * (x_path[k] + x_path[k + 1])
+    bare = math.copysign(1.0, cfg.lam) > 0.0 and cfg.lam < np.inf
+    flat = kinetics.flat_operators(cfg)
+
+    def response(g):
+        u = optimal_control(g, cfg)
+        return None if bare and (u == np.arange(m)).all() else u
+
+    def holds(ys, target):
+        return all(held_term_holds(y, target, cfg) for y in ys)
+
+    target = response(gs[k + 1])
+    if target is not None and not flat:
+        return []
+    if not held or held < (n if target is None else n * m) ** 2:
+        Y = horner_step(x_mid, target, h, cfg)(gs[k + 1])
+        return [(Y[3], None)] if holds(Y[:3], target) else []
+    folds = []
+    for s in starts | {k + 1}:
+        target = response(gs[s])
+        if target is not None and not flat:
+            continue
+        key = x_mid.tobytes(), None if target is None else target.tobytes()
+        if key not in built:
+            built[key] = step_map(x_mid, target, h, cfg), []
+        (Q, q), powers = built[key]
+        if holds([gs[k + 1], *horner_step(x_mid, target, h, cfg)(gs[k + 1])[:3]], target):
+            P, o = map_power(Q, q, s - k, powers)
+            folds.append((off_layout(P @ on_layout(gs[s], q) + o, cfg)[0], s))
+    return folds
 
 
 def replay(traj, x_path, h, cfg):
-    """Each step of an optimizing pass replayed from the pass's own input:
-    every step equals in bits its loop_step folded (a map or a flat step)
-    or its stage step, and a folded one only where loop_step folds it.
-    Returns how many equal the folded step alone, and how many equal it at
+    """Each step of an optimizing pass replayed from the pass's own nodes:
+    every step equals in bits its stage step from node k + 1 or one of
+    folded_steps, and a folded one only where folded_steps gives it.
+    Returns how many equal a folded step alone, and how many equal one at
     all: a folded step whose bits its stage step gives too, or a back-off
-    step that the pass took by the best switch where the folded step would
+    step that the pass took by the best switch where a folded step would
     have held."""
     held, built = held_run_lengths(x_path, cfg), {}
     alone = either = 0
-    for k in range(len(x_path) - 1):
+    starts = set()   # the map runs that step k + 1 continued or started
+    for k in reversed(range(len(x_path) - 1)):
         got = traj.g[k].view(np.int64)
-        stage = loop_step(traj.g[k + 1], k, x_path, "optimizing", h, cfg, 0, built,
-                          fold=False)[0]
-        out, _, how = loop_step(traj.g[k + 1], k, x_path, "optimizing", h, cfg, held[k], built)
-        by_fold = how is not None and np.array_equal(got, out.view(np.int64))
+        stage = stage_step(traj.g[k + 1], k, x_path, "optimizing", h, cfg)[0]
+        folds = folded_steps(traj.g, k, x_path, h, cfg, held[k], built, starts)
+        matched = [s for out, s in folds if np.array_equal(got, out.view(np.int64))]
+        starts = {s for s in matched if s is not None}
+        by_fold = bool(matched)
         by_stage = np.array_equal(got, stage.view(np.int64))
         assert by_fold or by_stage, k
         alone += by_fold and not by_stage
@@ -417,12 +454,12 @@ def replay(traj, x_path, h, cfg):
 
 
 def assert_replays(best, x_path, h, cfg):
-    """An optimizing pass against the reference loop step by step (replay):
-    the steps only a folded step gives are at most the pass's map and flat
-    steps, and those at most the steps a folded step gives at all; and u[k]
-    is the best response at node k, every node across block edges."""
+    """An optimizing pass against the reference steps one by one (replay):
+    the steps only a folded step gives are at most the pass's map and
+    Horner steps, and those at most the steps a folded step gives at all;
+    and u[k] is the best response at node k, every node across block edges."""
     alone, either = replay(best, x_path, h, cfg)
-    assert alone <= best.meta["map_steps"] + best.meta["flat_steps"] <= either
+    assert alone <= best.meta["map_steps"] + best.meta["horner_steps"] <= either
     assert np.array_equal(steps_of(best.u), [optimal_control(g, cfg) for g in best.g[:-1]])
 
 
@@ -441,10 +478,10 @@ def test_integrate_backward_equals_rk4_loop_over_hjb_rhs():
         assert np.array_equal(free.g, backward_loop(gT, x_path, [None] * steps, h, cfg)[0])
         # the optimizing pass: step by step the reference loop's folded or
         # stage steps in bits, and within rounding of the stage loop; its
-        # held targets take flat steps where kinetics.flat_operators holds
+        # held targets take flat Horner steps where kinetics.flat_operators holds
         best = integrate_backward(gT, x_path, 0.0, 1.0, h, cfg, mode="optimizing")
         assert_replays(best, x_path, h, cfg)
-        assert_near(best.g, backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0])
+        assert_near(best.g, backward_loop(gT, x_path, "optimizing", h, cfg)[0])
         flat_steps[kinetics.flat_operators(cfg)] += best.meta["flat_steps"]
     assert min(blocks[-2:]) > 5
     assert flat_steps[True] > 0 and flat_steps[False] == 0
@@ -456,17 +493,20 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     # alternate with moving steps.  With interaction on, the two fixed points
     # give different payoff operators, so an operator reused past a change of
     # node bits would show; without it the operator would not depend on the
-    # nodes.  At 8 KB each held run spans two held blocks and each moving
-    # stretch many operator blocks (at 4 KB the node compare also takes two
-    # chunks); at the default a held run is still at least one operator block
-    # long, so it shares one operator.
+    # nodes.  Each held run is one block, past 8 KB of nodes, and at 4 and
+    # 8 KB each moving stretch spans many operator blocks (at 4 KB the node
+    # compare also takes two chunks); at the default a held run is still at
+    # least one operator block long, so it shares one operator.
     # Near T the optimizing pass's best response changes within a few steps,
     # which it reruns; elsewhere it holds one response over long runs.
-    # The optimizing pass's held responses go through step maps: bare, and
-    # under targets where kinetics.flat_operators holds, as on 3 x 2 at
-    # every BLOCK_BYTES; its moving stretches stay bare.  It equals the
-    # reference loop with the same maps in bits, and the stage loop within
-    # rounding; the fixed passes keep their stages.
+    # The optimizing pass's held responses go through step maps' powers:
+    # bare, and under targets where kinetics.flat_operators holds, as on
+    # 3 x 2 at every BLOCK_BYTES; its moving stretches take bare Horner
+    # steps.  Step by step it is the reference steps in bits (replay), and
+    # the stage loop within rounding; the fixed passes keep their stages.
+    # A map node's last bits depend on where its run started, and run
+    # starts on BLOCK_BYTES, so across the three the payoffs agree within
+    # 1e-14 of max |g|, not in bits.
     rng = np.random.default_rng(1)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, fee_switch=1.5, delta=0.3)
     x0 = np.random.default_rng(11).dirichlet(np.ones(6)).reshape(3, 2)
@@ -479,17 +519,17 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
     runs = np.flatnonzero(held[1:] != held[:-1]).reshape(-1, 2)
     assert [b for a, b in runs] == [400, 800, 1200] and (runs[:, 0] % 400 > 100).all()
     lengths = runs[:, 1] - runs[:, 0]
-    assert ((1 << 13) // (8 * cfg.n * cfg.m) < lengths).all()   # at 8 KB: two held blocks
+    assert ((1 << 13) // (8 * cfg.n * cfg.m) < lengths).all()   # past 8 KB of nodes
     assert (bits[400] != bits[800]).any() and cfg.delta_int > 0.0
     gT = rng.normal(size=(cfg.n, cfg.m))
     stack = np.array([random_control(cfg.n, cfg.m, rng) for _ in range(steps)])
     fixed_g = backward_loop(gT, x_path, stack, h, cfg)[0]
     free_g = backward_loop(gT, x_path, [None] * steps, h, cfg)[0]
-    stage_g = backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0]
     inputs = []
-    g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
+    stage_g, firsts = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)
     changing = steps_changing(inputs, cfg)
     assert 0 < sum(changing) < 10 and changing[0] and len(Control.of_steps(firsts).starts) > 1
+    best_g = []
     for block in (1 << 12, 1 << 13, BLOCK_BYTES):
         monkeypatch.setattr(hbmfg.hjb, "BLOCK_BYTES", block)
         assert _block_steps(cfg) <= lengths.min()   # each held run shares one operator
@@ -499,18 +539,20 @@ def test_constant_runs_reuse_one_operator_until_the_nodes_change(monkeypatch):
         free = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg)
         assert np.array_equal(free.g, free_g) and free.meta["map_steps"] == 0
         best = integrate_backward(gT, x_path, 0.0, steps * h, h, cfg, mode="optimizing")
-        assert np.array_equal(best.g, g), block
+        assert_replays(best, x_path, h, cfg)
         assert_near(best.g, stage_g)
         # each held run has an operator of its own, so maps of its own
         assert 0 < best.meta["map_steps"] <= best.meta["held_steps"]
         assert best.meta["maps"] >= len(runs)
-        assert np.array_equal(steps_of(best.u), [optimal_control(g[0], cfg)] + firsts[:-1])
+        assert np.array_equal(steps_of(best.u), [optimal_control(stage_g[0], cfg)] + firsts[:-1])
         assert_reruns(best, changing)
+        best_g.append(best.g)
+    assert np.abs(np.array(best_g) - best_g[-1]).max() <= 1e-14 * np.abs(best_g[-1]).max()
 
 
 def assert_near(g, stage):
-    """g within 1e-12 * max(1, max |g|) of the stage loop's: a held run's
-    step map rounds otherwise than its stages do."""
+    """g within 1e-12 * max(1, max |g|) of the stage loop's: Horner steps and
+    a held run's map powers round otherwise than the stages do."""
     scale = max(1.0, float(np.abs(stage).max()))
     assert np.abs(g - stage).max() <= 1e-12 * scale
 
@@ -544,7 +586,7 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
         gT = np.zeros((cfg.n, cfg.m))
         best = integrate_backward(gT, x_path, 0.0, 3.0, h, cfg, mode="optimizing")
         inputs = []
-        g = backward_loop(gT, x_path, "optimizing", h, cfg, inputs, fold=False)[0]
+        g = backward_loop(gT, x_path, "optimizing", h, cfg, inputs)[0]
         assert_replays(best, x_path, h, cfg)
         assert_near(best.g, g)
         changing = steps_changing(inputs, cfg)
@@ -566,7 +608,7 @@ def test_cone_skip_equals_rk4_loop_over_hjb_rhs():
     gT[:, 2] = thm.switch_fee.min() + 2.0
     best = integrate_backward(gT, x_path, 0.0, 3.0, h, thm, mode="optimizing")
     inputs = []
-    g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs, fold=False)
+    g, firsts = backward_loop(gT, x_path, "optimizing", h, thm, inputs)
     assert_replays(best, x_path, h, thm)
     assert_near(best.g, g)
     changing = steps_changing(inputs, thm)
@@ -615,10 +657,10 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     # The uniform start is a fixed point of the 3 x 3 paths, so at 4 KB and
     # 8 KB each path is one held run (at the default, shorter than an
     # operator block, none): its all-stay steps near T go through a bare
-    # step map, and fee_ordered_config's 120 steps, past 9**2, through
-    # target maps.  The 3 x 3 paths' other held targets take flat steps, as
-    # in the reference loop, step by step; every case is also within
-    # rounding of the stage loop.
+    # step map's powers, and fee_ordered_config's 120 steps, past 9**2,
+    # through target maps' powers.  The 3 x 3 paths' other held targets take
+    # flat Horner steps, as the reference steps do, step by step; every case
+    # is also within rounding of the stage loop.
     checks = []   # (steps, steps kept) of every response run's check
     real = hbmfg.hjb._best_response
 
@@ -644,7 +686,7 @@ def test_held_runs_equal_rk4_loop_over_hjb_rhs(monkeypatch):
     for name, (cfg, gT, x0, T, steps) in cases.items():
         x_path = integrate_forward(x0, None, 0.0, T, T / steps, cfg).x
         inputs = []
-        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs, fold=False)
+        g, firsts = backward_loop(gT, x_path, "optimizing", T / steps, cfg, inputs)
         refs[name] = x_path, g, [optimal_control(g[0], cfg)] + firsts[:-1], inputs
     changing = steps_changing(refs["changing"][3], ten)
     assert all(changing) and len(changing) == 40
@@ -692,13 +734,11 @@ def test_map_payoff_overflow_takes_the_one_non_finite_rule(monkeypatch):
     # 400 steps, past 9**2, step by maps.  The rule: a map step whose output
     # is not finite is rerun by stages with the best switch, and a stage
     # step's non-finite output raises HjbError at its node.
-    # - the example x 1e307, T = 20: at node 138 a target map's stage inputs
-    #   overflow, so the check fails there and reruns the step by stages,
-    #   which overflow too: HjbError at 138, where the stage loop, whose path
-    #   rounds otherwise, first overflows at 292;
-    # - the example x 3e306: the maps stay finite where the stage loop
-    #   overflows from node 28 on.  A finite map output is kept: the case
-    #   the rule cannot reach;
+    # - the example x 1e307, T = 20, and x 3e306: the target maps' outputs
+    #   stay finite, but their stage inputs, rk4_step's from the map's
+    #   nodes, overflow where the stage loop's first do, at node 292 and at
+    #   node 28, so the check fails there and the pass takes the best switch
+    #   by stages, which overflow too: HjbError at the stage loop's node;
     # - theorem_config with rewards x 1e307 and no switch affordable (fees
     #   inf), T = 80: a bare map's outputs overflow at node 47, and the check
     #   passes them (every gain nan, so everybody stays); the rule reruns that
@@ -709,7 +749,7 @@ def test_map_payoff_overflow_takes_the_one_non_finite_rule(monkeypatch):
     unaffordable = np.where(np.eye(3, dtype=bool), 0.0, np.inf)
     cases = [(dataclasses.replace(example, w=example.w * scale, fee_B=example.fee_B * scale,
                                   fee_H=example.fee_H * scale), 20.0, node, first)
-             for scale, node, first in ((1e307, 138, 292), (3e306, None, 28))]
+             for scale, node, first in ((1e307, 292, 292), (3e306, 28, 28))]
     cases.append((dataclasses.replace(thm, w=thm.w * 1e307, fee_B=unaffordable), 80.0, 47, 356))
     uniform = np.full((3, 3), 1.0 / 9.0)
     x_path = np.broadcast_to(uniform, (401, 3, 3))
@@ -727,18 +767,14 @@ def test_map_payoff_overflow_takes_the_one_non_finite_rule(monkeypatch):
         h = T / 400
         assert kinetics.flat_operators(cfg)
         with np.errstate(all="ignore"):
-            g = backward_loop(gT, x_path, "optimizing", h, cfg, fold=False)[0]
+            g = backward_loop(gT, x_path, "optimizing", h, cfg)[0]
         assert max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))) == stage_first
         finite.clear()
-        if node is None:
-            best = integrate_backward(gT, uniform, 0.0, T, h, cfg, mode="optimizing")
-            assert np.isfinite(best.g).all() and all(finite)
-            assert best.meta["map_steps"] == best.meta["held_steps"] > 0
-            continue
         with pytest.raises(HjbError, match=rf"non-finite payoff at t={node * h:.6g};"):
             integrate_backward(gT, uniform, 0.0, T, h, cfg, mode="optimizing")
-        # the last stage step, the rerun of the map step, alone overflows
-        assert finite[-1] is False and all(finite[:-1])
+        # the stage steps overflow from one step to the last: the pass raises
+        # at the end of that run, with no finite step after an overflow
+        assert False in finite and not any(finite[finite.index(False):])
 
 
 def test_flat_payoff_overflow_raises_at_the_stage_loops_t():
@@ -755,7 +791,7 @@ def test_flat_payoff_overflow_raises_at_the_stage_loops_t():
     assert kinetics.flat_operators(cfg)
     gT = np.zeros((3, 3))
     with np.errstate(all="ignore"):
-        g = backward_loop(gT, x_path, "optimizing", 0.05, cfg, fold=False)[0]
+        g = backward_loop(gT, x_path, "optimizing", 0.05, cfg)[0]
     first = max(np.flatnonzero(~np.isfinite(g).all(axis=(1, 2))))
     assert first == 92
     after = integrate_backward(gT, x_path[first + 1:], (first + 1) * 0.05, 10.0, 0.05, cfg,
@@ -869,9 +905,10 @@ def test_node_pass_builds_no_gain_tensor_at_most_switch_tol(monkeypatch):
 
 
 def test_step_maps_give_an_rk4_step_and_its_stage_inputs():
-    # _step_map's four maps, applied to a payoff, give an RK4 step's three
-    # stage inputs and its output under -hjb_rhs within rounding, bare and
-    # under a target, and the test's own step_map gives them in bits
+    # on a held run's operator pair, _step_map applied to a payoff gives an
+    # RK4 step's output under -hjb_rhs within rounding, and _stage_inputs
+    # from the same payoff its three stage inputs, bare and under a target;
+    # the test's own step_map gives the map in bits
     rng = np.random.default_rng(12)
     cfg = make_config(3, 2, rng, balanced_evo=False, fine=0.3, lam=1.5, delta=0.3)
     x, h = random_simplex(3, 2, rng), 0.05
@@ -883,8 +920,10 @@ def test_step_maps_give_an_rk4_step_and_its_stage_inputs():
             A, b = hbmfg.hjb._flat_operator(M, c, cells, fee, cfg.lam)
         Q, q = hbmfg.hjb._step_map(A, b, -h)
         for g in rng.normal(size=(3, 3, 2)):
-            G = np.ascontiguousarray(g.T)[:, :, None]
-            Y = (Q @ G.reshape(q.shape[1:]) + q).reshape(4, 2, 3).transpose(0, 2, 1)
+            G = np.ascontiguousarray(g.T).reshape(q.shape)
+            S = np.empty((1, 3, *q.shape))
+            hbmfg.hjb._stage_inputs(G[None], S, rk4_scalars(-h), A, b)
+            Y = np.concatenate([S[0], [Q @ G + q]]).reshape(4, 2, 3).transpose(0, 2, 1)
             stages = []
 
             def f(y):
@@ -892,7 +931,81 @@ def test_step_maps_give_an_rk4_step_and_its_stage_inputs():
                 return -hjb_rhs(y, x, target, cfg)
             stages.append(rk4_step(f, g, h))
             assert np.abs(Y - np.array(stages[1:])).max() <= 1e-14 * np.abs(g).max()
-            assert np.array_equal(Y, step_map(x, target, h, cfg)(g))
+            Qt, qt = step_map(x, target, h, cfg)
+            assert np.array_equal(Q, Qt) and np.array_equal(q, qt)
+
+
+def random_affine_flows(rng, steps):
+    """Random operator stacks A and b of steps flows, by column (m, n, n)
+    and flat (nm, nm), with a payoff column y of each layout: (A, b, y) per
+    layout.  Each A is I plus noise whose spectrum lies within 0.6 of 0, so
+    that, like the payoff operators, it decays in the reversed clock."""
+    flows = []
+    for shape in ((3, 4, 4), (12, 12)):
+        rows = shape[-1]
+        A = np.eye(rows) + 0.3 * rng.normal(size=(steps, *shape)) / np.sqrt(rows)
+        flows.append((A, rng.normal(size=(steps, *shape[:-1], 1)),
+                      rng.normal(size=(*shape[:-1], 1))))
+    return flows
+
+
+def test_horner_steps_equal_rk4_steps_of_the_affine_slope():
+    # each Horner step of a run, step r by A[r] and b[r] or every step by one
+    # operator, is rk4_step of the slope A @ y + b from the same input,
+    # within 1e-15 * max |y|, by column and flat, with the pass's reversed step
+    rng = np.random.default_rng(43)
+    h = -0.05
+    for A, b, y in random_affine_flows(rng, 6):
+        for ops in ((A, b), (A[:1], b[:1])):
+            nodes = np.empty((7, *y.shape))
+            nodes[0] = y
+            hbmfg.hjb._horner_run(*ops, np.array(h), list(nodes))
+            for r in range(6):
+                j = r if len(ops[0]) > 1 else 0
+                want = rk4_step(lambda z: ops[0][j] @ z + ops[1][j], nodes[r], h)
+                assert np.abs(nodes[r + 1] - want).max() <= 1e-15 * np.abs(nodes[r]).max()
+
+
+def test_map_powers_equal_a_sequential_map_loop():
+    # a held run's nodes P[r] @ G + o[r], the powers extended as far as
+    # doubling runs reach (1, 2, 4, ... and the 3 x 3 run cap of 227 steps),
+    # equal a loop of the step map, G <- Q @ G + q, within 1e-13 of
+    # max |G|, by column and flat
+    rng = np.random.default_rng(44)
+    for A, b, y in random_affine_flows(rng, 1):
+        Q, q = hbmfg.hjb._step_map(A[0], b[0], rk4_scalars(-0.05))
+        P, o = np.empty((228, *Q.shape)), np.empty((228, *q.shape))
+        P[0], o[0], P[1], o[1] = np.eye(Q.shape[-1]), 0.0, Q, q
+        have = 1
+        for want in (1, 2, 4, 8, 16, 32, 64, 128, 227):
+            have = hbmfg.hjb._extend_powers(P, o, have, want)
+        assert have == 227
+        G, nodes = y, [y]
+        for _ in range(227):
+            G = Q @ G + q
+            nodes.append(G)
+        nodes = np.array(nodes)
+        scale = np.abs(nodes).max()
+        assert np.abs(P @ y + o - nodes).max() <= 1e-13 * scale
+        assert np.array_equal(P[1] @ y + o[1], nodes[1])
+
+
+def test_batched_stage_inputs_equal_rk4_steps_stages():
+    # the stage inputs that the response check reads after an affine run,
+    # all its steps at once, on one operator a step or one for all, each
+    # within rounding of rk4_step's own stages from the same input
+    rng = np.random.default_rng(45)
+    scalars = rk4_scalars(-0.05)
+    for A, b, _ in random_affine_flows(rng, 5):
+        Y = rng.normal(size=(5, *b.shape[1:]))
+        for ops in ((A, b), (A[:1], b[:1])):
+            S = np.empty((5, 3, *b.shape[1:]))
+            hbmfg.hjb._stage_inputs(Y, S, scalars, *ops)
+            for r, y in enumerate(Y):
+                j = r if len(ops[0]) > 1 else 0
+                want = np.empty((3, *y.shape))
+                rk4_step(lambda z: A[j] @ z + b[j], y, scalars, stages=tuple(want))
+                assert np.abs(S[r] - want).max() <= 1e-14 * np.abs(y).max()
 
 
 def test_held_runs_match_the_oracle(tmp_path, monkeypatch):
@@ -926,10 +1039,12 @@ def test_held_runs_match_the_oracle(tmp_path, monkeypatch):
             assert best.meta["rerun_steps"] == 7 and best.meta["maps"] > 1
 
 
-def test_held_runs_shorter_than_rows_squared_keep_their_stages(tmp_path, monkeypatch):
+def test_held_runs_shorter_than_rows_squared_take_horner_steps(tmp_path, monkeypatch):
     # a bare map of the 10 x 10 stay-put config costs about 10 of its steps
     # to build, and a step as much arithmetic as its stages: a held run of
-    # 99 steps keeps the stage loop's bits, one of 100 goes through one map
+    # 99 steps takes Horner steps, one of 100 goes through one map's powers.
+    # Both are the reference steps in bits (replay), within rounding of the
+    # stage loop
     cfg = read_config(stayput_config(tmp_path, monkeypatch))
     gT = np.zeros((cfg.n, cfg.m))
     for steps in (99, 100):
@@ -937,11 +1052,11 @@ def test_held_runs_shorter_than_rows_squared_keep_their_stages(tmp_path, monkeyp
         x = integrate_forward(Occupation.uniform(cfg.n, cfg.m).x, None, 0.0, T, 0.05, cfg).x
         assert len(x) == steps + 1 and (held_run_lengths(x, cfg) == steps).all()
         best = integrate_backward(gT, x, 0.0, T, 0.05, cfg, mode="optimizing")
-        assert np.array_equal(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
+        assert_replays(best, x, 0.05, cfg)
+        assert_near(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
         if steps < 100:
             assert best.meta["map_steps"] == best.meta["maps"] == 0
-            assert np.array_equal(best.g, backward_loop(gT, x, "optimizing", 0.05, cfg,
-                                                        fold=False)[0])
+            assert best.meta["horner_steps"] == steps
         else:
             assert best.meta["map_steps"] == steps and best.meta["maps"] == 1
 

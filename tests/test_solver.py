@@ -129,13 +129,13 @@ def test_exact_shortcuts_fire_inside_the_cone():
         steps = len(fwd.times) - 1
         assert fwd.meta["fixed_steps"] == steps - 1
         inputs = []
-        g = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg, inputs)[0]
-        assert np.array_equal(bwd.g, g)
-        assert bwd.meta["held_steps"] == steps and not any(steps_changing(inputs, cfg))
-        # the whole path is one held run, everybody stays: one bare map takes every step
-        assert bwd.meta["map_steps"] == steps and bwd.meta["maps"] == 1
         stage = backward_loop(np.zeros((n, n)), fwd.x, "optimizing", fwd.meta["dt"], cfg,
-                              fold=False)[0]
+                              inputs)[0]
+        assert_replays(bwd, fwd.x, fwd.meta["dt"], cfg)
+        assert bwd.meta["held_steps"] == steps and not any(steps_changing(inputs, cfg))
+        # the whole path is one held run, everybody stays: one bare map's
+        # powers take every step
+        assert bwd.meta["map_steps"] == steps and bwd.meta["maps"] == 1
         assert_near(bwd.g, stage)
 
 
@@ -173,15 +173,14 @@ def test_example_solve_skips_only_near_the_horizon():
     assert 0 < near_t < 0.1 * len(g) and inside[-near_t:].all()
     # the pass is step by step the reference loop's, and near the stage loop
     inputs = []
-    stage = backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05, cfg, inputs,
-                          fold=False)[0]
+    stage = backward_loop(np.zeros((cfg.n, cfg.m)), fwd.x, "optimizing", 0.05, cfg, inputs)[0]
     assert_replays(bwd, fwd.x, 0.05, cfg)
     assert_near(g, stage)
     changing = steps_changing(inputs, cfg)   # from the step next to T on
     assert_reruns(bwd, changing)
     assert 0 < sum(changing) and not any(changing[:near_t - 1] + changing[2 * near_t:])
-    # the held steps hold targets, and take flat steps, but for the 17 next
-    # to T, where everybody stays; the moving path builds no step map
+    # the held steps hold targets, and take flat Horner steps, but for the 17
+    # next to T, where everybody stays; the moving path builds no step map
     assert (bwd.meta["held_steps"], bwd.meta["rerun_steps"]) == (193, 7)
     assert bwd.meta["flat_steps"] == 193 - 17 and bwd.meta["map_steps"] == 0
 
@@ -190,18 +189,18 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
     # the example's largest gain is positive, so its node pass builds the gain
     # tensor; perfbench's seed-1 stay-put config has no gain above SWITCH_TOL,
     # so the pair pass alone gives its cone_worst.  The stay-put path is one
-    # held run that everybody stays on, so a bare step map takes its payoff
-    # steps: the reference loop with the same map gives its bits, and the
+    # held run that everybody stays on, so a bare step map's powers take its
+    # payoff steps: the reference steps give its bits (replay), and the
     # stage loop its payoff and cone_worst within rounding
     cfg = read_config(EXAMPLE)
     x0 = Occupation.uniform(cfg.n, cfg.m).x
     T, dt = default_horizon(cfg), default_dt(cfg)
     res = solve_mfg(x0, np.zeros((cfg.n, cfg.m)), T, dt, cfg)
-    assert res.meta["cone_worst"] == 1.520313304633369 and res.iterations == 2
+    assert res.meta["cone_worst"] == 1.5203133046333726 and res.iterations == 2
     # its two sweeps: the first fills all forward steps but one and its
     # payoff pass is one held run; the last, under the converged control,
-    # moves, and its held steps take flat steps but for the 17 bare ones
-    # next to T
+    # moves, and its held steps take flat Horner steps but for the 17 bare
+    # ones next to T
     fwd, bwd = _sweep(x0, None, T, dt, cfg)
     assert fwd.meta["fixed_steps"] == 1249 and bwd.meta["map_steps"] == 1243
     fwd, bwd = _sweep(x0, res.trajectory.u, T, dt, cfg)
@@ -210,11 +209,13 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
     assert bwd.meta["flat_steps"] == 1243 - 17 and bwd.meta["map_steps"] == 0
     cfg = read_config(stayput_config(tmp_path, monkeypatch))
     res = solve_mfg(Occupation.uniform(cfg.n, cfg.m).x, np.zeros((cfg.n, cfg.m)), 5.0, 0.05, cfg)
-    assert res.meta["cone_worst"] == -26.344619424234676
+    assert res.meta["cone_worst"] == -26.34461942423467
     assert (res.trajectory.u.targets == np.arange(cfg.m)).all()
     gT, x = np.zeros((cfg.n, cfg.m)), res.trajectory.x
-    assert np.array_equal(res.trajectory.g, backward_loop(gT, x, "optimizing", 0.05, cfg)[0])
-    stage = backward_loop(gT, x, "optimizing", 0.05, cfg, fold=False)[0]
+    bwd = _sweep(x[0], None, 5.0, 0.05, cfg)[1]
+    assert np.array_equal(bwd.g, res.trajectory.g) and bwd.meta["map_steps"] == len(x) - 1
+    assert_replays(bwd, x, 0.05, cfg)
+    stage = backward_loop(gT, x, "optimizing", 0.05, cfg)[0]
     assert_near(res.trajectory.g, stage)
     worst = float(switch_gains(stage, cfg).max())
     assert abs(res.meta["cone_worst"] - worst) <= 1e-12 * max(1.0, float(np.abs(stage).max()))
@@ -223,19 +224,19 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
 SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
     "example": {
         "x.csv": "891227463f439992f847d5d033848412db7c1b4560423d264b0d94204515f5f3",
-        "g.csv": "4b7cb3efcf815d9c7e13f9fb387f33069c986501dd6d40889153036c4c0c3d18",
+        "g.csv": "fbaacfc912a99fcb822d4d25f18c5a2887a37d82bba9557a7610d79930a05775",
         "controls.json": "1748a50a3758b21c912ba0303bb799ec77e81d24e26ba08b5fed299f67ae582f",
-        "solve.json": "bd467fc3a9932291745471136c686a4bd5016aa51103c43d08bd7d19dd03cf8d",
+        "solve.json": "d4106e0cc344bc54a463e36eeb1c3c1b554736174c7aecaaa2cf5d1122854336",
     },
     "stayput": {
         "x.csv": "9aecc53c82d0d9785cca3e24413651f61a1e993c0f7add9e02cfe249c7fccb44",
-        "g.csv": "6b160f5300cd4be2655c3e7dcb98e817960947aee18f201062fb1db666db392e",
+        "g.csv": "7f3f9aab8941f64ecb38669b9374bebc285b763de19521831a52cc6315e9671a",
         "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
-        "solve.json": "5e9dd41e701affd0147b37fb98e662ab59faafd0080db6cba1d06e30c51edf9f",
+        "solve.json": "ccbd785ab041e6754a63a5343904d5829ed9a84cea6d50098dd9096afa62ba24",
     },
     "stayput-x0": {
         "x.csv": "bcc99b589d50e6d1f558fea0bd372d00a5a02e3c0fd9a77109c0e1e97b5932c9",
-        "g.csv": "58990e83dca745957a755998d6136bb4758e569906c08adf58f824612e46e0bf",
+        "g.csv": "f4750ec3bc757f79396b3bb109039f20a2f2f6607c0a95a33f2b1bd4a8317226",
         "controls.json": "5bf55642dbfd0dec9db5466ff15f81fc31f43d852cebb4aa95fa34296c21f4f6",
         "solve.json": "990a07e6db555171fe01871bd19067a4843ed17fe71f5377acf237fa6af31a1e",
     },
@@ -250,9 +251,9 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
     # changes these pins, and has to say so.  The 10 x 10 grids lie outside
     # kinetics.flat_operators, so their kernels and pins are the by-column
     # ones; the example's held switch takes the flat operators in both
-    # passes.  The stay-put payoff, whose held run steps by a step map, and
-    # the example's, whose held targets take flat steps, stay within
-    # rounding of the stage loop run over their own x.csv
+    # passes.  The stay-put payoff, whose held run steps by a step map's
+    # powers, and the example's, whose held targets take flat Horner steps,
+    # stay within rounding of the stage loop run over their own x.csv
     stayput = ["solve", stayput_config(tmp_path, monkeypatch), "--T", "5", "--dt", "0.05"]
     x = np.random.default_rng(0).random((10, 10))
     write_state_csv(str(tmp_path / "x0.csv"), x / x.sum())
@@ -267,7 +268,7 @@ def test_solve_pins_the_bytes_of_its_artifacts(tmp_path, monkeypatch):
         cfg = read_config(argv[name][1])
         x, g = (np.loadtxt(tmp_path / name / f, delimiter=",", skiprows=1)[:, 1:]
                 .reshape(-1, cfg.n, cfg.m) for f in ("x.csv", "g.csv"))
-        assert_near(g, backward_loop(g[-1], x, "optimizing", 0.05, cfg, fold=False)[0])
+        assert_near(g, backward_loop(g[-1], x, "optimizing", 0.05, cfg)[0])
 
 
 def test_solve_reports_nonconvergence_at_iteration_cap():
