@@ -10,15 +10,17 @@ moves mass along one axis at a time, so the total mass (and, absent
 switching, each behaviour column's mass) is conserved.  The control is a
 model.Control, piecewise constant on the step grid; one target matrix is a
 one-piece control.  On a grid within flat_operators (0 <= lam < inf and
-up to 31 states, 5 x 5 but not 6 x 6) the step kernel is one flat operator
-on the n * m states, the held switch one more move family beside the level
-moves, and a stage four numpy calls; larger grids keep the by-column
-kernel (on 10 x 10 the flat one is slower).  hjb's payoff pass reads the
-same rule for its held targets.  The forward integrator steps runs of up
-to RUN_STEPS steps and checks each run at once; it stops stepping once a
-step returns its input bit for bit, and fills the rest of that control
-piece with the fixed point.  Every stage scales by 0-d float64 arrays
-(rk4_scalars), and rk4_step is the RK4 step of hjb's payoff pass too.
+up to 31 states, 5 x 5 but not 6 x 6) the flow is one flat operator on the
+n * m states, N @ ((E @ x + r0) * x), the held switch one more move family
+beside the level moves, and the forward pass takes one fused RK4 step of
+it (_fused_step: 14 numpy calls a step, where rk4_step over the flow takes
+29); larger grids step rk4_step over the by-column kernel (on 10 x 10 the
+flat one is slower).  hjb's payoff pass reads the same rule for its held
+targets.  The forward integrator steps runs of up to RUN_STEPS steps and
+checks each run at once; it stops stepping once a step returns its input
+bit for bit, and fills the rest of that control piece with the fixed
+point.  rk4_step, whose stages scale by 0-d float64 arrays (rk4_scalars),
+is the RK4 step of hjb's payoff pass too.
 step_grid refuses a grid whose node array would pass NODE_BYTES, before
 allocation.
 """
@@ -119,44 +121,43 @@ def flat_operators(cfg: GameConfig) -> bool:
     return 0.0 <= cfg.lam < math.inf and 32 * cells * (cells + 1) <= FLAT_BYTES
 
 
-def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
-    """dx/dt as a function of x, the flat occupation (n * m,), agents moving
-    to cfg.switch_cells(target) at rate lam; target None or all staying
-    builds no switch.  Each call returns a new flat array.
+def _switch_cells(target: Optional[np.ndarray], cfg: GameConfig) -> Optional[np.ndarray]:
+    """The flat cells that agents switch to at rate lam under target, or
+    None where nobody switches: target None or all staying, or lam = 0."""
+    if target is None or cfg.lam == 0.0 or (target == np.arange(cfg.m)).all():
+        return None
+    return cfg.switch_cells(target).ravel()
 
-    Where flat_operators(cfg) holds, the per-capita rates of the level
-    families and the switch, one more family at rate lam with no partner,
-    are E @ x + r0, and the flow is N @ (rates * x), N holding Moves.net per
-    column and the switch's P - I, P the scatter to the switch cells: four
-    numpy calls.  Otherwise the kernel goes by column on x's (n, m) view:
-    Moves.per_capita goes into a scratch buffer, and the flux and the
-    switch's scatter are formed in place.
-    """
+
+def _flat_triple(target: Optional[np.ndarray], cfg: GameConfig) -> tuple:
+    """The flat operator (E, r0, N) of the kinetic flow under target, on a
+    grid within flat_operators: dx/dt = N @ ((E @ x + r0) * x) on the flat
+    occupation x (n * m,), the per-capita rates E @ x + r0 one block of n * m
+    a family, each block times x.  N holds Moves.net per column; a switch is
+    one more family at rate lam with no partner, its net the scatter to the
+    switch cells less the identity."""
+    mv, n, m = cfg.moves, cfg.n, cfg.m
+    size, families, lv = n * m, len(mv.rate), np.arange(n)
+    E = np.zeros((families, n, m, n, m))
+    E[:, lv, :, lv, :] = mv.evo.swapaxes(0, 1)   # (f, i, j) reads (i, k)
+    N = np.einsum("afi,jl->ajfil", mv.net.reshape(n, families, n), np.eye(m))
+    E, r0, N = E.reshape(-1, size), mv.rate.reshape(-1), N.reshape(size, -1)
+    cells = _switch_cells(target, cfg)
+    if cells is not None:
+        eye = np.eye(size)
+        E = np.concatenate([E, np.zeros((size, size))])
+        r0 = np.concatenate([r0, np.full(size, cfg.lam)])
+        N = np.concatenate([N, eye[cells].T - eye], axis=1)
+    return E, r0, N
+
+
+def _column_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
+    """dx/dt by column as a function of the flat occupation (n * m,), agents
+    moving to cfg.switch_cells(target) at rate lam: Moves.per_capita on x's
+    (n, m) view into a scratch buffer, the flux and the switch's scatter
+    formed in place.  Each call returns a new flat array."""
     mv, n, m, lam = cfg.moves, cfg.n, cfg.m, np.array(cfg.lam)
-    cells = None
-    if target is not None and cfg.lam != 0.0 and (target != np.arange(m)).any():
-        cells = cfg.switch_cells(target).ravel()
-    if flat_operators(cfg):
-        size, families, lv = n * m, len(mv.rate), np.arange(n)
-        E = np.zeros((families, n, m, n, m))
-        E[:, lv, :, lv, :] = mv.evo.swapaxes(0, 1)   # (f, i, j) reads (i, k)
-        N = np.einsum("afi,jl->ajfil", mv.net.reshape(n, families, n), np.eye(m))
-        E, r0, N = E.reshape(-1, size), mv.rate.reshape(-1), N.reshape(size, -1)
-        if cells is not None:
-            eye = np.eye(size)
-            E = np.concatenate([E, np.zeros((size, size))])
-            r0 = np.concatenate([r0, np.full(size, cfg.lam)])
-            N = np.concatenate([N, eye[cells].T - eye], axis=1)
-        rate = np.empty(len(E))
-        flux = rate.reshape(-1, size)
-
-        def flat(x):
-            np.matmul(E, x, out=rate)
-            np.add(rate, r0, out=rate)
-            np.multiply(flux, x, out=flux)
-            return N @ rate
-
-        return flat
+    cells = _switch_cells(target, cfg)
     rate = np.empty(mv.rate.shape)
 
     def rhs(x):
@@ -174,16 +175,82 @@ def _kinetic_kernel(target: Optional[np.ndarray], cfg: GameConfig) -> Callable:
     return rhs
 
 
+def _fused_step(E: np.ndarray, r0: np.ndarray, N: np.ndarray, h: float) -> Callable:
+    """One RK4 step of step h of dx/dt = N @ ((E @ x + r0) * x), fused, as
+    step(y, out).
+
+    A stage input z enters the flow only through [z; r0 + E @ z], and each
+    z after the first is y + c N k for the previous stage's flux k (c = h/2,
+    h/2, h).  So stage 1 forms base = [y; r0 + E @ y] (one product with
+    [I; E], one add) and its flux, and each later stage is one product of
+    c [N; E @ N] with the previous flux, plus base, then one multiply for
+    its flux.  The step is y plus one product of [h/6 N | h/3 N | h/3 N |
+    h/6 N] with the four stacked fluxes: 14 numpy calls, where rk4_step
+    over the flow takes 29.  Its bits differ from rk4_step's by rounding.
+    """
+    size, families = N.shape
+    G = np.concatenate([N, E @ N])
+    half, full = 0.5 * h * G, h * G
+    W = np.concatenate([N * (h / 6.0), N * (h / 3.0), N * (h / 3.0), N * (h / 6.0)], axis=1)
+    B = np.concatenate([np.eye(size), E])
+    r = np.concatenate([np.zeros(size), r0])
+    base = np.empty(size + families)
+    v = np.empty(size + families)
+    flux = np.empty((4, families))
+    rates, z, v_rates = base[size:].reshape(-1, size), v[:size], v[size:].reshape(-1, size)
+    flux1, flux2, flux3, _ = flux
+    blocks1, blocks2, blocks3, blocks4 = flux.reshape(4, -1, size)
+    stacked = flux.reshape(-1)
+    matmul, add, multiply = np.matmul, np.add, np.multiply
+
+    def step(y, out):
+        matmul(B, y, out=base)
+        add(base, r, out=base)
+        multiply(rates, y, out=blocks1)
+        matmul(half, flux1, out=v)
+        add(v, base, out=v)
+        multiply(v_rates, z, out=blocks2)
+        matmul(half, flux2, out=v)
+        add(v, base, out=v)
+        multiply(v_rates, z, out=blocks3)
+        matmul(full, flux3, out=v)
+        add(v, base, out=v)
+        multiply(v_rates, z, out=blocks4)
+        matmul(W, stacked, out=out)
+        return add(out, y, out=out)
+
+    return step
+
+
+def _forward_step(target: Optional[np.ndarray], cfg: GameConfig, h: float) -> Callable:
+    """The forward pass's RK4 step of step h under target, as step(y, out),
+    writing into out (an array other than y) the step from the flat
+    occupation y (n * m,) and returning it: on a grid within flat_operators
+    the fused step of the flat triple (_fused_step), otherwise rk4_step
+    over the by-column kernel."""
+    if flat_operators(cfg):
+        return _fused_step(*_flat_triple(target, cfg), h)
+    kernel, scalars = _column_kernel(target, cfg), rk4_scalars(h)
+    return lambda y, out: rk4_step(kernel, y, scalars, out=out)
+
+
 def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     """Time derivative of the occupation matrix, for either variant.
 
     u may be an (n, m) integer target matrix (target[i, j] == j means stay),
     a one-step Control, or None for "nobody switches"; whatever Control
-    refuses is a ValueError.  The level moves are the flux balance of cfg.moves.
+    refuses is a ValueError.  The level moves are the flux balance of
+    cfg.moves: on a grid within flat_operators the flat triple's
+    N @ ((E @ x + r0) * x), the flow the forward pass's fused step takes,
+    otherwise by column.
     """
     x = occupation_array(x, (cfg.n, cfg.m))
-    kernel = _kinetic_kernel(control_pieces(u, 1, cfg.n, cfg.m)[0][2], cfg)
-    return kernel(x.reshape(-1)).reshape(x.shape)
+    target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
+    y = x.reshape(-1)
+    if not flat_operators(cfg):
+        return _column_kernel(target, cfg)(y).reshape(x.shape)
+    E, r0, N = _flat_triple(target, cfg)
+    return (N @ ((E @ y + r0).reshape(-1, y.size) * y).reshape(-1)).reshape(x.shape)
 
 
 def rk4_scalars(h: float) -> tuple:
@@ -235,8 +302,9 @@ def integrate_forward(
 
     The grid is step_grid(t0, t1, dt).  control: None (nobody switches), one
     (n, m) target matrix held fixed, or a model.Control of the grid's n_steps
-    steps.  The step kernel, with its control's scatter index, is built once
-    per control piece.
+    steps.  The RK4 step, with its control's scatter index, is built once
+    per control piece: the fused flat step on a grid within flat_operators,
+    otherwise rk4_step over the by-column kernel (_forward_step).
     Stored samples drift from the simplex by at most rounding; any sample
     beyond 1e-12 is clamped/renormalized and the event is counted in meta
     and logged.  A step whose output equals its input bit for bit has reached
@@ -247,7 +315,7 @@ def integrate_forward(
     step_grid refuses (past NODE_BYTES, say) raises ValueError.
 
     The steps go in runs of 1, 2, 4, ... up to RUN_STEPS steps within a
-    piece, each rk4_step written straight into the node array; then one
+    piece, each step written straight into the node array; then one
     row sum and one row minimum over the run serve every step's checks at
     once (the same bits as each step's x.sum() and x.min()).  At the first
     step that is not finite, drifts past 1e-12 or returns its input, the
@@ -266,7 +334,6 @@ def integrate_forward(
     xs[0] = occupation_array(x0, (n, m))
     rows = xs.reshape(n_steps + 1, n * m)
     bits = rows.view(np.int64)
-    scalars = rk4_scalars(h)
     errors = []   # the floating-point errors the caller would see, met inside a run
     caught = {kind: "ignore" if mode == "ignore" else "call"
               for kind, mode in np.geterr().items()}
@@ -277,19 +344,19 @@ def integrate_forward(
     drift_max = 0.0
     projections = fixed_steps = 0
     for a, b, target in pieces:  # one control piece: steps a .. b-1
-        kernel = _kinetic_kernel(target, cfg)
+        step = _forward_step(target, cfg, h)
         k, run = a, 1
         while k < b:
             end = min(k + run, b)   # steps k .. end-1, into nodes k+1 .. end
             with np.errstate(**caught, call=record):
                 for j in range(k, end):
-                    rk4_step(kernel, rows[j], scalars, out=rows[j + 1])
+                    step(rows[j], rows[j + 1])
                     if errors:
                         end = j + 1
                         break
             if errors:   # rerun as a step-by-step pass would take it
                 errors.clear()
-                rk4_step(kernel, rows[end - 1], scalars, out=rows[end])
+                step(rows[end - 1], rows[end])
             with np.errstate(all="ignore"):   # the per-step rule below warns as it would
                 block = rows[k + 1:end + 1]
                 mass = block.sum(axis=1)

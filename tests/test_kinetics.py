@@ -365,10 +365,18 @@ def stage_cases():
 
 
 def forward_loop(x0, controls, h, cfg):
-    """integrate_forward as an rk4_step loop over kinetic_rhs, one control per step."""
+    """integrate_forward as a loop of steps, one control per step: on grids
+    within kinetics.flat_operators the pass's own fused step, built per step
+    (test_fused_forward_step_equals_rk4_stages holds it to rk4_step over
+    kinetic_rhs), otherwise rk4_step over kinetic_rhs."""
+    flat = kinetics.flat_operators(cfg)
     xs = [np.asarray(x0, dtype=float)]
     for u in controls:
-        x = rk4_step(lambda y: kinetic_rhs(y, u, cfg), xs[-1], h)
+        if flat:
+            y = xs[-1].reshape(-1)
+            x = kinetics._forward_step(u, cfg, h)(y, np.empty_like(y)).reshape(xs[-1].shape)
+        else:
+            x = rk4_step(lambda y: kinetic_rhs(y, u, cfg), xs[-1], h)
         if max(abs(float(x.sum()) - 1.0), max(0.0, -float(x.min()))) > 1e-12:
             x = np.clip(x, 0.0, None)
             x /= x.sum()
@@ -416,8 +424,8 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
 
 def forward_per_step(x0, control, t0, t1, dt, cfg):
     """integrate_forward's per-step rule, one step and its checks at a time:
-    the reference for the run-checked pass.  Returns (xs, meta).  The step
-    kernel takes the flat occupation."""
+    the reference for the run-checked pass.  Returns (xs, meta).  Each piece
+    steps the flat occupation by the pass's own step builder."""
     n_steps, h = step_grid(t0, t1, dt, cfg.n * cfg.m)
     times = t0 + h * np.arange(n_steps + 1)
     x = np.array(occupation_array(x0, (cfg.n, cfg.m))).reshape(-1)
@@ -426,9 +434,9 @@ def forward_per_step(x0, control, t0, t1, dt, cfg):
     drift_max = 0.0
     projections = fixed_steps = 0
     for a, b, target in control_pieces(control, n_steps, cfg.n, cfg.m):
-        kernel = kinetics._kinetic_kernel(target, cfg)
+        step = kinetics._forward_step(target, cfg, h)
         for k in range(a, b):
-            x_in, x = x, rk4_step(kernel, x, h)
+            x_in, x = x, step(x, np.empty_like(x))
             mass = float(x.sum())
             if not math.isfinite(mass):
                 raise KineticsError(
@@ -539,16 +547,17 @@ def test_run_checked_forward_pass_fills_fixed_points_as_the_per_step_rule(monkey
 
     # a fixed point at step 0
     assert fixed_steps(_subnormal_start(0), None) == 199
-    # inside a run: step 45, the 15th of the 32-step run from step 31
-    assert fixed_steps(_subnormal_start(100), None) == 200 - 46
-    # at a piece edge: step 45 ends its piece, which fills nothing; the next
+    # inside a run: step 50, the 20th of the 32-step run from step 31
+    assert fixed_steps(_subnormal_start(200), None) == 200 - 51
+    # at a piece edge: step 50 ends its piece, which fills nothing; the next
     # piece switches column 0 into column 1, the last is fixed at its first step
     stack = np.broadcast_to(np.arange(3), (200, 3, 3)).copy()
-    stack[46:60] = [1, 1, 2]
-    assert fixed_steps(_subnormal_start(100), Control.of_steps(stack)) == 200 - 61
+    stack[51:65] = [1, 1, 2]
+    assert fixed_steps(_subnormal_start(200), Control.of_steps(stack)) == 200 - 66
     # and the -0.0 start of the fill test: fixed at step 1
     x0 = np.full((3, 3), 0.5 / 3)
     x0[:, 2] = -0.0
+    stack[:] = np.arange(3)
     stack[40:60] = [1, 1, 2]
     assert fixed_steps(x0, Control.of_steps(stack)) == 38 + 139
 
@@ -566,9 +575,9 @@ def test_run_checked_forward_pass_warns_as_the_per_step_rule(monkeypatch):
     # middle of a run, and its run goes on from it
     cfg = theorem_config(3, 3, np.random.default_rng(3), with_evo=False)
     with np.errstate(under="warn"):
-        got, seen = assert_runs_match_per_step(monkeypatch, _subnormal_start(100), None, 0.0,
+        got, seen = assert_runs_match_per_step(monkeypatch, _subnormal_start(200), None, 0.0,
                                                4.0, 0.02, cfg)
-    assert seen and got[1]["fixed_steps"] == 200 - 46
+    assert seen and got[1]["fixed_steps"] == 200 - 51
 
 
 def test_forward_overflow_inside_a_flat_run_warns_and_raises_as_the_per_step_rule(monkeypatch):
@@ -648,6 +657,66 @@ def test_flat_kernel_equals_the_by_column_formula():
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert [kinetics.flat_operators(cfg) for cfg in small + large] == [True] * 9 + [False] * 2
     assert not kinetics.flat_operators(dataclasses.replace(small[0], lam=np.inf))
+
+
+def test_fused_forward_step_equals_rk4_stages():
+    # on every flat grid, 2 x 2 to 5 x 5, each level variant and regime,
+    # lam = 0 and m = 1, under no target, an all-stay one and a switching
+    # one: each fused step, along a 20-step path of its own, lies within
+    # 1e-15 of max |x| of rk4_step over kinetic_rhs from the same input
+    rng = np.random.default_rng(44)
+    cfgs = [make_config(n, n, rng, balanced_evo=False, delta=0.3, regime=regime, sink=sink,
+                        lam=float(rng.uniform(0.5, 2.0)))
+            for n in (2, 3, 4, 5) for sink in (False, True) for regime in Regime]
+    cfgs += [make_config(n, n, rng, balanced_evo=False, delta=0.3, lam=0.0) for n in (2, 5)]
+    cfgs += [make_config(n, 1, rng, balanced_evo=False, delta=0.3) for n in (2, 5)]
+    for cfg in cfgs:
+        n, m = cfg.n, cfg.m
+        assert kinetics.flat_operators(cfg)
+        stay = np.tile(np.arange(m), (n, 1))
+        switch = (stay + 1) % m
+        switch[0] = stay[0]
+        for target in (None, stay, switch):
+            for h in (0.02, 0.1):
+                step = kinetics._forward_step(target, cfg, h)
+                x = random_simplex(n, m, rng).reshape(-1)
+                for _ in range(20):
+                    got = step(x, np.empty_like(x))
+                    want = rk4_step(lambda y: kinetic_rhs(y.reshape(n, m), target, cfg)
+                                    .reshape(-1), x, h)
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(x).max(), (cfg, h)
+                    x = got
+
+
+def test_fused_forward_steps_keep_the_mass_over_long_horizons(monkeypatch):
+    # the example under a fixed switching target from a seeded start, 50000
+    # steps of 0.05: over the first 12500 (T = 625) no step projects and the
+    # mass drifts at most twice as far as under rk4_step's stages (measured:
+    # 2.9e-15 each); the path still reaches a fixed point that fills the
+    # piece's tail (19767 steps; the stage step fills 19728)
+    cfg = read_config(EXAMPLE)
+    target = np.array([[1, 1, 2], [1, 1, 2], [0, 1, 2]])
+    x0 = np.random.default_rng(0).random((3, 3))
+    x0 /= x0.sum()
+    dt = default_dt(cfg)
+    assert dt == 0.05 and kinetics.flat_operators(cfg)
+    fused = integrate_forward(x0, target, 0.0, 2500.0, dt, cfg)
+    rows = fused.x[1:12501].reshape(12500, -1)
+    drift = np.maximum(np.abs(rows.sum(axis=1) - 1.0), -rows.min(axis=1)).max()
+
+    def stage_step(target, cfg, h):
+        E, r0, N = kinetics._flat_triple(target, cfg)
+
+        def flow(y):
+            return N @ ((E @ y + r0).reshape(-1, y.size) * y).reshape(-1)
+        return lambda y, out: rk4_step(flow, y, h, out=out)
+
+    monkeypatch.setattr(kinetics, "_forward_step", stage_step)
+    stages = integrate_forward(x0, target, 0.0, 625.0, dt, cfg).meta
+    assert stages["projections"] == fused.meta["projections"] == 0
+    assert 0.0 < drift <= 2.0 * stages["drift_max"], (drift, stages["drift_max"])
+    filled = fused.meta["fixed_steps"]
+    assert filled > 19000 and (fused.x[-filled - 1:] == fused.x[-1]).all()
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 8, 9, 16, 17, 100, 128, 129, 300])

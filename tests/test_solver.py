@@ -223,10 +223,10 @@ def test_solve_pins_the_cone_scan_of_the_example_and_a_stay_put_config(tmp_path,
 
 SOLVE_PINS = {   # the SHA-256 of each solve artifact, by run
     "example": {
-        "x.csv": "891227463f439992f847d5d033848412db7c1b4560423d264b0d94204515f5f3",
+        "x.csv": "b6a170f6d349238ce4e38c6b9d4303c7236895f3f20ef08a076ccc888fa60b7a",
         "g.csv": "fbaacfc912a99fcb822d4d25f18c5a2887a37d82bba9557a7610d79930a05775",
         "controls.json": "1748a50a3758b21c912ba0303bb799ec77e81d24e26ba08b5fed299f67ae582f",
-        "solve.json": "d4106e0cc344bc54a463e36eeb1c3c1b554736174c7aecaaa2cf5d1122854336",
+        "solve.json": "3450024e66b18e36f173bb74af457b27f7d1c74366a4b971f1a1c45b7c2694ff",
     },
     "stayput": {
         "x.csv": "9aecc53c82d0d9785cca3e24413651f61a1e993c0f7add9e02cfe249c7fccb44",
