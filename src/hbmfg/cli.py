@@ -42,7 +42,7 @@ from .io import (
     write_trajectory_csv,
 )
 from .kinetics import KineticsError
-from .model import Occupation, Regime, validate
+from .model import Occupation, Regime, payoff_bound, validate
 from .simulator import CountState, replication_summary, simulate
 from .solver import (
     default_dt,
@@ -169,19 +169,9 @@ def _run_stability(config, out: str, written: dict, memo=None):
     return 0, summary
 
 
-# A solve whose payoff path passes this multiple of _payoff_bound has blown up
+# A solve whose payoff path passes this multiple of its a-priori bound,
+# max |gT| + model.payoff_bound, has blown up
 _PAYOFF_SLACK = 2.0
-
-
-def _payoff_bound(cfg, g_end: np.ndarray) -> float:
-    """A bound on |g| over an exact solve: max |gT| + (max |w| + F) / delta_dis,
-    F the largest expected fine flow per capita with every partner cell at mass
-    1, which no occupation exceeds.  Staying is always feasible and no fee or
-    fine is negative, so a payoff is worth at most the best reward flow and at
-    least the worst reward less the largest fine flow, each discounted."""
-    mv = cfg.moves
-    fines = ((mv.rate + mv.evo.sum(axis=-1)) * mv.fine[:, :, None]).sum(axis=0)
-    return float(np.abs(g_end).max() + (np.abs(cfg.w).max() + fines.max()) / cfg.delta_dis)
 
 
 def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, gT=None,
@@ -193,7 +183,7 @@ def _run_solve(config: str, out: str, written: dict, T=None, dt=None, x0=None, g
 
     res = solve_mfg(_initial_occupation(x0, cfg), g_end, horizon, step, cfg, max_iter=max_iter)
     traj = res.trajectory
-    g_max, bound = max(traj.g.max(), -traj.g.min()), _payoff_bound(cfg, g_end)
+    g_max, bound = max(traj.g.max(), -traj.g.min()), np.abs(g_end).max() + payoff_bound(cfg)
     if g_max > _PAYOFF_SLACK * bound:
         raise HjbError(f"payoff path reached max |g| = {g_max:.6g}, past {_PAYOFF_SLACK:g} x "
                        f"its a-priori bound {bound:.6g}: the payoff pass is unstable at "

@@ -466,6 +466,7 @@ def consistency_margin(g, x, cfg: GameConfig) -> float:
     return float(switch_gains(g, cfg)[occupied].max())
 
 
+@np.errstate(all="ignore")
 def integrate_backward(
     gT,
     occupation,
@@ -517,10 +518,12 @@ def integrate_backward(
     meta's map_steps and horner_steps count the steps kept from map powers
     and Horner steps, flat_steps the Horner steps on flat pairs, maps the
     maps built.
-    One rule for a non-finite payoff: a run's first kept step whose output
-    is not finite is rerun by stages with the best switch, and a stage step
-    of the best switch or of fixed mode whose output is not finite raises
-    HjbError at its node.  A stage step the check kept reruns to its own
+    The pass, node pass included, runs under np.errstate(all="ignore"), the
+    forward pass's rule: no floating-point warning or error of numpy reaches
+    the caller, and the outputs are judged instead.  A run's first kept step whose output is not
+    finite is rerun by stages with the best switch, and a stage step of the
+    best switch or of fixed mode whose output is not finite raises HjbError
+    at its node.  A stage step the check kept reruns to its own
     bits; a Horner or map-power step, which rounds and overflows otherwise,
     reruns as the stages take it.  The rule cannot reach a Horner or
     map-power output that stays finite where the stages would overflow.
@@ -633,61 +636,60 @@ def integrate_backward(
     for lo, hi, M, c, held in _operator_blocks(x_nodes, n_steps, cfg):
         moving = len(M) > 1
         k = hi - 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            while k >= lo:   # a run of steps k, k - 1, ..., from H[0, 0]
-                length = min(direct or run, size, k - lo + 1)
-                if direct:
-                    for r in range(length):
-                        j = k - r - lo if moving else 0
-                        step(M[j], c[j], best if optimizing else step_gain[k - r], r)
-                    direct, kept = direct - length, length
-                else:
-                    response = respond(H[0, 0])
-                    term, cells, fee = response[:3]
-                    # affine: a bare response by column, or targets on a flat operator
-                    affine = cells is None or flat
-                    mapped = affine and step_map(cells, fee, length)
-                    by_flat = not mapped and flat and cells is not None
-                    if mapped:   # node r of the run: P[r] @ G + o[r], G its first
-                        A, b, P, o = mapped
-                        V = layouts[b.ndim - 1]
-                        nodes = np.matmul(P[1:length + 1], V[0, 0])
-                        nodes += o[1:length + 1]
-                        V[1:length + 1, 0] = nodes
-                    else:   # steps k .. k - length + 1's operators, step r's at r
-                        if by_flat and moving:
-                            length = min(length, flat_run)
-                        span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
-                        A, b = (a[::-1] for a in operators(span, cells, fee))
-                        V = layouts[b.ndim - 1]
-                        if affine:
-                            _horner_run(A, b, scalars[1], list(V[:length + 1, 0]))
-                        else:   # held targets by column: stages with their gather
-                            for r in range(length):
-                                step(A[r if moving else 0], b[r if moving else 0], term, r)
+        while k >= lo:   # a run of steps k, k - 1, ..., from H[0, 0]
+            length = min(direct or run, size, k - lo + 1)
+            if direct:
+                for r in range(length):
+                    j = k - r - lo if moving else 0
+                    step(M[j], c[j], best if optimizing else step_gain[k - r], r)
+                direct, kept = direct - length, length
+            else:
+                response = respond(H[0, 0])
+                term, cells, fee = response[:3]
+                # affine: a bare response by column, or targets on a flat operator
+                affine = cells is None or flat
+                mapped = affine and step_map(cells, fee, length)
+                by_flat = not mapped and flat and cells is not None
+                if mapped:   # node r of the run: P[r] @ G + o[r], G its first
+                    A, b, P, o = mapped
+                    V = layouts[b.ndim - 1]
+                    nodes = np.matmul(P[1:length + 1], V[0, 0])
+                    nodes += o[1:length + 1]
+                    V[1:length + 1, 0] = nodes
+                else:   # steps k .. k - length + 1's operators, step r's at r
+                    if by_flat and moving:
+                        length = min(length, flat_run)
+                    span = slice(k - length + 1 - lo, k + 1 - lo) if moving else slice(None)
+                    A, b = (a[::-1] for a in operators(span, cells, fee))
+                    V = layouts[b.ndim - 1]
                     if affine:
-                        _stage_inputs(V[:length, 0], V[:length, 1:], scalars, A, b)
-                    kept = finite_steps(check(H[:length], response))
-                    held_steps += kept
-                    map_steps += kept if mapped else 0
-                    horner_steps += kept if affine and not mapped else 0
-                    flat_steps += kept if by_flat else 0
-                    if kept == length:
-                        run, backoff = min(2 * run, size), 4
-                    else:   # rerun the first failed step from its saved input
-                        j = k - kept - lo if moving else 0
-                        step(M[j], c[j], best, kept)
-                        run = 1
-                        if kept == 0:
-                            direct, backoff = backoff, 4 * backoff
-                end = min(kept + 1, length)
-                bad = finite_steps(end)
-                if bad < end:
-                    raise HjbError(f"non-finite payoff at t={times[k - bad]:.6g}; "
-                                   f"reduce dt (dt={h:.3g})")
-                gs[k - end + 1:k + 1] = H[end:0:-1, 0, :, :, 0].transpose(0, 2, 1)
-                H[0, 0] = H[end, 0]
-                k -= end
+                        _horner_run(A, b, scalars[1], list(V[:length + 1, 0]))
+                    else:   # held targets by column: stages with their gather
+                        for r in range(length):
+                            step(A[r if moving else 0], b[r if moving else 0], term, r)
+                if affine:
+                    _stage_inputs(V[:length, 0], V[:length, 1:], scalars, A, b)
+                kept = finite_steps(check(H[:length], response))
+                held_steps += kept
+                map_steps += kept if mapped else 0
+                horner_steps += kept if affine and not mapped else 0
+                flat_steps += kept if by_flat else 0
+                if kept == length:
+                    run, backoff = min(2 * run, size), 4
+                else:   # rerun the first failed step from its saved input
+                    j = k - kept - lo if moving else 0
+                    step(M[j], c[j], best, kept)
+                    run = 1
+                    if kept == 0:
+                        direct, backoff = backoff, 4 * backoff
+            end = min(kept + 1, length)
+            bad = finite_steps(end)
+            if bad < end:
+                raise HjbError(f"non-finite payoff at t={times[k - bad]:.6g}; "
+                               f"reduce dt (dt={h:.3g})")
+            gs[k - end + 1:k + 1] = H[end:0:-1, 0, :, :, 0].transpose(0, 2, 1)
+            H[0, 0] = H[end, 0]
+            k -= end
     meta = {"dt": h, "mode": mode, "map_steps": map_steps, "maps": built,
             "horner_steps": horner_steps, "flat_steps": flat_steps}
     if not optimizing:

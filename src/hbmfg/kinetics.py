@@ -21,6 +21,11 @@ checks each run at once; it stops stepping once a step returns its input
 bit for bit, and fills the rest of that control piece with the fixed
 point.  rk4_step, whose stages scale by 0-d float64 arrays (rk4_scalars),
 is the RK4 step of hjb's payoff pass too.
+Both integrators, integrate_forward here and hjb.integrate_backward, keep
+one floating-point rule: each runs under np.errstate(all="ignore") and
+judges its outputs, so no IEEE flag reaches the caller as a warning or an
+error, whatever numpy's error state or the warnings filter; an output that
+is not finite raises the pass's own error (KineticsError here).
 step_grid refuses a grid whose node array would pass NODE_BYTES, before
 allocation.
 """
@@ -240,17 +245,12 @@ def kinetic_rhs(x, u, cfg: GameConfig) -> np.ndarray:
     u may be an (n, m) integer target matrix (target[i, j] == j means stay),
     a one-step Control, or None for "nobody switches"; whatever Control
     refuses is a ValueError.  The level moves are the flux balance of
-    cfg.moves: on a grid within flat_operators the flat triple's
-    N @ ((E @ x + r0) * x), the flow the forward pass's fused step takes,
-    otherwise by column.
+    cfg.moves, by column on every grid (_column_kernel); the forward pass's
+    fused step on flat grids takes the same flow as one flat operator.
     """
     x = occupation_array(x, (cfg.n, cfg.m))
     target = control_pieces(u, 1, cfg.n, cfg.m)[0][2]
-    y = x.reshape(-1)
-    if not flat_operators(cfg):
-        return _column_kernel(target, cfg)(y).reshape(x.shape)
-    E, r0, N = _flat_triple(target, cfg)
-    return (N @ ((E @ y + r0).reshape(-1, y.size) * y).reshape(-1)).reshape(x.shape)
+    return _column_kernel(target, cfg)(x.reshape(-1)).reshape(x.shape)
 
 
 def rk4_scalars(h: float) -> tuple:
@@ -290,6 +290,7 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h,
     return np.add(y, k2, out=out)
 
 
+@np.errstate(all="ignore")
 def integrate_forward(
     x0,
     control,
@@ -312,18 +313,18 @@ def integrate_forward(
     filled with it and not stepped (meta["fixed_steps"] counts the filled
     steps, and a projected fixed point counts as projected at each of them).
     A sample whose sum is not finite raises KineticsError; a grid that
-    step_grid refuses (past NODE_BYTES, say) raises ValueError.
+    step_grid refuses (past NODE_BYTES, say) raises ValueError.  The pass
+    runs under np.errstate(all="ignore"): that sum judges every step, and
+    no floating-point warning or error of numpy reaches the caller.
 
     The steps go in runs of 1, 2, 4, ... up to RUN_STEPS steps within a
     piece, each step written straight into the node array; then one
     row sum and one row minimum over the run serve every step's checks at
     once (the same bits as each step's x.sum() and x.min()).  At the first
     step that is not finite, drifts past 1e-12 or returns its input, the
-    per-step rule above takes over: it raises, projects the step and resumes
-    from it, or fills the piece.  The steps computed past that one are
-    discarded.  A run stops at a step that meets a floating-point error the
-    caller does not ignore, and that step is rerun outside the run, so the
-    caller sees exactly the warnings of a step-by-step pass.
+    per-step rule above takes over, on that step's entries of the run's
+    sums and drifts: it raises, projects the step and resumes from it, or
+    fills the piece.  The steps computed past that one are discarded.
     """
     n, m = cfg.n, cfg.m
     n_steps, h = step_grid(t0, t1, dt, n * m)
@@ -334,13 +335,6 @@ def integrate_forward(
     xs[0] = occupation_array(x0, (n, m))
     rows = xs.reshape(n_steps + 1, n * m)
     bits = rows.view(np.int64)
-    errors = []   # the floating-point errors the caller would see, met inside a run
-    caught = {kind: "ignore" if mode == "ignore" else "call"
-              for kind, mode in np.geterr().items()}
-
-    def record(kind, flag):
-        errors.append(kind)
-
     drift_max = 0.0
     projections = fixed_steps = 0
     for a, b, target in pieces:  # one control piece: steps a .. b-1
@@ -348,21 +342,13 @@ def integrate_forward(
         k, run = a, 1
         while k < b:
             end = min(k + run, b)   # steps k .. end-1, into nodes k+1 .. end
-            with np.errstate(**caught, call=record):
-                for j in range(k, end):
-                    step(rows[j], rows[j + 1])
-                    if errors:
-                        end = j + 1
-                        break
-            if errors:   # rerun as a step-by-step pass would take it
-                errors.clear()
-                step(rows[end - 1], rows[end])
-            with np.errstate(all="ignore"):   # the per-step rule below warns as it would
-                block = rows[k + 1:end + 1]
-                mass = block.sum(axis=1)
-                drift = np.maximum(np.abs(mass - 1.0), -block.min(axis=1))
-                plain = drift <= DRIFT_TOL   # False where the mass is not finite
-                plain &= (bits[k + 1:end + 1] != bits[k:end]).any(axis=1)
+            for j in range(k, end):
+                step(rows[j], rows[j + 1])
+            block = rows[k + 1:end + 1]
+            mass = block.sum(axis=1)
+            drift = np.maximum(np.abs(mass - 1.0), -block.min(axis=1))
+            plain = drift <= DRIFT_TOL   # False where the mass is not finite
+            plain &= (bits[k + 1:end + 1] != bits[k:end]).any(axis=1)
             first = int(plain.argmin())   # the first step the per-step rule takes
             if plain[first]:
                 first = end - k
@@ -374,14 +360,12 @@ def integrate_forward(
             # the per-step rule at step j = k + first
             j = k + first
             x = xs[j + 1]
-            mass = float(x.sum())
-            if not math.isfinite(mass):
+            if not math.isfinite(mass[first]):
                 raise KineticsError(
                     f"non-finite occupation at t={times[j + 1]:.6g}; reduce dt (dt={h:.3g})"
                 )
-            drift = max(abs(mass - 1.0), max(0.0, -float(x.min())))
-            drift_max = max(drift_max, drift)
-            projected = drift > DRIFT_TOL
+            drift_max = max(drift_max, float(drift[first]))
+            projected = bool(drift[first] > DRIFT_TOL)
             if projected:
                 np.clip(x, 0.0, None, out=x)
                 x /= x.sum()

@@ -33,6 +33,7 @@ __all__ = [
     "balance_gap",
     "column_balance_gaps",
     "effective_rewards",
+    "payoff_bound",
     "dominant_level",
     "grid_array",
     "occupation_array",
@@ -360,8 +361,8 @@ def validate(cfg: GameConfig, memo: Optional[dict] = None) -> list[str]:
     """Structural validation; returns a list of human-readable violations.
 
     Empty list means the configuration is well formed.  Indices in messages
-    are 1-based; the array checks come first, then the scales, then detailed
-    balance.
+    are 1-based; the array checks come first, then the scales and, on
+    well-formed arrays and scales, payoff_bound, then detailed balance.
 
     memo, if given, keeps the array checks' and the balance check's
     violations by what they read: n, m, the detailed_balance flag, whether
@@ -382,7 +383,11 @@ def validate(cfg: GameConfig, memo: Optional[dict] = None) -> list[str]:
         if (hit := memo.get(key)) is None:
             hit = memo[key] = _array_violations(cfg)
         arrays, balance, largest = hit
-    return arrays + _scale_violations(cfg, largest) + balance
+    scales = _scale_violations(cfg, largest)
+    if not (arrays or scales) and not math.isfinite(bound := payoff_bound(cfg)):
+        scales.append(f"payoff bound: (max |w| + F) / delta_dis = {bound!r} at "
+                      f"delta_dis={cfg.delta_dis!r} is not finite")
+    return arrays + scales + balance
 
 
 def _checked_arrays(cfg: GameConfig) -> list:
@@ -500,6 +505,19 @@ def effective_rewards(cfg: GameConfig) -> np.ndarray:
     """Reward flow net of expected pressure fines: w[i,j] - sum_f rate[f,i,j]*fine[f,i]."""
     mv = cfg.moves
     return cfg.w - (mv.rate * mv.fine[:, :, None]).sum(axis=0)
+
+
+@np.errstate(all="ignore")   # an overflow gives inf, which validate refuses
+def payoff_bound(cfg: GameConfig) -> float:
+    """(max |w| + F) / delta_dis, F the largest expected fine flow per capita
+    with every partner cell at mass 1, which no occupation exceeds: with a
+    terminal payoff gT, max |gT| plus this bounds |g| over an exact solve.
+    Staying is always feasible and no fee or fine is negative, so a payoff
+    is worth at most the best reward flow and at least the worst reward less
+    the largest fine flow, each discounted."""
+    mv = cfg.moves
+    fines = ((mv.rate + mv.evo.sum(axis=-1)) * mv.fine[:, :, None]).sum(axis=0)
+    return float((np.abs(cfg.w).max() + fines.max()) / cfg.delta_dis)
 
 
 @dataclass(frozen=True)

@@ -852,10 +852,10 @@ def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_writes_error_and_manifest(tmp_path, capsys, monkeypatch):
+    # the forward pass overflows and raises, and no warning of numpy's escapes
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, summary, err = cli(["solve", EXAMPLE, "--out", str(out),
-                                  "--T", "2e80", "--dt", "1e80"], capsys)
+    code, summary, err = cli(["solve", EXAMPLE, "--out", str(out),
+                              "--T", "2e80", "--dt", "1e80"], capsys)
     assert code == 2 and summary["ok"] is False and "non-finite" in summary["error"]
     assert "numerical failure" in err
     error = json.loads((out / "error.json").read_text())
@@ -873,21 +873,21 @@ def test_cli_numerical_failure_writes_error_and_manifest(tmp_path, capsys, monke
 
 
 def test_cli_solve_refuses_a_payoff_past_its_a_priori_bound(tmp_path, capsys, monkeypatch):
-    # the bound is max |gT| + (max |w| + F) / delta_dis, F the largest fine flow
-    # with every partner cell at mass 1: on the example the fine of 0.2 on the
-    # down moves out of cell (3, 3), at 1.8 plus delta_int times its
-    # stimulated rates 0.4 + 0.5 + 0.6
+    # the bound is max |gT| + model.payoff_bound, (max |w| + F) / delta_dis, F
+    # the largest fine flow with every partner cell at mass 1: on the example
+    # the fine of 0.2 on the down moves out of cell (3, 3), at 1.8 plus
+    # delta_int times its stimulated rates 0.4 + 0.5 + 0.6
     cfg = read_config(EXAMPLE)
     gT = np.zeros((3, 3))
     gT[1, 2] = -3.0
-    assert hbmfg.cli._payoff_bound(cfg, gT) == pytest.approx(
+    assert np.abs(gT).max() + hbmfg.model.payoff_bound(cfg) == pytest.approx(
         3.0 + (2.2 + 0.2 * (1.8 + 0.05 ** 2 * 1.5)) / 0.05, rel=1e-14)
     # perfbench's seed-1 stay-put config at --dt 0.4: the payoff pass blows up
     # to max |g| about 2e68 and stays finite, against a bound of 23.8; the solve
     # is a numerical failure that writes error.json and the manifest alone
     config = stayput_config(tmp_path, monkeypatch)
     cfg = read_config(config)
-    bound = hbmfg.cli._payoff_bound(cfg, np.zeros((cfg.n, cfg.m)))
+    bound = hbmfg.model.payoff_bound(cfg)
     assert bound == pytest.approx(23.825072722080876, rel=1e-14)
     out = tmp_path / "dt0.4"
     code, summary, err = cli(["solve", config, "--T", "87.5", "--dt", "0.4",
@@ -1330,6 +1330,47 @@ def test_cli_rejects_scales_that_overflow_or_underflow(tmp_path, capsys, regime,
     code, _, _ = cli(["stationary", EXAMPLE, "--out", str(tmp_path / "o"),
                       "--regime", regime, "--delta", repr(delta)], capsys)
     assert code == 1 and os.listdir(tmp_path / "o") == []
+
+
+def test_cli_refuses_a_payoff_bound_that_overflows(tmp_path, capsys):
+    # regime id3 at delta 1e-160 gives delta_dis = 1e-320, subnormal but
+    # positive, and the example's rewards times 6e306 are finite: either takes
+    # (max |w| + F) / delta_dis past the largest float.  stationary wrote a
+    # null payoff and solve warned in its bound; now every subcommand refuses
+    # the config by validate's message, with warnings as errors, and leaves
+    # its --out empty
+    rich = example_doc()
+    rich["economics"]["w"] = [[6e306 * v for v in row] for row in rich["economics"]["w"]]
+    p = tmp_path / "rich.json"
+    p.write_text(json.dumps(rich))
+    why = "payoff bound: (max |w| + F) / delta_dis = inf at delta_dis={} is not finite"
+    runs = [(["stationary", EXAMPLE, "--regime", "id3", "--delta", "1e-160"], "1e-320"),
+            (["solve", str(p)], "0.05"), (["stationary", str(p)], "0.05")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, (args, delta_dis) in enumerate(runs):
+            out = tmp_path / str(k)
+            code, summary, err = cli(args + ["--out", str(out)], capsys)
+            assert code == 1 and "numerical failure" not in err, args
+            assert summary["error"] == "config fails validation: " + why.format(delta_dis)
+            assert os.listdir(out) == []
+        out = tmp_path / "validate"
+        assert cli(["validate", str(p), "--out", str(out)], capsys)[0] == 1
+        assert json.loads((out / "validation.json").read_text()) == {
+            "ok": False, "violations": [why.format("0.05")]}
+        # a sweep down delta at id3 gives each value its own verdict
+        slow = example_doc()
+        slow["scales"]["regime"] = "id3"
+        p = tmp_path / "id3.json"
+        p.write_text(json.dumps(slow))
+        out = tmp_path / "sweep"
+        code, summary, _ = cli(["sweep", str(p), "--param", "scales.delta", "--values",
+                                "1e-150", "1e-160", "--op", "validate", "--out", str(out)],
+                               capsys)
+        assert code == 1 and (summary["runs"], summary["failed"]) == (2, 1)
+        verdicts = [json.loads((out / f"val_{k}" / "validation.json").read_text())["violations"]
+                    for k in range(2)]
+        assert verdicts == [[], [why.format("1e-320")]]
 
 
 def test_cli_solve_refuses_a_grid_past_the_step_bound(tmp_path, capsys):

@@ -257,10 +257,10 @@ def test_integrate_forward_blowup_names_time_and_step():
     cfg = make_config(3, 2, rng)
     x0 = random_simplex(3, 2, rng)
     # moderate blow-ups get clamped back onto the simplex; only a step so
-    # large that one RK4 stage overflows reaches the non-finite guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(KineticsError, match="non-finite"):
-            integrate_forward(x0, None, 0.0, 2e80, 1e80, cfg)
+    # large that one RK4 stage overflows reaches the non-finite guard, which
+    # raises with no warning of numpy's on the way
+    with pytest.raises(KineticsError, match="non-finite"):
+        integrate_forward(x0, None, 0.0, 2e80, 1e80, cfg)
 
 
 def test_integrate_forward_rejects_bad_grid():
@@ -422,10 +422,12 @@ def test_integrate_forward_fills_a_fixed_point_up_to_the_piece_end():
     assert (traj.x[41:61] != traj.x[40:60]).any(axis=(1, 2)).all()
 
 
+@np.errstate(all="ignore")
 def forward_per_step(x0, control, t0, t1, dt, cfg):
-    """integrate_forward's per-step rule, one step and its checks at a time:
-    the reference for the run-checked pass.  Returns (xs, meta).  Each piece
-    steps the flat occupation by the pass's own step builder."""
+    """integrate_forward's per-step rule, one step and its checks at a time,
+    under the pass's floating-point rule: the reference for the run-checked
+    pass.  Returns (xs, meta).  Each piece steps the flat occupation by the
+    pass's own step builder."""
     n_steps, h = step_grid(t0, t1, dt, cfg.n * cfg.m)
     times = t0 + h * np.arange(n_steps + 1)
     x = np.array(occupation_array(x0, (cfg.n, cfg.m))).reshape(-1)
@@ -458,10 +460,11 @@ def forward_per_step(x0, control, t0, t1, dt, cfg):
         "dt": h, "drift_max": drift_max, "projections": projections, "fixed_steps": fixed_steps}
 
 
-def _outcome(integrate, *args):
+def _outcome(integrate, *args, action="always"):
     # (xs bytes, meta) or the KineticsError's text, with the warnings raised
+    # under the warnings filter's action ("error" raises the first instead)
     with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
+        warnings.simplefilter(action)
         try:
             xs, meta = integrate(*args)
             got = (xs.tobytes(), meta)
@@ -475,16 +478,32 @@ def _forward(*args):
     return traj.x, traj.meta
 
 
-def assert_runs_match_per_step(monkeypatch, *args):
+def assert_runs_match_per_step(monkeypatch, *args, action="always"):
     """integrate_forward with runs capped at 1, 3 and RUN_STEPS steps equals
-    the per-step rule: the node bits, meta, the error text and the warnings.
-    Returns the outcome, (xs bytes, meta) or the error text, and the warnings."""
-    want = _outcome(forward_per_step, *args)
+    the per-step rule: the node bits, meta, the error text and the warnings,
+    under the warnings filter's action.  Returns the outcome, (xs bytes,
+    meta) or the error text, and the warnings."""
+    want = _outcome(forward_per_step, *args, action=action)
     for cap in (1, 3, kinetics.RUN_STEPS):
         with monkeypatch.context() as mp:
             mp.setattr(kinetics, "RUN_STEPS", cap)
-            assert _outcome(_forward, *args) == want, cap
+            assert _outcome(_forward, *args, action=action) == want, cap
     return want
+
+
+def assert_silent_runs_match_per_step(monkeypatch, *args):
+    """assert_runs_match_per_step under np.errstate(all="warn"), under
+    np.errstate(all="raise") and with warnings as errors (python -W error):
+    the same outcome each time, and no warning or FloatingPointError escapes
+    either pass.  Returns the outcome."""
+    outcomes = []
+    for state, action in (("warn", "always"), ("raise", "always"), ("warn", "error")):
+        with np.errstate(all=state):
+            got, seen = assert_runs_match_per_step(monkeypatch, *args, action=action)
+        assert seen == [], (state, action)
+        outcomes.append(got)
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    return outcomes[0]
 
 
 def test_run_checked_forward_pass_equals_the_per_step_rule_on_solve_paths(
@@ -562,62 +581,45 @@ def test_run_checked_forward_pass_fills_fixed_points_as_the_per_step_rule(monkey
     assert fixed_steps(x0, Control.of_steps(stack)) == 38 + 139
 
 
-def test_run_checked_forward_pass_warns_as_the_per_step_rule(monkeypatch):
-    # the blow-up: a step whose stages overflow is rerun outside its run, so
-    # exactly the per-step rule's warnings fire, and the same error is raised
+def test_run_checked_forward_pass_lets_no_warning_escape_under_any_error_state(monkeypatch):
+    # the blow-up: a step whose stages overflow raises the same error as the
+    # per-step rule, and none of its floating-point flags reaches the caller
     rng = np.random.default_rng(9)
     cfg = make_config(3, 2, rng)
     x0 = random_simplex(3, 2, rng)
-    with np.errstate(all="warn"):
-        got, seen = assert_runs_match_per_step(monkeypatch, x0, None, 0.0, 2e80, 1e80, cfg)
-    assert got.startswith("non-finite occupation at t=") and seen
-    # a step that underflows warns where the caller asks for it, also in the
-    # middle of a run, and its run goes on from it
+    got = assert_silent_runs_match_per_step(monkeypatch, x0, None, 0.0, 2e80, 1e80, cfg)
+    assert got.startswith("non-finite occupation at t=")
+    # steps that underflow, also in the middle of a run, flag nothing to the
+    # caller either, and the run goes on from them to its fixed point
     cfg = theorem_config(3, 3, np.random.default_rng(3), with_evo=False)
-    with np.errstate(under="warn"):
-        got, seen = assert_runs_match_per_step(monkeypatch, _subnormal_start(200), None, 0.0,
-                                               4.0, 0.02, cfg)
-    assert seen and got[1]["fixed_steps"] == 200 - 51
+    got = assert_silent_runs_match_per_step(monkeypatch, _subnormal_start(200), None, 0.0,
+                                            4.0, 0.02, cfg)
+    assert got[1]["fixed_steps"] == 200 - 51
 
 
-def test_forward_overflow_inside_a_flat_run_warns_and_raises_as_the_per_step_rule(monkeypatch):
-    # a 3 x 3 switching path, whose stages are the flat kernel's BLAS
-    # matmuls: at these steps every step projects, until one overflows into
+def test_forward_overflow_inside_a_flat_run_raises_as_the_per_step_rule_with_no_warning(
+        monkeypatch):
+    # a 3 x 3 switching path, whose fused steps are BLAS matmuls of the
+    # flat triple: at these steps every step projects, until one overflows into
     # node 5 (step 4, inside the run of steps 3 .. 6) or node 72 (inside the
     # 64-step run from step 63; there the mass check's sum overflows); the
-    # same warnings fire as step by step, and the same error is raised.
-    # Under -W error the first warning is raised instead, the same one.
+    # same error is raised as step by step, and no warning escapes, whatever
+    # numpy's error state, also under -W error
     rng = np.random.default_rng(9)
     cfg = make_config(3, 3, rng, balanced_evo=False, delta=0.3)
     x0 = random_simplex(3, 3, rng)
     u = random_control(3, 3, rng)
     assert kinetics.flat_operators(cfg) and (u != np.arange(3)).any()
-
-    def raised(integrate, *args):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                integrate(*args)
-            except (KineticsError, RuntimeWarning) as e:
-                return type(e), str(e)
-
     for dt, node in ((2e21, 5), (1.6e21, 72)):
-        args = (x0, u, 0.0, 100 * dt, dt, cfg)
-        with np.errstate(all="warn"):
-            got, seen = assert_runs_match_per_step(monkeypatch, *args)
-            want = raised(forward_per_step, *args)
-            for cap in (1, 3, kinetics.RUN_STEPS):
-                monkeypatch.setattr(kinetics, "RUN_STEPS", cap)
-                assert raised(_forward, *args) == want, cap
+        got = assert_silent_runs_match_per_step(monkeypatch, x0, u, 0.0, 100 * dt, dt, cfg)
         assert got == f"non-finite occupation at t={node * dt:.6g}; reduce dt (dt={dt:.3g})", got
-        assert seen and want == seen[0]
 
 
 def by_column_rhs(x, target, cfg):
     """kinetic_rhs by columns, x (n, m): the per-capita rates of cfg.moves
     times x, net @ flux, and the switch's scatter to cfg.switch_cells of
-    target less x, times lam; the kernel grids outside
-    kinetics.flat_operators step, and the reference for the flat one."""
+    target less x, times lam: kinetic_rhs on every grid, and the kernel
+    that grids outside kinetics.flat_operators step."""
     mv, m = cfg.moves, cfg.m
     flux = mv.per_capita(x) * x
     out = mv.net @ flux.reshape(-1, m)
@@ -629,11 +631,10 @@ def by_column_rhs(x, target, cfg):
 
 
 def test_flat_kernel_equals_the_by_column_formula():
-    # on 3 x 3 grids, each level variant and regime, lam = 0 and m = 1, under
-    # no control, an all-stay target and a switching one: the flat kernel,
-    # one flat operator with the switch as one more move family, is the
-    # by-column formula within rounding; past kinetics.flat_operators (6 x 6,
-    # 10 x 10) the kernel is the by-column formula in bits
+    # on 3 x 3 grids in each level variant and regime, with lam = 0 and with
+    # m = 1, on a 5 x 5 sink grid, and past kinetics.flat_operators (6 x 6,
+    # 10 x 10), under no control, an all-stay target and a switching one:
+    # kinetic_rhs is the by-column formula in bits on every grid
     rng = np.random.default_rng(40)
     small = [make_config(3, 3, rng, balanced_evo=False, delta=0.3, regime=regime, sink=sink,
                          lam=float(rng.uniform(0.5, 2.0)))
@@ -651,10 +652,7 @@ def test_flat_kernel_equals_the_by_column_formula():
             for x in (random_simplex(n, m, rng), rng.uniform(0.0, 10.0, (n, m))):
                 want = by_column_rhs(x, target, cfg)
                 got = kinetic_rhs(x, target, cfg)
-                if kinetics.flat_operators(cfg):
-                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), cfg
-                else:
-                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), cfg
     assert [kinetics.flat_operators(cfg) for cfg in small + large] == [True] * 9 + [False] * 2
     assert not kinetics.flat_operators(dataclasses.replace(small[0], lam=np.inf))
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -29,9 +31,12 @@ from hbmfg import (
     solve_mfg,
     validate,
 )
-from hbmfg.model import BALANCE_TOL, balance_gap, column_balance_gaps, control_pieces
+from hbmfg.io import read_config
+from hbmfg.model import (BALANCE_TOL, balance_gap, column_balance_gaps, control_pieces,
+                         payoff_bound)
 from hbmfg.stability import StabilityError, build_reduced_linearization
 from hbmfg.stationary import StationaryError, build_level_chain, stationary_solution
+from test_io_cli import EXAMPLE
 from util_configs import make_config
 
 
@@ -111,6 +116,30 @@ def test_validate_catches_boundary_and_sign_problems():
     # the move table is built on first use, so a malformed shape is reported
     shape = _tiny(q_down=np.zeros((3, 2)))
     assert any("q_down: expected shape (2, 2)" in m for m in validate(shape))
+
+
+def test_validate_names_a_payoff_bound_that_overflows():
+    # payoff_bound, (max |w| + F) / delta_dis, bounds |g| with max |gT|: on
+    # the example, regime id3 at delta 1e-160 (delta_dis = 1e-320) or rewards
+    # times 6e306 take it past the largest float, and validate names it, with
+    # no warning; delta 1e-150 and rewards times 1e306 keep it finite
+    cfg = read_config(EXAMPLE)
+    assert payoff_bound(cfg) == pytest.approx((2.2 + 0.2 * (1.8 + 0.05 ** 2 * 1.5)) / 0.05,
+                                              rel=1e-14)
+    why = "payoff bound: (max |w| + F) / delta_dis = inf at delta_dis={!r} is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for changes, verdict in (({"regime": Regime.ID3, "delta": 1e-150}, []),
+                                 ({"regime": Regime.ID3, "delta": 1e-160}, [why.format(1e-320)]),
+                                 ({"w": 1e306 * cfg.w}, []),
+                                 ({"w": 6e306 * cfg.w}, [why.format(0.05)])):
+            bad = dataclasses.replace(cfg, **changes)
+            assert validate(bad) == validate(bad, {}) == verdict, changes
+            assert math.isfinite(payoff_bound(bad)) == (not verdict)
+    # a malformed reward leaves the bound unread: only its shape is reported
+    assert validate(dataclasses.replace(cfg, w=cfg.w.reshape(1, 9), delta=1e-160,
+                                        regime=Regime.ID3)) == [
+        "w: expected shape (3, 3), got (1, 9)"]
 
 
 def test_validate_detailed_balance_identity():
